@@ -31,7 +31,6 @@ family's logarithmic gradient.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -102,7 +101,7 @@ class PropertyReport:
     family: str
     n: int
     m: int
-    status: str            # pass | fail | skipped
+    status: str            # pass | fail | error
     residual: float
     tolerance: float
     mode: str              # exact | numeric
@@ -837,22 +836,24 @@ def _expand_properties(props):
 def _guarded(prop, family, n, m, mode, fn):
     try:
         return fn()
-    except Exception as exc:  # keep the grid running, report the cell
-        return PropertyReport(prop, family, n, m, "fail", 1.0, 0.0, mode,
+    except Exception as exc:  # a crash is not a verdict: keep the grid running
+        return PropertyReport(prop, family, n, m, "error", 1.0, 0.0, mode,
                               f"error: {type(exc).__name__}: {exc}")
 
 
 def verify_all(f: WeightFamily, nmax: int = 4, mmax: int = 2,
                mode: str = "auto", seed: int = 0, properties=None,
-               quad_order: int = 20, workers: int | None = None):
+               quad_order: int = 20):
     """Run every selected checker over the (n, m) grid, never raising.
 
     Returns the list of PropertyReport sorted by (property, n, m) with
-    properties in taxonomy order.  mode "auto" picks exact checks when
-    the family carries an exact moment oracle and numeric integration
-    otherwise; construction of the system itself always needs the
-    oracle, so families without one fail the structural checks with an
-    explanatory note while the data-only checks still run.
+    properties in taxonomy order.  A checker that raises gives a cell
+    with status "error" and the exception in its note, never a "fail".
+    mode "auto" picks exact checks when the family carries an exact
+    moment oracle and numeric integration otherwise; construction of
+    the system itself always needs the oracle, so families without one
+    fail the structural checks with an explanatory note while the
+    data-only checks still run.
     """
     if nmax < 1:
         raise ValueError("nmax must be at least 1")
@@ -915,7 +916,6 @@ def verify_all(f: WeightFamily, nmax: int = 4, mmax: int = 2,
                     "prop1", f.name, n, m, not bad,
                     notes="; ".join(f"{k} fails" for k in bad),
                 ))
-    tasks = []
     if chosen & {"b", "c", "d", "e"}:
         try:
             system = build_monic(f, nmax + mmax + 1)
@@ -954,38 +954,33 @@ def verify_all(f: WeightFamily, nmax: int = 4, mmax: int = 2,
                         if tower is None:
                             _needs_tower("b", n, m)
                             continue
-                        tasks.append((lambda n=n, m=m: _guarded(
+                        reports.append(_guarded(
                             "b", f.name, n, m, resolved,
                             lambda: check_b(f, system, n, m, resolved, rule,
-                                            tower, _pearson(m)))))
+                                            tower, _pearson(m))))
             if "c" in chosen:
                 for n in range(1, nmax + 1):
                     for m in range(mmax + 1):
                         if tower is None:
                             _needs_tower("c", n, m)
                             continue
-                        tasks.append((lambda n=n, m=m: _guarded(
+                        reports.append(_guarded(
                             "c", f.name, n, m, "exact",
-                            lambda: check_c(f, system, n, m, tower, lambdas))))
+                            lambda: check_c(f, system, n, m, tower, lambdas)))
             if "d" in chosen:
                 for n in range(1, nmax + 1):
                     if tower is None:
                         _needs_tower("d", n, 0)
                         continue
-                    tasks.append((lambda n=n: _guarded(
+                    reports.append(_guarded(
                         "d", f.name, n, 0, "exact",
-                        lambda: check_d(f, system, n, tower, lambdas))))
+                        lambda: check_d(f, system, n, tower, lambdas)))
             if "e" in chosen:
                 for n in range(1, nmax + 1):
                     for m in range(mmax + 1):
-                        tasks.append((lambda n=n, m=m: _guarded(
+                        reports.append(_guarded(
                             "e", f.name, n, m, resolved,
-                            lambda: check_e(f, system, n, m, resolved, rule))))
-    if workers and workers > 1 and tasks:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports.extend(pool.map(lambda t: t(), tasks))
-    else:
-        reports.extend(t() for t in tasks)
+                            lambda: check_e(f, system, n, m, resolved, rule)))
     order = {p: i for i, p in enumerate(PROPERTY_ORDER)}
     reports.sort(key=lambda r: (order[r.property], r.n, r.m))
     return reports

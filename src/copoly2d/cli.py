@@ -3,7 +3,8 @@
 Two subcommands: `verify` runs the property grid for one family and
 emits a text or JSON report; `list-families` prints the built-in
 catalogue.  Exit status is 0 when every selected check passes, 1 when
-at least one fails, and 2 for configuration or load problems.
+at least one fails, 2 for configuration or load problems, and 3 when a
+checker crashed (a cell with status "error").
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .characterize import AUX_PROPERTIES, verify_all
 from .weights import (
@@ -45,7 +46,6 @@ class RunConfig:
     properties: tuple | None = None
     output: str | None = None
     format: str = "text"
-    workers: int | None = field(default=None, repr=False)
 
     def validate(self) -> None:
         if self.nmax < 1:
@@ -98,19 +98,6 @@ def resolve_family(cfg: RunConfig):
     return builtin(cfg.family_ref, cfg.params)
 
 
-def _workers_from_env() -> int | None:
-    raw = os.environ.get("COPOLY2D_THREADS")
-    if raw is None or raw == "":
-        return None
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ConfigError(f"COPOLY2D_THREADS must be an integer, got {raw!r}")
-    if workers < 1:
-        raise ConfigError("COPOLY2D_THREADS must be positive")
-    return workers
-
-
 def _write_atomic(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".copoly2d-")
@@ -145,8 +132,10 @@ def render_text(family, cfg: RunConfig, reports) -> str:
         if r.notes:
             line += f"  [{r.notes}]"
         lines.append(line)
-    failed = sum(1 for r in reports if r.status != "pass")
-    lines.append(f"summary: {len(reports) - failed} pass, {failed} fail")
+    errors = sum(1 for r in reports if r.status == "error")
+    failed = sum(1 for r in reports if r.status == "fail")
+    summary = f"summary: {len(reports) - failed - errors} pass, {failed} fail"
+    lines.append(summary + (f", {errors} error" if errors else ""))
     return "\n".join(lines) + "\n"
 
 
@@ -161,7 +150,6 @@ def run(cfg: RunConfig) -> int:
         seed=cfg.seed,
         properties=cfg.properties,
         quad_order=cfg.quad_order,
-        workers=cfg.workers,
     )
     render = render_json if cfg.format == "json" else render_text
     text = render(family, cfg, reports)
@@ -169,6 +157,8 @@ def run(cfg: RunConfig) -> int:
         sys.stdout.write(text)
     else:
         _write_atomic(cfg.output, text)
+    if any(r.status == "error" for r in reports):
+        return 3
     return 0 if all(r.status == "pass" for r in reports) else 1
 
 
@@ -233,7 +223,6 @@ def main(argv=None) -> int:
             properties=props or None,
             output=args.output,
             format=args.format,
-            workers=_workers_from_env(),
         )
         return run(cfg)
     except (ConfigError, FamilyLoadError, UnknownFamilyError,

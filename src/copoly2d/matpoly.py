@@ -1,19 +1,23 @@
-"""Matrices of bivariate polynomials with Kronecker and gradient calculus.
+"""Matrices of bivariate polynomials with Kronecker products.
 
 Matrices are stored dense and row major, but all products skip zero
 entries, which matters because the structured matrices used downstream
 (selection blocks, Kronecker lifts) are mostly zero.  Exact linear
-algebra on constant matrices uses fraction-free (Bareiss) elimination.
+algebra on constant matrices goes through one routine, `_echelon`: it
+scales each row to integers and runs fraction-free (Bareiss)
+elimination on Python ints with exact integer division.  Determinant,
+rank, the square solve and the overdetermined consistency solve all
+read that echelon form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
-from .polycore import NEG_INF, ZERO, BivariatePoly, _as_fraction, _mul_into
+from .polycore import NEG_INF, ZERO, BivariatePoly, _mul_into
 
 
 class ShapeError(ValueError):
@@ -258,14 +262,6 @@ class PolyMatrix:
         return [[self._e[i * self.cols + j].eval_exact(x0, y0)
                  for j in range(self.cols)] for i in range(self.rows)]
 
-    def max_abs_coeff(self) -> Fraction:
-        m = Fraction(0)
-        for p in self._e:
-            for c in p.terms.values():
-                if abs(c) > m:
-                    m = abs(c)
-        return m
-
     def __repr__(self):
         if self.rows * self.cols > 36:
             return f"PolyMatrix({self.rows}x{self.cols})"
@@ -307,21 +303,8 @@ def vstack(*mats: PolyMatrix) -> PolyMatrix:
     return PolyMatrix(sum(m.rows for m in mats), c, entries)
 
 
-def block_diag(*mats: PolyMatrix) -> PolyMatrix:
-    rows = sum(m.rows for m in mats)
-    cols = sum(m.cols for m in mats)
-    e = [ZERO] * (rows * cols)
-    ro = co = 0
-    for m in mats:
-        for i, j, p in m.nonzeros():
-            e[(ro + i) * cols + (co + j)] = p
-        ro += m.rows
-        co += m.cols
-    return PolyMatrix(rows, cols, e)
-
-
 # ---------------------------------------------------------------------------
-# Kronecker calculus
+# Kronecker products
 
 
 def kron(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
@@ -344,163 +327,103 @@ def kron_power(a: PolyMatrix, m: int) -> PolyMatrix:
     return out
 
 
-def kron_dx(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    """d/dx of kron(a, b) through the product rule."""
-    return kron(a.dx(), b) + kron(a, b.dx())
-
-
-def kron_dy(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    return kron(a.dy(), b) + kron(a, b.dy())
-
-
-def mixed_product_check(a, b, c, d) -> bool:
-    """Whether kron(a, b) @ kron(c, d) == kron(a @ c, b @ d)."""
-    if a.cols != c.rows or b.cols != d.rows:
-        raise ShapeError("factors do not compose")
-    return kron(a, b) @ kron(c, d) == kron(a @ c, b @ d)
-
-
-# ---------------------------------------------------------------------------
-# gradient / divergence
-
-
-@dataclass(frozen=True)
-class GradPair:
-    """x and y partial derivatives of one matrix, kept as a pair."""
-
-    top: PolyMatrix
-    bottom: PolyMatrix
-
-    def __post_init__(self):
-        if self.top.shape != self.bottom.shape:
-            raise ShapeError("gradient halves must share a shape")
-
-    def stack(self) -> PolyMatrix:
-        """The 2r x c vertical stack (x half over y half)."""
-        return vstack(self.top, self.bottom)
-
-
-def grad(a: PolyMatrix) -> GradPair:
-    return GradPair(a.dx(), a.dy())
-
-
-def grad_stacked(a: PolyMatrix) -> PolyMatrix:
-    return vstack(a.dx(), a.dy())
-
-
-def divergence(g) -> PolyMatrix:
-    """Divergence of a GradPair or of an even-row stacked matrix."""
-    if isinstance(g, GradPair):
-        return g.top.dx() + g.bottom.dy()
-    if isinstance(g, PolyMatrix):
-        return g.top_half().dx() + g.bottom_half().dy()
-    raise TypeError("divergence wants a GradPair or stacked PolyMatrix")
-
-
 # ---------------------------------------------------------------------------
 # exact linear algebra (constant matrices)
 
 
-def _const_rows(a: PolyMatrix):
+def _echelon(a: PolyMatrix, b: PolyMatrix | None = None):
+    """Fraction-free row echelon form of the constant matrix [a | b].
+
+    Each row is scaled to integers by the LCM of its denominators, then
+    Bareiss elimination runs on Python ints, pivoting in a's columns
+    only on the first nonzero row.  Every division is exact: after step
+    k the entries below the pivots are (k+1)-minors of the scaled
+    matrix, so the last pivot of a full-rank square a is the
+    determinant of the scaled, row-permuted a.  Returns the rows, the
+    pivot columns, the permutation sign and the product of the scales.
+    """
     try:
-        return [row[:] for row in a.const_entries()]
+        rows = a.const_entries()
+        if b is not None:
+            rows = [ra + rb for ra, rb in zip(rows, b.const_entries())]
     except ValueError as exc:
         raise ValueError("exact linear algebra needs a constant matrix") from exc
+    w = []
+    scale = 1
+    for row in rows:
+        s = lcm(*(v.denominator for v in row))
+        w.append([v.numerator * (s // v.denominator) for v in row])
+        scale *= s
+    sign, prev, pivots = 1, 1, []
+    for col in range(a.cols):
+        k = len(pivots)
+        r = next((r for r in range(k, len(w)) if w[r][col]), None)
+        if r is None:
+            continue
+        if r != k:
+            w[k], w[r] = w[r], w[k]
+            sign = -sign
+        tail = w[k][col:]
+        pk = tail[0]
+        for q in w[k + 1:]:
+            qk = q[col]
+            q[col:] = [(x * pk - qk * y) // prev for x, y in zip(q[col:], tail)]
+        prev = pk
+        pivots.append(col)
+    return w, pivots, sign, scale
 
 
 def det_exact(a: PolyMatrix) -> Fraction:
-    """Determinant of a constant square matrix by Bareiss elimination."""
+    """Determinant of a constant square matrix."""
     if a.rows != a.cols:
         raise ShapeError("determinant of a non-square matrix")
-    n = a.rows
-    if n == 0:
+    if a.rows == 0:
         return Fraction(1)
-    m = _const_rows(a)
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-            m[i][k] = Fraction(0)
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    w, pivots, sign, scale = _echelon(a)
+    if len(pivots) < a.rows:
+        return Fraction(0)
+    return Fraction(sign * w[-1][-1], scale)
 
 
 def rank_exact(a: PolyMatrix) -> int:
-    """Rank of a constant matrix by exact Gaussian elimination."""
-    m = _const_rows(a)
-    rows, cols = a.rows, a.cols
-    rank = 0
-    row = 0
-    for col in range(cols):
-        piv = None
-        for r in range(row, rows):
-            if m[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = Fraction(1) / m[row][col]
-        m[row] = [v * inv for v in m[row]]
-        for r in range(rows):
-            if r != row and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [v - f * w for v, w in zip(m[r], m[row])]
-        rank += 1
-        row += 1
-        if row == rows:
-            break
-    return rank
+    """Rank of a constant matrix."""
+    return len(_echelon(a)[1])
+
+
+def _solve(a: PolyMatrix, b: PolyMatrix, no_pivot: str) -> PolyMatrix:
+    """The x with a @ x = b for a of full column rank.
+
+    no_pivot formats the SingularMatrixError text with the first column
+    of a that has no pivot.  Back substitution stays in integers: with d
+    the last pivot, d * x is integral by Cramer's rule.
+    """
+    w, pivots, _, _ = _echelon(a, b)
+    n = a.cols
+    if len(pivots) < n:
+        col = next((c for c, p in enumerate(pivots) if c != p), len(pivots))
+        raise SingularMatrixError(no_pivot.format(col))
+    if any(any(row) for row in w[n:]):
+        raise InconsistentSystemError("no constant solution matches every row")
+    d = w[n - 1][n - 1] if n else 1
+    ys = [None] * n
+    for i in range(n - 1, -1, -1):
+        row = w[i]
+        ys[i] = [(d * row[n + c] - sum(row[j] * ys[j][c] for j in range(i + 1, n)))
+                 // row[i] for c in range(b.cols)]
+    return PolyMatrix(n, b.cols,
+                      [BivariatePoly.const(Fraction(y, d)) for yr in ys for y in yr])
 
 
 def rat_solve(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     """Solve a @ x = b exactly for square constant a.
 
-    Fraction-free elimination with first-nonzero pivoting; raises
-    SingularMatrixError when a has no inverse.
+    Raises SingularMatrixError when a has no inverse.
     """
     if a.rows != a.cols:
         raise ShapeError("rat_solve needs a square matrix")
     if a.rows != b.rows:
         raise ShapeError(f"rat_solve shapes {a.shape} vs {b.shape}")
-    n = a.rows
-    am = _const_rows(a)
-    bm = _const_rows(b)
-    w = [am[i] + bm[i] for i in range(n)]
-    total = n + b.cols
-    prev = Fraction(1)
-    for k in range(n):
-        if w[k][k] == 0:
-            for r in range(k + 1, n):
-                if w[r][k] != 0:
-                    w[k], w[r] = w[r], w[k]
-                    break
-            else:
-                raise SingularMatrixError(f"singular pivot at column {k}")
-        for i in range(k + 1, n):
-            for j in range(k + 1, total):
-                w[i][j] = (w[i][j] * w[k][k] - w[i][k] * w[k][j]) / prev
-            w[i][k] = Fraction(0)
-        prev = w[k][k]
-    # back substitution
-    xs = [[Fraction(0)] * b.cols for _ in range(n)]
-    for i in range(n - 1, -1, -1):
-        for c in range(b.cols):
-            s = w[i][n + c]
-            for j in range(i + 1, n):
-                s -= w[i][j] * xs[j][c]
-            xs[i][c] = s / w[i][i]
-    return const_matrix(xs)
+    return _solve(a, b, "singular pivot at column {}")
 
 
 def inverse_exact(a: PolyMatrix) -> PolyMatrix:
@@ -510,42 +433,11 @@ def inverse_exact(a: PolyMatrix) -> PolyMatrix:
 def solve_columns(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     """Solve the possibly overdetermined exact system a @ x = b.
 
-    a must have full column rank; every non-pivot equation is checked
-    against the solution, and InconsistentSystemError is raised if any
-    fails.  Used to extract constant right factors from polynomial
-    coefficient systems.
+    a must have full column rank (else SingularMatrixError); every
+    equation is checked against the solution, and
+    InconsistentSystemError is raised if any fails.  Used to extract
+    constant right factors from polynomial coefficient systems.
     """
     if a.rows != b.rows:
         raise ShapeError(f"solve_columns shapes {a.shape} vs {b.shape}")
-    m = _const_rows(a)
-    rhs = _const_rows(b)
-    rows, cols = a.rows, a.cols
-    w = [m[i] + rhs[i] for i in range(rows)]
-    piv_cols = []
-    row = 0
-    for col in range(cols):
-        piv = None
-        for r in range(row, rows):
-            if w[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            raise SingularMatrixError(f"column {col} has no pivot")
-        w[row], w[piv] = w[piv], w[row]
-        inv = Fraction(1) / w[row][col]
-        w[row] = [v * inv for v in w[row]]
-        for r in range(rows):
-            if r != row and w[r][col] != 0:
-                f = w[r][col]
-                w[r] = [v - f * u for v, u in zip(w[r], w[row])]
-        piv_cols.append(col)
-        row += 1
-    xs = [[Fraction(0)] * b.cols for _ in range(cols)]
-    for r, col in enumerate(piv_cols):
-        for c in range(b.cols):
-            xs[col][c] = w[r][cols + c]
-    # all eliminated non-pivot rows must have vanished entirely
-    for r in range(row, rows):
-        if any(v != 0 for v in w[r]):
-            raise InconsistentSystemError("no constant solution matches every row")
-    return const_matrix(xs)
+    return _solve(a, b, "column {} has no pivot")

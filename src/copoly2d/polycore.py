@@ -365,10 +365,6 @@ class RationalFn:
     def __setattr__(self, name, value):
         raise AttributeError("RationalFn is immutable")
 
-    @classmethod
-    def from_poly(cls, p) -> "RationalFn":
-        return cls(p, ONE)
-
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero

@@ -117,9 +117,6 @@ class WeightFamily:
              [self.psi1.coeff(0, 1), self.psi2.coeff(0, 1)]]
         )
 
-    def e_consts(self):
-        return (self.psi1.coeff(0, 0), self.psi2.coeff(0, 0))
-
     def has_oracle(self) -> bool:
         return self.moment_fn is not None
 

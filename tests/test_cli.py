@@ -15,6 +15,7 @@ from copoly2d.cli import (
     resolve_family,
     run,
 )
+from copoly2d import characterize
 from copoly2d.characterize import verify_all
 from copoly2d.weights import builtin, export_family, load_family
 
@@ -117,25 +118,22 @@ def test_decimal_params_are_exact(capsys):
     assert all(r["mode"] == "exact" for r in doc["reports"])
 
 
-def test_threads_env_rejected_when_malformed(capsys, monkeypatch):
-    monkeypatch.setenv("COPOLY2D_THREADS", "many")
-    code = main(["verify", "--family", "product_hermite", "--nmax", "2",
-                 "--mmax", "1"])
-    assert code == 2
-    assert "COPOLY2D_THREADS" in capsys.readouterr().err
+def test_checker_crash_is_an_error_cell_and_exit_three(capsys, monkeypatch):
+    real_check_c = characterize.check_c
 
+    def crashing_check_c(f, system, n, m, *rest):
+        if (n, m) == (3, 0):
+            raise TypeError("injected")
+        return real_check_c(f, system, n, m, *rest)
 
-def test_threads_env_used(capsys, monkeypatch):
-    # the family has honest grid failures, so the exit code is 1; the
-    # report must not depend on the worker count
-    monkeypatch.setenv("COPOLY2D_THREADS", "2")
-    argv = ["verify", "--family", "product_laguerre(1,2)", "--nmax", "2",
-            "--mmax", "1", "--format", "json"]
-    assert main(argv) == 1
-    threaded = capsys.readouterr().out
-    monkeypatch.delenv("COPOLY2D_THREADS")
-    assert main(argv) == 1
-    assert threaded == capsys.readouterr().out
+    monkeypatch.setattr(characterize, "check_c", crashing_check_c)
+    reports = verify_all(builtin("product_hermite"), nmax=3, mmax=1,
+                         properties=("c",))
+    assert [(r.n, r.m, r.status, r.notes) for r in reports if r.status != "pass"] == [
+        (3, 0, "error", "error: TypeError: injected")]
+    assert main(["verify", "--family", "product_hermite", "--nmax", "3",
+                 "--mmax", "1", "--properties", "c"]) == 3
+    assert capsys.readouterr().out.endswith("summary: 5 pass, 0 fail, 1 error\n")
 
 
 def test_list_families_text(capsys):

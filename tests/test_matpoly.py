@@ -2,28 +2,22 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from copoly2d.matpoly import (
-    GradPair,
     InconsistentSystemError,
     PolyMatrix,
     ShapeError,
     SingularMatrixError,
-    block_diag,
     const_matrix,
     det_exact,
-    divergence,
-    grad,
-    grad_stacked,
     hstack,
     inverse_exact,
     kron,
-    kron_dx,
-    kron_dy,
     kron_power,
-    mixed_product_check,
     rank_exact,
     rat_solve,
     solve_columns,
@@ -87,8 +81,6 @@ def test_stacking():
     b = PolyMatrix.zeros(2, 2)
     assert hstack(a, b).shape == (2, 4)
     assert vstack(a, b).shape == (4, 2)
-    assert block_diag(a, a).shape == (4, 4)
-    assert block_diag(a, a) == PolyMatrix.identity(4)
     with pytest.raises(ShapeError):
         hstack(a, PolyMatrix.zeros(3, 1))
 
@@ -139,42 +131,17 @@ def test_mixed_product():
     c = _rand_const(rng, 3, 2)
     b = _rand_polymat(rng, 2, 2, deg=1)
     d = _rand_polymat(rng, 2, 1, deg=1)
-    assert mixed_product_check(a, b, c, d)
-    with pytest.raises(ShapeError):
-        mixed_product_check(a, b, a, d)
-
-
-def test_grad_div():
-    f = PolyMatrix.scalar(parse_poly("x^2 + y^2"))
-    g = grad(f)
-    assert g.top == PolyMatrix.scalar(parse_poly("2*x"))
-    assert g.bottom == PolyMatrix.scalar(parse_poly("2*y"))
-    assert divergence(g) == PolyMatrix.scalar(parse_poly("4"))
-    assert g.stack() == grad_stacked(f)
-    assert grad(PolyMatrix.scalar(P.const(3))).stack().is_zero
-    h = grad(PolyMatrix.scalar(parse_poly("x*y")))
-    assert divergence(h).is_zero
-
-
-def test_grad_pair_shape_guard():
-    with pytest.raises(ShapeError):
-        GradPair(PolyMatrix.zeros(1, 2), PolyMatrix.zeros(2, 1))
+    assert kron(a, b) @ kron(c, d) == kron(a @ c, b @ d)
 
 
 def test_kron_derivative_product_rule():
     rng = random.Random(31)
     a = _rand_polymat(rng, 2, 2)
     b = _rand_polymat(rng, 2, 2)
-    assert kron_dx(a, b) == kron(a, b).dx()
-    assert kron_dy(a, b) == kron(a, b).dy()
+    assert kron(a, b).dx() == kron(a.dx(), b) + kron(a, b.dx())
+    assert kron(a, b).dy() == kron(a.dy(), b) + kron(a, b.dy())
     c = const_matrix([[1, 2], [3, 4]])
-    assert kron_dx(c, c).is_zero
-
-
-def test_divergence_stacked_matches_pair():
-    rng = random.Random(8)
-    a = _rand_polymat(rng, 2, 3)
-    assert divergence(grad(a)) == divergence(grad_stacked(a))
+    assert kron(c, c).dx().is_zero
 
 
 def test_det_and_rank():
@@ -226,3 +193,106 @@ def test_solve_columns_overdetermined():
 def test_const_entries_rejects_polynomials():
     with pytest.raises(ValueError):
         det_exact(PolyMatrix.from_rows([[parse_poly("x"), 0], [0, 1]]))
+
+
+# ---------------------------------------------------------------------------
+# property tests of the exact eliminations against references written
+# here: Leibniz expansion for det, the largest nonzero minor for rank
+
+_ENTRY = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+_EXACT = settings(derandomize=True, deadline=None, database=None, max_examples=100)
+
+
+def _const(r, c, rows):
+    return PolyMatrix(r, c, [P.const(v) for row in rows for v in row])
+
+
+@st.composite
+def _matrices(draw, rows, cols):
+    """Rational matrices, often of low rank or with a zero row or column."""
+    r, c = draw(rows), draw(cols)
+
+    def dense(r, c):
+        return [[draw(_ENTRY) for _ in range(c)] for _ in range(r)]
+
+    if draw(st.booleans()):
+        k = draw(st.integers(0, min(r, c)))
+        u, v = dense(r, k), dense(k, c)
+        m = [[sum((u[i][t] * v[t][j] for t in range(k)), Fraction(0))
+              for j in range(c)] for i in range(r)]
+    else:
+        m = dense(r, c)
+    if r and draw(st.booleans()):
+        m[draw(st.integers(0, r - 1))] = [Fraction(0)] * c
+    if c and draw(st.booleans()):
+        j = draw(st.integers(0, c - 1))
+        for row in m:
+            row[j] = Fraction(0)
+    return m
+
+
+def _leibniz(m):
+    n = len(m)
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(n), 2))
+        term = Fraction(-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+def _rank(m, cols=None):
+    """Size of the largest nonzero minor among the first `cols` columns."""
+    c = len(m[0]) if cols is None else cols
+    for k in range(min(len(m), c), 0, -1):
+        for ri in combinations(range(len(m)), k):
+            for ci in combinations(range(c), k):
+                if _leibniz([[m[i][j] for j in ci] for i in ri]):
+                    return k
+    return 0
+
+
+def _check_solver(solver, a, b, no_pivot):
+    """solver(a, b) solves, or raises exactly as the ranks say it must."""
+    am, bm = _const(len(a), len(a[0]), a), _const(len(b), len(b[0]), b)
+    deficient = [c for c in range(len(a[0])) if _rank(a, c + 1) <= c]
+    if deficient:
+        with pytest.raises(SingularMatrixError) as err:
+            solver(am, bm)
+        assert str(err.value) == no_pivot.format(deficient[0])
+    elif _rank([ra + rb for ra, rb in zip(a, b)]) > _rank(a):
+        with pytest.raises(InconsistentSystemError):
+            solver(am, bm)
+    else:
+        assert am @ solver(am, bm) == bm
+
+
+_ROWS = st.integers(1, 4)
+
+
+@_EXACT
+@given(_matrices(_ROWS, st.integers(0, 5)))
+def test_rank_matches_largest_nonzero_minor(m):
+    assert rank_exact(_const(len(m), len(m[0]), m)) == _rank(m)
+
+
+@_EXACT
+@given(_ROWS.flatmap(lambda n: _matrices(st.just(n), st.just(n))))
+def test_det_matches_leibniz(m):
+    assert det_exact(_const(len(m), len(m), m)) == _leibniz(m)
+
+
+@_EXACT
+@given(_ROWS.flatmap(lambda r: st.tuples(_matrices(st.just(r), st.integers(0, 5)),
+                                         _matrices(st.just(r), st.integers(0, 2)))))
+def test_solve_columns_solves_or_raises_by_rank(ab):
+    _check_solver(solve_columns, *ab, "column {} has no pivot")
+
+
+@_EXACT
+@given(_ROWS.flatmap(lambda n: st.tuples(_matrices(st.just(n), st.just(n)),
+                                         _matrices(st.just(n), st.integers(0, 2)))))
+def test_rat_solve_solves_or_raises_by_rank(ab):
+    _check_solver(rat_solve, *ab, "singular pivot at column {}")
