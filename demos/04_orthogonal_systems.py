@@ -19,7 +19,7 @@ def main():
     for i in range(3):
         print("  ", p2[i, 0].to_text())
 
-    gram = sys.gram(2)
+    gram = sys.gram(2, 0)
     print("block Gram matrix of P_2 is diagonal with entries:",
           [str(gram[i, i].constant_value()) for i in range(3)])
 
@@ -32,7 +32,7 @@ def main():
     print("Q_{1,1} shape:", q11.shape)
     cross = inner(sys.q(0, 1), q11, 1, f)
     print("level-1 stacks of different degree are orthogonal:", cross.is_zero)
-    level_gram = inner(q11, q11, 1, f)
+    level_gram = sys.gram(1, 1)
     print("level-1 Gram determinant nonzero:", det_exact(level_gram) != 0)
 
     lead = g_lead(1, 1)

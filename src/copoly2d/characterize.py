@@ -67,6 +67,7 @@ from .weights import (
     WeightFamily,
     check_pearson,
     check_phi_conditions,
+    grad_cols,
     make_quadrature,
 )
 
@@ -231,11 +232,7 @@ def psi_tower(f: WeightFamily, mmax: int) -> PsiTower:
     """
     if mmax < 0:
         raise ValueError("mmax must be nonnegative")
-    phi = f.phi
-    grads = []
-    for i in (0, 1):
-        p, q = phi[0, i], phi[1, i]
-        grads.append(PolyMatrix.from_rows([[p.dx(), q.dx()], [p.dy(), q.dy()]]))
+    grads = [grad_cols(f.phi[0, i], f.phi[1, i]) for i in (0, 1)]
     a_cols, b_cols = phi_coefficient_columns(f)
     psi1 = PolyMatrix.scalar(f.psi1)
     psi2 = PolyMatrix.scalar(f.psi2)
@@ -400,30 +397,11 @@ def lambda_via_formula(f: WeightFamily, n: int, m: int,
     return solve_columns(g, -(t @ g))
 
 
-class LambdaSet:
-    """Cache of eigenvalue matrices keyed by (degree, level).
-
-    The matrix stored under (d, m) acts on the columns of the level-m
-    stack of gradient index d - m, so every entry of a fixed degree d
-    has the same size d + 1.
-    """
-
-    def __init__(self, f: WeightFamily, sys: OrthoSystem, tower: PsiTower):
-        self.family = f
-        self.system = sys
-        self.tower = tower
-        self._entries: dict = {}
-
-    def get(self, degree: int, m: int) -> PolyMatrix:
-        if not 0 <= m < degree:
-            raise ValueError("need 0 <= level < degree")
-        key = (degree, m)
-        got = self._entries.get(key)
-        if got is None:
-            got = lambda_via_operator(self.family, self.system,
-                                      degree - m, m, self.tower)
-            self._entries[key] = got
-        return got
+def _lambda(f: WeightFamily, sys: OrthoSystem, n: int, m: int,
+            tower: PsiTower) -> PolyMatrix:
+    """lambda_via_operator memoised on the system, keyed by (n, m)."""
+    return sys.cached(("lambda", n, m),
+                      lambda: lambda_via_operator(f, sys, n, m, tower))
 
 
 # ---------------------------------------------------------------------------
@@ -465,15 +443,14 @@ def level_pearson_check(f: WeightFamily, tower: PsiTower, m: int) -> bool:
 
 
 def check_b(f: WeightFamily, sys: OrthoSystem, n: int, m: int,
-            mode: str = "exact", rule=None, tower: PsiTower | None = None,
-            pearson_ok: bool | None = None) -> PropertyReport:
+            mode: str = "exact", rule=None,
+            tower: PsiTower | None = None) -> PropertyReport:
     """Level-m stack orthogonality plus the lifted Pearson equation."""
     if n < 1 or m < 1:
         raise ValueError("property b needs n >= 1 and m >= 1")
-    if pearson_ok is None:
-        if tower is None or tower.depth < m:
-            tower = psi_tower(f, m)
-        pearson_ok = level_pearson_check(f, tower, m)
+    if tower is None or tower.depth < m:
+        tower = psi_tower(f, m)
+    pearson_ok = sys.cached(("pearson", m), lambda: level_pearson_check(f, tower, m))
     notes = [] if pearson_ok else ["lifted pearson identity fails"]
     qn = sys.q(n, m)
     if mode == "exact":
@@ -482,7 +459,7 @@ def check_b(f: WeightFamily, sys: OrthoSystem, n: int, m: int,
         )
         if not ortho_ok:
             notes.append("cross terms with a lower stack survive")
-        gram_ok = det_exact(inner(qn, qn, m, f)) != 0
+        gram_ok = det_exact(sys.gram(n, m)) != 0
         if not gram_ok:
             notes.append("level gram singular")
         ok = pearson_ok and ortho_ok and gram_ok
@@ -514,17 +491,13 @@ def check_b(f: WeightFamily, sys: OrthoSystem, n: int, m: int,
 
 
 def check_c(f: WeightFamily, sys: OrthoSystem, n: int, m: int,
-            tower: PsiTower | None = None,
-            lambdas: LambdaSet | None = None) -> PropertyReport:
+            tower: PsiTower | None = None) -> PropertyReport:
     """Operator route must solve exactly and agree with the symbol route."""
     if tower is None or tower.depth < m:
         tower = psi_tower(f, m)
     notes = []
     try:
-        if lambdas is not None:
-            lam = lambdas.get(n + m, m)
-        else:
-            lam = lambda_via_operator(f, sys, n, m, tower)
+        lam = _lambda(f, sys, n, m, tower)
     except NoConstantSolution as exc:
         return _report("c", f.name, n, m, False,
                        notes=f"no constant eigenvalue matrix: {exc}")
@@ -569,20 +542,17 @@ def _cleared_divergence_identity(f: WeightFamily, sys: OrthoSystem, n: int,
 
 
 def check_d(f: WeightFamily, sys: OrthoSystem, n: int,
-            tower: PsiTower | None = None,
-            lambdas: LambdaSet | None = None) -> PropertyReport:
+            tower: PsiTower | None = None) -> PropertyReport:
     """All n divergence tower levels of the degree-n column, exactly."""
     if n < 1:
         raise ValueError("property d needs n >= 1")
     if tower is None or tower.depth < n - 1:
         tower = psi_tower(f, max(n - 1, 0))
-    if lambdas is None:
-        lambdas = LambdaSet(f, sys, tower)
     notes = []
     ok = True
     for m in range(n):
         try:
-            lam = lambdas.get(n, m)
+            lam = _lambda(f, sys, n - m, m, tower)
         except NoConstantSolution as exc:
             return _report("d", f.name, n, 0, False,
                            notes=f"level {m}: no constant eigenvalue matrix: {exc}")
@@ -641,8 +611,7 @@ def _rf_equals_scaled(rows, mat: PolyMatrix, sign: int) -> bool:
 
 
 def rodrigues_reconstruct(f: WeightFamily, sys: OrthoSystem, n: int,
-                          tower: PsiTower | None = None,
-                          lambdas: LambdaSet | None = None) -> dict:
+                          tower: PsiTower | None = None) -> dict:
     """Iterate the divergence tower down from level n and compare.
 
     Starting from the weight's n-th Kronecker power times the constant
@@ -661,11 +630,9 @@ def rodrigues_reconstruct(f: WeightFamily, sys: OrthoSystem, n: int,
         raise ValueError("need n >= 1")
     if tower is None or tower.depth < n - 1:
         tower = psi_tower(f, max(n - 1, 0))
-    if lambdas is None:
-        lambdas = LambdaSet(f, sys, tower)
     lams = []
     for m in range(n):
-        lam = lambdas.get(n, m)
+        lam = _lambda(f, sys, n - m, m, tower)
         if det_exact(lam) == 0:
             raise SingularLambda(f"degree {n} level {m}")
         lams.append(lam)
@@ -736,19 +703,18 @@ def check_e(f: WeightFamily, sys: OrthoSystem, n: int, m: int,
     notes = []
     if mode == "exact":
         ok = True
-        for k in range(n - 1):
-            qk_t = sys.q(k, m).transpose()
-            nk = integrate_matrix(vstack(qk_t @ mid_top, qk_t @ mid_bot), f)
-            if not nk.is_zero:
-                ok = False
-                notes.append(f"projection on stack {k} survives")
         recon = None
         a_low = None
-        for k in range(max(n - 1, 0), n + 2):
+        for k in range(n + 2):
             qk = sys.q(k, m)
             qk_t = qk.transpose()
             nk = integrate_matrix(vstack(qk_t @ mid_top, qk_t @ mid_bot), f)
-            gram = inner(qk, qk, m, f)
+            if k < n - 1:
+                if not nk.is_zero:
+                    ok = False
+                    notes.append(f"projection on stack {k} survives")
+                continue
+            gram = sys.gram(k, m)
             try:
                 ak = vstack(
                     rat_solve(gram, nk.top_half()),
@@ -916,71 +882,39 @@ def verify_all(f: WeightFamily, nmax: int = 4, mmax: int = 2,
                     "prop1", f.name, n, m, not bad,
                     notes="; ".join(f"{k} fails" for k in bad),
                 ))
-    if chosen & {"b", "c", "d", "e"}:
+    structural = sorted(chosen & {"b", "c", "d", "e"})
+    system = None
+    system_err = ""
+    if structural:
         try:
             system = build_monic(f, nmax + mmax + 1)
         except Exception as exc:
-            note = f"system construction failed: {type(exc).__name__}: {exc}"
-            for prop in sorted(chosen & {"b", "c", "d", "e"}):
-                if prop == "d":
-                    grid = [(n, 0) for n in range(1, nmax + 1)]
-                elif prop == "b":
-                    grid = [(n, m) for n in range(1, nmax + 1)
-                            for m in range(1, mmax + 1)]
-                else:
-                    grid = [(n, m) for n in range(1, nmax + 1)
-                            for m in range(mmax + 1)]
-                for n, m in grid:
-                    reports.append(PropertyReport(
-                        prop, f.name, n, m, "fail", 1.0, 0.0, resolved, note))
-        else:
-            lambdas = LambdaSet(f, system, tower) if tower is not None else None
-            pearson_memo: dict = {}
-
-            def _pearson(m: int) -> bool:
-                got = pearson_memo.get(m)
-                if got is None:
-                    got = level_pearson_check(f, tower, m)
-                    pearson_memo[m] = got
-                return got
-
-            def _needs_tower(prop, n, m):
-                reports.append(PropertyReport(prop, f.name, n, m, "fail",
-                                              1.0, 0.0, "exact", tower_err))
-
-            if "b" in chosen:
-                for n in range(1, nmax + 1):
-                    for m in range(1, mmax + 1):
-                        if tower is None:
-                            _needs_tower("b", n, m)
-                            continue
-                        reports.append(_guarded(
-                            "b", f.name, n, m, resolved,
-                            lambda: check_b(f, system, n, m, resolved, rule,
-                                            tower, _pearson(m))))
-            if "c" in chosen:
-                for n in range(1, nmax + 1):
-                    for m in range(mmax + 1):
-                        if tower is None:
-                            _needs_tower("c", n, m)
-                            continue
-                        reports.append(_guarded(
-                            "c", f.name, n, m, "exact",
-                            lambda: check_c(f, system, n, m, tower, lambdas)))
-            if "d" in chosen:
-                for n in range(1, nmax + 1):
-                    if tower is None:
-                        _needs_tower("d", n, 0)
-                        continue
-                    reports.append(_guarded(
-                        "d", f.name, n, 0, "exact",
-                        lambda: check_d(f, system, n, tower, lambdas)))
-            if "e" in chosen:
-                for n in range(1, nmax + 1):
-                    for m in range(mmax + 1):
-                        reports.append(_guarded(
-                            "e", f.name, n, m, resolved,
-                            lambda: check_e(f, system, n, m, resolved, rule)))
+            system_err = f"system construction failed: {type(exc).__name__}: {exc}"
+    ns = range(1, nmax + 1)
+    levels = [(n, m) for n in ns for m in range(mmax + 1)]
+    # property -> (cells, reported mode, checker); c and d are exact only
+    table = {
+        "b": ([(n, m) for n, m in levels if m >= 1], resolved,
+              lambda n, m: check_b(f, system, n, m, resolved, rule, tower)),
+        "c": (levels, "exact", lambda n, m: check_c(f, system, n, m, tower)),
+        "d": ([(n, 0) for n in ns], "exact",
+              lambda n, m: check_d(f, system, n, tower)),
+        "e": (levels, resolved,
+              lambda n, m: check_e(f, system, n, m, resolved, rule)),
+    }
+    for prop in structural:
+        cells, cell_mode, check = table[prop]
+        for n, m in cells:
+            if system is None:
+                reports.append(PropertyReport(prop, f.name, n, m, "fail", 1.0,
+                                              0.0, resolved, system_err))
+            elif tower is None and prop != "e":
+                reports.append(PropertyReport(prop, f.name, n, m, "fail", 1.0,
+                                              0.0, "exact", tower_err))
+            else:
+                reports.append(_guarded(
+                    prop, f.name, n, m, cell_mode,
+                    lambda: check(n, m)))
     order = {p: i for i, p in enumerate(PROPERTY_ORDER)}
     reports.sort(key=lambda r: (order[r.property], r.n, r.m))
     return reports

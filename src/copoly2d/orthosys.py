@@ -10,6 +10,14 @@ The level-m gradient stack of the system is
 Q(n, m) = grad Q(n+1, m-1) with Q(n, 0) = P_n^t, a 2^m by (n+m+1)
 polynomial matrix of degree n whose rows interleave all m-fold partial
 derivatives of the entries of P_{n+m}.
+
+An OrthoSystem owns one memo for everything derived from it: the
+stacks q(n, m), the Kronecker powers of the weight matrix, the level
+Gram blocks gram(n, m), and whatever the checkers store through
+cached(key, make) (eigenvalue matrices, the lifted Pearson verdict per
+level).  Each entry is computed on first use and shared by every check
+that reads it; exceptions are not stored, so a failing computation is
+retried and raises again.
 """
 
 from __future__ import annotations
@@ -84,18 +92,24 @@ def _moment_block(f: WeightFamily, j: int, k: int) -> PolyMatrix:
 
 
 class OrthoSystem:
-    """Monic orthogonal columns P_0 .. P_nmax plus cached derived data."""
+    """Monic orthogonal columns P_0 .. P_nmax plus memoised derived data."""
 
     def __init__(self, family: WeightFamily, pvecs):
         self.family = family
         self._p = list(pvecs)
-        self._q = {}
-        self._gram = {}
-        self._phipow = {}
+        self._memo = {}
 
     @property
     def nmax(self) -> int:
         return len(self._p) - 1
+
+    def cached(self, key, make):
+        """The memo entry under key, computed by make() on first use."""
+        got = self._memo.get(key)
+        if got is None:
+            got = make()
+            self._memo[key] = got
+        return got
 
     def p(self, n: int) -> PolyMatrix:
         """The degree-n monic column, shape (n+1, 1)."""
@@ -107,31 +121,25 @@ class OrthoSystem:
             raise ValueError("indices must be nonnegative")
         if n + m > self.nmax:
             raise ValueError(f"q({n},{m}) needs degree {n + m} > nmax {self.nmax}")
-        key = (n, m)
-        got = self._q.get(key)
-        if got is None:
+
+        def make():
             if m == 0:
-                got = self._p[n].transpose()
-            else:
-                prev = self.q(n + 1, m - 1)
-                got = vstack(prev.dx(), prev.dy())
-            self._q[key] = got
-        return got
+                return self._p[n].transpose()
+            prev = self.q(n + 1, m - 1)
+            return vstack(prev.dx(), prev.dy())
+        return self.cached(("q", n, m), make)
 
     def phi_power(self, m: int) -> PolyMatrix:
-        got = self._phipow.get(m)
-        if got is None:
-            got = kron_power(self.family.phi, m)
-            self._phipow[m] = got
-        return got
+        return self.cached(("phi_power", m), lambda: kron_power(self.family.phi, m))
 
-    def gram(self, n: int) -> PolyMatrix:
-        """integral(X_n P_n^t rho) / mu_00, the degree-n normalization block."""
-        got = self._gram.get(n)
-        if got is None:
-            got = integrate_matrix(x_vec(n) @ self._p[n].transpose(), self.family)
-            self._gram[n] = got
-        return got
+    def gram(self, n: int, m: int) -> PolyMatrix:
+        """inner(q(n, m), q(n, m)): the level-m Gram block of degree n.
+
+        At level 0 this is integral(P_n P_n^t rho) / mu_00, which equals
+        integral(X_n P_n^t rho) / mu_00 because P_n - X_n has lower degree.
+        """
+        return self.cached(("gram", n, m),
+                           lambda: inner(self.q(n, m), self.q(n, m), m, self.family))
 
 
 def build_monic(f: WeightFamily, nmax: int) -> OrthoSystem:

@@ -350,8 +350,8 @@ def check_pearson(f: WeightFamily) -> bool:
     return True
 
 
-def _grad_cols(p: BivariatePoly, q: BivariatePoly) -> PolyMatrix:
-    # 2x2 matrix of partials with columns indexed by (p, q)
+def grad_cols(p: BivariatePoly, q: BivariatePoly) -> PolyMatrix:
+    """2x2 matrix of partials with columns indexed by (p, q)."""
     return PolyMatrix.from_rows([[p.dx(), q.dx()], [p.dy(), q.dy()]])
 
 
@@ -366,7 +366,7 @@ def check_phi_conditions(f: WeightFamily) -> bool:
     for j in (0, 1):
         p, q = f.phi[0, j], f.phi[1, j]
         lhs = phix.scale(p) + phiy.scale(q)
-        if lhs != f.phi @ _grad_cols(p, q):
+        if lhs != f.phi @ grad_cols(p, q):
             return False
     return True
 
