@@ -740,9 +740,6 @@ def check_e(f: WeightFamily, sys: OrthoSystem, n: int, m: int,
         raise ValueError(f"unknown mode {mode!r}")
     if rule is None:
         rule = make_quadrature(f, 20)
-    gram_n = inner(sys.q(n, m), sys.q(n, m), m, f, mode="numeric", rule=rule)
-    scale = float(np.abs(np.diag(gram_n)).max())
-    tol = RESIDUAL_REL * scale
     tail = 0.0
     coeffs = {}
     for k in range(n + 2):
@@ -750,6 +747,8 @@ def check_e(f: WeightFamily, sys: OrthoSystem, n: int, m: int,
         qk_t = qk.transpose()
         nk = integrate_matrix_numeric(vstack(qk_t @ mid_top, qk_t @ mid_bot), f, rule)
         gram = inner(qk, qk, m, f, mode="numeric", rule=rule)
+        if k == n:
+            tol = RESIDUAL_REL * float(np.abs(np.diag(gram)).max())
         dim = gram.shape[0]
         ak = np.vstack([np.linalg.solve(gram, nk[:dim]),
                         np.linalg.solve(gram, nk[dim:])])

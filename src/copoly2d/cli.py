@@ -139,9 +139,35 @@ def render_text(family, cfg: RunConfig, reports) -> str:
     return "\n".join(lines) + "\n"
 
 
+def require_moment_depth(family, cfg: RunConfig) -> None:
+    """Reject a moment oracle that cannot reach the degree the grid needs.
+
+    Building P_0 .. P_N, N = nmax + mmax + 1, reads moments up to degree
+    2N - 1; that is all numeric mode reads.  Exact mode also integrates
+    the level Gram blocks gram(nmax + 1, mmax), of degree
+    2 (nmax + 1) + mmax deg(phi).  The deeper of the two is D; every
+    moment of degree <= D is probed, so a shallow family file exits 2.
+    """
+    if not family.has_oracle():
+        return
+    depth = 2 * (cfg.nmax + cfg.mmax + 1) - 1
+    if cfg.mode != "numeric":
+        depth = max(depth, 2 * (cfg.nmax + 1) + max(family.phi.degree, 0) * cfg.mmax)
+    for d in range(depth + 1):
+        for i in range(d + 1):
+            try:
+                family.moment(i, d - i)
+            except OracleUnavailableError as exc:
+                raise ConfigError(
+                    f"moment ({i},{d - i}) unavailable; the grid n<={cfg.nmax} "
+                    f"m<={cfg.mmax} needs every moment up to degree {depth}"
+                ) from exc
+
+
 def run(cfg: RunConfig) -> int:
     cfg.validate()
     family = resolve_family(cfg)
+    require_moment_depth(family, cfg)
     reports = verify_all(
         family,
         nmax=cfg.nmax,

@@ -2,7 +2,11 @@
 
 Matrices are stored dense and row major, but all products skip zero
 entries, which matters because the structured matrices used downstream
-(selection blocks, Kronecker lifts) are mostly zero.  Exact linear
+(selection blocks, Kronecker lifts) are mostly zero.  A product scales
+each operand matrix to integer numerators over one common denominator
+(the LCM of all its coefficient denominators) and runs the polynomial
+product kernel on Python ints; entries are stored as Fraction
+polynomials again, each coefficient built once.  Exact linear
 algebra on constant matrices goes through one routine, `_echelon`: it
 scales each row to integers and runs fraction-free (Bareiss)
 elimination on Python ints with exact integer division.  Determinant,
@@ -17,7 +21,15 @@ from math import lcm
 
 import numpy as np
 
-from .polycore import NEG_INF, ZERO, BivariatePoly, _mul_into
+from .polycore import (
+    NEG_INF,
+    ZERO,
+    BivariatePoly,
+    _mul_into,
+    common_denominator,
+    from_numerators,
+    numerators,
+)
 
 
 class ShapeError(ValueError):
@@ -186,10 +198,12 @@ class PolyMatrix:
         if self.cols != other.rows:
             raise ShapeError(f"matmul {self.shape} @ {other.shape}")
         rows, mid, cols = self.rows, self.cols, other.cols
-        # gather nonzero entries of other by row once
+        da = common_denominator(p.terms for p in self._e)
+        db = common_denominator(p.terms for p in other._e)
+        # gather the nonzero entries of other by row once, as numerators
         b_rows = [[] for _ in range(mid)]
         for k, j, p in other.nonzeros():
-            b_rows[k].append((j, p.terms))
+            b_rows[k].append((j, numerators(p.terms, db)))
         acc = [None] * (rows * cols)
         for i in range(rows):
             base = i * mid
@@ -198,19 +212,15 @@ class PolyMatrix:
                 pa = self._e[base + k]
                 if not pa.terms:
                     continue
-                ta = pa.terms
+                ta = numerators(pa.terms, da)
                 for j, tb in b_rows[k]:
                     d = acc[obase + j]
                     if d is None:
                         d = acc[obase + j] = {}
                     _mul_into(d, ta, tb)
-        out = []
-        for d in acc:
-            if d is None:
-                out.append(ZERO)
-            else:
-                out.append(BivariatePoly({e: c for e, c in d.items() if c != 0}))
-        return PolyMatrix(rows, cols, out)
+        dab = da * db
+        return PolyMatrix(rows, cols, [ZERO if d is None else from_numerators(d, dab)
+                                       for d in acc])
 
     def transpose(self) -> "PolyMatrix":
         e = [ZERO] * (self.rows * self.cols)

@@ -23,6 +23,7 @@ retried and raises again.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from .matpoly import (
     rat_solve,
     vstack,
 )
-from .polycore import BivariatePoly
+from .polycore import BivariatePoly, common_denominator, numerators
 from .weights import QuadRule, WeightFamily
 
 
@@ -50,11 +51,23 @@ class SingularGramError(RuntimeError):
 
 
 def integrate_poly(p: BivariatePoly, f: WeightFamily) -> Fraction:
-    """Exact integral(p rho) / mu_00 through the moment oracle."""
-    total = Fraction(0)
-    for (i, j), c in p.terms.items():
-        total += c * f.moment(i, j)
-    return total
+    """Exact integral(p rho) / mu_00 through the moment oracle.
+
+    The sum runs on ints: p's integer numerators over its common
+    denominator times each moment's numerator, over the LCM of the
+    moment denominators met so far.  One Fraction is built at the end.
+    """
+    dp = common_denominator((p.terms,))
+    num, den = 0, 1
+    for (i, j), c in numerators(p.terms, dp).items():
+        mu = f.moment(i, j)
+        md = mu.denominator
+        if den % md:
+            g = lcm(den, md)
+            num *= g // den
+            den = g
+        num += c * mu.numerator * (den // md)
+    return Fraction(num, den * dp)
 
 
 def integrate_matrix(m: PolyMatrix, f: WeightFamily) -> PolyMatrix:

@@ -3,15 +3,20 @@
 A polynomial is a dictionary mapping exponent pairs (i, j) to nonzero
 Fraction coefficients and represents ``sum c_ij * x^i * y^j``.  Everything
 in this module is exact; no floating point enters unless the caller asks
-for a float evaluation.  Rational functions are kept as unreduced
-numerator/denominator pairs and compared by cross multiplication, which
-avoids bivariate gcd computations entirely.
+for a float evaluation.  Products do not multiply Fractions: each operand
+is scaled to integer numerators over the LCM of its coefficient
+denominators, the product kernel `_mul_into` runs on Python ints, and
+each output coefficient becomes one Fraction over the product of the two
+denominators.  Storage stays Fraction.  Rational functions are kept as
+unreduced numerator/denominator pairs and compared by cross
+multiplication, which avoids bivariate gcd computations entirely.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 
 NEG_INF = float("-inf")
 
@@ -157,9 +162,11 @@ class BivariatePoly:
                 return BivariatePoly({})
             return BivariatePoly({e: c * v for e, v in self.terms.items()})
         if isinstance(other, BivariatePoly):
+            da = common_denominator((self.terms,))
+            db = common_denominator((other.terms,))
             out: dict = {}
-            _mul_into(out, self.terms, other.terms)
-            return BivariatePoly({e: c for e, c in out.items() if c != 0})
+            _mul_into(out, numerators(self.terms, da), numerators(other.terms, db))
+            return from_numerators(out, da * db)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -272,8 +279,25 @@ def _coerce(v):
     return NotImplemented
 
 
+def common_denominator(term_dicts) -> int:
+    """LCM of the coefficient denominators of several term dicts."""
+    return lcm(*(c.denominator for t in term_dicts for c in t.values()))
+
+
+def numerators(terms: dict, d: int) -> dict:
+    """The terms times d, as ints; d must be a common denominator."""
+    return {e: c.numerator * (d // c.denominator) for e, c in terms.items()}
+
+
+def from_numerators(acc: dict, d: int) -> BivariatePoly:
+    """The polynomial acc / d, dropping the sums that cancelled to zero."""
+    return BivariatePoly({e: Fraction(c, d) for e, c in acc.items() if c})
+
+
 def _mul_into(acc: dict, ta: dict, tb: dict) -> None:
-    # hot path shared with the matrix layer: accumulate ta*tb into acc
+    # hot path shared with the matrix layer: accumulate ta*tb into acc.
+    # Callers pass int numerators (see numerators()), so every term
+    # product and sum is a Python int operation, not a Fraction one.
     for (ia, ja), ca in ta.items():
         for (ib, jb), cb in tb.items():
             e = (ia + ib, ja + jb)

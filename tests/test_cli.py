@@ -17,7 +17,7 @@ from copoly2d.cli import (
 )
 from copoly2d import characterize
 from copoly2d.characterize import verify_all
-from copoly2d.weights import builtin, export_family, load_family
+from copoly2d.weights import builtin, export_family, load_family, parse_family_ref
 
 
 def test_config_validation():
@@ -134,6 +134,37 @@ def test_checker_crash_is_an_error_cell_and_exit_three(capsys, monkeypatch):
     assert main(["verify", "--family", "product_hermite", "--nmax", "3",
                  "--mmax", "1", "--properties", "c"]) == 3
     assert capsys.readouterr().out.endswith("summary: 5 pass, 0 fail, 1 error\n")
+
+
+@pytest.mark.parametrize("ref, mode, depth", [
+    ("triangle(1,1,1)", "exact", 8),            # quadratic phi: 2N, N = 4
+    ("triangle(1,1,1)", "numeric", 7),          # building P_0 .. P_4: 2N - 1
+    ("product_laguerre(1,2)", "exact", 7),      # linear phi: 2N - 1
+])
+def test_moment_table_depth_is_checked_up_front(tmp_path, capsys, ref, mode, depth):
+    def verdicts(reports):
+        # float residuals depend on the term order of the parsed polynomials
+        return [(r["property"], r["n"], r["m"], r["mode"], r["status"], r["notes"])
+                for r in reports]
+
+    f = builtin(*parse_family_ref(ref))
+    reports = [r.to_dict() for r in verify_all(f, nmax=2, mmax=1, mode=mode)]
+    want_exit = 0 if all(r["status"] == "pass" for r in reports) else 1
+    for degree in (depth, depth - 1):
+        fam = tmp_path / f"fam{degree}.json"
+        fam.write_text(json.dumps(export_family(f, moment_degree=degree)))
+        out = tmp_path / f"report{degree}.json"
+        status = main(["verify", "--family", str(fam), "--nmax", "2", "--mmax", "1",
+                       "--mode", mode, "--format", "json", "--output", str(out)])
+        err = capsys.readouterr().err
+        if degree == depth:
+            assert status == want_exit
+            assert verdicts(json.loads(out.read_text())["reports"]) == verdicts(reports)
+        else:
+            assert status == 2
+            assert not out.exists()
+            assert f"moment (0,{depth}) unavailable" in err
+            assert f"up to degree {depth}" in err
 
 
 def test_list_families_text(capsys):

@@ -7,6 +7,7 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from copoly2d import matpoly, polycore
 from copoly2d.matpoly import (
     InconsistentSystemError,
     PolyMatrix,
@@ -23,7 +24,9 @@ from copoly2d.matpoly import (
     solve_columns,
     vstack,
 )
+from copoly2d.orthosys import integrate_poly
 from copoly2d.polycore import BivariatePoly as P, parse_poly
+from copoly2d.weights import builtin
 
 
 def _rand_const(rng, r, c):
@@ -296,3 +299,114 @@ def test_solve_columns_solves_or_raises_by_rank(ab):
                                          _matrices(st.just(n), st.integers(0, 2)))))
 def test_rat_solve_solves_or_raises_by_rank(ab):
     _check_solver(rat_solve, *ab, "singular pivot at column {}")
+
+
+# ---------------------------------------------------------------------------
+# property tests of the product kernel and the moment sums, which run on
+# int numerators, against Fraction references written here
+
+# denominators up to 12 share factors, so common denominators are not
+# plain products
+_COEFF = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+_POLYS = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), _COEFF,
+                         max_size=5).map(P.from_terms)
+
+
+def _schoolbook(ta, tb):
+    out = {}
+    for (i, j), c in ta.items():
+        for (k, l), d in tb.items():
+            out[(i + k, j + l)] = out.get((i + k, j + l), Fraction(0)) + c * d
+    return {e: c for e, c in out.items() if c}
+
+
+def _stored(p):
+    """p's terms, after checking they are nonzero Fractions."""
+    assert all(type(c) is Fraction and c for c in p.terms.values())
+    return p.terms
+
+
+@st.composite
+def _factor_pairs(draw):
+    """Two polynomials, often u + v and u - v: the cross terms cancel."""
+    u, v = draw(_POLYS), draw(_POLYS)
+    return (u + v, u - v) if draw(st.booleans()) else (u, v)
+
+
+@st.composite
+def _matmul_operands(draw):
+    """r x k and k x c polynomial matrices, 0 x k @ k x 0 included.
+
+    Often a gets the extra column -a[:, 0] and b the extra row b[0, :],
+    so the contributions of that pair cancel in every product entry.
+    """
+    r, k, c = (draw(st.integers(0, 3)) for _ in range(3))
+    a = [[draw(_POLYS) for _ in range(k)] for _ in range(r)]
+    b = [[draw(_POLYS) for _ in range(c)] for _ in range(k)]
+    if k and draw(st.booleans()):
+        a = [row + [-row[0]] for row in a]
+        b = b + [list(b[0])]
+        k += 1
+    return PolyMatrix(r, k, [p for row in a for p in row]), \
+        PolyMatrix(k, c, [p for row in b for p in row])
+
+
+@_EXACT
+@given(_factor_pairs())
+def test_poly_product_matches_schoolbook(ab):
+    a, b = ab
+    assert _stored(a * b) == _schoolbook(a.terms, b.terms)
+
+
+@_EXACT
+@given(_matmul_operands())
+def test_matmul_matches_schoolbook(ab):
+    a, b = ab
+    got = a @ b
+    assert got.shape == (a.rows, b.cols)
+    for i in range(a.rows):
+        for j in range(b.cols):
+            want = {}
+            for k in range(a.cols):
+                for e, c in _schoolbook(a[i, k].terms, b[k, j].terms).items():
+                    want[e] = want.get(e, Fraction(0)) + c
+            assert _stored(got[i, j]) == {e: c for e, c in want.items() if c}
+
+
+_MOMENT_FAMILIES = [builtin("triangle", ("1", "1", "1")),
+                    builtin("product_jacobi", ("1/2", "3/2", "1/2", "1/2")),
+                    builtin("product_laguerre", ("1", "2"))]
+
+
+@_EXACT
+@given(_POLYS, st.sampled_from(_MOMENT_FAMILIES))
+def test_integrate_poly_matches_moment_sum(p, f):
+    got = integrate_poly(p, f)
+    assert type(got) is Fraction
+    assert got == sum((c * f.moment(i, j) for (i, j), c in p.terms.items()), Fraction(0))
+
+
+def test_product_kernel_runs_through_the_module_globals(monkeypatch):
+    # bench/tracing.py counts products by wrapping _mul_into at these two
+    # names; if the kernel were reached another way its metrics would read 0
+    a, b = parse_poly("x^2 - 1/3*x*y + 5/6"), parse_poly("3/4*y + x - 2")
+    am = PolyMatrix.from_rows([[a, 0, parse_poly("x*y")], [1, b, 0]])
+    bm = PolyMatrix.from_rows([[b, 0], [a, parse_poly("1/2*y")], [0, 7]])
+    want, want_m = a * b, am @ bm
+    seen = []
+    real = polycore._mul_into
+
+    def counting(acc, ta, tb):
+        seen.append(len(ta) * len(tb))
+        real(acc, ta, tb)
+
+    monkeypatch.setattr(polycore, "_mul_into", counting)
+    monkeypatch.setattr(matpoly, "_mul_into", counting)
+    assert a * b == want
+    assert seen == [len(a.terms) * len(b.terms)]
+    seen.clear()
+    assert am @ bm == want_m
+    assert sorted(seen) == sorted(
+        len(am[i, k].terms) * len(bm[k, j].terms)
+        for i in range(2) for k in range(3) for j in range(2)
+        if am[i, k].terms and bm[k, j].terms)
