@@ -59,8 +59,8 @@ from .orthosys import (
     eval_entries,
     g_lead,
     inner,
-    integrate_matrix,
     integrate_matrix_numeric,
+    integrate_product,
 )
 from .polycore import ONE, RationalFn
 from .weights import (
@@ -320,7 +320,7 @@ def _solve_constant_right_factor(q: PolyMatrix, rhs: PolyMatrix) -> PolyMatrix:
     if not arows:
         return PolyMatrix.zeros(q.cols, rhs.cols)
     try:
-        return solve_columns(const_matrix(arows), const_matrix(brows))
+        return solve_columns(arows, brows)
     except InconsistentSystemError as exc:
         raise NoConstantSolution(f"inconsistent coefficient system: {exc}") from exc
     except SingularMatrixError as exc:
@@ -454,9 +454,8 @@ def check_b(f: WeightFamily, sys: OrthoSystem, n: int, m: int,
     notes = [] if pearson_ok else ["lifted pearson identity fails"]
     qn = sys.q(n, m)
     if mode == "exact":
-        ortho_ok = all(
-            inner(sys.q(k, m), qn, m, f).is_zero for k in range(n)
-        )
+        w = sys.weighted(n, m)
+        ortho_ok = all(integrate_product(sys.q(k, m), w, f).is_zero for k in range(n))
         if not ortho_ok:
             notes.append("cross terms with a lower stack survive")
         gram_ok = det_exact(sys.gram(n, m)) != 0
@@ -468,7 +467,7 @@ def check_b(f: WeightFamily, sys: OrthoSystem, n: int, m: int,
         raise ValueError(f"unknown mode {mode!r}")
     if rule is None:
         rule = make_quadrature(f, 20)
-    gram = inner(qn, qn, m, f, mode="numeric", rule=rule)
+    gram = sys.gram(n, m, rule)
     scale = float(np.abs(np.diag(gram)).max())
     tol = RESIDUAL_REL * scale
     worst = 0.0
@@ -531,12 +530,12 @@ def _cleared_divergence_identity(f: WeightFamily, sys: OrthoSystem, n: int,
     logarithmic gradient denominators, leaving an exact polynomial
     matrix identity in the weight data.
     """
-    w = sys.phi_power(m + 1) @ sys.q(n - m - 1, m + 1)
+    w = sys.weighted(n - m - 1, m + 1)
     top = w.top_half()
     bot = w.bottom_half()
     gxn, gxd = f.log_grad_x.num, f.log_grad_x.den
     gyn, gyd = f.log_grad_y.num, f.log_grad_y.den
-    core = (top.dx() + bot.dy() + sys.phi_power(m) @ sys.q(n - m, m) @ lam)
+    core = (top.dx() + bot.dy() + sys.weighted(n - m, m) @ lam)
     core = core.scale(gxd * gyd) + top.scale(gxn * gyd) + bot.scale(gyn * gxd)
     return core.is_zero
 
@@ -637,14 +636,14 @@ def rodrigues_reconstruct(f: WeightFamily, sys: OrthoSystem, n: int,
             raise SingularLambda(f"degree {n} level {m}")
         lams.append(lam)
     gx, gy = f.log_grad_x, f.log_grad_y
-    rows = _rf_rows(sys.phi_power(n) @ sys.q(0, n))
+    rows = _rf_rows(sys.weighted(0, n))
     suffix = PolyMatrix.identity(n + 1)
     level_sign_ok = []
     for k in range(1, n + 1):
         rows = _rf_tower_step(rows, gx, gy)
         level = n - k
         suffix = lams[level] @ suffix
-        expected = sys.phi_power(level) @ sys.q(k, level) @ suffix
+        expected = sys.weighted(k, level) @ suffix
         level_sign_ok.append(_rf_equals_scaled(rows, expected, (-1) ** k))
     p_t = sys.p(n).transpose()
     forward = p_t @ suffix
@@ -697,7 +696,7 @@ def check_e(f: WeightFamily, sys: OrthoSystem, n: int, m: int,
         raise ValueError("property e needs n >= 1 and m >= 0")
     qprime = sys.q(n - 1, m + 1)
     lhs = kron(f.phi, PolyMatrix.identity(2 ** m)) @ qprime
-    mid = sys.phi_power(m + 1) @ qprime
+    mid = sys.weighted(n - 1, m + 1)
     mid_top = mid.top_half()
     mid_bot = mid.bottom_half()
     notes = []
@@ -707,8 +706,8 @@ def check_e(f: WeightFamily, sys: OrthoSystem, n: int, m: int,
         a_low = None
         for k in range(n + 2):
             qk = sys.q(k, m)
-            qk_t = qk.transpose()
-            nk = integrate_matrix(vstack(qk_t @ mid_top, qk_t @ mid_bot), f)
+            nk = vstack(integrate_product(qk, mid_top, f),
+                        integrate_product(qk, mid_bot, f))
             if k < n - 1:
                 if not nk.is_zero:
                     ok = False
@@ -746,7 +745,7 @@ def check_e(f: WeightFamily, sys: OrthoSystem, n: int, m: int,
         qk = sys.q(k, m)
         qk_t = qk.transpose()
         nk = integrate_matrix_numeric(vstack(qk_t @ mid_top, qk_t @ mid_bot), f, rule)
-        gram = inner(qk, qk, m, f, mode="numeric", rule=rule)
+        gram = sys.gram(k, m, rule)
         if k == n:
             tol = RESIDUAL_REL * float(np.abs(np.diag(gram)).max())
         dim = gram.shape[0]

@@ -341,23 +341,35 @@ def kron_power(a: PolyMatrix, m: int) -> PolyMatrix:
 # exact linear algebra (constant matrices)
 
 
-def _echelon(a: PolyMatrix, b: PolyMatrix | None = None):
-    """Fraction-free row echelon form of the constant matrix [a | b].
+def _shape(m) -> tuple:
+    """Shape of a PolyMatrix or of a list of rows."""
+    if isinstance(m, PolyMatrix):
+        return m.shape
+    return len(m), len(m[0]) if m else 0
 
-    Each row is scaled to integers by the LCM of its denominators, then
-    Bareiss elimination runs on Python ints, pivoting in a's columns
-    only on the first nonzero row.  Every division is exact: after step
-    k the entries below the pivots are (k+1)-minors of the scaled
-    matrix, so the last pivot of a full-rank square a is the
-    determinant of the scaled, row-permuted a.  Returns the rows, the
-    pivot columns, the permutation sign and the product of the scales.
-    """
+
+def _const_rows(m):
+    """Fraction rows of a constant PolyMatrix; lists of rows pass as they are."""
+    if not isinstance(m, PolyMatrix):
+        return m
     try:
-        rows = a.const_entries()
-        if b is not None:
-            rows = [ra + rb for ra, rb in zip(rows, b.const_entries())]
+        return m.const_entries()
     except ValueError as exc:
         raise ValueError("exact linear algebra needs a constant matrix") from exc
+
+
+def _echelon(rows, ncols: int):
+    """Fraction-free row echelon form of constant rows.
+
+    Each row is scaled to integers by the LCM of its denominators, then
+    Bareiss elimination runs on Python ints, pivoting in the first
+    ncols columns only on the first nonzero row.  Every division is
+    exact: after step k the entries below the pivots are (k+1)-minors of
+    the scaled matrix, so the last pivot of a full-rank square matrix is
+    the determinant of the scaled, row-permuted matrix.  Returns the
+    rows, the pivot columns, the permutation sign and the product of the
+    scales.
+    """
     w = []
     scale = 1
     for row in rows:
@@ -365,7 +377,7 @@ def _echelon(a: PolyMatrix, b: PolyMatrix | None = None):
         w.append([v.numerator * (s // v.denominator) for v in row])
         scale *= s
     sign, prev, pivots = 1, 1, []
-    for col in range(a.cols):
+    for col in range(ncols):
         k = len(pivots)
         r = next((r for r in range(k, len(w)) if w[r][col]), None)
         if r is None:
@@ -389,7 +401,7 @@ def det_exact(a: PolyMatrix) -> Fraction:
         raise ShapeError("determinant of a non-square matrix")
     if a.rows == 0:
         return Fraction(1)
-    w, pivots, sign, scale = _echelon(a)
+    w, pivots, sign, scale = _echelon(_const_rows(a), a.cols)
     if len(pivots) < a.rows:
         return Fraction(0)
     return Fraction(sign * w[-1][-1], scale)
@@ -397,18 +409,20 @@ def det_exact(a: PolyMatrix) -> Fraction:
 
 def rank_exact(a: PolyMatrix) -> int:
     """Rank of a constant matrix."""
-    return len(_echelon(a)[1])
+    return len(_echelon(_const_rows(a), a.cols)[1])
 
 
-def _solve(a: PolyMatrix, b: PolyMatrix, no_pivot: str) -> PolyMatrix:
+def _solve(a, b, no_pivot: str) -> PolyMatrix:
     """The x with a @ x = b for a of full column rank.
 
-    no_pivot formats the SingularMatrixError text with the first column
-    of a that has no pivot.  Back substitution stays in integers: with d
-    the last pivot, d * x is integral by Cramer's rule.
+    a and b are constant PolyMatrix values or Fraction rows of equal
+    length.  no_pivot formats the SingularMatrixError text with the
+    first column of a that has no pivot.  Back substitution stays in
+    integers: with d the last pivot, d * x is integral by Cramer's rule.
     """
-    w, pivots, _, _ = _echelon(a, b)
-    n = a.cols
+    n, bcols = _shape(a)[1], _shape(b)[1]
+    w, pivots, _, _ = _echelon(
+        [ra + rb for ra, rb in zip(_const_rows(a), _const_rows(b))], n)
     if len(pivots) < n:
         col = next((c for c, p in enumerate(pivots) if c != p), len(pivots))
         raise SingularMatrixError(no_pivot.format(col))
@@ -419,8 +433,8 @@ def _solve(a: PolyMatrix, b: PolyMatrix, no_pivot: str) -> PolyMatrix:
     for i in range(n - 1, -1, -1):
         row = w[i]
         ys[i] = [(d * row[n + c] - sum(row[j] * ys[j][c] for j in range(i + 1, n)))
-                 // row[i] for c in range(b.cols)]
-    return PolyMatrix(n, b.cols,
+                 // row[i] for c in range(bcols)]
+    return PolyMatrix(n, bcols,
                       [BivariatePoly.const(Fraction(y, d)) for yr in ys for y in yr])
 
 
@@ -440,14 +454,16 @@ def inverse_exact(a: PolyMatrix) -> PolyMatrix:
     return rat_solve(a, PolyMatrix.identity(a.rows))
 
 
-def solve_columns(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
+def solve_columns(a, b) -> PolyMatrix:
     """Solve the possibly overdetermined exact system a @ x = b.
 
+    a and b are constant PolyMatrix values or lists of Fraction rows.
     a must have full column rank (else SingularMatrixError); every
     equation is checked against the solution, and
     InconsistentSystemError is raised if any fails.  Used to extract
     constant right factors from polynomial coefficient systems.
     """
-    if a.rows != b.rows:
-        raise ShapeError(f"solve_columns shapes {a.shape} vs {b.shape}")
+    sa, sb = _shape(a), _shape(b)
+    if sa[0] != sb[0]:
+        raise ShapeError(f"solve_columns shapes {sa} vs {sb}")
     return _solve(a, b, "column {} has no pivot")

@@ -11,13 +11,22 @@ Q(n, m) = grad Q(n+1, m-1) with Q(n, 0) = P_n^t, a 2^m by (n+m+1)
 polynomial matrix of degree n whose rows interleave all m-fold partial
 derivatives of the entries of P_{n+m}.
 
+Exact weighted integrals integral(a^t w rho) / mu_00 of two polynomial
+matrices are bilinear forms on the moment numerators: with H[alpha,
+beta] = mu_(alpha+beta) the moment (Hankel) matrix of the functional,
+integral(p q rho) = coef(p)^t H coef(q), so integrate_product never
+forms the product a^t w.  inner, the level Gram blocks and the check
+layer's integrals all go through it; integrate_matrix, which integrates
+a formed matrix entrywise, stays as the plain reference.
+
 An OrthoSystem owns one memo for everything derived from it: the
-stacks q(n, m), the Kronecker powers of the weight matrix, the level
-Gram blocks gram(n, m), and whatever the checkers store through
-cached(key, make) (eigenvalue matrices, the lifted Pearson verdict per
-level).  Each entry is computed on first use and shared by every check
-that reads it; exceptions are not stored, so a failing computation is
-retried and raises again.
+stacks q(n, m), the Kronecker powers of the weight matrix, the weighted
+stacks phi_power(m) @ q(n, m), the level Gram blocks gram(n, m) (exact,
+and per quadrature rule in numeric mode), and whatever the checkers
+store through cached(key, make) (eigenvalue matrices, the lifted
+Pearson verdict per level).  Each entry is computed on first use and
+shared by every check that reads it; exceptions are not stored, so a
+failing computation is retried and raises again.
 """
 
 from __future__ import annotations
@@ -30,6 +39,7 @@ import numpy as np
 from .basisops import n_mat, x_vec
 from .matpoly import (
     PolyMatrix,
+    ShapeError,
     SingularMatrixError,
     const_matrix,
     hstack,
@@ -71,10 +81,57 @@ def integrate_poly(p: BivariatePoly, f: WeightFamily) -> Fraction:
 
 
 def integrate_matrix(m: PolyMatrix, f: WeightFamily) -> PolyMatrix:
-    """Entrywise exact integration; returns a constant matrix."""
-    return const_matrix(
-        [[integrate_poly(m[i, j], f) for j in range(m.cols)] for i in range(m.rows)]
-    )
+    """Entrywise exact integration; returns a constant matrix of m's shape."""
+    return PolyMatrix(m.rows, m.cols, [BivariatePoly.const(integrate_poly(m[i, j], f))
+                                       for i in range(m.rows) for j in range(m.cols)])
+
+
+def integrate_product(a: PolyMatrix, w: PolyMatrix, f: WeightFamily) -> PolyMatrix:
+    """Exact integral(a^t w rho) / mu_00 without forming a^t w.
+
+    integral(p q rho) = coef(p)^t H coef(q) with H[alpha, beta] the
+    moment mu_(alpha+beta): a bilinear form on the moment (Hankel)
+    matrix.  a, w and the moments run as int numerators over their
+    common denominators, and an exponent (i, j) is coded as i*s + j so
+    that the code of alpha + beta is the sum of the codes.  For each row
+    r and column d, w[r, d] is contracted with the moments once, giving
+    a vector v over the monomials of row r of a; entry (c, d) sums the
+    int dot products of a[r, c] with v over r and is one Fraction.
+    Every moment of degree up to the largest deg a[r, :] + deg w[r, :]
+    is read, including those whose terms cancel in a^t w.
+    """
+    if a.rows != w.rows:
+        raise ShapeError(f"integrate_product shapes {a.shape} vs {w.shape}")
+    da = common_denominator(p.terms for _, _, p in a.nonzeros())
+    dw = common_denominator(p.terms for _, _, p in w.nonzeros())
+    pairs = []
+    deg = -1
+    for r in range(a.rows):
+        ar = [(c, p) for c, p in enumerate(a.row_list(r)) if p.terms]
+        wr = [(d, p) for d, p in enumerate(w.row_list(r)) if p.terms]
+        if ar and wr:
+            pairs.append((ar, wr))
+            deg = max(deg, max(p.total_degree for _, p in ar)
+                      + max(p.total_degree for _, p in wr))
+    s = deg + 1
+    mus = {i * s + t - i: f.moment(i, t - i) for t in range(s) for i in range(t + 1)}
+    dm = lcm(*(mu.denominator for mu in mus.values()))
+    hank = [0] * (s * s)
+    for code, mu in mus.items():
+        hank[code] = mu.numerator * (dm // mu.denominator)
+    cols = w.cols
+    out = [0] * (a.cols * cols)
+    for ar, wr in pairs:
+        an = [(c, [(i * s + j, x) for (i, j), x in numerators(p.terms, da).items()])
+              for c, p in ar]
+        alphas = {e for _, t in an for e, _ in t}
+        for d, p in wr:
+            wn = [(i * s + j, x) for (i, j), x in numerators(p.terms, dw).items()]
+            v = {e: sum(x * hank[e + b] for b, x in wn) for e in alphas}
+            for c, t in an:
+                out[c * cols + d] += sum(x * v[e] for e, x in t)
+    den = da * dw * dm
+    return PolyMatrix(a.cols, cols, [BivariatePoly.const(Fraction(v, den)) for v in out])
 
 
 def eval_entries(m: PolyMatrix, xs, ys) -> np.ndarray:
@@ -145,14 +202,28 @@ class OrthoSystem:
     def phi_power(self, m: int) -> PolyMatrix:
         return self.cached(("phi_power", m), lambda: kron_power(self.family.phi, m))
 
-    def gram(self, n: int, m: int) -> PolyMatrix:
+    def weighted(self, n: int, m: int) -> PolyMatrix:
+        """phi_power(m) @ q(n, m): the stack under the level-m weight matrix."""
+        return self.cached(("weighted", n, m), lambda: self.phi_power(m) @ self.q(n, m))
+
+    def gram(self, n: int, m: int, rule: QuadRule | None = None):
         """inner(q(n, m), q(n, m)): the level-m Gram block of degree n.
 
+        Exact without a rule.  With one, the read-only float block on that
+        rule, kept under the rule object itself, so another rule never hits.
         At level 0 this is integral(P_n P_n^t rho) / mu_00, which equals
         integral(X_n P_n^t rho) / mu_00 because P_n - X_n has lower degree.
         """
-        return self.cached(("gram", n, m),
-                           lambda: inner(self.q(n, m), self.q(n, m), m, self.family))
+        q = self.q(n, m)
+        if rule is None:
+            return self.cached(("gram", n, m),
+                               lambda: integrate_product(q, self.weighted(n, m), self.family))
+
+        def make():
+            got = inner(q, q, m, self.family, mode="numeric", rule=rule)
+            got.setflags(write=False)
+            return got
+        return self.cached(("gram", n, m, rule), make)
 
 
 def build_monic(f: WeightFamily, nmax: int) -> OrthoSystem:
@@ -234,14 +305,17 @@ def inner(a: PolyMatrix, b: PolyMatrix, m: int, f: WeightFamily,
           mode: str = "exact", rule: QuadRule | None = None):
     """integral(a^t phi_kron_m b rho) / mu_00.
 
-    Exact mode returns a constant PolyMatrix of Fractions; numeric mode
-    integrates on the given rule and returns a float array.
+    Exact mode forms w = phi_kron_m @ b once and returns the bilinear
+    form coef(a)^t H coef(w) on the moment numerators
+    (integrate_product), a constant PolyMatrix of Fractions.  Numeric
+    mode evaluates a, phi_kron_m and b on the nodes of the given rule
+    and returns a float array.
     """
     if a.rows != 2 ** m or b.rows != 2 ** m:
         raise ValueError(f"inner at level {m} needs 2^{m} rows")
     phim = kron_power(f.phi, m)
     if mode == "exact":
-        return integrate_matrix(a.transpose() @ phim @ b, f)
+        return integrate_product(a, phim @ b, f)
     if mode != "numeric":
         raise ValueError(f"unknown mode {mode!r}")
     if rule is None:

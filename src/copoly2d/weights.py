@@ -74,13 +74,14 @@ class Domain:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadRule:
     """Tensor Gauss rule; weights are normalized so they sum to one.
 
     Sums of w * f(x, y) therefore approximate integral(f rho) / mu_00,
     exactly (up to roundoff) for polynomial f of total degree at most
-    2 * order - 1.
+    2 * order - 1.  Rules compare and hash by identity, so a rule can
+    key a memo entry that no other rule hits.
     """
 
     nodes_x: np.ndarray

@@ -12,12 +12,19 @@ from copoly2d.cli import (
     list_families,
     main,
     render_json,
+    require_moment_depth,
     resolve_family,
     run,
 )
 from copoly2d import characterize
 from copoly2d.characterize import verify_all
-from copoly2d.weights import builtin, export_family, load_family, parse_family_ref
+from copoly2d.weights import (
+    WeightFamily,
+    builtin,
+    export_family,
+    load_family,
+    parse_family_ref,
+)
 
 
 def test_config_validation():
@@ -165,6 +172,32 @@ def test_moment_table_depth_is_checked_up_front(tmp_path, capsys, ref, mode, dep
             assert not out.exists()
             assert f"moment (0,{depth}) unavailable" in err
             assert f"up to degree {depth}" in err
+
+
+@pytest.mark.parametrize("nmax, mmax", [(2, 1), (3, 0), (3, 2), (4, 2), (2, 3), (4, 1)])
+@pytest.mark.parametrize("ref", ["product_hermite", "product_laguerre(1,2)",
+                                 "hermite_laguerre(1)", "product_jacobi(1/2,1/2,1/2,1/2)",
+                                 "triangle(1,1,1)"])
+def test_exact_run_reads_no_moment_beyond_the_probed_depth(monkeypatch, ref, nmax, mmax):
+    # the exact integrals read mu_(alpha+beta) for every monomial pair,
+    # also where the product's terms cancel; the up-front probe must
+    # cover all of them, or a family file that passes it can still fail
+    degrees = []
+    moment = WeightFamily.moment
+
+    def recording(family, i, j):
+        degrees.append(i + j)
+        return moment(family, i, j)
+
+    monkeypatch.setattr(WeightFamily, "moment", recording)
+    f = builtin(*parse_family_ref(ref))
+    require_moment_depth(f, RunConfig(ref, nmax=nmax, mmax=mmax, mode="exact"))
+    depth = max(degrees)  # the probe reads every moment of degree <= D
+    degrees.clear()
+    # the auxiliary properties read no moments
+    verify_all(f, nmax=nmax, mmax=mmax, mode="exact",
+               properties=("a", "b", "c", "d", "e"))
+    assert max(degrees) <= depth
 
 
 def test_list_families_text(capsys):

@@ -301,6 +301,24 @@ def test_rat_solve_solves_or_raises_by_rank(ab):
     _check_solver(rat_solve, *ab, "singular pivot at column {}")
 
 
+def _outcome(solver, a, b):
+    try:
+        return solver(a, b)
+    except (SingularMatrixError, InconsistentSystemError) as exc:
+        return type(exc), str(exc)
+
+
+@_EXACT
+@given(_ROWS.flatmap(lambda r: st.tuples(_matrices(st.just(r), st.integers(0, 5)),
+                                         _matrices(st.just(r), st.integers(0, 2)))))
+def test_solve_columns_takes_fraction_rows(ab):
+    a, b = ab
+    am, bm = _const(len(a), len(a[0]), a), _const(len(b), len(b[0]), b)
+    assert _outcome(solve_columns, a, b) == _outcome(solve_columns, am, bm)
+    with pytest.raises(ShapeError):
+        solve_columns(a, b[:-1])
+
+
 # ---------------------------------------------------------------------------
 # property tests of the product kernel and the moment sums, which run on
 # int numerators, against Fraction references written here

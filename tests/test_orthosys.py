@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from copoly2d.basisops import x_vec
-from copoly2d.matpoly import PolyMatrix, det_exact
+from copoly2d.matpoly import PolyMatrix, ShapeError, det_exact, kron_power, vstack
 from copoly2d.orthosys import (
     OrthoSystem,
     SingularGramError,
@@ -15,6 +16,7 @@ from copoly2d.orthosys import (
     inner,
     integrate_matrix,
     integrate_poly,
+    integrate_product,
     leading_block,
 )
 from copoly2d.polycore import BivariatePoly as P, parse_poly
@@ -134,3 +136,82 @@ def test_singular_gram_detected():
 def test_build_monic_guard():
     with pytest.raises(ValueError):
         build_monic(builtin("product_hermite"), -1)
+
+
+# ---------------------------------------------------------------------------
+# the bilinear-form integral against the formed product
+
+_KERNEL_FAMILIES = ("triangle(1,1,1)", "product_jacobi(1/2,1/2,1/2,1/2)",
+                    "product_laguerre(1,2)")
+# denominators are divisors of 12, so that they share factors
+_COEFF = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 6, 12]))
+_EXPONENT = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda e: sum(e) <= 3)
+
+
+@st.composite
+def _kernel_poly(draw):
+    if draw(st.integers(0, 3)) == 0:
+        return P.zero()
+    return P.from_terms(draw(st.dictionaries(_EXPONENT, _COEFF, max_size=4)))
+
+
+@st.composite
+def _kernel_operands(draw):
+    """a (r x c) and w (r x d), shapes 0..3, often with zero entries.
+
+    Sometimes every row of a is repeated and the matching row of w is
+    repeated negated, so each entry of a^t w cancels term by term.
+    """
+    r, c, d = (draw(st.integers(0, 3)) for _ in range(3))
+
+    def mat(rows, cols):
+        return PolyMatrix(rows, cols, [draw(_kernel_poly()) for _ in range(rows * cols)])
+
+    a, w = mat(r, c), mat(r, d)
+    if draw(st.booleans()):
+        a, w = vstack(a, a), vstack(w, -w)
+    return a, w
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=80)
+@given(_kernel_operands(), st.sampled_from(_KERNEL_FAMILIES))
+def test_integrate_product_matches_formed_product(aw, ref):
+    a, w = aw
+    f = builtin(ref)
+    got = integrate_product(a, w, f)
+    assert got.shape == (a.cols, w.cols)
+    assert got == integrate_matrix(a.transpose() @ w, f)
+
+
+def test_integrate_product_rejects_row_mismatch():
+    with pytest.raises(ShapeError):
+        integrate_product(PolyMatrix.zeros(2, 1), PolyMatrix.zeros(3, 1),
+                          builtin("product_hermite"))
+
+
+@pytest.mark.parametrize("ref", _KERNEL_FAMILIES)
+def test_gram_equals_formed_product_integral(ref):
+    f = builtin(ref)
+    sys = build_monic(f, 6)
+    for m in range(3):
+        phim = kron_power(f.phi, m)
+        for n in range(5):
+            q = sys.q(n, m)
+            assert sys.gram(n, m) == integrate_matrix(q.transpose() @ phim @ q, f), (n, m)
+
+
+def test_numeric_gram_is_kept_per_rule():
+    f = builtin("product_jacobi(0,0,0,0)")
+    sys = build_monic(f, 4)
+    q = sys.q(2, 1)
+    rule = make_quadrature(f, 12)
+    g = sys.gram(2, 1, rule)
+    assert sys.gram(2, 1, rule) is g
+    assert np.array_equal(g, inner(q, q, 1, f, mode="numeric", rule=rule))
+    assert not g.flags.writeable
+    # another rule, even one with equal nodes, never hits the entry
+    for other in (make_quadrature(f, 14), make_quadrature(f, 12)):
+        h = sys.gram(2, 1, other)
+        assert h is not g
+        assert np.array_equal(h, inner(q, q, 1, f, mode="numeric", rule=other))
+    assert isinstance(sys.gram(2, 1), PolyMatrix)
