@@ -39,8 +39,10 @@ def main():
     star = starred(n, 2)
     print("level-2 starred shapes:", star.L.shape, star.N.shape)
 
-    # the full identity suite ties all of these together; every check
-    # is an exact matrix equality
+    # the identity suite ties all of these together at a level m: eight
+    # identities are exact polynomial matrix equalities, checked at level
+    # 0 because lifting both sides by I_{2^m} (x) (.) cannot change them;
+    # linear_sandwich compares integer coefficient matrices at level m
     rng = random.Random(0)
     results = identity_suite(4, 2, rng, sandwich_draws=3)
     width = max(len(k) for k in IDENTITY_KEYS)

@@ -10,18 +10,24 @@ derivatives drop X_n onto X_{n-1} through banded matrices N:
 
 The identity suite at the bottom checks that these relations, lifted by
 Kronecker products with an identity block of width 2^m, stay consistent
-with matrix multiplication from either side.  Each identity is an exact
-polynomial matrix equation.
+with matrix multiplication from either side.  No lifted matrix is
+formed.  Eight of the nine identities read I_{2^m} (x) A = I_{2^m} (x) B
+once the mixed product (I (x) A)(I (x) B) = I (x) AB is applied, and
+that holds iff A = B, so they are checked at level 0 as exact polynomial
+matrix equations.  The ninth, linear_sandwich, involves a random
+(2^{m+1}) x (2^m) matrix; both of its sides are written on the basis
+I_{2^m} (x) X_{n+1}^t and their integer coefficient matrices compared.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 from .matpoly import PolyMatrix, const_matrix, kron, vstack
-from .polycore import BivariatePoly
+from .polycore import ONE, ZERO, BivariatePoly
 
 
 def x_vec(n: int) -> PolyMatrix:
@@ -37,11 +43,11 @@ def l_mat(n: int, which: int) -> PolyMatrix:
         raise ValueError("degree must be nonnegative")
     if which not in (1, 2):
         raise ValueError("which must be 1 (x) or 2 (y)")
-    rows = [[Fraction(0)] * (n + 2) for _ in range(n + 1)]
+    rows = [[ZERO] * (n + 2) for _ in range(n + 1)]
     off = 0 if which == 1 else 1
     for k in range(n + 1):
-        rows[k][k + off] = Fraction(1)
-    return const_matrix(rows)
+        rows[k][k + off] = ONE
+    return PolyMatrix.from_rows(rows)
 
 
 def n_mat(n: int, which: int) -> PolyMatrix:
@@ -54,13 +60,13 @@ def n_mat(n: int, which: int) -> PolyMatrix:
         raise ValueError("degree must be nonnegative")
     if which not in (1, 2):
         raise ValueError("which must be 1 (x) or 2 (y)")
-    rows = [[Fraction(0)] * (n + 1) for _ in range(n)]
+    rows = [[ZERO] * (n + 1) for _ in range(n)]
     for k in range(n):
         if which == 1:
-            rows[k][k] = Fraction(n - k)
+            rows[k][k] = BivariatePoly.const(n - k)
         else:
-            rows[k][k + 1] = Fraction(k + 1)
-    return const_matrix(rows) if n > 0 else PolyMatrix.zeros(0, 1)
+            rows[k][k + 1] = BivariatePoly.const(k + 1)
+    return PolyMatrix.from_rows(rows, n + 1)
 
 
 class StackedPair(NamedTuple):
@@ -133,26 +139,68 @@ def identity_min_degree(which: str) -> int:
     return _MIN_N[which]
 
 
+def _random_fractions(rows: int, cols: int, rng: random.Random) -> list:
+    return [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(cols)]
+            for _ in range(rows)]
+
+
 def random_rational_matrix(rows: int, cols: int, rng: random.Random) -> PolyMatrix:
     """Seeded draw with entries p/q, |p| <= 9, 1 <= q <= 4."""
-    return const_matrix(
-        [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(cols)]
-         for _ in range(rows)]
-    )
+    return const_matrix(_random_fractions(rows, cols, rng), cols)
 
 
-def _lift(m: int, a: PolyMatrix) -> PolyMatrix:
-    return kron(PolyMatrix.identity(2 ** m), a)
+def _sandwich_holds(n: int, m: int, a: list) -> bool:
+    """(I (x) X_1^t) A (I (x) X_n^t) == (I (x) X_{n+1}^t)(I (x) L_n^t)(A (x) I_{n+1}).
+
+    A is a (2^{m+1}) x (2^m) list of Fraction rows.  Both sides are
+    (I_{2^m} (x) X_{n+1}^t) C for a constant C with rows i(n+2) + k and
+    columns c(n+1) + t, and the monomials are independent, so the sides
+    agree iff their C agree.  Left: entry (i, c(n+1) + t) is
+    A[2i, c] x * x^(n-t) y^t + A[2i+1, c] y * x^(n-t) y^t, which lands on
+    monomials t and t + 1 of X_{n+1}.  Right: (I (x) L_n^t)(A (x) I_{n+1})
+    has entry L(n,1)[t, k] A[2i, c] + L(n,2)[t, k] A[2i+1, c] there.  Both
+    are compared as ints, A scaled by the LCM d of its denominators and
+    the shift matrices by the LCM dl of theirs.
+    """
+    d = lcm(*(v.denominator for row in a for v in row))
+    ai = [[v.numerator * (d // v.denominator) for v in row] for row in a]
+    shifts = [l_mat(n, 1).const_entries(), l_mat(n, 2).const_entries()]
+    dl = lcm(*(v.denominator for s in shifts for row in s for v in row))
+    size = 2 ** m
+    lhs = [[0] * (size * (n + 1)) for _ in range(size * (n + 2))]
+    rhs = [[0] * (size * (n + 1)) for _ in range(size * (n + 2))]
+    for i in range(size):
+        for c in range(size):
+            ax, ay = dl * ai[2 * i][c], dl * ai[2 * i + 1][c]
+            for t in range(n + 1):
+                lhs[i * (n + 2) + t][c * (n + 1) + t] += ax
+                lhs[i * (n + 2) + t + 1][c * (n + 1) + t] += ay
+    for half, shift in enumerate(shifts):
+        for t, row in enumerate(shift):
+            for k, v in enumerate(row):
+                if not v:
+                    continue
+                v = v.numerator * (dl // v.denominator)
+                for i in range(size):
+                    for c in range(size):
+                        rhs[i * (n + 2) + k][c * (n + 1) + t] += v * ai[2 * i + half][c]
+    return lhs == rhs
 
 
 def basis_identity_check(n: int, m: int, which: str, rng: random.Random | None = None) -> bool:
     """Exact check of one lifted monomial-basis identity at (n, m).
 
-    Both sides are built independently, the left by scalar multiplication
-    or differentiation of I_{2^m} (x) X_n^t, the right by composing the
-    constant selection matrices, and compared entrywise.  The
-    linear_sandwich identity draws a random (2^{m+1}) x (2^m) rational
-    matrix; pass a seeded rng for reproducibility.
+    The eight identities other than linear_sandwich read
+    I_{2^m} (x) A == I_{2^m} (x) B at level m: multiplying by a scalar
+    and differentiating act entrywise on I (x) X_n^t, and the mixed
+    product (I (x) A)(I (x) B) = I (x) AB folds the lifted selection
+    matrices.  Since I (x) A = I (x) B iff A = B, each is checked at
+    level 0, by building both sides independently (the left by
+    multiplication or differentiation of X_n^t, the right by composing
+    the selection matrices) and comparing the polynomial matrices.
+    linear_sandwich draws a random (2^{m+1}) x (2^m) rational matrix (pass
+    a seeded rng for reproducibility) and compares the coefficient
+    matrices of its two sides at level m.
     """
     if which not in _MIN_N:
         raise ValueError(f"unknown identity {which!r}")
@@ -160,59 +208,57 @@ def basis_identity_check(n: int, m: int, which: str, rng: random.Random | None =
         raise ValueError(f"{which} needs n >= {_MIN_N[which]}")
     if m < 0:
         raise ValueError("m must be nonnegative")
-    xr = _lift(m, x_vec(n).transpose())
+    if which == "linear_sandwich":
+        if rng is None:
+            rng = random.Random(0)
+        return _sandwich_holds(n, m, _random_fractions(2 ** (m + 1), 2 ** m, rng))
+
+    xr = x_vec(n).transpose()
     x = BivariatePoly.x()
     y = BivariatePoly.y()
-
     if which == "shift1":
-        up = _lift(m, x_vec(n + 1).transpose())
-        okx = xr.scale(x) == up @ _lift(m, l_mat(n, 1).transpose())
-        oky = xr.scale(y) == up @ _lift(m, l_mat(n, 2).transpose())
+        up = x_vec(n + 1).transpose()
+        okx = xr.scale(x) == up @ l_mat(n, 1).transpose()
+        oky = xr.scale(y) == up @ l_mat(n, 2).transpose()
         return okx and oky
 
     if which in ("shift_xx", "shift_xy", "shift_yy"):
-        up2 = _lift(m, x_vec(n + 2).transpose())
+        up2 = x_vec(n + 2).transpose()
         if which == "shift_xx":
             s, first, second = x * x, 1, 1
         elif which == "shift_xy":
             s, first, second = x * y, 1, 2
         else:
             s, first, second = y * y, 2, 2
-        rhs = up2 @ _lift(m, (l_mat(n, second) @ l_mat(n + 1, first)).transpose())
+        rhs = up2 @ (l_mat(n, second) @ l_mat(n + 1, first)).transpose()
         return xr.scale(s) == rhs
 
-    if which == "linear_sandwich":
-        if rng is None:
-            rng = random.Random(0)
-        a = random_rational_matrix(2 ** (m + 1), 2 ** m, rng)
-        lhs = _lift(m, x_vec(1).transpose()) @ a @ xr
-        rhs = (
-            _lift(m, x_vec(n + 1).transpose())
-            @ _lift(m, stacked(n).L.transpose())
-            @ kron(a, PolyMatrix.identity(n + 1))
-        )
-        return lhs == rhs
-
-    down = _lift(m, x_vec(n - 1).transpose())
+    down = x_vec(n - 1).transpose()
     if which == "deriv1":
-        okx = xr.dx() == down @ _lift(m, n_mat(n, 1))
-        oky = xr.dy() == down @ _lift(m, n_mat(n, 2))
+        okx = xr.dx() == down @ n_mat(n, 1)
+        oky = xr.dy() == down @ n_mat(n, 2)
         return okx and oky
 
-    down2 = _lift(m, x_vec(n - 2).transpose())
+    down2 = x_vec(n - 2).transpose()
     if which == "deriv_xx":
         d, first, second = xr.dx().dx(), 1, 1
     elif which == "deriv_xy":
         d, first, second = xr.dx().dy(), 1, 2
     else:
         d, first, second = xr.dy().dy(), 2, 2
-    rhs = down2 @ _lift(m, n_mat(n - 1, second) @ n_mat(n, first))
+    rhs = down2 @ (n_mat(n - 1, second) @ n_mat(n, first))
     return d == rhs
 
 
 def identity_suite(n: int, m: int, rng: random.Random | None = None,
                    sandwich_draws: int = 1) -> dict:
-    """Run every identity valid at (n, m); returns {key: bool}."""
+    """Run every identity valid at (n, m); returns {key: bool}.
+
+    All sandwich draws come from one generator, random.Random(0) when
+    rng is None.
+    """
+    if rng is None:
+        rng = random.Random(0)
     out = {}
     for key in IDENTITY_KEYS:
         if n < _MIN_N[key]:

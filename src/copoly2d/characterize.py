@@ -195,7 +195,7 @@ def _linear_split(mat: PolyMatrix):
             dref[2 * r][c] = p.coeff(1, 0)
             dref[2 * r + 1][c] = p.coeff(0, 1)
             eref[r][c] = p.coeff(0, 0)
-    return const_matrix(dref), const_matrix(eref)
+    return const_matrix(dref, cols), const_matrix(eref, cols)
 
 
 def _h_block(a_lo: PolyMatrix, a_hi: PolyMatrix, eyeh: PolyMatrix) -> PolyMatrix:

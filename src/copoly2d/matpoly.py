@@ -90,14 +90,17 @@ class PolyMatrix:
         return cls(n, n, e)
 
     @classmethod
-    def from_rows(cls, rows) -> "PolyMatrix":
+    def from_rows(cls, rows, cols: int | None = None) -> "PolyMatrix":
+        """Matrix from nested rows; without rows, cols must be given."""
         rows = [list(r) for r in rows]
-        r = len(rows)
-        c = len(rows[0]) if rows else 0
+        if cols is None:
+            if not rows:
+                raise ShapeError("no rows to take the column count from")
+            cols = len(rows[0])
         for row in rows:
-            if len(row) != c:
+            if len(row) != cols:
                 raise ShapeError("ragged rows")
-        return cls(r, c, [_entry(v) for row in rows for v in row])
+        return cls(len(rows), cols, [_entry(v) for row in rows for v in row])
 
     @classmethod
     def column(cls, entries) -> "PolyMatrix":
@@ -281,9 +284,9 @@ class PolyMatrix:
         return f"PolyMatrix({self.rows}x{self.cols}: {body})"
 
 
-def const_matrix(rows) -> PolyMatrix:
-    """Build a constant matrix from nested Fractions/ints."""
-    return PolyMatrix.from_rows(rows)
+def const_matrix(rows, cols: int | None = None) -> PolyMatrix:
+    """Build a constant matrix from nested Fractions/ints (see from_rows)."""
+    return PolyMatrix.from_rows(rows, cols)
 
 
 def hstack(*mats: PolyMatrix) -> PolyMatrix:

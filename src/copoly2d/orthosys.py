@@ -82,8 +82,8 @@ def integrate_poly(p: BivariatePoly, f: WeightFamily) -> Fraction:
 
 def integrate_matrix(m: PolyMatrix, f: WeightFamily) -> PolyMatrix:
     """Entrywise exact integration; returns a constant matrix of m's shape."""
-    return PolyMatrix(m.rows, m.cols, [BivariatePoly.const(integrate_poly(m[i, j], f))
-                                       for i in range(m.rows) for j in range(m.cols)])
+    return const_matrix([[integrate_poly(m[i, j], f) for j in range(m.cols)]
+                         for i in range(m.rows)], m.cols)
 
 
 def integrate_product(a: PolyMatrix, w: PolyMatrix, f: WeightFamily) -> PolyMatrix:
@@ -294,7 +294,7 @@ def leading_block(q: PolyMatrix, n: int) -> PolyMatrix:
     for r in range(rows):
         for s in range(n + 1):
             out.append([q[r, c].coeff(n - s, s) for c in range(q.cols)])
-    return const_matrix(out)
+    return const_matrix(out, q.cols)
 
 
 # ---------------------------------------------------------------------------

@@ -36,10 +36,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -375,8 +377,9 @@ def test_criterion_10_cli_byte_determinism():
     argv = [sys.executable, "-m", "copoly2d.cli", "verify",
             "--family", "product_hermite", "--nmax", "4", "--mmax", "2",
             "--seed", "0", "--format", "json"]
-    first = subprocess.run(argv, capture_output=True)
-    second = subprocess.run(argv, capture_output=True)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    first = subprocess.run(argv, capture_output=True, env=env)
+    second = subprocess.run(argv, capture_output=True, env=env)
     ok = (first.returncode == 0 and second.returncode == 0
           and first.stdout == second.stdout and first.stdout)
     verdict(10, "verify CLI byte determinism", bool(ok),

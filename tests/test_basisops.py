@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from copoly2d import basisops
 from copoly2d.basisops import (
     IDENTITY_KEYS,
     basis_identity_check,
@@ -112,3 +113,104 @@ def test_sandwich_seeded_reproducible():
     a = basis_identity_check(2, 1, "linear_sandwich", random.Random(42))
     b = basis_identity_check(2, 1, "linear_sandwich", random.Random(42))
     assert a is True and b is True
+
+
+def test_identity_suite_default_rng_draws_differ(monkeypatch):
+    drawn = []
+    real = basisops._random_fractions
+
+    def record(rows, cols, rng):
+        drawn.append(real(rows, cols, rng))
+        return drawn[-1]
+
+    monkeypatch.setattr(basisops, "_random_fractions", record)
+    assert identity_suite(2, 1, sandwich_draws=3)["linear_sandwich"]
+    assert len(drawn) == 3
+    assert drawn[0] != drawn[1] and drawn[1] != drawn[2] and drawn[0] != drawn[2]
+    identity_suite(2, 1, random.Random(0), sandwich_draws=3)
+    assert drawn[3:] == drawn[:3]
+
+
+# ---------------------------------------------------------------------------
+# reference: the identities as lifted polynomial matrices
+
+
+def lifted_identity_check(n, m, which, rng):
+    """Both sides of one identity formed as I_{2^m} (x) (...) polynomial matrices.
+
+    Reads l_mat, n_mat and stacked through the module, so a monkeypatched
+    basisops.l_mat or n_mat reaches it as it reaches identity_suite.
+    """
+    def lift(a):
+        return kron(PolyMatrix.identity(2 ** m), a)
+
+    lm, nm = basisops.l_mat, basisops.n_mat
+    xr = lift(x_vec(n).transpose())
+    x, y = P.x(), P.y()
+    if which == "shift1":
+        up = lift(x_vec(n + 1).transpose())
+        return (xr.scale(x) == up @ lift(lm(n, 1).transpose())
+                and xr.scale(y) == up @ lift(lm(n, 2).transpose()))
+    if which.startswith("shift_"):
+        s, first, second = {"shift_xx": (x * x, 1, 1), "shift_xy": (x * y, 1, 2),
+                            "shift_yy": (y * y, 2, 2)}[which]
+        up2 = lift(x_vec(n + 2).transpose())
+        return xr.scale(s) == up2 @ lift((lm(n, second) @ lm(n + 1, first)).transpose())
+    if which == "linear_sandwich":
+        a = basisops.random_rational_matrix(2 ** (m + 1), 2 ** m, rng)
+        lhs = lift(x_vec(1).transpose()) @ a @ xr
+        rhs = (lift(x_vec(n + 1).transpose()) @ lift(basisops.stacked(n).L.transpose())
+               @ kron(a, PolyMatrix.identity(n + 1)))
+        return lhs == rhs
+    if which == "deriv1":
+        down = lift(x_vec(n - 1).transpose())
+        return xr.dx() == down @ lift(nm(n, 1)) and xr.dy() == down @ lift(nm(n, 2))
+    d, first, second = {"deriv_xx": (xr.dx().dx(), 1, 1), "deriv_xy": (xr.dx().dy(), 1, 2),
+                        "deriv_yy": (xr.dy().dy(), 2, 2)}[which]
+    return d == lift(x_vec(n - 2).transpose()) @ lift(nm(n - 1, second) @ nm(n, first))
+
+
+def lifted_suite(n, m, rng, draws):
+    return {
+        key: (all(lifted_identity_check(n, m, key, rng) for _ in range(draws))
+              if key == "linear_sandwich" else lifted_identity_check(n, m, key, None))
+        for key in IDENTITY_KEYS if n >= identity_min_degree(key)
+    }
+
+
+_REAL_L, _REAL_N = basisops.l_mat, basisops.n_mat
+
+
+def _l_swapped_at_2(n, which):
+    return _REAL_L(n, 3 - which if n == 2 else which)
+
+
+def _l_half_at_3(n, which):
+    rows = _REAL_L(n, which).const_entries()
+    if n == 3 and which == 2:
+        rows[0][1] = Fraction(1, 2)
+    return const_matrix(rows)
+
+
+def _n_swapped_at_2(n, which):
+    return _REAL_N(n, 3 - which if n == 2 else which)
+
+
+@pytest.mark.parametrize("name, wrong", [
+    (None, None),
+    ("l_mat", _l_swapped_at_2),
+    ("l_mat", _l_half_at_3),
+    ("n_mat", _n_swapped_at_2),
+])
+def test_identity_suite_matches_lifted_form(monkeypatch, name, wrong):
+    if name is not None:
+        monkeypatch.setattr(basisops, name, wrong)
+    flagged = set()
+    for n in range(4):
+        for m in range(3):
+            got = identity_suite(n, m, random.Random(31 * n + m), sandwich_draws=3)
+            want = lifted_suite(n, m, random.Random(31 * n + m), 3)
+            assert got == want, (n, m)
+            flagged |= {(key, n) for key, ok in got.items() if not ok}
+    # every wrong matrix is caught somewhere on the grid
+    assert bool(flagged) == (name is not None), flagged

@@ -27,7 +27,7 @@ from copoly2d.characterize import (
     verify_all,
 )
 from copoly2d.matpoly import PolyMatrix, const_matrix, kron
-from copoly2d.orthosys import build_monic, inner, integrate_matrix
+from copoly2d.orthosys import build_monic, g_lead, inner, integrate_matrix
 from copoly2d.polycore import parse_poly
 from copoly2d.weights import builtin, make_quadrature
 
@@ -166,6 +166,25 @@ def test_statement_variant_is_column_permutation_at_level_zero():
         assert a == b, n
     with pytest.raises(ValueError):
         t_matrix(f, 1, 0, tower, "boxed")
+
+
+def test_statement_layout_differs_where_no_eigenvalue_matrix_exists():
+    # Above level 0 the two layouts give different symbols on the leading
+    # block, but so far only in cells without a constant eigenvalue
+    # matrix, where check_c stops before comparing them.
+    for ref, cells in [("hermite_laguerre(1)", [(1, 1), (2, 1), (1, 2)]),
+                       ("product_jacobi(0,0,0,0)", [(1, 2), (2, 2)])]:
+        f, sys = get_system(ref, 4)
+        tower = psi_tower(f, 2)
+        for n, m in cells:
+            statement = t_matrix(f, n, m, tower, "statement")
+            proof = t_matrix(f, n, m, tower, "proof")
+            assert not ((statement - proof) @ g_lead(n, m)).is_zero, (ref, n, m)
+            with pytest.raises(NoConstantSolution):
+                lambda_via_operator(f, sys, n, m, tower)
+            rep = check_c(f, sys, n, m, tower)
+            assert rep.status == "fail", (ref, n, m)
+            assert rep.notes.startswith("no constant eigenvalue matrix"), rep.notes
 
 
 def test_system_memo_grams_eigenvalues_and_bounds():

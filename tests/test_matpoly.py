@@ -198,6 +198,16 @@ def test_const_entries_rejects_polynomials():
         det_exact(PolyMatrix.from_rows([[parse_poly("x"), 0], [0, 1]]))
 
 
+def test_no_rows_take_an_explicit_column_count():
+    assert const_matrix([], 3).shape == (0, 3)
+    assert PolyMatrix.from_rows([], 0).shape == (0, 0)
+    assert const_matrix([[1, 2]], 2) == const_matrix([[1, 2]])
+    with pytest.raises(ShapeError):
+        const_matrix([])
+    with pytest.raises(ShapeError):
+        PolyMatrix.from_rows([[1, 2]], 3)
+
+
 # ---------------------------------------------------------------------------
 # property tests of the exact eliminations against references written
 # here: Leibniz expansion for det, the largest nonzero minor for rank
