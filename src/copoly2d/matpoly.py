@@ -361,6 +361,35 @@ def _const_rows(m):
         raise ValueError("exact linear algebra needs a constant matrix") from exc
 
 
+def const_numerators(*mats):
+    """Constant matrices as int rows over one common denominator.
+
+    Each argument is a constant PolyMatrix or a list of Fraction rows.
+    Returns (rows, d): d is the LCM of every entry's denominator and
+    rows[i] the int rows of d times argument i.
+    """
+    fracs = [_const_rows(m) for m in mats]
+    d = lcm(*(v.denominator for rows in fracs for row in rows for v in row))
+    return [[[v.numerator * (d // v.denominator) for v in row] for row in rows]
+            for rows in fracs], d
+
+
+def int_matmul(a, b, cols: int) -> list:
+    """a @ b for matrices given as int rows, b with cols columns.
+
+    Zero entries of a are skipped, which suits the selection and band
+    matrices of the shift/derivative calculus.
+    """
+    out = []
+    for row in a:
+        acc = [0] * cols
+        for k, v in enumerate(row):
+            if v:
+                acc = [x + v * y for x, y in zip(acc, b[k])]
+        out.append(acc)
+    return out
+
+
 def _echelon(rows, ncols: int):
     """Fraction-free row echelon form of constant rows.
 
@@ -460,10 +489,10 @@ def inverse_exact(a: PolyMatrix) -> PolyMatrix:
 def solve_columns(a, b) -> PolyMatrix:
     """Solve the possibly overdetermined exact system a @ x = b.
 
-    a and b are constant PolyMatrix values or lists of Fraction rows.
-    a must have full column rank (else SingularMatrixError); every
-    equation is checked against the solution, and
-    InconsistentSystemError is raised if any fails.  Used to extract
+    a and b are constant PolyMatrix values or lists of Fraction (or
+    int) rows.  a must have full column rank (else
+    SingularMatrixError); every equation is checked against the
+    solution, and InconsistentSystemError is raised if any fails.  Used to extract
     constant right factors from polynomial coefficient systems.
     """
     sa, sb = _shape(a), _shape(b)

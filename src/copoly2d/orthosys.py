@@ -16,8 +16,10 @@ matrices are bilinear forms on the moment numerators: with H[alpha,
 beta] = mu_(alpha+beta) the moment (Hankel) matrix of the functional,
 integral(p q rho) = coef(p)^t H coef(q), so integrate_product never
 forms the product a^t w.  inner, the level Gram blocks and the check
-layer's integrals all go through it; integrate_matrix, which integrates
-a formed matrix entrywise, stays as the plain reference.
+layer's integrals all go through it; integrate_products is the same
+kernel for several left factors against one w, contracting w with the
+moments once.  integrate_matrix, which integrates a formed matrix
+entrywise, stays as the plain reference.
 
 An OrthoSystem owns one memo for everything derived from it: the
 stacks q(n, m), the Kronecker powers of the weight matrix, the weighted
@@ -42,8 +44,9 @@ from .matpoly import (
     ShapeError,
     SingularMatrixError,
     const_matrix,
+    const_numerators,
     hstack,
-    kron,
+    int_matmul,
     kron_power,
     rat_solve,
     vstack,
@@ -86,6 +89,52 @@ def integrate_matrix(m: PolyMatrix, f: WeightFamily) -> PolyMatrix:
                          for i in range(m.rows)], m.cols)
 
 
+def integrate_products(mats, w: PolyMatrix, f: WeightFamily) -> list:
+    """[integrate_product(a, w, f) for a in mats], contracting w once.
+
+    Row r of w is contracted with the moments once, over the union of
+    the monomials of row r of every left factor; each factor's integral
+    is then int dot products with those vectors.  The moments read are
+    the union of what the separate calls read.
+    """
+    mats = list(mats)
+    for a in mats:
+        if a.rows != w.rows:
+            raise ShapeError(f"integrate_product shapes {a.shape} vs {w.shape}")
+    das = [common_denominator(p.terms for _, _, p in a.nonzeros()) for a in mats]
+    dw = common_denominator(p.terms for _, _, p in w.nonzeros())
+    rows = []
+    deg = -1
+    for r in range(w.rows):
+        wr = [(d, p) for d, p in enumerate(w.row_list(r)) if p.terms]
+        ars = [[(c, p) for c, p in enumerate(a.row_list(r)) if p.terms] for a in mats]
+        if wr and any(ars):
+            rows.append((wr, ars))
+            deg = max(deg, max(p.total_degree for ar in ars for _, p in ar)
+                      + max(p.total_degree for _, p in wr))
+    s = deg + 1
+    mus = {i * s + t - i: f.moment(i, t - i) for t in range(s) for i in range(t + 1)}
+    dm = lcm(*(mu.denominator for mu in mus.values()))
+    hank = [0] * (s * s)
+    for code, mu in mus.items():
+        hank[code] = mu.numerator * (dm // mu.denominator)
+    cols = w.cols
+    outs = [[0] * (a.cols * cols) for a in mats]
+    for wr, ars in rows:
+        ans = [[(c, [(i * s + j, x) for (i, j), x in numerators(p.terms, da).items()])
+                for c, p in ar] for ar, da in zip(ars, das)]
+        alphas = {e for an in ans for _, t in an for e, _ in t}
+        for d, p in wr:
+            wn = [(i * s + j, x) for (i, j), x in numerators(p.terms, dw).items()]
+            v = {e: sum(x * hank[e + b] for b, x in wn) for e in alphas}
+            for an, out in zip(ans, outs):
+                for c, t in an:
+                    out[c * cols + d] += sum(x * v[e] for e, x in t)
+    return [PolyMatrix(a.cols, cols, [BivariatePoly.const(Fraction(v, da * dw * dm))
+                                      for v in out])
+            for a, da, out in zip(mats, das, outs)]
+
+
 def integrate_product(a: PolyMatrix, w: PolyMatrix, f: WeightFamily) -> PolyMatrix:
     """Exact integral(a^t w rho) / mu_00 without forming a^t w.
 
@@ -99,39 +148,14 @@ def integrate_product(a: PolyMatrix, w: PolyMatrix, f: WeightFamily) -> PolyMatr
     int dot products of a[r, c] with v over r and is one Fraction.
     Every moment of degree up to the largest deg a[r, :] + deg w[r, :]
     is read, including those whose terms cancel in a^t w.
+
+    This is the one-factor case of the batched form integrate_products,
+    which takes several left factors a_1 .. a_K against one w: the
+    vectors v are built once over the union of their monomials, so the
+    moment contraction of w is shared and each factor only pays for its
+    own dot products.
     """
-    if a.rows != w.rows:
-        raise ShapeError(f"integrate_product shapes {a.shape} vs {w.shape}")
-    da = common_denominator(p.terms for _, _, p in a.nonzeros())
-    dw = common_denominator(p.terms for _, _, p in w.nonzeros())
-    pairs = []
-    deg = -1
-    for r in range(a.rows):
-        ar = [(c, p) for c, p in enumerate(a.row_list(r)) if p.terms]
-        wr = [(d, p) for d, p in enumerate(w.row_list(r)) if p.terms]
-        if ar and wr:
-            pairs.append((ar, wr))
-            deg = max(deg, max(p.total_degree for _, p in ar)
-                      + max(p.total_degree for _, p in wr))
-    s = deg + 1
-    mus = {i * s + t - i: f.moment(i, t - i) for t in range(s) for i in range(t + 1)}
-    dm = lcm(*(mu.denominator for mu in mus.values()))
-    hank = [0] * (s * s)
-    for code, mu in mus.items():
-        hank[code] = mu.numerator * (dm // mu.denominator)
-    cols = w.cols
-    out = [0] * (a.cols * cols)
-    for ar, wr in pairs:
-        an = [(c, [(i * s + j, x) for (i, j), x in numerators(p.terms, da).items()])
-              for c, p in ar]
-        alphas = {e for _, t in an for e, _ in t}
-        for d, p in wr:
-            wn = [(i * s + j, x) for (i, j), x in numerators(p.terms, dw).items()]
-            v = {e: sum(x * hank[e + b] for b, x in wn) for e in alphas}
-            for c, t in an:
-                out[c * cols + d] += sum(x * v[e] for e, x in t)
-    den = da * dw * dm
-    return PolyMatrix(a.cols, cols, [BivariatePoly.const(Fraction(v, den)) for v in out])
+    return integrate_products([a], w, f)[0]
 
 
 def eval_entries(m: PolyMatrix, xs, ys) -> np.ndarray:
@@ -265,22 +289,37 @@ def build_monic(f: WeightFamily, nmax: int) -> OrthoSystem:
 # leading coefficients
 
 
+def g_lead_rows(n: int, m: int):
+    """g_lead(n, m) as int rows over a denominator: (rows, d).
+
+    Runs the recurrence of g_lead on ints: row block s of the x (y)
+    half is N(n+1, 1) (N(n+1, 2)) times row block s of the level m - 1
+    block, with the two bands scaled by the LCM of their denominators
+    (1 for the real ones), which multiplies into d.
+    """
+    if n < 0 or m < 0:
+        raise ValueError("indices must be nonnegative")
+    if m == 0:
+        return [[int(i == j) for j in range(n + 1)] for i in range(n + 1)], 1
+    prev, dprev = g_lead_rows(n + 1, m - 1)
+    bands, d = const_numerators(n_mat(n + 1, 1), n_mat(n + 1, 2))
+    out = []
+    for band in bands:
+        for s in range(2 ** (m - 1)):
+            out += int_matmul(band, prev[s * (n + 2):(s + 1) * (n + 2)], n + m + 1)
+    return out, d * dprev
+
+
 def g_lead(n: int, m: int) -> PolyMatrix:
     """Leading coefficient block of Q(n, m), shape (2^m (n+1), n+m+1).
 
     Defined by the recurrence that mirrors the gradient stacking: the
     x and y derivative bands of degree n + 1 act on the level m - 1
-    leading block, and level 0 is the identity (monicity).
+    leading block, and level 0 is the identity (monicity).  The
+    recurrence runs on ints in g_lead_rows.
     """
-    if n < 0 or m < 0:
-        raise ValueError("indices must be nonnegative")
-    if m == 0:
-        return PolyMatrix.identity(n + 1)
-    prev = g_lead(n + 1, m - 1)
-    eye = PolyMatrix.identity(2 ** (m - 1))
-    top = kron(eye, n_mat(n + 1, 1)) @ prev
-    bot = kron(eye, n_mat(n + 1, 2)) @ prev
-    return vstack(top, bot)
+    rows, d = g_lead_rows(n, m)
+    return const_matrix([[Fraction(v, d) for v in row] for row in rows], n + m + 1)
 
 
 def leading_block(q: PolyMatrix, n: int) -> PolyMatrix:

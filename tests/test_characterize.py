@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from copoly2d import basisops, characterize, orthosys
 from copoly2d.basisops import random_rational_matrix, x_vec
 from copoly2d.characterize import (
     AUX_PROPERTIES,
@@ -21,12 +22,22 @@ from copoly2d.characterize import (
     lambda_via_formula,
     lambda_via_operator,
     level_pearson_check,
+    phi_coefficient_columns,
     psi_tower,
     rodrigues_reconstruct,
     t_matrix,
     verify_all,
 )
-from copoly2d.matpoly import PolyMatrix, const_matrix, kron
+from copoly2d.matpoly import (
+    InconsistentSystemError,
+    PolyMatrix,
+    SingularMatrixError,
+    const_matrix,
+    hstack,
+    kron,
+    solve_columns,
+    vstack,
+)
 from copoly2d.orthosys import build_monic, g_lead, inner, integrate_matrix
 from copoly2d.polycore import parse_poly
 from copoly2d.weights import builtin, make_quadrature
@@ -39,6 +50,21 @@ ALL_INSTANCES = [
     "product_jacobi(0,0,0,0)",
     "triangle(0,0,0)",
     "triangle(1,1,1)",
+]
+
+# every instance a benchmark seed can draw (the pools of bench/workloads.py)
+POOL_INSTANCES = [
+    "product_hermite",
+    "product_laguerre(1,2)",
+    "product_laguerre(2,1)",
+    "product_laguerre(1,1)",
+    "product_laguerre(0,1)",
+    "hermite_laguerre(1)",
+    "hermite_laguerre(2)",
+    "product_jacobi(1/2,1/2,1/2,1/2)",
+    "product_jacobi(3/2,3/2,3/2,3/2)",
+    "triangle(1,1,1)",
+    "triangle(1,2,1)",
 ]
 
 _SYSTEMS: dict = {}
@@ -144,16 +170,24 @@ def test_hermite_degree_two_eigenvalue():
 
 
 def test_formula_route_agrees_on_grid():
-    for ref in ALL_INSTANCES:
+    # Wherever a constant eigenvalue matrix exists, the leading-coefficient
+    # route gives it in both layouts of the symbol; above level 0 that is
+    # 92 cells of the pool instances, n <= 4, m <= 3.
+    solved_above_level_zero = 0
+    for ref in dict.fromkeys(ALL_INSTANCES + POOL_INSTANCES):
         f, sys = get_system(ref)
-        tower = psi_tower(f, 2)
+        tower = psi_tower(f, 3)
         for n in range(1, 5):
-            for m in range(3):
+            for m in range(4):
                 try:
                     lam = lambda_via_operator(f, sys, n, m, tower)
                 except NoConstantSolution:
                     continue
-                assert lambda_via_formula(f, n, m, tower) == lam, (ref, n, m)
+                solved_above_level_zero += m >= 1 and ref in POOL_INSTANCES
+                for variant in ("proof", "statement"):
+                    got = lambda_via_formula(f, n, m, tower, variant)
+                    assert got == lam, (ref, n, m, variant)
+    assert solved_above_level_zero == 92
 
 
 def test_statement_variant_is_column_permutation_at_level_zero():
@@ -185,6 +219,124 @@ def test_statement_layout_differs_where_no_eigenvalue_matrix_exists():
             rep = check_c(f, sys, n, m, tower)
             assert rep.status == "fail", (ref, n, m)
             assert rep.notes.startswith("no constant eigenvalue matrix"), rep.notes
+
+
+# ---------------------------------------------------------------------------
+# reference: the symbol and the leading block as lifted polynomial matrices
+
+
+def oracle_g_lead(n, m):
+    """g_lead by its PolyMatrix recurrence, reading basisops.n_mat."""
+    if m == 0:
+        return PolyMatrix.identity(n + 1)
+    prev = oracle_g_lead(n + 1, m - 1)
+    eye = PolyMatrix.identity(2 ** (m - 1))
+    return vstack(*(kron(eye, basisops.n_mat(n + 1, h)) @ prev for h in (1, 2)))
+
+
+def oracle_t_matrices(f, n, m, tower):
+    """t_matrix in both layouts, as products of the Kronecker-lifted stacks.
+
+    L*^t (A3 (x) I) N* + S (D (x) I_n) N_stk, every factor formed as a
+    polynomial matrix; returns {variant: T}.  Reads l_mat, n_mat,
+    stacked and starred through basisops, so a monkeypatched
+    basisops.l_mat or n_mat reaches it.
+    """
+    a_cols, _ = phi_coefficient_columns(f)
+    a3 = hstack(a_cols[0], a_cols[1].scale(2), a_cols[2])
+    eye = PolyMatrix.identity(2 ** m)
+    lstar = basisops.starred(n - 1, m).L
+    nstar = basisops.starred(n, m).N
+    mid = kron(a3, PolyMatrix.identity(2 ** m * (n - 1)))
+    term1 = lstar.transpose() @ mid @ nstar
+    shift_t = {
+        "proof": kron(eye, basisops.stacked(n - 1).L.transpose()),
+        "statement": vstack(kron(eye, basisops.l_mat(n - 1, 1)),
+                            kron(eye, basisops.l_mat(n - 1, 2))).transpose(),
+    }
+    level = tower.level(m)
+    dpair = hstack(level.d1, level.d2)
+    nstk = vstack(kron(eye, basisops.n_mat(n, 1)), kron(eye, basisops.n_mat(n, 2)))
+    right = kron(dpair, PolyMatrix.identity(n)) @ nstk
+    return {variant: term1 + s @ right for variant, s in shift_t.items()}
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (InconsistentSystemError, SingularMatrixError) as exc:
+        return type(exc).__name__
+
+
+_REAL_L, _REAL_N = basisops.l_mat, basisops.n_mat
+
+
+def _l_swapped_at_2(n, which):
+    return _REAL_L(n, 3 - which if n == 2 else which)
+
+
+def _l_half_at_3(n, which):
+    rows = _REAL_L(n, which).const_entries()
+    if n == 3 and which == 2:
+        rows[0][1] = Fraction(1, 2)
+    return const_matrix(rows)
+
+
+def _n_swapped_at_2(n, which):
+    return _REAL_N(n, 3 - which if n == 2 else which)
+
+
+def _n_half_at_3(n, which):
+    rows = _REAL_N(n, which).const_entries()
+    if n == 3 and which == 1:
+        rows[1][1] = Fraction(1, 2)
+    return const_matrix(rows, n + 1)
+
+
+def test_t_matrix_and_g_lead_match_the_lifted_assembly():
+    for n in range(7):
+        for m in range(4):
+            assert g_lead(n, m) == oracle_g_lead(n, m), (n, m)
+    for ref in POOL_INSTANCES:
+        f = builtin(ref)
+        tower = psi_tower(f, 3)
+        for n in range(1, 7):
+            for m in range(4):
+                for variant, t in oracle_t_matrices(f, n, m, tower).items():
+                    assert t_matrix(f, n, m, tower, variant) == t, (ref, n, m, variant)
+
+
+@pytest.mark.parametrize("name, wrong", [
+    ("l_mat", _l_swapped_at_2),
+    ("l_mat", _l_half_at_3),
+    ("n_mat", _n_swapped_at_2),
+    ("n_mat", _n_half_at_3),
+])
+def test_t_matrix_and_g_lead_match_the_lifted_assembly_when_patched(monkeypatch, name,
+                                                                    wrong):
+    # patched wherever the library or the reference reads them; the
+    # eigenvalue matrices, or the exception that says there is none,
+    # must match too
+    f = builtin("triangle(1,1,1)")
+    tower = psi_tower(f, 3)
+    cells = [(n, m) for n in range(1, 6) for m in range(4)]
+    real = {(n, m): t_matrix(f, n, m, tower) for n, m in cells}
+    real_g = {(n, m): g_lead(n, m) for n, m in cells}
+    for mod in (basisops, characterize, orthosys):
+        if hasattr(mod, name):
+            monkeypatch.setattr(mod, name, wrong)
+    changed = False
+    for n, m in cells:
+        g = oracle_g_lead(n, m)
+        assert g_lead(n, m) == g, (n, m)
+        changed = changed or g != real_g[n, m]
+        for variant, t in oracle_t_matrices(f, n, m, tower).items():
+            assert t_matrix(f, n, m, tower, variant) == t, (n, m, variant)
+            changed = changed or t != real[n, m]
+            want = _outcome(lambda: solve_columns(g, -(t @ g)))
+            got = _outcome(lambda: lambda_via_formula(f, n, m, tower, variant))
+            assert got == want, (n, m, variant)
+    assert changed
 
 
 def test_system_memo_grams_eigenvalues_and_bounds():
@@ -341,6 +493,61 @@ def test_check_c_anchor_note():
     rep = check_c(f, sys, 1, 0)
     assert rep.status == "pass"
     assert "degree-one anchor" in rep.notes
+
+
+def _l_swapped_at_1(n, which):
+    return _REAL_L(n, 3 - which if n == 1 else which)
+
+
+def test_check_c_inconsistent_formula_route_is_a_fail_not_an_error(monkeypatch):
+    # with a wrong l_mat the leading-coefficient systems of these cells
+    # have no solution; that is a disagreement with the operator route
+    f, sys = get_system("triangle(1,1,1)")
+    tower = psi_tower(f, 2)
+    for mod in (basisops, characterize):
+        monkeypatch.setattr(mod, "l_mat", _l_swapped_at_1)
+    with pytest.raises(InconsistentSystemError):
+        lambda_via_formula(f, 2, 1, tower, "statement")
+    for n, m in [(2, 1), (2, 2), (3, 1), (3, 2)]:
+        rep = check_c(f, sys, n, m, tower)
+        assert rep.status == "fail", (n, m)
+        assert rep.notes == ("leading-coefficient route disagrees with the operator "
+                             "route; alternate shift-factor layout disagrees "
+                             "(column permutation)"), (n, m)
+    reports = verify_all(f, nmax=3, mmax=2, properties=("c",))
+    assert {r.status for r in reports} == {"pass", "fail"}
+
+
+def test_check_c_statement_layout_without_solution_only_writes_its_note(monkeypatch):
+    real = characterize.lambda_via_formula
+    calls = []
+
+    def statement_inconsistent(f, n, m, tower=None, variant="proof"):
+        calls.append((n, m, variant))
+        if variant == "statement":
+            raise InconsistentSystemError("injected")
+        return real(f, n, m, tower, variant)
+
+    monkeypatch.setattr(characterize, "lambda_via_formula", statement_inconsistent)
+    f, sys = get_system("product_hermite")
+    rep = check_c(f, sys, 2, 1)
+    assert (rep.status, rep.notes) == (
+        "pass", "alternate shift-factor layout disagrees (column permutation)")
+    # at level 0 the layouts are one matrix: the proof result is reused
+    calls.clear()
+    rep = check_c(f, sys, 2, 0)
+    assert (rep.status, rep.notes) == ("pass", "")
+    assert calls == [(2, 0, "proof")]
+
+
+def test_check_c_singular_leading_block_stays_an_error(monkeypatch):
+    def singular(f, n, m, tower=None, variant="proof"):
+        raise SingularMatrixError("injected")
+
+    monkeypatch.setattr(characterize, "lambda_via_formula", singular)
+    reports = verify_all(builtin("product_hermite"), nmax=2, mmax=1, properties=("c",))
+    assert [(r.status, r.notes) for r in reports] == \
+        [("error", "error: SingularMatrixError: injected")] * 4
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from copoly2d.orthosys import (
     integrate_matrix,
     integrate_poly,
     integrate_product,
+    integrate_products,
     leading_block,
 )
 from copoly2d.polycore import BivariatePoly as P, parse_poly
@@ -157,36 +159,66 @@ def _kernel_poly(draw):
 
 @st.composite
 def _kernel_operands(draw):
-    """a (r x c) and w (r x d), shapes 0..3, often with zero entries.
+    """Left factors a_1 .. a_K (r x c_i) sharing one w (r x d).
 
-    Sometimes every row of a is repeated and the matching row of w is
-    repeated negated, so each entry of a^t w cancels term by term.
+    Shapes 0..3, often with zero entries, mixed degrees up to 3, and
+    sometimes a row of one factor zeroed.  Sometimes every row is
+    repeated, negated in w, so each entry of every a_i^t w cancels term
+    by term.
     """
-    r, c, d = (draw(st.integers(0, 3)) for _ in range(3))
+    r, d = draw(st.integers(0, 3)), draw(st.integers(0, 3))
 
     def mat(rows, cols):
         return PolyMatrix(rows, cols, [draw(_kernel_poly()) for _ in range(rows * cols)])
 
-    a, w = mat(r, c), mat(r, d)
+    mats = [mat(r, draw(st.integers(0, 3))) for _ in range(draw(st.integers(1, 3)))]
+    w = mat(r, d)
+    if r and draw(st.booleans()):
+        i, row = draw(st.integers(0, len(mats) - 1)), draw(st.integers(0, r - 1))
+        a = mats[i]
+        mats[i] = PolyMatrix(r, a.cols, [P.zero() if q == row else a[q, c]
+                                         for q in range(r) for c in range(a.cols)])
     if draw(st.booleans()):
-        a, w = vstack(a, a), vstack(w, -w)
-    return a, w
+        mats, w = [vstack(a, a) for a in mats], vstack(w, -w)
+    return mats, w
+
+
+def _recording(f):
+    """A fresh copy of f and the set of moments its oracle is asked for."""
+    seen = set()
+
+    def moment_fn(i, j):
+        seen.add((i, j))
+        return f.moment(i, j)
+
+    return dataclasses.replace(f, moment_fn=moment_fn), seen
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=80)
 @given(_kernel_operands(), st.sampled_from(_KERNEL_FAMILIES))
 def test_integrate_product_matches_formed_product(aw, ref):
-    a, w = aw
+    mats, w = aw
     f = builtin(ref)
-    got = integrate_product(a, w, f)
-    assert got.shape == (a.cols, w.cols)
-    assert got == integrate_matrix(a.transpose() @ w, f)
+    batch, read_together = _recording(f)
+    got = integrate_products(mats, w, batch)
+    assert len(got) == len(mats)
+    single, read_apart = _recording(f)
+    for a, g in zip(mats, got):
+        want = integrate_matrix(a.transpose() @ w, f)
+        assert g.shape == (a.cols, w.cols)
+        assert g == want
+        assert integrate_product(a, w, single) == want
+    # one contraction reads the moments the separate calls read
+    assert read_together == read_apart
 
 
 def test_integrate_product_rejects_row_mismatch():
+    f = builtin("product_hermite")
     with pytest.raises(ShapeError):
-        integrate_product(PolyMatrix.zeros(2, 1), PolyMatrix.zeros(3, 1),
-                          builtin("product_hermite"))
+        integrate_product(PolyMatrix.zeros(2, 1), PolyMatrix.zeros(3, 1), f)
+    with pytest.raises(ShapeError):
+        integrate_products([PolyMatrix.zeros(3, 1), PolyMatrix.zeros(2, 1)],
+                           PolyMatrix.zeros(3, 1), f)
 
 
 @pytest.mark.parametrize("ref", _KERNEL_FAMILIES)
