@@ -47,7 +47,6 @@ from .matpoly import (
     det_exact,
     hstack,
     int_matmul,
-    inverse_exact,
     kron,
     kron_power,
     rank_exact,
@@ -62,14 +61,14 @@ from .orthosys import (
     g_lead_rows,
     inner,
     integrate_matrix_numeric,
-    integrate_product,
     integrate_products,
 )
-from .polycore import ONE, RationalFn
+from .polycore import ONE
 from .weights import (
     WeightFamily,
     check_pearson,
     check_phi_conditions,
+    cleared_divergence,
     grad_cols,
     make_quadrature,
 )
@@ -483,19 +482,13 @@ def level_pearson_check(f: WeightFamily, tower: PsiTower, m: int) -> bool:
     """The Kronecker power weight solves the level-m Pearson equation.
 
     Dividing by the scalar density and clearing both logarithmic
-    gradient denominators turns the divergence identity into a single
-    polynomial matrix statement, checked exactly.
+    gradient denominators (cleared_divergence) turns the divergence
+    identity into a single polynomial matrix statement, checked exactly.
     """
-    lifted = kron_power(f.phi, m + 1)
-    top = lifted.top_half()
-    bot = lifted.bottom_half()
     lev = tower.level(m)
     drift = kron_power(f.phi, m) @ hstack(lev.psi1, lev.psi2)
-    gxn, gxd = f.log_grad_x.num, f.log_grad_x.den
-    gyn, gyd = f.log_grad_y.num, f.log_grad_y.den
-    core = (top.dx() + bot.dy() - drift).scale(gxd * gyd)
-    core = core + top.scale(gxn * gyd) + bot.scale(gyn * gxd)
-    return core.is_zero
+    delta = f.log_grad_x.den * f.log_grad_y.den
+    return cleared_divergence(f, kron_power(f.phi, m + 1)) == drift.scale(delta)
 
 
 def check_b(f: WeightFamily, sys: OrthoSystem, n: int, m: int,
@@ -510,8 +503,9 @@ def check_b(f: WeightFamily, sys: OrthoSystem, n: int, m: int,
     notes = [] if pearson_ok else ["lifted pearson identity fails"]
     qn = sys.q(n, m)
     if mode == "exact":
-        w = sys.weighted(n, m)
-        ortho_ok = all(integrate_product(sys.q(k, m), w, f).is_zero for k in range(n))
+        crosses = integrate_products([sys.q(k, m) for k in range(n)],
+                                     sys.weighted(n, m), f)
+        ortho_ok = all(c.is_zero for c in crosses)
         if not ortho_ok:
             notes.append("cross terms with a lower stack survive")
         gram_ok = det_exact(sys.gram(n, m)) != 0
@@ -594,17 +588,12 @@ def _cleared_divergence_identity(f: WeightFamily, sys: OrthoSystem, n: int,
     """One level of the divergence tower as a cleared polynomial identity.
 
     The level-m statement divides by the scalar density and clears both
-    logarithmic gradient denominators, leaving an exact polynomial
-    matrix identity in the weight data.
+    logarithmic gradient denominators (cleared_divergence), leaving an
+    exact polynomial matrix identity in the weight data.
     """
-    w = sys.weighted(n - m - 1, m + 1)
-    top = w.top_half()
-    bot = w.bottom_half()
-    gxn, gxd = f.log_grad_x.num, f.log_grad_x.den
-    gyn, gyd = f.log_grad_y.num, f.log_grad_y.den
-    core = (top.dx() + bot.dy() + sys.weighted(n - m, m) @ lam)
-    core = core.scale(gxd * gyd) + top.scale(gxn * gyd) + bot.scale(gyn * gxd)
-    return core.is_zero
+    delta = f.log_grad_x.den * f.log_grad_y.den
+    lhs = cleared_divergence(f, sys.weighted(n - m - 1, m + 1))
+    return lhs == (sys.weighted(n - m, m) @ lam).scale(-delta)
 
 
 def check_d(f: WeightFamily, sys: OrthoSystem, n: int,
@@ -636,59 +625,23 @@ def check_d(f: WeightFamily, sys: OrthoSystem, n: int,
 # explicit tower iteration (used by the reconstruction checks)
 
 
-def _rf_rows(mat: PolyMatrix):
-    return [[RationalFn(mat[r, c]) for c in range(mat.cols)]
-            for r in range(mat.rows)]
-
-
-def _rf_tower_step(rows, gx: RationalFn, gy: RationalFn):
-    """One divergence of the density-weighted tower, density divided out."""
-    half = len(rows) // 2
-    out = []
-    for r in range(half):
-        row = []
-        for c in range(len(rows[0])):
-            t = rows[r][c]
-            b = rows[half + r][c]
-            row.append(t.dx() + gx * t + b.dy() + gy * b)
-        out.append(row)
-    return out
-
-
-def _rf_right_mul(rows, cmat: PolyMatrix):
-    out = []
-    for row in rows:
-        new = []
-        for c in range(cmat.cols):
-            acc = RationalFn(0, ONE)
-            for k in range(cmat.rows):
-                acc = acc + row[k] * cmat[k, c]
-            new.append(acc)
-        out.append(new)
-    return out
-
-
-def _rf_equals_scaled(rows, mat: PolyMatrix, sign: int) -> bool:
-    scaled = mat.scale(Fraction(sign))
-    return all(
-        rows[r][c] == scaled[r, c]
-        for r in range(mat.rows) for c in range(mat.cols)
-    )
-
-
 def rodrigues_reconstruct(f: WeightFamily, sys: OrthoSystem, n: int,
                           tower: PsiTower | None = None) -> dict:
     """Iterate the divergence tower down from level n and compare.
 
     Starting from the weight's n-th Kronecker power times the constant
-    top stack, each step applies one density-divided divergence.  After
-    k steps the result is compared against (-1)^k times the level
-    (n - k) stack data times the eigenvalue product accumulated so far;
-    after n steps it must be the degree-n column itself (transposed)
-    times the full product.  Returns a dict with the per-level sign
-    pattern, the resolved final sign, whether the reversed product
-    order also matches, and whether the monic column is recovered
-    exactly after inverting the product.
+    top stack, each step applies one density-divided divergence.  The
+    steps run on cleared numerators: after k steps the tower value is
+    N_k / delta^k with N_k = cleared_divergence(f, N_(k-1), k - 1), so
+    every comparison is a polynomial one.  After k steps N_k is compared
+    against (-1)^k delta^k times the level (n - k) stack data times the
+    eigenvalue product accumulated so far; after n steps it must be the
+    degree-n column itself (transposed) times the full product.  Returns
+    a dict with the per-level sign pattern, the resolved final sign,
+    whether the reversed product order also matches, and whether the
+    monic column is recovered exactly after inverting the product.  The
+    product is invertible (each factor is nonsingular), so the column is
+    recovered exactly precisely when a final sign was found.
 
     Raises SingularLambda when some eigenvalue matrix is singular.
     """
@@ -702,34 +655,29 @@ def rodrigues_reconstruct(f: WeightFamily, sys: OrthoSystem, n: int,
         if det_exact(lam) == 0:
             raise SingularLambda(f"degree {n} level {m}")
         lams.append(lam)
-    gx, gy = f.log_grad_x, f.log_grad_y
-    rows = _rf_rows(sys.weighted(0, n))
+    delta = f.log_grad_x.den * f.log_grad_y.den
+    num = sys.weighted(0, n)
+    power = ONE
     suffix = PolyMatrix.identity(n + 1)
     level_sign_ok = []
     for k in range(1, n + 1):
-        rows = _rf_tower_step(rows, gx, gy)
+        num = cleared_divergence(f, num, k - 1)
+        power = power * delta
         level = n - k
         suffix = lams[level] @ suffix
         expected = sys.weighted(k, level) @ suffix
-        level_sign_ok.append(_rf_equals_scaled(rows, expected, (-1) ** k))
+        level_sign_ok.append(num == expected.scale(power * (-1) ** k))
     p_t = sys.p(n).transpose()
     forward = p_t @ suffix
     final_sign = 0
     for s in ((-1) ** n, -((-1) ** n)):
-        if _rf_equals_scaled(rows, forward, s):
+        if num == forward.scale(power * s):
             final_sign = s
             break
     reversed_product = PolyMatrix.identity(n + 1)
     for m in range(n - 1, -1, -1):
         reversed_product = reversed_product @ lams[m]
-    reversed_matches = _rf_equals_scaled(rows, p_t @ reversed_product, (-1) ** n)
-    reconstruction_exact = False
-    if final_sign:
-        recon = _rf_right_mul(rows, inverse_exact(suffix))
-        reconstruction_exact = all(
-            recon[r][c] * final_sign == p_t[r, c]
-            for r in range(p_t.rows) for c in range(p_t.cols)
-        )
+    reversed_matches = num == (p_t @ reversed_product).scale(power * (-1) ** n)
     return {
         "family": f.name,
         "n": n,
@@ -737,7 +685,7 @@ def rodrigues_reconstruct(f: WeightFamily, sys: OrthoSystem, n: int,
         "alternating_sign": all(level_sign_ok),
         "final_sign": final_sign,
         "reversed_product_matches": reversed_matches,
-        "reconstruction_exact": reconstruction_exact,
+        "reconstruction_exact": final_sign != 0,
     }
 
 

@@ -482,10 +482,6 @@ def rat_solve(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     return _solve(a, b, "singular pivot at column {}")
 
 
-def inverse_exact(a: PolyMatrix) -> PolyMatrix:
-    return rat_solve(a, PolyMatrix.identity(a.rows))
-
-
 def solve_columns(a, b) -> PolyMatrix:
     """Solve the possibly overdetermined exact system a @ x = b.
 

@@ -1,4 +1,4 @@
-"""Exact arithmetic for sparse bivariate polynomials and rational functions.
+"""Exact arithmetic for sparse bivariate polynomials.
 
 A polynomial is a dictionary mapping exponent pairs (i, j) to nonzero
 Fraction coefficients and represents ``sum c_ij * x^i * y^j``.  Everything
@@ -7,9 +7,12 @@ for a float evaluation.  Products do not multiply Fractions: each operand
 is scaled to integer numerators over the LCM of its coefficient
 denominators, the product kernel `_mul_into` runs on Python ints, and
 each output coefficient becomes one Fraction over the product of the two
-denominators.  Storage stays Fraction.  Rational functions are kept as
-unreduced numerator/denominator pairs and compared by cross
-multiplication, which avoids bivariate gcd computations entirely.
+denominators.  Storage stays Fraction.  A rational function is only a
+value: an unreduced numerator/denominator pair that weight families
+store as their logarithmic gradient and compare by cross
+multiplication, which avoids bivariate gcd computations entirely.  It
+has no arithmetic; identities involving it are cleared to polynomial
+statements by the caller (weights.cleared_divergence).
 """
 
 from __future__ import annotations
@@ -370,8 +373,10 @@ def parse_poly(text: str) -> BivariatePoly:
 class RationalFn:
     """Quotient of two BivariatePoly values, held unreduced.
 
-    Equality is tested by cross multiplication, so representatives never
-    need a gcd pass.  The denominator must be a nonzero polynomial.
+    An immutable value with no arithmetic: readers use num and den
+    directly.  Equality is tested by cross multiplication, so
+    representatives never need a gcd pass.  The denominator must be a
+    nonzero polynomial.
     """
 
     __slots__ = ("num", "den")
@@ -389,90 +394,15 @@ class RationalFn:
     def __setattr__(self, name, value):
         raise AttributeError("RationalFn is immutable")
 
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    def __add__(self, other):
-        other = _coerce_rf(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.den == other.den:
-            return RationalFn(self.num + other.num, self.den)
-        return RationalFn(self.num * other.den + other.num * self.den,
-                          self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFn(-self.num, self.den)
-
-    def __sub__(self, other):
-        other = _coerce_rf(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _coerce_rf(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, BivariatePoly)):
-            other = _coerce(other)
-            return RationalFn(self.num * other, self.den)
-        if isinstance(other, RationalFn):
-            return RationalFn(self.num * other.num, self.den * other.den)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _coerce_rf(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.num.is_zero:
-            raise ZeroDenominatorError("division by zero rational function")
-        return RationalFn(self.num * other.den, self.den * other.num)
-
     def __eq__(self, other):
-        other = _coerce_rf(other)
-        if other is NotImplemented:
+        if not isinstance(other, RationalFn):
             return NotImplemented
         return self.num * other.den == other.num * self.den
 
     __hash__ = None
-
-    def dx(self) -> "RationalFn":
-        # (n/d)' = (n'd - nd')/d^2
-        return RationalFn(self.num.dx() * self.den - self.num * self.den.dx(),
-                          self.den * self.den)
-
-    def dy(self) -> "RationalFn":
-        return RationalFn(self.num.dy() * self.den - self.num * self.den.dy(),
-                          self.den * self.den)
-
-    def eval_exact(self, x0, y0) -> Fraction:
-        d = self.den.eval_exact(x0, y0)
-        if d == 0:
-            raise ZeroDivisionError("denominator vanishes at the point")
-        return self.num.eval_exact(x0, y0) / d
 
     def __repr__(self):
         if self.den == ONE:
             return f"RationalFn({self.num.to_text()!r})"
         return f"RationalFn({self.num.to_text()!r}, {self.den.to_text()!r})"
 
-
-def _coerce_rf(v):
-    if isinstance(v, RationalFn):
-        return v
-    p = _coerce(v)
-    if p is NotImplemented:
-        return NotImplemented
-    return RationalFn(p, ONE)
-
-
-RF_ZERO = RationalFn(ZERO, ONE)

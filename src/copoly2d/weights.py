@@ -333,22 +333,44 @@ def list_builtins():
 # structural checks
 
 
+def cleared_divergence(f: WeightFamily, num: PolyMatrix, e: int = 0) -> PolyMatrix:
+    """delta^(e+1) rho^-1 div(rho num / delta^e), a polynomial matrix.
+
+    num has an even row count; its top half is differentiated in x and
+    its bottom half in y, column by column.  delta = gxd * gyd is the
+    product of the two logarithmic gradient denominators, so rho^-1
+    div(rho W) = dx W_top + dy W_bot + gx W_top + gy W_bot cleared by
+    delta^(e+1) reads, with N_top, N_bot the halves of num,
+
+        delta (dx N_top + dy N_bot) + gxn gyd N_top + gyn gxd N_bot
+            - e (N_top dx delta + N_bot dy delta).
+
+    Every density-divided identity (Pearson, lifted Pearson, each step
+    of the divergence tower) is an exact comparison of this numerator
+    with the right side times a power of delta; iterating it with e = 0,
+    1, 2, ... divides through the tower without rational functions.
+    """
+    gxn, gxd = f.log_grad_x.num, f.log_grad_x.den
+    gyn, gyd = f.log_grad_y.num, f.log_grad_y.den
+    delta = gxd * gyd
+    top = num.top_half()
+    bot = num.bottom_half()
+    out = (top.dx() + bot.dy()).scale(delta) + top.scale(gxn * gyd) + bot.scale(gyn * gxd)
+    if e:
+        out = out - (top.scale(delta.dx()) + bot.scale(delta.dy())).scale(e)
+    return out
+
+
 def check_pearson(f: WeightFamily) -> bool:
     """Exact test of div(rho phi) = rho (psi1, psi2), divided through by rho.
 
     Column j of the identity reads
     phi_1j * gx + phi_2j * gy + dx phi_1j + dy phi_2j = psi_j
-    with (gx, gy) the logarithmic gradient, compared as rational functions.
+    with (gx, gy) the logarithmic gradient; both sides are cleared by
+    delta (see cleared_divergence) and compared as polynomials.
     """
-    gx, gy = f.log_grad_x, f.log_grad_y
-    for j, psi in ((0, f.psi1), (1, f.psi2)):
-        lhs = (
-            gx * f.phi[0, j] + gy * f.phi[1, j]
-            + f.phi[0, j].dx() + f.phi[1, j].dy()
-        )
-        if not lhs == RationalFn(psi):
-            return False
-    return True
+    delta = f.log_grad_x.den * f.log_grad_y.den
+    return cleared_divergence(f, f.phi) == PolyMatrix.row([f.psi1, f.psi2]).scale(delta)
 
 
 def grad_cols(p: BivariatePoly, q: BivariatePoly) -> PolyMatrix:

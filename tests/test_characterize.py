@@ -617,6 +617,40 @@ def test_rodrigues_degree_three_laguerre():
     assert all(out["level_sign_ok"])
 
 
+def test_rodrigues_all_builtins_up_to_degree_three():
+    # the tower has a constant eigenvalue matrix at every level exactly
+    # where (d) finds one, and then reconstructs the column with sign (-1)^n
+    for ref in ALL_INSTANCES:
+        f, sys = get_system(ref)
+        for n in (1, 2, 3):
+            if "no constant eigenvalue matrix" in check_d(f, sys, n).notes:
+                with pytest.raises(NoConstantSolution):
+                    rodrigues_reconstruct(f, sys, n)
+                continue
+            out = rodrigues_reconstruct(f, sys, n)
+            assert out["level_sign_ok"] == [True] * n, (ref, n)
+            assert out["reconstruction_exact"], (ref, n)
+            assert out["final_sign"] == (-1) ** n, (ref, n)
+
+
+def test_rodrigues_flags_a_wrong_eigenvalue_matrix(monkeypatch):
+    # doubling the level-L eigenvalue matrix spoils every step that uses
+    # it: step k multiplies in level n - k, so steps n - L .. n fail
+    f, sys = get_system("product_laguerre(1,2)")
+    real = characterize._lambda
+    n = 3
+    for bad in range(n):
+        def doubled(f, sys, k, m, tower, bad=bad):
+            lam = real(f, sys, k, m, tower)
+            return lam.scale(2) if m == bad else lam
+
+        monkeypatch.setattr(characterize, "_lambda", doubled)
+        out = rodrigues_reconstruct(f, sys, n)
+        assert out["level_sign_ok"] == [True] * (n - bad - 1) + [False] * (bad + 1), bad
+        assert out["final_sign"] == 0
+        assert not out["reconstruction_exact"]
+
+
 # ---------------------------------------------------------------------------
 # property (e)
 

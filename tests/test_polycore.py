@@ -109,34 +109,20 @@ def test_pow():
     assert parse_poly("x") ** 0 == P.one()
 
 
-def test_rational_basics():
+def test_rational_equality_cross_multiplies():
     x, y = P.x(), P.y()
-    fx = RationalFn(x, y)
-    fy = RationalFn(P.one(), y)
-    assert fx + fy == RationalFn(x + 1, y)
     assert RationalFn(2 * x, P.const(2)) == RationalFn(x)
-    assert RationalFn(P.one(), x) * RationalFn(x, x + 1) == RationalFn(P.one(), x + 1)
-    assert (fx - fx).is_zero
+    assert RationalFn(x * (x + 1), y * (x + 1)) == RationalFn(x, y)
+    assert RationalFn(x, y) != RationalFn(y, x)
+    assert repr(RationalFn(x)) == "RationalFn('x')"
+    assert repr(RationalFn(x, y)) == "RationalFn('x', 'y')"
+    with pytest.raises(AttributeError):
+        RationalFn(x).num = y
 
 
 def test_rational_zero_denominator():
     with pytest.raises(ZeroDenominatorError):
         RationalFn(P.one(), P.zero())
-    with pytest.raises(ZeroDenominatorError):
-        RationalFn(P.one(), P.x()) / RationalFn(P.zero(), P.one())
-
-
-def test_rational_derivative_quotient_rule():
-    rng = random.Random(17)
-    for _ in range(10):
-        n = _rand_poly(rng)
-        d = _rand_poly(rng) + P.const(1)  # keep denominator nonzero
-        if d.is_zero:
-            continue
-        f = RationalFn(n, d)
-        # check f' * d^2 == n'd - nd' via cross multiplication
-        assert f.dx() == RationalFn(n.dx() * d - n * d.dx(), d * d)
-        assert f.dy() * f.den * f.den == RationalFn(n.dy() * d - n * d.dy())
 
 
 def test_immutability():

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from copoly2d.matpoly import PolyMatrix, det_exact
 from copoly2d.polycore import BivariatePoly as P, parse_poly
@@ -17,6 +18,7 @@ from copoly2d.weights import (
     builtin,
     check_pearson,
     check_phi_conditions,
+    cleared_divergence,
     export_family,
     list_builtins,
     load_family,
@@ -75,6 +77,46 @@ def test_pearson_rejects_perturbation():
     f = builtin("product_hermite")
     bad = dataclasses.replace(f, psi1=f.psi1 + 1)
     assert not check_pearson(bad)
+
+
+_CLEARED = settings(derandomize=True, deadline=None, database=None, max_examples=40)
+# families whose logarithmic gradients have nonconstant denominators, and
+# one (hermite_laguerre) where only the y gradient has one
+_DIVIDED_FAMILIES = [builtin(ref) for ref in (
+    "triangle(1,1,1)", "product_jacobi(1/2,3/2,1/2,1/2)",
+    "product_laguerre(1,2)", "hermite_laguerre(1)")]
+_TERM = st.tuples(st.integers(0, 3), st.integers(0, 3),
+                  st.fractions(min_value=-4, max_value=4, max_denominator=5))
+
+
+@st.composite
+def _even_matrices(draw):
+    rows, cols = 2 * draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    return PolyMatrix(rows, cols, [
+        P.from_terms({(i, j): c for i, j, c in draw(st.lists(_TERM, max_size=4))})
+        for _ in range(rows * cols)])
+
+
+@_CLEARED
+@given(_even_matrices(), st.sampled_from(_DIVIDED_FAMILIES))
+def test_cleared_divergence_at_zero_is_the_cleared_pearson_form(w, f):
+    gxn, gxd = f.log_grad_x.num, f.log_grad_x.den
+    gyn, gyd = f.log_grad_y.num, f.log_grad_y.den
+    h = w.rows // 2
+    want = [[gxd * gyd * (w[r, c].dx() + w[h + r, c].dy())
+             + gxn * gyd * w[r, c] + gyn * gxd * w[h + r, c]
+             for c in range(w.cols)] for r in range(h)]
+    assert cleared_divergence(f, w) == PolyMatrix.from_rows(want, w.cols)
+
+
+@_CLEARED
+@given(_even_matrices(), st.sampled_from(_DIVIDED_FAMILIES), st.integers(0, 3))
+def test_cleared_divergence_ignores_the_representation(w, f, e):
+    # w / delta^e and (delta w) / delta^(e+1) are one matrix, so their
+    # cleared divergences differ only by the extra power of delta
+    delta = f.log_grad_x.den * f.log_grad_y.den
+    got = cleared_divergence(f, w.scale(delta), e + 1)
+    assert got == cleared_divergence(f, w, e).scale(delta)
 
 
 def test_jacobi_zero_params_data():
