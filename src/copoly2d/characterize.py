@@ -58,9 +58,9 @@ from .orthosys import (
     OrthoSystem,
     build_monic,
     eval_entries,
+    eval_product,
     g_lead_rows,
     inner,
-    integrate_matrix_numeric,
     integrate_products,
 )
 from .polycore import ONE
@@ -706,21 +706,25 @@ def check_e(f: WeightFamily, sys: OrthoSystem, n: int, m: int,
     contraction of w (integrate_products), each coefficient
     A_k = [A_top | A_bot] from one solve against the level Gram block,
     and (I_2 (x) q_k) [A_top; A_bot] is read side by side as q_k A_k.
+    Numeric mode reads the same w: each projection is q_k^t w evaluated
+    on the rule's nodes straight from the int product kernel
+    (eval_product), with no Fraction product formed, then summed
+    against the rule's weights.
     """
     if n < 1 or m < 0:
         raise ValueError("property e needs n >= 1 and m >= 0")
     qprime = sys.q(n - 1, m + 1)
-    lhs = kron(f.phi, PolyMatrix.identity(2 ** m)) @ qprime
+    left = kron(f.phi, PolyMatrix.identity(2 ** m))
     mid = sys.weighted(n - 1, m + 1)
-    mid_top = mid.top_half()
-    mid_bot = mid.bottom_half()
+    w = hstack(mid.top_half(), mid.bottom_half())
     notes = []
     if mode == "exact":
         ok = True
         recon = None
         a_low = None
+        lhs = left @ qprime
         qs = [sys.q(k, m) for k in range(n + 2)]
-        projs = integrate_products(qs, hstack(mid_top, mid_bot), f)
+        projs = integrate_products(qs, w, f)
         for k, (qk, nk) in enumerate(zip(qs, projs)):
             if k < n - 1:
                 if not nk.is_zero:
@@ -753,29 +757,30 @@ def check_e(f: WeightFamily, sys: OrthoSystem, n: int, m: int,
         raise ValueError(f"unknown mode {mode!r}")
     if rule is None:
         rule = make_quadrature(f, 20)
+    nodes = (rule.nodes_x, rule.nodes_y, rule.powers)
     tail = 0.0
     coeffs = {}
     for k in range(n + 2):
-        qk = sys.q(k, m)
-        qk_t = qk.transpose()
-        nk = integrate_matrix_numeric(vstack(qk_t @ mid_top, qk_t @ mid_bot), f, rule)
+        # the projections [N_top | N_bot] of w on q_k, side by side
+        nk = np.einsum("rcq,q->rc", eval_product(sys.q(k, m).transpose(), w, *nodes),
+                       rule.weights)
         gram = sys.gram(k, m, rule)
         if k == n:
             tol = RESIDUAL_REL * float(np.abs(np.diag(gram)).max())
-        dim = gram.shape[0]
-        ak = np.vstack([np.linalg.solve(gram, nk[:dim]),
-                        np.linalg.solve(gram, nk[dim:])])
+        cols = nk.shape[1] // 2
+        ak = np.vstack([np.linalg.solve(gram, nk[:, :cols]),
+                        np.linalg.solve(gram, nk[:, cols:])])
         if k <= n - 2:
             tail = max(tail, float(np.abs(ak).max()))
         else:
             coeffs[k] = ak
     if tail > tol:
         notes.append("projection on a low stack survives")
-    lhs_vals = eval_entries(lhs, rule.nodes_x, rule.nodes_y)
+    lhs_vals = eval_product(left, qprime, *nodes)
     acc = np.zeros_like(lhs_vals)
     half = 2 ** m
     for k, ak in coeffs.items():
-        qk_vals = eval_entries(sys.q(k, m), rule.nodes_x, rule.nodes_y)
+        qk_vals = eval_entries(sys.q(k, m), *nodes)
         dim = ak.shape[0] // 2
         acc[:half] += np.einsum("rsq,sc->rcq", qk_vals, ak[:dim])
         acc[half:] += np.einsum("rsq,sc->rcq", qk_vals, ak[dim:])

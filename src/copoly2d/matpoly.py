@@ -19,8 +19,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-import numpy as np
-
 from .polycore import (
     NEG_INF,
     ZERO,
@@ -198,32 +196,9 @@ class PolyMatrix:
     def __matmul__(self, other):
         if not isinstance(other, PolyMatrix):
             return NotImplemented
-        if self.cols != other.rows:
-            raise ShapeError(f"matmul {self.shape} @ {other.shape}")
-        rows, mid, cols = self.rows, self.cols, other.cols
-        da = common_denominator(p.terms for p in self._e)
-        db = common_denominator(p.terms for p in other._e)
-        # gather the nonzero entries of other by row once, as numerators
-        b_rows = [[] for _ in range(mid)]
-        for k, j, p in other.nonzeros():
-            b_rows[k].append((j, numerators(p.terms, db)))
-        acc = [None] * (rows * cols)
-        for i in range(rows):
-            base = i * mid
-            obase = i * cols
-            for k in range(mid):
-                pa = self._e[base + k]
-                if not pa.terms:
-                    continue
-                ta = numerators(pa.terms, da)
-                for j, tb in b_rows[k]:
-                    d = acc[obase + j]
-                    if d is None:
-                        d = acc[obase + j] = {}
-                    _mul_into(d, ta, tb)
-        dab = da * db
-        return PolyMatrix(rows, cols, [ZERO if d is None else from_numerators(d, dab)
-                                       for d in acc])
+        acc, dab = matmul_numerators(self, other)
+        return PolyMatrix(self.rows, other.cols,
+                          [ZERO if d is None else from_numerators(d, dab) for d in acc])
 
     def transpose(self) -> "PolyMatrix":
         e = [ZERO] * (self.rows * self.cols)
@@ -264,17 +239,6 @@ class PolyMatrix:
         return [[self._e[i * self.cols + j].constant_value()
                  for j in range(self.cols)] for i in range(self.rows)]
 
-    def eval_float(self, x0, y0) -> np.ndarray:
-        out = np.empty((self.rows, self.cols), dtype=float)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                out[i, j] = self._e[i * self.cols + j].eval_float(x0, y0)
-        return out
-
-    def eval_exact(self, x0, y0):
-        return [[self._e[i * self.cols + j].eval_exact(x0, y0)
-                 for j in range(self.cols)] for i in range(self.rows)]
-
     def __repr__(self):
         if self.rows * self.cols > 36:
             return f"PolyMatrix({self.rows}x{self.cols})"
@@ -282,6 +246,45 @@ class PolyMatrix:
             ", ".join(p.to_text() for p in self.row_list(i)) for i in range(self.rows)
         )
         return f"PolyMatrix({self.rows}x{self.cols}: {body})"
+
+
+def matmul_numerators(a: PolyMatrix, b: PolyMatrix):
+    """The entries of a @ b as int numerators over one denominator.
+
+    Returns (acc, d): acc[r * b.cols + c] maps each exponent to an int
+    numerator, entry (r, c) of a @ b being those ints over d, or is None
+    where no nonzero pair of entries meets.  Sums that cancelled to
+    zero stay in the dict; terms keep the order in which the products
+    first reach them.
+    a and b are scaled to ints over the LCM of their coefficient
+    denominators, so every term product and sum is an int operation.
+    `@` turns this into Fraction polynomials (from_numerators), and
+    numeric evaluation reads it as floats c / d directly.
+    """
+    if a.cols != b.rows:
+        raise ShapeError(f"matmul {a.shape} @ {b.shape}")
+    rows, mid, cols = a.rows, a.cols, b.cols
+    da = common_denominator(p.terms for p in a._e)
+    db = common_denominator(p.terms for p in b._e)
+    # gather the nonzero entries of b by row once, as numerators
+    b_rows = [[] for _ in range(mid)]
+    for k, j, p in b.nonzeros():
+        b_rows[k].append((j, numerators(p.terms, db)))
+    acc = [None] * (rows * cols)
+    for i in range(rows):
+        base = i * mid
+        obase = i * cols
+        for k in range(mid):
+            pa = a._e[base + k]
+            if not pa.terms:
+                continue
+            ta = numerators(pa.terms, da)
+            for j, tb in b_rows[k]:
+                d = acc[obase + j]
+                if d is None:
+                    d = acc[obase + j] = {}
+                _mul_into(d, ta, tb)
+    return acc, da * db
 
 
 def const_matrix(rows, cols: int | None = None) -> PolyMatrix:

@@ -21,6 +21,13 @@ kernel for several left factors against one w, contracting w with the
 moments once.  integrate_matrix, which integrates a formed matrix
 entrywise, stays as the plain reference.
 
+Numeric mode evaluates polynomial matrices on a quadrature rule's nodes
+through one kernel, a whole matrix per call (eval_entries); eval_product
+evaluates a product a @ b from the int sums of the product kernel
+without forming it.  The values are bit-identical to summing each
+entry's terms one at a time in their stored order, so numeric reports
+do not depend on how the evaluation is organised.
+
 An OrthoSystem owns one memo for everything derived from it: the
 stacks q(n, m), the Kronecker powers of the weight matrix, the weighted
 stacks phi_power(m) @ q(n, m), the level Gram blocks gram(n, m) (exact,
@@ -34,6 +41,8 @@ failing computation is retried and raises again.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
+from itertools import chain
 from math import lcm
 
 import numpy as np
@@ -48,11 +57,12 @@ from .matpoly import (
     hstack,
     int_matmul,
     kron_power,
+    matmul_numerators,
     rat_solve,
     vstack,
 )
 from .polycore import BivariatePoly, common_denominator, numerators
-from .weights import QuadRule, WeightFamily
+from .weights import QuadRule, WeightFamily, node_powers
 
 
 class SingularGramError(RuntimeError):
@@ -158,17 +168,99 @@ def integrate_product(a: PolyMatrix, w: PolyMatrix, f: WeightFamily) -> PolyMatr
     return integrate_products([a], w, f)[0]
 
 
-def eval_entries(m: PolyMatrix, xs, ys) -> np.ndarray:
-    """Float evaluation on node arrays, shaped (rows, cols, nodes)."""
+# floats per scratch array of _eval_terms: rows are evaluated in blocks
+# of about this size, so its temporaries stay small on large matrices
+_EVAL_BLOCK = 1 << 14
+
+
+def _eval_terms(terms, xs, ys, powers=None) -> np.ndarray:
+    """Float values of polynomials given as term dicts, shaped (len(terms), nodes).
+
+    terms[r] maps (i, j) to a coefficient that float() reads exactly
+    as the evaluation should (a Fraction, or a float already rounded).
+    Each nonempty row is bit-identical to the per-term loop
+    ``total = 0.0 * (x + y); total = total + float(c) * x**i * y**j``
+    over its terms in dict order, and an empty row is +0.0.  Both the
+    order and the start are part of the output: float addition is not
+    associative, so another order moves the last bits of a residual,
+    and 0.0 * (x + y) is -0.0 where x + y < 0, so at a node where every
+    term is -0.0 the value takes the start's sign.  The loop runs over
+    the term slot k instead of over terms: step k multiplies every
+    row's k-th coefficient by x**i, then by y**j, and adds the result
+    only to the rows that have a k-th term (a masked add; padding with
+    zero terms would turn -0.0 into +0.0).  powers(d) gives the node powers as (d + 1, nodes)
+    tables (QuadRule.powers); without it they are computed here.
+    """
     q = np.shape(xs)[0]
-    out = np.zeros((m.rows, m.cols, q))
-    for i, j, p in m.nonzeros():
-        out[i, j, :] = p.eval_float(xs, ys)
+    out = np.zeros((len(terms), q))
+    if powers is None:
+        powers = partial(node_powers, xs, ys)
+    start = 0.0 * (xs + ys)
+    step = max(1, _EVAL_BLOCK // max(q, 1))
+    for r0 in range(0, len(terms), step):
+        block = terms[r0:r0 + step]
+        lens = np.fromiter(map(len, block), np.intp, len(block))
+        total = int(lens.sum())
+        if not total:
+            continue
+        exps = np.fromiter(chain.from_iterable(chain.from_iterable(block)),
+                           np.intp, 2 * total).reshape(total, 2)
+        # term t of the flat list is slot t - start(row) of its row
+        owner = np.repeat(np.arange(len(block)), lens)
+        slot = np.arange(total) - np.repeat(np.cumsum(lens) - lens, lens)
+        cs = np.zeros((int(lens.max()), len(block)))
+        cs[slot, owner] = np.fromiter(
+            map(float, chain.from_iterable(map(dict.values, block))), float, total)
+        ii = np.zeros(cs.shape, np.intp)
+        ii[slot, owner] = exps[:, 0]
+        jj = np.zeros(cs.shape, np.intp)
+        jj[slot, owner] = exps[:, 1]
+        xpow, ypow = powers(int(exps.max()))
+        acc = out[r0:r0 + step]
+        acc[lens > 0] = start
+        t = np.empty_like(acc)
+        u = np.empty_like(acc)
+        for k in range(len(cs)):
+            np.take(xpow, ii[k], axis=0, out=t)
+            t *= cs[k][:, None]
+            np.take(ypow, jj[k], axis=0, out=u)
+            t *= u
+            np.add(acc, t, out=acc, where=(lens > k)[:, None])
     return out
 
 
+def eval_entries(m: PolyMatrix, xs, ys, powers=None) -> np.ndarray:
+    """Float evaluation on node arrays, shaped (rows, cols, nodes).
+
+    A zero entry is +0.0.  A nonzero one is the sum of its terms
+    c * x**i * y**j in the entry's dict order, started from
+    0.0 * (x + y): the order and the start are part of the output and
+    the kernel keeps both (see _eval_terms).  powers is the rule's
+    power table, QuadRule.powers, when xs and ys are a rule's nodes.
+    """
+    vals = _eval_terms([p.terms for i in range(m.rows) for p in m.row_list(i)],
+                       xs, ys, powers)
+    return vals.reshape(m.rows, m.cols, np.shape(xs)[0])
+
+
+def eval_product(a: PolyMatrix, b: PolyMatrix, xs, ys, powers=None) -> np.ndarray:
+    """eval_entries(a @ b, xs, ys, powers) without forming a @ b.
+
+    Runs the product kernel (matmul_numerators) and reads each int sum c
+    over the denominator d as the float c / d, dropping the sums that
+    cancelled and keeping the kernel's term order, which is the order
+    of a @ b.  Int true division is correctly rounded, so c / d is
+    float(Fraction(c, d)) and the values are bit-identical to
+    evaluating a @ b; no Fraction is built.
+    """
+    acc, d = matmul_numerators(a, b)
+    terms = [{e: c / d for e, c in t.items() if c} if t else {} for t in acc]
+    return _eval_terms(terms, xs, ys, powers).reshape(a.rows, b.cols, np.shape(xs)[0])
+
+
 def integrate_matrix_numeric(m: PolyMatrix, f: WeightFamily, rule: QuadRule) -> np.ndarray:
-    me = eval_entries(m, rule.nodes_x, rule.nodes_y)
+    """Entrywise quadrature of a formed matrix on the rule; a float array of m's shape."""
+    me = eval_entries(m, rule.nodes_x, rule.nodes_y, rule.powers)
     return np.einsum("rcq,q->rc", me, rule.weights)
 
 
@@ -359,7 +451,7 @@ def inner(a: PolyMatrix, b: PolyMatrix, m: int, f: WeightFamily,
         raise ValueError(f"unknown mode {mode!r}")
     if rule is None:
         raise ValueError("numeric mode needs a quadrature rule")
-    ae = eval_entries(a, rule.nodes_x, rule.nodes_y)
-    pe = eval_entries(phim, rule.nodes_x, rule.nodes_y)
-    be = eval_entries(b, rule.nodes_x, rule.nodes_y)
+    ae = eval_entries(a, rule.nodes_x, rule.nodes_y, rule.powers)
+    pe = eval_entries(phim, rule.nodes_x, rule.nodes_y, rule.powers)
+    be = eval_entries(b, rule.nodes_x, rule.nodes_y, rule.powers)
     return np.einsum("rcq,rsq,sdq,q->cd", ae, pe, be, rule.weights)

@@ -2,17 +2,18 @@
 
 A polynomial is a dictionary mapping exponent pairs (i, j) to nonzero
 Fraction coefficients and represents ``sum c_ij * x^i * y^j``.  Everything
-in this module is exact; no floating point enters unless the caller asks
-for a float evaluation.  Products do not multiply Fractions: each operand
-is scaled to integer numerators over the LCM of its coefficient
-denominators, the product kernel `_mul_into` runs on Python ints, and
-each output coefficient becomes one Fraction over the product of the two
-denominators.  Storage stays Fraction.  A rational function is only a
-value: an unreduced numerator/denominator pair that weight families
-store as their logarithmic gradient and compare by cross
-multiplication, which avoids bivariate gcd computations entirely.  It
-has no arithmetic; identities involving it are cleared to polynomial
-statements by the caller (weights.cleared_divergence).
+in this module is exact; float evaluation on quadrature nodes lives in
+orthosys.eval_entries, which sums the terms in dict order.  Products do
+not multiply Fractions: each operand is scaled to integer numerators
+over the LCM of its coefficient denominators, the product kernel
+`_mul_into` runs on Python ints, and each output coefficient becomes one
+Fraction over the product of the two denominators.  Storage stays
+Fraction.  A rational function is only a value: an unreduced
+numerator/denominator pair that weight families store as their
+logarithmic gradient and compare by cross multiplication, which avoids
+bivariate gcd computations entirely.  It has no arithmetic; identities
+involving it are cleared to polynomial statements by the caller
+(weights.cleared_divergence).
 """
 
 from __future__ import annotations
@@ -226,13 +227,6 @@ class BivariatePoly:
         total = Fraction(0)
         for (i, j), c in self.terms.items():
             total += c * x0**i * y0**j
-        return total
-
-    def eval_float(self, x0, y0):
-        """Evaluate at floats or numpy arrays; returns the same shape."""
-        total = 0.0 * (x0 + y0)
-        for (i, j), c in self.terms.items():
-            total = total + float(c) * x0**i * y0**j
         return total
 
     # -- text ----------------------------------------------------------

@@ -81,16 +81,38 @@ class QuadRule:
     Sums of w * f(x, y) therefore approximate integral(f rho) / mu_00,
     exactly (up to roundoff) for polynomial f of total degree at most
     2 * order - 1.  Rules compare and hash by identity, so a rule can
-    key a memo entry that no other rule hits.
+    key a memo entry that no other rule hits.  The rule keeps the powers
+    of its nodes (see powers), so they live exactly as long as it does.
     """
 
     nodes_x: np.ndarray
     nodes_y: np.ndarray
     weights: np.ndarray
     order: int
+    _pow: Optional[tuple] = field(default=None, repr=False, init=False)
 
     def integrate(self, fn) -> float:
         return float(np.sum(self.weights * fn(self.nodes_x, self.nodes_y)))
+
+    def powers(self, d: int):
+        """(nodes_x**i, nodes_y**i for i = 0 .. at least d) as two 2-D arrays.
+
+        Row i of each is the i-th power of the nodes, computed as
+        ``nodes**i`` like a per-term evaluation would.  The tables are
+        kept on the rule and rebuilt to degree d when a call asks for
+        more than they hold.
+        """
+        got = self._pow
+        if got is None or len(got[0]) <= d:
+            got = node_powers(self.nodes_x, self.nodes_y, d)
+            object.__setattr__(self, "_pow", got)
+        return got
+
+
+def node_powers(xs, ys, d: int):
+    """(xs**i, ys**i for i = 0 .. d) as two (d + 1, nodes) arrays."""
+    return (np.array([xs**i for i in range(d + 1)]),
+            np.array([ys**i for i in range(d + 1)]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,17 +183,23 @@ def _laguerre_m(k: int, a: Fraction) -> Fraction:
     return _poch(a + 1, k)
 
 
-def _jacobi_m(k: int, a: Fraction, b: Fraction) -> Fraction:
-    # moment of (1-x)^a (1+x)^b on (-1,1) via the shifted Beta expansion
-    out = Fraction(0)
-    for r in range(k + 1):
-        out += (
-            Fraction(math.comb(k, r))
-            * Fraction(2) ** r
-            * Fraction(-1) ** (k - r)
-            * _poch(b + 1, r) / _poch(a + b + 2, r)
-        )
-    return out
+def _jacobi_moments(a: Fraction, b: Fraction):
+    """k -> moment k of (1-x)^a (1+x)^b on (-1,1), normalized.
+
+    Integrating d/dx[(1-x)^(a+1) (1+x)^(b+1) x^k] over (-1,1) gives the
+    two-term recurrence (a+b+k+2) m_(k+1) = (b-a) m_k + k m_(k-1) with
+    m_0 = 1.  The sequence is kept in a table that the returned function
+    extends on demand, so one family fills it once.
+    """
+    ms = [Fraction(1)]
+
+    def moment(k: int) -> Fraction:
+        while len(ms) <= k:
+            n = len(ms) - 1
+            prev = ms[n - 1] if n else 0
+            ms.append(((b - a) * ms[n] + n * prev) / (a + b + n + 2))
+        return ms[k]
+    return moment
 
 
 def _as_params(params) -> tuple:
@@ -247,6 +275,7 @@ def _build_product_jacobi(params) -> WeightFamily:
     one = BivariatePoly.one()
     phi11 = one - x * x
     phi22 = one - y * y
+    mx, my = _jacobi_moments(a, b), _jacobi_moments(c, d)
     return WeightFamily(
         name="product_jacobi",
         phi=PolyMatrix.from_rows([[phi11, 0], [0, phi22]]),
@@ -256,7 +285,7 @@ def _build_product_jacobi(params) -> WeightFamily:
         log_grad_y=RationalFn(BivariatePoly.const(d - c) - (c + d) * y, phi22),
         domain=Domain("square", (a, b, c, d)),
         params=(a, b, c, d),
-        moment_fn=lambda i, j: _jacobi_m(i, a, b) * _jacobi_m(j, c, d),
+        moment_fn=lambda i, j: mx(i) * my(j),
     )
 
 

@@ -2,17 +2,22 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from copoly2d import characterize, orthosys
 from copoly2d.basisops import x_vec
-from copoly2d.matpoly import PolyMatrix, ShapeError, det_exact, kron_power, vstack
+from copoly2d.characterize import verify_all
+from copoly2d.matpoly import PolyMatrix, ShapeError, det_exact, hstack, kron_power, vstack
 from copoly2d.orthosys import (
     OrthoSystem,
     SingularGramError,
     build_monic,
+    eval_entries,
+    eval_product,
     g_lead,
     inner,
     integrate_matrix,
@@ -22,7 +27,7 @@ from copoly2d.orthosys import (
     leading_block,
 )
 from copoly2d.polycore import BivariatePoly as P, parse_poly
-from copoly2d.weights import builtin, load_family, export_family, make_quadrature
+from copoly2d.weights import QuadRule, builtin, load_family, export_family, make_quadrature
 
 
 def test_hermite_low_degrees():
@@ -247,3 +252,120 @@ def test_numeric_gram_is_kept_per_rule():
         assert h is not g
         assert np.array_equal(h, inner(q, q, 1, f, mode="numeric", rule=other))
     assert isinstance(sys.gram(2, 1), PolyMatrix)
+
+
+# ---------------------------------------------------------------------------
+# float evaluation: bit-identical to the per-term loop
+
+
+def _per_term(terms, x0, y0):
+    """One polynomial on nodes, term by term: the reference evaluation.
+
+    Sums float(c) * x**i * y**j over the terms in their dict order,
+    starting from 0.0 * (x0 + y0), which is -0.0 where x0 + y0 < 0.
+    Numeric reports are pinned to this loop bit for bit, signed zeros
+    included: another term order or start moves the last bits.
+    """
+    total = 0.0 * (x0 + y0)
+    for (i, j), c in terms.items():
+        total = total + float(c) * x0**i * y0**j
+    return total
+
+
+def _per_term_rows(terms, xs, ys, powers=None):
+    """orthosys._eval_terms, one polynomial and one term at a time."""
+    out = np.zeros((len(terms), np.shape(xs)[0]))
+    for r, t in enumerate(terms):
+        if t:
+            out[r] = _per_term(t, xs, ys)
+    return out
+
+
+def _same_bits(a, b):
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+# nodes where 0.0 * (x + y) is -0.0 and terms vanish with either sign
+_SIGNED_NODES = [(0.0, -1.0), (-1.0, 0.0), (0.0, 0.0), (-0.75, 0.5), (1.5, -2.0)]
+_NODE = st.floats(-3, 3, allow_nan=False, allow_infinity=False)
+_EVAL_COEFF = st.builds(Fraction, st.integers(-40, 40).filter(bool), st.integers(1, 30))
+_EVAL_EXPONENT = st.tuples(st.integers(0, 5), st.integers(0, 5))
+
+
+@st.composite
+def _eval_nodes(draw):
+    pts = _SIGNED_NODES + draw(st.lists(st.tuples(_NODE, _NODE), max_size=6))
+    return np.array([p[0] for p in pts]), np.array([p[1] for p in pts])
+
+
+@st.composite
+def _eval_poly(draw):
+    """Zero, constant, or 1..6 terms of mixed degree."""
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
+        return P.zero()
+    if kind == 1:
+        return P.const(draw(_EVAL_COEFF))
+    return P.from_terms(draw(st.dictionaries(_EVAL_EXPONENT, _EVAL_COEFF,
+                                             min_size=1, max_size=6)))
+
+
+def _eval_matrix(rows, cols):
+    return st.lists(_eval_poly(), min_size=rows * cols, max_size=rows * cols).map(
+        lambda e: PolyMatrix(rows, cols, e))
+
+
+_EVAL = settings(derandomize=True, deadline=None, database=None, max_examples=150)
+
+
+@_EVAL
+@given(st.integers(0, 3).flatmap(lambda r: st.integers(0, 4).flatmap(
+           lambda c: _eval_matrix(r, c))),
+       _eval_nodes(), st.sampled_from([1, 2, 5, 1 << 14]))
+def test_eval_entries_is_the_per_term_loop(m, nodes, block):
+    xs, ys = nodes
+    want = np.zeros((m.rows, m.cols, len(xs)))
+    for i, j, p in m.nonzeros():
+        want[i, j] = _per_term(p.terms, xs, ys)
+    rule = QuadRule(nodes_x=xs, nodes_y=ys, weights=np.ones(len(xs)), order=1)
+    # block rows at a time, so the blocking of the kernel is exercised too
+    with mock.patch.object(orthosys, "_EVAL_BLOCK", block * len(xs)):
+        for powers in (None, rule.powers):
+            assert _same_bits(eval_entries(m, xs, ys, powers), want)
+
+
+@st.composite
+def _product_operands(draw):
+    r, k, c = draw(st.integers(0, 3)), draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    return draw(_eval_matrix(r, k)), draw(_eval_matrix(k, c)), draw(_eval_matrix(k, c))
+
+
+@_EVAL
+@given(_product_operands(), _eval_nodes())
+def test_eval_product_is_eval_entries_of_the_product(operands, nodes):
+    a, u, v = operands
+    xs, ys = nodes
+    # the cancelling pairs leave sums that are zero term by term
+    for left, right in ((a, u), (hstack(a, a), vstack(u + v, u - v)),
+                        (hstack(a, a), vstack(u, -u))):
+        assert _same_bits(eval_product(left, right, xs, ys),
+                          eval_entries(left @ right, xs, ys))
+
+
+_SEED0_BUILTINS = ("product_hermite", "product_laguerre(1,2)", "hermite_laguerre(1)",
+                   "product_jacobi(1/2,1/2,1/2,1/2)", "triangle(1,1,1)")
+
+
+def test_numeric_reports_match_the_per_term_reference(monkeypatch):
+    def reports():
+        return [[r.to_dict() for r in verify_all(builtin(ref), 4, 2, mode="numeric")]
+                for ref in _SEED0_BUILTINS]
+
+    got = reports()
+    monkeypatch.setattr(orthosys, "_eval_terms", _per_term_rows)
+    monkeypatch.setattr(characterize, "eval_product",
+                        lambda a, b, xs, ys, powers=None: eval_entries(a @ b, xs, ys))
+    want = reports()
+    assert any(r["residual"] for fam in want for r in fam if r["mode"] == "numeric")
+    assert got == want

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -166,6 +167,29 @@ def test_jacobi_moments():
     assert g.moment(1, 0) == 0
 
 
+def _jacobi_beta_expansion(k, a, b):
+    # moment k of (1-x)^a (1+x)^b on (-1,1): substitute x = 2t - 1 and
+    # expand (2t - 1)^k against the Beta moments of t
+    def poch(v, r):
+        out = Fraction(1)
+        for s in range(r):
+            out *= v + s
+        return out
+    return sum(Fraction(math.comb(k, r) * 2**r * (-1) ** (k - r))
+               * poch(b + 1, r) / poch(a + b + 2, r) for r in range(k + 1))
+
+
+@pytest.mark.parametrize("params", [(0, 0, 0, 0), ("1/2", "1/2", "1/2", "1/2"),
+                                    ("-1/2", "3/2", 2, "-2/3"), ("5/7", "1/3", "7/2", 0)])
+def test_jacobi_recurrence_matches_beta_expansion(params):
+    a, b, c, d = (Fraction(v) for v in params)
+    f = builtin("product_jacobi", tuple(str(v) for v in params))
+    for i in range(13):
+        for j in range(13 - i):
+            assert f.moment(i, j) == (_jacobi_beta_expansion(i, a, b)
+                                      * _jacobi_beta_expansion(j, c, d)), (i, j)
+
+
 def test_triangle_moments():
     f = builtin("triangle(0,0,0)")
     assert f.moment(1, 0) == Fraction(1, 3)
@@ -193,6 +217,22 @@ def test_quadrature_matches_oracle():
                 mass = rule.integrate(lambda x, y, i=i, j=j: np.abs(x**i * y**j))
                 scale = max(1.0, abs(exact), mass)
                 assert abs(got - exact) <= 1e-12 * scale, (ref, i, j)
+
+
+def test_rule_keeps_its_node_powers():
+    rule = make_quadrature(builtin("hermite_laguerre(1)"), 6)
+    xpow, ypow = rule.powers(3)
+    assert xpow.shape == ypow.shape == (4, 36)
+    for i in range(4):
+        assert np.array_equal(xpow[i], rule.nodes_x**i)
+        assert np.array_equal(ypow[i], rule.nodes_y**i)
+    # a lower degree reuses the tables, a higher one rebuilds them
+    assert rule.powers(2)[0] is xpow
+    bigger = rule.powers(7)[0]
+    assert bigger.shape == (8, 36) and np.array_equal(bigger[:4], xpow)
+    assert rule.powers(5)[0] is bigger
+    other = make_quadrature(builtin("hermite_laguerre(1)"), 6)
+    assert other.powers(2)[0] is not bigger
 
 
 def test_quadrature_order_guard():
