@@ -352,12 +352,10 @@ def _transpose(a, cols: int):
     return [[row[j] for row in a] for j in range(cols)]
 
 
-def _t_rows(f: WeightFamily, n: int, m: int, tower: PsiTower, variant: str):
+def _t_rows(f: WeightFamily, n: int, m: int, tower: PsiTower):
     """t_matrix as int rows over a denominator: (rows, d)."""
     if n < 1 or m < 0:
         raise ValueError("need gradient index n >= 1 and level m >= 0")
-    if variant not in ("proof", "statement"):
-        raise ValueError(f"unknown variant {variant!r}")
     phi = ((f.phi[0, 0], 1), (f.phi[0, 1], 2), (f.phi[1, 1], 1))
     level = tower.level(m)
     (a3, *ds), da = const_numerators(
@@ -393,8 +391,7 @@ def _t_rows(f: WeightFamily, n: int, m: int, tower: PsiTower, variant: str):
         for dh, nh in zip(ds, ns[:2]):
             block = int_matmul(lh_t, nh, b)
             for s in range(size):
-                a = 2 * s + h if variant == "proof" else h * size + s
-                for s2, c in enumerate(dh[a]):
+                for s2, c in enumerate(dh[2 * s + h]):
                     if not c:
                         continue
                     c *= scale
@@ -406,8 +403,7 @@ def _t_rows(f: WeightFamily, n: int, m: int, tower: PsiTower, variant: str):
     return t, da * scale * scale
 
 
-def t_matrix(f: WeightFamily, n: int, m: int, tower: PsiTower,
-             variant: str = "proof") -> PolyMatrix:
+def t_matrix(f: WeightFamily, n: int, m: int, tower: PsiTower) -> PolyMatrix:
     """Constant second order symbol acting on leading coefficients.
 
     T = L*^t (A3 (x) I) N* + S (D (x) I_n) N_stk: a second order part
@@ -420,22 +416,34 @@ def t_matrix(f: WeightFamily, n: int, m: int, tower: PsiTower,
 
     with T1 = sum_{p,q} A3[p, q] L_p^t N_q (L_p, N_q the three blocks of
     starred at level 0), M_{h,h'} = L(n-1, h)^t N(n, h') and
-    C_{h,h'}[s, s'] = d_{h'}[a(s, h), s'].  The two variants differ only
-    in how the shift factor S of the first order part is laid out, that
-    is in the drift row a(s, h): "proof" lifts the transposed two-block
-    stack by a Kronecker identity on the left, a = 2s + h; "statement"
-    transposes the level-lifted stack, which permutes columns,
-    a = h 2^m + s.  They agree at level 0.  The weight data and the
-    level's d1/d2 are scaled by one LCM, the shift and derivative
-    matrices by theirs (1 for the real ones).
+    C_{h,h'}[s, s'] = d_{h'}[2s + h, s'], the x_h coefficient of row s
+    of the level drift psi_{h'}.  The weight data and the level's d1/d2
+    are scaled by one LCM, the shift and derivative matrices by theirs
+    (1 for the real ones).
+
+    The paper's theorem transposes the level-lifted stack in S instead,
+    reading drift row h 2^m + s for 2s + h.  That layout T' is not
+    built: on G it agrees with T wherever G L = -T G solves.  Label row
+    s by its derivative directions (s_m, .., s_1), s_m the newest, test
+    on p = (xi . x)^{n+m}, and put K_rv = xi^t (d_r d_v A) xi (A the
+    quadratic part of phi), B = f.d_matrix(), s' = (s_m, .., s_2) and
+    Y_u = sum_{k >= 2} K_{s_k u} xi^(s' - s_k) + (B xi)_u xi^s'.  As
+    d_x d_y phi_ij = d_y d_x phi_ij, T's d_{s_1} phi term is the one T'
+    reads at the top bit, and (T' - T) G on row s is a multiple of
+    sum_v x_v (Y_{s_1} xi_v - Y_v xi_{s_1}).  By Leibniz,
+    T G = grad^m(op_0 p) - R p with R's symbol r_{(u, s')} = Y_u +
+    xi_u r_{s'}; a solution needs R p to be an m-th gradient, so
+    r_{(., s')}, and with it Y, is parallel to xi: T' G = T G.  At
+    m = 1, Y = B xi: a solution exists iff B = d I, and then T' - T is
+    d x_h (d_{s_1} d_h - d_h d_{s_1}) = 0.  For m >= 2 one exists iff
+    A = c x x^t - (v x^t + x v^t) / (2(m - 1)), v psi's linear part.
     """
-    rows, d = _t_rows(f, n, m, tower, variant)
+    rows, d = _t_rows(f, n, m, tower)
     return const_matrix([[Fraction(v, d) for v in row] for row in rows])
 
 
 def lambda_via_formula(f: WeightFamily, n: int, m: int,
-                       tower: PsiTower | None = None,
-                       variant: str = "proof") -> PolyMatrix:
+                       tower: PsiTower | None = None) -> PolyMatrix:
     """Eigenvalue matrix from the leading-coefficient equation.
 
     The leading block G of the level-m stack satisfies G L = -T G with
@@ -447,7 +455,7 @@ def lambda_via_formula(f: WeightFamily, n: int, m: int,
     if tower is None or tower.depth < m:
         tower = psi_tower(f, m)
     g, _ = g_lead_rows(n, m)
-    t, dt = _t_rows(f, n, m, tower, variant)
+    t, dt = _t_rows(f, n, m, tower)
     tg = int_matmul(t, g, n + m + 1)
     return solve_columns(g, [[Fraction(-v, dt) for v in row] for row in tg])
 
@@ -539,19 +547,6 @@ def check_b(f: WeightFamily, sys: OrthoSystem, n: int, m: int,
 # property (c): second order equation with constant eigenvalue matrix
 
 
-def _formula_agrees(f: WeightFamily, n: int, m: int, tower: PsiTower,
-                    variant: str, lam: PolyMatrix) -> bool:
-    """lambda_via_formula in this layout gives lam.
-
-    A leading-coefficient system without a solution disagrees like a
-    different solution does; a rank-deficient G still raises.
-    """
-    try:
-        return lambda_via_formula(f, n, m, tower, variant) == lam
-    except InconsistentSystemError:
-        return False
-
-
 def check_c(f: WeightFamily, sys: OrthoSystem, n: int, m: int,
             tower: PsiTower | None = None) -> PropertyReport:
     """Operator route must solve exactly and agree with the symbol route."""
@@ -563,12 +558,12 @@ def check_c(f: WeightFamily, sys: OrthoSystem, n: int, m: int,
     except NoConstantSolution as exc:
         return _report("c", f.name, n, m, False,
                        notes=f"no constant eigenvalue matrix: {exc}")
-    ok = _formula_agrees(f, n, m, tower, "proof", lam)
+    try:
+        ok = lambda_via_formula(f, n, m, tower) == lam
+    except InconsistentSystemError:  # a rank-deficient G still raises
+        ok = False
     if not ok:
         notes.append("leading-coefficient route disagrees with the operator route")
-    # at level 0 both layouts give one matrix, so one verdict
-    if not (ok if m == 0 else _formula_agrees(f, n, m, tower, "statement", lam)):
-        notes.append("alternate shift-factor layout disagrees (column permutation)")
     if n == 1 and m == 0:
         anchor_ok = lam == f.d_matrix().scale(-1)
         if not anchor_ok:

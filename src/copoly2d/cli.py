@@ -54,8 +54,8 @@ class RunConfig:
             raise ConfigError("mmax must be nonnegative")
         if self.mode not in ("exact", "numeric", "auto"):
             raise ConfigError(f"unknown mode {self.mode!r}")
-        floor = self.nmax + self.mmax + 2
-        if self.quad_order < floor:
+        floor = self.nmax + self.mmax + 2  # only numeric mode reads quadrature
+        if self.mode == "numeric" and self.quad_order < floor:
             raise ConfigError(
                 f"quad_order {self.quad_order} below the grid floor {floor}"
             )
@@ -101,7 +101,9 @@ def resolve_family(cfg: RunConfig):
 def _write_atomic(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".copoly2d-")
+    os.umask(mask := os.umask(0))
     try:
+        os.fchmod(fd, 0o666 & ~mask)  # what open() would give, not mkstemp's 0600
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)

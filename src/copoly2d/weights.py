@@ -603,6 +603,8 @@ def load_family(source) -> WeightFamily:
         table = {}
         try:
             for i, j, v in doc["moments"]:
+                if isinstance(v, bool) or not isinstance(v, (str, int)):
+                    raise TypeError(f"moment ({i},{j}) is {v!r}, not a \"p/q\" string")
                 table[(int(i), int(j))] = Fraction(v)
         except (ValueError, TypeError) as exc:
             raise FamilyLoadError(f"bad moments table: {exc}") from exc

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from copoly2d import basisops, characterize, orthosys
 from copoly2d.basisops import random_rational_matrix, x_vec
@@ -39,8 +40,8 @@ from copoly2d.matpoly import (
     vstack,
 )
 from copoly2d.orthosys import build_monic, g_lead, inner, integrate_matrix
-from copoly2d.polycore import parse_poly
-from copoly2d.weights import builtin, make_quadrature
+from copoly2d.polycore import BivariatePoly, RationalFn, parse_poly
+from copoly2d.weights import Domain, WeightFamily, builtin, make_quadrature
 
 ALL_INSTANCES = [
     "product_hermite",
@@ -171,8 +172,8 @@ def test_hermite_degree_two_eigenvalue():
 
 def test_formula_route_agrees_on_grid():
     # Wherever a constant eigenvalue matrix exists, the leading-coefficient
-    # route gives it in both layouts of the symbol; above level 0 that is
-    # 92 cells of the pool instances, n <= 4, m <= 3.
+    # route gives it; above level 0 that is 92 cells of the pool
+    # instances, n <= 4, m <= 3.
     solved_above_level_zero = 0
     for ref in dict.fromkeys(ALL_INSTANCES + POOL_INSTANCES):
         f, sys = get_system(ref)
@@ -184,35 +185,21 @@ def test_formula_route_agrees_on_grid():
                 except NoConstantSolution:
                     continue
                 solved_above_level_zero += m >= 1 and ref in POOL_INSTANCES
-                for variant in ("proof", "statement"):
-                    got = lambda_via_formula(f, n, m, tower, variant)
-                    assert got == lam, (ref, n, m, variant)
+                assert lambda_via_formula(f, n, m, tower) == lam, (ref, n, m)
     assert solved_above_level_zero == 92
 
 
-def test_statement_variant_is_column_permutation_at_level_zero():
-    # Both layouts agree at level 0 where the permutation is trivial.
-    f, _ = get_system("product_laguerre(0,0)")
-    tower = psi_tower(f, 1)
-    for n in (1, 2, 3):
-        a = t_matrix(f, n, 0, tower, "proof")
-        b = t_matrix(f, n, 0, tower, "statement")
-        assert a == b, n
-    with pytest.raises(ValueError):
-        t_matrix(f, 1, 0, tower, "boxed")
-
-
 def test_statement_layout_differs_where_no_eigenvalue_matrix_exists():
-    # Above level 0 the two layouts give different symbols on the leading
-    # block, but so far only in cells without a constant eigenvalue
-    # matrix, where check_c stops before comparing them.
+    # The converse of the property test below: the layout of the paper's
+    # statement (kept only in oracle_t_matrices) gives a different symbol
+    # on the leading block in cells without a constant eigenvalue matrix.
     for ref, cells in [("hermite_laguerre(1)", [(1, 1), (2, 1), (1, 2)]),
                        ("product_jacobi(0,0,0,0)", [(1, 2), (2, 2)])]:
         f, sys = get_system(ref, 4)
         tower = psi_tower(f, 2)
         for n, m in cells:
-            statement = t_matrix(f, n, m, tower, "statement")
-            proof = t_matrix(f, n, m, tower, "proof")
+            statement = oracle_t_matrices(f, n, m, tower)["statement"]
+            proof = t_matrix(f, n, m, tower)
             assert not ((statement - proof) @ g_lead(n, m)).is_zero, (ref, n, m)
             with pytest.raises(NoConstantSolution):
                 lambda_via_operator(f, sys, n, m, tower)
@@ -235,12 +222,13 @@ def oracle_g_lead(n, m):
 
 
 def oracle_t_matrices(f, n, m, tower):
-    """t_matrix in both layouts, as products of the Kronecker-lifted stacks.
+    """The (c) symbol in both shift-factor layouts, as lifted products.
 
     L*^t (A3 (x) I) N* + S (D (x) I_n) N_stk, every factor formed as a
-    polynomial matrix; returns {variant: T}.  Reads l_mat, n_mat,
-    stacked and starred through basisops, so a monkeypatched
-    basisops.l_mat or n_mat reaches it.
+    polynomial matrix; returns {layout: T}, "proof" being t_matrix and
+    "statement" the layout of the paper's theorem, which the library
+    does not build.  Reads l_mat, n_mat, stacked and starred through
+    basisops, so a monkeypatched basisops.l_mat or n_mat reaches it.
     """
     a_cols, _ = phi_coefficient_columns(f)
     a3 = hstack(a_cols[0], a_cols[1].scale(2), a_cols[2])
@@ -258,7 +246,7 @@ def oracle_t_matrices(f, n, m, tower):
     dpair = hstack(level.d1, level.d2)
     nstk = vstack(kron(eye, basisops.n_mat(n, 1)), kron(eye, basisops.n_mat(n, 2)))
     right = kron(dpair, PolyMatrix.identity(n)) @ nstk
-    return {variant: term1 + s @ right for variant, s in shift_t.items()}
+    return {layout: term1 + s @ right for layout, s in shift_t.items()}
 
 
 def _outcome(fn):
@@ -302,8 +290,8 @@ def test_t_matrix_and_g_lead_match_the_lifted_assembly():
         tower = psi_tower(f, 3)
         for n in range(1, 7):
             for m in range(4):
-                for variant, t in oracle_t_matrices(f, n, m, tower).items():
-                    assert t_matrix(f, n, m, tower, variant) == t, (ref, n, m, variant)
+                t = oracle_t_matrices(f, n, m, tower)["proof"]
+                assert t_matrix(f, n, m, tower) == t, (ref, n, m)
 
 
 @pytest.mark.parametrize("name, wrong", [
@@ -330,13 +318,133 @@ def test_t_matrix_and_g_lead_match_the_lifted_assembly_when_patched(monkeypatch,
         g = oracle_g_lead(n, m)
         assert g_lead(n, m) == g, (n, m)
         changed = changed or g != real_g[n, m]
-        for variant, t in oracle_t_matrices(f, n, m, tower).items():
-            assert t_matrix(f, n, m, tower, variant) == t, (n, m, variant)
-            changed = changed or t != real[n, m]
-            want = _outcome(lambda: solve_columns(g, -(t @ g)))
-            got = _outcome(lambda: lambda_via_formula(f, n, m, tower, variant))
-            assert got == want, (n, m, variant)
+        t = oracle_t_matrices(f, n, m, tower)["proof"]
+        assert t_matrix(f, n, m, tower) == t, (n, m)
+        changed = changed or t != real[n, m]
+        want = _outcome(lambda: solve_columns(g, -(t @ g)))
+        got = _outcome(lambda: lambda_via_formula(f, n, m, tower))
+        assert got == want, (n, m)
     assert changed
+
+
+# ---------------------------------------------------------------------------
+# one layout: random Pearson data, no moments (t_matrix reads none)
+
+
+_X, _Y = BivariatePoly.x(), BivariatePoly.y()
+_SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+
+
+def _pearson_family(phi, psi1, psi2):
+    return WeightFamily("pearson_data", PolyMatrix.from_rows(phi), psi1, psi2,
+                        RationalFn(psi1), RationalFn(psi2), Domain("plane", ()))
+
+
+def _quadratic_part(p):
+    return BivariatePoly.from_terms({e: c for e, c in p.terms.items() if sum(e) == 2})
+
+
+def _formula_solves_by_rule(f, m):
+    """Whether G L = -T G has a solution, by the rule in t_matrix's docstring.
+
+    m = 1: d_matrix() is d I.  m >= 2: the quadratic part of phi is
+    c x x^t - (v x^t + x v^t) / (2(m - 1)), v the linear part of psi.
+    """
+    b = f.d_matrix().const_entries()
+    if m == 1:
+        return b[0][1] == b[1][0] == 0 and b[0][0] == b[1][1]
+    xs = (_X, _Y)
+    v = [b[0][a] * _X + b[1][a] * _Y for a in (0, 1)]
+    rest = [[_quadratic_part(f.phi[i, j])
+             + (v[i] * xs[j] + xs[i] * v[j]) * Fraction(1, 2 * (m - 1))
+             for j in (0, 1)] for i in (0, 1)]
+    c = rest[0][0].coeff(2, 0)
+    return all(rest[i][j] == xs[i] * xs[j] * c for i in (0, 1) for j in (0, 1))
+
+
+@st.composite
+def pearson_data(draw):
+    """Quadratic symmetric phi, linear psi with a nonsingular drift matrix.
+
+    Most draws are shaped so that the leading-coefficient route solves
+    at some level: a scalar drift matrix (level 1), phi's quadratic part
+    c x x^t with a scalar drift matrix (every level), or the level-2 and
+    level-3 rule of t_matrix's docstring with any drift matrix.
+    """
+    shape = draw(st.sampled_from(["free", "scalar", "scalar_xx", "level2", "level3"]))
+    if shape.startswith("scalar"):
+        d = draw(_SMALL.filter(bool))
+        v = [d * _X, d * _Y]
+    else:
+        coeffs = [[draw(_SMALL) for _ in range(2)] for _ in range(2)]
+        assume(coeffs[0][0] * coeffs[1][1] != coeffs[0][1] * coeffs[1][0])
+        v = [cx * _X + cy * _Y for cx, cy in coeffs]
+    xs = (_X, _Y)
+    c = draw(_SMALL)
+    if shape == "scalar_xx":
+        quad = [[xs[i] * xs[j] * c for j in (0, 1)] for i in (0, 1)]
+    elif shape.startswith("level"):
+        k = Fraction(1, 2 * (int(shape[-1]) - 1))
+        quad = [[xs[i] * xs[j] * c - (v[i] * xs[j] + xs[i] * v[j]) * k
+                 for j in (0, 1)] for i in (0, 1)]
+    else:
+        quad = [[None, None], [None, None]]
+        for i, j in ((0, 0), (0, 1), (1, 1)):
+            quad[i][j] = _X * _X * draw(_SMALL) + _X * _Y * draw(_SMALL) + _Y * _Y * draw(_SMALL)
+        quad[1][0] = quad[0][1]
+    low = {(i, j): _X * draw(_SMALL) + _Y * draw(_SMALL) + draw(_SMALL)
+           for i, j in ((0, 0), (0, 1), (1, 1))}
+    low[1, 0] = low[0, 1]
+    phi = [[quad[i][j] + low[i, j] for j in (0, 1)] for i in (0, 1)]
+    return _pearson_family(phi, v[0] + draw(_SMALL), v[1] + draw(_SMALL))
+
+
+# the drift matrix is diag(-2, -4), not scalar: the route solves at m = 2 only
+_LEVEL_TWO_ONLY = _pearson_family(
+    [[parse_poly("2*x^2"), parse_poly("3*x*y")], [parse_poly("3*x*y"), parse_poly("4*y^2")]],
+    parse_poly("-2*x"), parse_poly("-4*y"))
+
+
+@example(_LEVEL_TWO_ONLY)
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(pearson_data())
+def test_statement_layout_agrees_on_g_wherever_the_formula_solves(f):
+    tower = psi_tower(f, 3)
+    for m in (1, 2, 3):
+        for n in (1, 2, 3):
+            try:
+                lambda_via_formula(f, n, m, tower)
+            except InconsistentSystemError:
+                continue
+            layouts = oracle_t_matrices(f, n, m, tower)
+            t = t_matrix(f, n, m, tower)
+            assert t == layouts["proof"], (n, m)
+            g = g_lead(n, m)
+            assert layouts["statement"] @ g == t @ g, (n, m)
+
+
+@example(_LEVEL_TWO_ONLY)
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(pearson_data())
+def test_formula_route_solves_exactly_where_the_symbol_rule_says(f):
+    # m = 1 is README's rule: the drift matrix must be d*I
+    tower = psi_tower(f, 3)
+    for m in (1, 2, 3):
+        want = _formula_solves_by_rule(f, m)
+        for n in (1, 2, 3, 4):
+            got = _outcome(lambda: lambda_via_formula(f, n, m, tower))
+            assert (got != "InconsistentSystemError") == want, (n, m, got)
+
+
+def test_level_two_only_family_solves_at_level_two_only():
+    tower = psi_tower(_LEVEL_TWO_ONLY, 3)
+    assert [_formula_solves_by_rule(_LEVEL_TWO_ONLY, m) for m in (1, 2, 3)] == \
+        [False, True, False]
+    for n in (1, 2):
+        lambda_via_formula(_LEVEL_TWO_ONLY, n, 2, tower)
+        for m in (1, 3):
+            with pytest.raises(InconsistentSystemError):
+                lambda_via_formula(_LEVEL_TWO_ONLY, n, m, tower)
 
 
 def test_system_memo_grams_eigenvalues_and_bounds():
@@ -438,13 +546,22 @@ def test_check_b_numeric_matches_exact():
 # property (c): where it holds and where no constant matrix exists
 
 
-def test_check_c_product_hermite_all_cells():
+def test_check_c_product_hermite_all_cells(monkeypatch):
+    real = characterize.lambda_via_formula
+    calls = []
+
+    def counted(f, n, m, tower=None):
+        calls.append((n, m))
+        return real(f, n, m, tower)
+
+    monkeypatch.setattr(characterize, "lambda_via_formula", counted)
     f, sys = get_system("product_hermite")
     tower = psi_tower(f, 2)
-    for n in range(1, 5):
-        for m in range(3):
-            rep = check_c(f, sys, n, m, tower=tower)
-            assert rep.status == "pass", (n, m)
+    cells = [(n, m) for n in range(1, 5) for m in range(3)]
+    for n, m in cells:
+        rep = check_c(f, sys, n, m, tower=tower)
+        assert rep.status == "pass", (n, m)
+    assert calls == cells  # one leading-coefficient solve per cell
 
 
 def test_check_c_laguerre_and_triangle_fold_at_every_level():
@@ -507,41 +624,18 @@ def test_check_c_inconsistent_formula_route_is_a_fail_not_an_error(monkeypatch):
     for mod in (basisops, characterize):
         monkeypatch.setattr(mod, "l_mat", _l_swapped_at_1)
     with pytest.raises(InconsistentSystemError):
-        lambda_via_formula(f, 2, 1, tower, "statement")
+        lambda_via_formula(f, 2, 1, tower)
     for n, m in [(2, 1), (2, 2), (3, 1), (3, 2)]:
         rep = check_c(f, sys, n, m, tower)
         assert rep.status == "fail", (n, m)
         assert rep.notes == ("leading-coefficient route disagrees with the operator "
-                             "route; alternate shift-factor layout disagrees "
-                             "(column permutation)"), (n, m)
+                             "route"), (n, m)
     reports = verify_all(f, nmax=3, mmax=2, properties=("c",))
     assert {r.status for r in reports} == {"pass", "fail"}
 
 
-def test_check_c_statement_layout_without_solution_only_writes_its_note(monkeypatch):
-    real = characterize.lambda_via_formula
-    calls = []
-
-    def statement_inconsistent(f, n, m, tower=None, variant="proof"):
-        calls.append((n, m, variant))
-        if variant == "statement":
-            raise InconsistentSystemError("injected")
-        return real(f, n, m, tower, variant)
-
-    monkeypatch.setattr(characterize, "lambda_via_formula", statement_inconsistent)
-    f, sys = get_system("product_hermite")
-    rep = check_c(f, sys, 2, 1)
-    assert (rep.status, rep.notes) == (
-        "pass", "alternate shift-factor layout disagrees (column permutation)")
-    # at level 0 the layouts are one matrix: the proof result is reused
-    calls.clear()
-    rep = check_c(f, sys, 2, 0)
-    assert (rep.status, rep.notes) == ("pass", "")
-    assert calls == [(2, 0, "proof")]
-
-
 def test_check_c_singular_leading_block_stays_an_error(monkeypatch):
-    def singular(f, n, m, tower=None, variant="proof"):
+    def singular(f, n, m, tower=None):
         raise SingularMatrixError("injected")
 
     monkeypatch.setattr(characterize, "lambda_via_formula", singular)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
@@ -36,7 +37,12 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         RunConfig("product_hermite", mode="guess").validate()
     with pytest.raises(ConfigError):
-        RunConfig("product_hermite", nmax=4, mmax=2, quad_order=7).validate()
+        RunConfig("product_hermite", nmax=4, mmax=2, mode="numeric",
+                  quad_order=7).validate()
+    # only numeric mode reads quadrature, so only it has a floor
+    for mode in ("exact", "auto"):
+        RunConfig("product_hermite", nmax=4, mmax=2, mode=mode, quad_order=7).validate()
+    RunConfig("product_hermite", nmax=17, mmax=2, mode="exact").validate()
     with pytest.raises(ConfigError):
         RunConfig("product_hermite", format="yaml").validate()
     with pytest.raises(ConfigError):
@@ -74,10 +80,13 @@ def test_exit_codes(tmp_path, capsys):
 
 
 def test_quad_order_floor_is_exit_two(capsys):
-    code = main(["verify", "--family", "product_hermite",
+    code = main(["verify", "--family", "product_hermite", "--mode", "numeric",
                  "--nmax", "4", "--quad-order", "5"])
     assert code == 2
     assert "grid floor" in capsys.readouterr().err
+    code = main(["verify", "--family", "product_hermite", "--mode", "exact",
+                 "--nmax", "2", "--mmax", "1", "--quad-order", "1"])
+    assert code == 0
 
 
 def test_json_report_shape(capsys):
@@ -113,6 +122,30 @@ def test_output_file_atomic(tmp_path, capsys):
     assert doc["family"] == "product_hermite"
     leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".copoly2d-")]
     assert leftovers == []
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_output_file_mode_follows_the_umask(tmp_path, capsys, umask):
+    # as a plain open() would create it, not mkstemp's 0600
+    out = tmp_path / "report.txt"
+    old = os.umask(umask)
+    try:
+        code = main(["verify", "--family", "product_hermite", "--nmax", "1",
+                     "--mmax", "0", "--properties", "a", "--output", str(out)])
+    finally:
+        os.umask(old)
+    assert code == 0
+    assert out.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+def test_float_moments_in_a_family_file_are_exit_two(tmp_path, capsys):
+    doc = export_family(builtin("triangle(1,1,1)"), moment_degree=8)
+    doc["moments"][3][2] = float(Fraction(doc["moments"][3][2]))
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--family", str(path), "--nmax", "1", "--mmax", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "bad moments table" in err and "moment (" in err
 
 
 def test_decimal_params_are_exact(capsys):

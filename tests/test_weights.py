@@ -266,6 +266,20 @@ def test_load_from_json_text_and_file(tmp_path):
     assert h.psi1 == g.psi1
 
 
+def test_loader_takes_moments_as_strings_or_ints_only():
+    doc = export_family(builtin("triangle(1,1,1)"), moment_degree=4)
+    i, j, v = doc["moments"][1]
+    assert isinstance(v, str) and Fraction(v).denominator > 1
+    for good in (0, 7, v):
+        doc["moments"][1] = [i, j, good]
+        assert load_family(doc).moment(i, j) == Fraction(good)
+    # 1/3 written as a JSON number is 6004799503160661/18014398509481984
+    for bad in (float(Fraction(v)), True, None, [1, 3]):
+        doc["moments"][1] = [i, j, bad]
+        with pytest.raises(FamilyLoadError, match=rf"moment \({i},{j}\)"):
+            load_family(doc)
+
+
 def test_loader_rejects_asymmetric_phi():
     doc = export_family(builtin("product_hermite"), moment_degree=2)
     doc["phi"] = [["1", "x"], ["0", "1"]]
