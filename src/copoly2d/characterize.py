@@ -524,7 +524,7 @@ def check_b(f: WeightFamily, sys: OrthoSystem, n: int, m: int,
     if mode != "numeric":
         raise ValueError(f"unknown mode {mode!r}")
     if rule is None:
-        rule = make_quadrature(f, 20)
+        raise ValueError("numeric mode needs a quadrature rule")
     gram = sys.gram(n, m, rule)
     scale = float(np.abs(np.diag(gram)).max())
     tol = RESIDUAL_REL * scale
@@ -751,7 +751,7 @@ def check_e(f: WeightFamily, sys: OrthoSystem, n: int, m: int,
     if mode != "numeric":
         raise ValueError(f"unknown mode {mode!r}")
     if rule is None:
-        rule = make_quadrature(f, 20)
+        raise ValueError("numeric mode needs a quadrature rule")
     nodes = (rule.nodes_x, rule.nodes_y, rule.powers)
     tail = 0.0
     coeffs = {}
@@ -831,7 +831,9 @@ def verify_all(f: WeightFamily, nmax: int = 4, mmax: int = 2,
     moment oracle and numeric integration otherwise; construction of
     the system itself always needs the oracle, so families without one
     fail the structural checks with an explanatory note while the
-    data-only checks still run.
+    data-only checks still run.  The quadrature rule is built once, after
+    the system, when numeric checks read it; make_quadrature's
+    InvalidParameterError (an order below 1, a bad domain) propagates.
     """
     if nmax < 1:
         raise ValueError("nmax must be at least 1")
@@ -844,12 +846,6 @@ def verify_all(f: WeightFamily, nmax: int = 4, mmax: int = 2,
     else:
         raise ValueError(f"unknown mode {mode!r}")
     chosen = _expand_properties(properties)
-    rule = None
-    if resolved == "numeric":
-        try:
-            rule = make_quadrature(f, quad_order)
-        except Exception:
-            rule = None  # per-cell guards will report the reason
     depth = max(1, mmax, nmax - 1)
     try:
         tower = psi_tower(f, depth)
@@ -902,6 +898,9 @@ def verify_all(f: WeightFamily, nmax: int = 4, mmax: int = 2,
             system = build_monic(f, nmax + mmax + 1)
         except Exception as exc:
             system_err = f"system construction failed: {type(exc).__name__}: {exc}"
+    rule = None
+    if resolved == "numeric" and system is not None and chosen & {"b", "e"}:
+        rule = make_quadrature(f, quad_order)
     ns = range(1, nmax + 1)
     levels = [(n, m) for n in ns for m in range(mmax + 1)]
     # property -> (cells, reported mode, checker); c and d are exact only

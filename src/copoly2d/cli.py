@@ -3,8 +3,8 @@
 Two subcommands: `verify` runs the property grid for one family and
 emits a text or JSON report; `list-families` prints the built-in
 catalogue.  Exit status is 0 when every selected check passes, 1 when
-at least one fails, 2 for configuration or load problems, and 3 when a
-checker crashed (a cell with status "error").
+at least one fails, 2 for configuration, load or file problems, and 3
+when a checker crashed (a cell with status "error").
 """
 from __future__ import annotations
 
@@ -87,7 +87,10 @@ class RunConfig:
 
 
 def _looks_like_path(ref: str) -> bool:
-    return ref.endswith(".json") or os.sep in ref or os.path.exists(ref)
+    # a built-in name keeps a ref with a separator, as in product_jacobi(1/2,...)
+    if ref.endswith(".json") or os.path.exists(ref):
+        return True
+    return os.sep in ref and ref.split("(")[0].strip() not in {b[0] for b in list_builtins()}
 
 
 def resolve_family(cfg: RunConfig):
@@ -253,10 +256,10 @@ def main(argv=None) -> int:
             format=args.format,
         )
         return run(cfg)
-    except (ConfigError, FamilyLoadError, UnknownFamilyError,
-            InvalidParameterError, OracleUnavailableError, ValueError) as exc:
+    except (ConfigError, FamilyLoadError, UnknownFamilyError, InvalidParameterError,
+            OracleUnavailableError, ValueError, OSError) as exc:
         # KeyError subclasses repr their argument; report the raw text.
-        msg = exc.args[0] if exc.args else str(exc)
+        msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else str(exc)
         print(f"copoly2d: {msg}", file=sys.stderr)
         return 2
 

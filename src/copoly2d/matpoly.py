@@ -37,6 +37,10 @@ class ShapeError(ValueError):
 class SingularMatrixError(ValueError):
     """Exact elimination met a structurally singular system."""
 
+    def __init__(self, message: str, column: int | None = None):
+        super().__init__(message)
+        self.column = column  # the first column without a pivot
+
 
 class InconsistentSystemError(ValueError):
     """An overdetermined exact system admits no solution."""
@@ -452,15 +456,16 @@ def _solve(a, b, no_pivot: str) -> PolyMatrix:
 
     a and b are constant PolyMatrix values or Fraction rows of equal
     length.  no_pivot formats the SingularMatrixError text with the
-    first column of a that has no pivot.  Back substitution stays in
-    integers: with d the last pivot, d * x is integral by Cramer's rule.
+    first column of a that has no pivot, which the error also carries.
+    Back substitution stays in integers: with d the last pivot, d * x is
+    integral by Cramer's rule.
     """
     n, bcols = _shape(a)[1], _shape(b)[1]
     w, pivots, _, _ = _echelon(
         [ra + rb for ra, rb in zip(_const_rows(a), _const_rows(b))], n)
     if len(pivots) < n:
         col = next((c for c, p in enumerate(pivots) if c != p), len(pivots))
-        raise SingularMatrixError(no_pivot.format(col))
+        raise SingularMatrixError(no_pivot.format(col), col)
     if any(any(row) for row in w[n:]):
         raise InconsistentSystemError("no constant solution matches every row")
     d = w[n - 1][n - 1] if n else 1

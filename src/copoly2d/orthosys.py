@@ -2,9 +2,9 @@
 
 P_n is the column of n + 1 monic polynomials of degree n (leading block
 the identity: entry k is x^(n-k) y^k plus lower degree) orthogonal to
-every lower monomial vector: integral(X_j P_n^t rho) = 0 for j < n.  The
-coefficients come from one exact block Gram solve per degree, driven by
-the family's normalized moment oracle.
+every lower monomial vector: integral(X_j P_n^t rho) = 0 for j < n.
+build_monic grows it by block Gram-Schmidt on the memoised Gram blocks
+gram(k, 0), driven by the family's normalized moment oracle.
 
 The level-m gradient stack of the system is
 Q(n, m) = grad Q(n+1, m-1) with Q(n, 0) = P_n^t, a 2^m by (n+m+1)
@@ -268,15 +268,6 @@ def integrate_matrix_numeric(m: PolyMatrix, f: WeightFamily, rule: QuadRule) -> 
 # construction
 
 
-def _moment_block(f: WeightFamily, j: int, k: int) -> PolyMatrix:
-    # integral(X_j X_k^t rho) / mu_00; entry (r, s) pairs the monomials
-    # x^(j-r) y^r and x^(k-s) y^s
-    rows = []
-    for r in range(j + 1):
-        rows.append([f.moment((j - r) + (k - s), r + s) for s in range(k + 1)])
-    return const_matrix(rows)
-
-
 class OrthoSystem:
     """Monic orthogonal columns P_0 .. P_nmax plus memoised derived data."""
 
@@ -343,38 +334,34 @@ class OrthoSystem:
 
 
 def build_monic(f: WeightFamily, nmax: int) -> OrthoSystem:
-    """Construct P_0 .. P_nmax by exact block Gram elimination.
+    """Construct P_0 .. P_nmax by exact block Gram-Schmidt on the memo.
 
-    Degree n couples all lower moment blocks: writing
-    P_n = X_n + sum_k C_k X_k, the orthogonality conditions stack into
-    one square system over the blocks M(j, k) = integral(X_j X_k^t rho).
-    Raises SingularGramError when that system is singular, which is the
-    exact signal that the moment data is not a quasi-definite weight.
+    P_n^t = X_n^t - sum_(k<n) q(k, 0) H_k^-1 integral(P_k X_n^t rho) with
+    H_k = gram(k, 0): one moment contraction gives every projection, and
+    each solve is at most n by n.  The moment matrix has det M_(n-1) =
+    prod det H_k, so SingularGramError, naming its column, is the exact
+    signal that the moment data is not a quasi-definite weight.
     """
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
-    pvecs = [PolyMatrix.column([1])]
+    sys = OrthoSystem(f, [PolyMatrix.column([1])])
     for n in range(1, nmax + 1):
-        blocks = [[_moment_block(f, j, k) for k in range(n)] for j in range(n)]
-        a = vstack(*[hstack(*row) for row in blocks])
-        b = vstack(*[_moment_block(f, j, n) for j in range(n)])
+        xt = x_vec(n).transpose()
+        qs = [sys.q(k, 0) for k in range(n)]
         try:
-            z = rat_solve(a, -b)
+            bs = [rat_solve(sys.gram(k, 0), proj)
+                  for k, proj in enumerate(integrate_products(qs, xt, f))]
         except SingularMatrixError as exc:
-            raise SingularGramError(f"degree {n}: {exc}") from exc
-        entries = [[BivariatePoly.zero()] for _ in range(n + 1)]
-        col = x_vec(n)
-        for r in range(n + 1):
-            entries[r][0] = col[r, 0]
-        row0 = 0
-        for k in range(n):
-            ck_t = PolyMatrix(k + 1, n + 1, [z[row0 + r, s] for r in range(k + 1) for s in range(n + 1)])
-            contrib = ck_t.transpose() @ x_vec(k)
-            for r in range(n + 1):
-                entries[r][0] = entries[r][0] + contrib[r, 0]
-            row0 += k + 1
-        pvecs.append(PolyMatrix.from_rows(entries))
-    return OrthoSystem(f, pvecs)
+            col = n * (n - 1) // 2 + exc.column  # only H_(n-1) can fail
+            raise SingularGramError(f"degree {n}: singular pivot at column {col}") from exc
+        pt = xt - hstack(*qs) @ vstack(*bs)
+        # leading monomial first, then the lower terms by ascending degree
+        # and falling x power: numeric mode sums terms in this order
+        sys._p.append(PolyMatrix.column(
+            [BivariatePoly({e: p.terms[e] for e in
+                            sorted(p.terms, key=lambda e: (sum(e) < n, sum(e), e[1]))})
+             for p in pt.row_list(0)]))
+    return sys
 
 
 # ---------------------------------------------------------------------------

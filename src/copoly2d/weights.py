@@ -498,6 +498,7 @@ def make_quadrature(f: WeightFamily, order: int) -> QuadRule:
     if order < 1:
         raise InvalidParameterError("quadrature order must be >= 1")
     kind = f.domain.kind
+    _require_gt(f.domain.params, -1, f"{kind} quadrature")  # the Gauss exponents
     p = [float(v) for v in f.domain.params]
     if kind == "plane":
         xs, wx = gauss_hermite_1d(order)
@@ -603,9 +604,13 @@ def load_family(source) -> WeightFamily:
         table = {}
         try:
             for i, j, v in doc["moments"]:
+                if type(i) is not int or type(j) is not int or min(i, j) < 0:
+                    raise TypeError(f"entry {[i, j, v]!r} needs nonnegative int indices")
+                if (i, j) in table:
+                    raise ValueError(f"entry {[i, j, v]!r} repeats moment ({i},{j})")
                 if isinstance(v, bool) or not isinstance(v, (str, int)):
                     raise TypeError(f"moment ({i},{j}) is {v!r}, not a \"p/q\" string")
-                table[(int(i), int(j))] = Fraction(v)
+                table[(i, j)] = Fraction(v)
         except (ValueError, TypeError) as exc:
             raise FamilyLoadError(f"bad moments table: {exc}") from exc
 

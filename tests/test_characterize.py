@@ -41,7 +41,13 @@ from copoly2d.matpoly import (
 )
 from copoly2d.orthosys import build_monic, g_lead, inner, integrate_matrix
 from copoly2d.polycore import BivariatePoly, RationalFn, parse_poly
-from copoly2d.weights import Domain, WeightFamily, builtin, make_quadrature
+from copoly2d.weights import (
+    Domain,
+    InvalidParameterError,
+    WeightFamily,
+    builtin,
+    make_quadrature,
+)
 
 ALL_INSTANCES = [
     "product_hermite",
@@ -803,6 +809,14 @@ def test_check_e_numeric_agrees_with_exact():
         assert numeric.status == exact.status, (n, m)
 
 
+def test_numeric_checks_need_a_rule():
+    f, sys = get_system("product_jacobi(0,0,0,0)")
+    with pytest.raises(ValueError, match="needs a quadrature rule"):
+        check_b(f, sys, 1, 1, mode="numeric")
+    with pytest.raises(ValueError, match="needs a quadrature rule"):
+        check_e(f, sys, 1, 0, mode="numeric")
+
+
 # ---------------------------------------------------------------------------
 # the grid runner
 
@@ -869,6 +883,42 @@ def test_verify_all_never_raises_without_oracle():
             "product_hermite: no exact moment oracle")
     want = {cell: ("fail", "numeric", note) for cell in _cells("bcde", 2, 1)}
     assert _structural_grid(reports) == want
+
+
+def _counting_quadrature(monkeypatch):
+    orders = []
+    real = characterize.make_quadrature
+
+    def counted(f, order):
+        orders.append(order)
+        return real(f, order)
+
+    monkeypatch.setattr(characterize, "make_quadrature", counted)
+    return orders
+
+
+@pytest.mark.parametrize("order", [0, -3])
+def test_verify_all_rejects_a_bad_quadrature_order(monkeypatch, order):
+    orders = _counting_quadrature(monkeypatch)
+    f = builtin("product_hermite")
+    with pytest.raises(InvalidParameterError):
+        verify_all(f, nmax=2, mmax=1, mode="numeric", quad_order=order)
+    # exact runs and numeric runs of c and d alone read no rule
+    assert verify_all(f, nmax=2, mmax=1, mode="exact", quad_order=order)
+    assert verify_all(f, nmax=2, mmax=1, mode="numeric", quad_order=order,
+                      properties=("c", "d"))
+    assert orders == [order]
+
+
+def test_verify_all_builds_one_rule_and_only_when_it_is_read(monkeypatch):
+    orders = _counting_quadrature(monkeypatch)
+    f = builtin("product_hermite")
+    verify_all(f, nmax=2, mmax=1, mode="numeric", quad_order=12)
+    assert orders == [12]
+    orders.clear()
+    # auto mode without an oracle resolves to numeric, but no system is built
+    verify_all(dataclasses.replace(f, moment_fn=None), nmax=2, mmax=1)
+    assert orders == []
 
 
 def test_verify_all_quadratic_drift_never_raises():

@@ -148,6 +148,71 @@ def test_float_moments_in_a_family_file_are_exit_two(tmp_path, capsys):
     assert "bad moments table" in err and "moment (" in err
 
 
+@pytest.mark.parametrize("edit", ["float index", "repeated index"])
+def test_bad_moment_indices_in_a_family_file_are_exit_two(tmp_path, capsys, edit):
+    doc = export_family(builtin("triangle(1,1,1)"), moment_degree=8)
+    if edit == "float index":
+        doc["moments"][1][0] = 1.5
+    else:
+        doc["moments"].append([2, 0, "7"])
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--family", str(path), "--nmax", "1", "--mmax", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("copoly2d: bad moments table: entry [")
+
+
+def test_unreadable_family_file_is_exit_two(tmp_path, capsys):
+    for ref in (str(tmp_path / "missing.json"), str(tmp_path / "no" / "fam"),
+                str(tmp_path)):
+        assert main(["verify", "--family", ref, "--nmax", "1", "--mmax", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("copoly2d: [Errno ") and err.endswith(f"{ref!r}\n"), ref
+
+
+def test_unwritable_output_is_exit_two(tmp_path, capsys):
+    out = tmp_path / "no" / "report.json"
+    assert main(["verify", "--family", "product_hermite", "--nmax", "1", "--mmax", "0",
+                 "--properties", "a", "--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("copoly2d: [Errno ")
+
+
+def test_domain_without_a_gauss_rule_is_exit_two(tmp_path, capsys):
+    doc = export_family(builtin("product_laguerre(1,2)"), moment_degree=8)
+    doc["domain"]["params"] = ["-2", "2"]
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps(doc))
+    argv = ["verify", "--family", str(path), "--nmax", "1", "--mmax", "1"]
+    assert main(argv + ["--mode", "numeric"]) == 2
+    err = capsys.readouterr().err
+    assert err == "copoly2d: quadrant quadrature parameters must exceed -1, got -2\n"
+    # exact mode reads no rule
+    assert main(argv + ["--mode", "exact"]) in (0, 1)
+
+
+def test_singular_moment_table_is_a_construction_note(tmp_path, capsys):
+    doc = export_family(builtin("product_hermite"), moment_degree=0)
+    doc["moments"] = [[i, j, "1"] for i in range(9) for j in range(9)]
+    path = tmp_path / "ones.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--family", str(path), "--nmax", "1", "--mmax", "0",
+                 "--format", "json"]) == 1
+    notes = {r["notes"] for r in json.loads(capsys.readouterr().out)["reports"]
+             if r["property"] in ("b", "c", "d", "e")}
+    assert notes == {"system construction failed: SingularGramError: "
+                     "degree 2: singular pivot at column 1"}
+
+
+def test_inline_rational_params_name_the_builtin(capsys):
+    def report(argv):
+        code = main(["verify", *argv, "--nmax", "2", "--mmax", "1", "--format", "json"])
+        return code, json.loads(capsys.readouterr().out)["reports"]
+
+    inline = report(["--family", "product_jacobi(1/2,1/2,1/2,1/2)"])
+    split = report(["--family", "product_jacobi", "--params", "1/2,1/2,1/2,1/2"])
+    assert inline == split
+
+
 def test_decimal_params_are_exact(capsys):
     code = main(["verify", "--family", "product_jacobi",
                  "--params", "0.5,0.5,0.5,0.5", "--nmax", "2", "--mmax", "1",

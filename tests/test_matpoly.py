@@ -274,6 +274,7 @@ def _check_solver(solver, a, b, no_pivot):
         with pytest.raises(SingularMatrixError) as err:
             solver(am, bm)
         assert str(err.value) == no_pivot.format(deficient[0])
+        assert err.value.column == deficient[0]
     elif _rank([ra + rb for ra, rb in zip(a, b)]) > _rank(a):
         with pytest.raises(InconsistentSystemError):
             solver(am, bm)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from fractions import Fraction
 from unittest import mock
 
@@ -11,7 +12,16 @@ from hypothesis import given, settings, strategies as st
 from copoly2d import characterize, orthosys
 from copoly2d.basisops import x_vec
 from copoly2d.characterize import verify_all
-from copoly2d.matpoly import PolyMatrix, ShapeError, det_exact, hstack, kron_power, vstack
+from copoly2d.matpoly import (
+    PolyMatrix,
+    ShapeError,
+    SingularMatrixError,
+    det_exact,
+    hstack,
+    kron_power,
+    rat_solve,
+    vstack,
+)
 from copoly2d.orthosys import (
     OrthoSystem,
     SingularGramError,
@@ -28,6 +38,17 @@ from copoly2d.orthosys import (
 )
 from copoly2d.polycore import BivariatePoly as P, parse_poly
 from copoly2d.weights import QuadRule, builtin, load_family, export_family, make_quadrature
+
+# the seven instances of acceptance criterion 2
+ALL_INSTANCES = [
+    "product_hermite",
+    "product_laguerre(0,0)",
+    "product_laguerre(1,2)",
+    "hermite_laguerre(0)",
+    "product_jacobi(0,0,0,0)",
+    "triangle(0,0,0)",
+    "triangle(1,1,1)",
+]
 
 
 def test_hermite_low_degrees():
@@ -130,14 +151,84 @@ def test_integrate_poly_normalization():
     assert integrate_poly(parse_poly("x^2 - 2*x"), f) == 0
 
 
-def test_singular_gram_detected():
-    # constant-1 moment table: the degree-1 block Gram [[1,1],[1,1]] per
-    # blocks collapses once degree 2 couples repeated monomials
+# ---------------------------------------------------------------------------
+# the coupled moment-block elimination as the reference construction
+
+
+def _moment_block(f, j, k):
+    # integral(X_j X_k^t rho) / mu_00; entry (r, s) pairs the monomials
+    # x^(j-r) y^r and x^(k-s) y^s
+    return PolyMatrix.from_rows([[f.moment((j - r) + (k - s), r + s) for s in range(k + 1)]
+                                 for r in range(j + 1)])
+
+
+def _reference_monic(f, nmax):
+    """P_0 .. P_nmax from one coupled solve per degree.
+
+    Writing P_n = X_n + sum_k C_k X_k, the orthogonality conditions
+    stack into one square system over the blocks M(j, k) =
+    integral(X_j X_k^t rho), j, k < n.  Each entry is built as its
+    leading monomial plus C_k^t X_k for k = 0 .. n - 1, which fixes its
+    term order.
+    """
+    pvecs = [PolyMatrix.column([1])]
+    for n in range(1, nmax + 1):
+        a = vstack(*[hstack(*[_moment_block(f, j, k) for k in range(n)]) for j in range(n)])
+        b = vstack(*[_moment_block(f, j, n) for j in range(n)])
+        try:
+            z = rat_solve(a, -b)
+        except SingularMatrixError as exc:
+            raise SingularGramError(f"degree {n}: {exc}") from exc
+        entries = list(x_vec(n).transpose().row_list(0))
+        row0 = 0
+        for k in range(n):
+            ck_t = PolyMatrix(k + 1, n + 1, [z[row0 + r, s] for r in range(k + 1)
+                                             for s in range(n + 1)])
+            contrib = ck_t.transpose() @ x_vec(k)
+            entries = [p + contrib[r, 0] for r, p in enumerate(entries)]
+            row0 += k + 1
+        pvecs.append(PolyMatrix.column(entries))
+    return pvecs
+
+
+@pytest.mark.parametrize("ref", ALL_INSTANCES)
+def test_gram_schmidt_matches_the_coupled_elimination(ref):
+    # same Fractions and the same term order: numeric mode sums terms
+    # in dict order, so another order would move numeric residuals
+    f = builtin(ref)
+    sys = build_monic(f, 8)
+    for n, want in enumerate(_reference_monic(f, 8)):
+        got = sys.p(n)
+        assert got == want, (ref, n)
+        for r in range(n + 1):
+            assert list(got[r, 0].terms) == list(want[r, 0].terms), (ref, n, r)
+
+
+def _table_family(moment):
     doc = export_family(builtin("product_hermite"), moment_degree=0)
-    doc["moments"] = [[i, j, "1"] for i in range(9) for j in range(9)]
-    f = load_family(doc)
-    with pytest.raises(SingularGramError):
-        build_monic(f, 2)
+    doc["moments"] = [[i, j, str(moment(i, j))] for i in range(9) for j in range(9)]
+    return load_family(doc)
+
+
+def _hermite_moment(k):
+    # normalized moments of exp(-t^2): (k-1)!! / 2^(k/2) for even k
+    return 0 if k % 2 else Fraction(math.factorial(k), math.factorial(k // 2) * 4 ** (k // 2))
+
+
+@pytest.mark.parametrize("moment, text", [
+    # constant-1 table (a point mass at (1, 1)): the Gram block H_1 is 0
+    (lambda i, j: 1, "degree 2: singular pivot at column 1"),
+    # a weight on the line x = y: mu_ij is the Hermite moment of degree i + j,
+    # and H_1 = [[1, 1], [1, 1]] / 2 has its first pivotless column at 1
+    (lambda i, j: _hermite_moment(i + j), "degree 2: singular pivot at column 2"),
+])
+def test_singular_gram_detected(moment, text):
+    f = _table_family(moment)
+    build_monic(f, 1)
+    for construct in (build_monic, _reference_monic):
+        with pytest.raises(SingularGramError) as err:
+            construct(f, 2)
+        assert str(err.value) == text
 
 
 def test_build_monic_guard():

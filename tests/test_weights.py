@@ -240,6 +240,14 @@ def test_quadrature_order_guard():
         make_quadrature(builtin("product_hermite"), 0)
 
 
+def test_quadrature_needs_domain_parameters_above_minus_one():
+    doc = export_family(builtin("triangle(1,1,1)"), moment_degree=2)
+    for params in (["-1", "0", "0"], ["0", "0", "-3/2"]):
+        doc["domain"]["params"] = params
+        with pytest.raises(InvalidParameterError, match="triangle quadrature"):
+            make_quadrature(load_family(doc), 4)
+
+
 def test_export_load_round_trip():
     for ref in ALL_INSTANCES:
         f = builtin(ref)
@@ -278,6 +286,21 @@ def test_loader_takes_moments_as_strings_or_ints_only():
         doc["moments"][1] = [i, j, bad]
         with pytest.raises(FamilyLoadError, match=rf"moment \({i},{j}\)"):
             load_family(doc)
+
+
+@pytest.mark.parametrize("entry, text", [
+    ([1.5, True, "0"], "entry [1.5, True, '0'] needs nonnegative int indices"),
+    ([1, False, "0"], "entry [1, False, '0'] needs nonnegative int indices"),
+    (["1", 0, "0"], "entry ['1', 0, '0'] needs nonnegative int indices"),
+    ([-1, 2, "0"], "entry [-1, 2, '0'] needs nonnegative int indices"),
+    ([2, 0, "7"], "entry [2, 0, '7'] repeats moment (2,0)"),
+])
+def test_loader_rejects_bad_and_repeated_moment_indices(entry, text):
+    doc = export_family(builtin("product_hermite"), moment_degree=4)
+    doc["moments"].append(entry)
+    with pytest.raises(FamilyLoadError) as err:
+        load_family(doc)
+    assert str(err.value) == f"bad moments table: {text}"
 
 
 def test_loader_rejects_asymmetric_phi():
