@@ -23,10 +23,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import lcm
 from typing import NamedTuple
 
-from .matpoly import PolyMatrix, const_matrix, kron, vstack
+from .matpoly import PolyMatrix, const_matrix, const_numerators, kron, vstack
 from .polycore import ONE, ZERO, BivariatePoly
 
 
@@ -162,10 +161,8 @@ def _sandwich_holds(n: int, m: int, a: list) -> bool:
     are compared as ints, A scaled by the LCM d of its denominators and
     the shift matrices by the LCM dl of theirs.
     """
-    d = lcm(*(v.denominator for row in a for v in row))
-    ai = [[v.numerator * (d // v.denominator) for v in row] for row in a]
-    shifts = [l_mat(n, 1).const_entries(), l_mat(n, 2).const_entries()]
-    dl = lcm(*(v.denominator for s in shifts for row in s for v in row))
+    [ai], _ = const_numerators(a)
+    shifts, dl = const_numerators(l_mat(n, 1), l_mat(n, 2))
     size = 2 ** m
     lhs = [[0] * (size * (n + 1)) for _ in range(size * (n + 2))]
     rhs = [[0] * (size * (n + 1)) for _ in range(size * (n + 2))]
@@ -180,7 +177,6 @@ def _sandwich_holds(n: int, m: int, a: list) -> bool:
             for k, v in enumerate(row):
                 if not v:
                     continue
-                v = v.numerator * (dl // v.denominator)
                 for i in range(size):
                     for c in range(size):
                         rhs[i * (n + 2) + k][c * (n + 1) + t] += v * ai[2 * i + half][c]

@@ -33,6 +33,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -57,10 +58,8 @@ from .matpoly import (
 from .orthosys import (
     OrthoSystem,
     build_monic,
-    eval_entries,
     eval_product,
     g_lead_rows,
-    inner,
     integrate_products,
 )
 from .polycore import ONE
@@ -68,6 +67,7 @@ from .weights import (
     WeightFamily,
     check_pearson,
     check_phi_conditions,
+    check_quadrature_domain,
     cleared_divergence,
     grad_cols,
     make_quadrature,
@@ -302,23 +302,24 @@ def _second_order_image(f: WeightFamily, level: PsiLevel, q: PolyMatrix) -> Poly
 def _solve_constant_right_factor(q: PolyMatrix, rhs: PolyMatrix) -> PolyMatrix:
     """Solve q @ c = rhs for a constant matrix c by coefficient matching.
 
-    Every monomial of every row of both sides becomes one equation; the
-    stacked system is solved exactly, and NoConstantSolution is raised
-    when the equations are inconsistent or underdetermine c.
+    Every monomial of every row of both sides becomes one equation, read
+    as ints from the stored numerators; the stacked system is solved
+    exactly, and NoConstantSolution is raised when the equations are
+    inconsistent or underdetermine c.
     """
     if q.rows != rhs.rows:
         raise ShapeError(f"row mismatch {q.shape} vs {rhs.shape}")
     arows = []
     brows = []
     for r in range(q.rows):
-        monos = set()
-        for c in range(q.cols):
-            monos.update(q[r, c].terms)
-        for c in range(rhs.cols):
-            monos.update(rhs[r, c].terms)
-        for mono in sorted(monos):
-            arows.append([q[r, c].coeff(*mono) for c in range(q.cols)])
-            brows.append([rhs[r, c].coeff(*mono) for c in range(rhs.cols)])
+        row = q.row_list(r) + rhs.row_list(r)
+        # every equation of row r is scaled by the LCM of the row's denominators
+        d = lcm(*{p.den for p in row})
+        row = [(p.num, d // p.den) for p in row]
+        for mono in sorted(set().union(*(t for t, _ in row))):
+            eq = [t.get(mono, 0) * k for t, k in row]
+            arows.append(eq[:q.cols])
+            brows.append(eq[q.cols:])
     if not arows:
         return PolyMatrix.zeros(q.cols, rhs.cols)
     try:
@@ -450,14 +451,15 @@ def lambda_via_formula(f: WeightFamily, n: int, m: int,
     T the constant symbol from t_matrix; the system is overdetermined
     and solved exactly (G always has full column rank for monic data).
     G and T stay int rows over their denominators dg and dt, so the
-    system solved is (dg G) L = -(dt T)(dg G) / dt.
+    system solved is dt (dg G) L = -(dt T)(dg G), all in ints.
     """
     if tower is None or tower.depth < m:
         tower = psi_tower(f, m)
     g, _ = g_lead_rows(n, m)
     t, dt = _t_rows(f, n, m, tower)
     tg = int_matmul(t, g, n + m + 1)
-    return solve_columns(g, [[Fraction(-v, dt) for v in row] for row in tg])
+    return solve_columns([[dt * v for v in row] for row in g],
+                         [[-v for v in row] for row in tg])
 
 
 def _lambda(f: WeightFamily, sys: OrthoSystem, n: int, m: int,
@@ -509,7 +511,6 @@ def check_b(f: WeightFamily, sys: OrthoSystem, n: int, m: int,
         tower = psi_tower(f, m)
     pearson_ok = sys.cached(("pearson", m), lambda: level_pearson_check(f, tower, m))
     notes = [] if pearson_ok else ["lifted pearson identity fails"]
-    qn = sys.q(n, m)
     if mode == "exact":
         crosses = integrate_products([sys.q(k, m) for k in range(n)],
                                      sys.weighted(n, m), f)
@@ -530,7 +531,7 @@ def check_b(f: WeightFamily, sys: OrthoSystem, n: int, m: int,
     tol = RESIDUAL_REL * scale
     worst = 0.0
     for k in range(n):
-        cross = inner(sys.q(k, m), qn, m, f, mode="numeric", rule=rule)
+        cross = sys.inner_on(k, n, m, rule)
         worst = max(worst, float(np.abs(cross).max()))
     sv = np.linalg.svd(gram, compute_uv=False)
     gram_ok = bool(sv[-1] > RANK_REL * sv[0])
@@ -775,7 +776,7 @@ def check_e(f: WeightFamily, sys: OrthoSystem, n: int, m: int,
     acc = np.zeros_like(lhs_vals)
     half = 2 ** m
     for k, ak in coeffs.items():
-        qk_vals = eval_entries(sys.q(k, m), *nodes)
+        qk_vals = sys.values(k, m, rule)
         dim = ak.shape[0] // 2
         acc[:half] += np.einsum("rsq,sc->rcq", qk_vals, ak[:dim])
         acc[half:] += np.einsum("rsq,sc->rcq", qk_vals, ak[dim:])
@@ -834,6 +835,8 @@ def verify_all(f: WeightFamily, nmax: int = 4, mmax: int = 2,
     data-only checks still run.  The quadrature rule is built once, after
     the system, when numeric checks read it; make_quadrature's
     InvalidParameterError (an order below 1, a bad domain) propagates.
+    A domain without a Gauss rule is rejected before any check runs or
+    the system is built.
     """
     if nmax < 1:
         raise ValueError("nmax must be at least 1")
@@ -846,6 +849,8 @@ def verify_all(f: WeightFamily, nmax: int = 4, mmax: int = 2,
     else:
         raise ValueError(f"unknown mode {mode!r}")
     chosen = _expand_properties(properties)
+    if resolved == "numeric" and chosen & {"b", "e"}:
+        check_quadrature_domain(f)
     depth = max(1, mmax, nmax - 1)
     try:
         tower = psi_tower(f, depth)

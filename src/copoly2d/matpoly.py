@@ -2,16 +2,17 @@
 
 Matrices are stored dense and row major, but all products skip zero
 entries, which matters because the structured matrices used downstream
-(selection blocks, Kronecker lifts) are mostly zero.  A product scales
-each operand matrix to integer numerators over one common denominator
-(the LCM of all its coefficient denominators) and runs the polynomial
-product kernel on Python ints; entries are stored as Fraction
-polynomials again, each coefficient built once.  Exact linear
-algebra on constant matrices goes through one routine, `_echelon`: it
-scales each row to integers and runs fraction-free (Bareiss)
-elimination on Python ints with exact integer division.  Determinant,
-rank, the square solve and the overdetermined consistency solve all
-read that echelon form.
+(selection blocks, Kronecker lifts) are mostly zero.  Every entry is a
+polynomial stored as int numerators over its own denominator, so a
+product reads the stored dicts: it brings each operand matrix to one
+denominator, the LCM of its entries' ones, rescales only the entries
+whose denominator differs, and runs the polynomial product kernel on
+Python ints.  Exact linear algebra on constant matrices goes through
+one routine, `_echelon`: it takes int rows (each constant row scaled
+by the LCM of its denominators) and runs fraction-free (Bareiss)
+elimination with exact integer division.  Determinant, rank, the
+square solve and the overdetermined consistency solve all read that
+echelon form; only the determinant is returned as a Fraction.
 """
 
 from __future__ import annotations
@@ -19,15 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .polycore import (
-    NEG_INF,
-    ZERO,
-    BivariatePoly,
-    _mul_into,
-    common_denominator,
-    from_numerators,
-    numerators,
-)
+from .polycore import NEG_INF, ZERO, BivariatePoly, _mul_into, from_numerators
 
 
 class ShapeError(ValueError):
@@ -133,7 +126,7 @@ class PolyMatrix:
         """Yield (i, j, entry) over nonzero entries."""
         c = self.cols
         for idx, p in enumerate(self._e):
-            if p.terms:
+            if p.num:
                 yield idx // c, idx % c, p
 
     @property
@@ -142,14 +135,14 @@ class PolyMatrix:
 
     @property
     def is_zero(self) -> bool:
-        return all(not p.terms for p in self._e)
+        return all(not p.num for p in self._e)
 
     @property
     def degree(self):
         """Max entry total degree, -inf for a zero or empty matrix."""
         d = NEG_INF
         for p in self._e:
-            if p.terms:
+            if p.num:
                 pd = p.total_degree
                 if pd > d:
                     d = pd
@@ -236,13 +229,6 @@ class PolyMatrix:
         h = self.rows // 2
         return PolyMatrix(h, self.cols, self._e[h * self.cols:])
 
-    # -- conversion -----------------------------------------------------------
-
-    def const_entries(self):
-        """Entries of a degree <= 0 matrix as Fraction rows."""
-        return [[self._e[i * self.cols + j].constant_value()
-                 for j in range(self.cols)] for i in range(self.rows)]
-
     def __repr__(self):
         if self.rows * self.cols > 36:
             return f"PolyMatrix({self.rows}x{self.cols})"
@@ -250,6 +236,14 @@ class PolyMatrix:
             ", ".join(p.to_text() for p in self.row_list(i)) for i in range(self.rows)
         )
         return f"PolyMatrix({self.rows}x{self.cols}: {body})"
+
+
+def _rescaled(p: BivariatePoly, d: int) -> dict:
+    """p's numerators over the multiple d of p.den; p.num itself when d is p.den."""
+    if p.den == d:
+        return p.num
+    s = d // p.den
+    return {e: c * s for e, c in p.num.items()}
 
 
 def matmul_numerators(a: PolyMatrix, b: PolyMatrix):
@@ -260,29 +254,30 @@ def matmul_numerators(a: PolyMatrix, b: PolyMatrix):
     where no nonzero pair of entries meets.  Sums that cancelled to
     zero stay in the dict; terms keep the order in which the products
     first reach them.
-    a and b are scaled to ints over the LCM of their coefficient
-    denominators, so every term product and sum is an int operation.
-    `@` turns this into Fraction polynomials (from_numerators), and
-    numeric evaluation reads it as floats c / d directly.
+    Each operand is read over the LCM of its entries' denominators;
+    entries already over it pass their stored dicts, so every term
+    product and sum is an int operation on the stored numerators.
+    `@` normalises this (from_numerators), and numeric evaluation reads
+    it as floats c / d directly.
     """
     if a.cols != b.rows:
         raise ShapeError(f"matmul {a.shape} @ {b.shape}")
     rows, mid, cols = a.rows, a.cols, b.cols
-    da = common_denominator(p.terms for p in a._e)
-    db = common_denominator(p.terms for p in b._e)
-    # gather the nonzero entries of b by row once, as numerators
+    da = lcm(*{p.den for p in a._e})
+    db = lcm(*{p.den for p in b._e})
+    # gather the nonzero entries of b by row once, over db
     b_rows = [[] for _ in range(mid)]
     for k, j, p in b.nonzeros():
-        b_rows[k].append((j, numerators(p.terms, db)))
+        b_rows[k].append((j, _rescaled(p, db)))
     acc = [None] * (rows * cols)
     for i in range(rows):
         base = i * mid
         obase = i * cols
         for k in range(mid):
             pa = a._e[base + k]
-            if not pa.terms:
+            if not pa.num or not b_rows[k]:
                 continue
-            ta = numerators(pa.terms, da)
+            ta = _rescaled(pa, da)
             for j, tb in b_rows[k]:
                 d = acc[obase + j]
                 if d is None:
@@ -358,27 +353,52 @@ def _shape(m) -> tuple:
     return len(m), len(m[0]) if m else 0
 
 
-def _const_rows(m):
-    """Fraction rows of a constant PolyMatrix; lists of rows pass as they are."""
+def _ratio_rows(m) -> list:
+    """A constant matrix as rows of (numerator, denominator) int pairs.
+
+    m is a constant PolyMatrix, read from its stored numerators, or a
+    list of rows of ints or Fractions.
+    """
     if not isinstance(m, PolyMatrix):
-        return m
-    try:
-        return m.const_entries()
-    except ValueError as exc:
-        raise ValueError("exact linear algebra needs a constant matrix") from exc
+        return [[(v.numerator, v.denominator) for v in row] for row in m]
+    out = []
+    for i in range(m.rows):
+        row = []
+        for p in m.row_list(i):
+            c = p.num.get((0, 0), 0)
+            if len(p.num) > (c != 0):
+                raise ValueError("exact linear algebra needs a constant matrix")
+            row.append((c, p.den))
+        out.append(row)
+    return out
+
+
+def _int_rows(*parts):
+    """Row i of every part side by side, scaled to ints: (rows, scale).
+
+    Each part is a constant matrix as _ratio_rows reads it, all with
+    the same row count.  Row i is multiplied by the LCM of its
+    denominators, and scale is the product of those LCMs.
+    """
+    rows, scale = [], 1
+    for pieces in zip(*map(_ratio_rows, parts)):
+        row = [v for piece in pieces for v in piece]
+        s = lcm(*(q for _, q in row))
+        rows.append([c * (s // q) for c, q in row])
+        scale *= s
+    return rows, scale
 
 
 def const_numerators(*mats):
     """Constant matrices as int rows over one common denominator.
 
-    Each argument is a constant PolyMatrix or a list of Fraction rows.
-    Returns (rows, d): d is the LCM of every entry's denominator and
-    rows[i] the int rows of d times argument i.
+    Each argument is a constant PolyMatrix or a list of int or Fraction
+    rows.  Returns (rows, d): d is the LCM of every entry's denominator
+    and rows[i] the int rows of d times argument i.
     """
-    fracs = [_const_rows(m) for m in mats]
-    d = lcm(*(v.denominator for rows in fracs for row in rows for v in row))
-    return [[[v.numerator * (d // v.denominator) for v in row] for row in rows]
-            for rows in fracs], d
+    pairs = [_ratio_rows(m) for m in mats]
+    d = lcm(*(q for rows in pairs for row in rows for _, q in row))
+    return [[[c * (d // q) for c, q in row] for row in rows] for rows in pairs], d
 
 
 def int_matmul(a, b, cols: int) -> list:
@@ -397,24 +417,16 @@ def int_matmul(a, b, cols: int) -> list:
     return out
 
 
-def _echelon(rows, ncols: int):
-    """Fraction-free row echelon form of constant rows.
+def _echelon(w, ncols: int):
+    """Fraction-free row echelon form of int rows, in place.
 
-    Each row is scaled to integers by the LCM of its denominators, then
-    Bareiss elimination runs on Python ints, pivoting in the first
-    ncols columns only on the first nonzero row.  Every division is
-    exact: after step k the entries below the pivots are (k+1)-minors of
-    the scaled matrix, so the last pivot of a full-rank square matrix is
-    the determinant of the scaled, row-permuted matrix.  Returns the
-    rows, the pivot columns, the permutation sign and the product of the
-    scales.
+    Bareiss elimination on Python ints, pivoting in the first ncols
+    columns only on the first nonzero row.  Every division is exact:
+    after step k the entries below the pivots are (k+1)-minors of w, so
+    the last pivot of a full-rank square matrix is the determinant of
+    the row-permuted w.  Returns the rows, the pivot columns and the
+    permutation sign.
     """
-    w = []
-    scale = 1
-    for row in rows:
-        s = lcm(*(v.denominator for v in row))
-        w.append([v.numerator * (s // v.denominator) for v in row])
-        scale *= s
     sign, prev, pivots = 1, 1, []
     for col in range(ncols):
         k = len(pivots)
@@ -431,7 +443,7 @@ def _echelon(rows, ncols: int):
             q[col:] = [(x * pk - qk * y) // prev for x, y in zip(q[col:], tail)]
         prev = pk
         pivots.append(col)
-    return w, pivots, sign, scale
+    return w, pivots, sign
 
 
 def det_exact(a: PolyMatrix) -> Fraction:
@@ -440,7 +452,8 @@ def det_exact(a: PolyMatrix) -> Fraction:
         raise ShapeError("determinant of a non-square matrix")
     if a.rows == 0:
         return Fraction(1)
-    w, pivots, sign, scale = _echelon(_const_rows(a), a.cols)
+    rows, scale = _int_rows(a)
+    w, pivots, sign = _echelon(rows, a.cols)
     if len(pivots) < a.rows:
         return Fraction(0)
     return Fraction(sign * w[-1][-1], scale)
@@ -448,21 +461,21 @@ def det_exact(a: PolyMatrix) -> Fraction:
 
 def rank_exact(a: PolyMatrix) -> int:
     """Rank of a constant matrix."""
-    return len(_echelon(_const_rows(a), a.cols)[1])
+    return len(_echelon(_int_rows(a)[0], a.cols)[1])
 
 
 def _solve(a, b, no_pivot: str) -> PolyMatrix:
     """The x with a @ x = b for a of full column rank.
 
-    a and b are constant PolyMatrix values or Fraction rows of equal
-    length.  no_pivot formats the SingularMatrixError text with the
-    first column of a that has no pivot, which the error also carries.
-    Back substitution stays in integers: with d the last pivot, d * x is
-    integral by Cramer's rule.
+    a and b are constant matrices (see _ratio_rows) with equal row
+    counts; each row of [a | b] is scaled to ints by its own LCM.
+    no_pivot formats the SingularMatrixError text with the first column
+    of a that has no pivot, which the error also carries.  Back
+    substitution stays in integers: with d the last pivot, d * x is
+    integral by Cramer's rule, and each entry is stored as those ints.
     """
     n, bcols = _shape(a)[1], _shape(b)[1]
-    w, pivots, _, _ = _echelon(
-        [ra + rb for ra, rb in zip(_const_rows(a), _const_rows(b))], n)
+    w, pivots, _ = _echelon(_int_rows(a, b)[0], n)
     if len(pivots) < n:
         col = next((c for c, p in enumerate(pivots) if c != p), len(pivots))
         raise SingularMatrixError(no_pivot.format(col), col)
@@ -474,8 +487,9 @@ def _solve(a, b, no_pivot: str) -> PolyMatrix:
         row = w[i]
         ys[i] = [(d * row[n + c] - sum(row[j] * ys[j][c] for j in range(i + 1, n)))
                  // row[i] for c in range(bcols)]
-    return PolyMatrix(n, bcols,
-                      [BivariatePoly.const(Fraction(y, d)) for yr in ys for y in yr])
+    sd = -1 if d < 0 else 1
+    return PolyMatrix(n, bcols, [from_numerators({(0, 0): sd * y}, sd * d) if y else ZERO
+                                 for yr in ys for y in yr])
 
 
 def rat_solve(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
@@ -493,8 +507,8 @@ def rat_solve(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
 def solve_columns(a, b) -> PolyMatrix:
     """Solve the possibly overdetermined exact system a @ x = b.
 
-    a and b are constant PolyMatrix values or lists of Fraction (or
-    int) rows.  a must have full column rank (else
+    a and b are constant PolyMatrix values or lists of int (or
+    Fraction) rows.  a must have full column rank (else
     SingularMatrixError); every equation is checked against the
     solution, and InconsistentSystemError is raised if any fails.  Used to extract
     constant right factors from polynomial coefficient systems.

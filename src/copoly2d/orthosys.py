@@ -18,24 +18,30 @@ integral(p q rho) = coef(p)^t H coef(q), so integrate_product never
 forms the product a^t w.  inner, the level Gram blocks and the check
 layer's integrals all go through it; integrate_products is the same
 kernel for several left factors against one w, contracting w with the
-moments once.  integrate_matrix, which integrates a formed matrix
-entrywise, stays as the plain reference.
+moments once.  It reads each polynomial's stored int numerators and
+denominator directly and stores each constant result from one int sum
+over one denominator, so no Fraction is built on the way.
+integrate_matrix, which integrates a formed matrix entrywise, stays as
+the plain reference.
 
 Numeric mode evaluates polynomial matrices on a quadrature rule's nodes
-through one kernel, a whole matrix per call (eval_entries); eval_product
-evaluates a product a @ b from the int sums of the product kernel
-without forming it.  The values are bit-identical to summing each
-entry's terms one at a time in their stored order, so numeric reports
-do not depend on how the evaluation is organised.
+through one kernel, a whole matrix per call (eval_entries), reading
+each coefficient as the float c / den of its stored numerator and
+denominator; eval_product evaluates a product a @ b from the int sums
+of the product kernel without forming it.  The values are bit-identical
+to summing each entry's terms one at a time in their stored order, so
+numeric reports do not depend on how the evaluation is organised.
 
 An OrthoSystem owns one memo for everything derived from it: the
 stacks q(n, m), the Kronecker powers of the weight matrix, the weighted
 stacks phi_power(m) @ q(n, m), the level Gram blocks gram(n, m) (exact,
-and per quadrature rule in numeric mode), and whatever the checkers
-store through cached(key, make) (eigenvalue matrices, the lifted
-Pearson verdict per level).  Each entry is computed on first use and
-shared by every check that reads it; exceptions are not stored, so a
-failing computation is retried and raises again.
+and per quadrature rule in numeric mode), the node values of the
+stacks and of phi_power(m) per quadrature rule (values, read by the
+numeric Gram blocks and cross terms through inner_on), and whatever the
+checkers store through cached(key, make) (eigenvalue matrices, the
+lifted Pearson verdict per level).  Each entry is computed on first use
+and shared by every check that reads it; exceptions are not stored, so
+a failing computation is retried and raises again.
 """
 
 from __future__ import annotations
@@ -52,6 +58,7 @@ from .matpoly import (
     PolyMatrix,
     ShapeError,
     SingularMatrixError,
+    _rescaled,
     const_matrix,
     const_numerators,
     hstack,
@@ -61,7 +68,7 @@ from .matpoly import (
     rat_solve,
     vstack,
 )
-from .polycore import BivariatePoly, common_denominator, numerators
+from .polycore import ZERO, BivariatePoly, from_numerators
 from .weights import QuadRule, WeightFamily, node_powers
 
 
@@ -76,13 +83,12 @@ class SingularGramError(RuntimeError):
 def integrate_poly(p: BivariatePoly, f: WeightFamily) -> Fraction:
     """Exact integral(p rho) / mu_00 through the moment oracle.
 
-    The sum runs on ints: p's integer numerators over its common
-    denominator times each moment's numerator, over the LCM of the
-    moment denominators met so far.  One Fraction is built at the end.
+    The sum runs on ints: p's stored numerators times each moment's
+    numerator, over the LCM of the moment denominators met so far.  One
+    Fraction is built at the end, over that LCM times p's denominator.
     """
-    dp = common_denominator((p.terms,))
     num, den = 0, 1
-    for (i, j), c in numerators(p.terms, dp).items():
+    for (i, j), c in p.num.items():
         mu = f.moment(i, j)
         md = mu.denominator
         if den % md:
@@ -90,7 +96,7 @@ def integrate_poly(p: BivariatePoly, f: WeightFamily) -> Fraction:
             num *= g // den
             den = g
         num += c * mu.numerator * (den // md)
-    return Fraction(num, den * dp)
+    return Fraction(num, den * p.den)
 
 
 def integrate_matrix(m: PolyMatrix, f: WeightFamily) -> PolyMatrix:
@@ -105,19 +111,22 @@ def integrate_products(mats, w: PolyMatrix, f: WeightFamily) -> list:
     Row r of w is contracted with the moments once, over the union of
     the monomials of row r of every left factor; each factor's integral
     is then int dot products with those vectors.  The moments read are
-    the union of what the separate calls read.
+    the union of what the separate calls read.  Each factor and w are
+    read over the LCM of their entries' denominators, straight from the
+    stored numerators, and each result entry is stored from its int
+    sum over the product of the denominators.
     """
     mats = list(mats)
     for a in mats:
         if a.rows != w.rows:
             raise ShapeError(f"integrate_product shapes {a.shape} vs {w.shape}")
-    das = [common_denominator(p.terms for _, _, p in a.nonzeros()) for a in mats]
-    dw = common_denominator(p.terms for _, _, p in w.nonzeros())
+    das = [lcm(*{p.den for _, _, p in a.nonzeros()}) for a in mats]
+    dw = lcm(*{p.den for _, _, p in w.nonzeros()})
     rows = []
     deg = -1
     for r in range(w.rows):
-        wr = [(d, p) for d, p in enumerate(w.row_list(r)) if p.terms]
-        ars = [[(c, p) for c, p in enumerate(a.row_list(r)) if p.terms] for a in mats]
+        wr = [(d, p) for d, p in enumerate(w.row_list(r)) if p.num]
+        ars = [[(c, p) for c, p in enumerate(a.row_list(r)) if p.num] for a in mats]
         if wr and any(ars):
             rows.append((wr, ars))
             deg = max(deg, max(p.total_degree for ar in ars for _, p in ar)
@@ -131,18 +140,22 @@ def integrate_products(mats, w: PolyMatrix, f: WeightFamily) -> list:
     cols = w.cols
     outs = [[0] * (a.cols * cols) for a in mats]
     for wr, ars in rows:
-        ans = [[(c, [(i * s + j, x) for (i, j), x in numerators(p.terms, da).items()])
-                for c, p in ar] for ar, da in zip(ars, das)]
+        ans = [[(c, _coded(p, da, s)) for c, p in ar] for ar, da in zip(ars, das)]
         alphas = {e for an in ans for _, t in an for e, _ in t}
         for d, p in wr:
-            wn = [(i * s + j, x) for (i, j), x in numerators(p.terms, dw).items()]
+            wn = _coded(p, dw, s)
             v = {e: sum(x * hank[e + b] for b, x in wn) for e in alphas}
             for an, out in zip(ans, outs):
                 for c, t in an:
                     out[c * cols + d] += sum(x * v[e] for e, x in t)
-    return [PolyMatrix(a.cols, cols, [BivariatePoly.const(Fraction(v, da * dw * dm))
-                                      for v in out])
+    return [PolyMatrix(a.cols, cols, [from_numerators({(0, 0): v}, da * dw * dm) if v
+                                      else ZERO for v in out])
             for a, da, out in zip(mats, das, outs)]
+
+
+def _coded(p: BivariatePoly, d: int, s: int) -> list:
+    """p's terms as (i*s + j, numerator over d) pairs; d is a multiple of p.den."""
+    return [(i * s + j, c) for (i, j), c in _rescaled(p, d).items()]
 
 
 def integrate_product(a: PolyMatrix, w: PolyMatrix, f: WeightFamily) -> PolyMatrix:
@@ -155,7 +168,8 @@ def integrate_product(a: PolyMatrix, w: PolyMatrix, f: WeightFamily) -> PolyMatr
     that the code of alpha + beta is the sum of the codes.  For each row
     r and column d, w[r, d] is contracted with the moments once, giving
     a vector v over the monomials of row r of a; entry (c, d) sums the
-    int dot products of a[r, c] with v over r and is one Fraction.
+    int dot products of a[r, c] with v over r and is stored from that
+    one int sum, with no Fraction built.
     Every moment of degree up to the largest deg a[r, :] + deg w[r, :]
     is read, including those whose terms cancel in a^t w.
 
@@ -235,11 +249,14 @@ def eval_entries(m: PolyMatrix, xs, ys, powers=None) -> np.ndarray:
     A zero entry is +0.0.  A nonzero one is the sum of its terms
     c * x**i * y**j in the entry's dict order, started from
     0.0 * (x + y): the order and the start are part of the output and
-    the kernel keeps both (see _eval_terms).  powers is the rule's
-    power table, QuadRule.powers, when xs and ys are a rule's nodes.
+    the kernel keeps both (see _eval_terms).  Each coefficient is read
+    as the float c / den of its stored numerator and denominator: int
+    true division is correctly rounded, so that is float(Fraction(c,
+    den)), and no Fraction is built.  powers is the rule's power table,
+    QuadRule.powers, when xs and ys are a rule's nodes.
     """
-    vals = _eval_terms([p.terms for i in range(m.rows) for p in m.row_list(i)],
-                       xs, ys, powers)
+    vals = _eval_terms([_floats(p.num, p.den) for i in range(m.rows)
+                        for p in m.row_list(i)], xs, ys, powers)
     return vals.reshape(m.rows, m.cols, np.shape(xs)[0])
 
 
@@ -254,14 +271,24 @@ def eval_product(a: PolyMatrix, b: PolyMatrix, xs, ys, powers=None) -> np.ndarra
     evaluating a @ b; no Fraction is built.
     """
     acc, d = matmul_numerators(a, b)
-    terms = [{e: c / d for e, c in t.items() if c} if t else {} for t in acc]
+    terms = [_floats(t, d) if t else {} for t in acc]
     return _eval_terms(terms, xs, ys, powers).reshape(a.rows, b.cols, np.shape(xs)[0])
+
+
+def _floats(num: dict, d: int) -> dict:
+    """{e: c / d} over the nonzero int numerators c of num, in num's order."""
+    return {e: c / d for e, c in num.items() if c}
 
 
 def integrate_matrix_numeric(m: PolyMatrix, f: WeightFamily, rule: QuadRule) -> np.ndarray:
     """Entrywise quadrature of a formed matrix on the rule; a float array of m's shape."""
     me = eval_entries(m, rule.nodes_x, rule.nodes_y, rule.powers)
     return np.einsum("rcq,q->rc", me, rule.weights)
+
+
+def _quad_form(ae, pe, be, weights) -> np.ndarray:
+    """sum_q a(q)^t phi(q) b(q) w_q from node values: the numeric inner product."""
+    return np.einsum("rcq,rsq,sdq,q->cd", ae, pe, be, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +340,28 @@ class OrthoSystem:
         """phi_power(m) @ q(n, m): the stack under the level-m weight matrix."""
         return self.cached(("weighted", n, m), lambda: self.phi_power(m) @ self.q(n, m))
 
+    def values(self, n: int | None, m: int, rule: QuadRule) -> np.ndarray:
+        """q(n, m), or phi_power(m) when n is None, evaluated on the rule's nodes.
+
+        The read-only eval_entries array, kept under the rule object.
+        """
+        def make():
+            mat = self.phi_power(m) if n is None else self.q(n, m)
+            got = eval_entries(mat, rule.nodes_x, rule.nodes_y, rule.powers)
+            got.setflags(write=False)
+            return got
+        return self.cached(("values", n, m, rule), make)
+
+    def inner_on(self, k: int, n: int, m: int, rule: QuadRule) -> np.ndarray:
+        """inner(q(k, m), q(n, m), m, family, "numeric", rule) from memoised values.
+
+        The same einsum over the same node values as inner, so the
+        block is bit-identical, but phi_power(m) and each stack are
+        evaluated once per rule.
+        """
+        return _quad_form(self.values(k, m, rule), self.values(None, m, rule),
+                          self.values(n, m, rule), rule.weights)
+
     def gram(self, n: int, m: int, rule: QuadRule | None = None):
         """inner(q(n, m), q(n, m)): the level-m Gram block of degree n.
 
@@ -327,7 +376,7 @@ class OrthoSystem:
                                lambda: integrate_product(q, self.weighted(n, m), self.family))
 
         def make():
-            got = inner(q, q, m, self.family, mode="numeric", rule=rule)
+            got = self.inner_on(n, n, m, rule)
             got.setflags(write=False)
             return got
         return self.cached(("gram", n, m, rule), make)
@@ -358,8 +407,8 @@ def build_monic(f: WeightFamily, nmax: int) -> OrthoSystem:
         # leading monomial first, then the lower terms by ascending degree
         # and falling x power: numeric mode sums terms in this order
         sys._p.append(PolyMatrix.column(
-            [BivariatePoly({e: p.terms[e] for e in
-                            sorted(p.terms, key=lambda e: (sum(e) < n, sum(e), e[1]))})
+            [BivariatePoly({e: p.num[e] for e in
+                            sorted(p.num, key=lambda e: (sum(e) < n, sum(e), e[1]))}, p.den)
              for p in pt.row_list(0)]))
     return sys
 
@@ -425,7 +474,7 @@ def inner(a: PolyMatrix, b: PolyMatrix, m: int, f: WeightFamily,
 
     Exact mode forms w = phi_kron_m @ b once and returns the bilinear
     form coef(a)^t H coef(w) on the moment numerators
-    (integrate_product), a constant PolyMatrix of Fractions.  Numeric
+    (integrate_product), a constant PolyMatrix.  Numeric
     mode evaluates a, phi_kron_m and b on the nodes of the given rule
     and returns a float array.
     """
@@ -438,7 +487,6 @@ def inner(a: PolyMatrix, b: PolyMatrix, m: int, f: WeightFamily,
         raise ValueError(f"unknown mode {mode!r}")
     if rule is None:
         raise ValueError("numeric mode needs a quadrature rule")
-    ae = eval_entries(a, rule.nodes_x, rule.nodes_y, rule.powers)
-    pe = eval_entries(phim, rule.nodes_x, rule.nodes_y, rule.powers)
-    be = eval_entries(b, rule.nodes_x, rule.nodes_y, rule.powers)
-    return np.einsum("rcq,rsq,sdq,q->cd", ae, pe, be, rule.weights)
+    nodes = (rule.nodes_x, rule.nodes_y, rule.powers)
+    return _quad_form(eval_entries(a, *nodes), eval_entries(phim, *nodes),
+                      eval_entries(b, *nodes), rule.weights)

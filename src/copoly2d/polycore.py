@@ -1,26 +1,30 @@
 """Exact arithmetic for sparse bivariate polynomials.
 
-A polynomial is a dictionary mapping exponent pairs (i, j) to nonzero
-Fraction coefficients and represents ``sum c_ij * x^i * y^j``.  Everything
-in this module is exact; float evaluation on quadrature nodes lives in
-orthosys.eval_entries, which sums the terms in dict order.  Products do
-not multiply Fractions: each operand is scaled to integer numerators
-over the LCM of its coefficient denominators, the product kernel
-`_mul_into` runs on Python ints, and each output coefficient becomes one
-Fraction over the product of the two denominators.  Storage stays
-Fraction.  A rational function is only a value: an unreduced
-numerator/denominator pair that weight families store as their
-logarithmic gradient and compare by cross multiplication, which avoids
-bivariate gcd computations entirely.  It has no arithmetic; identities
-involving it are cleared to polynomial statements by the caller
-(weights.cleared_divergence).
+A polynomial ``sum c_ij * x^i * y^j`` is stored as int numerators over
+one denominator: ``num`` maps exponent pairs (i, j) to nonzero ints and
+``den`` is a positive int with gcd(den, *num.values()) = 1.  That form
+is canonical, so equality is a dict and int comparison, and every
+exact kernel reads its operands directly: the product kernel `_mul_into`
+runs on the stored dicts, a sum works over lcm(den_a, den_b), and
+derivatives and scalar multiples stay in ints.  from_numerators is the
+one normalising constructor (drop zeros, divide out the gcd).  A stored
+num dict is never mutated.  Fraction appears only at the edges:
+``coeff``, ``terms`` (a {(i, j): Fraction} view in stored key order,
+built on each access), exact evaluation and text.  Float evaluation on
+quadrature nodes lives in orthosys.eval_entries, which reads each
+coefficient as c / den and sums the terms in stored order.  A rational
+function is only a value: an unreduced numerator/denominator pair that
+weight families store as their logarithmic gradient and compare by
+cross multiplication, which avoids bivariate gcd computations entirely.
+It has no arithmetic; identities involving it are cleared to polynomial
+statements by the caller (weights.cleared_divergence).
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 NEG_INF = float("-inf")
 
@@ -44,17 +48,19 @@ def _as_fraction(c) -> Fraction:
 
 
 class BivariatePoly:
-    """Immutable sparse bivariate polynomial with Fraction coefficients.
+    """Immutable sparse bivariate polynomial with rational coefficients.
 
-    Instances should be built through the classmethods or module helpers;
-    the constructor trusts its input dictionary to be canonical (no zero
-    coefficients, nonnegative integer exponents).
+    Stored as ``num``, a dict from exponent pair to nonzero int, over
+    ``den``, a positive int coprime to the numerators.  Instances should
+    be built through the classmethods or module helpers; the constructor
+    trusts its input to be canonical and keeps num without copying it.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("num", "den")
 
-    def __init__(self, terms: dict):
-        object.__setattr__(self, "terms", terms)
+    def __init__(self, num: dict, den: int = 1):
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("BivariatePoly is immutable")
@@ -64,14 +70,14 @@ class BivariatePoly:
     @classmethod
     def from_terms(cls, mapping) -> "BivariatePoly":
         """Build from any {(i, j): coeff} mapping, dropping zero entries."""
-        out = {}
+        terms = {}
         for (i, j), c in dict(mapping).items():
             if i < 0 or j < 0:
                 raise ValueError(f"negative exponent in term ({i}, {j})")
-            c = _as_fraction(c)
-            if c != 0:
-                out[(int(i), int(j))] = c
-        return cls(out)
+            terms[(int(i), int(j))] = _as_fraction(c)
+        d = lcm(*(c.denominator for c in terms.values()))
+        return from_numerators({e: c.numerator * (d // c.denominator)
+                                for e, c in terms.items()}, d)
 
     @classmethod
     def zero(cls) -> "BivariatePoly":
@@ -79,43 +85,49 @@ class BivariatePoly:
 
     @classmethod
     def one(cls) -> "BivariatePoly":
-        return cls({(0, 0): Fraction(1)})
+        return cls({(0, 0): 1})
 
     @classmethod
     def const(cls, c) -> "BivariatePoly":
-        c = _as_fraction(c)
-        return cls({(0, 0): c} if c != 0 else {})
+        return cls.monomial(0, 0, c)
 
     @classmethod
     def x(cls) -> "BivariatePoly":
-        return cls({(1, 0): Fraction(1)})
+        return cls({(1, 0): 1})
 
     @classmethod
     def y(cls) -> "BivariatePoly":
-        return cls({(0, 1): Fraction(1)})
+        return cls({(0, 1): 1})
 
     @classmethod
     def monomial(cls, i: int, j: int, c=1) -> "BivariatePoly":
-        c = _as_fraction(c)
+        if not isinstance(c, int):
+            c = _as_fraction(c)
         if i < 0 or j < 0:
             raise ValueError("negative exponent")
-        return cls({(i, j): c} if c != 0 else {})
+        return cls({(i, j): c.numerator}, c.denominator) if c else cls({})
 
     # -- queries -------------------------------------------------------
 
     @property
+    def terms(self) -> dict:
+        """{(i, j): Fraction} in stored key order; a new dict on each access."""
+        d = self.den
+        return {e: Fraction(c, d) for e, c in self.num.items()}
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     @property
     def total_degree(self):
         """max(i + j) over stored terms; -inf sentinel for the zero polynomial."""
-        if not self.terms:
+        if not self.num:
             return NEG_INF
-        return max(i + j for (i, j) in self.terms)
+        return max(i + j for (i, j) in self.num)
 
     def coeff(self, i: int, j: int) -> Fraction:
-        return self.terms.get((i, j), Fraction(0))
+        return Fraction(self.num.get((i, j), 0), self.den)
 
     def constant_value(self) -> Fraction:
         """The value of a degree <= 0 polynomial; rejects anything else."""
@@ -125,52 +137,51 @@ class BivariatePoly:
 
     # -- arithmetic ----------------------------------------------------
 
+    def _combine(self, other: "BivariatePoly", sign: int) -> "BivariatePoly":
+        # self + sign * other over lcm(den_a, den_b); other's new keys follow
+        # self's in other's order, and sums that cancel are dropped
+        da, db = self.den, other.den
+        d = lcm(da, db)
+        sa, sb = d // da, sign * (d // db)
+        out = {e: c * sa for e, c in self.num.items()} if sa != 1 else dict(self.num)
+        for e, c in other.num.items():
+            s = out.get(e)
+            out[e] = c * sb if s is None else s + c * sb
+        return from_numerators(out, d)
+
     def __add__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            if s is None:
-                out[e] = c
-            else:
-                s = s + c
-                if s == 0:
-                    del out[e]
-                else:
-                    out[e] = s
-        return BivariatePoly(out)
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return BivariatePoly({e: -c for e, c in self.terms.items()})
+        return BivariatePoly({e: -c for e, c in self.num.items()}, self.den)
 
     def __sub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return other._combine(self, -1)
 
     def __mul__(self, other):
+        if isinstance(other, BivariatePoly):
+            out: dict = {}
+            _mul_into(out, self.num, other.num)
+            return from_numerators(out, self.den * other.den)
         if isinstance(other, (int, Fraction)):
             c = _as_fraction(other)
-            if c == 0:
-                return BivariatePoly({})
-            return BivariatePoly({e: c * v for e, v in self.terms.items()})
-        if isinstance(other, BivariatePoly):
-            da = common_denominator((self.terms,))
-            db = common_denominator((other.terms,))
-            out: dict = {}
-            _mul_into(out, numerators(self.terms, da), numerators(other.terms, db))
-            return from_numerators(out, da * db)
+            p, q = c.numerator, c.denominator
+            return from_numerators({e: v * p for e, v in self.num.items()},
+                                   self.den * q)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -199,25 +210,19 @@ class BivariatePoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.num == other.num
 
     __hash__ = None
 
     # -- calculus ------------------------------------------------------
 
     def dx(self) -> "BivariatePoly":
-        out = {}
-        for (i, j), c in self.terms.items():
-            if i > 0:
-                out[(i - 1, j)] = c * i
-        return BivariatePoly(out)
+        return from_numerators({(i - 1, j): c * i for (i, j), c in self.num.items()
+                                if i > 0}, self.den)
 
     def dy(self) -> "BivariatePoly":
-        out = {}
-        for (i, j), c in self.terms.items():
-            if j > 0:
-                out[(i, j - 1)] = c * j
-        return BivariatePoly(out)
+        return from_numerators({(i, j - 1): c * j for (i, j), c in self.num.items()
+                                if j > 0}, self.den)
 
     # -- evaluation ----------------------------------------------------
 
@@ -225,19 +230,20 @@ class BivariatePoly:
         x0 = _as_fraction(x0)
         y0 = _as_fraction(y0)
         total = Fraction(0)
-        for (i, j), c in self.terms.items():
+        for (i, j), c in self.num.items():
             total += c * x0**i * y0**j
-        return total
+        return total / self.den
 
     # -- text ----------------------------------------------------------
 
     def to_text(self) -> str:
         """Render as a sum of c*x^i*y^j terms parseable by parse_poly."""
-        if not self.terms:
+        if not self.num:
             return "0"
+        terms = self.terms
         parts = []
-        for (i, j) in sorted(self.terms, key=lambda e: (-(e[0] + e[1]), -e[0])):
-            c = self.terms[(i, j)]
+        for (i, j) in sorted(terms, key=lambda e: (-(e[0] + e[1]), -e[0])):
+            c = terms[(i, j)]
             factors = []
             if i == 1:
                 factors.append("x")
@@ -276,25 +282,28 @@ def _coerce(v):
     return NotImplemented
 
 
-def common_denominator(term_dicts) -> int:
-    """LCM of the coefficient denominators of several term dicts."""
-    return lcm(*(c.denominator for t in term_dicts for c in t.values()))
-
-
-def numerators(terms: dict, d: int) -> dict:
-    """The terms times d, as ints; d must be a common denominator."""
-    return {e: c.numerator * (d // c.denominator) for e, c in terms.items()}
-
-
 def from_numerators(acc: dict, d: int) -> BivariatePoly:
-    """The polynomial acc / d, dropping the sums that cancelled to zero."""
-    return BivariatePoly({e: Fraction(c, d) for e, c in acc.items() if c})
+    """The polynomial acc / d in canonical form, for ints acc and d > 0.
+
+    Drops the numerators that are zero and divides the rest and d by
+    their common gcd.  Keys keep acc's order.  The result may keep acc
+    itself as its num, so the caller must not change acc afterwards.
+    """
+    if 0 in acc.values():
+        acc = {e: c for e, c in acc.items() if c}
+    if d != 1:
+        g = gcd(d, *acc.values())
+        if g != 1:
+            acc = {e: c // g for e, c in acc.items()}
+            d //= g
+    return BivariatePoly(acc, d)
 
 
 def _mul_into(acc: dict, ta: dict, tb: dict) -> None:
     # hot path shared with the matrix layer: accumulate ta*tb into acc.
-    # Callers pass int numerators (see numerators()), so every term
-    # product and sum is a Python int operation, not a Fraction one.
+    # ta and tb are int numerator dicts (a polynomial's num, or one
+    # rescaled to a shared denominator), so every term product and sum
+    # is a Python int operation.
     for (ia, ja), ca in ta.items():
         for (ib, jb), cb in tb.items():
             e = (ia + ib, ja + jb)
@@ -357,7 +366,7 @@ def parse_poly(text: str) -> BivariatePoly:
         e = (i, j)
         prev = total.get(e)
         total[e] = coeff if prev is None else prev + coeff
-    return BivariatePoly({e: c for e, c in total.items() if c != 0})
+    return BivariatePoly.from_terms(total)
 
 
 # ---------------------------------------------------------------------------

@@ -493,12 +493,20 @@ def _tensor_rule(xs, wx, ys, wy, order: int) -> QuadRule:
     return QuadRule(nodes_x=nx, nodes_y=ny, weights=w, order=order)
 
 
+def check_quadrature_domain(f: WeightFamily) -> None:
+    """Raise InvalidParameterError unless the domain has a Gauss rule.
+
+    Every Gauss exponent, the domain parameters, must exceed -1.
+    """
+    _require_gt(f.domain.params, -1, f"{f.domain.kind} quadrature")
+
+
 def make_quadrature(f: WeightFamily, order: int) -> QuadRule:
     """Gauss rule matched to the family's domain and parameters."""
     if order < 1:
         raise InvalidParameterError("quadrature order must be >= 1")
+    check_quadrature_domain(f)
     kind = f.domain.kind
-    _require_gt(f.domain.params, -1, f"{kind} quadrature")  # the Gauss exponents
     p = [float(v) for v in f.domain.params]
     if kind == "plane":
         xs, wx = gauss_hermite_1d(order)

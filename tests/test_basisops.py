@@ -21,6 +21,11 @@ from copoly2d.matpoly import PolyMatrix, const_matrix, kron
 from copoly2d.polycore import BivariatePoly as P, parse_poly
 
 
+def _fraction_rows(m):
+    """The entries of a constant matrix as Fraction rows."""
+    return [[p.constant_value() for p in m.row_list(i)] for i in range(m.rows)]
+
+
 def test_x_vec_values():
     assert x_vec(0) == PolyMatrix.column([1])
     assert x_vec(1) == PolyMatrix.column([parse_poly("x"), parse_poly("y")])
@@ -186,7 +191,7 @@ def _l_swapped_at_2(n, which):
 
 
 def _l_half_at_3(n, which):
-    rows = _REAL_L(n, which).const_entries()
+    rows = _fraction_rows(_REAL_L(n, which))
     if n == 3 and which == 2:
         rows[0][1] = Fraction(1, 2)
     return const_matrix(rows)

@@ -77,6 +77,11 @@ POOL_INSTANCES = [
 _SYSTEMS: dict = {}
 
 
+def _fraction_rows(m):
+    """The entries of a constant matrix as Fraction rows."""
+    return [[p.constant_value() for p in m.row_list(i)] for i in range(m.rows)]
+
+
 def get_system(ref, nmax=7):
     """Share one monic system per family across the module; they are pricey."""
     got = _SYSTEMS.get(ref)
@@ -170,9 +175,9 @@ def test_degree_one_anchor_both_routes():
 def test_hermite_degree_two_eigenvalue():
     f, sys = get_system("product_hermite")
     lam = lambda_via_operator(f, sys, 2, 0)
-    assert lam.const_entries() == const_matrix(
+    assert _fraction_rows(lam) == _fraction_rows(const_matrix(
         [[4, 0, 0], [0, 4, 0], [0, 0, 4]]
-    ).const_entries()
+    ))
     assert lambda_via_formula(f, 2, 0) == lam
 
 
@@ -270,7 +275,7 @@ def _l_swapped_at_2(n, which):
 
 
 def _l_half_at_3(n, which):
-    rows = _REAL_L(n, which).const_entries()
+    rows = _fraction_rows(_REAL_L(n, which))
     if n == 3 and which == 2:
         rows[0][1] = Fraction(1, 2)
     return const_matrix(rows)
@@ -281,7 +286,7 @@ def _n_swapped_at_2(n, which):
 
 
 def _n_half_at_3(n, which):
-    rows = _REAL_N(n, which).const_entries()
+    rows = _fraction_rows(_REAL_N(n, which))
     if n == 3 and which == 1:
         rows[1][1] = Fraction(1, 2)
     return const_matrix(rows, n + 1)
@@ -356,7 +361,7 @@ def _formula_solves_by_rule(f, m):
     m = 1: d_matrix() is d I.  m >= 2: the quadratic part of phi is
     c x x^t - (v x^t + x v^t) / (2(m - 1)), v the linear part of psi.
     """
-    b = f.d_matrix().const_entries()
+    b = _fraction_rows(f.d_matrix())
     if m == 1:
         return b[0][1] == b[1][0] == 0 and b[0][0] == b[1][1]
     xs = (_X, _Y)
@@ -919,6 +924,30 @@ def test_verify_all_builds_one_rule_and_only_when_it_is_read(monkeypatch):
     # auto mode without an oracle resolves to numeric, but no system is built
     verify_all(dataclasses.replace(f, moment_fn=None), nmax=2, mmax=1)
     assert orders == []
+
+
+def test_verify_all_rejects_a_domain_without_a_rule_before_construction(monkeypatch):
+    # quadrant(-2, 2): no Gauss-Laguerre rule for an exponent <= -1
+    f = dataclasses.replace(builtin("product_laguerre(1,2)"),
+                            domain=Domain("quadrant", (Fraction(-2), Fraction(2))))
+    orders = _counting_quadrature(monkeypatch)
+    builds = []
+    real = characterize.build_monic
+
+    def counted(fam, nmax):
+        builds.append(nmax)
+        return real(fam, nmax)
+
+    monkeypatch.setattr(characterize, "build_monic", counted)
+    for props in (None, ("b",), ("e",)):
+        with pytest.raises(InvalidParameterError,
+                           match="quadrant quadrature parameters must exceed -1"):
+            verify_all(f, nmax=2, mmax=1, mode="numeric", properties=props)
+    assert builds == [] and orders == []
+    # exact runs and numeric runs of c and d alone read no rule
+    assert verify_all(f, nmax=2, mmax=1, mode="exact")
+    assert verify_all(f, nmax=2, mmax=1, mode="numeric", properties=("c", "d"))
+    assert orders == [] and len(builds) == 2
 
 
 def test_verify_all_quadratic_drift_never_raises():

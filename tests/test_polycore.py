@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from copoly2d.matpoly import PolyMatrix
 from copoly2d.polycore import (
     NEG_INF,
     BivariatePoly as P,
@@ -129,3 +132,151 @@ def test_immutability():
     p = P.one()
     with pytest.raises(AttributeError):
         p.terms = {}
+
+
+# ---------------------------------------------------------------------------
+# storage: int numerators over one denominator, against Fraction-dict
+# references written here (each follows the arithmetic step by step, so
+# it also fixes the order of the keys)
+
+_STORE = settings(derandomize=True, deadline=None, database=None, max_examples=100)
+# denominators up to 12 share factors, so sums and products often leave a
+# common factor between the numerators and the denominator
+_COEFF = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+_TERMS = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), _COEFF,
+                         max_size=6)
+_SCALAR = st.one_of(st.integers(-6, 6), _COEFF)
+
+
+@st.composite
+def _operands(draw):
+    """Two term dicts, often u + v and u - v or with shared keys: cancellation."""
+    a, b = draw(_TERMS), draw(_TERMS)
+    if draw(st.booleans()):
+        b = {e: -c for e, c in a.items()} | b if draw(st.booleans()) else dict(a)
+    return a, b
+
+
+def _ref(terms):
+    return {e: c for e, c in terms.items() if c}
+
+
+def _ref_add(ta, tb, sign=1):
+    out = dict(ta)
+    for e, c in tb.items():
+        s = out.get(e)
+        if s is None:
+            out[e] = sign * c
+        elif s + sign * c:
+            out[e] = s + sign * c
+        else:
+            del out[e]
+    return out
+
+
+def _ref_mul(ta, tb):
+    out = {}
+    for (i, j), c in ta.items():
+        for (k, l), d in tb.items():
+            out[(i + k, j + l)] = out.get((i + k, j + l), 0) + c * d
+    return _ref(out)
+
+
+def _ref_pow(ta, k):
+    out, base = {(0, 0): Fraction(1)}, ta
+    while k:
+        if k & 1:
+            out = _ref_mul(out, base)
+        base = _ref_mul(base, base)
+        k >>= 1
+    return out
+
+
+def _ref_dx(ta):
+    return {(i - 1, j): c * i for (i, j), c in ta.items() if i}
+
+
+def _ref_dy(ta):
+    return {(i, j - 1): c * j for (i, j), c in ta.items() if j}
+
+
+def _same(p, want):
+    """p is canonical and its terms view is want, values and key order."""
+    assert type(p.den) is int and p.den > 0
+    assert all(type(c) is int and c for c in p.num.values())
+    assert math.gcd(p.den, *p.num.values()) == 1
+    got = p.terms
+    assert all(type(c) is Fraction for c in got.values())
+    assert list(got.items()) == list(want.items())
+
+
+@_STORE
+@given(_TERMS)
+def test_from_terms_is_canonical(t):
+    _same(P.from_terms(t), _ref(t))
+
+
+@_STORE
+@given(_operands())
+def test_sum_and_difference_match_the_fraction_reference(ab):
+    ta, tb = map(_ref, ab)
+    a, b = P.from_terms(ta), P.from_terms(tb)
+    _same(a + b, _ref_add(ta, tb))
+    _same(a - b, _ref_add(ta, tb, -1))
+    _same(-a, {e: -c for e, c in ta.items()})
+
+
+@_STORE
+@given(_operands())
+def test_product_matches_the_fraction_reference(ab):
+    ta, tb = map(_ref, ab)
+    _same(P.from_terms(ta) * P.from_terms(tb), _ref_mul(ta, tb))
+
+
+@_STORE
+@given(_TERMS, _SCALAR)
+def test_scalar_product_matches_the_fraction_reference(t, k):
+    t = _ref(t)
+    want = {e: c * k for e, c in t.items()} if k else {}
+    _same(P.from_terms(t) * k, want)
+    _same(k * P.from_terms(t), want)
+
+
+@_STORE
+@given(st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), _COEFF,
+                       max_size=3), st.integers(0, 4))
+def test_power_matches_the_fraction_reference(t, k):
+    t = _ref(t)
+    _same(P.from_terms(t) ** k, _ref_pow(t, k))
+
+
+@_STORE
+@given(_TERMS)
+def test_derivatives_match_the_fraction_reference(t):
+    t = _ref(t)
+    p = P.from_terms(t)
+    _same(p.dx(), _ref_dx(t))
+    _same(p.dy(), _ref_dy(t))
+
+
+@_STORE
+@given(_operands(), _SCALAR.filter(bool))
+def test_equality_is_equality_of_values(ab, k):
+    ta, tb = map(_ref, ab)
+    a, b = P.from_terms(ta), P.from_terms(tb)
+    assert (a == b) is (ta == tb)
+    # the same value reached through other denominators compares equal
+    assert (a + b) - b == a
+    assert (a * k) * (1 / Fraction(k)) == a
+    assert P.from_terms({e: 2 * c for e, c in ta.items()}) == a * 2
+
+
+def test_stored_numerators_are_never_mutated():
+    p = parse_poly("1/2*x + 1/3*y")
+    q = parse_poly("x - 1/3*y")
+    before = (dict(p.num), p.den, dict(q.num), q.den)
+    results = [p + q, p - q, p * q, p * 6, p.dx(), p ** 2, -p, p.terms]
+    # a matrix product hands entries already over the LCM to the kernel as stored
+    results.append(PolyMatrix.row([p, q]) @ PolyMatrix.column([q, p]))
+    assert (p.num, p.den, q.num, q.den) == before
+    assert results[2] == parse_poly("1/2*x^2 + 1/6*x*y - 1/9*y^2")

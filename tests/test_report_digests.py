@@ -1,0 +1,90 @@
+"""Byte identity of the exact construction and of the CLI reports.
+
+bench/refs.json pins, for the seed-0 instances, the sha256 of every
+P_n of the degree-12 construction and of the `--format json` report on
+the default grid.  This test reads those pins (bench/ is only read) and
+recomputes them through the library, so a change to how polynomials are
+stored or multiplied that moves one coefficient, one term's order in
+the report, or one byte of text fails here and not only in the
+benchmark.  refs.json has no numeric digest, so the sha256 of the five
+seed-0 `--mode numeric` reports is pinned below; numeric mode sums each
+polynomial's terms in stored order, so these also pin the key order.
+"""
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from copoly2d import cli, orthosys, weights
+
+REFS = json.loads((Path(__file__).resolve().parents[1] / "bench" / "refs.json")
+                  .read_text(encoding="utf-8"))
+
+SEED0 = [("product_hermite", ()), ("product_laguerre", ("1", "2")),
+         ("hermite_laguerre", ("1",)), ("product_jacobi", ("1/2", "1/2", "1/2", "1/2")),
+         ("triangle", ("1", "1", "1"))]
+
+NUMERIC_SHA256 = {
+    "product_hermite": "f1e90f5e4ffc82f17f1bd057b5d8006902a4bf413d5af1778b373436565813c5",
+    "product_laguerre(1,2)":
+        "91c93d3ceb2d045aa3816a0399df3ec9ed0cf0bc26d2cfd8da7d8cb5912ed29c",
+    "hermite_laguerre(1)":
+        "478d7aa5e58490662a1c860f39051c75e9436311ca825811d34fd97de4699555",
+    "product_jacobi(1/2,1/2,1/2,1/2)":
+        "8cdc6691a3507796ea25d50a298a64cb647ed8d99023bcdb768e2fcb8a3b57ca",
+    "triangle(1,1,1)": "13288f52485403750cc6a75c3e79a1a6e116e1af98a31594c1126dbe013b7461",
+}
+
+
+def _key(name, params):
+    return f"{name}({','.join(params)})" if params else name
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _verify_json(name, params, *extra):
+    argv = ["verify", "--family", name, "--format", "json", *extra]
+    if params:
+        argv += ["--params", ",".join(params)]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        status = cli.main(argv)
+    return status, buf.getvalue()
+
+
+def _poly_text(p) -> str:
+    # the digest text of the benchmark's P_n pins: sorted exponent, Fraction str
+    return ";".join(f"{i},{j}:{c}" for (i, j), c in sorted(p.terms.items()))
+
+
+@pytest.mark.parametrize("name, params", [("triangle", ("1", "1", "1")),
+                                          ("product_jacobi", ("1/2",) * 4)])
+def test_deep_construction_matches_pinned_digests(name, params):
+    want = REFS["construct"][_key(name, params)]["degrees"]
+    system = orthosys.build_monic(weights.builtin(name, params), len(want))
+    got = []
+    for n in range(1, system.nmax + 1):
+        col = system.p(n)
+        got.append(_sha("|".join(_poly_text(col[r, 0]) for r in range(col.rows))))
+    assert got == want
+
+
+@pytest.mark.parametrize("name, params", SEED0, ids=[_key(*c) for c in SEED0])
+def test_exact_report_matches_pinned_digest(name, params):
+    want = REFS["verify"][_key(name, params)]
+    status, text = _verify_json(name, params)
+    assert status == want["exit"]
+    assert _sha(text) == want["report_sha256"]
+
+
+@pytest.mark.parametrize("name, params", SEED0, ids=[_key(*c) for c in SEED0])
+def test_numeric_report_matches_pinned_digest(name, params):
+    _, text = _verify_json(name, params, "--mode", "numeric")
+    assert _sha(text) == NUMERIC_SHA256[_key(name, params)]
