@@ -33,6 +33,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import lcm
 
 import numpy as np
@@ -488,17 +489,23 @@ def check_a(f: WeightFamily) -> PropertyReport:
 # property (b): orthogonal stacks and the lifted Pearson equation
 
 
-def level_pearson_check(f: WeightFamily, tower: PsiTower, m: int) -> bool:
+def level_pearson_check(f: WeightFamily, tower: PsiTower, m: int,
+                        phi_power=None) -> bool:
     """The Kronecker power weight solves the level-m Pearson equation.
 
     Dividing by the scalar density and clearing both logarithmic
     gradient denominators (cleared_divergence) turns the divergence
     identity into a single polynomial matrix statement, checked exactly.
+    phi_power(k) gives the k-th Kronecker power of f.phi, such as a
+    system's memoised OrthoSystem.phi_power; without it the powers are
+    built here.
     """
+    if phi_power is None:
+        phi_power = partial(kron_power, f.phi)
     lev = tower.level(m)
-    drift = kron_power(f.phi, m) @ hstack(lev.psi1, lev.psi2)
+    drift = phi_power(m) @ hstack(lev.psi1, lev.psi2)
     delta = f.log_grad_x.den * f.log_grad_y.den
-    return cleared_divergence(f, kron_power(f.phi, m + 1)) == drift.scale(delta)
+    return cleared_divergence(f, phi_power(m + 1)) == drift.scale(delta)
 
 
 def check_b(f: WeightFamily, sys: OrthoSystem, n: int, m: int,
@@ -509,7 +516,8 @@ def check_b(f: WeightFamily, sys: OrthoSystem, n: int, m: int,
         raise ValueError("property b needs n >= 1 and m >= 1")
     if tower is None or tower.depth < m:
         tower = psi_tower(f, m)
-    pearson_ok = sys.cached(("pearson", m), lambda: level_pearson_check(f, tower, m))
+    pearson_ok = sys.cached(("pearson", m),
+                            lambda: level_pearson_check(f, tower, m, sys.phi_power))
     notes = [] if pearson_ok else ["lifted pearson identity fails"]
     if mode == "exact":
         crosses = integrate_products([sys.q(k, m) for k in range(n)],

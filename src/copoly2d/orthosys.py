@@ -3,8 +3,16 @@
 P_n is the column of n + 1 monic polynomials of degree n (leading block
 the identity: entry k is x^(n-k) y^k plus lower degree) orthogonal to
 every lower monomial vector: integral(X_j P_n^t rho) = 0 for j < n.
-build_monic grows it by block Gram-Schmidt on the memoised Gram blocks
-gram(k, 0), driven by the family's normalized moment oracle.
+build_monic grows it by the three-term relation, driven by the family's
+normalized moment oracle.  Z = (x P_n[0], .., x P_n[n], y P_n[n]) is
+monic of degree n + 1, and integral(Z p rho) moves x or y onto p, so Z
+is orthogonal to every p of degree below n - 1: P_(n+1) is Z minus its
+projections on P_n and P_(n-1) only.  One contraction of P_n with
+[X_n | X_(n+1)] gives both, through the coefficient block M_n of the
+degree-n part of Z and the Gram block gram(n, 0) = integral(P_n X_n^t
+rho), which the construction stores; the P_(n-1) projection is read off
+that block, because x P_(n-1) and y P_(n-1) are blocks of X_n plus lower
+degree.
 
 The level-m gradient stack of the system is
 Q(n, m) = grad Q(n+1, m-1) with Q(n, 0) = P_n^t, a 2^m by (n+m+1)
@@ -63,12 +71,13 @@ from .matpoly import (
     const_numerators,
     hstack,
     int_matmul,
+    kron,
     kron_power,
     matmul_numerators,
     rat_solve,
     vstack,
 )
-from .polycore import ZERO, BivariatePoly, from_numerators
+from .polycore import X, Y, ZERO, BivariatePoly, from_numerators
 from .weights import QuadRule, WeightFamily, node_powers
 
 
@@ -334,7 +343,16 @@ class OrthoSystem:
         return self.cached(("q", n, m), make)
 
     def phi_power(self, m: int) -> PolyMatrix:
-        return self.cached(("phi_power", m), lambda: kron_power(self.family.phi, m))
+        """kron_power(phi, m), built as kron(phi, phi_power(m - 1)).
+
+        The same iteration as kron_power, so the entries and their term
+        order are the same, but each lower power comes from the memo.
+        """
+        def make():
+            if m == 0:
+                return PolyMatrix.identity(1)
+            return kron(self.family.phi, self.phi_power(m - 1))
+        return self.cached(("phi_power", m), make)
 
     def weighted(self, n: int, m: int) -> PolyMatrix:
         """phi_power(m) @ q(n, m): the stack under the level-m weight matrix."""
@@ -383,32 +401,63 @@ class OrthoSystem:
 
 
 def build_monic(f: WeightFamily, nmax: int) -> OrthoSystem:
-    """Construct P_0 .. P_nmax by exact block Gram-Schmidt on the memo.
+    """Construct P_0 .. P_nmax exactly by the three-term relation.
 
-    P_n^t = X_n^t - sum_(k<n) q(k, 0) H_k^-1 integral(P_k X_n^t rho) with
-    H_k = gram(k, 0): one moment contraction gives every projection, and
-    each solve is at most n by n.  The moment matrix has det M_(n-1) =
-    prod det H_k, so SingularGramError, naming its column, is the exact
-    signal that the moment data is not a quasi-definite weight.
+    Z = (x P_n[0], .., x P_n[n], y P_n[n]) is monic with leading block
+    X_(n+1), and integral(Z p rho) = integral(P_n (x p or y p) rho) = 0
+    for deg p < n - 1, so of the projections of Z on P_0 .. P_n only
+    those on P_n and P_(n-1) survive:
+
+        P_(n+1)^t = Z^t - q(n, 0) G_n^-1 integral(P_n Z^t rho)
+                        - q(n-1, 0) G_(n-1)^-1 integral(P_(n-1) Z^t rho).
+
+    One contraction gives G_n = integral(P_n X_n^t rho) and S_n =
+    integral(P_n X_(n+1)^t rho).  G_n is the level Gram block gram(n, 0)
+    = integral(P_n P_n^t rho), since P_n - X_n has lower degree, and is
+    stored as that memo entry.  Writing the degree-n part of Z^t as
+    X_n^t M_n, integral(P_n Z^t rho) = S_n + G_n M_n, whose solve is
+    G_n^-1 S_n + M_n.  integral(P_(n-1) Z^t rho) needs no integral: x
+    P_(n-1)[i] and y P_(n-1)[i] are X_n[i] and X_n[i+1] plus lower
+    degree, so its columns j <= n are rows 0 .. n-1 of G_n (symmetric)
+    and its column n + 1 is G_n[1 .. n, n].  The moments read are those
+    of degree <= 2 nmax - 1, and each degree makes at most two solves.
+    The moment matrix has det M_(n-1) = prod det G_k, so
+    SingularGramError, naming its column, is the exact signal that the
+    moment data is not a quasi-definite functional.
     """
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
     sys = OrthoSystem(f, [PolyMatrix.column([1])])
-    for n in range(1, nmax + 1):
-        xt = x_vec(n).transpose()
-        qs = [sys.q(k, 0) for k in range(n)]
+    for n in range(nmax):
+        k = n + 1
+        qn = sys.q(n, 0)
+        pn = qn.row_list(0)
+        w = hstack(x_vec(n).transpose(), x_vec(n + 1).transpose())
+        block = integrate_products([qn], w, f)[0]  # [G_n | S_n]
+        gs = [block.row_list(r) for r in range(k)]
+        g = PolyMatrix(k, k, [e for row in gs for e in row[:k]])
+        sys._memo[("gram", n, 0)] = g
         try:
-            bs = [rat_solve(sys.gram(k, 0), proj)
-                  for k, proj in enumerate(integrate_products(qs, xt, f))]
+            sol = rat_solve(g, PolyMatrix(k, k + 1, [e for row in gs for e in row[k:]]))
         except SingularMatrixError as exc:
-            col = n * (n - 1) // 2 + exc.column  # only H_(n-1) can fail
-            raise SingularGramError(f"degree {n}: singular pivot at column {col}") from exc
-        pt = xt - hstack(*qs) @ vstack(*bs)
+            col = n * k // 2 + exc.column  # only G_n can fail
+            raise SingularGramError(f"degree {k}: singular pivot at column {col}") from exc
+        # M_n[r, j]: the coefficient of X_n[r] in Z[j]
+        mn = const_matrix([[p.coeff(n - r - 1, r) for p in pn] + [pn[n].coeff(n - r, r - 1)]
+                           for r in range(k)])
+        qs, bs = [qn], [sol + mn]
+        if n:
+            prev = PolyMatrix(n, k + 1, [e for r in range(n)
+                                         for e in gs[r][:k] + [gs[r + 1][n]]])
+            qs.append(sys.q(n - 1, 0))
+            bs.append(rat_solve(sys.gram(n - 1, 0), prev))
+        zt = PolyMatrix.row([X * p for p in pn] + [Y * pn[n]])
+        pt = zt - hstack(*qs) @ vstack(*bs)
         # leading monomial first, then the lower terms by ascending degree
         # and falling x power: numeric mode sums terms in this order
         sys._p.append(PolyMatrix.column(
             [BivariatePoly({e: p.num[e] for e in
-                            sorted(p.num, key=lambda e: (sum(e) < n, sum(e), e[1]))}, p.den)
+                            sorted(p.num, key=lambda e: (sum(e) < k, sum(e), e[1]))}, p.den)
              for p in pt.row_list(0)]))
     return sys
 

@@ -161,26 +161,31 @@ class WeightFamily:
 # small exact helpers
 
 
-def _poch(a: Fraction, k: int) -> Fraction:
-    out = Fraction(1)
-    for t in range(k):
-        out *= a + t
-    return out
+def _pochhammer(a: Fraction):
+    """k -> the rising factorial (a)_k = a (a+1) .. (a+k-1), from a table.
+
+    The table is kept by the returned function and extended on demand,
+    so the family holding it fills it once.
+    """
+    ps = [Fraction(1)]
+
+    def poch(k: int) -> Fraction:
+        while len(ps) <= k:
+            ps.append(ps[-1] * (a + len(ps) - 1))
+        return ps[k]
+    return poch
 
 
-def _hermite_m(k: int) -> Fraction:
-    # integral x^k exp(-x^2) / integral exp(-x^2): odd vanish, (2j-1)!!/2^j
-    if k % 2:
-        return Fraction(0)
-    j = k // 2
-    out = Fraction(1)
-    for t in range(1, j + 1):
-        out *= Fraction(2 * t - 1, 2)
-    return out
+def _hermite_moments():
+    """k -> moment k of exp(-x^2) on the line, normalized.
 
-
-def _laguerre_m(k: int, a: Fraction) -> Fraction:
-    return _poch(a + 1, k)
+    Odd moments vanish; moment 2j is the product of (2t-1)/2 over
+    t = 1 .. j, which is the rising factorial (1/2)_j, read from a
+    table that the returned function extends on demand.
+    """
+    half = _pochhammer(Fraction(1, 2))
+    zero = Fraction(0)
+    return lambda k: zero if k % 2 else half(k // 2)
 
 
 def _jacobi_moments(a: Fraction, b: Fraction):
@@ -221,6 +226,7 @@ def _build_product_hermite(params) -> WeightFamily:
         raise InvalidParameterError("product_hermite takes no parameters")
     two_x = parse_poly("-2*x")
     two_y = parse_poly("-2*y")
+    hm = _hermite_moments()
     return WeightFamily(
         name="product_hermite",
         phi=PolyMatrix.identity(2),
@@ -230,7 +236,7 @@ def _build_product_hermite(params) -> WeightFamily:
         log_grad_y=RationalFn(two_y),
         domain=Domain("plane", ()),
         params=(),
-        moment_fn=lambda i, j: _hermite_m(i) * _hermite_m(j),
+        moment_fn=lambda i, j: hm(i) * hm(j),
     )
 
 
@@ -238,6 +244,7 @@ def _build_product_laguerre(params) -> WeightFamily:
     a, b = _as_params(params)
     _require_gt((a, b), -1, "product_laguerre")
     x, y = BivariatePoly.x(), BivariatePoly.y()
+    pa, pb = _pochhammer(a + 1), _pochhammer(b + 1)  # moment k of x^a exp(-x): (a+1)_k
     return WeightFamily(
         name="product_laguerre",
         phi=PolyMatrix.from_rows([[x, 0], [0, y]]),
@@ -247,7 +254,7 @@ def _build_product_laguerre(params) -> WeightFamily:
         log_grad_y=RationalFn(BivariatePoly.const(b) - y, y),
         domain=Domain("quadrant", (a, b)),
         params=(a, b),
-        moment_fn=lambda i, j: _laguerre_m(i, a) * _laguerre_m(j, b),
+        moment_fn=lambda i, j: pa(i) * pb(j),
     )
 
 
@@ -255,6 +262,7 @@ def _build_hermite_laguerre(params) -> WeightFamily:
     (a,) = _as_params(params)
     _require_gt((a,), -1, "hermite_laguerre")
     x, y = BivariatePoly.x(), BivariatePoly.y()
+    hm, pa = _hermite_moments(), _pochhammer(a + 1)
     return WeightFamily(
         name="hermite_laguerre",
         phi=PolyMatrix.from_rows([[1, 0], [0, y]]),
@@ -264,7 +272,7 @@ def _build_hermite_laguerre(params) -> WeightFamily:
         log_grad_y=RationalFn(BivariatePoly.const(a) - y, y),
         domain=Domain("halfplane_x_quadrant", (a,)),
         params=(a,),
-        moment_fn=lambda i, j: _hermite_m(i) * _laguerre_m(j, a),
+        moment_fn=lambda i, j: hm(i) * pa(j),
     )
 
 
@@ -296,6 +304,8 @@ def _build_triangle(params) -> WeightFamily:
     one = BivariatePoly.one()
     rim = one - x - y  # vanishes on the slanted edge
     s = a + b + c + 3
+    # mu_ij = (a+1)_i (b+1)_j / (s)_(i+j), the three factors from tables
+    pa, pb, ps = _pochhammer(a + 1), _pochhammer(b + 1), _pochhammer(s)
     return WeightFamily(
         name="triangle",
         phi=PolyMatrix.from_rows([[x * (one - x), -(x * y)], [-(x * y), y * (one - y)]]),
@@ -305,7 +315,7 @@ def _build_triangle(params) -> WeightFamily:
         log_grad_y=RationalFn(BivariatePoly.const(b) * rim - c * y, y * rim),
         domain=Domain("triangle", (a, b, c)),
         params=(a, b, c),
-        moment_fn=lambda i, j: _poch(a + 1, i) * _poch(b + 1, j) / _poch(s, i + j),
+        moment_fn=lambda i, j: pa(i) * pb(j) / ps(i + j),
     )
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from copoly2d import basisops, characterize, orthosys
+from copoly2d import basisops, characterize, matpoly, orthosys
 from copoly2d.basisops import random_rational_matrix, x_vec
 from copoly2d.characterize import (
     AUX_PROPERTIES,
@@ -532,6 +532,33 @@ def test_level_pearson_identity_all_builtins():
         tower = psi_tower(f, 2)
         for m in range(3):
             assert level_pearson_check(f, tower, m), (ref, m)
+
+
+def test_kronecker_powers_are_built_once_per_system(monkeypatch):
+    # phi_power(m) is kron(phi, phi_power(m - 1)): the entries and term
+    # order of kron_power, with the lower powers read from the memo; the
+    # lifted Pearson check reads them too, so no run rebuilds a power
+    f = builtin("triangle(1,1,1)")
+    sys = build_monic(f, 4)
+    for m in range(4):
+        got, want = sys.phi_power(m), matpoly.kron_power(f.phi, m)
+        assert got == want
+        assert [list(p.terms) for p in got._e] == [list(p.terms) for p in want._e]
+    tower = psi_tower(f, 2)
+    for m in range(3):
+        assert level_pearson_check(f, tower, m, sys.phi_power)
+    calls = []
+    for owner in (matpoly, characterize, orthosys):
+        monkeypatch.setattr(owner, "kron_power",
+                            lambda a, m, _fn=matpoly.kron_power: calls.append(m) or _fn(a, m))
+    built = []  # the row count of phi_power(m - 1) for each power m built
+    monkeypatch.setattr(orthosys, "kron",
+                        lambda a, b, _fn=kron: built.append(b.rows) or _fn(a, b))
+    for mode in ("exact", "numeric"):
+        built.clear()
+        verify_all(builtin("triangle(1,1,1)"), nmax=4, mmax=2, mode=mode, quad_order=12)
+        assert calls == []
+        assert sorted(built) == [2 ** k for k in range(len(built))], mode
 
 
 def test_check_b_exact_cells():

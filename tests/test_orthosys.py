@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -239,6 +240,118 @@ def test_singular_gram_detected(moment, text):
 def test_build_monic_guard():
     with pytest.raises(ValueError):
         build_monic(builtin("product_hermite"), -1)
+
+
+# random discrete moment tables: the three-term construction against the
+# coupled elimination on functionals that are not classical, quasi-definite
+# and degenerate alike
+
+
+def _discrete_family(points, weights, depth):
+    """A family whose moments are those of sum_k w_k delta_(x_k, y_k) / sum_k w_k."""
+    total = sum(weights)
+    doc = export_family(builtin("product_hermite"), moment_degree=0)
+    doc["moments"] = [[i, d - i, str(sum(w * x**i * y**(d - i)
+                                         for (x, y), w in zip(points, weights)) / total)]
+                      for d in range(depth + 1) for i in range(d + 1)]
+    return load_family(doc)
+
+
+def _discrete_table(seed):
+    """(kind, nmax, points, weights) of random discrete table number seed.
+
+    Generic points are as many as the monomials of degree <= nmax, so the
+    table is quasi-definite to that degree; points on a line or on a conic
+    make the Gram block of degree 1 or 2 singular.  Weights have both
+    signs, so a quasi-definite table need not be positive.
+    """
+    rng = random.Random(seed)
+    kind = ("generic", "line", "conic")[seed % 3]
+    nmax = 2 + seed // 3 % 4
+
+    def rat():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+
+    count = (nmax + 1) * (nmax + 2) // 2 + (kind != "generic") * rng.randint(0, 3)
+    if kind == "generic":
+        points = [(rat(), rat()) for _ in range(count)]
+    elif kind == "line":
+        a, b = rat(), rat()
+        points = [(t, a * t + b) for t in (rat() for _ in range(count))]
+    else:
+        # an affine image of the rationally parametrised unit circle
+        a, b, c, d, e, g = (rat() for _ in range(6))
+        if a * d == b * c:
+            a += 1
+        circle = [((1 - t * t) / (1 + t * t), 2 * t / (1 + t * t))
+                  for t in (rat() for _ in range(count))]
+        points = [(a * u + b * v + e, c * u + d * v + g) for u, v in circle]
+    weights = [rng.choice([-1, 1]) * rng.randint(1, 5) for _ in points]
+    while sum(weights) == 0:
+        weights[0] += 1
+    return kind, nmax, points, weights
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_three_term_construction_on_random_discrete_tables(seed):
+    kind, nmax, points, weights = _discrete_table(seed)
+    f = _discrete_family(points, weights, 2 * nmax)
+    try:
+        want = _reference_monic(f, nmax)
+    except SingularGramError as exc:
+        with pytest.raises(SingularGramError) as err:
+            build_monic(f, nmax)
+        assert str(err.value) == str(exc)
+        # one-dimensional support fails at degree 2, a conic at degree 3
+        assert kind != "generic"
+        assert str(exc).startswith(f"degree {2 if kind == 'line' else 3}:")
+        return
+    assert kind != "line" and (kind == "generic" or nmax == 2)
+    sys = build_monic(f, nmax)
+    for n, col in enumerate(want):
+        assert sys.p(n) == col, n
+        for r in range(n + 1):
+            assert list(sys.p(n)[r, 0].terms) == list(col[r, 0].terms), (n, r)
+
+
+@pytest.mark.parametrize("ref", ["triangle(1,1,1)", "product_jacobi(1/2,1/2,1/2,1/2)",
+                                 "product_laguerre(1,2)"])
+def test_build_monic_cost_shape(monkeypatch, ref):
+    # per degree: one moment contraction and at most two exact solves;
+    # the moments read reach exactly degree 2 nmax - 1
+    calls = {"integrate_products": 0, "rat_solve": 0}
+    degrees = []
+
+    def counting(name):
+        fn = getattr(orthosys, name)
+
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    moment = orthosys.WeightFamily.moment
+
+    def recording(family, i, j):
+        degrees.append(i + j)
+        return moment(family, i, j)
+
+    for name in calls:
+        monkeypatch.setattr(orthosys, name, counting(name))
+    monkeypatch.setattr(orthosys.WeightFamily, "moment", recording)
+    for nmax in range(1, 8):
+        f = builtin(ref)
+        for name in calls:
+            calls[name] = 0
+        degrees.clear()
+        sys = build_monic(f, nmax)
+        assert calls["integrate_products"] == nmax
+        assert calls["rat_solve"] <= 2 * nmax
+        assert max(degrees) == 2 * nmax - 1
+        # the construction leaves gram(n, 0) for n < nmax in the memo
+        for n in range(nmax):
+            assert sys.gram(n, 0) == integrate_matrix(
+                sys.q(n, 0).transpose() @ sys.q(n, 0), f), n
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,49 @@ def test_laguerre_moments():
     assert f.moment(1, 1) == 6
 
 
+def _poch(a, k):
+    out = Fraction(1)
+    for t in range(k):
+        out *= a + t
+    return out
+
+
+def _hermite_m(k):
+    # integral x^k exp(-x^2) / integral exp(-x^2): odd vanish, (2j-1)!!/2^j
+    if k % 2:
+        return Fraction(0)
+    out = Fraction(1)
+    for t in range(1, k // 2 + 1):
+        out *= Fraction(2 * t - 1, 2)
+    return out
+
+
+# the closed forms each tabled oracle reads, recomputed on every call
+_PER_CALL = {
+    "product_hermite": lambda i, j: _hermite_m(i) * _hermite_m(j),
+    "product_laguerre": lambda i, j, a, b: _poch(a + 1, i) * _poch(b + 1, j),
+    "hermite_laguerre": lambda i, j, a: _hermite_m(i) * _poch(a + 1, j),
+    "triangle": lambda i, j, a, b, c: (_poch(a + 1, i) * _poch(b + 1, j)
+                                       / _poch(a + b + c + 3, i + j)),
+}
+
+
+@pytest.mark.parametrize("ref", [
+    "product_hermite", "product_laguerre(1,2)", "product_laguerre(-1/2,3)",
+    "hermite_laguerre(0)", "hermite_laguerre(1/3)",
+    "triangle(0,0,0)", "triangle(1,1,1)", "triangle(-1/2,1/3,2)"])
+def test_tabled_oracles_match_the_per_call_closed_forms(ref):
+    f, g = builtin(ref), builtin(ref)
+    want = {(i, d - i): _PER_CALL[f.name](i, d - i, *f.params)
+            for d in range(25) for i in range(d + 1)}
+    # one family fills its tables from the top degree down, the other
+    # from the bottom up; each holds its own tables
+    for fam, keys in ((f, sorted(want, key=sum, reverse=True)), (g, list(want))):
+        for i, j in keys:
+            got = fam.moment_fn(i, j)
+            assert type(got) is Fraction and got == want[i, j], (i, j)
+
+
 def test_jacobi_moments():
     f = builtin("product_jacobi(0,0,0,0)")
     assert f.moment(1, 0) == 0
