@@ -25,7 +25,9 @@ Everything runs over exact rational arithmetic unless a check is asked
 for numeric mode, in which case only the integrals move to quadrature;
 the weight density itself is never materialized, identities involving
 it are divided through and cleared to polynomial statements using the
-family's logarithmic gradient.
+family's logarithmic gradient.  numpy is imported only in the numeric
+branches of check_b and check_e, after the mode dispatch, so exact cells
+never load it.
 """
 
 from __future__ import annotations
@@ -35,8 +37,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import lcm
-
-import numpy as np
 
 from .basisops import identity_suite, l_mat, n_mat
 from .matpoly import (
@@ -65,6 +65,7 @@ from .orthosys import (
 )
 from .polycore import ONE
 from .weights import (
+    InvalidParameterError,
     WeightFamily,
     check_pearson,
     check_phi_conditions,
@@ -534,6 +535,8 @@ def check_b(f: WeightFamily, sys: OrthoSystem, n: int, m: int,
         raise ValueError(f"unknown mode {mode!r}")
     if rule is None:
         raise ValueError("numeric mode needs a quadrature rule")
+    import numpy as np
+
     gram = sys.gram(n, m, rule)
     scale = float(np.abs(np.diag(gram)).max())
     tol = RESIDUAL_REL * scale
@@ -761,6 +764,8 @@ def check_e(f: WeightFamily, sys: OrthoSystem, n: int, m: int,
         raise ValueError(f"unknown mode {mode!r}")
     if rule is None:
         raise ValueError("numeric mode needs a quadrature rule")
+    import numpy as np
+
     nodes = (rule.nodes_x, rule.nodes_y, rule.powers)
     tail = 0.0
     coeffs = {}
@@ -841,10 +846,11 @@ def verify_all(f: WeightFamily, nmax: int = 4, mmax: int = 2,
     the system itself always needs the oracle, so families without one
     fail the structural checks with an explanatory note while the
     data-only checks still run.  The quadrature rule is built once, after
-    the system, when numeric checks read it; make_quadrature's
-    InvalidParameterError (an order below 1, a bad domain) propagates.
-    A domain without a Gauss rule is rejected before any check runs or
-    the system is built.
+    the system, when numeric checks read it (b and e in numeric mode).
+    Such a run rejects, with InvalidParameterError and before any check
+    runs or the system is built, a domain without a Gauss rule and, when
+    the family has an oracle, a quad_order below the grid floor
+    nmax + mmax + 2, the order the CLI also requires.
     """
     if nmax < 1:
         raise ValueError("nmax must be at least 1")
@@ -858,6 +864,10 @@ def verify_all(f: WeightFamily, nmax: int = 4, mmax: int = 2,
         raise ValueError(f"unknown mode {mode!r}")
     chosen = _expand_properties(properties)
     if resolved == "numeric" and chosen & {"b", "e"}:
+        floor = nmax + mmax + 2  # without an oracle no system is built to read the rule
+        if f.has_oracle() and quad_order < floor:
+            raise InvalidParameterError(
+                f"quad_order {quad_order} below the grid floor {floor}")
         check_quadrature_domain(f)
     depth = max(1, mmax, nmax - 1)
     try:

@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 from dataclasses import dataclass
 
 from .characterize import AUX_PROPERTIES, verify_all
@@ -102,6 +101,8 @@ def resolve_family(cfg: RunConfig):
 
 
 def _write_atomic(path: str, text: str) -> None:
+    import tempfile
+
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".copoly2d-")
     os.umask(mask := os.umask(0))

@@ -39,6 +39,8 @@ denominator; eval_product evaluates a product a @ b from the int sums
 of the product kernel without forming it.  The values are bit-identical
 to summing each entry's terms one at a time in their stored order, so
 numeric reports do not depend on how the evaluation is organised.
+These numeric functions import numpy where they run; nothing on the
+exact path does, so an exact run never loads it.
 
 An OrthoSystem owns one memo for everything derived from it: the
 stacks q(n, m), the Kronecker powers of the weight matrix, the weighted
@@ -58,8 +60,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import chain
 from math import lcm
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .basisops import n_mat, x_vec
 from .matpoly import (
@@ -79,6 +80,9 @@ from .matpoly import (
 )
 from .polycore import X, Y, ZERO, BivariatePoly, from_numerators
 from .weights import QuadRule, WeightFamily, node_powers
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class SingularGramError(RuntimeError):
@@ -214,6 +218,8 @@ def _eval_terms(terms, xs, ys, powers=None) -> np.ndarray:
     zero terms would turn -0.0 into +0.0).  powers(d) gives the node powers as (d + 1, nodes)
     tables (QuadRule.powers); without it they are computed here.
     """
+    import numpy as np
+
     q = np.shape(xs)[0]
     out = np.zeros((len(terms), q))
     if powers is None:
@@ -264,6 +270,8 @@ def eval_entries(m: PolyMatrix, xs, ys, powers=None) -> np.ndarray:
     den)), and no Fraction is built.  powers is the rule's power table,
     QuadRule.powers, when xs and ys are a rule's nodes.
     """
+    import numpy as np
+
     vals = _eval_terms([_floats(p.num, p.den) for i in range(m.rows)
                         for p in m.row_list(i)], xs, ys, powers)
     return vals.reshape(m.rows, m.cols, np.shape(xs)[0])
@@ -279,6 +287,8 @@ def eval_product(a: PolyMatrix, b: PolyMatrix, xs, ys, powers=None) -> np.ndarra
     float(Fraction(c, d)) and the values are bit-identical to
     evaluating a @ b; no Fraction is built.
     """
+    import numpy as np
+
     acc, d = matmul_numerators(a, b)
     terms = [_floats(t, d) if t else {} for t in acc]
     return _eval_terms(terms, xs, ys, powers).reshape(a.rows, b.cols, np.shape(xs)[0])
@@ -291,12 +301,16 @@ def _floats(num: dict, d: int) -> dict:
 
 def integrate_matrix_numeric(m: PolyMatrix, f: WeightFamily, rule: QuadRule) -> np.ndarray:
     """Entrywise quadrature of a formed matrix on the rule; a float array of m's shape."""
+    import numpy as np
+
     me = eval_entries(m, rule.nodes_x, rule.nodes_y, rule.powers)
     return np.einsum("rcq,q->rc", me, rule.weights)
 
 
 def _quad_form(ae, pe, be, weights) -> np.ndarray:
     """sum_q a(q)^t phi(q) b(q) w_q from node values: the numeric inner product."""
+    import numpy as np
+
     return np.einsum("rcq,rsq,sdq,q->cd", ae, pe, be, weights)
 
 

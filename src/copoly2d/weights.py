@@ -18,6 +18,9 @@ Built-in families:
 
 Moment oracles are exact Fractions whenever the parameters are rational,
 which lets every downstream orthogonality check run in exact arithmetic.
+numpy is imported inside the quadrature code only (QuadRule.integrate,
+node_powers, the Gauss rule builders and make_quadrature), so loading
+or exporting a family and every exact run leave it unloaded.
 """
 
 from __future__ import annotations
@@ -26,12 +29,13 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional
 
 from .matpoly import PolyMatrix, const_matrix, det_exact
 from .polycore import BivariatePoly, RationalFn, parse_poly
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class UnknownFamilyError(KeyError):
@@ -92,6 +96,8 @@ class QuadRule:
     _pow: Optional[tuple] = field(default=None, repr=False, init=False)
 
     def integrate(self, fn) -> float:
+        import numpy as np
+
         return float(np.sum(self.weights * fn(self.nodes_x, self.nodes_y)))
 
     def powers(self, d: int):
@@ -111,6 +117,8 @@ class QuadRule:
 
 def node_powers(xs, ys, d: int):
     """(xs**i, ys**i for i = 0 .. d) as two (d + 1, nodes) arrays."""
+    import numpy as np
+
     return (np.array([xs**i for i in range(d + 1)]),
             np.array([ys**i for i in range(d + 1)]))
 
@@ -455,6 +463,8 @@ def validate_family(f: WeightFamily) -> None:
 
 
 def _golub_welsch(diag, offdiag) -> tuple:
+    import numpy as np
+
     q = len(diag)
     jm = np.zeros((q, q))
     for i in range(q):
@@ -497,6 +507,8 @@ def gauss_jacobi_1d(order: int, a: float, b: float):
 
 
 def _tensor_rule(xs, wx, ys, wy, order: int) -> QuadRule:
+    import numpy as np
+
     nx = np.repeat(xs, len(ys))
     ny = np.tile(ys, len(xs))
     w = np.repeat(wx, len(ys)) * np.tile(wy, len(xs))
@@ -513,6 +525,8 @@ def check_quadrature_domain(f: WeightFamily) -> None:
 
 def make_quadrature(f: WeightFamily, order: int) -> QuadRule:
     """Gauss rule matched to the family's domain and parameters."""
+    import numpy as np
+
     if order < 1:
         raise InvalidParameterError("quadrature order must be >= 1")
     check_quadrature_domain(f)

@@ -939,7 +939,38 @@ def test_verify_all_rejects_a_bad_quadrature_order(monkeypatch, order):
     assert verify_all(f, nmax=2, mmax=1, mode="exact", quad_order=order)
     assert verify_all(f, nmax=2, mmax=1, mode="numeric", quad_order=order,
                       properties=("c", "d"))
-    assert orders == [order]
+    # the grid floor is checked first, so no rule is built for any order
+    assert orders == []
+
+
+def test_verify_all_enforces_the_quadrature_floor_before_any_work(monkeypatch):
+    # the CLI's floor nmax + mmax + 2: a lower rule under-resolves (e) at (2, 0)
+    f = builtin("triangle(1,1,1)")
+    floor = 2 + 1 + 2
+    orders = _counting_quadrature(monkeypatch)
+    builds = []
+    real = characterize.build_monic
+
+    def counted(fam, nmax):
+        builds.append(nmax)
+        return real(fam, nmax)
+
+    monkeypatch.setattr(characterize, "build_monic", counted)
+    for props in (None, ("b",), ("e",)):
+        with pytest.raises(InvalidParameterError, match="grid floor"):
+            verify_all(f, nmax=2, mmax=1, mode="numeric", quad_order=floor - 1,
+                       properties=props)
+    assert builds == [] and orders == []
+    # exact runs and numeric runs of c and d alone read no rule
+    exact = verify_all(f, nmax=2, mmax=1, mode="exact", quad_order=floor - 1)
+    assert verify_all(f, nmax=2, mmax=1, mode="numeric", quad_order=floor - 1,
+                      properties=("c", "d"))
+    assert orders == []
+    at_floor = verify_all(f, nmax=2, mmax=1, mode="numeric", quad_order=floor,
+                          properties=("e",))
+    assert orders == [floor] and builds == [4, 4, 4]
+    e20 = [r.status for r in exact + at_floor if (r.property, r.n, r.m) == ("e", 2, 0)]
+    assert e20 == ["pass", "pass"]
 
 
 def test_verify_all_builds_one_rule_and_only_when_it_is_read(monkeypatch):

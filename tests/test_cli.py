@@ -89,6 +89,18 @@ def test_quad_order_floor_is_exit_two(capsys):
     assert code == 0
 
 
+def test_quad_order_floor_leaves_an_oracle_less_auto_run_alone(tmp_path, capsys):
+    # auto mode resolves to numeric, but with no oracle no system reads a rule
+    doc = export_family(builtin("product_hermite"), moment_degree=4)
+    del doc["moments"]
+    path = tmp_path / "blind.json"
+    path.write_text(json.dumps(doc))
+    code = main(["verify", "--family", str(path), "--nmax", "2", "--mmax", "1",
+                 "--quad-order", "3"])
+    assert code == 1
+    assert "grid floor" not in capsys.readouterr().err
+
+
 def test_json_report_shape(capsys):
     code = main(["verify", "--family", "product_hermite", "--nmax", "2",
                  "--mmax", "1", "--format", "json"])
