@@ -25,7 +25,7 @@ import random
 from fractions import Fraction
 from typing import NamedTuple
 
-from .matpoly import PolyMatrix, const_matrix, const_numerators, kron, vstack
+from .matpoly import PolyMatrix, const_numerators, kron, vstack
 from .polycore import ONE, ZERO, BivariatePoly
 
 
@@ -134,18 +134,9 @@ _MIN_N = {
 }
 
 
-def identity_min_degree(which: str) -> int:
-    return _MIN_N[which]
-
-
 def _random_fractions(rows: int, cols: int, rng: random.Random) -> list:
     return [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(cols)]
             for _ in range(rows)]
-
-
-def random_rational_matrix(rows: int, cols: int, rng: random.Random) -> PolyMatrix:
-    """Seeded draw with entries p/q, |p| <= 9, 1 <= q <= 4."""
-    return const_matrix(_random_fractions(rows, cols, rng), cols)
 
 
 def _sandwich_holds(n: int, m: int, a: list) -> bool:

@@ -21,18 +21,20 @@ plus the auxiliary structure tokens phi_conditions, lemma1 (interleaved
 determinant identity), lemma2 (drift tower closed form) and prop1 (the
 shift/derivative identity suite on the monomial basis).
 
-Everything runs over exact rational arithmetic unless a check is asked
-for numeric mode, in which case only the integrals move to quadrature;
-the weight density itself is never materialized, identities involving
-it are divided through and cleared to polynomial statements using the
-family's logarithmic gradient.  numpy is imported only in the numeric
-branches of check_b and check_e, after the mode dispatch, so exact cells
-never load it.
+Everything runs over exact rational arithmetic.  check_b and check_e
+also take an optional quadrature rule: given one, only their integrals
+move to it, and only then is numpy imported, so exact cells never load
+it.  The weight density itself is never materialized; identities
+involving it are divided through and cleared to polynomial statements
+using the family's logarithmic gradient.  The drift tower that (b), (c)
+and (d) read depends only on the family, so psi_tower keeps the deepest
+one built per family and the checkers look it up themselves.
 """
 
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -225,17 +227,27 @@ def _k_block(b_lo: PolyMatrix, b_hi: PolyMatrix, eyeh: PolyMatrix) -> PolyMatrix
     )
 
 
+# family -> the deepest drift tower built for it; a family is compared by identity
+_TOWERS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def psi_tower(f: WeightFamily, mmax: int) -> PsiTower:
-    """Drift matrices for every stack level 0 .. mmax.
+    """Drift matrices for every stack level 0 .. mmax, or deeper.
 
     Level m is built by the doubling recurrence
     psi_i -> I_2 (x) psi_i + grad(column i of the weight matrix) (x) I,
     and each level's coefficient split is cross-checked against the
     closed form that adds one block of quadratic/linear weight data to
-    the Kronecker-doubled previous level.
+    the Kronecker-doubled previous level.  The tower depends only on the
+    family, so the deepest one built is kept for it and returned to
+    every caller that asks for no more levels; a build that raises
+    keeps nothing.
     """
     if mmax < 0:
         raise ValueError("mmax must be nonnegative")
+    tower = _TOWERS.get(f)
+    if tower is not None and tower.depth >= mmax:
+        return tower
     grads = [grad_cols(f.phi[0, i], f.phi[1, i]) for i in (0, 1)]
     a_cols, b_cols = phi_coefficient_columns(f)
     psi1 = PolyMatrix.scalar(f.psi1)
@@ -259,7 +271,8 @@ def psi_tower(f: WeightFamily, mmax: int) -> PsiTower:
             want_e = _k_block(b_cols[i], b_cols[i + 1], eyeh) + kron(eye2, eprev)
             ok = ok and dd == want_d and ee == want_e
         levels.append(PsiLevel(new1, new2, d1, d2, e1, e2, ok))
-    return PsiTower(tuple(levels))
+    tower = _TOWERS[f] = PsiTower(tuple(levels))
+    return tower
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +346,6 @@ def _solve_constant_right_factor(q: PolyMatrix, rhs: PolyMatrix) -> PolyMatrix:
 
 
 def lambda_via_operator(f: WeightFamily, sys: OrthoSystem, n: int, m: int,
-                        tower: PsiTower | None = None,
                         stack: PolyMatrix | None = None) -> PolyMatrix:
     """Eigenvalue matrix of the level-m stack of gradient index n.
 
@@ -344,10 +356,8 @@ def lambda_via_operator(f: WeightFamily, sys: OrthoSystem, n: int, m: int,
     """
     if n < 1 or m < 0:
         raise ValueError("need gradient index n >= 1 and level m >= 0")
-    if tower is None or tower.depth < m:
-        tower = psi_tower(f, m)
     q = sys.q(n, m) if stack is None else stack
-    image = _second_order_image(f, tower.level(m), q)
+    image = _second_order_image(f, psi_tower(f, m).level(m), q)
     return _solve_constant_right_factor(q, -image)
 
 
@@ -355,12 +365,12 @@ def _transpose(a, cols: int):
     return [[row[j] for row in a] for j in range(cols)]
 
 
-def _t_rows(f: WeightFamily, n: int, m: int, tower: PsiTower):
+def _t_rows(f: WeightFamily, n: int, m: int):
     """t_matrix as int rows over a denominator: (rows, d)."""
     if n < 1 or m < 0:
         raise ValueError("need gradient index n >= 1 and level m >= 0")
     phi = ((f.phi[0, 0], 1), (f.phi[0, 1], 2), (f.phi[1, 1], 1))
-    level = tower.level(m)
+    level = psi_tower(f, m).level(m)
     (a3, *ds), da = const_numerators(
         [[w * p.coeff(*e) for p, w in phi] for e in ((2, 0), (1, 1), (0, 2))],
         level.d1, level.d2)
@@ -406,7 +416,7 @@ def _t_rows(f: WeightFamily, n: int, m: int, tower: PsiTower):
     return t, da * scale * scale
 
 
-def t_matrix(f: WeightFamily, n: int, m: int, tower: PsiTower) -> PolyMatrix:
+def t_matrix(f: WeightFamily, n: int, m: int) -> PolyMatrix:
     """Constant second order symbol acting on leading coefficients.
 
     T = L*^t (A3 (x) I) N* + S (D (x) I_n) N_stk: a second order part
@@ -441,12 +451,11 @@ def t_matrix(f: WeightFamily, n: int, m: int, tower: PsiTower) -> PolyMatrix:
     d x_h (d_{s_1} d_h - d_h d_{s_1}) = 0.  For m >= 2 one exists iff
     A = c x x^t - (v x^t + x v^t) / (2(m - 1)), v psi's linear part.
     """
-    rows, d = _t_rows(f, n, m, tower)
+    rows, d = _t_rows(f, n, m)
     return const_matrix([[Fraction(v, d) for v in row] for row in rows])
 
 
-def lambda_via_formula(f: WeightFamily, n: int, m: int,
-                       tower: PsiTower | None = None) -> PolyMatrix:
+def lambda_via_formula(f: WeightFamily, n: int, m: int) -> PolyMatrix:
     """Eigenvalue matrix from the leading-coefficient equation.
 
     The leading block G of the level-m stack satisfies G L = -T G with
@@ -455,20 +464,16 @@ def lambda_via_formula(f: WeightFamily, n: int, m: int,
     G and T stay int rows over their denominators dg and dt, so the
     system solved is dt (dg G) L = -(dt T)(dg G), all in ints.
     """
-    if tower is None or tower.depth < m:
-        tower = psi_tower(f, m)
     g, _ = g_lead_rows(n, m)
-    t, dt = _t_rows(f, n, m, tower)
+    t, dt = _t_rows(f, n, m)
     tg = int_matmul(t, g, n + m + 1)
     return solve_columns([[dt * v for v in row] for row in g],
                          [[-v for v in row] for row in tg])
 
 
-def _lambda(f: WeightFamily, sys: OrthoSystem, n: int, m: int,
-            tower: PsiTower) -> PolyMatrix:
+def _lambda(f: WeightFamily, sys: OrthoSystem, n: int, m: int) -> PolyMatrix:
     """lambda_via_operator memoised on the system, keyed by (n, m)."""
-    return sys.cached(("lambda", n, m),
-                      lambda: lambda_via_operator(f, sys, n, m, tower))
+    return sys.cached(("lambda", n, m), lambda: lambda_via_operator(f, sys, n, m))
 
 
 # ---------------------------------------------------------------------------
@@ -490,8 +495,7 @@ def check_a(f: WeightFamily) -> PropertyReport:
 # property (b): orthogonal stacks and the lifted Pearson equation
 
 
-def level_pearson_check(f: WeightFamily, tower: PsiTower, m: int,
-                        phi_power=None) -> bool:
+def level_pearson_check(f: WeightFamily, m: int, phi_power=None) -> bool:
     """The Kronecker power weight solves the level-m Pearson equation.
 
     Dividing by the scalar density and clearing both logarithmic
@@ -503,24 +507,26 @@ def level_pearson_check(f: WeightFamily, tower: PsiTower, m: int,
     """
     if phi_power is None:
         phi_power = partial(kron_power, f.phi)
-    lev = tower.level(m)
+    lev = psi_tower(f, m).level(m)
     drift = phi_power(m) @ hstack(lev.psi1, lev.psi2)
     delta = f.log_grad_x.den * f.log_grad_y.den
     return cleared_divergence(f, phi_power(m + 1)) == drift.scale(delta)
 
 
 def check_b(f: WeightFamily, sys: OrthoSystem, n: int, m: int,
-            mode: str = "exact", rule=None,
-            tower: PsiTower | None = None) -> PropertyReport:
-    """Level-m stack orthogonality plus the lifted Pearson equation."""
+            rule=None) -> PropertyReport:
+    """Level-m stack orthogonality plus the lifted Pearson equation.
+
+    The Pearson half is always exact.  Without a quadrature rule the
+    cross terms and the level Gram block are exact too; with one they
+    are integrated on the rule and measured against a tolerance.
+    """
     if n < 1 or m < 1:
         raise ValueError("property b needs n >= 1 and m >= 1")
-    if tower is None or tower.depth < m:
-        tower = psi_tower(f, m)
     pearson_ok = sys.cached(("pearson", m),
-                            lambda: level_pearson_check(f, tower, m, sys.phi_power))
+                            lambda: level_pearson_check(f, m, sys.phi_power))
     notes = [] if pearson_ok else ["lifted pearson identity fails"]
-    if mode == "exact":
+    if rule is None:
         crosses = integrate_products([sys.q(k, m) for k in range(n)],
                                      sys.weighted(n, m), f)
         ortho_ok = all(c.is_zero for c in crosses)
@@ -531,10 +537,6 @@ def check_b(f: WeightFamily, sys: OrthoSystem, n: int, m: int,
             notes.append("level gram singular")
         ok = pearson_ok and ortho_ok and gram_ok
         return _report("b", f.name, n, m, ok, notes="; ".join(notes))
-    if mode != "numeric":
-        raise ValueError(f"unknown mode {mode!r}")
-    if rule is None:
-        raise ValueError("numeric mode needs a quadrature rule")
     import numpy as np
 
     gram = sys.gram(n, m, rule)
@@ -551,27 +553,23 @@ def check_b(f: WeightFamily, sys: OrthoSystem, n: int, m: int,
     if not gram_ok:
         notes.append("level gram numerically singular")
     ok = pearson_ok and worst <= tol and gram_ok
-    return _report("b", f.name, n, m, ok, mode="numeric", residual=worst,
-                   tolerance=tol, notes="; ".join(notes))
+    return _report("b", f.name, n, m, ok, "numeric", worst, tol, "; ".join(notes))
 
 
 # ---------------------------------------------------------------------------
 # property (c): second order equation with constant eigenvalue matrix
 
 
-def check_c(f: WeightFamily, sys: OrthoSystem, n: int, m: int,
-            tower: PsiTower | None = None) -> PropertyReport:
+def check_c(f: WeightFamily, sys: OrthoSystem, n: int, m: int) -> PropertyReport:
     """Operator route must solve exactly and agree with the symbol route."""
-    if tower is None or tower.depth < m:
-        tower = psi_tower(f, m)
     notes = []
     try:
-        lam = _lambda(f, sys, n, m, tower)
+        lam = _lambda(f, sys, n, m)
     except NoConstantSolution as exc:
         return _report("c", f.name, n, m, False,
                        notes=f"no constant eigenvalue matrix: {exc}")
     try:
-        ok = lambda_via_formula(f, n, m, tower) == lam
+        ok = lambda_via_formula(f, n, m) == lam
     except InconsistentSystemError:  # a rank-deficient G still raises
         ok = False
     if not ok:
@@ -603,18 +601,15 @@ def _cleared_divergence_identity(f: WeightFamily, sys: OrthoSystem, n: int,
     return lhs == (sys.weighted(n - m, m) @ lam).scale(-delta)
 
 
-def check_d(f: WeightFamily, sys: OrthoSystem, n: int,
-            tower: PsiTower | None = None) -> PropertyReport:
+def check_d(f: WeightFamily, sys: OrthoSystem, n: int) -> PropertyReport:
     """All n divergence tower levels of the degree-n column, exactly."""
     if n < 1:
         raise ValueError("property d needs n >= 1")
-    if tower is None or tower.depth < n - 1:
-        tower = psi_tower(f, max(n - 1, 0))
     notes = []
     ok = True
     for m in range(n):
         try:
-            lam = _lambda(f, sys, n - m, m, tower)
+            lam = _lambda(f, sys, n - m, m)
         except NoConstantSolution as exc:
             return _report("d", f.name, n, 0, False,
                            notes=f"level {m}: no constant eigenvalue matrix: {exc}")
@@ -632,8 +627,7 @@ def check_d(f: WeightFamily, sys: OrthoSystem, n: int,
 # explicit tower iteration (used by the reconstruction checks)
 
 
-def rodrigues_reconstruct(f: WeightFamily, sys: OrthoSystem, n: int,
-                          tower: PsiTower | None = None) -> dict:
+def rodrigues_reconstruct(f: WeightFamily, sys: OrthoSystem, n: int) -> dict:
     """Iterate the divergence tower down from level n and compare.
 
     Starting from the weight's n-th Kronecker power times the constant
@@ -654,11 +648,9 @@ def rodrigues_reconstruct(f: WeightFamily, sys: OrthoSystem, n: int,
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    if tower is None or tower.depth < n - 1:
-        tower = psi_tower(f, max(n - 1, 0))
     lams = []
     for m in range(n):
-        lam = _lambda(f, sys, n - m, m, tower)
+        lam = _lambda(f, sys, n - m, m)
         if det_exact(lam) == 0:
             raise SingularLambda(f"degree {n} level {m}")
         lams.append(lam)
@@ -701,22 +693,22 @@ def rodrigues_reconstruct(f: WeightFamily, sys: OrthoSystem, n: int,
 
 
 def check_e(f: WeightFamily, sys: OrthoSystem, n: int, m: int,
-            mode: str = "exact", rule=None) -> PropertyReport:
+            rule=None) -> PropertyReport:
     """Three term expansion with full-rank lowest coefficient.
 
     The weighted next-finer stack is projected on every coarser stack
     of degree up to n + 1: the projections below n - 1 must vanish, the
     three surviving ones must reconstruct the left side identically,
-    and the lowest one must have full column rank.  In exact mode the
-    two halves of the weighted stack sit side by side, w = [top | bot],
-    so the projections on all n + 2 stacks come from one moment
-    contraction of w (integrate_products), each coefficient
-    A_k = [A_top | A_bot] from one solve against the level Gram block,
-    and (I_2 (x) q_k) [A_top; A_bot] is read side by side as q_k A_k.
-    Numeric mode reads the same w: each projection is q_k^t w evaluated
-    on the rule's nodes straight from the int product kernel
-    (eval_product), with no Fraction product formed, then summed
-    against the rule's weights.
+    and the lowest one must have full column rank.  Without a quadrature
+    rule the check is exact.  The two halves of the weighted stack sit
+    side by side, w = [top | bot], so the projections on all n + 2
+    stacks come from one moment contraction of w (integrate_products),
+    each coefficient A_k = [A_top | A_bot] from one solve against the
+    level Gram block, and (I_2 (x) q_k) [A_top; A_bot] is read side by
+    side as q_k A_k.  With a rule the check is numeric and reads the
+    same w: each projection is q_k^t w evaluated on the rule's nodes
+    straight from the int product kernel (eval_product), with no
+    Fraction product formed, then summed against the rule's weights.
     """
     if n < 1 or m < 0:
         raise ValueError("property e needs n >= 1 and m >= 0")
@@ -725,7 +717,7 @@ def check_e(f: WeightFamily, sys: OrthoSystem, n: int, m: int,
     mid = sys.weighted(n - 1, m + 1)
     w = hstack(mid.top_half(), mid.bottom_half())
     notes = []
-    if mode == "exact":
+    if rule is None:
         ok = True
         recon = None
         a_low = None
@@ -760,10 +752,6 @@ def check_e(f: WeightFamily, sys: OrthoSystem, n: int, m: int,
             ok = False
             notes.append(f"lowest coefficient rank {got}, want {want}")
         return _report("e", f.name, n, m, ok, notes="; ".join(notes))
-    if mode != "numeric":
-        raise ValueError(f"unknown mode {mode!r}")
-    if rule is None:
-        raise ValueError("numeric mode needs a quadrature rule")
     import numpy as np
 
     nodes = (rule.nodes_x, rule.nodes_y, rule.powers)
@@ -803,8 +791,7 @@ def check_e(f: WeightFamily, sys: OrthoSystem, n: int, m: int,
         notes.append(f"lowest coefficient rank {rank}, want {want}")
     residual = max(tail, recon_res)
     ok = residual <= tol and rank == want
-    return _report("e", f.name, n, m, ok, mode="numeric", residual=residual,
-                   tolerance=tol, notes="; ".join(notes))
+    return _report("e", f.name, n, m, ok, "numeric", residual, tol, "; ".join(notes))
 
 
 # ---------------------------------------------------------------------------
@@ -929,12 +916,10 @@ def verify_all(f: WeightFamily, nmax: int = 4, mmax: int = 2,
     # property -> (cells, reported mode, checker); c and d are exact only
     table = {
         "b": ([(n, m) for n, m in levels if m >= 1], resolved,
-              lambda n, m: check_b(f, system, n, m, resolved, rule, tower)),
-        "c": (levels, "exact", lambda n, m: check_c(f, system, n, m, tower)),
-        "d": ([(n, 0) for n in ns], "exact",
-              lambda n, m: check_d(f, system, n, tower)),
-        "e": (levels, resolved,
-              lambda n, m: check_e(f, system, n, m, resolved, rule)),
+              lambda n, m: check_b(f, system, n, m, rule)),
+        "c": (levels, "exact", lambda n, m: check_c(f, system, n, m)),
+        "d": ([(n, 0) for n in ns], "exact", lambda n, m: check_d(f, system, n)),
+        "e": (levels, resolved, lambda n, m: check_e(f, system, n, m, rule)),
     }
     for prop in structural:
         cells, cell_mode, check = table[prop]

@@ -513,20 +513,6 @@ def g_lead(n: int, m: int) -> PolyMatrix:
     return const_matrix([[Fraction(v, d) for v in row] for row in rows], n + m + 1)
 
 
-def leading_block(q: PolyMatrix, n: int) -> PolyMatrix:
-    """Extract the degree-n coefficient block of a level stack.
-
-    Row r of the stack expands as X_n^t times rows r(n+1) .. r(n+1)+n of
-    the returned matrix plus lower degree terms.
-    """
-    rows = q.rows
-    out = []
-    for r in range(rows):
-        for s in range(n + 1):
-            out.append([q[r, c].coeff(n - s, s) for c in range(q.cols)])
-    return const_matrix(out, q.cols)
-
-
 # ---------------------------------------------------------------------------
 # weighted inner products
 

@@ -327,8 +327,11 @@ def parse_poly(text: str) -> BivariatePoly:
     The coefficient is an optional integer, fraction (``-3/2``) or decimal
     (``0.5``); variable factors are ``x``, ``y``, ``x^k`` or ``y^k`` joined
     by ``*``.  Whitespace is ignored.  Examples: ``"x^2*y - 3/2"``,
-    ``"-x*y + 2*y^2"``, ``"1"``.
+    ``"-x*y + 2*y^2"``, ``"1"``.  Anything but a string is a TypeError,
+    and a zero denominator a ValueError.
     """
+    if not isinstance(text, str):
+        raise TypeError(f"polynomial text must be a string, not {text!r}")
     s = "".join(text.split()).replace("**", "^")
     if not s:
         raise ValueError("empty polynomial text")
@@ -353,7 +356,10 @@ def parse_poly(text: str) -> BivariatePoly:
             if not factor:
                 raise ValueError(f"empty factor in term {raw!r}")
             if _NUM_RE.match(factor):
-                coeff *= Fraction(factor)
+                try:
+                    coeff *= Fraction(factor)
+                except ZeroDivisionError:
+                    raise ValueError(f"zero denominator in {text!r}") from None
                 continue
             m = _VAR_RE.match(factor)
             if not m:

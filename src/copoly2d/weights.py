@@ -595,7 +595,7 @@ def _parse_rf(obj, label: str) -> RationalFn:
         raise FamilyLoadError(f"{label} must be an object with num and den")
     try:
         return RationalFn(parse_poly(obj["num"]), parse_poly(obj["den"]))
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise FamilyLoadError(f"bad {label}: {exc}") from exc
 
 
@@ -628,7 +628,7 @@ def load_family(source) -> WeightFamily:
         raise FamilyLoadError("domain must carry a kind")
     try:
         domain = Domain(str(dom["kind"]), _as_params(dom.get("params", ())))
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise FamilyLoadError(f"bad domain parameters: {exc}") from exc
 
     moment_fn = None
@@ -643,7 +643,7 @@ def load_family(source) -> WeightFamily:
                 if isinstance(v, bool) or not isinstance(v, (str, int)):
                     raise TypeError(f"moment ({i},{j}) is {v!r}, not a \"p/q\" string")
                 table[(i, j)] = Fraction(v)
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, ZeroDivisionError) as exc:
             raise FamilyLoadError(f"bad moments table: {exc}") from exc
 
         def moment_fn(i, j, _table=table):

@@ -44,8 +44,9 @@ import time
 from pathlib import Path
 
 import pytest
+from test_basisops import random_rational_matrix
 
-from copoly2d.basisops import identity_suite, random_rational_matrix
+from copoly2d.basisops import identity_suite
 from copoly2d.characterize import (
     NoConstantSolution,
     check_a,
@@ -167,7 +168,7 @@ def _eigen_certificate(f, sys_, tower, n, m):
     identity is the m-fold derivative of the level-zero equation.
     """
     q = sys_.q(n, m)
-    lam = lambda_via_operator(f, sys_, n + m, 0, tower)
+    lam = lambda_via_operator(f, sys_, n + m, 0)
     image = _level_operator(f, tower.level(m), q) + _zero_order_term(tower, m) @ q
     return (image + q @ lam).is_zero
 
@@ -242,15 +243,14 @@ def test_criterion_04_eigenvalue_cross_validation():
     for ref in ALL_INSTANCES:
         f = builtin(ref)
         sys_ = build_monic(f, 7)
-        tower = psi_tower(f, 2)
         for n in range(1, 5):
             for m in range(3):
                 try:
-                    lam = lambda_via_operator(f, sys_, n, m, tower)
+                    lam = lambda_via_operator(f, sys_, n, m)
                 except NoConstantSolution:
                     continue
                 try:
-                    other = lambda_via_formula(f, n, m, tower)
+                    other = lambda_via_formula(f, n, m)
                 except Exception as exc:
                     non_composing.append((ref, n, m, str(exc)))
                     continue

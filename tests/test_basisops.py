@@ -9,7 +9,6 @@ from copoly2d import basisops
 from copoly2d.basisops import (
     IDENTITY_KEYS,
     basis_identity_check,
-    identity_min_degree,
     identity_suite,
     l_mat,
     n_mat,
@@ -19,6 +18,13 @@ from copoly2d.basisops import (
 )
 from copoly2d.matpoly import PolyMatrix, const_matrix, kron
 from copoly2d.polycore import BivariatePoly as P, parse_poly
+
+
+def random_rational_matrix(rows, cols, rng):
+    """Seeded draw with entries p/q, |p| <= 9, 1 <= q <= 4."""
+    draw = [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(cols)]
+            for _ in range(rows)]
+    return const_matrix(draw, cols)
 
 
 def _fraction_rows(m):
@@ -107,7 +113,7 @@ def test_identity_min_degrees_enforced():
         basis_identity_check(1, 0, "deriv_xy")
     with pytest.raises(ValueError):
         basis_identity_check(2, 0, "nonsense")
-    assert identity_min_degree("deriv_xx") == 2
+    assert basisops._MIN_N["deriv_xx"] == 2
     assert set(IDENTITY_KEYS) == {
         "shift1", "shift_xx", "shift_xy", "shift_yy", "linear_sandwich",
         "deriv1", "deriv_xx", "deriv_xy", "deriv_yy",
@@ -162,7 +168,7 @@ def lifted_identity_check(n, m, which, rng):
         up2 = lift(x_vec(n + 2).transpose())
         return xr.scale(s) == up2 @ lift((lm(n, second) @ lm(n + 1, first)).transpose())
     if which == "linear_sandwich":
-        a = basisops.random_rational_matrix(2 ** (m + 1), 2 ** m, rng)
+        a = random_rational_matrix(2 ** (m + 1), 2 ** m, rng)
         lhs = lift(x_vec(1).transpose()) @ a @ xr
         rhs = (lift(x_vec(n + 1).transpose()) @ lift(basisops.stacked(n).L.transpose())
                @ kron(a, PolyMatrix.identity(n + 1)))
@@ -179,7 +185,7 @@ def lifted_suite(n, m, rng, draws):
     return {
         key: (all(lifted_identity_check(n, m, key, rng) for _ in range(draws))
               if key == "linear_sandwich" else lifted_identity_check(n, m, key, None))
-        for key in IDENTITY_KEYS if n >= identity_min_degree(key)
+        for key in IDENTITY_KEYS if n >= basisops._MIN_N[key]
     }
 
 

@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from test_basisops import random_rational_matrix
 
 from copoly2d import basisops, characterize, matpoly, orthosys
-from copoly2d.basisops import random_rational_matrix, x_vec
+from copoly2d.basisops import x_vec
 from copoly2d.characterize import (
     AUX_PROPERTIES,
     NoConstantSolution,
@@ -129,8 +130,37 @@ def test_psi_tower_hermite_is_scalar_shift():
 def test_psi_tower_rejects_quadratic_drift():
     f = builtin("product_hermite")
     bad = dataclasses.replace(f, psi1=parse_poly("x^2"))
-    with pytest.raises(ValueError):
-        psi_tower(bad, 1)
+    for _ in range(2):  # a build that raises keeps nothing, so a retry raises again
+        with pytest.raises(ValueError):
+            psi_tower(bad, 1)
+
+
+def test_psi_tower_is_kept_per_family():
+    # a repeated or shallower call returns the kept tower; a deeper one
+    # builds the levels a fresh build gives
+    f = builtin("triangle(1,1,1)")
+    tw = psi_tower(f, 2)
+    assert psi_tower(f, 2) is tw and psi_tower(f, 0) is tw
+    deep = psi_tower(f, 3)
+    assert deep.depth == 3 and psi_tower(f, 1) is deep
+    fresh = psi_tower(builtin("triangle(1,1,1)"), 3)
+    assert fresh is not deep and fresh.levels == deep.levels
+    # a copy is another family, even with the same data
+    assert psi_tower(dataclasses.replace(f), 1) is not deep
+    other = dataclasses.replace(f, psi1=parse_poly("2*x - 1"))
+    assert psi_tower(other, 1).level(0).psi1 == PolyMatrix.scalar(other.psi1)
+
+
+def test_psi_tower_failing_deeper_build_keeps_the_shallower_tower():
+    # a cubic weight entry lifts to a quadratic drift at level 1 only
+    f = builtin("product_hermite")
+    cubic = PolyMatrix.from_rows([[parse_poly("x^3"), 0], [0, 1]])
+    bad = dataclasses.replace(f, phi=cubic)
+    shallow = psi_tower(bad, 0)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="degree above one"):
+            psi_tower(bad, 1)
+    assert psi_tower(bad, 0) is shallow
 
 
 # ---------------------------------------------------------------------------
@@ -188,15 +218,14 @@ def test_formula_route_agrees_on_grid():
     solved_above_level_zero = 0
     for ref in dict.fromkeys(ALL_INSTANCES + POOL_INSTANCES):
         f, sys = get_system(ref)
-        tower = psi_tower(f, 3)
         for n in range(1, 5):
             for m in range(4):
                 try:
-                    lam = lambda_via_operator(f, sys, n, m, tower)
+                    lam = lambda_via_operator(f, sys, n, m)
                 except NoConstantSolution:
                     continue
                 solved_above_level_zero += m >= 1 and ref in POOL_INSTANCES
-                assert lambda_via_formula(f, n, m, tower) == lam, (ref, n, m)
+                assert lambda_via_formula(f, n, m) == lam, (ref, n, m)
     assert solved_above_level_zero == 92
 
 
@@ -210,11 +239,11 @@ def test_statement_layout_differs_where_no_eigenvalue_matrix_exists():
         tower = psi_tower(f, 2)
         for n, m in cells:
             statement = oracle_t_matrices(f, n, m, tower)["statement"]
-            proof = t_matrix(f, n, m, tower)
+            proof = t_matrix(f, n, m)
             assert not ((statement - proof) @ g_lead(n, m)).is_zero, (ref, n, m)
             with pytest.raises(NoConstantSolution):
-                lambda_via_operator(f, sys, n, m, tower)
-            rep = check_c(f, sys, n, m, tower)
+                lambda_via_operator(f, sys, n, m)
+            rep = check_c(f, sys, n, m)
             assert rep.status == "fail", (ref, n, m)
             assert rep.notes.startswith("no constant eigenvalue matrix"), rep.notes
 
@@ -302,7 +331,7 @@ def test_t_matrix_and_g_lead_match_the_lifted_assembly():
         for n in range(1, 7):
             for m in range(4):
                 t = oracle_t_matrices(f, n, m, tower)["proof"]
-                assert t_matrix(f, n, m, tower) == t, (ref, n, m)
+                assert t_matrix(f, n, m) == t, (ref, n, m)
 
 
 @pytest.mark.parametrize("name, wrong", [
@@ -319,7 +348,7 @@ def test_t_matrix_and_g_lead_match_the_lifted_assembly_when_patched(monkeypatch,
     f = builtin("triangle(1,1,1)")
     tower = psi_tower(f, 3)
     cells = [(n, m) for n in range(1, 6) for m in range(4)]
-    real = {(n, m): t_matrix(f, n, m, tower) for n, m in cells}
+    real = {(n, m): t_matrix(f, n, m) for n, m in cells}
     real_g = {(n, m): g_lead(n, m) for n, m in cells}
     for mod in (basisops, characterize, orthosys):
         if hasattr(mod, name):
@@ -330,10 +359,10 @@ def test_t_matrix_and_g_lead_match_the_lifted_assembly_when_patched(monkeypatch,
         assert g_lead(n, m) == g, (n, m)
         changed = changed or g != real_g[n, m]
         t = oracle_t_matrices(f, n, m, tower)["proof"]
-        assert t_matrix(f, n, m, tower) == t, (n, m)
+        assert t_matrix(f, n, m) == t, (n, m)
         changed = changed or t != real[n, m]
         want = _outcome(lambda: solve_columns(g, -(t @ g)))
-        got = _outcome(lambda: lambda_via_formula(f, n, m, tower))
+        got = _outcome(lambda: lambda_via_formula(f, n, m))
         assert got == want, (n, m)
     assert changed
 
@@ -424,11 +453,11 @@ def test_statement_layout_agrees_on_g_wherever_the_formula_solves(f):
     for m in (1, 2, 3):
         for n in (1, 2, 3):
             try:
-                lambda_via_formula(f, n, m, tower)
+                lambda_via_formula(f, n, m)
             except InconsistentSystemError:
                 continue
             layouts = oracle_t_matrices(f, n, m, tower)
-            t = t_matrix(f, n, m, tower)
+            t = t_matrix(f, n, m)
             assert t == layouts["proof"], (n, m)
             g = g_lead(n, m)
             assert layouts["statement"] @ g == t @ g, (n, m)
@@ -439,23 +468,21 @@ def test_statement_layout_agrees_on_g_wherever_the_formula_solves(f):
 @given(pearson_data())
 def test_formula_route_solves_exactly_where_the_symbol_rule_says(f):
     # m = 1 is README's rule: the drift matrix must be d*I
-    tower = psi_tower(f, 3)
     for m in (1, 2, 3):
         want = _formula_solves_by_rule(f, m)
         for n in (1, 2, 3, 4):
-            got = _outcome(lambda: lambda_via_formula(f, n, m, tower))
+            got = _outcome(lambda: lambda_via_formula(f, n, m))
             assert (got != "InconsistentSystemError") == want, (n, m, got)
 
 
 def test_level_two_only_family_solves_at_level_two_only():
-    tower = psi_tower(_LEVEL_TWO_ONLY, 3)
     assert [_formula_solves_by_rule(_LEVEL_TWO_ONLY, m) for m in (1, 2, 3)] == \
         [False, True, False]
     for n in (1, 2):
-        lambda_via_formula(_LEVEL_TWO_ONLY, n, 2, tower)
+        lambda_via_formula(_LEVEL_TWO_ONLY, n, 2)
         for m in (1, 3):
             with pytest.raises(InconsistentSystemError):
-                lambda_via_formula(_LEVEL_TWO_ONLY, n, m, tower)
+                lambda_via_formula(_LEVEL_TWO_ONLY, n, m)
 
 
 def test_system_memo_grams_eigenvalues_and_bounds():
@@ -529,9 +556,8 @@ def test_check_a_flags_singular_drift():
 def test_level_pearson_identity_all_builtins():
     for ref in ALL_INSTANCES:
         f = builtin(ref)
-        tower = psi_tower(f, 2)
         for m in range(3):
-            assert level_pearson_check(f, tower, m), (ref, m)
+            assert level_pearson_check(f, m), (ref, m)
 
 
 def test_kronecker_powers_are_built_once_per_system(monkeypatch):
@@ -544,9 +570,8 @@ def test_kronecker_powers_are_built_once_per_system(monkeypatch):
         got, want = sys.phi_power(m), matpoly.kron_power(f.phi, m)
         assert got == want
         assert [list(p.terms) for p in got._e] == [list(p.terms) for p in want._e]
-    tower = psi_tower(f, 2)
     for m in range(3):
-        assert level_pearson_check(f, tower, m, sys.phi_power)
+        assert level_pearson_check(f, m, sys.phi_power)
     calls = []
     for owner in (matpoly, characterize, orthosys):
         monkeypatch.setattr(owner, "kron_power",
@@ -564,9 +589,8 @@ def test_kronecker_powers_are_built_once_per_system(monkeypatch):
 def test_check_b_exact_cells():
     for ref in ALL_INSTANCES:
         f, sys = get_system(ref)
-        tower = psi_tower(f, 2)
         for n, m in ((1, 1), (2, 1), (3, 2)):
-            rep = check_b(f, sys, n, m, tower=tower)
+            rep = check_b(f, sys, n, m)
             assert rep.status == "pass", (ref, n, m)
             assert rep.residual == 0.0
 
@@ -575,7 +599,7 @@ def test_check_b_numeric_matches_exact():
     f, sys = get_system("product_jacobi(0,0,0,0)")
     rule = make_quadrature(f, 20)
     for n, m in ((1, 1), (2, 1)):
-        rep = check_b(f, sys, n, m, mode="numeric", rule=rule)
+        rep = check_b(f, sys, n, m, rule)
         assert rep.status == "pass", (n, m)
         assert rep.residual <= rep.tolerance
 
@@ -588,16 +612,15 @@ def test_check_c_product_hermite_all_cells(monkeypatch):
     real = characterize.lambda_via_formula
     calls = []
 
-    def counted(f, n, m, tower=None):
+    def counted(f, n, m):
         calls.append((n, m))
-        return real(f, n, m, tower)
+        return real(f, n, m)
 
     monkeypatch.setattr(characterize, "lambda_via_formula", counted)
     f, sys = get_system("product_hermite")
-    tower = psi_tower(f, 2)
     cells = [(n, m) for n in range(1, 5) for m in range(3)]
     for n, m in cells:
-        rep = check_c(f, sys, n, m, tower=tower)
+        rep = check_c(f, sys, n, m)
         assert rep.status == "pass", (n, m)
     assert calls == cells  # one leading-coefficient solve per cell
 
@@ -606,10 +629,9 @@ def test_check_c_laguerre_and_triangle_fold_at_every_level():
     for ref in ("product_laguerre(0,0)", "product_laguerre(1,2)",
                 "triangle(0,0,0)", "triangle(1,1,1)"):
         f, sys = get_system(ref)
-        tower = psi_tower(f, 2)
         for n in range(1, 5):
             for m in range(3):
-                rep = check_c(f, sys, n, m, tower=tower)
+                rep = check_c(f, sys, n, m)
                 assert rep.status == "pass", (ref, n, m)
 
 
@@ -619,12 +641,11 @@ def test_check_c_hermite_laguerre_fails_above_level_zero():
     # exist once two derivative directions mix.  The failure is real
     # mathematics, not a tolerance artifact.
     f, sys = get_system("hermite_laguerre(0)")
-    tower = psi_tower(f, 2)
     for n in range(1, 5):
-        rep = check_c(f, sys, n, 0, tower=tower)
+        rep = check_c(f, sys, n, 0)
         assert rep.status == "pass", n
         for m in (1, 2):
-            rep = check_c(f, sys, n, m, tower=tower)
+            rep = check_c(f, sys, n, m)
             assert rep.status == "fail", (n, m)
             assert "no constant eigenvalue matrix" in rep.notes
 
@@ -634,11 +655,10 @@ def test_check_c_jacobi_breaks_at_level_two():
     # count, so the row sums first disagree when two derivative
     # directions mix twice.
     f, sys = get_system("product_jacobi(0,0,0,0)")
-    tower = psi_tower(f, 2)
     for n in range(1, 5):
         for m in (0, 1):
-            assert check_c(f, sys, n, m, tower=tower).status == "pass", (n, m)
-        rep = check_c(f, sys, n, 2, tower=tower)
+            assert check_c(f, sys, n, m).status == "pass", (n, m)
+        rep = check_c(f, sys, n, 2)
         assert rep.status == "fail", n
         assert "no constant eigenvalue matrix" in rep.notes
 
@@ -658,13 +678,12 @@ def test_check_c_inconsistent_formula_route_is_a_fail_not_an_error(monkeypatch):
     # with a wrong l_mat the leading-coefficient systems of these cells
     # have no solution; that is a disagreement with the operator route
     f, sys = get_system("triangle(1,1,1)")
-    tower = psi_tower(f, 2)
     for mod in (basisops, characterize):
         monkeypatch.setattr(mod, "l_mat", _l_swapped_at_1)
     with pytest.raises(InconsistentSystemError):
-        lambda_via_formula(f, 2, 1, tower)
+        lambda_via_formula(f, 2, 1)
     for n, m in [(2, 1), (2, 2), (3, 1), (3, 2)]:
-        rep = check_c(f, sys, n, m, tower)
+        rep = check_c(f, sys, n, m)
         assert rep.status == "fail", (n, m)
         assert rep.notes == ("leading-coefficient route disagrees with the operator "
                              "route"), (n, m)
@@ -673,7 +692,7 @@ def test_check_c_inconsistent_formula_route_is_a_fail_not_an_error(monkeypatch):
 
 
 def test_check_c_singular_leading_block_stays_an_error(monkeypatch):
-    def singular(f, n, m, tower=None):
+    def singular(f, n, m):
         raise SingularMatrixError("injected")
 
     monkeypatch.setattr(characterize, "lambda_via_formula", singular)
@@ -690,27 +709,24 @@ def test_check_d_passes_where_every_level_folds():
     for ref in ("product_hermite", "product_laguerre(0,0)",
                 "product_laguerre(1,2)", "triangle(1,1,1)"):
         f, sys = get_system(ref)
-        tower = psi_tower(f, 4)
         for n in (1, 2, 3, 4):
-            rep = check_d(f, sys, n, tower=tower)
+            rep = check_d(f, sys, n)
             assert rep.status == "pass", (ref, n)
             assert rep.residual == 0.0
 
 
 def test_check_d_inherits_eigenvalue_obstructions():
     f, sys = get_system("hermite_laguerre(0)")
-    tower = psi_tower(f, 4)
-    assert check_d(f, sys, 1, tower=tower).status == "pass"
+    assert check_d(f, sys, 1).status == "pass"
     for n in (2, 3):
-        rep = check_d(f, sys, n, tower=tower)
+        rep = check_d(f, sys, n)
         assert rep.status == "fail", n
         assert "level 1" in rep.notes
 
     f, sys = get_system("product_jacobi(0,0,0,0)")
-    tower = psi_tower(f, 4)
     for n in (1, 2):
-        assert check_d(f, sys, n, tower=tower).status == "pass", n
-    rep = check_d(f, sys, 3, tower=tower)
+        assert check_d(f, sys, n).status == "pass", n
+    rep = check_d(f, sys, 3)
     assert rep.status == "fail"
     assert "level 2" in rep.notes
 
@@ -772,8 +788,8 @@ def test_rodrigues_flags_a_wrong_eigenvalue_matrix(monkeypatch):
     real = characterize._lambda
     n = 3
     for bad in range(n):
-        def doubled(f, sys, k, m, tower, bad=bad):
-            lam = real(f, sys, k, m, tower)
+        def doubled(f, sys, k, m, bad=bad):
+            lam = real(f, sys, k, m)
             return lam.scale(2) if m == bad else lam
 
         monkeypatch.setattr(characterize, "_lambda", doubled)
@@ -832,21 +848,26 @@ def test_check_e_degree_three_weight_matrix_leaks_low_projections():
     assert "projection on stack" in rep.notes
 
 
+def test_check_b_and_e_are_exact_without_a_rule_and_numeric_with_one():
+    # product_laguerre(1,2) has numeric (e) cells that fail where exact ones pass
+    f = builtin("product_laguerre(1,2)")
+    sys = build_monic(f, 7)
+    checks = {"b": check_b, "e": check_e}
+    for mode, rule in (("exact", None), ("numeric", make_quadrature(f, 20))):
+        want = verify_all(f, nmax=4, mmax=2, mode=mode, properties=("b", "e"))
+        got = [checks[r.property](f, sys, r.n, r.m, rule) for r in want]
+        assert got == want, mode
+        assert {r.mode for r in got} == {mode}
+    assert {r.status for r in want} == {"pass", "fail"}
+
+
 def test_check_e_numeric_agrees_with_exact():
     f, sys = get_system("product_jacobi(0,0,0,0)")
     rule = make_quadrature(f, 20)
     for n, m in ((1, 0), (2, 0), (3, 0), (2, 1)):
         exact = check_e(f, sys, n, m)
-        numeric = check_e(f, sys, n, m, mode="numeric", rule=rule)
+        numeric = check_e(f, sys, n, m, rule)
         assert numeric.status == exact.status, (n, m)
-
-
-def test_numeric_checks_need_a_rule():
-    f, sys = get_system("product_jacobi(0,0,0,0)")
-    with pytest.raises(ValueError, match="needs a quadrature rule"):
-        check_b(f, sys, 1, 1, mode="numeric")
-    with pytest.raises(ValueError, match="needs a quadrature rule"):
-        check_e(f, sys, 1, 0, mode="numeric")
 
 
 # ---------------------------------------------------------------------------

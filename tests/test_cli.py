@@ -20,6 +20,7 @@ from copoly2d.cli import (
 from copoly2d import characterize
 from copoly2d.characterize import verify_all
 from copoly2d.weights import (
+    FamilyLoadError,
     WeightFamily,
     builtin,
     export_family,
@@ -172,6 +173,35 @@ def test_bad_moment_indices_in_a_family_file_are_exit_two(tmp_path, capsys, edit
     assert main(["verify", "--family", str(path), "--nmax", "1", "--mmax", "0"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("copoly2d: bad moments table: entry [")
+
+
+# id -> (path of the field in the family document, bad value, message start)
+MALFORMED = {
+    "zero-denominator moment": (("moments", 1, 2), "1/0", "bad moments table"),
+    "zero-denominator phi entry": (("phi", 0, 0), "1/0", "bad polynomial field"),
+    "zero-denominator psi1": (("psi1",), "1/0", "bad polynomial field"),
+    "int psi1": (("psi1",), 5, "bad polynomial field"),
+    "int log_grad_x numerator": (("log_grad_x", "num"), 5, "bad log_grad_x"),
+    "int domain params": (("domain", "params"), 5, "bad domain parameters"),
+}
+
+
+@pytest.mark.parametrize("field, value, message", MALFORMED.values(), ids=list(MALFORMED))
+def test_malformed_family_file_is_a_load_error_and_exit_two(tmp_path, capsys, field,
+                                                            value, message):
+    doc = export_family(builtin("product_hermite"), moment_degree=6)
+    *outer, last = field
+    target = doc
+    for key in outer:
+        target = target[key]
+    target[last] = value
+    with pytest.raises(FamilyLoadError, match=message):
+        load_family(doc)
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--family", str(path), "--nmax", "1", "--mmax", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"copoly2d: {message}: ") and "Traceback" not in err
 
 
 def test_unreadable_family_file_is_exit_two(tmp_path, capsys):

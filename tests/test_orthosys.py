@@ -17,6 +17,7 @@ from copoly2d.matpoly import (
     PolyMatrix,
     ShapeError,
     SingularMatrixError,
+    const_matrix,
     det_exact,
     hstack,
     kron_power,
@@ -35,7 +36,6 @@ from copoly2d.orthosys import (
     integrate_poly,
     integrate_product,
     integrate_products,
-    leading_block,
 )
 from copoly2d.polycore import BivariatePoly as P, parse_poly
 from copoly2d.weights import QuadRule, builtin, load_family, export_family, make_quadrature
@@ -50,6 +50,16 @@ ALL_INSTANCES = [
     "triangle(0,0,0)",
     "triangle(1,1,1)",
 ]
+
+
+def leading_block(q, n):
+    """The degree-n coefficient block of a level stack.
+
+    Row r of the stack expands as X_n^t times rows r(n+1) .. r(n+1)+n of
+    the returned matrix plus lower degree terms.
+    """
+    return const_matrix([[q[r, c].coeff(n - s, s) for c in range(q.cols)]
+                         for r in range(q.rows) for s in range(n + 1)], q.cols)
 
 
 def _fraction_rows(m):
