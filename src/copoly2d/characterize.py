@@ -80,12 +80,10 @@ from .weights import (
 RESIDUAL_REL = 1e-9
 RANK_REL = 1e-8
 
-PROPERTY_ORDER = (
-    "a", "b", "c", "d", "e",
-    "phi_conditions", "lemma1", "lemma2", "prop1",
-)
-
 AUX_PROPERTIES = ("phi_conditions", "lemma1", "lemma2", "prop1")
+# the tokens a caller selects; "aux" stands for the four structure tokens
+SELECTABLE_PROPERTIES = ("a", "b", "c", "d", "e", "aux")
+PROPERTY_ORDER = SELECTABLE_PROPERTIES[:-1] + AUX_PROPERTIES
 
 
 class NoConstantSolution(ValueError):
@@ -115,17 +113,7 @@ class PropertyReport:
     notes: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "property": self.property,
-            "family": self.family,
-            "n": self.n,
-            "m": self.m,
-            "status": self.status,
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-            "mode": self.mode,
-            "notes": self.notes,
-        }
+        return dict(vars(self))
 
 
 def _report(prop, family, n, m, ok, mode="exact", residual=0.0,
@@ -799,13 +787,11 @@ def check_e(f: WeightFamily, sys: OrthoSystem, n: int, m: int,
 
 
 def _expand_properties(props):
-    if props is None:
-        props = ("a", "b", "c", "d", "e", "aux")
     chosen = set()
-    for p in props:
+    for p in SELECTABLE_PROPERTIES if props is None else props:
         if p == "aux":
             chosen.update(AUX_PROPERTIES)
-        elif p in ("a", "b", "c", "d", "e") or p in AUX_PROPERTIES:
+        elif p in PROPERTY_ORDER:
             chosen.add(p)
         else:
             raise ValueError(f"unknown property token {p!r}")
@@ -825,9 +811,13 @@ def verify_all(f: WeightFamily, nmax: int = 4, mmax: int = 2,
                quad_order: int = 20):
     """Run every selected checker over the (n, m) grid, never raising.
 
-    Returns the list of PropertyReport sorted by (property, n, m) with
-    properties in taxonomy order.  A checker that raises gives a cell
-    with status "error" and the exception in its note, never a "fail".
+    Returns the list of PropertyReport in taxonomy order (PROPERTY_ORDER),
+    each property's cells in (n, m) order.  Every cell is built through
+    one guard: a checker that raises gives a cell with status "error" and
+    the exception in its note, never a "fail".  Only a cell whose
+    prerequisite (the monic system, or the drift tower) could not be
+    built skips its checker; it fails with the construction error in its
+    note.  Bad arguments are the one thing rejected with an exception.
     mode "auto" picks exact checks when the family carries an exact
     moment oracle and numeric integration otherwise; construction of
     the system itself always needs the oracle, so families without one
@@ -863,47 +853,9 @@ def verify_all(f: WeightFamily, nmax: int = 4, mmax: int = 2,
     except Exception as exc:
         tower = None
         tower_err = f"drift tower construction failed: {type(exc).__name__}: {exc}"
-    reports = []
-    if "a" in chosen:
-        reports.append(_guarded("a", f.name, 0, 0, "exact", lambda: check_a(f)))
-    if "phi_conditions" in chosen:
-        reports.append(_guarded(
-            "phi_conditions", f.name, 0, 0, "exact",
-            lambda: _report("phi_conditions", f.name, 0, 0,
-                            check_phi_conditions(f)),
-        ))
-    if "lemma1" in chosen:
-        d = f.d_matrix()
-        d1 = PolyMatrix.column([d[0, 0], d[1, 0]])
-        d2 = PolyMatrix.column([d[0, 1], d[1, 1]])
-        for m in range(1, 6):
-            reports.append(_guarded(
-                "lemma1", f.name, 0, m, "exact",
-                lambda m=m: _report("lemma1", f.name, 0, m,
-                                    interleaved_det_check(d1, d2, m)),
-            ))
-    if "lemma2" in chosen:
-        for m in range(1, depth + 1):
-            if tower is None:
-                reports.append(PropertyReport("lemma2", f.name, 0, m, "fail",
-                                              1.0, 0.0, "exact", tower_err))
-            else:
-                reports.append(_report("lemma2", f.name, 0, m,
-                                       tower.level(m).closed_form_ok))
-    if "prop1" in chosen:
-        for n in range(nmax + 1):
-            for m in range(mmax + 1):
-                rng = random.Random(seed * 1_000_003 + n * 97 + m)
-                got = identity_suite(n, m, rng, sandwich_draws=3)
-                bad = sorted(k for k, v in got.items() if not v)
-                reports.append(_report(
-                    "prop1", f.name, n, m, not bad,
-                    notes="; ".join(f"{k} fails" for k in bad),
-                ))
-    structural = sorted(chosen & {"b", "c", "d", "e"})
     system = None
     system_err = ""
-    if structural:
+    if chosen & {"b", "c", "d", "e"}:
         try:
             system = build_monic(f, nmax + mmax + 1)
         except Exception as exc:
@@ -911,29 +863,52 @@ def verify_all(f: WeightFamily, nmax: int = 4, mmax: int = 2,
     rule = None
     if resolved == "numeric" and system is not None and chosen & {"b", "e"}:
         rule = make_quadrature(f, quad_order)
-    ns = range(1, nmax + 1)
-    levels = [(n, m) for n in ns for m in range(mmax + 1)]
-    # property -> (cells, reported mode, checker); c and d are exact only
+    # prerequisite -> (note when it failed, mode of the cells it blocks)
+    failed = {"system": (system_err, resolved), "tower": (tower_err, "exact")}
+
+    def lemma1(n, m):
+        d = f.d_matrix()
+        d1, d2 = (PolyMatrix.column([d[0, j], d[1, j]]) for j in (0, 1))
+        return _report("lemma1", f.name, 0, m, interleaved_det_check(d1, d2, m))
+
+    def prop1(n, m):
+        rng = random.Random(seed * 1_000_003 + n * 97 + m)
+        bad = sorted(k for k, v in identity_suite(n, m, rng, sandwich_draws=3).items()
+                     if not v)
+        return _report("prop1", f.name, n, m, not bad,
+                       notes="; ".join(f"{k} fails" for k in bad))
+
+    grid = [(n, m) for n in range(nmax + 1) for m in range(mmax + 1)]
+    levels = [(n, m) for n, m in grid if n >= 1]
+    # property -> (cells, reported mode, prerequisites, checker); c and d are exact only
     table = {
-        "b": ([(n, m) for n, m in levels if m >= 1], resolved,
+        "a": ([(0, 0)], "exact", (), lambda n, m: check_a(f)),
+        "b": ([(n, m) for n, m in levels if m >= 1], resolved, ("system", "tower"),
               lambda n, m: check_b(f, system, n, m, rule)),
-        "c": (levels, "exact", lambda n, m: check_c(f, system, n, m)),
-        "d": ([(n, 0) for n in ns], "exact", lambda n, m: check_d(f, system, n)),
-        "e": (levels, resolved, lambda n, m: check_e(f, system, n, m, rule)),
+        "c": (levels, "exact", ("system", "tower"), lambda n, m: check_c(f, system, n, m)),
+        "d": ([(n, m) for n, m in levels if m == 0], "exact", ("system", "tower"),
+              lambda n, m: check_d(f, system, n)),
+        "e": (levels, resolved, ("system",), lambda n, m: check_e(f, system, n, m, rule)),
+        "phi_conditions": ([(0, 0)], "exact", (), lambda n, m: _report(
+            "phi_conditions", f.name, 0, 0, check_phi_conditions(f))),
+        "lemma1": ([(0, m) for m in range(1, 6)], "exact", (), lemma1),
+        "lemma2": ([(0, m) for m in range(1, depth + 1)], "exact", ("tower",),
+                   lambda n, m: _report("lemma2", f.name, 0, m,
+                                        tower.level(m).closed_form_ok)),
+        "prop1": (grid, "exact", (), prop1),
     }
-    for prop in structural:
-        cells, cell_mode, check = table[prop]
+    reports = []
+    for prop in PROPERTY_ORDER:
+        if prop not in chosen:
+            continue
+        cells, cell_mode, needs, check = table[prop]
+        blocked = next((failed[p] for p in needs if failed[p][0]), None)
         for n, m in cells:
-            if system is None:
+            if blocked:
+                note, blocked_mode = blocked
                 reports.append(PropertyReport(prop, f.name, n, m, "fail", 1.0,
-                                              0.0, resolved, system_err))
-            elif tower is None and prop != "e":
-                reports.append(PropertyReport(prop, f.name, n, m, "fail", 1.0,
-                                              0.0, "exact", tower_err))
+                                              0.0, blocked_mode, note))
             else:
-                reports.append(_guarded(
-                    prop, f.name, n, m, cell_mode,
-                    lambda: check(n, m)))
-    order = {p: i for i, p in enumerate(PROPERTY_ORDER)}
-    reports.sort(key=lambda r: (order[r.property], r.n, r.m))
+                reports.append(_guarded(prop, f.name, n, m, cell_mode,
+                                        lambda: check(n, m)))
     return reports

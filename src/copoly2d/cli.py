@@ -14,7 +14,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .characterize import AUX_PROPERTIES, verify_all
+from .characterize import SELECTABLE_PROPERTIES as VALID_PROPERTIES, verify_all
 from .weights import (
     FamilyLoadError,
     InvalidParameterError,
@@ -25,8 +25,6 @@ from .weights import (
     list_builtins,
     load_family,
 )
-
-VALID_PROPERTIES = ("a", "b", "c", "d", "e", "aux")
 
 
 class ConfigError(ValueError):

@@ -642,8 +642,11 @@ def load_family(source) -> WeightFamily:
                     raise ValueError(f"entry {[i, j, v]!r} repeats moment ({i},{j})")
                 if isinstance(v, bool) or not isinstance(v, (str, int)):
                     raise TypeError(f"moment ({i},{j}) is {v!r}, not a \"p/q\" string")
-                table[(i, j)] = Fraction(v)
-        except (ValueError, TypeError, ZeroDivisionError) as exc:
+                try:
+                    table[(i, j)] = Fraction(v)
+                except (ValueError, ZeroDivisionError):
+                    raise ValueError(f"moment ({i},{j}) is {v!r}, not a rational number") from None
+        except (ValueError, TypeError) as exc:
             raise FamilyLoadError(f"bad moments table: {exc}") from exc
 
         def moment_fn(i, j, _table=table):

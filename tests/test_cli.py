@@ -178,6 +178,7 @@ def test_bad_moment_indices_in_a_family_file_are_exit_two(tmp_path, capsys, edit
 # id -> (path of the field in the family document, bad value, message start)
 MALFORMED = {
     "zero-denominator moment": (("moments", 1, 2), "1/0", "bad moments table"),
+    "unparseable moment": (("moments", 1, 2), "abc", "bad moments table"),
     "zero-denominator phi entry": (("phi", 0, 0), "1/0", "bad polynomial field"),
     "zero-denominator psi1": (("psi1",), "1/0", "bad polynomial field"),
     "int psi1": (("psi1",), 5, "bad polynomial field"),
@@ -281,6 +282,21 @@ def test_checker_crash_is_an_error_cell_and_exit_three(capsys, monkeypatch):
     assert main(["verify", "--family", "product_hermite", "--nmax", "3",
                  "--mmax", "1", "--properties", "c"]) == 3
     assert capsys.readouterr().out.endswith("summary: 5 pass, 0 fail, 1 error\n")
+
+
+def test_identity_suite_crash_is_a_prop1_error_cell_and_exit_three(capsys, monkeypatch):
+    def crashing_suite(*args, **kwargs):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(characterize, "identity_suite", crashing_suite)
+    reports = verify_all(builtin("product_hermite"), nmax=1, mmax=0, properties=("aux",))
+    prop1 = [(r.n, r.m, r.status, r.mode, r.notes) for r in reports if r.property == "prop1"]
+    assert prop1 == [(n, 0, "error", "exact", "error: RuntimeError: injected")
+                     for n in (0, 1)]
+    assert all(r.status == "pass" for r in reports if r.property != "prop1")
+    assert main(["verify", "--family", "product_hermite", "--nmax", "1",
+                 "--mmax", "0", "--properties", "aux"]) == 3
+    assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("ref, mode, depth", [

@@ -337,6 +337,8 @@ def test_loader_takes_moments_as_strings_or_ints_only():
     (["1", 0, "0"], "entry ['1', 0, '0'] needs nonnegative int indices"),
     ([-1, 2, "0"], "entry [-1, 2, '0'] needs nonnegative int indices"),
     ([2, 0, "7"], "entry [2, 0, '7'] repeats moment (2,0)"),
+    ([5, 0, "1/0"], "moment (5,0) is '1/0', not a rational number"),
+    ([5, 0, "abc"], "moment (5,0) is 'abc', not a rational number"),
 ])
 def test_loader_rejects_bad_and_repeated_moment_indices(entry, text):
     doc = export_family(builtin("product_hermite"), moment_degree=4)
