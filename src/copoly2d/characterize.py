@@ -64,6 +64,7 @@ from .orthosys import (
     eval_product,
     g_lead_rows,
     integrate_products,
+    row_halves,
 )
 from .polycore import ONE
 from .weights import (
@@ -515,8 +516,8 @@ def check_b(f: WeightFamily, sys: OrthoSystem, n: int, m: int,
                             lambda: level_pearson_check(f, m, sys.phi_power))
     notes = [] if pearson_ok else ["lifted pearson identity fails"]
     if rule is None:
-        crosses = integrate_products([sys.q(k, m) for k in range(n)],
-                                     sys.weighted(n, m), f)
+        crosses = integrate_products([sys.counted_rows(k, m) for k in range(n)],
+                                     sys.weighted_rows(n, m), f)
         ortho_ok = all(c.is_zero for c in crosses)
         if not ortho_ok:
             notes.append("cross terms with a lower stack survive")
@@ -582,11 +583,13 @@ def _cleared_divergence_identity(f: WeightFamily, sys: OrthoSystem, n: int,
 
     The level-m statement divides by the scalar density and clears both
     logarithmic gradient denominators (cleared_divergence), leaving an
-    exact polynomial matrix identity in the weight data.
+    exact polynomial matrix identity in the weight data.  cleared_divergence
+    acts row by row, so it runs on the distinct rows of the weighted
+    stacks (orthosys.row_halves), one row per popcount.
     """
     delta = f.log_grad_x.den * f.log_grad_y.den
-    lhs = cleared_divergence(f, sys.weighted(n - m - 1, m + 1))
-    return lhs == (sys.weighted(n - m, m) @ lam).scale(-delta)
+    lhs = cleared_divergence(f, vstack(*row_halves(sys.weighted_rows(n - m - 1, m + 1))))
+    return lhs == (sys.weighted_rows(n - m, m) @ lam).scale(-delta)
 
 
 def check_d(f: WeightFamily, sys: OrthoSystem, n: int) -> PropertyReport:
@@ -625,10 +628,12 @@ def rodrigues_reconstruct(f: WeightFamily, sys: OrthoSystem, n: int) -> dict:
     every comparison is a polynomial one.  After k steps N_k is compared
     against (-1)^k delta^k times the level (n - k) stack data times the
     eigenvalue product accumulated so far; after n steps it must be the
-    degree-n column itself (transposed) times the full product.  Returns
-    a dict with the per-level sign pattern, the resolved final sign,
-    whether the reversed product order also matches, and whether the
-    monic column is recovered exactly after inverting the product.  The
+    degree-n column itself (transposed) times the full product.  The
+    tower runs on the distinct rows of the weighted stacks, as in
+    _cleared_divergence_identity.  Returns a dict with the per-level
+    sign pattern, the resolved final sign, whether the reversed product
+    order also matches, and whether the monic column is recovered
+    exactly after inverting the product.  The
     product is invertible (each factor is nonsingular), so the column is
     recovered exactly precisely when a final sign was found.
 
@@ -643,16 +648,16 @@ def rodrigues_reconstruct(f: WeightFamily, sys: OrthoSystem, n: int) -> dict:
             raise SingularLambda(f"degree {n} level {m}")
         lams.append(lam)
     delta = f.log_grad_x.den * f.log_grad_y.den
-    num = sys.weighted(0, n)
+    num = sys.weighted_rows(0, n)
     power = ONE
     suffix = PolyMatrix.identity(n + 1)
     level_sign_ok = []
     for k in range(1, n + 1):
-        num = cleared_divergence(f, num, k - 1)
+        num = cleared_divergence(f, vstack(*row_halves(num)), k - 1)
         power = power * delta
         level = n - k
         suffix = lams[level] @ suffix
-        expected = sys.weighted(k, level) @ suffix
+        expected = sys.weighted_rows(k, level) @ suffix
         level_sign_ok.append(num == expected.scale(power * (-1) ** k))
     p_t = sys.p(n).transpose()
     forward = p_t @ suffix
@@ -693,26 +698,29 @@ def check_e(f: WeightFamily, sys: OrthoSystem, n: int, m: int,
     stacks come from one moment contraction of w (integrate_products),
     each coefficient A_k = [A_top | A_bot] from one solve against the
     level Gram block, and (I_2 (x) q_k) [A_top; A_bot] is read side by
-    side as q_k A_k.  With a rule the check is numeric and reads the
-    same w: each projection is q_k^t w evaluated on the rule's nodes
+    side as q_k A_k.  The exact check runs all of this on distinct rows
+    (see orthosys): w is [R'[0..m] | R'[1..m+1]] with R' =
+    weighted_rows(n - 1, m + 1), projected on counted_rows(k, m), and
+    q_rows(k, m) A_k is compared on m + 1 rows with the left side
+    [phi11 S'[s] + phi12 S'[s+1] | phi21 S'[s] + phi22 S'[s+1]], S' =
+    q_rows(n - 1, m + 1).  With a rule the check is numeric and reads
+    the full w: each projection is q_k^t w evaluated on the rule's nodes
     straight from the int product kernel (eval_product), with no
     Fraction product formed, then summed against the rule's weights.
     """
     if n < 1 or m < 0:
         raise ValueError("property e needs n >= 1 and m >= 0")
-    qprime = sys.q(n - 1, m + 1)
-    left = kron(f.phi, PolyMatrix.identity(2 ** m))
-    mid = sys.weighted(n - 1, m + 1)
-    w = hstack(mid.top_half(), mid.bottom_half())
     notes = []
     if rule is None:
         ok = True
         recon = None
         a_low = None
-        lhs = left @ qprime
-        qs = [sys.q(k, m) for k in range(n + 2)]
-        projs = integrate_products(qs, w, f)
-        for k, (qk, nk) in enumerate(zip(qs, projs)):
+        lo, hi = row_halves(sys.q_rows(n - 1, m + 1))
+        (p11, p12), (p21, p22) = (f.phi.row_list(i) for i in (0, 1))
+        lhs = hstack(lo.scale(p11) + hi.scale(p12), lo.scale(p21) + hi.scale(p22))
+        w = hstack(*row_halves(sys.weighted_rows(n - 1, m + 1)))
+        projs = integrate_products([sys.counted_rows(k, m) for k in range(n + 2)], w, f)
+        for k, nk in enumerate(projs):
             if k < n - 1:
                 if not nk.is_zero:
                     ok = False
@@ -723,11 +731,11 @@ def check_e(f: WeightFamily, sys: OrthoSystem, n: int, m: int,
             except SingularMatrixError:
                 return _report("e", f.name, n, m, False,
                                notes=f"level gram singular at stack {k}")
-            term = qk @ ak
+            term = sys.q_rows(k, m) @ ak
             recon = term if recon is None else recon + term
             if k == n - 1:
                 a_low = ak
-        if hstack(lhs.top_half(), lhs.bottom_half()) != recon:
+        if lhs != recon:
             ok = False
             notes.append("three term reconstruction misses the left side")
         want = n + m + 1
@@ -740,6 +748,10 @@ def check_e(f: WeightFamily, sys: OrthoSystem, n: int, m: int,
             ok = False
             notes.append(f"lowest coefficient rank {got}, want {want}")
         return _report("e", f.name, n, m, ok, notes="; ".join(notes))
+    qprime = sys.q(n - 1, m + 1)
+    left = kron(f.phi, PolyMatrix.identity(2 ** m))
+    mid = sys.weighted(n - 1, m + 1)
+    w = hstack(mid.top_half(), mid.bottom_half())
     import numpy as np
 
     nodes = (rule.nodes_x, rule.nodes_y, rule.powers)

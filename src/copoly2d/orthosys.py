@@ -17,7 +17,23 @@ degree.
 The level-m gradient stack of the system is
 Q(n, m) = grad Q(n+1, m-1) with Q(n, 0) = P_n^t, a 2^m by (n+m+1)
 polynomial matrix of degree n whose rows interleave all m-fold partial
-derivatives of the entries of P_{n+m}.
+derivatives of the entries of P_{n+m}.  Row r takes dy at the set bits
+of r and dx at the others; mixed partials commute, so it depends only
+on popcount(r), and Q(n, m) holds m + 1 distinct rows, S(n, m) (q_rows):
+row s is dx^(m-s) dy^s P_(n+m)^t.  phi^(x)m is unchanged when the same
+permutation of the m tensor slots acts on its rows and its columns, so
+the sum of row r of phi^(x)m over the columns of popcount t depends
+only on s = popcount(r): it is W_m[s, t] (phi_rows), the z^t
+coefficient of (phi11 + phi12 z)^(m-s) (phi21 + phi22 z)^s.  Row r of
+the weighted stack phi^(x)m Q(n, m) is therefore row popcount(r) of
+R(n, m) = W_m S(n, m) (weighted_rows), and a sum over the 2^m rows is a
+sum over the m + 1 distinct ones counted C(m, s) times:
+integral(Q^t phi^(x)m Q rho) = integral(S^t B_m R rho) with B_m =
+diag(C(m, s)).  So the exact Gram blocks, (b) cross terms, (d)
+divergence identities and (e) projections and reconstruction read S,
+B_m S (counted_rows) and R, not phi^(x)m or the 2^m-row stacks.  Their
+rows are the full stacks' rows, so the integrals read the same moments
+and give the same rationals.
 
 Exact weighted integrals integral(a^t w rho) / mu_00 of two polynomial
 matrices are bilinear forms on the moment numerators: with H[alpha,
@@ -43,8 +59,10 @@ These numeric functions import numpy where they run; nothing on the
 exact path does, so an exact run never loads it.
 
 An OrthoSystem owns one memo for everything derived from it: the
-stacks q(n, m), the Kronecker powers of the weight matrix, the weighted
-stacks phi_power(m) @ q(n, m), the level Gram blocks gram(n, m) (exact,
+stacks q(n, m) and their distinct, counted and weighted rows, W_m, the
+Kronecker powers of the weight matrix (read by the full-tensor lifted
+Pearson check and numeric mode), the weighted stacks phi_power(m) @
+q(n, m) (numeric (e) only), the level Gram blocks gram(n, m) (exact,
 and per quadrature rule in numeric mode), the node values of the
 stacks and of phi_power(m) per quadrature rule (values, read by the
 numeric Gram blocks and cross terms through inner_on), and whatever the
@@ -59,7 +77,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 from itertools import chain
-from math import lcm
+from math import comb, lcm
 from typing import TYPE_CHECKING
 
 from .basisops import n_mat, x_vec
@@ -342,12 +360,15 @@ class OrthoSystem:
         """The degree-n monic column, shape (n+1, 1)."""
         return self._p[n]
 
-    def q(self, n: int, m: int) -> PolyMatrix:
-        """Level-m gradient stack of degree n, shape (2^m, n+m+1)."""
+    def _check_stack(self, n: int, m: int) -> None:
         if n < 0 or m < 0:
             raise ValueError("indices must be nonnegative")
         if n + m > self.nmax:
             raise ValueError(f"q({n},{m}) needs degree {n + m} > nmax {self.nmax}")
+
+    def q(self, n: int, m: int) -> PolyMatrix:
+        """Level-m gradient stack of degree n, shape (2^m, n+m+1)."""
+        self._check_stack(n, m)
 
         def make():
             if m == 0:
@@ -369,8 +390,56 @@ class OrthoSystem:
         return self.cached(("phi_power", m), make)
 
     def weighted(self, n: int, m: int) -> PolyMatrix:
-        """phi_power(m) @ q(n, m): the stack under the level-m weight matrix."""
+        """phi_power(m) @ q(n, m): the stack under the level-m weight matrix.
+
+        Only numeric (e) reads it; the exact path reads weighted_rows.
+        """
         return self.cached(("weighted", n, m), lambda: self.phi_power(m) @ self.q(n, m))
+
+    def q_rows(self, n: int, m: int) -> PolyMatrix:
+        """S(n, m), the m + 1 distinct rows of q(n, m), shape (m+1, n+m+1).
+
+        Row s is dx^(m-s) dy^s P_(n+m)^t, and row r of q(n, m) is row
+        popcount(r): dx of every row of S(n+1, m-1), then dy of its last.
+        """
+        self._check_stack(n, m)
+        if m == 0:
+            return self.q(n, 0)
+
+        def make():
+            prev = self.q_rows(n + 1, m - 1)
+            return vstack(prev.dx(), PolyMatrix.row(prev.row_list(m - 1)).dy())
+        return self.cached(("q_rows", n, m), make)
+
+    def phi_rows(self, m: int) -> PolyMatrix:
+        """W_m, phi_power(m) summed over the columns of each popcount.
+
+        W_m[s, t] is the z^t coefficient of (phi11 + phi12 z)^(m-s)
+        (phi21 + phi22 z)^s: the row of phi_power(m) for an index with s
+        y slots, summed over the columns with t y slots.  Built from
+        W_(m-1) by one more factor per row, never forming phi_power(m).
+        """
+        def make():
+            if m == 0:
+                return PolyMatrix.identity(1)
+            prev = self.phi_rows(m - 1)
+            (a, b), (c, d) = (self.family.phi.row_list(i) for i in (0, 1))
+            rows = [_times_linear(prev.row_list(s), a, b) for s in range(m)]
+            return PolyMatrix.from_rows(rows + [_times_linear(prev.row_list(m - 1), c, d)])
+        return self.cached(("phi_rows", m), make)
+
+    def weighted_rows(self, n: int, m: int) -> PolyMatrix:
+        """R(n, m) = phi_rows(m) @ q_rows(n, m): row r of weighted(n, m) is row popcount(r)."""
+        return self.cached(("weighted_rows", n, m),
+                           lambda: self.phi_rows(m) @ self.q_rows(n, m))
+
+    def counted_rows(self, n: int, m: int) -> PolyMatrix:
+        """B_m q_rows(n, m): row s times C(m, s), the number of rows of q(n, m) it stands for."""
+        def make():
+            s = self.q_rows(n, m)
+            return PolyMatrix(s.rows, s.cols, [p * comb(m, r) for r in range(s.rows)
+                                               for p in s.row_list(r)])
+        return self.cached(("counted_rows", n, m), make)
 
     def values(self, n: int | None, m: int, rule: QuadRule) -> np.ndarray:
         """q(n, m), or phi_power(m) when n is None, evaluated on the rule's nodes.
@@ -397,21 +466,39 @@ class OrthoSystem:
     def gram(self, n: int, m: int, rule: QuadRule | None = None):
         """inner(q(n, m), q(n, m)): the level-m Gram block of degree n.
 
-        Exact without a rule.  With one, the read-only float block on that
-        rule, kept under the rule object itself, so another rule never hits.
+        Exact without a rule, as integrate_product(counted_rows(n, m),
+        weighted_rows(n, m)) on the m + 1 distinct rows.  With a rule, the
+        read-only float block on that rule, kept under the rule object
+        itself, so another rule never hits.
         At level 0 this is integral(P_n P_n^t rho) / mu_00, which equals
         integral(X_n P_n^t rho) / mu_00 because P_n - X_n has lower degree.
         """
-        q = self.q(n, m)
         if rule is None:
-            return self.cached(("gram", n, m),
-                               lambda: integrate_product(q, self.weighted(n, m), self.family))
+            return self.cached(("gram", n, m), lambda: integrate_product(
+                self.counted_rows(n, m), self.weighted_rows(n, m), self.family))
 
         def make():
             got = self.inner_on(n, n, m, rule)
             got.setflags(write=False)
             return got
         return self.cached(("gram", n, m, rule), make)
+
+
+def _times_linear(coeffs, a: BivariatePoly, b: BivariatePoly) -> list:
+    """The z coefficients of (a + b z) * sum_t coeffs[t] z^t."""
+    lo, hi = [ZERO, *coeffs], [*coeffs, ZERO]
+    return [a * h + b * l for l, h in zip(lo, hi)]
+
+
+def row_halves(s: PolyMatrix):
+    """The distinct rows of a stack's top and bottom halves, from the stack's own s.
+
+    Row r of a level-j stack is s[popcount r]; the top half's rows have
+    the leading bit clear and the bottom half's have it set, so their
+    distinct rows are s[0 .. j-1] and s[1 .. j].
+    """
+    rows = [s.row_list(r) for r in range(s.rows)]
+    return (PolyMatrix.from_rows(rows[:-1], s.cols), PolyMatrix.from_rows(rows[1:], s.cols))
 
 
 def build_monic(f: WeightFamily, nmax: int) -> OrthoSystem:

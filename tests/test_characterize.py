@@ -15,6 +15,7 @@ from copoly2d.characterize import (
     NoConstantSolution,
     PROPERTY_ORDER,
     PropertyReport,
+    _report,
     check_a,
     check_b,
     check_c,
@@ -35,18 +36,22 @@ from copoly2d.matpoly import (
     PolyMatrix,
     SingularMatrixError,
     const_matrix,
+    det_exact,
     hstack,
     kron,
+    rank_exact,
+    rat_solve,
     solve_columns,
     vstack,
 )
-from copoly2d.orthosys import build_monic, g_lead, inner, integrate_matrix
-from copoly2d.polycore import BivariatePoly, RationalFn, parse_poly
+from copoly2d.orthosys import build_monic, g_lead, inner, integrate_matrix, integrate_products
+from copoly2d.polycore import ONE, BivariatePoly, RationalFn, parse_poly
 from copoly2d.weights import (
     Domain,
     InvalidParameterError,
     WeightFamily,
     builtin,
+    cleared_divergence,
     make_quadrature,
 )
 
@@ -868,6 +873,153 @@ def test_check_e_numeric_agrees_with_exact():
         exact = check_e(f, sys, n, m)
         numeric = check_e(f, sys, n, m, rule)
         assert numeric.status == exact.status, (n, m)
+
+
+# ---------------------------------------------------------------------------
+# the full-tensor exact checkers, kept as the verdict oracle of the library's
+# distinct-row ones: every integral and identity on all 2^m rows of q(n, m)
+# under kron_power(phi, m)
+
+
+def _full_gram(f, sys, n, m):
+    return integrate_products([sys.q(n, m)], sys.weighted(n, m), f)[0]
+
+
+def oracle_check_b(f, sys, n, m):
+    pearson_ok = level_pearson_check(f, m, sys.phi_power)
+    notes = [] if pearson_ok else ["lifted pearson identity fails"]
+    crosses = integrate_products([sys.q(k, m) for k in range(n)], sys.weighted(n, m), f)
+    ortho_ok = all(c.is_zero for c in crosses)
+    if not ortho_ok:
+        notes.append("cross terms with a lower stack survive")
+    gram_ok = det_exact(_full_gram(f, sys, n, m)) != 0
+    if not gram_ok:
+        notes.append("level gram singular")
+    return _report("b", f.name, n, m, pearson_ok and ortho_ok and gram_ok,
+                   notes="; ".join(notes))
+
+
+def _full_divergence_identity(f, sys, n, m, lam):
+    delta = f.log_grad_x.den * f.log_grad_y.den
+    lhs = cleared_divergence(f, sys.weighted(n - m - 1, m + 1))
+    return lhs == (sys.weighted(n - m, m) @ lam).scale(-delta)
+
+
+def oracle_check_d(f, sys, n):
+    notes = []
+    ok = True
+    for m in range(n):
+        try:
+            lam = lambda_via_operator(f, sys, n - m, m)
+        except NoConstantSolution as exc:
+            return _report("d", f.name, n, 0, False,
+                           notes=f"level {m}: no constant eigenvalue matrix: {exc}")
+        if det_exact(lam) == 0:
+            ok = False
+            notes.append(f"level {m}: singular eigenvalue matrix")
+        elif not _full_divergence_identity(f, sys, n, m, lam):
+            ok = False
+            notes.append(f"level {m}: divergence identity fails")
+    return _report("d", f.name, n, 0, ok, notes="; ".join(notes))
+
+
+def oracle_rodrigues_levels(f, sys, n):
+    """rodrigues_reconstruct's per-level verdicts and its last tower value."""
+    lams = [lambda_via_operator(f, sys, n - m, m) for m in range(n)]
+    delta = f.log_grad_x.den * f.log_grad_y.den
+    num, power, suffix, signs = sys.weighted(0, n), ONE, PolyMatrix.identity(n + 1), []
+    for k in range(1, n + 1):
+        num = cleared_divergence(f, num, k - 1)
+        power = power * delta
+        suffix = lams[n - k] @ suffix
+        signs.append(num == (sys.weighted(k, n - k) @ suffix).scale(power * (-1) ** k))
+    p_t = sys.p(n).transpose()
+    return signs, [s for s in (1, -1) if num == (p_t @ suffix).scale(power * s)]
+
+
+def oracle_check_e(f, sys, n, m):
+    qprime = sys.q(n - 1, m + 1)
+    mid = sys.weighted(n - 1, m + 1)
+    w = hstack(mid.top_half(), mid.bottom_half())
+    lhs = kron(f.phi, PolyMatrix.identity(2 ** m)) @ qprime
+    qs = [sys.q(k, m) for k in range(n + 2)]
+    ok, recon, notes = True, None, []
+    for k, (qk, nk) in enumerate(zip(qs, integrate_products(qs, w, f))):
+        if k < n - 1:
+            if not nk.is_zero:
+                ok = False
+                notes.append(f"projection on stack {k} survives")
+            continue
+        try:
+            ak = rat_solve(_full_gram(f, sys, k, m), nk)
+        except SingularMatrixError:
+            return _report("e", f.name, n, m, False,
+                           notes=f"level gram singular at stack {k}")
+        recon = qk @ ak if recon is None else recon + qk @ ak
+        if k == n - 1:
+            a_low = ak
+    if hstack(lhs.top_half(), lhs.bottom_half()) != recon:
+        ok = False
+        notes.append("three term reconstruction misses the left side")
+    want = n + m + 1
+    got = rank_exact(vstack(*(PolyMatrix.from_rows([a_low.row_list(i)[h:h + want]
+                                                    for i in range(a_low.rows)])
+                              for h in (0, want))))
+    if got != want:
+        ok = False
+        notes.append(f"lowest coefficient rank {got}, want {want}")
+    return _report("e", f.name, n, m, ok, notes="; ".join(notes))
+
+
+def _result(fn, *args):
+    """fn(*args), or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+# product_hermite's weight matrix replaced: "cubic" fails the lifted
+# Pearson identity (its drift tower has quadratic entries), leaks low (e)
+# projections and has no constant eigenvalue matrix above level zero;
+# "quadratic" also keeps (b) cross terms with lower stacks
+_CONTROL_PHI = {
+    name: PolyMatrix.from_rows([[parse_poly(p11), parse_poly("x*y")],
+                                [parse_poly("x*y"), parse_poly("1")]])
+    for name, p11 in (("cubic", "1 + x^3"), ("quadratic", "1 + x^2"))}
+
+
+@pytest.mark.parametrize("ref", ["product_hermite", "product_laguerre(1,2)",
+                                 "hermite_laguerre(1)", "product_jacobi(1/2,1/2,1/2,1/2)",
+                                 "triangle(1,1,1)", "hermite_laguerre(0)",
+                                 "product_jacobi(0,0,0,0)", *_CONTROL_PHI])
+def test_distinct_row_checkers_match_the_full_tensor_oracle(ref):
+    if ref in _CONTROL_PHI:
+        f = dataclasses.replace(builtin("product_hermite"), phi=_CONTROL_PHI[ref])
+    else:
+        f = builtin(ref)
+    nmax, mmax = 4, 3
+    sys = build_monic(f, nmax + mmax + 1)
+
+    def same(check, oracle, *cell):
+        got, want = (_result(fn, f, sys, *cell) for fn in (check, oracle))
+        assert got == want, cell
+        return got
+
+    for n in range(1, nmax + 1):
+        for m in range(mmax + 1):
+            if m:
+                same(check_b, oracle_check_b, n, m)
+            same(check_e, oracle_check_e, n, m)
+        same(check_d, oracle_check_d, n)
+        out = _result(rodrigues_reconstruct, f, sys, n)
+        if isinstance(out, dict):
+            signs, finals = oracle_rodrigues_levels(f, sys, n)
+            assert out["level_sign_ok"] == signs, n
+            assert [out["final_sign"]] == (finals[:1] or [0]), n
+    for n in range(nmax + 1):
+        for m in range(mmax + 1):
+            assert sys.gram(n, m) == _full_gram(f, sys, n, m), (n, m)
 
 
 # ---------------------------------------------------------------------------

@@ -330,7 +330,8 @@ def test_moment_table_depth_is_checked_up_front(tmp_path, capsys, ref, mode, dep
             assert f"up to degree {depth}" in err
 
 
-@pytest.mark.parametrize("nmax, mmax", [(2, 1), (3, 0), (3, 2), (4, 2), (2, 3), (4, 1)])
+@pytest.mark.parametrize("nmax, mmax", [(2, 1), (3, 0), (3, 2), (4, 2), (2, 3), (4, 1),
+                                        (5, 3), (5, 4)])
 @pytest.mark.parametrize("ref", ["product_hermite", "product_laguerre(1,2)",
                                  "hermite_laguerre(1)", "product_jacobi(1/2,1/2,1/2,1/2)",
                                  "triangle(1,1,1)"])

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_characterize import pearson_data
 
 from copoly2d import characterize, orthosys
 from copoly2d.basisops import x_vec
@@ -447,13 +449,79 @@ def test_integrate_product_rejects_row_mismatch():
 
 @pytest.mark.parametrize("ref", _KERNEL_FAMILIES)
 def test_gram_equals_formed_product_integral(ref):
+    # gram reads the m + 1 distinct rows; the oracle forms every row
     f = builtin(ref)
-    sys = build_monic(f, 6)
-    for m in range(3):
+    sys = build_monic(f, 7)
+    for m in range(5):
         phim = kron_power(f.phi, m)
-        for n in range(5):
+        for n in range(min(5, 8 - m)):
             q = sys.q(n, m)
             assert sys.gram(n, m) == integrate_matrix(q.transpose() @ phim @ q, f), (n, m)
+
+
+# ---------------------------------------------------------------------------
+# distinct rows: S(n, m), W_m and R(n, m) against the full tensors
+
+_FIVE = ["product_hermite", "product_laguerre(1,2)", "hermite_laguerre(1)",
+         "product_jacobi(1/2,1/2,1/2,1/2)", "triangle(1,1,1)"]
+
+
+def _popcount(r):
+    return bin(r).count("1")
+
+
+def _expanded(rows, m):
+    """The 2^m-row stack whose row r is rows[popcount r]."""
+    return PolyMatrix.from_rows([rows.row_list(_popcount(r)) for r in range(2 ** m)],
+                                rows.cols)
+
+
+def _check_distinct_rows(sys):
+    """q_rows, phi_rows, weighted_rows and counted_rows for n + m <= 6, m <= 4."""
+    f = sys.family
+    for m in range(5):
+        phim = kron_power(f.phi, m)
+        w = sys.phi_rows(m)
+        assert w.shape == (m + 1, m + 1)
+        for r in range(2 ** m):
+            for t in range(m + 1):
+                want = P.zero()
+                for c in range(2 ** m):
+                    if _popcount(c) == t:
+                        want = want + phim[r, c]
+                assert w[_popcount(r), t] == want, (m, r, t)
+        for n in range(7 - m):
+            q, s = sys.q(n, m), sys.q_rows(n, m)
+            assert s.shape == (m + 1, n + m + 1)
+            assert _expanded(s, m) == q, (n, m)
+            assert _expanded(sys.weighted_rows(n, m), m) == phim @ q, (n, m)
+            assert sys.counted_rows(n, m) == vstack(*(
+                PolyMatrix.row(s.row_list(k)).scale(math.comb(m, k)) for k in range(m + 1)))
+
+
+@pytest.mark.parametrize("ref", _FIVE)
+def test_distinct_rows_stand_for_the_full_stacks(ref):
+    _check_distinct_rows(build_monic(builtin(ref), 6))
+
+
+@functools.lru_cache(maxsize=None)
+def _triangle_columns():
+    sys = build_monic(builtin("triangle(1,1,1)"), 6)
+    return [sys.p(n) for n in range(7)]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=10)
+@given(pearson_data())
+def test_distinct_rows_stand_for_the_full_stacks_under_random_pearson_data(f):
+    # the stacks need columns only, so the triangle's stand under random phi
+    _check_distinct_rows(OrthoSystem(f, _triangle_columns()))
+
+
+def test_distinct_rows_check_their_indices():
+    sys = build_monic(builtin("product_hermite"), 3)
+    for n, m in ((-1, 1), (0, -1), (2, 2), (4, 0)):
+        with pytest.raises(ValueError):
+            sys.q_rows(n, m)
 
 
 def test_numeric_gram_is_kept_per_rule():

@@ -9,6 +9,10 @@ the report, or one byte of text fails here and not only in the
 benchmark.  refs.json has no numeric digest, so the sha256 of the five
 seed-0 `--mode numeric` reports is pinned below; numeric mode sums each
 polynomial's terms in stored order, so these also pin the key order.
+The default grid stops at level 2, so the exact reports of the five
+seed-0 instances at `--nmax 5 --mmax 3`, and of triangle(1,1,1) at
+`--nmax 5 --mmax 4`, are pinned too: (e) there reads level-4 and
+level-5 stacks.
 """
 from __future__ import annotations
 
@@ -39,6 +43,16 @@ NUMERIC_SHA256 = {
         "8cdc6691a3507796ea25d50a298a64cb647ed8d99023bcdb768e2fcb8a3b57ca",
     "triangle(1,1,1)": "13288f52485403750cc6a75c3e79a1a6e116e1af98a31594c1126dbe013b7461",
 }
+
+# (name, params, nmax, mmax, exit status, sha256 of the exact `--format json` report)
+DEEP = [
+    (*SEED0[0], 5, 3, 0, "8f6edab1b69a9d53349698107137492d7e3179465036dad0529f185729df5897"),
+    (*SEED0[1], 5, 3, 1, "011fcd1e46c2012afcecb2e31922bfbd4a8a42269a4eb86a447dec09a01d6ddc"),
+    (*SEED0[2], 5, 3, 1, "5cd105dca73f9cf728ac52ce1ec4ee5fafae7c440e03fbf6888a110f412d28f1"),
+    (*SEED0[3], 5, 3, 1, "c2aacc421d5d39c70d1e95c863ef35a2bfb6cb35225b1cc68d609c6adff92306"),
+    (*SEED0[4], 5, 3, 1, "66f1253a41937d7fe58a3993f9a6478bf9c448a246ddf95c66ba2dc744d83d28"),
+    (*SEED0[4], 5, 4, 1, "0a245809ae134d943fbd74382e5960a0d24c7dcb99f200444dbd7ba2c7dc04a1"),
+]
 
 
 def _key(name, params):
@@ -88,3 +102,11 @@ def test_exact_report_matches_pinned_digest(name, params):
 def test_numeric_report_matches_pinned_digest(name, params):
     _, text = _verify_json(name, params, "--mode", "numeric")
     assert _sha(text) == NUMERIC_SHA256[_key(name, params)]
+
+
+@pytest.mark.parametrize("name, params, nmax, mmax, status, sha", DEEP,
+                         ids=[f"{_key(*c[:2])}-{c[2]},{c[3]}" for c in DEEP])
+def test_deep_exact_report_matches_pinned_digest(name, params, nmax, mmax, status, sha):
+    got, text = _verify_json(name, params, "--nmax", str(nmax), "--mmax", str(mmax))
+    assert got == status
+    assert _sha(text) == sha
