@@ -1,9 +1,10 @@
 """Checkers for the five equivalent descriptions of a classical weight.
 
-Each checker consumes a weight family (and usually a built orthogonal
-system) and returns a PropertyReport carrying a pass/fail status, a
-residual, and the tolerance it was measured against.  The property
-tokens are the package-wide taxonomy (see the package docstring):
+Each checker reads the weight family from the built orthogonal system it
+is given (check_a, which needs no system, takes the family) and returns
+a PropertyReport carrying a pass/fail status, a residual, and the
+tolerance it was measured against.  The property tokens are the
+package-wide taxonomy (see the package docstring):
 
   a    the weight solves a matrix Pearson equation with degree bounds
        and an invertible drift matrix,
@@ -69,6 +70,7 @@ from .orthosys import (
 from .polycore import ONE
 from .weights import (
     InvalidParameterError,
+    OracleUnavailableError,
     WeightFamily,
     check_pearson,
     check_phi_conditions,
@@ -334,8 +336,7 @@ def _solve_constant_right_factor(q: PolyMatrix, rhs: PolyMatrix) -> PolyMatrix:
         raise NoConstantSolution(f"rank deficient coefficient system: {exc}") from exc
 
 
-def lambda_via_operator(f: WeightFamily, sys: OrthoSystem, n: int, m: int,
-                        stack: PolyMatrix | None = None) -> PolyMatrix:
+def lambda_via_operator(sys: OrthoSystem, n: int, m: int) -> PolyMatrix:
     """Eigenvalue matrix of the level-m stack of gradient index n.
 
     Solves op(Q) + Q L = 0 for the constant matrix L, where op is the
@@ -345,8 +346,8 @@ def lambda_via_operator(f: WeightFamily, sys: OrthoSystem, n: int, m: int,
     """
     if n < 1 or m < 0:
         raise ValueError("need gradient index n >= 1 and level m >= 0")
-    q = sys.q(n, m) if stack is None else stack
-    image = _second_order_image(f, psi_tower(f, m).level(m), q)
+    q = sys.q(n, m)
+    image = _second_order_image(sys.family, psi_tower(sys.family, m).level(m), q)
     return _solve_constant_right_factor(q, -image)
 
 
@@ -460,9 +461,9 @@ def lambda_via_formula(f: WeightFamily, n: int, m: int) -> PolyMatrix:
                          [[-v for v in row] for row in tg])
 
 
-def _lambda(f: WeightFamily, sys: OrthoSystem, n: int, m: int) -> PolyMatrix:
+def _lambda(sys: OrthoSystem, n: int, m: int) -> PolyMatrix:
     """lambda_via_operator memoised on the system, keyed by (n, m)."""
-    return sys.cached(("lambda", n, m), lambda: lambda_via_operator(f, sys, n, m))
+    return sys.cached(("lambda", n, m), lambda: lambda_via_operator(sys, n, m))
 
 
 # ---------------------------------------------------------------------------
@@ -502,8 +503,7 @@ def level_pearson_check(f: WeightFamily, m: int, phi_power=None) -> bool:
     return cleared_divergence(f, phi_power(m + 1)) == drift.scale(delta)
 
 
-def check_b(f: WeightFamily, sys: OrthoSystem, n: int, m: int,
-            rule=None) -> PropertyReport:
+def check_b(sys: OrthoSystem, n: int, m: int, rule=None) -> PropertyReport:
     """Level-m stack orthogonality plus the lifted Pearson equation.
 
     The Pearson half is always exact.  Without a quadrature rule the
@@ -512,6 +512,7 @@ def check_b(f: WeightFamily, sys: OrthoSystem, n: int, m: int,
     """
     if n < 1 or m < 1:
         raise ValueError("property b needs n >= 1 and m >= 1")
+    f = sys.family
     pearson_ok = sys.cached(("pearson", m),
                             lambda: level_pearson_check(f, m, sys.phi_power))
     notes = [] if pearson_ok else ["lifted pearson identity fails"]
@@ -549,11 +550,12 @@ def check_b(f: WeightFamily, sys: OrthoSystem, n: int, m: int,
 # property (c): second order equation with constant eigenvalue matrix
 
 
-def check_c(f: WeightFamily, sys: OrthoSystem, n: int, m: int) -> PropertyReport:
+def check_c(sys: OrthoSystem, n: int, m: int) -> PropertyReport:
     """Operator route must solve exactly and agree with the symbol route."""
+    f = sys.family
     notes = []
     try:
-        lam = _lambda(f, sys, n, m)
+        lam = _lambda(sys, n, m)
     except NoConstantSolution as exc:
         return _report("c", f.name, n, m, False,
                        notes=f"no constant eigenvalue matrix: {exc}")
@@ -577,8 +579,8 @@ def check_c(f: WeightFamily, sys: OrthoSystem, n: int, m: int) -> PropertyReport
 # property (d): divergence tower identities, level by level
 
 
-def _cleared_divergence_identity(f: WeightFamily, sys: OrthoSystem, n: int,
-                                 m: int, lam: PolyMatrix) -> bool:
+def _cleared_divergence_identity(sys: OrthoSystem, n: int, m: int,
+                                 lam: PolyMatrix) -> bool:
     """One level of the divergence tower as a cleared polynomial identity.
 
     The level-m statement divides by the scalar density and clears both
@@ -587,12 +589,13 @@ def _cleared_divergence_identity(f: WeightFamily, sys: OrthoSystem, n: int,
     acts row by row, so it runs on the distinct rows of the weighted
     stacks (orthosys.row_halves), one row per popcount.
     """
+    f = sys.family
     delta = f.log_grad_x.den * f.log_grad_y.den
     lhs = cleared_divergence(f, vstack(*row_halves(sys.weighted_rows(n - m - 1, m + 1))))
     return lhs == (sys.weighted_rows(n - m, m) @ lam).scale(-delta)
 
 
-def check_d(f: WeightFamily, sys: OrthoSystem, n: int) -> PropertyReport:
+def check_d(sys: OrthoSystem, n: int) -> PropertyReport:
     """All n divergence tower levels of the degree-n column, exactly."""
     if n < 1:
         raise ValueError("property d needs n >= 1")
@@ -600,25 +603,25 @@ def check_d(f: WeightFamily, sys: OrthoSystem, n: int) -> PropertyReport:
     ok = True
     for m in range(n):
         try:
-            lam = _lambda(f, sys, n - m, m)
+            lam = _lambda(sys, n - m, m)
         except NoConstantSolution as exc:
-            return _report("d", f.name, n, 0, False,
+            return _report("d", sys.family.name, n, 0, False,
                            notes=f"level {m}: no constant eigenvalue matrix: {exc}")
         if det_exact(lam) == 0:
             ok = False
             notes.append(f"level {m}: singular eigenvalue matrix")
             continue
-        if not _cleared_divergence_identity(f, sys, n, m, lam):
+        if not _cleared_divergence_identity(sys, n, m, lam):
             ok = False
             notes.append(f"level {m}: divergence identity fails")
-    return _report("d", f.name, n, 0, ok, notes="; ".join(notes))
+    return _report("d", sys.family.name, n, 0, ok, notes="; ".join(notes))
 
 
 # ---------------------------------------------------------------------------
 # explicit tower iteration (used by the reconstruction checks)
 
 
-def rodrigues_reconstruct(f: WeightFamily, sys: OrthoSystem, n: int) -> dict:
+def rodrigues_reconstruct(sys: OrthoSystem, n: int) -> dict:
     """Iterate the divergence tower down from level n and compare.
 
     Starting from the weight's n-th Kronecker power times the constant
@@ -641,9 +644,10 @@ def rodrigues_reconstruct(f: WeightFamily, sys: OrthoSystem, n: int) -> dict:
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    f = sys.family
     lams = []
     for m in range(n):
-        lam = _lambda(f, sys, n - m, m)
+        lam = _lambda(sys, n - m, m)
         if det_exact(lam) == 0:
             raise SingularLambda(f"degree {n} level {m}")
         lams.append(lam)
@@ -685,8 +689,7 @@ def rodrigues_reconstruct(f: WeightFamily, sys: OrthoSystem, n: int) -> dict:
 # property (e): three term expansion of the weighted finer stack
 
 
-def check_e(f: WeightFamily, sys: OrthoSystem, n: int, m: int,
-            rule=None) -> PropertyReport:
+def check_e(sys: OrthoSystem, n: int, m: int, rule=None) -> PropertyReport:
     """Three term expansion with full-rank lowest coefficient.
 
     The weighted next-finer stack is projected on every coarser stack
@@ -710,6 +713,7 @@ def check_e(f: WeightFamily, sys: OrthoSystem, n: int, m: int,
     """
     if n < 1 or m < 0:
         raise ValueError("property e needs n >= 1 and m >= 0")
+    f = sys.family
     notes = []
     if rule is None:
         ok = True
@@ -818,6 +822,32 @@ def _guarded(prop, family, n, m, mode, fn):
                               f"error: {type(exc).__name__}: {exc}")
 
 
+def require_moment_depth(f: WeightFamily, nmax: int, mmax: int, mode: str) -> None:
+    """Reject a moment oracle that cannot reach the degree the grid needs.
+
+    Building P_0 .. P_N, N = nmax + mmax + 1, reads moments up to degree
+    2N - 1; that is all numeric mode reads.  Exact mode also integrates
+    the level Gram blocks gram(nmax + 1, mmax), of degree
+    2 (nmax + 1) + mmax deg(phi).  The deeper of the two is D; every
+    moment of degree <= D is probed, so a shallow moments table raises
+    OracleUnavailableError before any work.
+    """
+    if not f.has_oracle():
+        return
+    depth = 2 * (nmax + mmax + 1) - 1
+    if mode == "exact":
+        depth = max(depth, 2 * (nmax + 1) + max(f.phi.degree, 0) * mmax)
+    for d in range(depth + 1):
+        for i in range(d + 1):
+            try:
+                f.moment(i, d - i)
+            except OracleUnavailableError as exc:
+                raise OracleUnavailableError(
+                    f"moment ({i},{d - i}) unavailable; the grid n<={nmax} "
+                    f"m<={mmax} needs every moment up to degree {depth}"
+                ) from exc
+
+
 def verify_all(f: WeightFamily, nmax: int = 4, mmax: int = 2,
                mode: str = "auto", seed: int = 0, properties=None,
                quad_order: int = 20):
@@ -829,7 +859,7 @@ def verify_all(f: WeightFamily, nmax: int = 4, mmax: int = 2,
     the exception in its note, never a "fail".  Only a cell whose
     prerequisite (the monic system, or the drift tower) could not be
     built skips its checker; it fails with the construction error in its
-    note.  Bad arguments are the one thing rejected with an exception.
+    note.  Bad arguments and too shallow a moments table raise instead.
     mode "auto" picks exact checks when the family carries an exact
     moment oracle and numeric integration otherwise; construction of
     the system itself always needs the oracle, so families without one
@@ -858,6 +888,7 @@ def verify_all(f: WeightFamily, nmax: int = 4, mmax: int = 2,
             raise InvalidParameterError(
                 f"quad_order {quad_order} below the grid floor {floor}")
         check_quadrature_domain(f)
+    require_moment_depth(f, nmax, mmax, resolved)
     depth = max(1, mmax, nmax - 1)
     try:
         tower = psi_tower(f, depth)
@@ -875,8 +906,8 @@ def verify_all(f: WeightFamily, nmax: int = 4, mmax: int = 2,
     rule = None
     if resolved == "numeric" and system is not None and chosen & {"b", "e"}:
         rule = make_quadrature(f, quad_order)
-    # prerequisite -> (note when it failed, mode of the cells it blocks)
-    failed = {"system": (system_err, resolved), "tower": (tower_err, "exact")}
+    # prerequisite -> the note of the cells it blocks when it failed
+    failed = {"system": system_err, "tower": tower_err}
 
     def lemma1(n, m):
         d = f.d_matrix()
@@ -896,11 +927,11 @@ def verify_all(f: WeightFamily, nmax: int = 4, mmax: int = 2,
     table = {
         "a": ([(0, 0)], "exact", (), lambda n, m: check_a(f)),
         "b": ([(n, m) for n, m in levels if m >= 1], resolved, ("system", "tower"),
-              lambda n, m: check_b(f, system, n, m, rule)),
-        "c": (levels, "exact", ("system", "tower"), lambda n, m: check_c(f, system, n, m)),
+              lambda n, m: check_b(system, n, m, rule)),
+        "c": (levels, "exact", ("system", "tower"), lambda n, m: check_c(system, n, m)),
         "d": ([(n, m) for n, m in levels if m == 0], "exact", ("system", "tower"),
-              lambda n, m: check_d(f, system, n)),
-        "e": (levels, resolved, ("system",), lambda n, m: check_e(f, system, n, m, rule)),
+              lambda n, m: check_d(system, n)),
+        "e": (levels, resolved, ("system",), lambda n, m: check_e(system, n, m, rule)),
         "phi_conditions": ([(0, 0)], "exact", (), lambda n, m: _report(
             "phi_conditions", f.name, 0, 0, check_phi_conditions(f))),
         "lemma1": ([(0, m) for m in range(1, 6)], "exact", (), lemma1),
@@ -914,12 +945,11 @@ def verify_all(f: WeightFamily, nmax: int = 4, mmax: int = 2,
         if prop not in chosen:
             continue
         cells, cell_mode, needs, check = table[prop]
-        blocked = next((failed[p] for p in needs if failed[p][0]), None)
+        blocked = next((failed[p] for p in needs if failed[p]), "")
         for n, m in cells:
             if blocked:
-                note, blocked_mode = blocked
                 reports.append(PropertyReport(prop, f.name, n, m, "fail", 1.0,
-                                              0.0, blocked_mode, note))
+                                              0.0, cell_mode, blocked))
             else:
                 reports.append(_guarded(prop, f.name, n, m, cell_mode,
                                         lambda: check(n, m)))

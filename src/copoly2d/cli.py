@@ -45,12 +45,7 @@ class RunConfig:
     format: str = "text"
 
     def validate(self) -> None:
-        if self.nmax < 1:
-            raise ConfigError("nmax must be at least 1")
-        if self.mmax < 0:
-            raise ConfigError("mmax must be nonnegative")
-        if self.mode not in ("exact", "numeric", "auto"):
-            raise ConfigError(f"unknown mode {self.mode!r}")
+        """The checks only the CLI makes; verify_all checks the grid and mode."""
         floor = self.nmax + self.mmax + 2  # only numeric mode reads quadrature
         if self.mode == "numeric" and self.quad_order < floor:
             raise ConfigError(
@@ -143,35 +138,9 @@ def render_text(family, cfg: RunConfig, reports) -> str:
     return "\n".join(lines) + "\n"
 
 
-def require_moment_depth(family, cfg: RunConfig) -> None:
-    """Reject a moment oracle that cannot reach the degree the grid needs.
-
-    Building P_0 .. P_N, N = nmax + mmax + 1, reads moments up to degree
-    2N - 1; that is all numeric mode reads.  Exact mode also integrates
-    the level Gram blocks gram(nmax + 1, mmax), of degree
-    2 (nmax + 1) + mmax deg(phi).  The deeper of the two is D; every
-    moment of degree <= D is probed, so a shallow family file exits 2.
-    """
-    if not family.has_oracle():
-        return
-    depth = 2 * (cfg.nmax + cfg.mmax + 1) - 1
-    if cfg.mode != "numeric":
-        depth = max(depth, 2 * (cfg.nmax + 1) + max(family.phi.degree, 0) * cfg.mmax)
-    for d in range(depth + 1):
-        for i in range(d + 1):
-            try:
-                family.moment(i, d - i)
-            except OracleUnavailableError as exc:
-                raise ConfigError(
-                    f"moment ({i},{d - i}) unavailable; the grid n<={cfg.nmax} "
-                    f"m<={cfg.mmax} needs every moment up to degree {depth}"
-                ) from exc
-
-
 def run(cfg: RunConfig) -> int:
     cfg.validate()
     family = resolve_family(cfg)
-    require_moment_depth(family, cfg)
     reports = verify_all(
         family,
         nmax=cfg.nmax,
@@ -217,7 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--family", required=True,
                      help="built-in name (optionally with inline parameters) or a family JSON path")
     ver.add_argument("--params", default="",
-                     help="comma separated rational parameters for a built-in family")
+                     help="comma separated rational parameters for a built-in family; a leading "
+                          "minus needs --params=-1/2,1/3,2 or --family 'triangle(-1/2,1/3,2)'")
     ver.add_argument("--nmax", type=int, default=4)
     ver.add_argument("--mmax", type=int, default=2)
     ver.add_argument("--mode", choices=("exact", "numeric", "auto"), default="auto")

@@ -328,11 +328,11 @@ def _build_triangle(params) -> WeightFamily:
 
 
 _BUILTINS = {
-    "product_hermite": (_build_product_hermite, 0, "plane"),
-    "product_laguerre": (_build_product_laguerre, 2, "quadrant"),
-    "hermite_laguerre": (_build_hermite_laguerre, 1, "halfplane_x_quadrant"),
-    "product_jacobi": (_build_product_jacobi, 4, "square"),
-    "triangle": (_build_triangle, 3, "triangle"),
+    "product_hermite": (_build_product_hermite, "plane"),
+    "product_laguerre": (_build_product_laguerre, "quadrant"),
+    "hermite_laguerre": (_build_hermite_laguerre, "halfplane_x_quadrant"),
+    "product_jacobi": (_build_product_jacobi, "square"),
+    "triangle": (_build_triangle, "triangle"),
 }
 
 
@@ -357,14 +357,14 @@ def builtin(name: str, params=()) -> WeightFamily:
         params = inline
     if base not in _BUILTINS:
         raise UnknownFamilyError(f"unknown family {base!r}; see list_builtins()")
-    maker, nparams, _ = _BUILTINS[base]
+    maker, kind = _BUILTINS[base]
     try:
         params = _as_params(params)
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidParameterError(f"unparseable parameters {params!r}") from exc
-    if len(params) != nparams:
+    if len(params) != DOMAIN_KINDS[kind]:
         raise InvalidParameterError(
-            f"{base} takes {nparams} parameters, got {len(params)}"
+            f"{base} takes {DOMAIN_KINDS[kind]} parameters, got {len(params)}"
         )
     f = maker(params)
     validate_family(f)
@@ -373,7 +373,7 @@ def builtin(name: str, params=()) -> WeightFamily:
 
 def list_builtins():
     """(name, parameter count, domain kind) for every built-in family."""
-    return [(name, spec[1], spec[2]) for name, spec in sorted(_BUILTINS.items())]
+    return [(name, DOMAIN_KINDS[kind], kind) for name, (_, kind) in sorted(_BUILTINS.items())]
 
 
 # ---------------------------------------------------------------------------

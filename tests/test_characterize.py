@@ -44,14 +44,24 @@ from copoly2d.matpoly import (
     solve_columns,
     vstack,
 )
-from copoly2d.orthosys import build_monic, g_lead, inner, integrate_matrix, integrate_products
+from copoly2d.orthosys import (
+    OrthoSystem,
+    build_monic,
+    g_lead,
+    inner,
+    integrate_matrix,
+    integrate_products,
+)
 from copoly2d.polycore import ONE, BivariatePoly, RationalFn, parse_poly
 from copoly2d.weights import (
     Domain,
     InvalidParameterError,
+    OracleUnavailableError,
     WeightFamily,
     builtin,
     cleared_divergence,
+    export_family,
+    load_family,
     make_quadrature,
 )
 
@@ -203,13 +213,13 @@ def test_degree_one_anchor_both_routes():
     for ref in ALL_INSTANCES:
         f, sys = get_system(ref)
         want = -f.d_matrix()
-        assert lambda_via_operator(f, sys, 1, 0) == want, ref
+        assert lambda_via_operator(sys, 1, 0) == want, ref
         assert lambda_via_formula(f, 1, 0) == want, ref
 
 
 def test_hermite_degree_two_eigenvalue():
     f, sys = get_system("product_hermite")
-    lam = lambda_via_operator(f, sys, 2, 0)
+    lam = lambda_via_operator(sys, 2, 0)
     assert _fraction_rows(lam) == _fraction_rows(const_matrix(
         [[4, 0, 0], [0, 4, 0], [0, 0, 4]]
     ))
@@ -226,7 +236,7 @@ def test_formula_route_agrees_on_grid():
         for n in range(1, 5):
             for m in range(4):
                 try:
-                    lam = lambda_via_operator(f, sys, n, m)
+                    lam = lambda_via_operator(sys, n, m)
                 except NoConstantSolution:
                     continue
                 solved_above_level_zero += m >= 1 and ref in POOL_INSTANCES
@@ -247,8 +257,8 @@ def test_statement_layout_differs_where_no_eigenvalue_matrix_exists():
             proof = t_matrix(f, n, m)
             assert not ((statement - proof) @ g_lead(n, m)).is_zero, (ref, n, m)
             with pytest.raises(NoConstantSolution):
-                lambda_via_operator(f, sys, n, m)
-            rep = check_c(f, sys, n, m)
+                lambda_via_operator(sys, n, m)
+            rep = check_c(sys, n, m)
             assert rep.status == "fail", (ref, n, m)
             assert rep.notes.startswith("no constant eigenvalue matrix"), rep.notes
 
@@ -500,23 +510,25 @@ def test_system_memo_grams_eigenvalues_and_bounds():
         assert sys.gram(n, 0) == inner(sys.q(n, 0), sys.q(n, 0), 0, f), n
     # check_c stores the eigenvalue matrix in the system memo; a second
     # lookup must hit it (pytest.fail as the fallback proves no recompute)
-    assert check_c(f, sys, 2, 1).status == "pass"
+    assert check_c(sys, 2, 1).status == "pass"
     lam = sys.cached(("lambda", 2, 1), pytest.fail)
     assert sys.cached(("lambda", 2, 1), pytest.fail) is lam
-    assert lam == lambda_via_operator(f, sys, 2, 1)
+    assert lam == lambda_via_operator(sys, 2, 1)
     assert lam.shape == (4, 4)
     with pytest.raises(ValueError):
-        lambda_via_operator(f, sys, 0, 2)
+        lambda_via_operator(sys, 0, 2)
     with pytest.raises(ValueError):
-        lambda_via_operator(f, sys, 3, -1)
+        lambda_via_operator(sys, 3, -1)
 
 
 def test_random_stack_has_no_constant_eigenvalue():
+    # a system whose degree-3 column is random cubics: its stack q(2, 1)
+    # is no gradient stack of the weight
     f, sys = get_system("product_hermite")
-    rng = random.Random(7)
-    stack = random_rational_matrix(2, 4, rng)
+    top = random_rational_matrix(4, 4, random.Random(7)) @ x_vec(3)
+    fake = OrthoSystem(f, [*(sys.p(k) for k in range(3)), top])
     with pytest.raises(NoConstantSolution):
-        lambda_via_operator(f, sys, 2, 1, stack=stack)
+        lambda_via_operator(fake, 2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +607,7 @@ def test_check_b_exact_cells():
     for ref in ALL_INSTANCES:
         f, sys = get_system(ref)
         for n, m in ((1, 1), (2, 1), (3, 2)):
-            rep = check_b(f, sys, n, m)
+            rep = check_b(sys, n, m)
             assert rep.status == "pass", (ref, n, m)
             assert rep.residual == 0.0
 
@@ -604,7 +616,7 @@ def test_check_b_numeric_matches_exact():
     f, sys = get_system("product_jacobi(0,0,0,0)")
     rule = make_quadrature(f, 20)
     for n, m in ((1, 1), (2, 1)):
-        rep = check_b(f, sys, n, m, rule)
+        rep = check_b(sys, n, m, rule)
         assert rep.status == "pass", (n, m)
         assert rep.residual <= rep.tolerance
 
@@ -625,7 +637,7 @@ def test_check_c_product_hermite_all_cells(monkeypatch):
     f, sys = get_system("product_hermite")
     cells = [(n, m) for n in range(1, 5) for m in range(3)]
     for n, m in cells:
-        rep = check_c(f, sys, n, m)
+        rep = check_c(sys, n, m)
         assert rep.status == "pass", (n, m)
     assert calls == cells  # one leading-coefficient solve per cell
 
@@ -636,7 +648,7 @@ def test_check_c_laguerre_and_triangle_fold_at_every_level():
         f, sys = get_system(ref)
         for n in range(1, 5):
             for m in range(3):
-                rep = check_c(f, sys, n, m)
+                rep = check_c(sys, n, m)
                 assert rep.status == "pass", (ref, n, m)
 
 
@@ -647,10 +659,10 @@ def test_check_c_hermite_laguerre_fails_above_level_zero():
     # mathematics, not a tolerance artifact.
     f, sys = get_system("hermite_laguerre(0)")
     for n in range(1, 5):
-        rep = check_c(f, sys, n, 0)
+        rep = check_c(sys, n, 0)
         assert rep.status == "pass", n
         for m in (1, 2):
-            rep = check_c(f, sys, n, m)
+            rep = check_c(sys, n, m)
             assert rep.status == "fail", (n, m)
             assert "no constant eigenvalue matrix" in rep.notes
 
@@ -662,15 +674,15 @@ def test_check_c_jacobi_breaks_at_level_two():
     f, sys = get_system("product_jacobi(0,0,0,0)")
     for n in range(1, 5):
         for m in (0, 1):
-            assert check_c(f, sys, n, m).status == "pass", (n, m)
-        rep = check_c(f, sys, n, 2)
+            assert check_c(sys, n, m).status == "pass", (n, m)
+        rep = check_c(sys, n, 2)
         assert rep.status == "fail", n
         assert "no constant eigenvalue matrix" in rep.notes
 
 
 def test_check_c_anchor_note():
     f, sys = get_system("product_laguerre(0,0)")
-    rep = check_c(f, sys, 1, 0)
+    rep = check_c(sys, 1, 0)
     assert rep.status == "pass"
     assert "degree-one anchor" in rep.notes
 
@@ -688,7 +700,7 @@ def test_check_c_inconsistent_formula_route_is_a_fail_not_an_error(monkeypatch):
     with pytest.raises(InconsistentSystemError):
         lambda_via_formula(f, 2, 1)
     for n, m in [(2, 1), (2, 2), (3, 1), (3, 2)]:
-        rep = check_c(f, sys, n, m)
+        rep = check_c(sys, n, m)
         assert rep.status == "fail", (n, m)
         assert rep.notes == ("leading-coefficient route disagrees with the operator "
                              "route"), (n, m)
@@ -715,23 +727,23 @@ def test_check_d_passes_where_every_level_folds():
                 "product_laguerre(1,2)", "triangle(1,1,1)"):
         f, sys = get_system(ref)
         for n in (1, 2, 3, 4):
-            rep = check_d(f, sys, n)
+            rep = check_d(sys, n)
             assert rep.status == "pass", (ref, n)
             assert rep.residual == 0.0
 
 
 def test_check_d_inherits_eigenvalue_obstructions():
     f, sys = get_system("hermite_laguerre(0)")
-    assert check_d(f, sys, 1).status == "pass"
+    assert check_d(sys, 1).status == "pass"
     for n in (2, 3):
-        rep = check_d(f, sys, n)
+        rep = check_d(sys, n)
         assert rep.status == "fail", n
         assert "level 1" in rep.notes
 
     f, sys = get_system("product_jacobi(0,0,0,0)")
     for n in (1, 2):
-        assert check_d(f, sys, n).status == "pass", n
-    rep = check_d(f, sys, 3)
+        assert check_d(sys, n).status == "pass", n
+    rep = check_d(sys, 3)
     assert rep.status == "fail"
     assert "level 2" in rep.notes
 
@@ -744,7 +756,7 @@ def test_rodrigues_degree_two_exact():
     signs = {}
     for ref in ("product_hermite", "product_laguerre(0,0)"):
         f, sys = get_system(ref)
-        out = rodrigues_reconstruct(f, sys, 2)
+        out = rodrigues_reconstruct(sys, 2)
         assert out["reconstruction_exact"], ref
         assert out["alternating_sign"], ref
         assert all(out["level_sign_ok"]), ref
@@ -758,14 +770,14 @@ def test_rodrigues_order_sensitivity_is_reported():
     # Scalar eigenvalue matrices commute, so for product Hermite the
     # reversed product agrees; the field documents the convention.
     f, sys = get_system("product_hermite")
-    out = rodrigues_reconstruct(f, sys, 3)
+    out = rodrigues_reconstruct(sys, 3)
     assert out["reconstruction_exact"]
     assert out["reversed_product_matches"]
 
 
 def test_rodrigues_degree_three_laguerre():
     f, sys = get_system("product_laguerre(0,0)")
-    out = rodrigues_reconstruct(f, sys, 3)
+    out = rodrigues_reconstruct(sys, 3)
     assert out["reconstruction_exact"]
     assert all(out["level_sign_ok"])
 
@@ -776,11 +788,11 @@ def test_rodrigues_all_builtins_up_to_degree_three():
     for ref in ALL_INSTANCES:
         f, sys = get_system(ref)
         for n in (1, 2, 3):
-            if "no constant eigenvalue matrix" in check_d(f, sys, n).notes:
+            if "no constant eigenvalue matrix" in check_d(sys, n).notes:
                 with pytest.raises(NoConstantSolution):
-                    rodrigues_reconstruct(f, sys, n)
+                    rodrigues_reconstruct(sys, n)
                 continue
-            out = rodrigues_reconstruct(f, sys, n)
+            out = rodrigues_reconstruct(sys, n)
             assert out["level_sign_ok"] == [True] * n, (ref, n)
             assert out["reconstruction_exact"], (ref, n)
             assert out["final_sign"] == (-1) ** n, (ref, n)
@@ -793,12 +805,12 @@ def test_rodrigues_flags_a_wrong_eigenvalue_matrix(monkeypatch):
     real = characterize._lambda
     n = 3
     for bad in range(n):
-        def doubled(f, sys, k, m, bad=bad):
-            lam = real(f, sys, k, m)
+        def doubled(sys, k, m, bad=bad):
+            lam = real(sys, k, m)
             return lam.scale(2) if m == bad else lam
 
         monkeypatch.setattr(characterize, "_lambda", doubled)
-        out = rodrigues_reconstruct(f, sys, n)
+        out = rodrigues_reconstruct(sys, n)
         assert out["level_sign_ok"] == [True] * (n - bad - 1) + [False] * (bad + 1), bad
         assert out["final_sign"] == 0
         assert not out["reconstruction_exact"]
@@ -812,7 +824,7 @@ def test_check_e_level_zero_all_builtins():
     for ref in ALL_INSTANCES:
         f, sys = get_system(ref)
         for n in (1, 2, 3, 4):
-            rep = check_e(f, sys, n, 0)
+            rep = check_e(sys, n, 0)
             assert rep.status == "pass", (ref, n)
 
 
@@ -820,7 +832,7 @@ def test_check_e_hermite_all_levels():
     f, sys = get_system("product_hermite")
     for n in (1, 2, 3, 4):
         for m in (1, 2):
-            rep = check_e(f, sys, n, m)
+            rep = check_e(sys, n, m)
             assert rep.status == "pass", (n, m)
 
 
@@ -834,7 +846,7 @@ def test_check_e_reconstruction_fails_above_level_zero():
                 "product_jacobi(0,0,0,0)"):
         f, sys = get_system(ref)
         for n, m in ((2, 1), (1, 1), (2, 2)):
-            rep = check_e(f, sys, n, m)
+            rep = check_e(sys, n, m)
             assert rep.status == "fail", (ref, n, m)
             assert "three term reconstruction misses" in rep.notes
             assert "projection on stack" not in rep.notes
@@ -848,7 +860,7 @@ def test_check_e_degree_three_weight_matrix_leaks_low_projections():
         [parse_poly("x*y"), parse_poly("1")],
     ]))
     sys = build_monic(bad, 6)
-    rep = check_e(bad, sys, 3, 0)
+    rep = check_e(sys, 3, 0)
     assert rep.status == "fail"
     assert "projection on stack" in rep.notes
 
@@ -860,7 +872,7 @@ def test_check_b_and_e_are_exact_without_a_rule_and_numeric_with_one():
     checks = {"b": check_b, "e": check_e}
     for mode, rule in (("exact", None), ("numeric", make_quadrature(f, 20))):
         want = verify_all(f, nmax=4, mmax=2, mode=mode, properties=("b", "e"))
-        got = [checks[r.property](f, sys, r.n, r.m, rule) for r in want]
+        got = [checks[r.property](sys, r.n, r.m, rule) for r in want]
         assert got == want, mode
         assert {r.mode for r in got} == {mode}
     assert {r.status for r in want} == {"pass", "fail"}
@@ -870,8 +882,8 @@ def test_check_e_numeric_agrees_with_exact():
     f, sys = get_system("product_jacobi(0,0,0,0)")
     rule = make_quadrature(f, 20)
     for n, m in ((1, 0), (2, 0), (3, 0), (2, 1)):
-        exact = check_e(f, sys, n, m)
-        numeric = check_e(f, sys, n, m, rule)
+        exact = check_e(sys, n, m)
+        numeric = check_e(sys, n, m, rule)
         assert numeric.status == exact.status, (n, m)
 
 
@@ -881,51 +893,55 @@ def test_check_e_numeric_agrees_with_exact():
 # under kron_power(phi, m)
 
 
-def _full_gram(f, sys, n, m):
-    return integrate_products([sys.q(n, m)], sys.weighted(n, m), f)[0]
+def _full_gram(sys, n, m):
+    return integrate_products([sys.q(n, m)], sys.weighted(n, m), sys.family)[0]
 
 
-def oracle_check_b(f, sys, n, m):
+def oracle_check_b(sys, n, m):
+    f = sys.family
     pearson_ok = level_pearson_check(f, m, sys.phi_power)
     notes = [] if pearson_ok else ["lifted pearson identity fails"]
     crosses = integrate_products([sys.q(k, m) for k in range(n)], sys.weighted(n, m), f)
     ortho_ok = all(c.is_zero for c in crosses)
     if not ortho_ok:
         notes.append("cross terms with a lower stack survive")
-    gram_ok = det_exact(_full_gram(f, sys, n, m)) != 0
+    gram_ok = det_exact(_full_gram(sys, n, m)) != 0
     if not gram_ok:
         notes.append("level gram singular")
     return _report("b", f.name, n, m, pearson_ok and ortho_ok and gram_ok,
                    notes="; ".join(notes))
 
 
-def _full_divergence_identity(f, sys, n, m, lam):
+def _full_divergence_identity(sys, n, m, lam):
+    f = sys.family
     delta = f.log_grad_x.den * f.log_grad_y.den
     lhs = cleared_divergence(f, sys.weighted(n - m - 1, m + 1))
     return lhs == (sys.weighted(n - m, m) @ lam).scale(-delta)
 
 
-def oracle_check_d(f, sys, n):
+def oracle_check_d(sys, n):
+    f = sys.family
     notes = []
     ok = True
     for m in range(n):
         try:
-            lam = lambda_via_operator(f, sys, n - m, m)
+            lam = lambda_via_operator(sys, n - m, m)
         except NoConstantSolution as exc:
             return _report("d", f.name, n, 0, False,
                            notes=f"level {m}: no constant eigenvalue matrix: {exc}")
         if det_exact(lam) == 0:
             ok = False
             notes.append(f"level {m}: singular eigenvalue matrix")
-        elif not _full_divergence_identity(f, sys, n, m, lam):
+        elif not _full_divergence_identity(sys, n, m, lam):
             ok = False
             notes.append(f"level {m}: divergence identity fails")
     return _report("d", f.name, n, 0, ok, notes="; ".join(notes))
 
 
-def oracle_rodrigues_levels(f, sys, n):
+def oracle_rodrigues_levels(sys, n):
     """rodrigues_reconstruct's per-level verdicts and its last tower value."""
-    lams = [lambda_via_operator(f, sys, n - m, m) for m in range(n)]
+    f = sys.family
+    lams = [lambda_via_operator(sys, n - m, m) for m in range(n)]
     delta = f.log_grad_x.den * f.log_grad_y.den
     num, power, suffix, signs = sys.weighted(0, n), ONE, PolyMatrix.identity(n + 1), []
     for k in range(1, n + 1):
@@ -937,7 +953,8 @@ def oracle_rodrigues_levels(f, sys, n):
     return signs, [s for s in (1, -1) if num == (p_t @ suffix).scale(power * s)]
 
 
-def oracle_check_e(f, sys, n, m):
+def oracle_check_e(sys, n, m):
+    f = sys.family
     qprime = sys.q(n - 1, m + 1)
     mid = sys.weighted(n - 1, m + 1)
     w = hstack(mid.top_half(), mid.bottom_half())
@@ -951,7 +968,7 @@ def oracle_check_e(f, sys, n, m):
                 notes.append(f"projection on stack {k} survives")
             continue
         try:
-            ak = rat_solve(_full_gram(f, sys, k, m), nk)
+            ak = rat_solve(_full_gram(sys, k, m), nk)
         except SingularMatrixError:
             return _report("e", f.name, n, m, False,
                            notes=f"level gram singular at stack {k}")
@@ -1002,7 +1019,7 @@ def test_distinct_row_checkers_match_the_full_tensor_oracle(ref):
     sys = build_monic(f, nmax + mmax + 1)
 
     def same(check, oracle, *cell):
-        got, want = (_result(fn, f, sys, *cell) for fn in (check, oracle))
+        got, want = (_result(fn, sys, *cell) for fn in (check, oracle))
         assert got == want, cell
         return got
 
@@ -1012,14 +1029,14 @@ def test_distinct_row_checkers_match_the_full_tensor_oracle(ref):
                 same(check_b, oracle_check_b, n, m)
             same(check_e, oracle_check_e, n, m)
         same(check_d, oracle_check_d, n)
-        out = _result(rodrigues_reconstruct, f, sys, n)
+        out = _result(rodrigues_reconstruct, sys, n)
         if isinstance(out, dict):
-            signs, finals = oracle_rodrigues_levels(f, sys, n)
+            signs, finals = oracle_rodrigues_levels(sys, n)
             assert out["level_sign_ok"] == signs, n
             assert [out["final_sign"]] == (finals[:1] or [0]), n
     for n in range(nmax + 1):
         for m in range(mmax + 1):
-            assert sys.gram(n, m) == _full_gram(f, sys, n, m), (n, m)
+            assert sys.gram(n, m) == _full_gram(sys, n, m), (n, m)
 
 
 # ---------------------------------------------------------------------------
@@ -1082,11 +1099,13 @@ def test_verify_all_never_raises_without_oracle():
     # data-only checks still run and pass
     assert all(r.status == "pass" for r in by_prop["a"])
     assert all(r.status == "pass" for r in by_prop["lemma1"])
-    # every structural cell reports the missing construction in the resolved
-    # (numeric) mode instead of raising
+    # every structural cell reports the missing construction instead of
+    # raising, each in its property's own mode: b and e in the resolved
+    # (numeric) one, c and d always exact
     note = ("system construction failed: OracleUnavailableError: "
             "product_hermite: no exact moment oracle")
-    want = {cell: ("fail", "numeric", note) for cell in _cells("bcde", 2, 1)}
+    want = {cell: ("fail", "numeric", note) for cell in _cells("be", 2, 1)}
+    want.update({cell: ("fail", "exact", note) for cell in _cells("cd", 2, 1)})
     assert _structural_grid(reports) == want
 
 
@@ -1146,6 +1165,24 @@ def test_verify_all_enforces_the_quadrature_floor_before_any_work(monkeypatch):
     assert e20 == ["pass", "pass"]
 
 
+def test_verify_all_rejects_a_shallow_moments_table_before_any_work(monkeypatch):
+    # exact (4, 2) reads gram(5, 2) of degree 2 * 5 + 2 * 2 = 14
+    f = load_family(export_family(builtin("triangle(1,1,1)"), moment_degree=8))
+    builds = []
+    real = characterize.build_monic
+
+    def counted(fam, nmax):
+        builds.append(nmax)
+        return real(fam, nmax)
+
+    monkeypatch.setattr(characterize, "build_monic", counted)
+    with pytest.raises(OracleUnavailableError) as info:
+        verify_all(f, nmax=4, mmax=2)
+    assert str(info.value) == ("moment (0,9) unavailable; the grid n<=4 m<=2 "
+                               "needs every moment up to degree 14")
+    assert builds == []
+
+
 def test_verify_all_builds_one_rule_and_only_when_it_is_read(monkeypatch):
     orders = _counting_quadrature(monkeypatch)
     f = builtin("product_hermite")
@@ -1194,6 +1231,12 @@ def test_verify_all_quadratic_drift_never_raises():
     want = {cell: ("fail", "exact", note) for cell in _cells("bcd", 2, 1)}
     want.update({cell: ("pass", "exact", "") for cell in _cells("e", 2, 1)})
     assert _structural_grid(reports) == want
+    # in a numeric run the blocked b cells keep b's numeric mode
+    numeric = _structural_grid(verify_all(bad, nmax=2, mmax=1, mode="numeric"))
+    want = {cell: ("fail", "exact", note) for cell in _cells("cd", 2, 1)}
+    want.update({cell: ("fail", "numeric", note) for cell in _cells("b", 2, 1)})
+    want.update({cell: ("pass", "numeric", "") for cell in _cells("e", 2, 1)})
+    assert numeric == want
 
 
 def test_verify_all_deterministic():

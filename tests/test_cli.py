@@ -13,12 +13,11 @@ from copoly2d.cli import (
     list_families,
     main,
     render_json,
-    require_moment_depth,
     resolve_family,
     run,
 )
 from copoly2d import characterize
-from copoly2d.characterize import verify_all
+from copoly2d.characterize import require_moment_depth, verify_all
 from copoly2d.weights import (
     FamilyLoadError,
     WeightFamily,
@@ -29,14 +28,19 @@ from copoly2d.weights import (
 )
 
 
-def test_config_validation():
+def test_config_validation(capsys):
     RunConfig("product_hermite").validate()
-    with pytest.raises(ConfigError):
-        RunConfig("product_hermite", nmax=0).validate()
-    with pytest.raises(ConfigError):
-        RunConfig("product_hermite", mmax=-1).validate()
-    with pytest.raises(ConfigError):
-        RunConfig("product_hermite", mode="guess").validate()
+    # the grid and the mode are verify_all's to check; the CLI passes them on
+    for cfg, message in ((RunConfig("product_hermite", nmax=0), "nmax must be at least 1"),
+                         (RunConfig("product_hermite", mmax=-1), "mmax must be nonnegative"),
+                         (RunConfig("product_hermite", mode="guess"), "unknown mode 'guess'")):
+        cfg.validate()
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run(cfg)
+    for flags, message in ((["--nmax", "0"], "nmax must be at least 1"),
+                           (["--mmax", "-1"], "mmax must be nonnegative")):
+        assert main(["verify", "--family", "product_hermite", *flags]) == 2
+        assert capsys.readouterr().err == f"copoly2d: {message}\n"
     with pytest.raises(ConfigError):
         RunConfig("product_hermite", nmax=4, mmax=2, mode="numeric",
                   quad_order=7).validate()
@@ -256,6 +260,26 @@ def test_inline_rational_params_name_the_builtin(capsys):
     assert inline == split
 
 
+def test_leading_minus_params_attach_with_an_equals_sign_or_go_inline(capsys):
+    # `--params -1/2,...` reads the value as an option; both spellings here
+    # work, and their reports differ only where the config echoes the spelling
+    def report(argv):
+        code = main(["verify", *argv, "--nmax", "2", "--mmax", "1", "--format", "json"])
+        doc = json.loads(capsys.readouterr().out)
+        spelling = doc["config"].pop("family_ref"), doc["config"].pop("params")
+        return code, json.dumps(doc, sort_keys=True, indent=2), spelling
+
+    attached = report(["--family", "triangle", "--params=-1/2,1/3,2"])
+    inline = report(["--family", "triangle(-1/2,1/3,2)"])
+    assert attached[:2] == inline[:2]
+    assert attached[2] == ("triangle", ["-1/2", "1/3", "2"])
+    assert inline[2] == ("triangle(-1/2,1/3,2)", [])
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--family", "triangle", "--params", "-1/2,1/3,2"])
+    assert info.value.code == 2
+    assert "--params: expected one argument" in capsys.readouterr().err
+
+
 def test_decimal_params_are_exact(capsys):
     code = main(["verify", "--family", "product_jacobi",
                  "--params", "0.5,0.5,0.5,0.5", "--nmax", "2", "--mmax", "1",
@@ -269,10 +293,10 @@ def test_decimal_params_are_exact(capsys):
 def test_checker_crash_is_an_error_cell_and_exit_three(capsys, monkeypatch):
     real_check_c = characterize.check_c
 
-    def crashing_check_c(f, system, n, m, *rest):
+    def crashing_check_c(system, n, m, *rest):
         if (n, m) == (3, 0):
             raise TypeError("injected")
-        return real_check_c(f, system, n, m, *rest)
+        return real_check_c(system, n, m, *rest)
 
     monkeypatch.setattr(characterize, "check_c", crashing_check_c)
     reports = verify_all(builtin("product_hermite"), nmax=3, mmax=1,
@@ -348,7 +372,7 @@ def test_exact_run_reads_no_moment_beyond_the_probed_depth(monkeypatch, ref, nma
 
     monkeypatch.setattr(WeightFamily, "moment", recording)
     f = builtin(*parse_family_ref(ref))
-    require_moment_depth(f, RunConfig(ref, nmax=nmax, mmax=mmax, mode="exact"))
+    require_moment_depth(f, nmax, mmax, "exact")
     depth = max(degrees)  # the probe reads every moment of degree <= D
     degrees.clear()
     # the auxiliary properties read no moments
