@@ -810,7 +810,8 @@ def _expand_properties(props):
         elif p in PROPERTY_ORDER:
             chosen.add(p)
         else:
-            raise ValueError(f"unknown property token {p!r}")
+            raise ValueError(f"unknown property token {p!r}; choose from "
+                             f"{', '.join(SELECTABLE_PROPERTIES + AUX_PROPERTIES)}")
     return chosen
 
 
@@ -822,21 +823,15 @@ def _guarded(prop, family, n, m, mode, fn):
                               f"error: {type(exc).__name__}: {exc}")
 
 
-def require_moment_depth(f: WeightFamily, nmax: int, mmax: int, mode: str) -> None:
-    """Reject a moment oracle that cannot reach the degree the grid needs.
+def require_moment_depth(f: WeightFamily, nmax: int, mmax: int, depth: int) -> None:
+    """Probe every moment of degree <= depth, before any work.
 
-    Building P_0 .. P_N, N = nmax + mmax + 1, reads moments up to degree
-    2N - 1; that is all numeric mode reads.  Exact mode also integrates
-    the level Gram blocks gram(nmax + 1, mmax), of degree
-    2 (nmax + 1) + mmax deg(phi).  The deeper of the two is D; every
-    moment of degree <= D is probed, so a shallow moments table raises
-    OracleUnavailableError before any work.
+    A shallow moments table raises OracleUnavailableError naming the
+    first missing moment and the depth the grid n <= nmax, m <= mmax
+    needs; a family without an oracle is left alone.
     """
     if not f.has_oracle():
         return
-    depth = 2 * (nmax + mmax + 1) - 1
-    if mode == "exact":
-        depth = max(depth, 2 * (nmax + 1) + max(f.phi.degree, 0) * mmax)
     for d in range(depth + 1):
         for i in range(d + 1):
             try:
@@ -854,22 +849,23 @@ def verify_all(f: WeightFamily, nmax: int = 4, mmax: int = 2,
     """Run every selected checker over the (n, m) grid, never raising.
 
     Returns the list of PropertyReport in taxonomy order (PROPERTY_ORDER),
-    each property's cells in (n, m) order.  Every cell is built through
-    one guard: a checker that raises gives a cell with status "error" and
-    the exception in its note, never a "fail".  Only a cell whose
-    prerequisite (the monic system, or the drift tower) could not be
-    built skips its checker; it fails with the construction error in its
-    note.  Bad arguments and too shallow a moments table raise instead.
-    mode "auto" picks exact checks when the family carries an exact
-    moment oracle and numeric integration otherwise; construction of
-    the system itself always needs the oracle, so families without one
-    fail the structural checks with an explanatory note while the
-    data-only checks still run.  The quadrature rule is built once, after
-    the system, when numeric checks read it (b and e in numeric mode).
-    Such a run rejects, with InvalidParameterError and before any check
-    runs or the system is built, a domain without a Gauss rule and, when
-    the family has an oracle, a quad_order below the grid floor
-    nmax + mmax + 2, the order the CLI also requires.
+    each property's cells in (n, m) order, every cell built through one
+    guard: a checker that raises gives status "error", never "fail".
+    One table names each property's cells, reported mode, prerequisites
+    and checker, and the chosen rows' prerequisites are all a run builds
+    and checks up front: the drift "tower"; the monic "system" P_0 ..
+    P_N, N = nmax + mmax + 1, whose construction reads moments up to
+    degree 2N - 1; the "next gram" block gram(nmax + 1, mmax), of degree
+    2 (nmax + 1) + mmax deg(phi), that exact (e) alone integrates; and,
+    in numeric mode, the Gauss "rule" that (b) and (e) read, built once
+    after the system.  mode "auto" is exact when the family has a moment
+    oracle.  Before any build, a run that reads a rule raises
+    InvalidParameterError on a quad_order below the grid floor nmax +
+    mmax + 2 (only when the family has an oracle), then on a domain
+    without a Gauss rule; a run that reads the system probes every moment
+    it reads (require_moment_depth).  A cell whose prerequisite could not
+    be built (no oracle, no system) skips its checker and fails with the
+    construction error in its note.  Bad arguments raise ValueError.
     """
     if nmax < 1:
         raise ValueError("nmax must be at least 1")
@@ -882,32 +878,8 @@ def verify_all(f: WeightFamily, nmax: int = 4, mmax: int = 2,
     else:
         raise ValueError(f"unknown mode {mode!r}")
     chosen = _expand_properties(properties)
-    if resolved == "numeric" and chosen & {"b", "e"}:
-        floor = nmax + mmax + 2  # without an oracle no system is built to read the rule
-        if f.has_oracle() and quad_order < floor:
-            raise InvalidParameterError(
-                f"quad_order {quad_order} below the grid floor {floor}")
-        check_quadrature_domain(f)
-    require_moment_depth(f, nmax, mmax, resolved)
     depth = max(1, mmax, nmax - 1)
-    try:
-        tower = psi_tower(f, depth)
-        tower_err = ""
-    except Exception as exc:
-        tower = None
-        tower_err = f"drift tower construction failed: {type(exc).__name__}: {exc}"
-    system = None
-    system_err = ""
-    if chosen & {"b", "c", "d", "e"}:
-        try:
-            system = build_monic(f, nmax + mmax + 1)
-        except Exception as exc:
-            system_err = f"system construction failed: {type(exc).__name__}: {exc}"
-    rule = None
-    if resolved == "numeric" and system is not None and chosen & {"b", "e"}:
-        rule = make_quadrature(f, quad_order)
-    # prerequisite -> the note of the cells it blocks when it failed
-    failed = {"system": system_err, "tower": tower_err}
+    system = rule = tower = None
 
     def lemma1(n, m):
         d = f.d_matrix()
@@ -923,15 +895,18 @@ def verify_all(f: WeightFamily, nmax: int = 4, mmax: int = 2,
 
     grid = [(n, m) for n in range(nmax + 1) for m in range(mmax + 1)]
     levels = [(n, m) for n, m in grid if n >= 1]
+    numeric = resolved == "numeric"
     # property -> (cells, reported mode, prerequisites, checker); c and d are exact only
     table = {
         "a": ([(0, 0)], "exact", (), lambda n, m: check_a(f)),
-        "b": ([(n, m) for n, m in levels if m >= 1], resolved, ("system", "tower"),
+        "b": ([(n, m) for n, m in levels if m >= 1], resolved,
+              ("system", "tower", "rule") if numeric else ("system", "tower"),
               lambda n, m: check_b(system, n, m, rule)),
         "c": (levels, "exact", ("system", "tower"), lambda n, m: check_c(system, n, m)),
         "d": ([(n, m) for n, m in levels if m == 0], "exact", ("system", "tower"),
               lambda n, m: check_d(system, n)),
-        "e": (levels, resolved, ("system",), lambda n, m: check_e(system, n, m, rule)),
+        "e": (levels, resolved, ("system", "rule") if numeric else ("system", "next gram"),
+              lambda n, m: check_e(system, n, m, rule)),
         "phi_conditions": ([(0, 0)], "exact", (), lambda n, m: _report(
             "phi_conditions", f.name, 0, 0, check_phi_conditions(f))),
         "lemma1": ([(0, m) for m in range(1, 6)], "exact", (), lemma1),
@@ -940,12 +915,38 @@ def verify_all(f: WeightFamily, nmax: int = 4, mmax: int = 2,
                                         tower.level(m).closed_form_ok)),
         "prop1": (grid, "exact", (), prop1),
     }
+    needs = {p for prop in chosen for p in table[prop][2]}
+    if "rule" in needs:
+        floor = nmax + mmax + 2  # without an oracle no system is built to read the rule
+        if f.has_oracle() and quad_order < floor:
+            raise InvalidParameterError(
+                f"quad_order {quad_order} below the grid floor {floor}")
+        check_quadrature_domain(f)
+    if "system" in needs:
+        moment_depth = 2 * (nmax + mmax + 1) - 1
+        if "next gram" in needs:
+            moment_depth = max(moment_depth, 2 * (nmax + 1) + max(f.phi.degree, 0) * mmax)
+        require_moment_depth(f, nmax, mmax, moment_depth)
+    # prerequisite -> the note of the cells it blocks, for each one that failed
+    failed = {}
+    if "tower" in needs:
+        try:
+            tower = psi_tower(f, depth)
+        except Exception as exc:
+            failed["tower"] = f"drift tower construction failed: {type(exc).__name__}: {exc}"
+    if "system" in needs:
+        try:
+            system = build_monic(f, nmax + mmax + 1)
+        except Exception as exc:
+            failed["system"] = f"system construction failed: {type(exc).__name__}: {exc}"
+    if "rule" in needs and system is not None:
+        rule = make_quadrature(f, quad_order)
     reports = []
     for prop in PROPERTY_ORDER:
         if prop not in chosen:
             continue
-        cells, cell_mode, needs, check = table[prop]
-        blocked = next((failed[p] for p in needs if failed[p]), "")
+        cells, cell_mode, prereqs, check = table[prop]
+        blocked = next((failed[p] for p in prereqs if p in failed), "")
         for n, m in cells:
             if blocked:
                 reports.append(PropertyReport(prop, f.name, n, m, "fail", 1.0,

@@ -358,6 +358,8 @@ class OrthoSystem:
 
     def p(self, n: int) -> PolyMatrix:
         """The degree-n monic column, shape (n+1, 1)."""
+        if not 0 <= n <= self.nmax:
+            raise ValueError(f"P_{n} is outside 0..nmax {self.nmax}")
         return self._p[n]
 
     def _check_stack(self, n: int, m: int) -> None:
@@ -384,6 +386,8 @@ class OrthoSystem:
         order are the same, but each lower power comes from the memo.
         """
         def make():
+            if m < 0:
+                raise ValueError("negative Kronecker power")
             if m == 0:
                 return PolyMatrix.identity(1)
             return kron(self.family.phi, self.phi_power(m - 1))
@@ -420,6 +424,8 @@ class OrthoSystem:
         W_(m-1) by one more factor per row, never forming phi_power(m).
         """
         def make():
+            if m < 0:
+                raise ValueError("negative Kronecker power")
             if m == 0:
                 return PolyMatrix.identity(1)
             prev = self.phi_rows(m - 1)

@@ -610,6 +610,8 @@ def load_family(source) -> WeightFamily:
         else:
             with open(text, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise FamilyLoadError(f"bad family document: want a JSON object, got {json.dumps(doc)[:40]}")
     required = {"name", "phi", "psi1", "psi2", "log_grad_x", "log_grad_y", "domain"}
     missing = required - set(doc)
     if missing:

@@ -1183,6 +1183,28 @@ def test_verify_all_rejects_a_shallow_moments_table_before_any_work(monkeypatch)
     assert builds == []
 
 
+
+def test_verify_all_builds_and_probes_only_what_the_chosen_rows_read(monkeypatch):
+    # a degree-4 table is too shallow for any system on (2, 1), which needs
+    # degree 7; (a) reads the Pearson data alone and lemma2 the drift tower
+    f = load_family(export_family(builtin("triangle(1,1,1)"), moment_degree=4))
+    calls = []
+    for name in ("build_monic", "psi_tower"):
+        real = getattr(characterize, name)
+        monkeypatch.setattr(characterize, name,
+                            lambda *args, _name=name, _real=real:
+                            calls.append(_name) or _real(*args))
+    reports = verify_all(f, nmax=2, mmax=1, properties=("a", "aux"))
+    assert {r.property for r in reports} == {"a", *AUX_PROPERTIES}
+    assert all(r.status == "pass" for r in reports)
+    assert calls == ["psi_tower"]
+    calls.clear()
+    assert [r.status for r in verify_all(f, nmax=2, mmax=1, properties=("a",))] == ["pass"]
+    assert calls == []
+    with pytest.raises(OracleUnavailableError, match="up to degree 8"):
+        verify_all(f, nmax=2, mmax=1, properties=("e",))
+    assert calls == []
+
 def test_verify_all_builds_one_rule_and_only_when_it_is_read(monkeypatch):
     orders = _counting_quadrature(monkeypatch)
     f = builtin("product_hermite")

@@ -17,7 +17,7 @@ from copoly2d.cli import (
     run,
 )
 from copoly2d import characterize
-from copoly2d.characterize import require_moment_depth, verify_all
+from copoly2d.characterize import verify_all
 from copoly2d.weights import (
     FamilyLoadError,
     WeightFamily,
@@ -29,29 +29,28 @@ from copoly2d.weights import (
 
 
 def test_config_validation(capsys):
-    RunConfig("product_hermite").validate()
-    # the grid and the mode are verify_all's to check; the CLI passes them on
+    # the grid, the mode, the property tokens and the quadrature floor are
+    # verify_all's to check; the CLI passes them on and checks only the format
     for cfg, message in ((RunConfig("product_hermite", nmax=0), "nmax must be at least 1"),
                          (RunConfig("product_hermite", mmax=-1), "mmax must be nonnegative"),
                          (RunConfig("product_hermite", mode="guess"), "unknown mode 'guess'")):
-        cfg.validate()
         with pytest.raises(ValueError, match=f"^{message}$"):
             run(cfg)
-    for flags, message in ((["--nmax", "0"], "nmax must be at least 1"),
-                           (["--mmax", "-1"], "mmax must be nonnegative")):
+    tokens = "a, b, c, d, e, aux, phi_conditions, lemma1, lemma2, prop1"
+    for flags, message in (
+            (["--nmax", "0"], "nmax must be at least 1"),
+            (["--mmax", "-1"], "mmax must be nonnegative"),
+            (["--mode", "numeric", "--quad-order", "7"], "quad_order 7 below the grid floor 8"),
+            (["--properties", "a,f"], f"unknown property token 'f'; choose from {tokens}")):
         assert main(["verify", "--family", "product_hermite", *flags]) == 2
         assert capsys.readouterr().err == f"copoly2d: {message}\n"
-    with pytest.raises(ConfigError):
-        RunConfig("product_hermite", nmax=4, mmax=2, mode="numeric",
-                  quad_order=7).validate()
+    with pytest.raises(ConfigError, match="^unknown format 'yaml'$"):
+        run(RunConfig("product_hermite", format="yaml"))
     # only numeric mode reads quadrature, so only it has a floor
     for mode in ("exact", "auto"):
-        RunConfig("product_hermite", nmax=4, mmax=2, mode=mode, quad_order=7).validate()
-    RunConfig("product_hermite", nmax=17, mmax=2, mode="exact").validate()
-    with pytest.raises(ConfigError):
-        RunConfig("product_hermite", format="yaml").validate()
-    with pytest.raises(ConfigError):
-        RunConfig("product_hermite", properties=("a", "f")).validate()
+        assert main(["verify", "--family", "product_hermite", "--nmax", "2", "--mmax", "1",
+                     "--mode", mode, "--quad-order", "4"]) == 0
+        capsys.readouterr()
 
 
 def test_resolve_family_builtin_and_path(tmp_path):
@@ -92,6 +91,14 @@ def test_quad_order_floor_is_exit_two(capsys):
     code = main(["verify", "--family", "product_hermite", "--mode", "exact",
                  "--nmax", "2", "--mmax", "1", "--quad-order", "1"])
     assert code == 0
+
+
+def test_quad_order_floor_leaves_a_numeric_run_without_b_or_e_alone(capsys):
+    # c and d read no rule, so a numeric run of them alone builds none
+    code = main(["verify", "--family", "product_hermite", "--mode", "numeric",
+                 "--properties", "c,d", "--quad-order", "3", "--nmax", "2", "--mmax", "1"])
+    assert code == 0
+    assert capsys.readouterr().out.endswith("summary: 6 pass, 0 fail\n")
 
 
 def test_quad_order_floor_leaves_an_oracle_less_auto_run_alone(tmp_path, capsys):
@@ -188,6 +195,8 @@ MALFORMED = {
     "int psi1": (("psi1",), 5, "bad polynomial field"),
     "int log_grad_x numerator": (("log_grad_x", "num"), 5, "bad log_grad_x"),
     "int domain params": (("domain", "params"), 5, "bad domain parameters"),
+    "null document": ((), None, "bad family document"),
+    "int document": ((), 5, "bad family document"),
 }
 
 
@@ -195,15 +204,18 @@ MALFORMED = {
 def test_malformed_family_file_is_a_load_error_and_exit_two(tmp_path, capsys, field,
                                                             value, message):
     doc = export_family(builtin("product_hermite"), moment_degree=6)
-    *outer, last = field
-    target = doc
-    for key in outer:
-        target = target[key]
-    target[last] = value
-    with pytest.raises(FamilyLoadError, match=message):
-        load_family(doc)
+    if field:
+        *outer, last = field
+        target = doc
+        for key in outer:
+            target = target[key]
+        target[last] = value
+    else:
+        doc = value
     path = tmp_path / "fam.json"
     path.write_text(json.dumps(doc))
+    with pytest.raises(FamilyLoadError, match=message):
+        load_family(str(path))
     assert main(["verify", "--family", str(path), "--nmax", "1", "--mmax", "0"]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"copoly2d: {message}: ") and "Traceback" not in err
@@ -371,14 +383,39 @@ def test_exact_run_reads_no_moment_beyond_the_probed_depth(monkeypatch, ref, nma
         return moment(family, i, j)
 
     monkeypatch.setattr(WeightFamily, "moment", recording)
+    probe = characterize.require_moment_depth
+    probed = []
+
+    def probing(family, n, m, depth):
+        probe(family, n, m, depth)
+        probed.append(depth)
+        degrees.clear()  # the probe reads every moment of degree <= depth
+
+    monkeypatch.setattr(characterize, "require_moment_depth", probing)
     f = builtin(*parse_family_ref(ref))
-    require_moment_depth(f, nmax, mmax, "exact")
-    depth = max(degrees)  # the probe reads every moment of degree <= D
-    degrees.clear()
-    # the auxiliary properties read no moments
-    verify_all(f, nmax=nmax, mmax=mmax, mode="exact",
-               properties=("a", "b", "c", "d", "e"))
-    assert max(degrees) <= depth
+    # the auxiliary properties read no moments; without (e) the run reads
+    # no level Gram block beyond the grid, so building P_0 .. P_N is deepest
+    for props in (("a", "b", "c", "d", "e"), ("b", "c", "d")):
+        probed.clear()
+        verify_all(f, nmax=nmax, mmax=mmax, mode="exact", properties=props)
+        assert len(probed) == 1 and max(degrees) <= probed[0]
+    assert probed == [2 * (nmax + mmax + 1) - 1]
+
+
+def test_exact_run_without_e_reads_the_table_only_to_degree_2n_minus_1(tmp_path, capsys):
+    # triangle at (2, 1): building P_0 .. P_4 reads degree 7, and exact (e)
+    # alone also integrates gram(3, 1), of degree 8
+    f = builtin("triangle(1,1,1)")
+    reports = verify_all(f, nmax=2, mmax=1, mode="exact",
+                         properties=("a", "b", "c", "d", "aux"))
+    want_exit = 0 if all(r.status == "pass" for r in reports) else 1
+    fam = tmp_path / "fam7.json"
+    fam.write_text(json.dumps(export_family(f, moment_degree=7)))
+    argv = ["verify", "--family", str(fam), "--nmax", "2", "--mmax", "1", "--mode", "exact"]
+    assert main(argv + ["--properties", "a,b,c,d,aux"]) == want_exit
+    capsys.readouterr()
+    assert main(argv + ["--properties", "e"]) == 2
+    assert "moment (0,8) unavailable" in capsys.readouterr().err
 
 
 def test_list_families_text(capsys):

@@ -524,6 +524,32 @@ def test_distinct_rows_check_their_indices():
             sys.q_rows(n, m)
 
 
+
+def test_p_rejects_a_degree_outside_the_system():
+    sys = build_monic(builtin("product_hermite"), 3)
+    assert sys.p(0).shape == (1, 1) and sys.p(3).shape == (4, 1)
+    for n in (-1, 4):
+        with pytest.raises(ValueError, match="outside 0..nmax 3"):
+            sys.p(n)
+
+
+def test_phi_power_rejects_a_negative_level():
+    sys = build_monic(builtin("product_hermite"), 3)
+    with pytest.raises(ValueError, match="negative Kronecker power"):
+        sys.phi_power(-1)
+
+
+def test_phi_rows_rejects_a_negative_level():
+    sys = build_monic(builtin("product_hermite"), 3)
+    with pytest.raises(ValueError, match="negative Kronecker power"):
+        sys.phi_rows(-1)
+
+
+def test_weighted_rows_rejects_a_negative_level():
+    sys = build_monic(builtin("product_hermite"), 3)
+    with pytest.raises(ValueError):
+        sys.weighted_rows(1, -1)
+
 def test_numeric_gram_is_kept_per_rule():
     f = builtin("product_jacobi(0,0,0,0)")
     sys = build_monic(f, 4)
