@@ -12,7 +12,8 @@ polynomial's terms in stored order, so these also pin the key order.
 The default grid stops at level 2, so the exact reports of the five
 seed-0 instances at `--nmax 5 --mmax 3`, and of triangle(1,1,1) at
 `--nmax 5 --mmax 4`, are pinned too: (e) there reads level-4 and
-level-5 stacks.
+level-5 stacks.  The five seed-0 reports at `--nmax 8 --mmax 2` pin the
+(d) tower, which there solves (c) at every level up to 7.
 """
 from __future__ import annotations
 
@@ -52,6 +53,11 @@ DEEP = [
     (*SEED0[3], 5, 3, 1, "c2aacc421d5d39c70d1e95c863ef35a2bfb6cb35225b1cc68d609c6adff92306"),
     (*SEED0[4], 5, 3, 1, "66f1253a41937d7fe58a3993f9a6478bf9c448a246ddf95c66ba2dc744d83d28"),
     (*SEED0[4], 5, 4, 1, "0a245809ae134d943fbd74382e5960a0d24c7dcb99f200444dbd7ba2c7dc04a1"),
+    (*SEED0[0], 8, 2, 0, "1b82fd8440d961003ae8ded000b8a5afd555318d22e8108d894e62cefaecd8df"),
+    (*SEED0[1], 8, 2, 1, "4a979a33876325f3708f7f6e6a42a8bcb365a1bd00a567b2f650d2284a1cb07f"),
+    (*SEED0[2], 8, 2, 1, "61fe195ee6e1d4a0a27639c00217e46352df625640b2671e33f51438460b1c0a"),
+    (*SEED0[3], 8, 2, 1, "d2db2b5a90a35ab6364c57abee9125fdbe2f7a8cee61af61b79bfb914146e3e8"),
+    (*SEED0[4], 8, 2, 1, "04c2ea792ee4bbba90a5d680164b79f6540491e06725ff93cb0cedfdffed2039"),
 ]
 
 
