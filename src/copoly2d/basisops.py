@@ -238,17 +238,17 @@ def basis_identity_check(n: int, m: int, which: str, rng: random.Random | None =
 
 
 def identity_suite(n: int, m: int, rng: random.Random | None = None,
-                   sandwich_draws: int = 1) -> dict:
-    """Run every identity valid at (n, m); returns {key: bool}.
+                   sandwich_draws: int = 1, keys=IDENTITY_KEYS) -> dict:
+    """Run every identity among keys valid at (n, m); returns {key: bool}.
 
     All sandwich draws come from one generator, random.Random(0) when
-    rng is None.
+    rng is None; no other identity draws from it.
     """
     if rng is None:
         rng = random.Random(0)
     out = {}
     for key in IDENTITY_KEYS:
-        if n < _MIN_N[key]:
+        if key not in keys or n < _MIN_N[key]:
             continue
         if key == "linear_sandwich":
             ok = all(

@@ -29,7 +29,11 @@ it.  The weight density itself is never materialized; identities
 involving it are divided through and cleared to polynomial statements
 using the family's logarithmic gradient.  The drift tower that (b), (c)
 and (d) read depends only on the family, so psi_tower keeps the deepest
-one built per family and the checkers look it up themselves.
+one built per family and the checkers look it up themselves.  The
+level-m eigenvalue systems behind (c), (d) and rodrigues_reconstruct
+are solved on the m + 1 distinct rows of each gradient stack (and the
+m + 1 matching row blocks of the leading-coefficient symbol), never on
+all 2^m: every other row repeats one of them.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from fractions import Fraction
 from functools import partial
 from math import lcm
 
-from .basisops import identity_suite, l_mat, n_mat
+from .basisops import IDENTITY_KEYS, identity_suite, l_mat, n_mat
 from .matpoly import (
     InconsistentSystemError,
     PolyMatrix,
@@ -67,7 +71,7 @@ from .orthosys import (
     integrate_products,
     row_halves,
 )
-from .polycore import ONE
+from .polycore import ONE, ZERO
 from .weights import (
     InvalidParameterError,
     OracleUnavailableError,
@@ -154,8 +158,10 @@ class PsiLevel:
 
     d1/d2 interleave the x and y coefficients of each entry row (row
     2r holds the x part of entry row r, row 2r+1 its y part); e1/e2
-    hold the constant terms.  closed_form_ok records whether the level
-    built by the recurrence matches the direct block closed form.
+    hold the constant terms.  op_rows is the level's second order
+    operator on the m + 1 distinct rows of a stack (_level_operator).
+    closed_form_ok records whether the level built by the recurrence
+    matches the direct block closed form.
     """
 
     psi1: PolyMatrix
@@ -164,6 +170,7 @@ class PsiLevel:
     d2: PolyMatrix
     e1: PolyMatrix
     e2: PolyMatrix
+    op_rows: PolyMatrix
     closed_form_ok: bool
 
 
@@ -193,6 +200,35 @@ def _linear_split(mat: PolyMatrix):
             dref[2 * r + 1][c] = p.coeff(0, 1)
             eref[r][c] = p.coeff(0, 0)
     return const_matrix(dref, cols), const_matrix(eref, cols)
+
+
+def _level_operator(f: WeightFamily, psi1: PolyMatrix, psi2: PolyMatrix,
+                    m: int) -> PolyMatrix:
+    """The level-m operator on distinct rows, an (m+1) x (2m+5) polynomial matrix.
+
+    op_m = phi11 dxx + 2 phi12 dxy + phi22 dyy + psi1 dx + psi2 dy maps
+    Q = q(n, m) to an image whose row r depends only on popcount(r)
+    (see lambda_via_operator).  For S = q_rows(n, m), rows s, s + 1 and
+    s + 2 of q_rows(n - 2, m + 2) are row s of S_xx, S_xy and S_yy, and
+    rows t and t + 1 of q_rows(n - 1, m + 1) are row t of S_x and S_y.
+    Row r of psi_i Q_x is sum_c psi_i[r, c] S_x[popcount c], so with
+    Psi_i[s, t] the sum of psi_i[2^s - 1, c] over the columns c of
+    popcount t, row 2^s - 1 of op_m(Q) is row s of this matrix times
+    [q_rows(n - 2, m + 2); q_rows(n - 1, m + 1)]: phi11, 2 phi12 and
+    phi22 in columns s, s + 1 and s + 2, and Psi_1[s, t] + Psi_2[s, t - 1]
+    in column m + 3 + t.
+    """
+    rows = []
+    for s in range(m + 1):
+        row = [ZERO] * (2 * m + 5)
+        row[s:s + 3] = f.phi[0, 0], f.phi[0, 1] * 2, f.phi[1, 1]
+        for shift, psi in enumerate((psi1, psi2)):
+            for c, p in enumerate(psi.row_list(2 ** s - 1)):
+                if p.num:
+                    col = m + 3 + shift + bin(c).count("1")
+                    row[col] = row[col] + p
+        rows.append(row)
+    return PolyMatrix.from_rows(rows)
 
 
 def _h_block(a_lo: PolyMatrix, a_hi: PolyMatrix, eyeh: PolyMatrix) -> PolyMatrix:
@@ -229,7 +265,9 @@ def psi_tower(f: WeightFamily, mmax: int) -> PsiTower:
     psi_i -> I_2 (x) psi_i + grad(column i of the weight matrix) (x) I,
     and each level's coefficient split is cross-checked against the
     closed form that adds one block of quadratic/linear weight data to
-    the Kronecker-doubled previous level.  The tower depends only on the
+    the Kronecker-doubled previous level.  Each level also keeps its
+    second order operator on distinct rows (_level_operator), which the
+    (c) operator route reads.  The tower depends only on the
     family, so the deepest one built is kept for it and returned to
     every caller that asks for no more levels; a build that raises
     keeps nothing.
@@ -245,7 +283,7 @@ def psi_tower(f: WeightFamily, mmax: int) -> PsiTower:
     psi2 = PolyMatrix.scalar(f.psi2)
     d1, e1 = _linear_split(psi1)
     d2, e2 = _linear_split(psi2)
-    levels = [PsiLevel(psi1, psi2, d1, d2, e1, e2, True)]
+    levels = [PsiLevel(psi1, psi2, d1, d2, e1, e2, _level_operator(f, psi1, psi2, 0), True)]
     eye2 = PolyMatrix.identity(2)
     for m in range(1, mmax + 1):
         eyeh = PolyMatrix.identity(2 ** (m - 1))
@@ -261,7 +299,8 @@ def psi_tower(f: WeightFamily, mmax: int) -> PsiTower:
             want_d = _h_block(a_cols[i], a_cols[i + 1], eyeh) + kron(eye2, dprev)
             want_e = _k_block(b_cols[i], b_cols[i + 1], eyeh) + kron(eye2, eprev)
             ok = ok and dd == want_d and ee == want_e
-        levels.append(PsiLevel(new1, new2, d1, d2, e1, e2, ok))
+        levels.append(PsiLevel(new1, new2, d1, d2, e1, e2,
+                               _level_operator(f, new1, new2, m), ok))
     tower = _TOWERS[f] = PsiTower(tuple(levels))
     return tower
 
@@ -289,20 +328,6 @@ def interleaved_det_check(d1: PolyMatrix, d2: PolyMatrix, m: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # eigenvalue matrices: operator route and leading-coefficient route
-
-
-def _second_order_image(f: WeightFamily, level: PsiLevel, q: PolyMatrix) -> PolyMatrix:
-    """Apply the second order operator of the weight to a stack.
-
-    phi11 dxx + 2 phi12 dxy + phi22 dyy acting entrywise, plus the
-    level's drift matrices times the first derivatives.
-    """
-    qx = q.dx()
-    qy = q.dy()
-    out = qx.dx().scale(f.phi[0, 0])
-    out = out + qx.dy().scale(f.phi[0, 1] * 2)
-    out = out + qy.dy().scale(f.phi[1, 1])
-    return out + level.psi1 @ qx + level.psi2 @ qy
 
 
 def _solve_constant_right_factor(q: PolyMatrix, rhs: PolyMatrix) -> PolyMatrix:
@@ -343,20 +368,39 @@ def lambda_via_operator(sys: OrthoSystem, n: int, m: int) -> PolyMatrix:
     second order operator of the weight at level m.  The solution is
     exact; NoConstantSolution signals that no constant matrix works,
     which is how a non-classical input announces itself.
+
+    The system is solved on the m + 1 distinct rows S = q_rows(n, m)
+    of Q = q(n, m); its image comes from the memoised distinct rows one
+    and two levels up, through the level's operator matrix
+    (_level_operator).  Row r of op(Q) equals its row
+    2^popcount(r) - 1.  The second order part acts entrywise on row r
+    of Q.  The drift psi_i is psi_i^(0) I plus, for each of the m
+    slots k, the gradient matrix of column i of phi in slot k; slot k
+    gives row r the sum over i, b of d_(r_k) phi_(b i) times d_i d_b
+    of P_(n+m) differentiated along the other slots of r, so the sum
+    over k depends only on how many slots of r are y.  Every dropped
+    equation repeats a kept one, row scaling included, so the row
+    space, the pivot columns, the consistency verdict and L are those
+    of the full 2^m-row system.
     """
     if n < 1 or m < 0:
         raise ValueError("need gradient index n >= 1 and level m >= 0")
-    q = sys.q(n, m)
-    image = _second_order_image(sys.family, psi_tower(sys.family, m).level(m), q)
-    return _solve_constant_right_factor(q, -image)
+    s = sys.q_rows(n, m)
+    # a degree-1 stack has no second derivatives
+    second = sys.q_rows(n - 2, m + 2) if n >= 2 else PolyMatrix.zeros(m + 3, s.cols)
+    image = psi_tower(sys.family, m).level(m).op_rows @ vstack(second, sys.q_rows(n - 1, m + 1))
+    return _solve_constant_right_factor(s, -image)
 
 
 def _transpose(a, cols: int):
     return [[row[j] for row in a] for j in range(cols)]
 
 
-def _t_rows(f: WeightFamily, n: int, m: int):
-    """t_matrix as int rows over a denominator: (rows, d)."""
+def _t_rows(f: WeightFamily, n: int, m: int, blocks):
+    """Row blocks `blocks` of t_matrix (n + 1 rows each) as int rows over a denominator.
+
+    Returns (rows, d); d does not depend on which blocks are built.
+    """
     if n < 1 or m < 0:
         raise ValueError("need gradient index n >= 1 and level m >= 0")
     phi = ((f.phi[0, 0], 1), (f.phi[0, 1], 2), (f.phi[1, 1], 1))
@@ -383,26 +427,25 @@ def _t_rows(f: WeightFamily, n: int, m: int):
     else:
         t1 = [[0] * b for _ in range(b)]
     size = 2 ** m
-    t = [[0] * (size * b) for _ in range(size * b)]
-    for s in range(size):
-        for i in range(b):
-            t[s * b + i][s * b:(s + 1) * b] = t1[i]
     # C_{h,h'} (x) M_{h,h'}, M = L(n-1, h)^t N(n, h') over dl * dn
     scale = dl * dn
-    for h, lh in enumerate(ls[-2:]):
-        lh_t = _transpose(lh, b)
-        for dh, nh in zip(ds, ns[:2]):
-            block = int_matmul(lh_t, nh, b)
-            for s in range(size):
-                for s2, c in enumerate(dh[2 * s + h]):
-                    if not c:
-                        continue
-                    c *= scale
-                    for i in range(b):
-                        trow = t[s * b + i]
-                        for j, v in enumerate(block[i]):
-                            if v:
-                                trow[s2 * b + j] += c * v
+    ms = [(h, dh, int_matmul(_transpose(lh, b), nh, b))
+          for h, lh in enumerate(ls[-2:]) for dh, nh in zip(ds, ns[:2])]
+    t = []
+    for s in blocks:
+        rows = [[0] * (size * b) for _ in range(b)]
+        for i in range(b):
+            rows[i][s * b:(s + 1) * b] = t1[i]
+        for h, dh, block in ms:
+            for s2, c in enumerate(dh[2 * s + h]):
+                if not c:
+                    continue
+                c *= scale
+                for trow, brow in zip(rows, block):
+                    for j, v in enumerate(brow):
+                        if v:
+                            trow[s2 * b + j] += c * v
+        t += rows
     return t, da * scale * scale
 
 
@@ -441,7 +484,7 @@ def t_matrix(f: WeightFamily, n: int, m: int) -> PolyMatrix:
     d x_h (d_{s_1} d_h - d_h d_{s_1}) = 0.  For m >= 2 one exists iff
     A = c x x^t - (v x^t + x v^t) / (2(m - 1)), v psi's linear part.
     """
-    rows, d = _t_rows(f, n, m)
+    rows, d = _t_rows(f, n, m, range(2 ** m))
     return const_matrix([[Fraction(v, d) for v in row] for row in rows])
 
 
@@ -453,11 +496,27 @@ def lambda_via_formula(f: WeightFamily, n: int, m: int) -> PolyMatrix:
     and solved exactly (G always has full column rank for monic data).
     G and T stay int rows over their denominators dg and dt, so the
     system solved is dt (dg G) L = -(dt T)(dg G), all in ints.
+
+    Row block r of G (n + 1 rows) is the leading block of row r of the
+    stack, so it depends only on popcount(r).  Then so does row block r
+    of T G: T1 acts blockwise, and the drift coefficients C_{h,h'} come
+    from a Kronecker sum over the m slots, so summed over the columns of
+    each popcount they depend only on the row's popcount.  Only the row
+    blocks 2^s - 1 of T are built, and the system is solved on those
+    m + 1 blocks of G and T G; every dropped equation repeats a kept
+    one, so the solution, or the error, is that of the full system.
+    That G is read, not assumed: should its blocks not repeat (a wrong
+    derivative matrix), every block is kept.
     """
     g, _ = g_lead_rows(n, m)
-    t, dt = _t_rows(f, n, m)
+    b = n + 1
+    blocks = [g[r * b:(r + 1) * b] for r in range(2 ** m)]
+    reps = [2 ** s - 1 for s in range(m + 1)]
+    if any(blk != blocks[reps[bin(r).count("1")]] for r, blk in enumerate(blocks)):
+        reps = range(2 ** m)
+    t, dt = _t_rows(f, n, m, reps)
     tg = int_matmul(t, g, n + m + 1)
-    return solve_columns([[dt * v for v in row] for row in g],
+    return solve_columns([[dt * v for v in row] for r in reps for row in blocks[r]],
                          [[-v for v in row] for row in tg])
 
 
@@ -853,13 +912,15 @@ def verify_all(f: WeightFamily, nmax: int = 4, mmax: int = 2,
     guard: a checker that raises gives status "error", never "fail".
     One table names each property's cells, reported mode, prerequisites
     and checker, and the chosen rows' prerequisites are all a run builds
-    and checks up front: the drift "tower"; the monic "system" P_0 ..
-    P_N, N = nmax + mmax + 1, whose construction reads moments up to
-    degree 2N - 1; the "next gram" block gram(nmax + 1, mmax), of degree
-    2 (nmax + 1) + mmax deg(phi), that exact (e) alone integrates; and,
-    in numeric mode, the Gauss "rule" that (b) and (e) read, built once
-    after the system.  mode "auto" is exact when the family has a moment
-    oracle.  Before any build, a run that reads a rule raises
+    and checks up front: the drift "tower", built as deep as the chosen
+    rows read it (mmax for (b) and (c), nmax - 1 for (d), max(1, mmax,
+    nmax - 1) for lemma2, which has one cell per level); the monic
+    "system" P_0 .. P_N, N = nmax + mmax + 1, whose construction reads
+    moments up to degree 2N - 1; the "next gram" block gram(nmax + 1,
+    mmax), of degree 2 (nmax + 1) + mmax deg(phi), that exact (e) alone
+    integrates; and, in numeric mode, the Gauss "rule" that (b) and (e)
+    read, built once after the system.  mode "auto" is exact when the
+    family has a moment oracle.  Before any build, a run that reads a rule raises
     InvalidParameterError on a quad_order below the grid floor nmax +
     mmax + 2 (only when the family has an oracle), then on a domain
     without a Gauss rule; a run that reads the system probes every moment
@@ -878,8 +939,8 @@ def verify_all(f: WeightFamily, nmax: int = 4, mmax: int = 2,
     else:
         raise ValueError(f"unknown mode {mode!r}")
     chosen = _expand_properties(properties)
-    depth = max(1, mmax, nmax - 1)
     system = rule = tower = None
+    level_free = {}  # n -> the verdicts of the identities other than linear_sandwich
 
     def lemma1(n, m):
         d = f.d_matrix()
@@ -887,15 +948,21 @@ def verify_all(f: WeightFamily, nmax: int = 4, mmax: int = 2,
         return _report("lemma1", f.name, 0, m, interleaved_det_check(d1, d2, m))
 
     def prop1(n, m):
+        # only linear_sandwich depends on m, so the others run once per n
         rng = random.Random(seed * 1_000_003 + n * 97 + m)
-        bad = sorted(k for k, v in identity_suite(n, m, rng, sandwich_draws=3).items()
-                     if not v)
+        got = identity_suite(n, m, rng, sandwich_draws=3,
+                             keys=("linear_sandwich",) if n in level_free else IDENTITY_KEYS)
+        if n not in level_free:
+            level_free[n] = {k: v for k, v in got.items() if k != "linear_sandwich"}
+        bad = sorted(k for k, v in {**level_free[n], **got}.items() if not v)
         return _report("prop1", f.name, n, m, not bad,
                        notes="; ".join(f"{k} fails" for k in bad))
 
     grid = [(n, m) for n in range(nmax + 1) for m in range(mmax + 1)]
     levels = [(n, m) for n, m in grid if n >= 1]
     numeric = resolved == "numeric"
+    # the deepest drift tower level read by each row that reads the tower
+    tower_levels = {"b": mmax, "c": mmax, "d": nmax - 1, "lemma2": max(1, mmax, nmax - 1)}
     # property -> (cells, reported mode, prerequisites, checker); c and d are exact only
     table = {
         "a": ([(0, 0)], "exact", (), lambda n, m: check_a(f)),
@@ -910,7 +977,7 @@ def verify_all(f: WeightFamily, nmax: int = 4, mmax: int = 2,
         "phi_conditions": ([(0, 0)], "exact", (), lambda n, m: _report(
             "phi_conditions", f.name, 0, 0, check_phi_conditions(f))),
         "lemma1": ([(0, m) for m in range(1, 6)], "exact", (), lemma1),
-        "lemma2": ([(0, m) for m in range(1, depth + 1)], "exact", ("tower",),
+        "lemma2": ([(0, m) for m in range(1, tower_levels["lemma2"] + 1)], "exact", ("tower",),
                    lambda n, m: _report("lemma2", f.name, 0, m,
                                         tower.level(m).closed_form_ok)),
         "prop1": (grid, "exact", (), prop1),
@@ -931,7 +998,7 @@ def verify_all(f: WeightFamily, nmax: int = 4, mmax: int = 2,
     failed = {}
     if "tower" in needs:
         try:
-            tower = psi_tower(f, depth)
+            tower = psi_tower(f, max(tower_levels[p] for p in chosen if p in tower_levels))
         except Exception as exc:
             failed["tower"] = f"drift tower construction failed: {type(exc).__name__}: {exc}"
     if "system" in needs:

@@ -33,7 +33,9 @@ diag(C(m, s)).  So the exact Gram blocks, (b) cross terms, (d)
 divergence identities and (e) projections and reconstruction read S,
 B_m S (counted_rows) and R, not phi^(x)m or the 2^m-row stacks.  Their
 rows are the full stacks' rows, so the integrals read the same moments
-and give the same rationals.
+and give the same rationals.  The (c) and (d) eigenvalue systems are
+solved on S too (characterize.lambda_via_operator), so an exact run
+forms q(n, m) at level 0 only; numeric mode reads the full stacks.
 
 Exact weighted integrals integral(a^t w rho) / mu_00 of two polynomial
 matrices are bilinear forms on the moment numerators: with H[alpha,
@@ -369,7 +371,10 @@ class OrthoSystem:
             raise ValueError(f"q({n},{m}) needs degree {n + m} > nmax {self.nmax}")
 
     def q(self, n: int, m: int) -> PolyMatrix:
-        """Level-m gradient stack of degree n, shape (2^m, n+m+1)."""
+        """Level-m gradient stack of degree n, shape (2^m, n+m+1).
+
+        Above level 0 only numeric mode reads it; the exact path reads q_rows.
+        """
         self._check_stack(n, m)
 
         def make():

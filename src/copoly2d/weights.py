@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Optional
@@ -600,18 +601,29 @@ def _parse_rf(obj, label: str) -> RationalFn:
 
 
 def load_family(source) -> WeightFamily:
-    """Load a family from a dict, a JSON string, or a file path."""
-    if isinstance(source, dict):
-        doc = source
-    else:
-        text = str(source)
-        if text.lstrip().startswith("{"):
-            doc = json.loads(text)
-        else:
-            with open(text, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
+    """Load a family from a dict, a JSON string, or a file path.
+
+    A str that parses as JSON is the document itself, and so is one
+    that starts with "{" or "[" (it must then parse); any other str, and
+    any path-like, names a JSON file.  Any other source is taken as the
+    document.  A document that is not a JSON object raises
+    FamilyLoadError.
+    """
+    doc = source
+    path = os.fspath(source) if isinstance(source, os.PathLike) else None
+    if isinstance(source, str):
+        try:
+            doc = json.loads(source)
+        except json.JSONDecodeError:
+            if source.lstrip().startswith(("{", "[")):
+                raise
+            path = source
+    if path is not None:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
     if not isinstance(doc, dict):
-        raise FamilyLoadError(f"bad family document: want a JSON object, got {json.dumps(doc)[:40]}")
+        raise FamilyLoadError("bad family document: want a JSON object, got "
+                              f"{json.dumps(doc, default=repr)[:40]}")
     required = {"name", "phi", "psi1", "psi2", "log_grad_x", "log_grad_y", "domain"}
     missing = required - set(doc)
     if missing:

@@ -12,6 +12,7 @@ from copoly2d import basisops, characterize, matpoly, orthosys
 from copoly2d.basisops import x_vec
 from copoly2d.characterize import (
     AUX_PROPERTIES,
+    _solve_constant_right_factor,
     NoConstantSolution,
     PROPERTY_ORDER,
     PropertyReport,
@@ -925,7 +926,7 @@ def oracle_check_d(sys, n):
     ok = True
     for m in range(n):
         try:
-            lam = lambda_via_operator(sys, n - m, m)
+            lam = oracle_lambda_via_operator(sys, n - m, m)
         except NoConstantSolution as exc:
             return _report("d", f.name, n, 0, False,
                            notes=f"level {m}: no constant eigenvalue matrix: {exc}")
@@ -941,7 +942,7 @@ def oracle_check_d(sys, n):
 def oracle_rodrigues_levels(sys, n):
     """rodrigues_reconstruct's per-level verdicts and its last tower value."""
     f = sys.family
-    lams = [lambda_via_operator(sys, n - m, m) for m in range(n)]
+    lams = [oracle_lambda_via_operator(sys, n - m, m) for m in range(n)]
     delta = f.log_grad_x.den * f.log_grad_y.den
     num, power, suffix, signs = sys.weighted(0, n), ONE, PolyMatrix.identity(n + 1), []
     for k in range(1, n + 1):
@@ -994,6 +995,117 @@ def _result(fn, *args):
         return fn(*args)
     except Exception as exc:
         return type(exc).__name__, str(exc)
+
+
+# the eigenvalue routes on all 2^m rows of q(n, m), of g_lead and of
+# t_matrix: the oracles of the library's popcount-row solves
+
+
+def full_second_order_image(f, level, q):
+    """phi11 q_xx + 2 phi12 q_xy + phi22 q_yy + psi1 q_x + psi2 q_y, on every row."""
+    qx, qy = q.dx(), q.dy()
+    out = qx.dx().scale(f.phi[0, 0]) + qx.dy().scale(f.phi[0, 1] * 2)
+    return out + qy.dy().scale(f.phi[1, 1]) + level.psi1 @ qx + level.psi2 @ qy
+
+
+def oracle_lambda_via_operator(sys, n, m):
+    if n < 1 or m < 0:
+        raise ValueError("need gradient index n >= 1 and level m >= 0")
+    q = sys.q(n, m)
+    return _solve_constant_right_factor(
+        q, -full_second_order_image(sys.family, psi_tower(sys.family, m).level(m), q))
+
+
+def oracle_lambda_via_formula(f, n, m):
+    g = g_lead(n, m)
+    return solve_columns(g, -(t_matrix(f, n, m) @ g))
+
+
+def _random_poly(rng, degree):
+    return BivariatePoly.from_terms({(i, d - i): Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                                     for d in range(degree + 1) for i in range(d + 1)})
+
+
+def random_pearson_system(seed, nmax):
+    """Seeded Pearson data (symmetric quadratic phi, linear psi with a
+    nonsingular drift matrix) over random columns P_0 .. P_nmax, neither
+    monic nor orthogonal: an OrthoSystem no weight builds."""
+    rng = random.Random(seed)
+    while True:
+        p11, p12, p22 = (_random_poly(rng, 2) for _ in range(3))
+        f = _pearson_family([[p11, p12], [p12, p22]], _random_poly(rng, 1),
+                            _random_poly(rng, 1))
+        if det_exact(f.d_matrix()) != 0:
+            break
+    cols = [PolyMatrix.column([_random_poly(rng, k) for _ in range(k + 1)])
+            for k in range(nmax + 1)]
+    return f, OrthoSystem(f, cols)
+
+
+_ROUTE_CASES = ["product_hermite", "product_laguerre(1,2)", "hermite_laguerre(1)",
+                "product_jacobi(1/2,1/2,1/2,1/2)", "triangle(1,1,1)", "triangle(-1/2,1/3,2)",
+                *(f"random Pearson data {seed}" for seed in range(4))]
+
+
+def _route_system(case, nmax):
+    if case.startswith("random"):
+        return random_pearson_system(int(case.split()[-1]), nmax)
+    f = builtin(case)
+    return f, build_monic(f, nmax)
+
+
+@pytest.mark.parametrize("case", _ROUTE_CASES)
+def test_popcount_row_routes_match_their_full_row_oracles(case):
+    # equal eigenvalue matrices, or the same exception with the same message
+    f, sys = _route_system(case, 8)
+    outcomes = set()
+    for n in range(1, 9):
+        for m in range(min(4, 8 - n) + 1):
+            got = _result(lambda_via_operator, sys, n, m)
+            assert got == _result(oracle_lambda_via_operator, sys, n, m), (n, m)
+            outcomes.add(type(got).__name__)
+            got = _result(lambda_via_formula, f, n, m)
+            assert got == _result(oracle_lambda_via_formula, f, n, m), (n, m)
+            outcomes.add(type(got).__name__)
+    if case.startswith("random"):
+        assert "tuple" in outcomes  # the random columns give no eigenvalue matrix
+
+
+@pytest.mark.parametrize("case", _ROUTE_CASES)
+def test_level_image_and_symbol_rows_depend_only_on_popcount(case):
+    f, sys = _route_system(case, 6)
+    for n in range(1, 5):
+        for m in range(min(4, 6 - n) + 1):
+            level = psi_tower(f, m).level(m)
+            image = full_second_order_image(f, level, sys.q(n, m))
+            reps = [2 ** bin(r).count("1") - 1 for r in range(2 ** m)]
+            assert all(image.row_list(r) == image.row_list(reps[r])
+                       for r in range(2 ** m)), (n, m)
+            second = sys.q_rows(n - 2, m + 2) if n >= 2 else \
+                PolyMatrix.zeros(m + 3, n + m + 1)
+            rows = level.op_rows @ vstack(second, sys.q_rows(n - 1, m + 1))
+            assert rows == PolyMatrix.from_rows([image.row_list(2 ** s - 1)
+                                                 for s in range(m + 1)]), (n, m)
+            g = g_lead(n, m)
+            tg = t_matrix(f, n, m) @ g
+            b = n + 1
+            for mat in (g, tg):
+                blocks = [[mat.row_list(r * b + i) for i in range(b)] for r in range(2 ** m)]
+                assert all(blocks[r] == blocks[reps[r]] for r in range(2 ** m)), (n, m)
+
+
+def test_exact_run_forms_no_full_gradient_stack(monkeypatch):
+    # every exact (b)-(e) cell, (d) and its eigenvalue solves included,
+    # reads the distinct rows only: q(n, m) is formed at level 0 alone
+    built = []
+    real = characterize.build_monic
+    monkeypatch.setattr(characterize, "build_monic",
+                        lambda f, nmax: built.append(real(f, nmax)) or built[-1])
+    reports = verify_all(builtin("triangle(1,1,1)"), nmax=5, mmax=3)
+    assert "error" not in {r.status for r in reports}
+    [sys] = built
+    assert ("lambda", 2, 3) in sys._memo
+    assert [k for k in sys._memo if k[0] == "q" and k[2] >= 1] == []
 
 
 # product_hermite's weight matrix replaced: "cubic" fails the lifted
@@ -1204,6 +1316,54 @@ def test_verify_all_builds_and_probes_only_what_the_chosen_rows_read(monkeypatch
     with pytest.raises(OracleUnavailableError, match="up to degree 8"):
         verify_all(f, nmax=2, mmax=1, properties=("e",))
     assert calls == []
+
+def test_verify_all_builds_the_drift_tower_only_as_deep_as_it_is_read(monkeypatch):
+    asked = []
+    real = characterize.psi_tower
+    monkeypatch.setattr(characterize, "psi_tower",
+                        lambda f, mmax: asked.append(mmax) or real(f, mmax))
+    b_only = verify_all(builtin("triangle(1,1,1)"), nmax=10, mmax=2, properties=("b",))
+    assert [(r.n, r.m) for r in b_only] == [(n, m) for n in range(1, 11) for m in (1, 2)]
+    assert asked and max(asked) == 2
+    # (d) reads levels up to nmax - 1 and lemma2 up to max(1, mmax, nmax - 1);
+    # the depth changes no b cell
+    for props, depth in [(("b",), 2), (("c",), 2), (("d",), 5), (("lemma2",), 5),
+                         (("b", "d"), 5), (None, 5)]:
+        asked.clear()
+        reports = verify_all(builtin("triangle(1,1,1)"), nmax=6, mmax=2, properties=props)
+        assert asked[0] == depth and max(asked) == depth, props
+        if props is None:
+            assert [r for r in reports if r.property == "b"] == \
+                [r for r in b_only if r.n <= 6]
+
+
+def test_prop1_checks_the_level_free_identities_once_per_n(monkeypatch):
+    f = builtin("product_hermite")
+    real = basisops.basis_identity_check
+    calls = []
+
+    draws = {}  # (n, m) -> the sandwich generator's state at its first draw
+
+    def counted(n, m, which, rng=None):
+        calls.append((n, m, which))
+        if rng is not None:
+            draws.setdefault((n, m), rng.getstate())
+        return real(n, m, which, rng) and not (n == 2 and which == "deriv1")
+
+    monkeypatch.setattr(basisops, "basis_identity_check", counted)
+    reports = verify_all(f, nmax=3, mmax=2, seed=5, properties=("prop1",))
+    assert [(r.n, r.m, r.status, r.notes) for r in reports] == [
+        (n, m, "fail" if n == 2 else "pass", "deriv1 fails" if n == 2 else "")
+        for n in range(4) for m in range(3)]
+    for n in range(4):
+        level_free = [k for k in basisops.IDENTITY_KEYS
+                      if k != "linear_sandwich" and n >= basisops._MIN_N[k]]
+        assert [w for k, _, w in calls if k == n and w != "linear_sandwich"] == level_free
+        assert [m for k, m, w in calls if k == n and w == "linear_sandwich"] == \
+            [0, 0, 0, 1, 1, 1, 2, 2, 2]
+    assert draws == {(n, m): random.Random(5 * 1_000_003 + n * 97 + m).getstate()
+                     for n in range(4) for m in range(3)}
+
 
 def test_verify_all_builds_one_rule_and_only_when_it_is_read(monkeypatch):
     orders = _counting_quadrature(monkeypatch)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -315,6 +316,31 @@ def test_load_from_json_text_and_file(tmp_path):
     p.write_text(json.dumps(doc))
     h = load_family(str(p))
     assert h.psi1 == g.psi1
+
+
+@pytest.mark.parametrize("source, shown", [(5, "5"), ("[1, 2]", "[1, 2]"),
+                                           (" null", "null")])
+def test_loader_rejects_a_source_that_is_no_object_and_no_file(tmp_path, monkeypatch,
+                                                               source, shown):
+    # none of these names a file, even where a file of that name exists
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / str(source).strip()).write_text("{}")
+    with pytest.raises(FamilyLoadError,
+                       match=rf"^bad family document: want a JSON object, got {re.escape(shown)}$"):
+        load_family(source)
+
+
+def test_loader_reads_paths_and_object_strings(tmp_path):
+    doc = export_family(builtin("product_hermite"), moment_degree=4)
+    p = tmp_path / "fam"
+    p.write_text(json.dumps(doc))
+    loaded = [load_family(src) for src in (str(p), p, "  " + json.dumps(doc), doc)]
+    assert {g.name for g in loaded} == {"product_hermite"}
+    assert all(g.moment(2, 2) == loaded[0].moment(2, 2) for g in loaded)
+    with pytest.raises(FileNotFoundError):
+        load_family(str(tmp_path / "missing.json"))
+    with pytest.raises(json.JSONDecodeError):
+        load_family("{ not json")
 
 
 def test_loader_takes_moments_as_strings_or_ints_only():
