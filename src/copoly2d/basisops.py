@@ -22,11 +22,11 @@ I_{2^m} (x) X_{n+1}^t and their integer coefficient matrices compared.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
-from .matpoly import PolyMatrix, const_numerators, kron, vstack
-from .polycore import ONE, ZERO, BivariatePoly
+from .matpoly import PolyMatrix, const_matrix, kron, vstack
+from .polycore import BivariatePoly
 
 
 def x_vec(n: int) -> PolyMatrix:
@@ -36,17 +36,31 @@ def x_vec(n: int) -> PolyMatrix:
     return PolyMatrix.column([BivariatePoly.monomial(n - k, k) for k in range(n + 1)])
 
 
-def l_mat(n: int, which: int) -> PolyMatrix:
-    """Constant (n+1) x (n+2) selection with x*X_n = l_mat(n,1) @ X_{n+1}."""
+def _check_shift(n: int, which: int) -> None:
     if n < 0:
         raise ValueError("degree must be nonnegative")
     if which not in (1, 2):
         raise ValueError("which must be 1 (x) or 2 (y)")
-    rows = [[ZERO] * (n + 2) for _ in range(n + 1)]
+
+
+def l_rows(n: int, which: int) -> list:
+    """The int rows of l_mat(n, which): row k has a 1 in column k (x) or k + 1 (y)."""
+    _check_shift(n, which)
     off = 0 if which == 1 else 1
-    for k in range(n + 1):
-        rows[k][k + off] = ONE
-    return PolyMatrix.from_rows(rows)
+    return [[int(j == k + off) for j in range(n + 2)] for k in range(n + 1)]
+
+
+def n_rows(n: int, which: int) -> list:
+    """The int rows of n_mat(n, which): row k has n - k in column k (x) or k + 1 in column k + 1 (y)."""
+    _check_shift(n, which)
+    if which == 1:
+        return [[n - k if j == k else 0 for j in range(n + 1)] for k in range(n)]
+    return [[k + 1 if j == k + 1 else 0 for j in range(n + 1)] for k in range(n)]
+
+
+def l_mat(n: int, which: int) -> PolyMatrix:
+    """Constant (n+1) x (n+2) selection with x*X_n = l_mat(n,1) @ X_{n+1}."""
+    return const_matrix(l_rows(n, which), n + 2)
 
 
 def n_mat(n: int, which: int) -> PolyMatrix:
@@ -55,17 +69,7 @@ def n_mat(n: int, which: int) -> PolyMatrix:
     n = 0 gives the empty 0 x 1 matrix, matching the vanishing
     derivative of the constant monomial vector.
     """
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    if which not in (1, 2):
-        raise ValueError("which must be 1 (x) or 2 (y)")
-    rows = [[ZERO] * (n + 1) for _ in range(n)]
-    for k in range(n):
-        if which == 1:
-            rows[k][k] = BivariatePoly.const(n - k)
-        else:
-            rows[k][k + 1] = BivariatePoly.const(k + 1)
-    return PolyMatrix.from_rows(rows, n + 1)
+    return const_matrix(n_rows(n, which), n + 1)
 
 
 class StackedPair(NamedTuple):
@@ -134,43 +138,49 @@ _MIN_N = {
 }
 
 
-def _random_fractions(rows: int, cols: int, rng: random.Random) -> list:
-    return [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(cols)]
-            for _ in range(rows)]
+def _random_fractions(rows: int, cols: int, rng: random.Random):
+    """A random rows x cols matrix of fractions a / b as (int rows, d).
+
+    Per entry, in row-major order, a = randint(-9, 9) then b =
+    randint(1, 4); d is the LCM of the drawn b and the int rows are the
+    matrix times d.
+    """
+    draws = [[(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(cols)]
+             for _ in range(rows)]
+    d = lcm(*(b for row in draws for _, b in row))
+    return [[a * (d // b) for a, b in row] for row in draws], d
 
 
 def _sandwich_holds(n: int, m: int, a: list) -> bool:
     """(I (x) X_1^t) A (I (x) X_n^t) == (I (x) X_{n+1}^t)(I (x) L_n^t)(A (x) I_{n+1}).
 
-    A is a (2^{m+1}) x (2^m) list of Fraction rows.  Both sides are
+    A is a (2^{m+1}) x (2^m) matrix given as int rows (a rational draw
+    times its denominator: both sides are linear in A).  Both sides are
     (I_{2^m} (x) X_{n+1}^t) C for a constant C with rows i(n+2) + k and
     columns c(n+1) + t, and the monomials are independent, so the sides
     agree iff their C agree.  Left: entry (i, c(n+1) + t) is
     A[2i, c] x * x^(n-t) y^t + A[2i+1, c] y * x^(n-t) y^t, which lands on
     monomials t and t + 1 of X_{n+1}.  Right: (I (x) L_n^t)(A (x) I_{n+1})
-    has entry L(n,1)[t, k] A[2i, c] + L(n,2)[t, k] A[2i+1, c] there.  Both
-    are compared as ints, A scaled by the LCM d of its denominators and
-    the shift matrices by the LCM dl of theirs.
+    has entry L(n,1)[t, k] A[2i, c] + L(n,2)[t, k] A[2i+1, c] there, read
+    from the int rows of the shift matrices (l_rows).
     """
-    [ai], _ = const_numerators(a)
-    shifts, dl = const_numerators(l_mat(n, 1), l_mat(n, 2))
     size = 2 ** m
     lhs = [[0] * (size * (n + 1)) for _ in range(size * (n + 2))]
     rhs = [[0] * (size * (n + 1)) for _ in range(size * (n + 2))]
     for i in range(size):
         for c in range(size):
-            ax, ay = dl * ai[2 * i][c], dl * ai[2 * i + 1][c]
+            ax, ay = a[2 * i][c], a[2 * i + 1][c]
             for t in range(n + 1):
                 lhs[i * (n + 2) + t][c * (n + 1) + t] += ax
                 lhs[i * (n + 2) + t + 1][c * (n + 1) + t] += ay
-    for half, shift in enumerate(shifts):
-        for t, row in enumerate(shift):
+    for half in (0, 1):
+        for t, row in enumerate(l_rows(n, half + 1)):
             for k, v in enumerate(row):
                 if not v:
                     continue
                 for i in range(size):
                     for c in range(size):
-                        rhs[i * (n + 2) + k][c * (n + 1) + t] += v * ai[2 * i + half][c]
+                        rhs[i * (n + 2) + k][c * (n + 1) + t] += v * a[2 * i + half][c]
     return lhs == rhs
 
 
@@ -198,7 +208,7 @@ def basis_identity_check(n: int, m: int, which: str, rng: random.Random | None =
     if which == "linear_sandwich":
         if rng is None:
             rng = random.Random(0)
-        return _sandwich_holds(n, m, _random_fractions(2 ** (m + 1), 2 ** m, rng))
+        return _sandwich_holds(n, m, _random_fractions(2 ** (m + 1), 2 ** m, rng)[0])
 
     xr = x_vec(n).transpose()
     x = BivariatePoly.x()

@@ -40,17 +40,18 @@ from __future__ import annotations
 
 import random
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from math import lcm
 
-from .basisops import IDENTITY_KEYS, identity_suite, l_mat, n_mat
+from .basisops import IDENTITY_KEYS, identity_suite, l_rows, n_mat, n_rows
 from .matpoly import (
     InconsistentSystemError,
     PolyMatrix,
     ShapeError,
     SingularMatrixError,
+    _echelon,
     const_matrix,
     const_numerators,
     det_exact,
@@ -58,8 +59,10 @@ from .matpoly import (
     int_matmul,
     kron,
     kron_power,
-    rank_exact,
-    rat_solve,
+    matmul_const_rows,
+    matmul_numerators,
+    reduce_rows,
+    same_numerators,
     solve_columns,
     vstack,
 )
@@ -68,7 +71,7 @@ from .orthosys import (
     build_monic,
     eval_product,
     g_lead_rows,
-    integrate_products,
+    integrate_rows,
     row_halves,
 )
 from .polycore import ONE, ZERO
@@ -176,7 +179,15 @@ class PsiLevel:
 
 @dataclass(frozen=True)
 class PsiTower:
+    """The drift tower's levels, and the level-free symbol data of t_matrix.
+
+    t1 maps a gradient index n >= 2 to T1 of t_matrix as int rows over
+    a denominator, built on first use (_t1_rows); it depends on the
+    family and n alone, so every level and every (n, m) cell shares it.
+    """
+
     levels: tuple
+    t1: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def depth(self) -> int:
@@ -274,9 +285,9 @@ def psi_tower(f: WeightFamily, mmax: int) -> PsiTower:
     """
     if mmax < 0:
         raise ValueError("mmax must be nonnegative")
-    tower = _TOWERS.get(f)
-    if tower is not None and tower.depth >= mmax:
-        return tower
+    known = _TOWERS.get(f)
+    if known is not None and known.depth >= mmax:
+        return known
     grads = [grad_cols(f.phi[0, i], f.phi[1, i]) for i in (0, 1)]
     a_cols, b_cols = phi_coefficient_columns(f)
     psi1 = PolyMatrix.scalar(f.psi1)
@@ -301,7 +312,7 @@ def psi_tower(f: WeightFamily, mmax: int) -> PsiTower:
             ok = ok and dd == want_d and ee == want_e
         levels.append(PsiLevel(new1, new2, d1, d2, e1, e2,
                                _level_operator(f, new1, new2, m), ok))
-    tower = _TOWERS[f] = PsiTower(tuple(levels))
+    tower = _TOWERS[f] = PsiTower(tuple(levels), {} if known is None else known.t1)
     return tower
 
 
@@ -396,57 +407,67 @@ def _transpose(a, cols: int):
     return [[row[j] for row in a] for j in range(cols)]
 
 
+def _t1_rows(f: WeightFamily, n: int):
+    """T1 = L*^t (A3 (x) I_{n-1}) N* of t_matrix at level 0, n >= 2: (int rows, d).
+
+    A3 holds the quadratic coefficients of the weight matrix, scaled to
+    ints by their LCM d; L and N are read as int rows (l_rows, n_rows).
+    """
+    phi = ((f.phi[0, 0], 1), (f.phi[0, 1], 2), (f.phi[1, 1], 1))
+    [a3], d = const_numerators([[w * p.coeff(*e) for p, w in phi]
+                                for e in ((2, 0), (1, 1), (0, 2))])
+    b = n + 1
+    l0x, l0y, l1x, l1y = (l_rows(k, h) for k in (n - 2, n - 1) for h in (1, 2))
+    n1x, n1y, n0x, n0y = (n_rows(k, h) for k in (n, n - 1) for h in (1, 2))
+    lstar = [row for x, y in ((l0x, l1x), (l0y, l1x), (l0y, l1y))
+             for row in int_matmul(x, y, b)]
+    nqs = [int_matmul(n0x, n1x, b), int_matmul(n0y, n1x, b), int_matmul(n0y, n1y, b)]
+    mixed = [[sum(c * nq[k][j] for c, nq in zip(coeffs, nqs)) for j in range(b)]
+             for coeffs in a3 for k in range(n - 1)]
+    return int_matmul(_transpose(lstar, b), mixed, b), d
+
+
 def _t_rows(f: WeightFamily, n: int, m: int, blocks):
     """Row blocks `blocks` of t_matrix (n + 1 rows each) as int rows over a denominator.
 
     Returns (rows, d); d does not depend on which blocks are built.
+    T1 comes from the drift tower's t1 memo, the shift and derivative
+    matrices from their int rows.
     """
     if n < 1 or m < 0:
         raise ValueError("need gradient index n >= 1 and level m >= 0")
-    phi = ((f.phi[0, 0], 1), (f.phi[0, 1], 2), (f.phi[1, 1], 1))
-    level = psi_tower(f, m).level(m)
-    (a3, *ds), da = const_numerators(
-        [[w * p.coeff(*e) for p, w in phi] for e in ((2, 0), (1, 1), (0, 2))],
-        level.d1, level.d2)
-    # L of degrees n-2, n-1 and N of degrees n, n-1; n = 1 has no second order part
-    lo = n - 2 if n >= 2 else n - 1
-    ls, dl = const_numerators(*(l_mat(k, h) for k in range(lo, n) for h in (1, 2)))
-    ns, dn = const_numerators(*(n_mat(k, h) for k in range(n, lo, -1) for h in (1, 2)))
+    tower = psi_tower(f, m)
+    level = tower.level(m)
+    ds, dd = const_numerators(level.d1, level.d2)
     b = n + 1
     if n >= 2:
-        # T1 = L*^t (A3 (x) I_{n-1}) N* at level 0, over da * dl^2 * dn^2
-        (l0x, l0y), (l1x, l1y) = ls[:2], ls[2:]
-        (n1x, n1y), (n0x, n0y) = ns[:2], ns[2:]
-        lstar = [row for x, y in ((l0x, l1x), (l0y, l1x), (l0y, l1y))
-                 for row in int_matmul(x, y, b)]
-        nqs = [int_matmul(n0x, n1x, b), int_matmul(n0y, n1x, b),
-               int_matmul(n0y, n1y, b)]
-        mixed = [[sum(c * nq[k][j] for c, nq in zip(coeffs, nqs)) for j in range(b)]
-                 for coeffs in a3 for k in range(n - 1)]
-        t1 = int_matmul(_transpose(lstar, b), mixed, b)
-    else:
-        t1 = [[0] * b for _ in range(b)]
+        if n not in tower.t1:
+            tower.t1[n] = _t1_rows(f, n)
+        t1, da = tower.t1[n]
+    else:  # n = 1 has no second order part
+        t1, da = [[0] * b for _ in range(b)], 1
+    d = lcm(da, dd)
+    # C_{h,h'} (x) M_{h,h'}, M = L(n-1, h)^t N(n, h'), the drift rows over d
+    ms = [(h, dh, int_matmul(_transpose(l_rows(n - 1, h + 1), b), n_rows(n, hp), b))
+          for h in (0, 1) for hp, dh in zip((1, 2), ds)]
+    ts, cs = d // da, d // dd
     size = 2 ** m
-    # C_{h,h'} (x) M_{h,h'}, M = L(n-1, h)^t N(n, h') over dl * dn
-    scale = dl * dn
-    ms = [(h, dh, int_matmul(_transpose(lh, b), nh, b))
-          for h, lh in enumerate(ls[-2:]) for dh, nh in zip(ds, ns[:2])]
     t = []
     for s in blocks:
         rows = [[0] * (size * b) for _ in range(b)]
         for i in range(b):
-            rows[i][s * b:(s + 1) * b] = t1[i]
+            rows[i][s * b:(s + 1) * b] = [v * ts for v in t1[i]]
         for h, dh, block in ms:
             for s2, c in enumerate(dh[2 * s + h]):
                 if not c:
                     continue
-                c *= scale
+                c *= cs
                 for trow, brow in zip(rows, block):
                     for j, v in enumerate(brow):
                         if v:
                             trow[s2 * b + j] += c * v
         t += rows
-    return t, da * scale * scale
+    return t, d
 
 
 def t_matrix(f: WeightFamily, n: int, m: int) -> PolyMatrix:
@@ -464,8 +485,9 @@ def t_matrix(f: WeightFamily, n: int, m: int) -> PolyMatrix:
     starred at level 0), M_{h,h'} = L(n-1, h)^t N(n, h') and
     C_{h,h'}[s, s'] = d_{h'}[2s + h, s'], the x_h coefficient of row s
     of the level drift psi_{h'}.  The weight data and the level's d1/d2
-    are scaled by one LCM, the shift and derivative matrices by theirs
-    (1 for the real ones).
+    are scaled by one LCM, and the shift and derivative matrices are
+    read as int rows (l_rows, n_rows).  T1 depends on the family and n
+    alone, so the drift tower keeps it (PsiTower.t1) for every level.
 
     The paper's theorem transposes the level-lifted stack in S instead,
     reading drift row h 2^m + s for 2s + h.  That layout T' is not
@@ -494,8 +516,8 @@ def lambda_via_formula(f: WeightFamily, n: int, m: int) -> PolyMatrix:
     The leading block G of the level-m stack satisfies G L = -T G with
     T the constant symbol from t_matrix; the system is overdetermined
     and solved exactly (G always has full column rank for monic data).
-    G and T stay int rows over their denominators dg and dt, so the
-    system solved is dt (dg G) L = -(dt T)(dg G), all in ints.
+    G stays int rows (g_lead_rows) and T int rows over its denominator
+    dt, so the system solved is dt G L = -(dt T) G, all in ints.
 
     Row block r of G (n + 1 rows) is the leading block of row r of the
     stack, so it depends only on popcount(r).  Then so does row block r
@@ -508,7 +530,7 @@ def lambda_via_formula(f: WeightFamily, n: int, m: int) -> PolyMatrix:
     That G is read, not assumed: should its blocks not repeat (a wrong
     derivative matrix), every block is kept.
     """
-    g, _ = g_lead_rows(n, m)
+    g = g_lead_rows(n, m)
     b = n + 1
     blocks = [g[r * b:(r + 1) * b] for r in range(2 ** m)]
     reps = [2 ** s - 1 for s in range(m + 1)]
@@ -566,8 +588,12 @@ def check_b(sys: OrthoSystem, n: int, m: int, rule=None) -> PropertyReport:
     """Level-m stack orthogonality plus the lifted Pearson equation.
 
     The Pearson half is always exact.  Without a quadrature rule the
-    cross terms and the level Gram block are exact too; with one they
-    are integrated on the rule and measured against a tolerance.
+    cross terms and the level Gram block are exact too: the cross terms
+    with every lower stack are int blocks from one moment contraction
+    (OrthoSystem.cross_rows), which also integrates gram(n, m) while
+    the memo has no record of it, and the Gram verdict reads the
+    determinant of the block's gram_record.  With a rule they are
+    integrated on the rule and measured against a tolerance.
     """
     if n < 1 or m < 1:
         raise ValueError("property b needs n >= 1 and m >= 1")
@@ -576,12 +602,10 @@ def check_b(sys: OrthoSystem, n: int, m: int, rule=None) -> PropertyReport:
                             lambda: level_pearson_check(f, m, sys.phi_power))
     notes = [] if pearson_ok else ["lifted pearson identity fails"]
     if rule is None:
-        crosses = integrate_products([sys.counted_rows(k, m) for k in range(n)],
-                                     sys.weighted_rows(n, m), f)
-        ortho_ok = all(c.is_zero for c in crosses)
+        ortho_ok = not any(any(map(any, rows)) for rows, _ in sys.cross_rows(n, m))
         if not ortho_ok:
             notes.append("cross terms with a lower stack survive")
-        gram_ok = det_exact(sys.gram(n, m)) != 0
+        gram_ok = sys.gram_record(n, m).det != 0
         if not gram_ok:
             notes.append("level gram singular")
         ok = pearson_ok and ortho_ok and gram_ok
@@ -757,18 +781,28 @@ def check_e(sys: OrthoSystem, n: int, m: int, rule=None) -> PropertyReport:
     and the lowest one must have full column rank.  Without a quadrature
     rule the check is exact.  The two halves of the weighted stack sit
     side by side, w = [top | bot], so the projections on all n + 2
-    stacks come from one moment contraction of w (integrate_products),
-    each coefficient A_k = [A_top | A_bot] from one solve against the
-    level Gram block, and (I_2 (x) q_k) [A_top; A_bot] is read side by
-    side as q_k A_k.  The exact check runs all of this on distinct rows
-    (see orthosys): w is [R'[0..m] | R'[1..m+1]] with R' =
-    weighted_rows(n - 1, m + 1), projected on counted_rows(k, m), and
-    q_rows(k, m) A_k is compared on m + 1 rows with the left side
-    [phi11 S'[s] + phi12 S'[s+1] | phi21 S'[s] + phi22 S'[s+1]], S' =
-    q_rows(n - 1, m + 1).  With a rule the check is numeric and reads
-    the full w: each projection is q_k^t w evaluated on the rule's nodes
-    straight from the int product kernel (eval_product), with no
-    Fraction product formed, then summed against the rule's weights.
+    stacks come from one moment contraction of w, each coefficient
+    A_k = [A_top | A_bot] is G_k^-1 N_k with G_k the level Gram block,
+    and (I_2 (x) q_k) [A_top; A_bot] is read side by side as q_k A_k.
+
+    The exact check runs on distinct rows (see orthosys) and on int
+    rows from the moment contraction to the verdict: w is [R'[0..m] |
+    R'[1..m+1]] with R' = weighted_rows(n - 1, m + 1), whose shared
+    rows are contracted once (integrate_rows), and each projection N_k
+    on counted_rows(k, m) is int rows over one denominator.  A_k is one
+    int product with the inverse kept in the block's gram_record, so
+    each Gram block is eliminated once per system, whichever cells read
+    it.  The left side is [S'_lo | S'_hi] (phi^t (x) I) = [S'_lo |
+    S'_hi] @ [[phi11 I, phi21 I], [phi12 I, phi22 I]] with S' =
+    q_rows(n - 1, m + 1), and the
+    reconstruction is one product of [q_rows(n - 1, m) | q_rows(n, m) |
+    q_rows(n + 1, m)] with the stacked int coefficients
+    (matmul_const_rows); the two are compared by cross multiplication.
+    The rank of [A_top; A_bot] is read from _echelon on its int rows.
+    With a rule the check is numeric and reads the full w: each
+    projection is q_k^t w evaluated on the rule's nodes straight from
+    the int product kernel (eval_product), with no Fraction product
+    formed, then summed against the rule's weights.
     """
     if n < 1 or m < 0:
         raise ValueError("property e needs n >= 1 and m >= 0")
@@ -776,40 +810,37 @@ def check_e(sys: OrthoSystem, n: int, m: int, rule=None) -> PropertyReport:
     notes = []
     if rule is None:
         ok = True
-        recon = None
-        a_low = None
         lo, hi = row_halves(sys.q_rows(n - 1, m + 1))
-        (p11, p12), (p21, p22) = (f.phi.row_list(i) for i in (0, 1))
-        lhs = hstack(lo.scale(p11) + hi.scale(p12), lo.scale(p21) + hi.scale(p22))
+        c = lo.cols
+        lhs, dl = matmul_numerators(hstack(lo, hi),
+                                    kron(f.phi.transpose(), PolyMatrix.identity(c)))
         w = hstack(*row_halves(sys.weighted_rows(n - 1, m + 1)))
-        projs = integrate_products([sys.counted_rows(k, m) for k in range(n + 2)], w, f)
-        for k, nk in enumerate(projs):
-            if k < n - 1:
-                if not nk.is_zero:
-                    ok = False
-                    notes.append(f"projection on stack {k} survives")
-                continue
-            try:
-                ak = rat_solve(sys.gram(k, m), nk)
-            except SingularMatrixError:
+        projs = integrate_rows([sys.counted_rows(k, m) for k in range(n + 2)], w, f)
+        for k, (rows, _) in enumerate(projs[:n - 1]):
+            if any(map(any, rows)):
+                ok = False
+                notes.append(f"projection on stack {k} survives")
+        coeffs = []
+        for k in range(n - 1, n + 2):
+            rec = sys.gram_record(k, m)
+            if rec.inv is None:
                 return _report("e", f.name, n, m, False,
                                notes=f"level gram singular at stack {k}")
-            term = sys.q_rows(k, m) @ ak
-            recon = term if recon is None else recon + term
-            if k == n - 1:
-                a_low = ak
-        if lhs != recon:
+            rows, d = projs[k]
+            coeffs.append(reduce_rows(int_matmul(rec.inv, rows, 2 * c), rec.inv_den * d))
+        da = lcm(*(d for _, d in coeffs))
+        stacked = [[v * (da // d) for v in row] for rows, d in coeffs for row in rows]
+        recon, dr = matmul_const_rows(hstack(*(sys.q_rows(k, m) for k in range(n - 1, n + 2))),
+                                      stacked, da, 2 * c)
+        if not same_numerators(lhs, dl, recon, dr):
             ok = False
             notes.append("three term reconstruction misses the left side")
-        want = n + m + 1
         # rank of [A_top; A_bot], the coefficient of I_2 (x) q_(n-1)
-        rows = range(a_low.rows)
-        got = rank_exact(PolyMatrix(2 * a_low.rows, want,
-                                    [p for h in (0, want) for i in rows
-                                     for p in a_low.row_list(i)[h:h + want]]))
-        if got != want:
+        low = coeffs[0][0]
+        got = len(_echelon([row[:c] for row in low] + [row[c:] for row in low], c)[1])
+        if got != c:
             ok = False
-            notes.append(f"lowest coefficient rank {got}, want {want}")
+            notes.append(f"lowest coefficient rank {got}, want {c}")
         return _report("e", f.name, n, m, ok, notes="; ".join(notes))
     qprime = sys.q(n - 1, m + 1)
     left = kron(f.phi, PolyMatrix.identity(2 ** m))

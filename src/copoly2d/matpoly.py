@@ -7,18 +7,21 @@ polynomial stored as int numerators over its own denominator, so a
 product reads the stored dicts: it brings each operand matrix to one
 denominator, the LCM of its entries' ones, rescales only the entries
 whose denominator differs, and runs the polynomial product kernel on
-Python ints.  Exact linear algebra on constant matrices goes through
-one routine, `_echelon`: it takes int rows (each constant row scaled
-by the LCM of its denominators) and runs fraction-free (Bareiss)
-elimination with exact integer division.  Determinant, rank, the
-square solve and the overdetermined consistency solve all read that
-echelon form; only the determinant is returned as a Fraction.
+Python ints.  A constant factor held as int rows over one denominator
+goes through the same kernel (matmul_const_rows), each int a one-term
+dict.  Exact linear algebra on constant matrices goes through one
+routine, `_echelon`: it takes int rows (each constant row scaled by the
+LCM of its denominators) and runs fraction-free (Bareiss) elimination
+with exact integer division.  Determinant, rank, the square solve, the
+overdetermined consistency solve and the inverse of a Gram block
+(orthosys) all read that echelon form; only the determinant is
+returned as a Fraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .polycore import NEG_INF, ZERO, BivariatePoly, _mul_into, from_numerators
 
@@ -262,13 +265,38 @@ def matmul_numerators(a: PolyMatrix, b: PolyMatrix):
     """
     if a.cols != b.rows:
         raise ShapeError(f"matmul {a.shape} @ {b.shape}")
-    rows, mid, cols = a.rows, a.cols, b.cols
-    da = lcm(*{p.den for p in a._e})
     db = lcm(*{p.den for p in b._e})
     # gather the nonzero entries of b by row once, over db
-    b_rows = [[] for _ in range(mid)]
+    b_rows = [[] for _ in range(b.rows)]
     for k, j, p in b.nonzeros():
         b_rows[k].append((j, _rescaled(p, db)))
+    acc, da = _matmul_rows(a, b_rows, b.cols)
+    return acc, da * db
+
+
+def matmul_const_rows(a: PolyMatrix, rows: list, d: int, cols: int):
+    """matmul_numerators(a, b) for the constant b given as int rows over d.
+
+    b has cols columns.  Each nonzero int is the one-term dict {(0, 0):
+    v}, so the product runs through the same kernel and no entry of b
+    is built as a polynomial.
+    """
+    if a.cols != len(rows):
+        raise ShapeError(f"matmul {a.shape} @ ({len(rows)}, {cols})")
+    acc, da = _matmul_rows(a, [[(j, {(0, 0): v}) for j, v in enumerate(row) if v]
+                               for row in rows], cols)
+    return acc, da * d
+
+
+def _matmul_rows(a: PolyMatrix, b_rows: list, cols: int):
+    """The product kernel: a over the LCM da of its denominators times b.
+
+    b_rows[k] lists the nonzero entries (j, numerator dict) of row k of
+    b, all over one denominator.  Returns (acc, da) as matmul_numerators
+    describes acc.
+    """
+    rows, mid = a.rows, a.cols
+    da = lcm(*{p.den for p in a._e})
     acc = [None] * (rows * cols)
     for i in range(rows):
         base = i * mid
@@ -283,7 +311,18 @@ def matmul_numerators(a: PolyMatrix, b: PolyMatrix):
                 if d is None:
                     d = acc[obase + j] = {}
                 _mul_into(d, ta, tb)
-    return acc, da * db
+    return acc, da
+
+
+def same_numerators(a, da: int, b, db: int) -> bool:
+    """Whether the entries of two products acc / d (matmul_numerators) are equal.
+
+    Compared by cross multiplication, dropping the sums that cancelled,
+    so neither side is normalised.
+    """
+    return all({e: c * db for e, c in (ta or {}).items() if c}
+               == {e: c * da for e, c in (tb or {}).items() if c}
+               for ta, tb in zip(a, b))
 
 
 def const_matrix(rows, cols: int | None = None) -> PolyMatrix:
@@ -401,6 +440,14 @@ def const_numerators(*mats):
     return [[[c * (d // q) for c, q in row] for row in rows] for rows in pairs], d
 
 
+def reduce_rows(rows: list, d: int):
+    """Int rows over d > 0 with d and every entry divided by their gcd: (rows, d)."""
+    g = gcd(d, *(v for row in rows for v in row))
+    if g == 1:
+        return rows, d
+    return [[v // g for v in row] for row in rows], d // g
+
+
 def int_matmul(a, b, cols: int) -> list:
     """a @ b for matrices given as int rows, b with cols columns.
 
@@ -470,9 +517,8 @@ def _solve(a, b, no_pivot: str) -> PolyMatrix:
     a and b are constant matrices (see _ratio_rows) with equal row
     counts; each row of [a | b] is scaled to ints by its own LCM.
     no_pivot formats the SingularMatrixError text with the first column
-    of a that has no pivot, which the error also carries.  Back
-    substitution stays in integers: with d the last pivot, d * x is
-    integral by Cramer's rule, and each entry is stored as those ints.
+    of a that has no pivot, which the error also carries.  Each entry
+    of x is stored from the ints of _back_substitute.
     """
     n, bcols = _shape(a)[1], _shape(b)[1]
     w, pivots, _ = _echelon(_int_rows(a, b)[0], n)
@@ -481,15 +527,26 @@ def _solve(a, b, no_pivot: str) -> PolyMatrix:
         raise SingularMatrixError(no_pivot.format(col), col)
     if any(any(row) for row in w[n:]):
         raise InconsistentSystemError("no constant solution matches every row")
+    ys, d = _back_substitute(w, n, bcols)
+    sd = -1 if d < 0 else 1
+    return PolyMatrix(n, bcols, [from_numerators({(0, 0): sd * y}, sd * d) if y else ZERO
+                                 for yr in ys for y in yr])
+
+
+def _back_substitute(w, n: int, bcols: int):
+    """d x as int rows, and d, for the echelon form w of [a | b] (_echelon).
+
+    a has n columns and full column rank, b has bcols, and d is the
+    last pivot, which is det(a) up to sign for square a.  Back
+    substitution stays in integers: d x is integral by Cramer's rule.
+    """
     d = w[n - 1][n - 1] if n else 1
     ys = [None] * n
     for i in range(n - 1, -1, -1):
         row = w[i]
         ys[i] = [(d * row[n + c] - sum(row[j] * ys[j][c] for j in range(i + 1, n)))
                  // row[i] for c in range(bcols)]
-    sd = -1 if d < 0 else 1
-    return PolyMatrix(n, bcols, [from_numerators({(0, 0): sd * y}, sd * d) if y else ZERO
-                                 for yr in ys for y in yr])
+    return ys, d
 
 
 def rat_solve(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:

@@ -42,13 +42,17 @@ matrices are bilinear forms on the moment numerators: with H[alpha,
 beta] = mu_(alpha+beta) the moment (Hankel) matrix of the functional,
 integral(p q rho) = coef(p)^t H coef(q), so integrate_product never
 forms the product a^t w.  inner, the level Gram blocks and the check
-layer's integrals all go through it; integrate_products is the same
-kernel for several left factors against one w, contracting w with the
-moments once.  It reads each polynomial's stored int numerators and
-denominator directly and stores each constant result from one int sum
-over one denominator, so no Fraction is built on the way.
+layer's integrals all go through one kernel, integrate_rows: several
+left factors against one w, each distinct entry of w contracted with
+the moments once, each block returned as int rows over one
+denominator.  It reads each polynomial's stored int numerators and
+denominator directly, so no Fraction is built on the way.
+integrate_products wraps those blocks as constant matrices;
 integrate_matrix, which integrates a formed matrix entrywise, stays as
-the plain reference.
+the plain reference.  The exact (b) and (e) checks stay on the int
+rows: each exact Gram block has one gram_record, its int rows with
+their determinant and inverse from one elimination (matpoly._echelon),
+so a block read by (b) and by three (e) cells is eliminated once.
 
 Numeric mode evaluates polynomial matrices on a quadrature rule's nodes
 through one kernel, a whole matrix per call (eval_entries), reading
@@ -65,7 +69,8 @@ stacks q(n, m) and their distinct, counted and weighted rows, W_m, the
 Kronecker powers of the weight matrix (read by the full-tensor lifted
 Pearson check and numeric mode), the weighted stacks phi_power(m) @
 q(n, m) (numeric (e) only), the level Gram blocks gram(n, m) (exact,
-and per quadrature rule in numeric mode), the node values of the
+and per quadrature rule in numeric mode) and the exact blocks'
+gram_record (a singular block is a record too), the node values of the
 stacks and of phi_power(m) per quadrature rule (values, read by the
 numeric Gram blocks and cross terms through inner_on), and whatever the
 checkers store through cached(key, make) (eigenvalue matrices, the
@@ -80,13 +85,15 @@ from fractions import Fraction
 from functools import partial
 from itertools import chain
 from math import comb, lcm
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
-from .basisops import n_mat, x_vec
+from .basisops import n_rows, x_vec
 from .matpoly import (
     PolyMatrix,
     ShapeError,
     SingularMatrixError,
+    _back_substitute,
+    _echelon,
     _rescaled,
     const_matrix,
     const_numerators,
@@ -96,6 +103,7 @@ from .matpoly import (
     kron_power,
     matmul_numerators,
     rat_solve,
+    reduce_rows,
     vstack,
 )
 from .polycore import X, Y, ZERO, BivariatePoly, from_numerators
@@ -141,13 +149,31 @@ def integrate_matrix(m: PolyMatrix, f: WeightFamily) -> PolyMatrix:
 def integrate_products(mats, w: PolyMatrix, f: WeightFamily) -> list:
     """[integrate_product(a, w, f) for a in mats], contracting w once.
 
-    Row r of w is contracted with the moments once, over the union of
-    the monomials of row r of every left factor; each factor's integral
-    is then int dot products with those vectors.  The moments read are
-    the union of what the separate calls read.  Each factor and w are
-    read over the LCM of their entries' denominators, straight from the
-    stored numerators, and each result entry is stored from its int
-    sum over the product of the denominators.
+    The constant matrices of integrate_rows, each entry stored in
+    canonical form.
+    """
+    return [_block_matrix(rows, d, w.cols) for rows, d in integrate_rows(mats, w, f)]
+
+
+def _block_matrix(rows: list, d: int, cols: int) -> PolyMatrix:
+    """The constant matrix of int rows over d, each entry in canonical form."""
+    return PolyMatrix(len(rows), cols, [from_numerators({(0, 0): v}, d) if v else ZERO
+                                        for row in rows for v in row])
+
+
+def integrate_rows(mats, w: PolyMatrix, f: WeightFamily) -> list:
+    """integral(a^t w rho) / mu_00 for each a in mats, as int rows over one denominator.
+
+    Returns [(rows, d)]: rows[c][j] / d is entry (c, j) of the integral
+    of a, reduced by the gcd of d and every entry (reduce_rows), so a
+    zero block is all zeros over 1.  Each distinct entry of w (by
+    identity; hstack and row_halves pass entries through) is contracted
+    with the moments once, over the union of the monomials of the rows
+    of the left factors that it meets; each factor's integral is then
+    int dot products with those vectors.  The moments read are the
+    union of what the separate calls read.  Each factor and w are read
+    over the LCM of their entries' denominators, straight from the
+    stored numerators.
     """
     mats = list(mats)
     for a in mats:
@@ -170,19 +196,32 @@ def integrate_products(mats, w: PolyMatrix, f: WeightFamily) -> list:
     hank = [0] * (s * s)
     for code, mu in mus.items():
         hank[code] = mu.numerator * (dm // mu.denominator)
-    cols = w.cols
-    outs = [[0] * (a.cols * cols) for a in mats]
+    # id(entry of w) -> [entry, the monomials of every left row it meets]
+    need = {}
+    coded = []
     for wr, ars in rows:
         ans = [[(c, _coded(p, da, s)) for c, p in ar] for ar, da in zip(ars, das)]
         alphas = {e for an in ans for _, t in an for e, _ in t}
+        for _, p in wr:
+            got = need.get(id(p))
+            if got is None:
+                need[id(p)] = [p, alphas]
+            elif not alphas <= got[1]:
+                got[1] = got[1] | alphas
+        coded.append((wr, ans))
+    vs = {}
+    for key, (p, alphas) in need.items():
+        wn = _coded(p, dw, s)
+        vs[key] = {e: sum(x * hank[e + b] for b, x in wn) for e in alphas}
+    cols = w.cols
+    outs = [[0] * (a.cols * cols) for a in mats]
+    for wr, ans in coded:
         for d, p in wr:
-            wn = _coded(p, dw, s)
-            v = {e: sum(x * hank[e + b] for b, x in wn) for e in alphas}
+            v = vs[id(p)]
             for an, out in zip(ans, outs):
                 for c, t in an:
                     out[c * cols + d] += sum(x * v[e] for e, x in t)
-    return [PolyMatrix(a.cols, cols, [from_numerators({(0, 0): v}, da * dw * dm) if v
-                                      else ZERO for v in out])
+    return [reduce_rows([out[c * cols:(c + 1) * cols] for c in range(a.cols)], da * dw * dm)
             for a, da, out in zip(mats, das, outs)]
 
 
@@ -478,21 +517,93 @@ class OrthoSystem:
         """inner(q(n, m), q(n, m)): the level-m Gram block of degree n.
 
         Exact without a rule, as integrate_product(counted_rows(n, m),
-        weighted_rows(n, m)) on the m + 1 distinct rows.  With a rule, the
+        weighted_rows(n, m)) on the m + 1 distinct rows, or read from
+        the block's gram_record when that is built.  With a rule, the
         read-only float block on that rule, kept under the rule object
         itself, so another rule never hits.
         At level 0 this is integral(P_n P_n^t rho) / mu_00, which equals
         integral(X_n P_n^t rho) / mu_00 because P_n - X_n has lower degree.
         """
         if rule is None:
-            return self.cached(("gram", n, m), lambda: integrate_product(
-                self.counted_rows(n, m), self.weighted_rows(n, m), self.family))
+            def make():
+                rec = self._memo.get(("gram record", n, m))
+                if rec is None:
+                    return integrate_product(self.counted_rows(n, m),
+                                             self.weighted_rows(n, m), self.family)
+                return _block_matrix(rec.rows, rec.den, len(rec.rows))
+            return self.cached(("gram", n, m), make)
 
         def make():
             got = self.inner_on(n, n, m, rule)
             got.setflags(write=False)
             return got
         return self.cached(("gram", n, m, rule), make)
+
+    def gram_record(self, n: int, m: int) -> GramRecord:
+        """The exact gram(n, m) as int rows, with its determinant and inverse.
+
+        Built once per block by one elimination (_gram_record): from
+        the formed gram(n, m) where the memo holds one (build_monic
+        stores the level-0 blocks), else integrated on int rows.  Every
+        exact reader of the block reads this record, so no block is
+        eliminated twice; a singular block is a record with inv None.
+        """
+        def make():
+            got = self._memo.get(("gram", n, m))
+            if got is not None:
+                [rows], d = const_numerators(got)
+            else:
+                [(rows, d)] = integrate_rows([self.counted_rows(n, m)],
+                                             self.weighted_rows(n, m), self.family)
+            return _gram_record(rows, d)
+        return self.cached(("gram record", n, m), make)
+
+    def cross_rows(self, n: int, m: int) -> list:
+        """integrate_rows(counted_rows(k, m), weighted_rows(n, m)) for k < n.
+
+        The (b) cross terms of level m.  While gram(n, m) is in neither
+        form in the memo, the same call integrates it as the block k = n,
+        one moment contraction for both, and keeps its gram_record.
+        """
+        with_gram = ("gram", n, m) not in self._memo and ("gram record", n, m) not in self._memo
+        blocks = integrate_rows([self.counted_rows(k, m) for k in range(n + with_gram)],
+                                self.weighted_rows(n, m), self.family)
+        if with_gram:
+            self._memo[("gram record", n, m)] = _gram_record(*blocks.pop())
+        return blocks
+
+
+class GramRecord(NamedTuple):
+    """An exact Gram block rows / den, det its determinant.
+
+    inv holds the int rows of its inverse over inv_den > 0, or is None
+    when the block is singular.
+    """
+
+    rows: list
+    den: int
+    det: Fraction
+    inv: list | None
+    inv_den: int
+
+
+def _gram_record(rows: list, d: int) -> GramRecord:
+    """The GramRecord of the square block rows / d, from one _echelon of [rows | I].
+
+    With p the last pivot, p times the inverse of rows is integral
+    (_back_substitute) and det(rows) = sign p, so the block rows / d has
+    determinant sign p / d^k and inverse d (p rows^-1) / p, stored with
+    the gcd of its entries and denominator divided out.
+    """
+    k = len(rows)
+    w, pivots, sign = _echelon([row + [int(i == j) for j in range(k)]
+                                for i, row in enumerate(rows)], k)
+    if len(pivots) < k:
+        return GramRecord(rows, d, Fraction(0), None, 1)
+    x, p = _back_substitute(w, k, k)
+    sp = -1 if p < 0 else 1
+    return GramRecord(rows, d, Fraction(sign * p, d ** k),
+                      *reduce_rows([[sp * d * v for v in row] for row in x], sp * p))
 
 
 def _times_linear(coeffs, a: BivariatePoly, b: BivariatePoly) -> list:
@@ -578,25 +689,24 @@ def build_monic(f: WeightFamily, nmax: int) -> OrthoSystem:
 # leading coefficients
 
 
-def g_lead_rows(n: int, m: int):
-    """g_lead(n, m) as int rows over a denominator: (rows, d).
+def g_lead_rows(n: int, m: int) -> list:
+    """g_lead(n, m) as int rows.
 
     Runs the recurrence of g_lead on ints: row block s of the x (y)
     half is N(n+1, 1) (N(n+1, 2)) times row block s of the level m - 1
-    block, with the two bands scaled by the LCM of their denominators
-    (1 for the real ones), which multiplies into d.
+    block, the bands read as int rows (n_rows).
     """
     if n < 0 or m < 0:
         raise ValueError("indices must be nonnegative")
     if m == 0:
-        return [[int(i == j) for j in range(n + 1)] for i in range(n + 1)], 1
-    prev, dprev = g_lead_rows(n + 1, m - 1)
-    bands, d = const_numerators(n_mat(n + 1, 1), n_mat(n + 1, 2))
+        return [[int(i == j) for j in range(n + 1)] for i in range(n + 1)]
+    prev = g_lead_rows(n + 1, m - 1)
     out = []
-    for band in bands:
+    for h in (1, 2):
+        band = n_rows(n + 1, h)
         for s in range(2 ** (m - 1)):
             out += int_matmul(band, prev[s * (n + 2):(s + 1) * (n + 2)], n + m + 1)
-    return out, d * dprev
+    return out
 
 
 def g_lead(n: int, m: int) -> PolyMatrix:
@@ -607,8 +717,7 @@ def g_lead(n: int, m: int) -> PolyMatrix:
     leading block, and level 0 is the identity (monicity).  The
     recurrence runs on ints in g_lead_rows.
     """
-    rows, d = g_lead_rows(n, m)
-    return const_matrix([[Fraction(v, d) for v in row] for row in rows], n + m + 1)
+    return const_matrix(g_lead_rows(n, m), n + m + 1)
 
 
 # ---------------------------------------------------------------------------

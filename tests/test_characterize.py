@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -37,6 +39,7 @@ from copoly2d.matpoly import (
     PolyMatrix,
     SingularMatrixError,
     const_matrix,
+    const_numerators,
     det_exact,
     hstack,
     kron,
@@ -312,7 +315,11 @@ def _outcome(fn):
         return type(exc).__name__
 
 
-_REAL_L, _REAL_N = basisops.l_mat, basisops.n_mat
+# wrong shift and derivative matrices, given as the int rows that l_mat
+# and n_mat are built from, so patching l_rows or n_rows reaches every
+# reader of either form
+_REAL_L, _REAL_N = basisops.l_rows, basisops.n_rows
+_ROWS_OF = {"l_mat": "l_rows", "n_mat": "n_rows"}
 
 
 def _l_swapped_at_2(n, which):
@@ -320,10 +327,10 @@ def _l_swapped_at_2(n, which):
 
 
 def _l_half_at_3(n, which):
-    rows = _fraction_rows(_REAL_L(n, which))
+    rows = _REAL_L(n, which)
     if n == 3 and which == 2:
         rows[0][1] = Fraction(1, 2)
-    return const_matrix(rows)
+    return rows
 
 
 def _n_swapped_at_2(n, which):
@@ -331,10 +338,10 @@ def _n_swapped_at_2(n, which):
 
 
 def _n_half_at_3(n, which):
-    rows = _fraction_rows(_REAL_N(n, which))
+    rows = _REAL_N(n, which)
     if n == 3 and which == 1:
         rows[1][1] = Fraction(1, 2)
-    return const_matrix(rows, n + 1)
+    return rows
 
 
 def test_t_matrix_and_g_lead_match_the_lifted_assembly():
@@ -360,15 +367,16 @@ def test_t_matrix_and_g_lead_match_the_lifted_assembly_when_patched(monkeypatch,
                                                                     wrong):
     # patched wherever the library or the reference reads them; the
     # eigenvalue matrices, or the exception that says there is none,
-    # must match too
+    # must match too.  The unpatched symbols come from another instance
+    # of the family: its drift tower keeps T1 per n
     f = builtin("triangle(1,1,1)")
     tower = psi_tower(f, 3)
     cells = [(n, m) for n in range(1, 6) for m in range(4)]
-    real = {(n, m): t_matrix(f, n, m) for n, m in cells}
+    real = {(n, m): t_matrix(builtin("triangle(1,1,1)"), n, m) for n, m in cells}
     real_g = {(n, m): g_lead(n, m) for n, m in cells}
     for mod in (basisops, characterize, orthosys):
-        if hasattr(mod, name):
-            monkeypatch.setattr(mod, name, wrong)
+        if hasattr(mod, _ROWS_OF[name]):
+            monkeypatch.setattr(mod, _ROWS_OF[name], wrong)
     changed = False
     for n, m in cells:
         g = oracle_g_lead(n, m)
@@ -694,10 +702,12 @@ def _l_swapped_at_1(n, which):
 
 def test_check_c_inconsistent_formula_route_is_a_fail_not_an_error(monkeypatch):
     # with a wrong l_mat the leading-coefficient systems of these cells
-    # have no solution; that is a disagreement with the operator route
-    f, sys = get_system("triangle(1,1,1)")
+    # have no solution; that is a disagreement with the operator route.
+    # A fresh family: the shared one's drift tower may keep T1 per n
+    f = builtin("triangle(1,1,1)")
+    sys = build_monic(f, 6)
     for mod in (basisops, characterize):
-        monkeypatch.setattr(mod, "l_mat", _l_swapped_at_1)
+        monkeypatch.setattr(mod, "l_rows", _l_swapped_at_1)
     with pytest.raises(InconsistentSystemError):
         lambda_via_formula(f, 2, 1)
     for n, m in [(2, 1), (2, 2), (3, 1), (3, 2)]:
@@ -1149,6 +1159,110 @@ def test_distinct_row_checkers_match_the_full_tensor_oracle(ref):
     for n in range(nmax + 1):
         for m in range(mmax + 1):
             assert sys.gram(n, m) == _full_gram(sys, n, m), (n, m)
+
+
+def _primitive(rows, cols):
+    """The first cols entries of each row over their gcd, sign fixed: blind to row scaling."""
+    out = []
+    for row in rows:
+        row = row[:cols]
+        g = gcd(*row)
+        if g:
+            g = g if next(v for v in row if v) > 0 else -g
+            row = [v // g for v in row]
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _record_square_eliminations(monkeypatch, calls, inside=None):
+    """Append _primitive of the pivot block of every square solve to calls.
+
+    A square solve (or inverse) is an _echelon call on ncols rows with
+    more than ncols columns; rank and determinant calls have none to
+    spare.  With inside, a list, only the calls made while it is
+    nonempty are kept.
+    """
+    real = matpoly._echelon
+
+    def recording(w, ncols):
+        if len(w) == ncols and len(w[0]) > ncols and (inside is None or inside):
+            calls.append(_primitive(w, ncols))
+        return real(w, ncols)
+
+    for mod in (matpoly, orthosys, characterize):
+        if hasattr(mod, "_echelon"):
+            monkeypatch.setattr(mod, "_echelon", recording)
+
+
+def _gram_key(sys, n, m):
+    [rows], _ = const_numerators(sys.gram(n, m))
+    return _primitive(rows, len(rows))
+
+
+def test_each_exact_gram_block_is_eliminated_once_per_system(monkeypatch):
+    # counted inside the (b) and (e) cells, the readers of the blocks: the
+    # construction's own solves stay as they are, and the other checks
+    # eliminate matrices that may match a small block up to row scaling.
+    # (b) and the three (e) cells that read a block share one elimination,
+    # and every square solve in those cells is one against a block
+    calls, inside, built = [], [], []
+    _record_square_eliminations(monkeypatch, calls, inside)
+    real_build = characterize.build_monic
+    monkeypatch.setattr(characterize, "build_monic",
+                        lambda f, nmax: built.append(real_build(f, nmax)) or built[-1])
+    for name in ("check_b", "check_e"):
+        def counted(*args, _real=getattr(characterize, name)):
+            inside.append(1)
+            try:
+                return _real(*args)
+            finally:
+                inside.pop()
+        monkeypatch.setattr(characterize, name, counted)
+    reports = verify_all(builtin("triangle(1,1,1)"), nmax=5, mmax=3)
+    assert "error" not in {r.status for r in reports}
+    [sys] = built
+    # some blocks are proportional to others, so they are counted by key
+    assert Counter(calls) == Counter(_gram_key(sys, k, m) for k in range(7) for m in range(4))
+
+
+def test_a_singular_gram_block_is_recorded_and_gives_the_oracle_notes(monkeypatch):
+    f = builtin("triangle(1,1,1)")
+    sys = build_monic(f, 6)
+    real = _full_gram(sys, 2, 1)
+    # row 1 repeats row 0; the oracles read the same block
+    singular = PolyMatrix.from_rows([real.row_list(0), real.row_list(0),
+                                     *(real.row_list(i) for i in range(2, real.rows))])
+    sys._memo[("gram", 2, 1)] = singular
+    full_gram = _full_gram
+    monkeypatch.setitem(globals(), "_full_gram",
+                        lambda s, n, m: singular if (n, m) == (2, 1) else full_gram(s, n, m))
+    calls, inside = [], []
+    _record_square_eliminations(monkeypatch, calls, inside)
+    # (e) at n = 1 meets the block first; the later cells read its record
+    for check, oracle, n, note in [
+            (check_e, oracle_check_e, 1, "level gram singular at stack 2"),
+            (check_b, oracle_check_b, 2, "level gram singular"),
+            (check_e, oracle_check_e, 2, "level gram singular at stack 2"),
+            (check_e, oracle_check_e, 3, "level gram singular at stack 2")]:
+        inside.append(1)
+        got = check(sys, n, 1)
+        inside.pop()
+        assert got == oracle(sys, n, 1), (check.__name__, n)
+        assert got.status == "fail" and note in got.notes.split("; "), (check.__name__, n)
+    record = sys.gram_record(2, 1)
+    assert record.det == 0 and record.inv is None
+    assert calls.count(_gram_key(sys, 2, 1)) == 1
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=20)
+@given(pearson_data())
+def test_exact_check_e_matches_its_oracle_on_random_pearson_data(f):
+    # any moment functional will do: the checks read phi and the moments
+    f = dataclasses.replace(f, moment_fn=builtin("triangle(1,1,1)").moment_fn)
+    sys = build_monic(f, 6)
+    for n in range(1, 4):
+        for m in range(3):
+            assert _result(check_e, sys, n, m) == _result(oracle_check_e, sys, n, m), (n, m)
 
 
 # ---------------------------------------------------------------------------
