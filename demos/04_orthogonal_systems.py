@@ -5,7 +5,6 @@ lower degrees.  Stacking m-fold gradients of P_{n+m} gives the matrix
 Q_{n,m}, and a classical weight keeps those stacks orthogonal for the
 Kronecker-power weight phi^(x)m.  Everything here is exact.
 """
-from copoly2d.matpoly import det_exact
 from copoly2d.orthosys import build_monic, g_lead, inner
 from copoly2d.weights import builtin
 
@@ -32,8 +31,8 @@ def main():
     print("Q_{1,1} shape:", q11.shape)
     cross = inner(sys.q(0, 1), q11, 1, f)
     print("level-1 stacks of different degree are orthogonal:", cross.is_zero)
-    level_gram = sys.gram(1, 1)
-    print("level-1 Gram determinant nonzero:", det_exact(level_gram) != 0)
+    # the exact Gram block's record carries its determinant and inverse
+    print("level-1 Gram determinant nonzero:", sys.gram_record(1, 1).det != 0)
 
     lead = g_lead(1, 1)
     print("leading block of Q_{1,1} has shape", lead.shape,

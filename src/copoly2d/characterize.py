@@ -160,8 +160,9 @@ class PsiLevel:
     """Level data: the two drift matrices and their split-out parts.
 
     d1/d2 interleave the x and y coefficients of each entry row (row
-    2r holds the x part of entry row r, row 2r+1 its y part); e1/e2
-    hold the constant terms.  op_rows is the level's second order
+    2r holds the x part of entry row r, row 2r+1 its y part), and
+    drift_rows holds them as int rows over one LCM (const_numerators);
+    e1/e2 hold the constant terms.  op_rows is the level's second order
     operator on the m + 1 distinct rows of a stack (_level_operator).
     closed_form_ok records whether the level built by the recurrence
     matches the direct block closed form.
@@ -173,6 +174,7 @@ class PsiLevel:
     d2: PolyMatrix
     e1: PolyMatrix
     e2: PolyMatrix
+    drift_rows: tuple
     op_rows: PolyMatrix
     closed_form_ok: bool
 
@@ -294,7 +296,8 @@ def psi_tower(f: WeightFamily, mmax: int) -> PsiTower:
     psi2 = PolyMatrix.scalar(f.psi2)
     d1, e1 = _linear_split(psi1)
     d2, e2 = _linear_split(psi2)
-    levels = [PsiLevel(psi1, psi2, d1, d2, e1, e2, _level_operator(f, psi1, psi2, 0), True)]
+    levels = [PsiLevel(psi1, psi2, d1, d2, e1, e2, const_numerators(d1, d2),
+                       _level_operator(f, psi1, psi2, 0), True)]
     eye2 = PolyMatrix.identity(2)
     for m in range(1, mmax + 1):
         eyeh = PolyMatrix.identity(2 ** (m - 1))
@@ -310,7 +313,7 @@ def psi_tower(f: WeightFamily, mmax: int) -> PsiTower:
             want_d = _h_block(a_cols[i], a_cols[i + 1], eyeh) + kron(eye2, dprev)
             want_e = _k_block(b_cols[i], b_cols[i + 1], eyeh) + kron(eye2, eprev)
             ok = ok and dd == want_d and ee == want_e
-        levels.append(PsiLevel(new1, new2, d1, d2, e1, e2,
+        levels.append(PsiLevel(new1, new2, d1, d2, e1, e2, const_numerators(d1, d2),
                                _level_operator(f, new1, new2, m), ok))
     tower = _TOWERS[f] = PsiTower(tuple(levels), {} if known is None else known.t1)
     return tower
@@ -431,14 +434,13 @@ def _t_rows(f: WeightFamily, n: int, m: int, blocks):
     """Row blocks `blocks` of t_matrix (n + 1 rows each) as int rows over a denominator.
 
     Returns (rows, d); d does not depend on which blocks are built.
-    T1 comes from the drift tower's t1 memo, the shift and derivative
-    matrices from their int rows.
+    T1 and the drift rows come from the drift tower, the shift and
+    derivative matrices from their int rows.
     """
     if n < 1 or m < 0:
         raise ValueError("need gradient index n >= 1 and level m >= 0")
     tower = psi_tower(f, m)
-    level = tower.level(m)
-    ds, dd = const_numerators(level.d1, level.d2)
+    ds, dd = tower.level(m).drift_rows
     b = n + 1
     if n >= 2:
         if n not in tower.t1:

@@ -493,6 +493,11 @@ def _echelon(w, ncols: int):
     return w, pivots, sign
 
 
+def _free_column(pivots: list) -> int:
+    """The first column without a pivot, from _echelon's pivot columns."""
+    return next((c for c, p in enumerate(pivots) if c != p), len(pivots))
+
+
 def det_exact(a: PolyMatrix) -> Fraction:
     """Determinant of a constant square matrix."""
     if a.rows != a.cols:
@@ -523,7 +528,7 @@ def _solve(a, b, no_pivot: str) -> PolyMatrix:
     n, bcols = _shape(a)[1], _shape(b)[1]
     w, pivots, _ = _echelon(_int_rows(a, b)[0], n)
     if len(pivots) < n:
-        col = next((c for c, p in enumerate(pivots) if c != p), len(pivots))
+        col = _free_column(pivots)
         raise SingularMatrixError(no_pivot.format(col), col)
     if any(any(row) for row in w[n:]):
         raise InconsistentSystemError("no constant solution matches every row")

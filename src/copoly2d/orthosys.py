@@ -10,9 +10,9 @@ is orthogonal to every p of degree below n - 1: P_(n+1) is Z minus its
 projections on P_n and P_(n-1) only.  One contraction of P_n with
 [X_n | X_(n+1)] gives both, through the coefficient block M_n of the
 degree-n part of Z and the Gram block gram(n, 0) = integral(P_n X_n^t
-rho), which the construction stores; the P_(n-1) projection is read off
-that block, because x P_(n-1) and y P_(n-1) are blocks of X_n plus lower
-degree.
+rho), eliminated once into its gram_record; the P_(n-1) projection is
+read off that block, because x P_(n-1) and y P_(n-1) are blocks of X_n
+plus lower degree.
 
 The level-m gradient stack of the system is
 Q(n, m) = grad Q(n+1, m-1) with Q(n, 0) = P_n^t, a 2^m by (n+m+1)
@@ -47,12 +47,13 @@ left factors against one w, each distinct entry of w contracted with
 the moments once, each block returned as int rows over one
 denominator.  It reads each polynomial's stored int numerators and
 denominator directly, so no Fraction is built on the way.
-integrate_products wraps those blocks as constant matrices;
+integrate_product wraps one block as a constant matrix;
 integrate_matrix, which integrates a formed matrix entrywise, stays as
-the plain reference.  The exact (b) and (e) checks stay on the int
-rows: each exact Gram block has one gram_record, its int rows with
-their determinant and inverse from one elimination (matpoly._echelon),
-so a block read by (b) and by three (e) cells is eliminated once.
+the plain reference.  The construction and the exact (b) and (e)
+checks stay on the int rows: an exact Gram block's one exact form is
+its gram_record (gram(n, m) is a view of it), its int rows with their
+determinant and inverse from one elimination (matpoly._echelon), so a
+block read by build_monic, (b) and three (e) cells is eliminated once.
 
 Numeric mode evaluates polynomial matrices on a quadrature rule's nodes
 through one kernel, a whole matrix per call (eval_entries), reading
@@ -68,15 +69,16 @@ An OrthoSystem owns one memo for everything derived from it: the
 stacks q(n, m) and their distinct, counted and weighted rows, W_m, the
 Kronecker powers of the weight matrix (read by the full-tensor lifted
 Pearson check and numeric mode), the weighted stacks phi_power(m) @
-q(n, m) (numeric (e) only), the level Gram blocks gram(n, m) (exact,
-and per quadrature rule in numeric mode) and the exact blocks'
-gram_record (a singular block is a record too), the node values of the
-stacks and of phi_power(m) per quadrature rule (values, read by the
-numeric Gram blocks and cross terms through inner_on), and whatever the
-checkers store through cached(key, make) (eigenvalue matrices, the
-lifted Pearson verdict per level).  Each entry is computed on first use
-and shared by every check that reads it; exceptions are not stored, so
-a failing computation is retried and raises again.
+q(n, m) (numeric (e) only), the exact Gram blocks' gram_record (a
+singular block is a record too) and the level Gram blocks gram(n, m)
+(the exact view of the record, and per quadrature rule in numeric
+mode), the node values of the stacks and of phi_power(m) per
+quadrature rule (values, read by the numeric Gram blocks and cross
+terms through inner_on), and whatever the checkers store through
+cached(key, make) (eigenvalue matrices, the lifted Pearson verdict per
+level).  Each entry is computed on first use and shared by every check
+that reads it; exceptions are not stored, so a failing computation is
+retried and raises again.
 """
 
 from __future__ import annotations
@@ -91,18 +93,16 @@ from .basisops import n_rows, x_vec
 from .matpoly import (
     PolyMatrix,
     ShapeError,
-    SingularMatrixError,
     _back_substitute,
     _echelon,
+    _free_column,
     _rescaled,
     const_matrix,
-    const_numerators,
     hstack,
     int_matmul,
     kron,
     kron_power,
     matmul_numerators,
-    rat_solve,
     reduce_rows,
     vstack,
 )
@@ -144,15 +144,6 @@ def integrate_matrix(m: PolyMatrix, f: WeightFamily) -> PolyMatrix:
     """Entrywise exact integration; returns a constant matrix of m's shape."""
     return const_matrix([[integrate_poly(m[i, j], f) for j in range(m.cols)]
                          for i in range(m.rows)], m.cols)
-
-
-def integrate_products(mats, w: PolyMatrix, f: WeightFamily) -> list:
-    """[integrate_product(a, w, f) for a in mats], contracting w once.
-
-    The constant matrices of integrate_rows, each entry stored in
-    canonical form.
-    """
-    return [_block_matrix(rows, d, w.cols) for rows, d in integrate_rows(mats, w, f)]
 
 
 def _block_matrix(rows: list, d: int, cols: int) -> PolyMatrix:
@@ -245,13 +236,13 @@ def integrate_product(a: PolyMatrix, w: PolyMatrix, f: WeightFamily) -> PolyMatr
     Every moment of degree up to the largest deg a[r, :] + deg w[r, :]
     is read, including those whose terms cancel in a^t w.
 
-    This is the one-factor case of the batched form integrate_products,
-    which takes several left factors a_1 .. a_K against one w: the
-    vectors v are built once over the union of their monomials, so the
-    moment contraction of w is shared and each factor only pays for its
-    own dot products.
+    This is the one-factor case of integrate_rows, which takes several
+    left factors a_1 .. a_K against one w: the vectors v are built once
+    over the union of their monomials, so the moment contraction of w
+    is shared and each factor only pays for its own dot products.
     """
-    return integrate_products([a], w, f)[0]
+    [(rows, d)] = integrate_rows([a], w, f)
+    return _block_matrix(rows, d, w.cols)
 
 
 # floats per scratch array of _eval_terms: rows are evaluated in blocks
@@ -516,20 +507,16 @@ class OrthoSystem:
     def gram(self, n: int, m: int, rule: QuadRule | None = None):
         """inner(q(n, m), q(n, m)): the level-m Gram block of degree n.
 
-        Exact without a rule, as integrate_product(counted_rows(n, m),
-        weighted_rows(n, m)) on the m + 1 distinct rows, or read from
-        the block's gram_record when that is built.  With a rule, the
-        read-only float block on that rule, kept under the rule object
-        itself, so another rule never hits.
+        Exact without a rule: the constant matrix of the block's
+        gram_record, its one exact form.  With a rule, the read-only
+        float block on that rule, kept under the rule object itself, so
+        another rule never hits.
         At level 0 this is integral(P_n P_n^t rho) / mu_00, which equals
         integral(X_n P_n^t rho) / mu_00 because P_n - X_n has lower degree.
         """
         if rule is None:
             def make():
-                rec = self._memo.get(("gram record", n, m))
-                if rec is None:
-                    return integrate_product(self.counted_rows(n, m),
-                                             self.weighted_rows(n, m), self.family)
+                rec = self.gram_record(n, m)
                 return _block_matrix(rec.rows, rec.den, len(rec.rows))
             return self.cached(("gram", n, m), make)
 
@@ -542,30 +529,27 @@ class OrthoSystem:
     def gram_record(self, n: int, m: int) -> GramRecord:
         """The exact gram(n, m) as int rows, with its determinant and inverse.
 
-        Built once per block by one elimination (_gram_record): from
-        the formed gram(n, m) where the memo holds one (build_monic
-        stores the level-0 blocks), else integrated on int rows.  Every
-        exact reader of the block reads this record, so no block is
-        eliminated twice; a singular block is a record with inv None.
+        The block's one exact form, from one elimination (_gram_record)
+        of its int rows: build_monic stores the level-0 blocks below
+        nmax, cross_rows the ones it integrates, and any other is
+        integrated here.  Every exact reader, gram included, reads this
+        record, so no block is eliminated twice; a singular block is a
+        record with inv None.
         """
         def make():
-            got = self._memo.get(("gram", n, m))
-            if got is not None:
-                [rows], d = const_numerators(got)
-            else:
-                [(rows, d)] = integrate_rows([self.counted_rows(n, m)],
-                                             self.weighted_rows(n, m), self.family)
+            [(rows, d)] = integrate_rows([self.counted_rows(n, m)],
+                                         self.weighted_rows(n, m), self.family)
             return _gram_record(rows, d)
         return self.cached(("gram record", n, m), make)
 
     def cross_rows(self, n: int, m: int) -> list:
         """integrate_rows(counted_rows(k, m), weighted_rows(n, m)) for k < n.
 
-        The (b) cross terms of level m.  While gram(n, m) is in neither
-        form in the memo, the same call integrates it as the block k = n,
-        one moment contraction for both, and keeps its gram_record.
+        The (b) cross terms of level m.  While the memo has no
+        gram_record of gram(n, m), the same call integrates it as the
+        block k = n, one moment contraction for both, and keeps its record.
         """
-        with_gram = ("gram", n, m) not in self._memo and ("gram record", n, m) not in self._memo
+        with_gram = ("gram record", n, m) not in self._memo
         blocks = integrate_rows([self.counted_rows(k, m) for k in range(n + with_gram)],
                                 self.weighted_rows(n, m), self.family)
         if with_gram:
@@ -576,8 +560,9 @@ class OrthoSystem:
 class GramRecord(NamedTuple):
     """An exact Gram block rows / den, det its determinant.
 
-    inv holds the int rows of its inverse over inv_den > 0, or is None
-    when the block is singular.
+    inv holds the int rows of its inverse over inv_den > 0.  A singular
+    block has inv None, and free is then its first column without a
+    pivot (matpoly._free_column).
     """
 
     rows: list
@@ -585,6 +570,7 @@ class GramRecord(NamedTuple):
     det: Fraction
     inv: list | None
     inv_den: int
+    free: int | None = None
 
 
 def _gram_record(rows: list, d: int) -> GramRecord:
@@ -599,7 +585,7 @@ def _gram_record(rows: list, d: int) -> GramRecord:
     w, pivots, sign = _echelon([row + [int(i == j) for j in range(k)]
                                 for i, row in enumerate(rows)], k)
     if len(pivots) < k:
-        return GramRecord(rows, d, Fraction(0), None, 1)
+        return GramRecord(rows, d, Fraction(0), None, 1, _free_column(pivots))
     x, p = _back_substitute(w, k, k)
     sp = -1 if p < 0 else 1
     return GramRecord(rows, d, Fraction(sign * p, d ** k),
@@ -634,19 +620,21 @@ def build_monic(f: WeightFamily, nmax: int) -> OrthoSystem:
         P_(n+1)^t = Z^t - q(n, 0) G_n^-1 integral(P_n Z^t rho)
                         - q(n-1, 0) G_(n-1)^-1 integral(P_(n-1) Z^t rho).
 
-    One contraction gives G_n = integral(P_n X_n^t rho) and S_n =
-    integral(P_n X_(n+1)^t rho).  G_n is the level Gram block gram(n, 0)
-    = integral(P_n P_n^t rho), since P_n - X_n has lower degree, and is
-    stored as that memo entry.  Writing the degree-n part of Z^t as
-    X_n^t M_n, integral(P_n Z^t rho) = S_n + G_n M_n, whose solve is
-    G_n^-1 S_n + M_n.  integral(P_(n-1) Z^t rho) needs no integral: x
-    P_(n-1)[i] and y P_(n-1)[i] are X_n[i] and X_n[i+1] plus lower
-    degree, so its columns j <= n are rows 0 .. n-1 of G_n (symmetric)
-    and its column n + 1 is G_n[1 .. n, n].  The moments read are those
-    of degree <= 2 nmax - 1, and each degree makes at most two solves.
-    The moment matrix has det M_(n-1) = prod det G_k, so
-    SingularGramError, naming its column, is the exact signal that the
-    moment data is not a quasi-definite functional.
+    One contraction (integrate_rows) gives the int rows of G_n =
+    integral(P_n X_n^t rho) and S_n = integral(P_n X_(n+1)^t rho).  G_n
+    is the level Gram block gram(n, 0) = integral(P_n P_n^t rho), since
+    P_n - X_n has lower degree; its one elimination is the gram_record
+    kept in the memo.  Writing the degree-n part of Z^t as X_n^t M_n,
+    integral(P_n Z^t rho) = S_n + G_n M_n, whose solve is G_n^-1 S_n +
+    M_n.  integral(P_(n-1) Z^t rho) needs no integral: x P_(n-1)[i] and
+    y P_(n-1)[i] are X_n[i] and X_n[i+1] plus lower degree, so its
+    columns j <= n are rows 0 .. n-1 of G_n (symmetric) and its column
+    n + 1 is G_n[1 .. n, n].  Both solves are int products with the
+    inverses in the records of G_n and G_(n-1).  The moments read are
+    those of degree <= 2 nmax - 1.  The moment matrix has det M_(n-1) =
+    prod det G_k, so SingularGramError, naming the first column of M_n
+    without a pivot, is the exact signal that the moment data is not a
+    quasi-definite functional.
     """
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
@@ -656,24 +644,22 @@ def build_monic(f: WeightFamily, nmax: int) -> OrthoSystem:
         qn = sys.q(n, 0)
         pn = qn.row_list(0)
         w = hstack(x_vec(n).transpose(), x_vec(n + 1).transpose())
-        block = integrate_products([qn], w, f)[0]  # [G_n | S_n]
-        gs = [block.row_list(r) for r in range(k)]
-        g = PolyMatrix(k, k, [e for row in gs for e in row[:k]])
-        sys._memo[("gram", n, 0)] = g
-        try:
-            sol = rat_solve(g, PolyMatrix(k, k + 1, [e for row in gs for e in row[k:]]))
-        except SingularMatrixError as exc:
-            col = n * k // 2 + exc.column  # only G_n can fail
-            raise SingularGramError(f"degree {k}: singular pivot at column {col}") from exc
+        [(block, d)] = integrate_rows([qn], w, f)  # [G_n | S_n] over d
+        rec = _gram_record(*reduce_rows([row[:k] for row in block], d))
+        if rec.inv is None:
+            col = n * k // 2 + rec.free  # the columns of G_0 .. G_(n-1) come first
+            raise SingularGramError(f"degree {k}: singular pivot at column {col}")
+        sys._memo[("gram record", n, 0)] = rec
+        sol = int_matmul(rec.inv, [row[k:] for row in block], k + 1)
         # M_n[r, j]: the coefficient of X_n[r] in Z[j]
         mn = const_matrix([[p.coeff(n - r - 1, r) for p in pn] + [pn[n].coeff(n - r, r - 1)]
                            for r in range(k)])
-        qs, bs = [qn], [sol + mn]
+        qs, bs = [qn], [_block_matrix(sol, rec.inv_den * d, k + 1) + mn]
         if n:
-            prev = PolyMatrix(n, k + 1, [e for r in range(n)
-                                         for e in gs[r][:k] + [gs[r + 1][n]]])
+            g, low = rec.rows, sys.gram_record(n - 1, 0)
+            prev = int_matmul(low.inv, [g[r][:k] + [g[r + 1][n]] for r in range(n)], k + 1)
             qs.append(sys.q(n - 1, 0))
-            bs.append(rat_solve(sys.gram(n - 1, 0), prev))
+            bs.append(_block_matrix(prev, low.inv_den * rec.den, k + 1))
         zt = PolyMatrix.row([X * p for p in pn] + [Y * pn[n]])
         pt = zt - hstack(*qs) @ vstack(*bs)
         # leading monomial first, then the lower terms by ascending degree

@@ -54,7 +54,7 @@ from copoly2d.orthosys import (
     g_lead,
     inner,
     integrate_matrix,
-    integrate_products,
+    integrate_product,
 )
 from copoly2d.polycore import ONE, BivariatePoly, RationalFn, parse_poly
 from copoly2d.weights import (
@@ -168,6 +168,27 @@ def test_psi_tower_is_kept_per_family():
     assert psi_tower(dataclasses.replace(f), 1) is not deep
     other = dataclasses.replace(f, psi1=parse_poly("2*x - 1"))
     assert psi_tower(other, 1).level(0).psi1 == PolyMatrix.scalar(other.psi1)
+
+
+def test_a_run_converts_each_levels_drift_data_once(monkeypatch):
+    # the (c) symbol reads the drift int rows kept on each level, so no
+    # (n, m) cell converts d1/d2 again
+    converted = []
+    real = characterize.const_numerators
+
+    def recording(*mats):
+        converted.append(tuple(map(id, mats)))
+        return real(*mats)
+
+    monkeypatch.setattr(characterize, "const_numerators", recording)
+    f = builtin("triangle(1,1,1)")
+    reports = verify_all(f, nmax=5, mmax=3)
+    assert "error" not in {r.status for r in reports}
+    tower = psi_tower(f, 0)
+    assert tower.depth >= 3
+    for m, level in enumerate(tower.levels):
+        assert converted.count((id(level.d1), id(level.d2))) == 1, m
+        assert level.drift_rows == real(level.d1, level.d2), m
 
 
 def test_psi_tower_failing_deeper_build_keeps_the_shallower_tower():
@@ -905,14 +926,14 @@ def test_check_e_numeric_agrees_with_exact():
 
 
 def _full_gram(sys, n, m):
-    return integrate_products([sys.q(n, m)], sys.weighted(n, m), sys.family)[0]
+    return integrate_product(sys.q(n, m), sys.weighted(n, m), sys.family)
 
 
 def oracle_check_b(sys, n, m):
     f = sys.family
     pearson_ok = level_pearson_check(f, m, sys.phi_power)
     notes = [] if pearson_ok else ["lifted pearson identity fails"]
-    crosses = integrate_products([sys.q(k, m) for k in range(n)], sys.weighted(n, m), f)
+    crosses = [integrate_product(sys.q(k, m), sys.weighted(n, m), f) for k in range(n)]
     ortho_ok = all(c.is_zero for c in crosses)
     if not ortho_ok:
         notes.append("cross terms with a lower stack survive")
@@ -972,7 +993,8 @@ def oracle_check_e(sys, n, m):
     lhs = kron(f.phi, PolyMatrix.identity(2 ** m)) @ qprime
     qs = [sys.q(k, m) for k in range(n + 2)]
     ok, recon, notes = True, None, []
-    for k, (qk, nk) in enumerate(zip(qs, integrate_products(qs, w, f))):
+    for k, qk in enumerate(qs):
+        nk = integrate_product(qk, w, f)
         if k < n - 1:
             if not nk.is_zero:
                 ok = False
@@ -1194,35 +1216,28 @@ def _record_square_eliminations(monkeypatch, calls, inside=None):
             monkeypatch.setattr(mod, "_echelon", recording)
 
 
-def _gram_key(sys, n, m):
-    [rows], _ = const_numerators(sys.gram(n, m))
-    return _primitive(rows, len(rows))
+def _gram_key(rec):
+    return _primitive(rec.rows, len(rec.rows))
 
 
 def test_each_exact_gram_block_is_eliminated_once_per_system(monkeypatch):
-    # counted inside the (b) and (e) cells, the readers of the blocks: the
-    # construction's own solves stay as they are, and the other checks
-    # eliminate matrices that may match a small block up to row scaling.
-    # (b) and the three (e) cells that read a block share one elimination,
-    # and every square solve in those cells is one against a block
-    calls, inside, built = [], [], []
-    _record_square_eliminations(monkeypatch, calls, inside)
+    # every square elimination of the run, construction included: build_monic
+    # eliminates the level-0 blocks it builds and keeps their records, and
+    # (b) and the three (e) cells that read a block share one elimination.
+    # The other checks eliminate matrices that are no Gram block; some
+    # blocks are proportional to others, so the blocks are counted by key
+    calls, built = [], []
+    _record_square_eliminations(monkeypatch, calls)
     real_build = characterize.build_monic
     monkeypatch.setattr(characterize, "build_monic",
                         lambda f, nmax: built.append(real_build(f, nmax)) or built[-1])
-    for name in ("check_b", "check_e"):
-        def counted(*args, _real=getattr(characterize, name)):
-            inside.append(1)
-            try:
-                return _real(*args)
-            finally:
-                inside.pop()
-        monkeypatch.setattr(characterize, name, counted)
     reports = verify_all(builtin("triangle(1,1,1)"), nmax=5, mmax=3)
     assert "error" not in {r.status for r in reports}
     [sys] = built
-    # some blocks are proportional to others, so they are counted by key
-    assert Counter(calls) == Counter(_gram_key(sys, k, m) for k in range(7) for m in range(4))
+    records = {key[1:]: rec for key, rec in sys._memo.items() if key[0] == "gram record"}
+    assert {(k, m) for k in range(7) for m in range(4)} <= set(records)
+    keys = Counter(map(_gram_key, records.values()))
+    assert Counter(c for c in calls if c in keys) == keys
 
 
 def test_a_singular_gram_block_is_recorded_and_gives_the_oracle_notes(monkeypatch):
@@ -1232,13 +1247,14 @@ def test_a_singular_gram_block_is_recorded_and_gives_the_oracle_notes(monkeypatc
     # row 1 repeats row 0; the oracles read the same block
     singular = PolyMatrix.from_rows([real.row_list(0), real.row_list(0),
                                      *(real.row_list(i) for i in range(2, real.rows))])
-    sys._memo[("gram", 2, 1)] = singular
+    [rows], d = const_numerators(singular)
+    sys._memo[("gram record", 2, 1)] = orthosys._gram_record(rows, d)
     full_gram = _full_gram
     monkeypatch.setitem(globals(), "_full_gram",
                         lambda s, n, m: singular if (n, m) == (2, 1) else full_gram(s, n, m))
     calls, inside = [], []
     _record_square_eliminations(monkeypatch, calls, inside)
-    # (e) at n = 1 meets the block first; the later cells read its record
+    # every cell reads the injected record, so none eliminates the block
     for check, oracle, n, note in [
             (check_e, oracle_check_e, 1, "level gram singular at stack 2"),
             (check_b, oracle_check_b, 2, "level gram singular"),
@@ -1251,7 +1267,9 @@ def test_a_singular_gram_block_is_recorded_and_gives_the_oracle_notes(monkeypatc
         assert got.status == "fail" and note in got.notes.split("; "), (check.__name__, n)
     record = sys.gram_record(2, 1)
     assert record.det == 0 and record.inv is None
-    assert calls.count(_gram_key(sys, 2, 1)) == 1
+    assert calls.count(_gram_key(record)) == 0
+    # the exact gram is a view of the record
+    assert sys.gram(2, 1) == singular
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=20)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from test_characterize import pearson_data
 
-from copoly2d import characterize, orthosys
+from copoly2d import characterize, matpoly, orthosys
 from copoly2d.basisops import x_vec
 from copoly2d.characterize import verify_all
 from copoly2d.matpoly import (
@@ -37,7 +37,7 @@ from copoly2d.orthosys import (
     integrate_matrix,
     integrate_poly,
     integrate_product,
-    integrate_products,
+    integrate_rows,
 )
 from copoly2d.polycore import BivariatePoly as P, parse_poly
 from copoly2d.weights import QuadRule, builtin, load_family, export_family, make_quadrature
@@ -233,19 +233,34 @@ def _hermite_moment(k):
     return 0 if k % 2 else Fraction(math.factorial(k), math.factorial(k // 2) * 4 ** (k // 2))
 
 
+def _circle_moment(i, j):
+    # the uniform measure on the unit circle: the mean of cos^i t sin^j t,
+    # (i-1)!! (j-1)!! / (i+j)!! for even i and j
+    def double_factorial(k):
+        return math.prod(range(k, 0, -2))
+    if i % 2 or j % 2:
+        return 0
+    return Fraction(double_factorial(i - 1) * double_factorial(j - 1), double_factorial(i + j))
+
+
 @pytest.mark.parametrize("moment, text", [
     # constant-1 table (a point mass at (1, 1)): the Gram block H_1 is 0
     (lambda i, j: 1, "degree 2: singular pivot at column 1"),
     # a weight on the line x = y: mu_ij is the Hermite moment of degree i + j,
     # and H_1 = [[1, 1], [1, 1]] / 2 has its first pivotless column at 1
     (lambda i, j: _hermite_moment(i + j), "degree 2: singular pivot at column 2"),
+    # G_0 and G_1 are regular and x^2 + y^2 - 1 vanishes on the circle, so
+    # column 2 of G_2 (y^2) has no pivot: column 3 + 2 of the moment matrix
+    (_circle_moment, "degree 3: singular pivot at column 5"),
 ])
 def test_singular_gram_detected(moment, text):
     f = _table_family(moment)
-    build_monic(f, 1)
+    # the construction is regular up to the degree the message names
+    degree = int(text.split()[1].rstrip(":"))
+    build_monic(f, degree - 1)
     for construct in (build_monic, _reference_monic):
         with pytest.raises(SingularGramError) as err:
-            construct(f, 2)
+            construct(f, degree)
         assert str(err.value) == text
 
 
@@ -329,18 +344,22 @@ def test_three_term_construction_on_random_discrete_tables(seed):
 @pytest.mark.parametrize("ref", ["triangle(1,1,1)", "product_jacobi(1/2,1/2,1/2,1/2)",
                                  "product_laguerre(1,2)"])
 def test_build_monic_cost_shape(monkeypatch, ref):
-    # per degree: one moment contraction and at most two exact solves;
-    # the moments read reach exactly degree 2 nmax - 1
-    calls = {"integrate_products": 0, "rat_solve": 0}
+    # per degree: one moment contraction and one square elimination, that
+    # of G_n; the moments read reach exactly degree 2 nmax - 1
+    calls = {"integrate_rows": 0, "square _echelon": 0}
     degrees = []
+    contract = orthosys.integrate_rows
 
-    def counting(name):
-        fn = getattr(orthosys, name)
+    def contracting(*args):
+        calls["integrate_rows"] += 1
+        return contract(*args)
 
-        def wrapped(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapped
+    echelon = matpoly._echelon
+
+    def eliminating(w, ncols):
+        if len(w) == ncols and len(w[0]) > ncols:
+            calls["square _echelon"] += 1
+        return echelon(w, ncols)
 
     moment = orthosys.WeightFamily.moment
 
@@ -348,8 +367,9 @@ def test_build_monic_cost_shape(monkeypatch, ref):
         degrees.append(i + j)
         return moment(family, i, j)
 
-    for name in calls:
-        monkeypatch.setattr(orthosys, name, counting(name))
+    monkeypatch.setattr(orthosys, "integrate_rows", contracting)
+    for mod in (matpoly, orthosys):
+        monkeypatch.setattr(mod, "_echelon", eliminating)
     monkeypatch.setattr(orthosys.WeightFamily, "moment", recording)
     for nmax in range(1, 8):
         f = builtin(ref)
@@ -357,11 +377,12 @@ def test_build_monic_cost_shape(monkeypatch, ref):
             calls[name] = 0
         degrees.clear()
         sys = build_monic(f, nmax)
-        assert calls["integrate_products"] == nmax
-        assert calls["rat_solve"] <= 2 * nmax
+        assert calls == {"integrate_rows": nmax, "square _echelon": nmax}
         assert max(degrees) == 2 * nmax - 1
-        # the construction leaves gram(n, 0) for n < nmax in the memo
+        # the construction leaves the gram_record of gram(n, 0), n < nmax,
+        # in the memo, and gram reads it
         for n in range(nmax):
+            assert ("gram record", n, 0) in sys._memo
             assert sys.gram(n, 0) == integrate_matrix(
                 sys.q(n, 0).transpose() @ sys.q(n, 0), f), n
 
@@ -426,13 +447,13 @@ def test_integrate_product_matches_formed_product(aw, ref):
     mats, w = aw
     f = builtin(ref)
     batch, read_together = _recording(f)
-    got = integrate_products(mats, w, batch)
+    got = integrate_rows(mats, w, batch)
     assert len(got) == len(mats)
     single, read_apart = _recording(f)
-    for a, g in zip(mats, got):
+    for a, (rows, d) in zip(mats, got):
         want = integrate_matrix(a.transpose() @ w, f)
-        assert g.shape == (a.cols, w.cols)
-        assert g == want
+        assert len(rows) == a.cols and all(len(row) == w.cols for row in rows)
+        assert const_matrix([[Fraction(v, d) for v in row] for row in rows], w.cols) == want
         assert integrate_product(a, w, single) == want
     # one contraction reads the moments the separate calls read
     assert read_together == read_apart
@@ -443,8 +464,8 @@ def test_integrate_product_rejects_row_mismatch():
     with pytest.raises(ShapeError):
         integrate_product(PolyMatrix.zeros(2, 1), PolyMatrix.zeros(3, 1), f)
     with pytest.raises(ShapeError):
-        integrate_products([PolyMatrix.zeros(3, 1), PolyMatrix.zeros(2, 1)],
-                           PolyMatrix.zeros(3, 1), f)
+        integrate_rows([PolyMatrix.zeros(3, 1), PolyMatrix.zeros(2, 1)],
+                       PolyMatrix.zeros(3, 1), f)
 
 
 @pytest.mark.parametrize("ref", _KERNEL_FAMILIES)
