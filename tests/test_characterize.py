@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -1224,19 +1225,36 @@ def test_each_exact_gram_block_is_eliminated_once_per_system(monkeypatch):
     # every square elimination of the run, construction included: build_monic
     # eliminates the level-0 blocks it builds and keeps their records, and
     # (b) and the three (e) cells that read a block share one elimination.
-    # The other checks eliminate matrices that are no Gram block; some
-    # blocks are proportional to others, so the blocks are counted by key
-    calls, built = [], []
+    # Inside the construction and the (b) and (e) cells, the readers of the
+    # blocks, every square solve is one against a block.  The other checks
+    # eliminate matrices that are no Gram block; some blocks are
+    # proportional to others, so the blocks are counted by key
+    calls, inside, built = [], [], []
     _record_square_eliminations(monkeypatch, calls)
+    inside_calls = []
+    _record_square_eliminations(monkeypatch, inside_calls, inside)
+
+    def counted(*args, _real):
+        inside.append(1)
+        try:
+            return _real(*args)
+        finally:
+            inside.pop()
+
+    for name in ("check_b", "check_e"):
+        monkeypatch.setattr(characterize, name,
+                            functools.partial(counted, _real=getattr(characterize, name)))
     real_build = characterize.build_monic
     monkeypatch.setattr(characterize, "build_monic",
-                        lambda f, nmax: built.append(real_build(f, nmax)) or built[-1])
+                        lambda f, nmax: built.append(counted(f, nmax, _real=real_build))
+                        or built[-1])
     reports = verify_all(builtin("triangle(1,1,1)"), nmax=5, mmax=3)
     assert "error" not in {r.status for r in reports}
     [sys] = built
     records = {key[1:]: rec for key, rec in sys._memo.items() if key[0] == "gram record"}
     assert {(k, m) for k in range(7) for m in range(4)} <= set(records)
     keys = Counter(map(_gram_key, records.values()))
+    assert Counter(inside_calls) == keys
     assert Counter(c for c in calls if c in keys) == keys
 
 
