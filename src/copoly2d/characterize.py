@@ -27,9 +27,11 @@ also take an optional quadrature rule: given one, only their integrals
 move to it, and only then is numpy imported, so exact cells never load
 it.  The weight density itself is never materialized; identities
 involving it are divided through and cleared to polynomial statements
-using the family's logarithmic gradient.  The drift tower that (b), (c)
-and (d) read depends only on the family, so psi_tower keeps the deepest
-one built per family and the checkers look it up themselves.  The
+using the family's logarithmic gradient.  The drift tower that (b), (c),
+(d) and lemma2 read depends only on the family, so psi_tower keeps the
+deepest one built per family and the checkers look it up themselves;
+each level holds its two drift matrices once, as int coefficient rows
+over one denominator, and lemma2 is checked on those ints.  The
 level-m eigenvalue systems behind (c), (d) and rodrigues_reconstruct
 are solved on the m + 1 distinct rows of each gradient stack (and the
 m + 1 matching row blocks of the leading-coefficient symbol), never on
@@ -45,7 +47,7 @@ from fractions import Fraction
 from functools import partial
 from math import lcm
 
-from .basisops import IDENTITY_KEYS, identity_suite, l_rows, n_mat, n_rows
+from .basisops import IDENTITY_KEYS, identity_suite, l_rows, n_rows
 from .matpoly import (
     InconsistentSystemError,
     PolyMatrix,
@@ -53,7 +55,6 @@ from .matpoly import (
     SingularMatrixError,
     _echelon,
     const_matrix,
-    const_numerators,
     det_exact,
     hstack,
     int_matmul,
@@ -74,7 +75,7 @@ from .orthosys import (
     integrate_rows,
     row_halves,
 )
-from .polycore import ONE, ZERO
+from .polycore import ONE, ZERO, from_numerators
 from .weights import (
     InvalidParameterError,
     OracleUnavailableError,
@@ -133,50 +134,37 @@ def _report(prop, family, n, m, ok, mode="exact", residual=0.0,
 
 
 # ---------------------------------------------------------------------------
-# quadratic and linear coefficient data of the weight matrix
-
-
-def phi_coefficient_columns(f: WeightFamily):
-    """Quadratic and linear coefficient columns of the three entries.
-
-    Returns (a_cols, b_cols) where a_cols[i] is the 3x1 column of the
-    x^2, xy, y^2 coefficients and b_cols[i] the 2x1 column of the x, y
-    coefficients of entry i in (top left, off diagonal, bottom right).
-    """
-    a_cols = []
-    b_cols = []
-    for p in (f.phi[0, 0], f.phi[0, 1], f.phi[1, 1]):
-        a_cols.append(const_matrix([[p.coeff(2, 0)], [p.coeff(1, 1)], [p.coeff(0, 2)]]))
-        b_cols.append(const_matrix([[p.coeff(1, 0)], [p.coeff(0, 1)]]))
-    return tuple(a_cols), tuple(b_cols)
-
-
-# ---------------------------------------------------------------------------
 # the drift tower: lifted first order coefficients at every stack level
 
 
 @dataclass(frozen=True)
 class PsiLevel:
-    """Level data: the two drift matrices and their split-out parts.
+    """Level m of the drift tower: psi_1 and psi_2 as int coefficient rows.
 
-    d1/d2 interleave the x and y coefficients of each entry row (row
-    2r holds the x part of entry row r, row 2r+1 its y part), and
-    drift_rows holds them as int rows over one LCM (const_numerators);
-    e1/e2 hold the constant terms.  op_rows is the level's second order
-    operator on the m + 1 distinct rows of a stack (_level_operator).
-    closed_form_ok records whether the level built by the recurrence
-    matches the direct block closed form.
+    Both drift matrices are 2^m x 2^m with entries of degree at most
+    one, held once in drift_rows = ((rows of psi1, rows of psi2), d):
+    rows 3r, 3r + 1 and 3r + 2 hold the x, y and constant coefficients
+    of row r, all ints over the tower denominator d (the LCM of the
+    denominators of phi, psi1 and psi2).  psi1 and psi2 are
+    polynomial-matrix views of those rows, built on each access.
+    op_rows is the level's second order operator on the m + 1 distinct
+    rows of a stack (_level_operator).  closed_form_ok records whether
+    the level built by the recurrence matches the direct block closed
+    form.
     """
 
-    psi1: PolyMatrix
-    psi2: PolyMatrix
-    d1: PolyMatrix
-    d2: PolyMatrix
-    e1: PolyMatrix
-    e2: PolyMatrix
     drift_rows: tuple
     op_rows: PolyMatrix
     closed_form_ok: bool
+
+    def _view(self, i: int) -> PolyMatrix:
+        rows, d = self.drift_rows[0][i], self.drift_rows[1]
+        return PolyMatrix.from_rows(
+            [[from_numerators({(1, 0): x, (0, 1): y, (0, 0): c}, d)
+              for x, y, c in zip(*rows[r:r + 3])] for r in range(0, len(rows), 3)])
+
+    psi1 = property(lambda self: self._view(0))
+    psi2 = property(lambda self: self._view(1))
 
 
 @dataclass(frozen=True)
@@ -184,8 +172,9 @@ class PsiTower:
     """The drift tower's levels, and the level-free symbol data of t_matrix.
 
     t1 maps a gradient index n >= 2 to T1 of t_matrix as int rows over
-    a denominator, built on first use (_t1_rows); it depends on the
-    family and n alone, so every level and every (n, m) cell shares it.
+    the tower denominator, built on first use (_t1_rows); it depends on
+    the family and n alone, so every level and every (n, m) cell shares
+    it.
     """
 
     levels: tuple
@@ -199,24 +188,52 @@ class PsiTower:
         return self.levels[m]
 
 
-def _linear_split(mat: PolyMatrix):
-    """Interleaved first order coefficients and constants of a matrix."""
-    rows, cols = mat.shape
-    dref = [[Fraction(0)] * cols for _ in range(2 * rows)]
-    eref = [[Fraction(0)] * cols for _ in range(rows)]
-    for r in range(rows):
-        for c in range(cols):
-            p = mat[r, c]
-            if p.total_degree > 1:
-                raise ValueError("drift entry of degree above one")
-            dref[2 * r][c] = p.coeff(1, 0)
-            dref[2 * r + 1][c] = p.coeff(0, 1)
-            eref[r][c] = p.coeff(0, 0)
-    return const_matrix(dref, cols), const_matrix(eref, cols)
+def _linear_ints(p, d: int) -> tuple:
+    """The x, y and constant coefficients of p, of degree at most one, as ints over d."""
+    if p.total_degree > 1:
+        raise ValueError("drift entry of degree above one")
+    return tuple(p.num.get(e, 0) * (d // p.den) for e in ((1, 0), (0, 1), (0, 0)))
 
 
-def _level_operator(f: WeightFamily, psi1: PolyMatrix, psi2: PolyMatrix,
-                    m: int) -> PolyMatrix:
+def _lift(rows: list, inc) -> list:
+    """I_2 (x) prev + inc (x) I_h on the coefficient rows of a level (PsiLevel).
+
+    inc[a][b] holds the x, y and constant ints of block (a, b) of the
+    2 x 2 increment.
+    """
+    h = len(rows[0])
+    out = []
+    for a in (0, 1):
+        for j, row in enumerate(rows):
+            new = [0] * (2 * h)
+            new[a * h:(a + 1) * h] = row
+            r, k = divmod(j, 3)
+            for b in (0, 1):
+                new[b * h + r] += inc[a][b][k]
+            out.append(new)
+    return out
+
+
+def _increments(f: WeightFamily, d: int):
+    """The 2 x 2 increments of psi_1 and psi_2 by the recurrence and by the closed form.
+
+    (grad, closed): grad[i][a][b] holds the x, y and constant ints over d
+    of d_a phi[b, i], entry (a, b) of grad(column i of phi); closed[i][a][b]
+    the same ints as N(2, a + 1) times the entry's quadratic coefficient
+    column (x^2, xy, y^2) and its x_a coefficient.
+    """
+    grads = (grad_cols(f.phi[0, i], f.phi[1, i]) for i in (0, 1))
+    grad = [[[_linear_ints(g[a, b], d) for b in (0, 1)] for a in (0, 1)] for g in grads]
+    # the x^2, xy, y^2, x and y coefficients of the three distinct entries
+    coeffs = [[p.num.get(e, 0) * (d // p.den) for e in ((2, 0), (1, 1), (0, 2), (1, 0), (0, 1))]
+              for p in (f.phi[0, 0], f.phi[0, 1], f.phi[1, 1])]
+    band = [n_rows(2, h) for h in (1, 2)]
+    closed = [[[(*(sum(c * q for c, q in zip(row, cs[:3])) for row in band[a]), cs[3 + a])
+                for cs in coeffs[i:i + 2]] for a in (0, 1)] for i in (0, 1)]
+    return grad, closed
+
+
+def _level_operator(f: WeightFamily, drift_rows, m: int) -> PolyMatrix:
     """The level-m operator on distinct rows, an (m+1) x (2m+5) polynomial matrix.
 
     op_m = phi11 dxx + 2 phi12 dxy + phi22 dyy + psi1 dx + psi2 dy maps
@@ -229,42 +246,23 @@ def _level_operator(f: WeightFamily, psi1: PolyMatrix, psi2: PolyMatrix,
     popcount t, row 2^s - 1 of op_m(Q) is row s of this matrix times
     [q_rows(n - 2, m + 2); q_rows(n - 1, m + 1)]: phi11, 2 phi12 and
     phi22 in columns s, s + 1 and s + 2, and Psi_1[s, t] + Psi_2[s, t - 1]
-    in column m + 3 + t.
+    in column m + 3 + t.  The class sums are taken on the level's int
+    coefficient rows.
     """
+    ds, d = drift_rows
+    pops = [bin(c).count("1") for c in range(2 ** m)]
     rows = []
     for s in range(m + 1):
-        row = [ZERO] * (2 * m + 5)
+        r = 3 * (2 ** s - 1)
+        sums = [[0, 0, 0] for _ in range(m + 2)]
+        for shift in (0, 1):
+            for pop, *coeffs in zip(pops, *ds[shift][r:r + 3]):
+                sums[shift + pop] = [u + v for u, v in zip(sums[shift + pop], coeffs)]
+        row = [ZERO] * (m + 3)
         row[s:s + 3] = f.phi[0, 0], f.phi[0, 1] * 2, f.phi[1, 1]
-        for shift, psi in enumerate((psi1, psi2)):
-            for c, p in enumerate(psi.row_list(2 ** s - 1)):
-                if p.num:
-                    col = m + 3 + shift + bin(c).count("1")
-                    row[col] = row[col] + p
-        rows.append(row)
+        rows.append(row + [from_numerators({(1, 0): x, (0, 1): y, (0, 0): c}, d)
+                           for x, y, c in sums])
     return PolyMatrix.from_rows(rows)
-
-
-def _h_block(a_lo: PolyMatrix, a_hi: PolyMatrix, eyeh: PolyMatrix) -> PolyMatrix:
-    """First order increment contributed by the quadratic parts.
-
-    N(2, 1) a and N(2, 2) a are the x and y gradients of the quadratic
-    coefficient column a, so the block carries exactly the linear terms
-    that differentiating the weight entries adds at the next level.
-    """
-    n21 = n_mat(2, 1)
-    n22 = n_mat(2, 2)
-    return vstack(
-        hstack(kron(eyeh, n21 @ a_lo), kron(eyeh, n21 @ a_hi)),
-        hstack(kron(eyeh, n22 @ a_lo), kron(eyeh, n22 @ a_hi)),
-    )
-
-
-def _k_block(b_lo: PolyMatrix, b_hi: PolyMatrix, eyeh: PolyMatrix) -> PolyMatrix:
-    """Constant increment contributed by the linear parts."""
-    return vstack(
-        hstack(eyeh.scale(b_lo[0, 0]), eyeh.scale(b_hi[0, 0])),
-        hstack(eyeh.scale(b_lo[1, 0]), eyeh.scale(b_hi[1, 0])),
-    )
 
 
 # family -> the deepest drift tower built for it; a family is compared by identity
@@ -274,47 +272,34 @@ _TOWERS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 def psi_tower(f: WeightFamily, mmax: int) -> PsiTower:
     """Drift matrices for every stack level 0 .. mmax, or deeper.
 
-    Level m is built by the doubling recurrence
-    psi_i -> I_2 (x) psi_i + grad(column i of the weight matrix) (x) I,
-    and each level's coefficient split is cross-checked against the
-    closed form that adds one block of quadratic/linear weight data to
-    the Kronecker-doubled previous level.  Each level also keeps its
-    second order operator on distinct rows (_level_operator), which the
-    (c) operator route reads.  The tower depends only on the
-    family, so the deepest one built is kept for it and returned to
-    every caller that asks for no more levels; a build that raises
-    keeps nothing.
+    Every level is int coefficient rows over one tower denominator
+    (PsiLevel).  Level m is built by the doubling recurrence
+    psi_i -> I_2 (x) psi_i + grad(column i of the weight matrix) (x) I
+    on those ints, and cross-checked against the closed form that adds
+    one block of quadratic/linear weight data (N(2, h) times the
+    quadratic coefficient column, read through basisops.n_rows, and the
+    linear coefficients) to the Kronecker-doubled previous level.  Each
+    level also keeps its second order operator on distinct rows
+    (_level_operator), which the (c) operator route reads.  The tower
+    depends only on the family, so the deepest one built is kept for it
+    and returned to every caller that asks for no more levels; a deeper
+    build keeps its T1 rows, and a build that raises keeps nothing.
     """
     if mmax < 0:
         raise ValueError("mmax must be nonnegative")
     known = _TOWERS.get(f)
     if known is not None and known.depth >= mmax:
         return known
-    grads = [grad_cols(f.phi[0, i], f.phi[1, i]) for i in (0, 1)]
-    a_cols, b_cols = phi_coefficient_columns(f)
-    psi1 = PolyMatrix.scalar(f.psi1)
-    psi2 = PolyMatrix.scalar(f.psi2)
-    d1, e1 = _linear_split(psi1)
-    d2, e2 = _linear_split(psi2)
-    levels = [PsiLevel(psi1, psi2, d1, d2, e1, e2, const_numerators(d1, d2),
-                       _level_operator(f, psi1, psi2, 0), True)]
-    eye2 = PolyMatrix.identity(2)
+    d = lcm(*(p.den for p in (f.phi[0, 0], f.phi[0, 1], f.phi[1, 1], f.psi1, f.psi2)))
+    drift = (tuple([[v] for v in _linear_ints(p, d)] for p in (f.psi1, f.psi2)), d)
+    levels = [PsiLevel(drift, _level_operator(f, drift, 0), True)]
+    if mmax:  # a weight entry of degree above two raises here, at level 1
+        grad, closed = _increments(f, d)
     for m in range(1, mmax + 1):
-        eyeh = PolyMatrix.identity(2 ** (m - 1))
-        prev = levels[m - 1]
-        new1 = kron(eye2, prev.psi1) + kron(grads[0], eyeh)
-        new2 = kron(eye2, prev.psi2) + kron(grads[1], eyeh)
-        d1, e1 = _linear_split(new1)
-        d2, e2 = _linear_split(new2)
-        ok = True
-        for i, (dd, ee, dprev, eprev) in enumerate(
-            ((d1, e1, prev.d1, prev.e1), (d2, e2, prev.d2, prev.e2))
-        ):
-            want_d = _h_block(a_cols[i], a_cols[i + 1], eyeh) + kron(eye2, dprev)
-            want_e = _k_block(b_cols[i], b_cols[i + 1], eyeh) + kron(eye2, eprev)
-            ok = ok and dd == want_d and ee == want_e
-        levels.append(PsiLevel(new1, new2, d1, d2, e1, e2, const_numerators(d1, d2),
-                               _level_operator(f, new1, new2, m), ok))
+        prev = levels[m - 1].drift_rows[0]
+        drift = (tuple(_lift(prev[i], grad[i]) for i in (0, 1)), d)
+        ok = all(_lift(prev[i], closed[i]) == drift[0][i] for i in (0, 1))
+        levels.append(PsiLevel(drift, _level_operator(f, drift, m), ok))
     tower = _TOWERS[f] = PsiTower(tuple(levels), {} if known is None else known.t1)
     return tower
 
@@ -410,15 +395,14 @@ def _transpose(a, cols: int):
     return [[row[j] for row in a] for j in range(cols)]
 
 
-def _t1_rows(f: WeightFamily, n: int):
-    """T1 = L*^t (A3 (x) I_{n-1}) N* of t_matrix at level 0, n >= 2: (int rows, d).
+def _t1_rows(f: WeightFamily, n: int, d: int) -> list:
+    """T1 = L*^t (A3 (x) I_{n-1}) N* of t_matrix at level 0, n >= 2, as int rows over d.
 
-    A3 holds the quadratic coefficients of the weight matrix, scaled to
-    ints by their LCM d; L and N are read as int rows (l_rows, n_rows).
+    A3 holds the quadratic coefficients of the weight matrix as ints over
+    the tower denominator d; L and N are read as int rows (l_rows, n_rows).
     """
     phi = ((f.phi[0, 0], 1), (f.phi[0, 1], 2), (f.phi[1, 1], 1))
-    [a3], d = const_numerators([[w * p.coeff(*e) for p, w in phi]
-                                for e in ((2, 0), (1, 1), (0, 2))])
+    a3 = [[w * p.num.get(e, 0) * (d // p.den) for p, w in phi] for e in ((2, 0), (1, 1), (0, 2))]
     b = n + 1
     l0x, l0y, l1x, l1y = (l_rows(k, h) for k in (n - 2, n - 1) for h in (1, 2))
     n1x, n1y, n0x, n0y = (n_rows(k, h) for k in (n, n - 1) for h in (1, 2))
@@ -427,43 +411,40 @@ def _t1_rows(f: WeightFamily, n: int):
     nqs = [int_matmul(n0x, n1x, b), int_matmul(n0y, n1x, b), int_matmul(n0y, n1y, b)]
     mixed = [[sum(c * nq[k][j] for c, nq in zip(coeffs, nqs)) for j in range(b)]
              for coeffs in a3 for k in range(n - 1)]
-    return int_matmul(_transpose(lstar, b), mixed, b), d
+    return int_matmul(_transpose(lstar, b), mixed, b)
 
 
 def _t_rows(f: WeightFamily, n: int, m: int, blocks):
     """Row blocks `blocks` of t_matrix (n + 1 rows each) as int rows over a denominator.
 
-    Returns (rows, d); d does not depend on which blocks are built.
-    T1 and the drift rows come from the drift tower, the shift and
-    derivative matrices from their int rows.
+    Returns (rows, d), d the tower denominator.  T1 and the drift rows
+    come from the drift tower, the shift and derivative matrices from
+    their int rows.
     """
     if n < 1 or m < 0:
         raise ValueError("need gradient index n >= 1 and level m >= 0")
     tower = psi_tower(f, m)
-    ds, dd = tower.level(m).drift_rows
+    ds, d = tower.level(m).drift_rows
     b = n + 1
     if n >= 2:
         if n not in tower.t1:
-            tower.t1[n] = _t1_rows(f, n)
-        t1, da = tower.t1[n]
+            tower.t1[n] = _t1_rows(f, n, d)
+        t1 = tower.t1[n]
     else:  # n = 1 has no second order part
-        t1, da = [[0] * b for _ in range(b)], 1
-    d = lcm(da, dd)
+        t1 = [[0] * b for _ in range(b)]
     # C_{h,h'} (x) M_{h,h'}, M = L(n-1, h)^t N(n, h'), the drift rows over d
     ms = [(h, dh, int_matmul(_transpose(l_rows(n - 1, h + 1), b), n_rows(n, hp), b))
           for h in (0, 1) for hp, dh in zip((1, 2), ds)]
-    ts, cs = d // da, d // dd
     size = 2 ** m
     t = []
     for s in blocks:
         rows = [[0] * (size * b) for _ in range(b)]
         for i in range(b):
-            rows[i][s * b:(s + 1) * b] = [v * ts for v in t1[i]]
+            rows[i][s * b:(s + 1) * b] = t1[i]
         for h, dh, block in ms:
-            for s2, c in enumerate(dh[2 * s + h]):
+            for s2, c in enumerate(dh[3 * s + h]):
                 if not c:
                     continue
-                c *= cs
                 for trow, brow in zip(rows, block):
                     for j, v in enumerate(brow):
                         if v:
@@ -478,17 +459,18 @@ def t_matrix(f: WeightFamily, n: int, m: int) -> PolyMatrix:
     T = L*^t (A3 (x) I) N* + S (D (x) I_n) N_stk: a second order part
     from the three-block shift/derivative stacks weighted by the
     quadratic coefficients A3 of the weight matrix, plus a first order
-    part from the level drift data D = (d1 | d2).  By the mixed product
-    it is assembled from base-size pieces, on ints:
+    part from the level drift data D = (d1 | d2), row 2s + h of d_i
+    holding the x_h coefficients of row s of psi_i.  By the mixed
+    product it is assembled from base-size pieces, on ints:
 
         T = I_{2^m} (x) T1 + sum_{h,h' in {x,y}} C_{h,h'} (x) M_{h,h'}
 
     with T1 = sum_{p,q} A3[p, q] L_p^t N_q (L_p, N_q the three blocks of
     starred at level 0), M_{h,h'} = L(n-1, h)^t N(n, h') and
-    C_{h,h'}[s, s'] = d_{h'}[2s + h, s'], the x_h coefficient of row s
-    of the level drift psi_{h'}.  The weight data and the level's d1/d2
-    are scaled by one LCM, and the shift and derivative matrices are
-    read as int rows (l_rows, n_rows).  T1 depends on the family and n
+    C_{h,h'}[s, s'] = d_{h'}[2s + h, s'], row 3s + h of psi_{h'} in the
+    level's drift_rows.  The weight data and the drift rows are scaled
+    to one LCM, and the shift and derivative matrices are read as int
+    rows (l_rows, n_rows).  T1 depends on the family and n
     alone, so the drift tower keeps it (PsiTower.t1) for every level.
 
     The paper's theorem transposes the level-lifted stack in S instead,
@@ -895,6 +877,8 @@ def check_e(sys: OrthoSystem, n: int, m: int, rule=None) -> PropertyReport:
 
 
 def _expand_properties(props):
+    if isinstance(props, str):  # one token, not a sequence of characters
+        props = (props,)
     chosen = set()
     for p in SELECTABLE_PROPERTIES if props is None else props:
         if p == "aux":
@@ -953,7 +937,9 @@ def verify_all(f: WeightFamily, nmax: int = 4, mmax: int = 2,
     mmax), of degree 2 (nmax + 1) + mmax deg(phi), that exact (e) alone
     integrates; and, in numeric mode, the Gauss "rule" that (b) and (e)
     read, built once after the system.  mode "auto" is exact when the
-    family has a moment oracle.  Before any build, a run that reads a rule raises
+    family has a moment oracle.  properties is None (every selectable
+    token), one token, or a sequence of tokens; "aux" stands for the four
+    structure tokens.  Before any build, a run that reads a rule raises
     InvalidParameterError on a quad_order below the grid floor nmax +
     mmax + 2 (only when the family has an oracle), then on a domain
     without a Gauss rule; a run that reads the system probes every moment

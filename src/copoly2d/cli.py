@@ -24,6 +24,7 @@ from .weights import (
     export_family,
     list_builtins,
     load_family,
+    split_params,
 )
 
 
@@ -196,7 +197,7 @@ def main(argv=None) -> int:
         if args.command == "list-families":
             sys.stdout.write(list_families(args.format))
             return 0
-        params = tuple(s.strip() for s in args.params.split(",") if s.strip())
+        params = split_params(args.params)
         props = tuple(s.strip() for s in args.properties.split(",") if s.strip())
         cfg = RunConfig(
             family_ref=args.family,

@@ -337,6 +337,14 @@ _BUILTINS = {
 }
 
 
+def split_params(text: str) -> tuple:
+    """Comma separated parameters, stripped; a blank text has none, an empty slot raises."""
+    params = tuple(t.strip() for t in text.split(",")) if text.strip() else ()
+    if "" in params:
+        raise InvalidParameterError(f"empty parameter slot in {text!r}")
+    return params
+
+
 def parse_family_ref(ref: str):
     """Split 'name' or 'name(p1,p2)' into (name, params tuple of str)."""
     ref = ref.strip()
@@ -344,8 +352,7 @@ def parse_family_ref(ref: str):
         if not ref.endswith(")"):
             raise UnknownFamilyError(f"malformed family reference {ref!r}")
         name, body = ref[:-1].split("(", 1)
-        params = tuple(s for s in (t.strip() for t in body.split(",")) if s)
-        return name.strip(), params
+        return name.strip(), split_params(body)
     return ref, ()
 
 

@@ -15,6 +15,7 @@ from copoly2d import basisops, characterize, matpoly, orthosys
 from copoly2d.basisops import x_vec
 from copoly2d.characterize import (
     AUX_PROPERTIES,
+    PsiTower,
     _solve_constant_right_factor,
     NoConstantSolution,
     PROPERTY_ORDER,
@@ -29,7 +30,6 @@ from copoly2d.characterize import (
     lambda_via_formula,
     lambda_via_operator,
     level_pearson_check,
-    phi_coefficient_columns,
     psi_tower,
     rodrigues_reconstruct,
     t_matrix,
@@ -66,6 +66,7 @@ from copoly2d.weights import (
     builtin,
     cleared_divergence,
     export_family,
+    grad_cols,
     load_family,
     make_quadrature,
 )
@@ -172,24 +173,43 @@ def test_psi_tower_is_kept_per_family():
 
 
 def test_a_run_converts_each_levels_drift_data_once(monkeypatch):
-    # the (c) symbol reads the drift int rows kept on each level, so no
-    # (n, m) cell converts d1/d2 again
-    converted = []
-    real = characterize.const_numerators
+    # the tower builds each level's drift int rows once, and the (c)
+    # symbol (_t_rows), like every other reader, takes them from the kept
+    # level: no (n, m) cell builds a level or its rows again
+    made, read, t_reads = [], [], []
+    real_level, real_read, real_t = characterize.PsiLevel, PsiTower.level, characterize._t_rows
+    monkeypatch.setattr(characterize, "PsiLevel",
+                        lambda *args: made.append(real_level(*args)) or made[-1])
+    monkeypatch.setattr(PsiTower, "level",
+                        lambda self, m: read.append(real_read(self, m)) or read[-1])
 
-    def recording(*mats):
-        converted.append(tuple(map(id, mats)))
-        return real(*mats)
+    def recorded_t(f, n, m, blocks):
+        before = len(read)
+        got = real_t(f, n, m, blocks)
+        t_reads.extend(read[before:])
+        return got
 
-    monkeypatch.setattr(characterize, "const_numerators", recording)
+    monkeypatch.setattr(characterize, "_t_rows", recorded_t)
     f = builtin("triangle(1,1,1)")
     reports = verify_all(f, nmax=5, mmax=3)
     assert "error" not in {r.status for r in reports}
     tower = psi_tower(f, 0)
     assert tower.depth >= 3
+    assert [id(level) for level in made] == [id(level) for level in tower.levels]
+    assert t_reads and {id(level) for level in t_reads} <= {id(level) for level in made}
     for m, level in enumerate(tower.levels):
-        assert converted.count((id(level.d1), id(level.d2))) == 1, m
-        assert level.drift_rows == real(level.d1, level.d2), m
+        ds, d = level.drift_rows
+        assert [len(rows) for rows in ds] == [3 * 2 ** m] * 2, m
+        assert level.psi1 == _psi_from_rows(ds[0], d), m
+        assert level.psi2 == _psi_from_rows(ds[1], d), m
+
+
+def _psi_from_rows(rows, d):
+    """A drift matrix from its x, y and constant coefficient rows over d, three per row."""
+    return PolyMatrix.from_rows(
+        [[BivariatePoly.from_terms({(1, 0): Fraction(x, d), (0, 1): Fraction(y, d),
+                                    (0, 0): Fraction(c, d)})
+          for x, y, c in zip(*rows[r:r + 3])] for r in range(0, len(rows), 3)])
 
 
 def test_psi_tower_failing_deeper_build_keeps_the_shallower_tower():
@@ -324,7 +344,7 @@ def oracle_t_matrices(f, n, m, tower):
                             kron(eye, basisops.l_mat(n - 1, 2))).transpose(),
     }
     level = tower.level(m)
-    dpair = hstack(level.d1, level.d2)
+    dpair = hstack(*(_linear_split(psi)[0] for psi in (level.psi1, level.psi2)))
     nstk = vstack(kron(eye, basisops.n_mat(n, 1)), kron(eye, basisops.n_mat(n, 2)))
     right = kron(dpair, PolyMatrix.identity(n)) @ nstk
     return {layout: term1 + s @ right for layout, s in shift_t.items()}
@@ -529,6 +549,139 @@ def test_level_two_only_family_solves_at_level_two_only():
         for m in (1, 3):
             with pytest.raises(InconsistentSystemError):
                 lambda_via_formula(_LEVEL_TWO_ONLY, n, m)
+
+
+# ---------------------------------------------------------------------------
+# reference: the drift tower as lifted polynomial matrices
+
+
+def phi_coefficient_columns(f):
+    """Quadratic and linear coefficient columns of the three entries.
+
+    Returns (a_cols, b_cols) where a_cols[i] is the 3x1 column of the
+    x^2, xy, y^2 coefficients and b_cols[i] the 2x1 column of the x, y
+    coefficients of entry i in (top left, off diagonal, bottom right).
+    """
+    a_cols = []
+    b_cols = []
+    for p in (f.phi[0, 0], f.phi[0, 1], f.phi[1, 1]):
+        a_cols.append(const_matrix([[p.coeff(2, 0)], [p.coeff(1, 1)], [p.coeff(0, 2)]]))
+        b_cols.append(const_matrix([[p.coeff(1, 0)], [p.coeff(0, 1)]]))
+    return tuple(a_cols), tuple(b_cols)
+
+
+def _linear_split(mat):
+    """Interleaved first order coefficients and constants of a degree-one matrix.
+
+    Row 2r of the first holds the x coefficients of row r, row 2r + 1
+    its y coefficients: the layout of d1 and d2 in t_matrix's docstring.
+    """
+    rows, cols = mat.shape
+    assert mat.degree <= 1
+    d = [[mat[r, c].coeff(*e) for c in range(cols)] for r in range(rows) for e in ((1, 0), (0, 1))]
+    e = [[mat[r, c].coeff(0, 0) for c in range(cols)] for r in range(rows)]
+    return const_matrix(d, cols), const_matrix(e, cols)
+
+
+def _oracle_level_operator(f, psi1, psi2, m):
+    """PsiLevel.op_rows summed from the polynomial entries of the drift matrices."""
+    rows = []
+    for s in range(m + 1):
+        row = [BivariatePoly.zero()] * (2 * m + 5)
+        row[s:s + 3] = f.phi[0, 0], f.phi[0, 1] * 2, f.phi[1, 1]
+        for shift, psi in enumerate((psi1, psi2)):
+            for c, p in enumerate(psi.row_list(2 ** s - 1)):
+                col = m + 3 + shift + bin(c).count("1")
+                row[col] = row[col] + p
+        rows.append(row)
+    return PolyMatrix.from_rows(rows)
+
+
+def oracle_psi_tower(f, depth):
+    """The drift tower by its polynomial Kronecker recurrence.
+
+    Returns one dict per level: psi1 and psi2, their splits (d1, e1) and
+    (d2, e2) by _linear_split, op_rows, and closed_form_ok, whether the
+    splits equal the closed form: the Kronecker-doubled split one level
+    down plus, for psi_i, the blocks N(2, h) a and the linear
+    coefficients b of column i of the weight matrix, all as polynomial
+    Kronecker products.  Reads basisops.n_mat, so a patched
+    basisops.n_rows reaches it.
+    """
+    a_cols, b_cols = phi_coefficient_columns(f)
+    grads = [grad_cols(f.phi[0, i], f.phi[1, i]) for i in (0, 1)]
+    eye2 = PolyMatrix.identity(2)
+    psis = [PolyMatrix.scalar(f.psi1), PolyMatrix.scalar(f.psi2)]
+    splits = [_linear_split(psi) for psi in psis]
+    levels = []
+    for m in range(depth + 1):
+        ok = True
+        if m:
+            eyeh = PolyMatrix.identity(2 ** (m - 1))
+            new = [kron(eye2, psi) + kron(g, eyeh) for psi, g in zip(psis, grads)]
+            new_splits = [_linear_split(psi) for psi in new]
+            for i, ((dd, ee), (dprev, eprev)) in enumerate(zip(new_splits, splits)):
+                a_lo, a_hi, b_lo, b_hi = a_cols[i], a_cols[i + 1], b_cols[i], b_cols[i + 1]
+                h_block = vstack(*(hstack(kron(eyeh, basisops.n_mat(2, h) @ a_lo),
+                                          kron(eyeh, basisops.n_mat(2, h) @ a_hi))
+                                   for h in (1, 2)))
+                k_block = vstack(*(hstack(eyeh.scale(b_lo[k, 0]), eyeh.scale(b_hi[k, 0]))
+                                   for k in (0, 1)))
+                ok = ok and dd == h_block + kron(eye2, dprev) \
+                    and ee == k_block + kron(eye2, eprev)
+            psis, splits = new, new_splits
+        (d1, e1), (d2, e2) = splits
+        levels.append({"psi1": psis[0], "psi2": psis[1], "d1": d1, "e1": e1, "d2": d2,
+                       "e2": e2, "op_rows": _oracle_level_operator(f, *psis, m),
+                       "closed_form_ok": ok})
+    return levels
+
+
+def _assert_tower_matches_oracle(f, depth):
+    tower = psi_tower(f, depth)
+    for m, want in enumerate(oracle_psi_tower(f, depth)):
+        level = tower.level(m)
+        assert level.psi1 == want["psi1"] and level.psi2 == want["psi2"], m
+        ds, d = level.drift_rows
+        for rows, i in zip(ds, "12"):
+            got = [[Fraction(v, d) for v in row] for row in rows]
+            # rows 3r and 3r + 1 are the x and y rows 2r and 2r + 1 of the split
+            assert [row for r, row in enumerate(got) if r % 3 < 2] == \
+                _fraction_rows(want["d" + i]), (m, i)
+            assert got[2::3] == _fraction_rows(want["e" + i]), (m, i)
+        assert level.op_rows == want["op_rows"], m
+        assert level.closed_form_ok == want["closed_form_ok"], m
+
+
+@pytest.mark.parametrize("ref", ALL_INSTANCES)
+def test_psi_tower_matches_the_polynomial_recurrence(ref):
+    _assert_tower_matches_oracle(builtin(ref), 5)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=20)
+@given(pearson_data())
+def test_psi_tower_matches_the_polynomial_recurrence_on_pearson_data(f):
+    _assert_tower_matches_oracle(f, 5)
+
+
+def test_lemma2_fails_under_a_swapped_derivative_matrix(monkeypatch):
+    # N(2, 1) and N(2, 2) swapped: the closed form of triangle(1,1,1),
+    # whose weight entries have quadratic parts, misses the recurrence at
+    # every level above 0, as in the oracle; product_hermite's weight
+    # matrix is constant, so its closed form still holds.  A run reports
+    # the lemma2 cells as failed, not as errors.
+    for mod in (basisops, characterize, orthosys):
+        if hasattr(mod, "n_rows"):
+            monkeypatch.setattr(mod, "n_rows", _n_swapped_at_2)
+    tri = builtin("triangle(1,1,1)")
+    assert [psi_tower(tri, 3).level(m).closed_form_ok for m in range(4)] == \
+        [True, False, False, False]
+    _assert_tower_matches_oracle(tri, 3)
+    hermite = psi_tower(builtin("product_hermite"), 3)
+    assert all(level.closed_form_ok for level in hermite.levels)
+    reports = verify_all(builtin("triangle(1,1,1)"), nmax=4, mmax=1, properties=("lemma2",))
+    assert [(r.property, r.m, r.status) for r in reports] == \
+        [("lemma2", m, "fail") for m in (1, 2, 3)]
 
 
 def test_system_memo_grams_eigenvalues_and_bounds():
@@ -1466,6 +1619,16 @@ def test_verify_all_builds_and_probes_only_what_the_chosen_rows_read(monkeypatch
     with pytest.raises(OracleUnavailableError, match="up to degree 8"):
         verify_all(f, nmax=2, mmax=1, properties=("e",))
     assert calls == []
+
+def test_verify_all_reads_a_bare_string_as_one_property_token():
+    f = builtin("product_hermite")
+    assert verify_all(f, nmax=2, mmax=1, properties="aux") == \
+        verify_all(f, nmax=2, mmax=1, properties=("aux",))
+    assert verify_all(f, nmax=2, mmax=1, properties="a") == \
+        verify_all(f, nmax=2, mmax=1, properties=["a"])
+    with pytest.raises(ValueError, match="^unknown property token 'bc'; "):
+        verify_all(f, nmax=2, mmax=1, properties="bc")
+
 
 def test_verify_all_builds_the_drift_tower_only_as_deep_as_it_is_read(monkeypatch):
     asked = []

@@ -292,6 +292,22 @@ def test_leading_minus_params_attach_with_an_equals_sign_or_go_inline(capsys):
     assert "--params: expected one argument" in capsys.readouterr().err
 
 
+def test_an_empty_parameter_slot_exits_2(capsys):
+    # an empty slot is not dropped: triangle(1,,1,1) is no spelling of triangle(1,1,1)
+    for argv, text in ((["--family", "triangle(1,1,1,)"], "1,1,1,"),
+                       (["--family", "triangle(1,,1,1)"], "1,,1,1"),
+                       (["--family", "triangle", "--params", "1,,1,1"], "1,,1,1"),
+                       (["--family", "triangle", "--params", "1,1,1,"], "1,1,1,")):
+        assert main(["verify", *argv, "--nmax", "1", "--mmax", "0"]) == 2, argv
+        assert capsys.readouterr().err == f"copoly2d: empty parameter slot in {text!r}\n"
+    # no parentheses' contents and no --params still mean no parameters
+    for argv in (["--family", "product_hermite()"], ["--family", "product_hermite"],
+                 ["--family", "product_hermite", "--params", ""]):
+        assert main(["verify", *argv, "--nmax", "1", "--mmax", "0",
+                     "--properties", "a"]) == 0, argv
+    capsys.readouterr()
+
+
 def test_decimal_params_are_exact(capsys):
     code = main(["verify", "--family", "product_jacobi",
                  "--params", "0.5,0.5,0.5,0.5", "--nmax", "2", "--mmax", "1",

@@ -54,6 +54,16 @@ def test_parse_family_ref():
     assert parse_family_ref("product_hermite") == ("product_hermite", ())
     with pytest.raises(UnknownFamilyError):
         parse_family_ref("triangle(1,")
+    assert parse_family_ref("product_hermite()") == ("product_hermite", ())
+
+
+@pytest.mark.parametrize("ref", ["triangle(1,,1,1)", "triangle(1,1,1,)", "triangle(,1,1,1)",
+                                 "triangle(1, ,1)"])
+def test_an_empty_parameter_slot_is_rejected(ref):
+    with pytest.raises(InvalidParameterError, match="^empty parameter slot in "):
+        parse_family_ref(ref)
+    with pytest.raises(InvalidParameterError, match="^empty parameter slot in "):
+        builtin(ref)
 
 
 def test_parameter_validation():
