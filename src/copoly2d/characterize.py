@@ -31,7 +31,9 @@ using the family's logarithmic gradient.  The drift tower that (b), (c),
 (d) and lemma2 read depends only on the family, so psi_tower keeps the
 deepest one built per family and the checkers look it up themselves;
 each level holds its two drift matrices once, as int coefficient rows
-over one denominator, and lemma2 is checked on those ints.  The
+over one denominator, and lemma2 is checked on those ints.  (b)'s
+lifted Pearson equation is one 2 x 2 identity per column of phi
+(level_pearson_check), so no exact run forms a Kronecker power.  The
 level-m eigenvalue systems behind (c), (d) and rodrigues_reconstruct
 are solved on the m + 1 distinct rows of each gradient stack (and the
 m + 1 matching row blocks of the leading-coefficient symbol), never on
@@ -44,7 +46,6 @@ import random
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from math import lcm
 
 from .basisops import IDENTITY_KEYS, identity_suite, l_rows, n_rows
@@ -59,7 +60,6 @@ from .matpoly import (
     hstack,
     int_matmul,
     kron,
-    kron_power,
     matmul_const_rows,
     matmul_numerators,
     reduce_rows,
@@ -69,6 +69,7 @@ from .matpoly import (
 )
 from .orthosys import (
     OrthoSystem,
+    _popcounts,
     build_monic,
     eval_product,
     g_lead_rows,
@@ -86,6 +87,8 @@ from .weights import (
     cleared_divergence,
     grad_cols,
     make_quadrature,
+    pearson_residual,
+    phi_residual,
 )
 
 RESIDUAL_REL = 1e-9
@@ -145,26 +148,15 @@ class PsiLevel:
     one, held once in drift_rows = ((rows of psi1, rows of psi2), d):
     rows 3r, 3r + 1 and 3r + 2 hold the x, y and constant coefficients
     of row r, all ints over the tower denominator d (the LCM of the
-    denominators of phi, psi1 and psi2).  psi1 and psi2 are
-    polynomial-matrix views of those rows, built on each access.
-    op_rows is the level's second order operator on the m + 1 distinct
-    rows of a stack (_level_operator).  closed_form_ok records whether
-    the level built by the recurrence matches the direct block closed
-    form.
+    denominators of phi, psi1 and psi2).  op_rows is the level's
+    second order operator on the m + 1 distinct rows of a stack
+    (_level_operator).  closed_form_ok records whether the level built
+    by the recurrence matches the direct block closed form.
     """
 
     drift_rows: tuple
     op_rows: PolyMatrix
     closed_form_ok: bool
-
-    def _view(self, i: int) -> PolyMatrix:
-        rows, d = self.drift_rows[0][i], self.drift_rows[1]
-        return PolyMatrix.from_rows(
-            [[from_numerators({(1, 0): x, (0, 1): y, (0, 0): c}, d)
-              for x, y, c in zip(*rows[r:r + 3])] for r in range(0, len(rows), 3)])
-
-    psi1 = property(lambda self: self._view(0))
-    psi2 = property(lambda self: self._view(1))
 
 
 @dataclass(frozen=True)
@@ -250,7 +242,7 @@ def _level_operator(f: WeightFamily, drift_rows, m: int) -> PolyMatrix:
     coefficient rows.
     """
     ds, d = drift_rows
-    pops = [bin(c).count("1") for c in range(2 ** m)]
+    pops = _popcounts(m)
     rows = []
     for s in range(m + 1):
         r = 3 * (2 ** s - 1)
@@ -550,22 +542,35 @@ def check_a(f: WeightFamily) -> PropertyReport:
 # property (b): orthogonal stacks and the lifted Pearson equation
 
 
-def level_pearson_check(f: WeightFamily, m: int, phi_power=None) -> bool:
+def level_pearson_check(f: WeightFamily, m: int) -> bool:
     """The Kronecker power weight solves the level-m Pearson equation.
 
-    Dividing by the scalar density and clearing both logarithmic
-    gradient denominators (cleared_divergence) turns the divergence
-    identity into a single polynomial matrix statement, checked exactly.
-    phi_power(k) gives the k-th Kronecker power of f.phi, such as a
-    system's memoised OrthoSystem.phi_power; without it the powers are
-    built here.
+    The statement, cleared like every density-divided identity
+    (cleared_divergence), is cleared_divergence(f, phi^(x)(m+1)) ==
+    delta phi^(x)m [Psi_1 | Psi_2], Psi_i the drift tower's level m (a
+    tower that cannot be built raises here).  With E_i the residual of
+    check_pearson (pearson_residual) and P_i that of
+    check_phi_conditions (phi_residual) for column i, it is E_i = 0 at
+    m = 0 and m delta P_i + E_i phi = 0, i = 1, 2, for m >= 1:
+    1. By Leibniz, column block i of the left side is c_i Phi_m + delta
+       D_i Phi_m, c = cleared_divergence(f, phi), Phi_m = phi^(x)m and
+       D_i = phi_1i dx + phi_2i dy.
+    2. The tower builds Psi_i^(m) = I_2 (x) Psi_i^(m-1) + G_i (x) I,
+       G_i = grad_cols(phi_1i, phi_2i) (_lift), so the residual of block
+       i is R_m = phi (x) R_(m-1) + delta P_i (x) Phi_(m-1), R_0 = E_i,
+       that is R_m = E_i Phi_m + delta sum_k Phi_k (x) P_i (x) Phi_(m-1-k).
+    3. If phi != 0, apply a linear functional l with l(phi) = 1 to every
+       slot but one: R_m = 0 forces P_i = lambda phi, and then R_m =
+       (E_i + m delta lambda) Phi_m, zero iff m delta P_i + E_i phi = 0.
+    4. If phi = 0, both sides vanish.
     """
-    if phi_power is None:
-        phi_power = partial(kron_power, f.phi)
-    lev = psi_tower(f, m).level(m)
-    drift = phi_power(m) @ hstack(lev.psi1, lev.psi2)
-    delta = f.log_grad_x.den * f.log_grad_y.den
-    return cleared_divergence(f, phi_power(m + 1)) == drift.scale(delta)
+    psi_tower(f, m)
+    e = pearson_residual(f)
+    if m == 0:
+        return e.is_zero
+    m_delta = m * f.log_grad_x.den * f.log_grad_y.den
+    return all((phi_residual(f, i).scale(m_delta) + f.phi.scale(e[0, i])).is_zero
+               for i in (0, 1))
 
 
 def check_b(sys: OrthoSystem, n: int, m: int, rule=None) -> PropertyReport:
@@ -582,8 +587,7 @@ def check_b(sys: OrthoSystem, n: int, m: int, rule=None) -> PropertyReport:
     if n < 1 or m < 1:
         raise ValueError("property b needs n >= 1 and m >= 1")
     f = sys.family
-    pearson_ok = sys.cached(("pearson", m),
-                            lambda: level_pearson_check(f, m, sys.phi_power))
+    pearson_ok = sys.cached(("pearson", m), lambda: level_pearson_check(f, m))
     notes = [] if pearson_ok else ["lifted pearson identity fails"]
     if rule is None:
         ortho_ok = not any(any(map(any, rows)) for rows, _ in sys.cross_rows(n, m))

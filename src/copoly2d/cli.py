@@ -198,7 +198,8 @@ def main(argv=None) -> int:
             sys.stdout.write(list_families(args.format))
             return 0
         params = split_params(args.params)
-        props = tuple(s.strip() for s in args.properties.split(",") if s.strip())
+        # a blank list means every property; an empty token is the library's to reject
+        props = tuple(t.strip() for t in args.properties.split(","))
         cfg = RunConfig(
             family_ref=args.family,
             params=params,
@@ -207,7 +208,7 @@ def main(argv=None) -> int:
             mode=args.mode,
             quad_order=args.quad_order,
             seed=args.seed,
-            properties=props or None,
+            properties=props if args.properties.strip() else None,
             output=args.output,
             format=args.format,
         )

@@ -428,18 +428,6 @@ def _int_rows(*parts):
     return rows, scale
 
 
-def const_numerators(*mats):
-    """Constant matrices as int rows over one common denominator.
-
-    Each argument is a constant PolyMatrix or a list of int or Fraction
-    rows.  Returns (rows, d): d is the LCM of every entry's denominator
-    and rows[i] the int rows of d times argument i.
-    """
-    pairs = [_ratio_rows(m) for m in mats]
-    d = lcm(*(q for rows in pairs for row in rows for _, q in row))
-    return [[[c * (d // q) for c, q in row] for row in rows] for rows in pairs], d
-
-
 def reduce_rows(rows: list, d: int):
     """Int rows over d > 0 with d and every entry divided by their gcd: (rows, d)."""
     g = gcd(d, *(v for row in rows for v in row))

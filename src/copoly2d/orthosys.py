@@ -35,7 +35,8 @@ B_m S (counted_rows) and R, not phi^(x)m or the 2^m-row stacks.  Their
 rows are the full stacks' rows, so the integrals read the same moments
 and give the same rationals.  The (c) and (d) eigenvalue systems are
 solved on S too (characterize.lambda_via_operator), so an exact run
-forms q(n, m) at level 0 only; numeric mode reads the full stacks.
+forms q(n, m) at level 0 only, and no Kronecker power of phi: only
+numeric mode reads phi_power, weighted and q(n, m) gathered from S.
 
 Exact weighted integrals integral(a^t w rho) / mu_00 of two polynomial
 matrices are bilinear forms on the moment numerators: with H[alpha,
@@ -67,18 +68,17 @@ exact path does, so an exact run never loads it.
 
 An OrthoSystem owns one memo for everything derived from it: the
 stacks q(n, m) and their distinct, counted and weighted rows, W_m, the
-Kronecker powers of the weight matrix (read by the full-tensor lifted
-Pearson check and numeric mode), the weighted stacks phi_power(m) @
-q(n, m) (numeric (e) only), the exact Gram blocks' gram_record (a
-singular block is a record too) and the level Gram blocks gram(n, m)
-(the exact view of the record, and per quadrature rule in numeric
-mode), the node values of the stacks and of phi_power(m) per
-quadrature rule (values, read by the numeric Gram blocks and cross
-terms through inner_on), and whatever the checkers store through
-cached(key, make) (eigenvalue matrices, the lifted Pearson verdict per
-level).  Each entry is computed on first use and shared by every check
-that reads it; exceptions are not stored, so a failing computation is
-retried and raises again.
+Kronecker powers of the weight matrix and the weighted stacks
+phi_power(m) @ q(n, m) (numeric mode only), the exact Gram blocks'
+gram_record (a singular block is a record too) and the level Gram
+blocks gram(n, m) (the exact view of the record, and per quadrature
+rule in numeric mode), the node values of the stacks and of
+phi_power(m) per quadrature rule (values, read by the numeric Gram
+blocks and cross terms through inner_on), and whatever the checkers
+store through cached(key, make) (eigenvalue matrices, the lifted
+Pearson verdict per level).  Each entry is computed on first use and
+shared by every check that reads it; exceptions are not stored, so a
+failing computation is retried and raises again.
 """
 
 from __future__ import annotations
@@ -403,15 +403,15 @@ class OrthoSystem:
     def q(self, n: int, m: int) -> PolyMatrix:
         """Level-m gradient stack of degree n, shape (2^m, n+m+1).
 
-        Above level 0 only numeric mode reads it; the exact path reads q_rows.
+        Row r is row popcount(r) of q_rows(n, m); above level 0 only numeric mode reads it.
         """
         self._check_stack(n, m)
 
         def make():
             if m == 0:
                 return self._p[n].transpose()
-            prev = self.q(n + 1, m - 1)
-            return vstack(prev.dx(), prev.dy())
+            s = self.q_rows(n, m)
+            return PolyMatrix.from_rows([s.row_list(r) for r in _popcounts(m)], s.cols)
         return self.cached(("q", n, m), make)
 
     def phi_power(self, m: int) -> PolyMatrix:
@@ -485,11 +485,13 @@ class OrthoSystem:
     def values(self, n: int | None, m: int, rule: QuadRule) -> np.ndarray:
         """q(n, m), or phi_power(m) when n is None, evaluated on the rule's nodes.
 
-        The read-only eval_entries array, kept under the rule object.
+        The read-only eval_entries array, kept under the rule object; a
+        stack's values are those of q_rows(n, m), gathered by popcount.
         """
         def make():
-            mat = self.phi_power(m) if n is None else self.q(n, m)
+            mat = self.phi_power(m) if n is None else self.q_rows(n, m)
             got = eval_entries(mat, rule.nodes_x, rule.nodes_y, rule.powers)
+            got = got if n is None else got[_popcounts(m)]
             got.setflags(write=False)
             return got
         return self.cached(("values", n, m, rule), make)
@@ -590,6 +592,11 @@ def _gram_record(rows: list, d: int) -> GramRecord:
     sp = -1 if p < 0 else 1
     return GramRecord(rows, d, Fraction(sign * p, d ** k),
                       *reduce_rows([[sp * d * v for v in row] for row in x], sp * p))
+
+
+def _popcounts(m: int) -> list:
+    """popcount(r) for each row r of a level-m stack: the q_rows row it repeats."""
+    return [bin(r).count("1") for r in range(2 ** m)]
 
 
 def _times_linear(coeffs, a: BivariatePoly, b: BivariatePoly) -> list:

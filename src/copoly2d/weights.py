@@ -19,8 +19,8 @@ Built-in families:
 Moment oracles are exact Fractions whenever the parameters are rational,
 which lets every downstream orthogonality check run in exact arithmetic.
 numpy is imported inside the quadrature code only (QuadRule.integrate,
-node_powers, the Gauss rule builders and make_quadrature), so loading
-or exporting a family and every exact run leave it unloaded.
+node_powers and the Gauss rule builders), so loading or exporting a
+family and every exact run leave it unloaded.
 """
 
 from __future__ import annotations
@@ -416,16 +416,19 @@ def cleared_divergence(f: WeightFamily, num: PolyMatrix, e: int = 0) -> PolyMatr
     return out
 
 
-def check_pearson(f: WeightFamily) -> bool:
-    """Exact test of div(rho phi) = rho (psi1, psi2), divided through by rho.
+def pearson_residual(f: WeightFamily) -> PolyMatrix:
+    """The 1x2 residual of div(rho phi) = rho (psi1, psi2), divided through by rho.
 
-    Column j of the identity reads
-    phi_1j * gx + phi_2j * gy + dx phi_1j + dy phi_2j = psi_j
-    with (gx, gy) the logarithmic gradient; both sides are cleared by
-    delta (see cleared_divergence) and compared as polynomials.
+    Entry j is phi_1j gx + phi_2j gy + dx phi_1j + dy phi_2j - psi_j, with
+    (gx, gy) the logarithmic gradient, cleared by delta (see cleared_divergence).
     """
     delta = f.log_grad_x.den * f.log_grad_y.den
-    return cleared_divergence(f, f.phi) == PolyMatrix.row([f.psi1, f.psi2]).scale(delta)
+    return cleared_divergence(f, f.phi) - PolyMatrix.row([f.psi1, f.psi2]).scale(delta)
+
+
+def check_pearson(f: WeightFamily) -> bool:
+    """Exact test of div(rho phi) = rho (psi1, psi2): pearson_residual vanishes."""
+    return pearson_residual(f).is_zero
 
 
 def grad_cols(p: BivariatePoly, q: BivariatePoly) -> PolyMatrix:
@@ -433,20 +436,15 @@ def grad_cols(p: BivariatePoly, q: BivariatePoly) -> PolyMatrix:
     return PolyMatrix.from_rows([[p.dx(), q.dx()], [p.dy(), q.dy()]])
 
 
-def check_phi_conditions(f: WeightFamily) -> bool:
-    """Differential compatibility of phi with its own columns.
+def phi_residual(f: WeightFamily, j: int) -> PolyMatrix:
+    """phi_1j dx(phi) + phi_2j dy(phi) - phi @ grad_cols(phi_1j, phi_2j), a 2x2 matrix."""
+    p, q = f.phi[0, j], f.phi[1, j]
+    return f.phi.dx().scale(p) + f.phi.dy().scale(q) - f.phi @ grad_cols(p, q)
 
-    For each column (phi_1j, phi_2j) the matrix identity
-    phi_1j * dx(phi) + phi_2j * dy(phi) = phi @ grad_cols(phi_1j, phi_2j)
-    must hold exactly.
-    """
-    phix, phiy = f.phi.dx(), f.phi.dy()
-    for j in (0, 1):
-        p, q = f.phi[0, j], f.phi[1, j]
-        lhs = phix.scale(p) + phiy.scale(q)
-        if lhs != f.phi @ grad_cols(p, q):
-            return False
-    return True
+
+def check_phi_conditions(f: WeightFamily) -> bool:
+    """Differential compatibility of phi with its own columns: each phi_residual vanishes."""
+    return all(phi_residual(f, j).is_zero for j in (0, 1))
 
 
 def validate_family(f: WeightFamily) -> None:
@@ -533,8 +531,6 @@ def check_quadrature_domain(f: WeightFamily) -> None:
 
 def make_quadrature(f: WeightFamily, order: int) -> QuadRule:
     """Gauss rule matched to the family's domain and parameters."""
-    import numpy as np
-
     if order < 1:
         raise InvalidParameterError("quadrature order must be >= 1")
     check_quadrature_domain(f)
@@ -554,20 +550,17 @@ def make_quadrature(f: WeightFamily, order: int) -> QuadRule:
         ys, wy = gauss_jacobi_1d(order, p[2], p[3])
     elif kind == "triangle":
         a, b, c = p
-        tu, wu = gauss_jacobi_1d(order, b + c + 1, a)
-        tv, wv = gauss_jacobi_1d(order, c, b)
-        u = (1 + tu) / 2
-        v = (1 + tv) / 2
-        # collapsed-square map x = u, y = v (1 - u); weights already absorb
-        # the Jacobian because the u rule carries the extra (1 - u) power
-        nx = np.repeat(u, order)
-        vv = np.tile(v, order)
-        ny = vv * (1 - nx)
-        w = np.repeat(wu, order) * np.tile(wv, order)
-        return QuadRule(nodes_x=nx, nodes_y=ny, weights=w, order=order)
+        tu, wx = gauss_jacobi_1d(order, b + c + 1, a)
+        tv, wy = gauss_jacobi_1d(order, c, b)
+        xs, ys = (1 + tu) / 2, (1 + tv) / 2
     else:  # pragma: no cover - Domain guards kinds
         raise FamilyLoadError(f"no quadrature for domain {kind!r}")
-    return _tensor_rule(xs, wx, ys, wy, order)
+    rule = _tensor_rule(xs, wx, ys, wy, order)
+    if kind == "triangle":
+        # collapsed-square map of the tensor nodes (u, v): x = u, y = v (1 - u);
+        # weights already absorb the Jacobian: the u rule carries the extra (1 - u)
+        rule = QuadRule(rule.nodes_x, rule.nodes_y * (1 - rule.nodes_x), rule.weights, order)
+    return rule
 
 
 # ---------------------------------------------------------------------------

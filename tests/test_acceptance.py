@@ -45,6 +45,7 @@ from pathlib import Path
 
 import pytest
 from test_basisops import random_rational_matrix
+from test_characterize import psi_view
 
 from copoly2d.basisops import identity_suite, x_vec
 from copoly2d.characterize import (
@@ -147,8 +148,8 @@ def _zero_order_term(tower, m):
     for k in range(m):
         lev = tower.level(k)
         c = kron(PolyMatrix.identity(2), c) + vstack(
-            hstack(lev.psi1.dx(), lev.psi2.dx()),
-            hstack(lev.psi1.dy(), lev.psi2.dy()),
+            hstack(psi_view(lev, 0).dx(), psi_view(lev, 1).dx()),
+            hstack(psi_view(lev, 0).dy(), psi_view(lev, 1).dy()),
         )
     return c
 
@@ -158,7 +159,7 @@ def _level_operator(f, level, q):
     qx, qy = q.dx(), q.dy()
     out = qx.dx().scale(f.phi[0, 0]) + qx.dy().scale(f.phi[0, 1] * 2)
     out = out + qy.dy().scale(f.phi[1, 1])
-    return out + level.psi1 @ qx + level.psi2 @ qy
+    return out + psi_view(level, 0) @ qx + psi_view(level, 1) @ qy
 
 
 def _eigen_certificate(f, sys_, tower, n, m):

@@ -5,7 +5,7 @@ import functools
 import random
 from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -40,7 +40,6 @@ from copoly2d.matpoly import (
     PolyMatrix,
     SingularMatrixError,
     const_matrix,
-    const_numerators,
     det_exact,
     hstack,
     kron,
@@ -64,6 +63,7 @@ from copoly2d.weights import (
     OracleUnavailableError,
     WeightFamily,
     builtin,
+    check_phi_conditions,
     cleared_divergence,
     export_family,
     grad_cols,
@@ -123,8 +123,8 @@ def test_psi_tower_level_zero_is_family_drift():
         f = builtin(ref)
         tw = psi_tower(f, 0)
         lev = tw.level(0)
-        assert lev.psi1 == PolyMatrix.scalar(f.psi1)
-        assert lev.psi2 == PolyMatrix.scalar(f.psi2)
+        assert psi_view(lev, 0) == PolyMatrix.scalar(f.psi1)
+        assert psi_view(lev, 1) == PolyMatrix.scalar(f.psi2)
 
 
 def test_psi_tower_closed_form_all_builtins():
@@ -144,8 +144,8 @@ def test_psi_tower_hermite_is_scalar_shift():
     tw = psi_tower(f, 2)
     lev = tw.level(1)
     eye2 = PolyMatrix.identity(2)
-    assert lev.psi1 == kron(eye2, PolyMatrix.scalar(f.psi1))
-    assert lev.psi2 == kron(eye2, PolyMatrix.scalar(f.psi2))
+    assert psi_view(lev, 0) == kron(eye2, PolyMatrix.scalar(f.psi1))
+    assert psi_view(lev, 1) == kron(eye2, PolyMatrix.scalar(f.psi2))
 
 
 def test_psi_tower_rejects_quadratic_drift():
@@ -169,7 +169,7 @@ def test_psi_tower_is_kept_per_family():
     # a copy is another family, even with the same data
     assert psi_tower(dataclasses.replace(f), 1) is not deep
     other = dataclasses.replace(f, psi1=parse_poly("2*x - 1"))
-    assert psi_tower(other, 1).level(0).psi1 == PolyMatrix.scalar(other.psi1)
+    assert psi_view(psi_tower(other, 1).level(0), 0) == PolyMatrix.scalar(other.psi1)
 
 
 def test_a_run_converts_each_levels_drift_data_once(monkeypatch):
@@ -200,12 +200,15 @@ def test_a_run_converts_each_levels_drift_data_once(monkeypatch):
     for m, level in enumerate(tower.levels):
         ds, d = level.drift_rows
         assert [len(rows) for rows in ds] == [3 * 2 ** m] * 2, m
-        assert level.psi1 == _psi_from_rows(ds[0], d), m
-        assert level.psi2 == _psi_from_rows(ds[1], d), m
 
 
-def _psi_from_rows(rows, d):
-    """A drift matrix from its x, y and constant coefficient rows over d, three per row."""
+def psi_view(level, i):
+    """psi_(i+1) of a drift tower level as a polynomial matrix, built from its int rows.
+
+    Rows 3r, 3r + 1 and 3r + 2 of the level's drift_rows hold the x, y
+    and constant coefficients of row r over the tower denominator.
+    """
+    rows, d = level.drift_rows[0][i], level.drift_rows[1]
     return PolyMatrix.from_rows(
         [[BivariatePoly.from_terms({(1, 0): Fraction(x, d), (0, 1): Fraction(y, d),
                                     (0, 0): Fraction(c, d)})
@@ -344,7 +347,7 @@ def oracle_t_matrices(f, n, m, tower):
                             kron(eye, basisops.l_mat(n - 1, 2))).transpose(),
     }
     level = tower.level(m)
-    dpair = hstack(*(_linear_split(psi)[0] for psi in (level.psi1, level.psi2)))
+    dpair = hstack(*(_linear_split(psi_view(level, i))[0] for i in (0, 1)))
     nstk = vstack(kron(eye, basisops.n_mat(n, 1)), kron(eye, basisops.n_mat(n, 2)))
     right = kron(dpair, PolyMatrix.identity(n)) @ nstk
     return {layout: term1 + s @ right for layout, s in shift_t.items()}
@@ -641,7 +644,7 @@ def _assert_tower_matches_oracle(f, depth):
     tower = psi_tower(f, depth)
     for m, want in enumerate(oracle_psi_tower(f, depth)):
         level = tower.level(m)
-        assert level.psi1 == want["psi1"] and level.psi2 == want["psi2"], m
+        assert psi_view(level, 0) == want["psi1"] and psi_view(level, 1) == want["psi2"], m
         ds, d = level.drift_rows
         for rows, i in zip(ds, "12"):
             got = [[Fraction(v, d) for v in row] for row in rows]
@@ -754,17 +757,116 @@ def test_check_a_flags_singular_drift():
 # property (b)
 
 
+def oracle_level_pearson_check(f, m, phi_power=None):
+    """The lifted Pearson statement on the full Kronecker powers of phi.
+
+    cleared_divergence(f, phi^(x)(m+1)) == delta phi^(x)m [psi_1 | psi_2]
+    with psi_i the drift tower's level m; phi_power(k) gives the k-th
+    Kronecker power of f.phi, such as a system's OrthoSystem.phi_power.
+    """
+    if phi_power is None:
+        phi_power = functools.partial(matpoly.kron_power, f.phi)
+    lev = psi_tower(f, m).level(m)
+    drift = phi_power(m) @ hstack(psi_view(lev, 0), psi_view(lev, 1))
+    delta = f.log_grad_x.den * f.log_grad_y.den
+    return cleared_divergence(f, phi_power(m + 1)) == drift.scale(delta)
+
+
+def _assert_pearson_matches_oracle(f):
+    """level_pearson_check for m <= 3 equals the oracle's verdict, or raises as it does."""
+    got = [_result(level_pearson_check, f, m) for m in range(4)]
+    assert got == [_result(oracle_level_pearson_check, f, m) for m in range(4)]
+    return got
+
+
 def test_level_pearson_identity_all_builtins():
-    for ref in ALL_INSTANCES:
-        f = builtin(ref)
-        for m in range(3):
-            assert level_pearson_check(f, m), (ref, m)
+    for ref in sorted({*ALL_INSTANCES, *POOL_INSTANCES, "triangle(-1/2,1/3,2)"}):
+        assert _assert_pearson_matches_oracle(builtin(ref)) == [True] * 4, ref
+
+
+def _solved_family(phi, gx, gy):
+    """The plane family of weight matrix phi and log-gradient (gx, gy), with
+    psi := cleared_divergence(f, phi), so that its Pearson identity holds."""
+    f = WeightFamily("pearson_solved", PolyMatrix.from_rows(phi), gx, gy,
+                     RationalFn(gx), RationalFn(gy), Domain("plane", ()))
+    c = cleared_divergence(f, f.phi)
+    return dataclasses.replace(f, psi1=c[0, 0], psi2=c[0, 1])
+
+
+@st.composite
+def pearson_solved_data(draw):
+    """Symmetric phi of degree <= 2 with psi := c, so Pearson holds.
+
+    The logarithmic gradient is linear or constant for a constant phi,
+    constant for a linear one, and zero or constant for a quadratic one,
+    so psi has degree <= 1, and (a)'s Pearson identity holds, except for
+    a quadratic phi with a nonzero gradient: its quadratic psi is no
+    drift tower.  phi_conditions mostly fails for phi of degree one.
+    """
+    degree = draw(st.sampled_from([0, 1, 1, 1, 2, 2]))
+
+    def poly(deg):
+        return BivariatePoly.from_terms({(a, d - a): draw(_SMALL) for d in range(deg + 1)
+                                         for a in range(d + 1)})
+
+    p11, p12, p22 = (poly(degree) for _ in range(3))
+    grad = {0: draw(st.sampled_from([0, 1])), 1: 0, 2: draw(st.sampled_from([-1, 0]))}[degree]
+    gx, gy = poly(grad), poly(grad)
+    return _solved_family([[p11, p12], [p12, p22]], gx, gy)
+
+
+# (phi, gx, gy): phi_conditions holds for the first two and fails for the
+# third (whose phi is the disk's), so its lifted identity fails at m >= 1
+_SOLVED_EXAMPLES = [
+    ([["2", "1"], ["1", "3"]], "-x", "-y"),
+    ([["x", "0"], ["0", "y"]], "-1", "-1"),
+    ([["1 - x^2", "-x*y"], ["-x*y", "1 - y^2"]], "0", "0"),
+]
+
+
+def test_level_pearson_check_on_pearson_solved_examples():
+    # (a) passes on all three; the lifted identity holds at every level
+    # exactly where phi_conditions does
+    verdicts = []
+    for phi, gx, gy in _SOLVED_EXAMPLES:
+        f = _solved_family([[parse_poly(p) for p in row] for row in phi],
+                           parse_poly(gx), parse_poly(gy))
+        assert check_a(f).status == "pass", phi
+        verdicts.append(check_phi_conditions(f))
+        assert _assert_pearson_matches_oracle(f) == [True] + [verdicts[-1]] * 3, phi
+    assert verdicts == [True, True, False]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=80)
+@given(st.one_of(pearson_data(), pearson_solved_data()))
+def test_level_pearson_check_matches_the_full_tensor_oracle_on_pearson_data(f):
+    _assert_pearson_matches_oracle(f)
+
+
+def test_quadratic_drift_b_cells_are_unchanged():
+    # a quadratic psi is no drift tower: the lifted check raises where the
+    # oracle does, a direct (b) cell raises the same, and a run reports
+    # every (b) cell blocked by the tower with the same note
+    f = builtin("product_hermite")
+    bad = dataclasses.replace(f, psi1=parse_poly("x^2"))
+    want = ("ValueError", "drift entry of degree above one")
+    for m in range(3):
+        assert _result(level_pearson_check, bad, m) == want, m
+        assert _result(oracle_level_pearson_check, bad, m) == want, m
+    sys = build_monic(bad, 4)
+    for n, m in ((1, 1), (2, 1), (1, 2)):
+        assert _result(check_b, sys, n, m) == _result(oracle_check_b, sys, n, m) == want
+    note = "drift tower construction failed: ValueError: drift entry of degree above one"
+    reports = verify_all(bad, nmax=2, mmax=2, properties="b")
+    assert [(r.n, r.m, r.status, r.notes) for r in reports] == \
+        [(n, m, "fail", note) for n in (1, 2) for m in (1, 2)]
 
 
 def test_kronecker_powers_are_built_once_per_system(monkeypatch):
     # phi_power(m) is kron(phi, phi_power(m - 1)): the entries and term
-    # order of kron_power, with the lower powers read from the memo; the
-    # lifted Pearson check reads them too, so no run rebuilds a power
+    # order of kron_power, with the lower powers read from the memo.  Only
+    # numeric mode reads a power, and it builds each once; an exact run,
+    # (b)'s lifted Pearson check included, builds none
     f = builtin("triangle(1,1,1)")
     sys = build_monic(f, 4)
     for m in range(4):
@@ -772,19 +874,27 @@ def test_kronecker_powers_are_built_once_per_system(monkeypatch):
         assert got == want
         assert [list(p.terms) for p in got._e] == [list(p.terms) for p in want._e]
     for m in range(3):
-        assert level_pearson_check(f, m, sys.phi_power)
+        assert oracle_level_pearson_check(f, m, sys.phi_power)
     calls = []
-    for owner in (matpoly, characterize, orthosys):
+    for owner in (matpoly, orthosys):
         monkeypatch.setattr(owner, "kron_power",
                             lambda a, m, _fn=matpoly.kron_power: calls.append(m) or _fn(a, m))
     built = []  # the row count of phi_power(m - 1) for each power m built
     monkeypatch.setattr(orthosys, "kron",
                         lambda a, b, _fn=kron: built.append(b.rows) or _fn(a, b))
+    asked = []
+    real_power = OrthoSystem.phi_power
+    monkeypatch.setattr(OrthoSystem, "phi_power",
+                        lambda self, m: asked.append(m) or real_power(self, m))
     for mode in ("exact", "numeric"):
         built.clear()
+        asked.clear()
         verify_all(builtin("triangle(1,1,1)"), nmax=4, mmax=2, mode=mode, quad_order=12)
         assert calls == []
-        assert sorted(built) == [2 ** k for k in range(len(built))], mode
+        if mode == "exact":
+            assert built == asked == []
+        else:
+            assert built and sorted(built) == [2 ** k for k in range(len(built))]
 
 
 def test_check_b_exact_cells():
@@ -1085,7 +1195,7 @@ def _full_gram(sys, n, m):
 
 def oracle_check_b(sys, n, m):
     f = sys.family
-    pearson_ok = level_pearson_check(f, m, sys.phi_power)
+    pearson_ok = oracle_level_pearson_check(f, m, sys.phi_power)
     notes = [] if pearson_ok else ["lifted pearson identity fails"]
     crosses = [integrate_product(sys.q(k, m), sys.weighted(n, m), f) for k in range(n)]
     ortho_ok = all(c.is_zero for c in crosses)
@@ -1191,7 +1301,8 @@ def full_second_order_image(f, level, q):
     """phi11 q_xx + 2 phi12 q_xy + phi22 q_yy + psi1 q_x + psi2 q_y, on every row."""
     qx, qy = q.dx(), q.dy()
     out = qx.dx().scale(f.phi[0, 0]) + qx.dy().scale(f.phi[0, 1] * 2)
-    return out + qy.dy().scale(f.phi[1, 1]) + level.psi1 @ qx + level.psi2 @ qy
+    return (out + qy.dy().scale(f.phi[1, 1]) + psi_view(level, 0) @ qx
+            + psi_view(level, 1) @ qy)
 
 
 def oracle_lambda_via_operator(sys, n, m):
@@ -1418,7 +1529,9 @@ def test_a_singular_gram_block_is_recorded_and_gives_the_oracle_notes(monkeypatc
     # row 1 repeats row 0; the oracles read the same block
     singular = PolyMatrix.from_rows([real.row_list(0), real.row_list(0),
                                      *(real.row_list(i) for i in range(2, real.rows))])
-    [rows], d = const_numerators(singular)
+    frs = _fraction_rows(singular)
+    d = lcm(*(v.denominator for row in frs for v in row))
+    rows = [[int(v * d) for v in row] for row in frs]
     sys._memo[("gram record", 2, 1)] = orthosys._gram_record(rows, d)
     full_gram = _full_gram
     monkeypatch.setitem(globals(), "_full_gram",

@@ -308,6 +308,28 @@ def test_an_empty_parameter_slot_exits_2(capsys):
     capsys.readouterr()
 
 
+def test_an_empty_property_token_exits_2(capsys):
+    # an empty token is not dropped: "," is no spelling of every property,
+    # and a,,lemma1 is no spelling of a,lemma1
+    tokens = "a, b, c, d, e, aux, phi_conditions, lemma1, lemma2, prop1"
+    for text in (",", "a,,lemma1", "a,", " , a"):
+        assert main(["verify", "--family", "product_hermite", "--nmax", "1", "--mmax", "0",
+                     "--properties", text]) == 2, text
+        assert capsys.readouterr().err == \
+            f"copoly2d: unknown property token ''; choose from {tokens}\n", text
+    # a blank list still means every property
+    want = {r.property for r in verify_all(builtin("product_hermite"), nmax=1, mmax=0)}
+    for text in ("", "  "):
+        assert main(["verify", "--family", "product_hermite", "--nmax", "1", "--mmax", "0",
+                     "--properties", text, "--format", "json"]) == 0, text
+        doc = json.loads(capsys.readouterr().out)
+        assert {r["property"] for r in doc["reports"]} == want, text
+    assert main(["verify", "--family", "product_hermite", "--nmax", "1", "--mmax", "0",
+                 "--properties", " a , lemma1 ", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert {r["property"] for r in doc["reports"]} == {"a", "lemma1"}
+
+
 def test_decimal_params_are_exact(capsys):
     code = main(["verify", "--family", "product_jacobi",
                  "--params", "0.5,0.5,0.5,0.5", "--nmax", "2", "--mmax", "1",
