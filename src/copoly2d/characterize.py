@@ -27,13 +27,13 @@ also take an optional quadrature rule: given one, only their integrals
 move to it, and only then is numpy imported, so exact cells never load
 it.  The weight density itself is never materialized; identities
 involving it are divided through and cleared to polynomial statements
-using the family's logarithmic gradient.  The drift tower that (b), (c),
-(d) and lemma2 read depends only on the family, so psi_tower keeps the
-deepest one built per family and the checkers look it up themselves;
-each level holds its two drift matrices once, as int coefficient rows
-over one denominator, and lemma2 is checked on those ints.  (b)'s
-lifted Pearson equation is one 2 x 2 identity per column of phi
-(level_pearson_check), so no exact run forms a Kronecker power.  The
+using the family's logarithmic gradient.  The drift tower that (c) and
+(d) read depends only on the family, so psi_tower keeps the deepest one
+built per family and the checkers look it up themselves; each level
+holds its two drift matrices once, as int coefficient rows over one
+denominator.  lemma2 and (b)'s lifted Pearson equation are decided once
+per family, by proof (psi_tower, level_pearson_check), so neither reads
+a level above 1 and no exact run forms a Kronecker power.  The
 level-m eigenvalue systems behind (c), (d) and rodrigues_reconstruct
 are solved on the m + 1 distinct rows of each gradient stack (and the
 m + 1 matching row blocks of the leading-coefficient symbol), never on
@@ -87,8 +87,6 @@ from .weights import (
     cleared_divergence,
     grad_cols,
     make_quadrature,
-    pearson_residual,
-    phi_residual,
 )
 
 RESIDUAL_REL = 1e-9
@@ -150,26 +148,26 @@ class PsiLevel:
     of row r, all ints over the tower denominator d (the LCM of the
     denominators of phi, psi1 and psi2).  op_rows is the level's
     second order operator on the m + 1 distinct rows of a stack
-    (_level_operator).  closed_form_ok records whether the level built
-    by the recurrence matches the direct block closed form.
+    (_level_operator).
     """
 
     drift_rows: tuple
     op_rows: PolyMatrix
-    closed_form_ok: bool
 
 
 @dataclass(frozen=True)
 class PsiTower:
-    """The drift tower's levels, and the level-free symbol data of t_matrix.
+    """The drift tower's levels, lemma2's verdict and the symbol data of t_matrix.
 
-    t1 maps a gradient index n >= 2 to T1 of t_matrix as int rows over
-    the tower denominator, built on first use (_t1_rows); it depends on
-    the family and n alone, so every level and every (n, m) cell shares
-    it.
+    closed_form_ok is lemma2 at every level m >= 1 (psi_tower; True at
+    depth 0).  t1 maps a gradient index n >= 2 to T1 of t_matrix as int
+    rows over the tower denominator, built on first use (_t1_rows); it
+    depends on the family and n alone, so every level and every (n, m)
+    cell shares it.
     """
 
     levels: tuple
+    closed_form_ok: bool
     t1: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
@@ -265,17 +263,20 @@ def psi_tower(f: WeightFamily, mmax: int) -> PsiTower:
     """Drift matrices for every stack level 0 .. mmax, or deeper.
 
     Every level is int coefficient rows over one tower denominator
-    (PsiLevel).  Level m is built by the doubling recurrence
-    psi_i -> I_2 (x) psi_i + grad(column i of the weight matrix) (x) I
-    on those ints, and cross-checked against the closed form that adds
-    one block of quadratic/linear weight data (N(2, h) times the
-    quadratic coefficient column, read through basisops.n_rows, and the
-    linear coefficients) to the Kronecker-doubled previous level.  Each
-    level also keeps its second order operator on distinct rows
-    (_level_operator), which the (c) operator route reads.  The tower
-    depends only on the family, so the deepest one built is kept for it
-    and returned to every caller that asks for no more levels; a deeper
-    build keeps its T1 rows, and a build that raises keeps nothing.
+    (PsiLevel), built by the doubling recurrence psi_i -> I_2 (x) psi_i +
+    grad(column i of the weight matrix) (x) I on those ints (_lift), and
+    keeps its second order operator on distinct rows (_level_operator),
+    which the (c) operator route reads.  lemma2's closed form lifts the
+    same previous level by N(2, h) times the quadratic coefficient column
+    (read through basisops.n_rows) and the linear coefficients instead.
+    _lift adds every increment slot in some row, so the two lifts agree
+    at every level m >= 1 iff the increments do (_increments): lemma2 is
+    one comparison, closed_form_ok.  Only level 0 (psi) and level 1 (phi)
+    can raise, so psi_tower(f, 1) raises exactly when a deeper build does,
+    with the same message.  The tower depends only on the family, so the
+    deepest one built is kept for it and returned to every caller that
+    asks for no more levels; a deeper build keeps its T1 rows, and a
+    build that raises keeps nothing.
     """
     if mmax < 0:
         raise ValueError("mmax must be nonnegative")
@@ -284,15 +285,16 @@ def psi_tower(f: WeightFamily, mmax: int) -> PsiTower:
         return known
     d = lcm(*(p.den for p in (f.phi[0, 0], f.phi[0, 1], f.phi[1, 1], f.psi1, f.psi2)))
     drift = (tuple([[v] for v in _linear_ints(p, d)] for p in (f.psi1, f.psi2)), d)
-    levels = [PsiLevel(drift, _level_operator(f, drift, 0), True)]
+    levels = [PsiLevel(drift, _level_operator(f, drift, 0))]
+    ok = True
     if mmax:  # a weight entry of degree above two raises here, at level 1
         grad, closed = _increments(f, d)
+        ok = grad == closed
     for m in range(1, mmax + 1):
         prev = levels[m - 1].drift_rows[0]
         drift = (tuple(_lift(prev[i], grad[i]) for i in (0, 1)), d)
-        ok = all(_lift(prev[i], closed[i]) == drift[0][i] for i in (0, 1))
-        levels.append(PsiLevel(drift, _level_operator(f, drift, m), ok))
-    tower = _TOWERS[f] = PsiTower(tuple(levels), {} if known is None else known.t1)
+        levels.append(PsiLevel(drift, _level_operator(f, drift, m)))
+    tower = _TOWERS[f] = PsiTower(tuple(levels), ok, {} if known is None else known.t1)
     return tower
 
 
@@ -548,10 +550,10 @@ def level_pearson_check(f: WeightFamily, m: int) -> bool:
     The statement, cleared like every density-divided identity
     (cleared_divergence), is cleared_divergence(f, phi^(x)(m+1)) ==
     delta phi^(x)m [Psi_1 | Psi_2], Psi_i the drift tower's level m (a
-    tower that cannot be built raises here).  With E_i the residual of
-    check_pearson (pearson_residual) and P_i that of
-    check_phi_conditions (phi_residual) for column i, it is E_i = 0 at
-    m = 0 and m delta P_i + E_i phi = 0, i = 1, 2, for m >= 1:
+    tower that cannot be built raises here; psi_tower raises at level 1
+    or not at all).  With E_i and P_i the residuals of check_pearson and
+    check_phi_conditions for column i, it is E_i = 0 at m = 0 and
+    m delta P_i + E_i phi = 0, i = 1, 2, for m >= 1:
     1. By Leibniz, column block i of the left side is c_i Phi_m + delta
        D_i Phi_m, c = cleared_divergence(f, phi), Phi_m = phi^(x)m and
        D_i = phi_1i dx + phi_2i dy.
@@ -563,14 +565,18 @@ def level_pearson_check(f: WeightFamily, m: int) -> bool:
        slot but one: R_m = 0 forces P_i = lambda phi, and then R_m =
        (E_i + m delta lambda) Phi_m, zero iff m delta P_i + E_i phi = 0.
     4. If phi = 0, both sides vanish.
+    5. Row i of P_i is zero for symmetric phi: its entry (i, c) is
+       sum_k phi_ki dk phi_ic - sum_k phi_ik dk phi_ci.  So row i of the
+       identity reads E_i (row i of phi) = 0.  If E_i = 0, then P_i = 0
+       (m >= 1, delta != 0); else column i of phi, and with it P_i, is
+       zero, and E_i phi = 0 forces phi = 0.
+    So at every m >= 1 the check is phi = 0, or Pearson and
+    phi_conditions (phi's columns commute as vector fields) both hold.
     """
-    psi_tower(f, m)
-    e = pearson_residual(f)
+    psi_tower(f, min(m, 1))
     if m == 0:
-        return e.is_zero
-    m_delta = m * f.log_grad_x.den * f.log_grad_y.den
-    return all((phi_residual(f, i).scale(m_delta) + f.phi.scale(e[0, i])).is_zero
-               for i in (0, 1))
+        return check_pearson(f)
+    return f.phi.is_zero or (check_pearson(f) and check_phi_conditions(f))
 
 
 def check_b(sys: OrthoSystem, n: int, m: int, rule=None) -> PropertyReport:
@@ -587,7 +593,8 @@ def check_b(sys: OrthoSystem, n: int, m: int, rule=None) -> PropertyReport:
     if n < 1 or m < 1:
         raise ValueError("property b needs n >= 1 and m >= 1")
     f = sys.family
-    pearson_ok = sys.cached(("pearson", m), lambda: level_pearson_check(f, m))
+    # the lifted equation is level-free at m >= 1 (level_pearson_check)
+    pearson_ok = sys.cached(("pearson",), lambda: level_pearson_check(f, 1))
     notes = [] if pearson_ok else ["lifted pearson identity fails"]
     if rule is None:
         ortho_ok = not any(any(map(any, rows)) for rows, _ in sys.cross_rows(n, m))
@@ -934,8 +941,10 @@ def verify_all(f: WeightFamily, nmax: int = 4, mmax: int = 2,
     One table names each property's cells, reported mode, prerequisites
     and checker, and the chosen rows' prerequisites are all a run builds
     and checks up front: the drift "tower", built as deep as the chosen
-    rows read it (mmax for (b) and (c), nmax - 1 for (d), max(1, mmax,
-    nmax - 1) for lemma2, which has one cell per level); the monic
+    rows read it (mmax for (c), nmax - 1 for (d), and level 1 for (b)
+    and lemma2, whose verdicts are level-free: level_pearson_check,
+    PsiTower.closed_form_ok; lemma2 keeps one cell per level m = 1 ..
+    max(1, mmax, nmax - 1)); the monic
     "system" P_0 .. P_N, N = nmax + mmax + 1, whose construction reads
     moments up to degree 2N - 1; the "next gram" block gram(nmax + 1,
     mmax), of degree 2 (nmax + 1) + mmax deg(phi), that exact (e) alone
@@ -985,7 +994,7 @@ def verify_all(f: WeightFamily, nmax: int = 4, mmax: int = 2,
     levels = [(n, m) for n, m in grid if n >= 1]
     numeric = resolved == "numeric"
     # the deepest drift tower level read by each row that reads the tower
-    tower_levels = {"b": mmax, "c": mmax, "d": nmax - 1, "lemma2": max(1, mmax, nmax - 1)}
+    tower_levels = {"b": min(1, mmax), "c": mmax, "d": nmax - 1, "lemma2": 1}
     # property -> (cells, reported mode, prerequisites, checker); c and d are exact only
     table = {
         "a": ([(0, 0)], "exact", (), lambda n, m: check_a(f)),
@@ -1000,9 +1009,8 @@ def verify_all(f: WeightFamily, nmax: int = 4, mmax: int = 2,
         "phi_conditions": ([(0, 0)], "exact", (), lambda n, m: _report(
             "phi_conditions", f.name, 0, 0, check_phi_conditions(f))),
         "lemma1": ([(0, m) for m in range(1, 6)], "exact", (), lemma1),
-        "lemma2": ([(0, m) for m in range(1, tower_levels["lemma2"] + 1)], "exact", ("tower",),
-                   lambda n, m: _report("lemma2", f.name, 0, m,
-                                        tower.level(m).closed_form_ok)),
+        "lemma2": ([(0, m) for m in range(1, max(1, mmax, nmax - 1) + 1)], "exact", ("tower",),
+                   lambda n, m: _report("lemma2", f.name, 0, m, tower.closed_form_ok)),
         "prop1": (grid, "exact", (), prop1),
     }
     needs = {p for prop in chosen for p in table[prop][2]}

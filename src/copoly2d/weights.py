@@ -135,7 +135,6 @@ class WeightFamily:
     log_grad_x: RationalFn
     log_grad_y: RationalFn
     domain: Domain
-    params: tuple = ()
     moment_fn: Optional[Callable[[int, int], Fraction]] = None
     boundary_assumed: bool = True
     _mcache: dict = field(default_factory=dict, repr=False, compare=False, init=False)
@@ -244,7 +243,6 @@ def _build_product_hermite(params) -> WeightFamily:
         log_grad_x=RationalFn(two_x),
         log_grad_y=RationalFn(two_y),
         domain=Domain("plane", ()),
-        params=(),
         moment_fn=lambda i, j: hm(i) * hm(j),
     )
 
@@ -262,7 +260,6 @@ def _build_product_laguerre(params) -> WeightFamily:
         log_grad_x=RationalFn(BivariatePoly.const(a) - x, x),
         log_grad_y=RationalFn(BivariatePoly.const(b) - y, y),
         domain=Domain("quadrant", (a, b)),
-        params=(a, b),
         moment_fn=lambda i, j: pa(i) * pb(j),
     )
 
@@ -280,7 +277,6 @@ def _build_hermite_laguerre(params) -> WeightFamily:
         log_grad_x=RationalFn(parse_poly("-2*x")),
         log_grad_y=RationalFn(BivariatePoly.const(a) - y, y),
         domain=Domain("halfplane_x_quadrant", (a,)),
-        params=(a,),
         moment_fn=lambda i, j: hm(i) * pa(j),
     )
 
@@ -301,7 +297,6 @@ def _build_product_jacobi(params) -> WeightFamily:
         log_grad_x=RationalFn(BivariatePoly.const(b - a) - (a + b) * x, phi11),
         log_grad_y=RationalFn(BivariatePoly.const(d - c) - (c + d) * y, phi22),
         domain=Domain("square", (a, b, c, d)),
-        params=(a, b, c, d),
         moment_fn=lambda i, j: mx(i) * my(j),
     )
 
@@ -323,7 +318,6 @@ def _build_triangle(params) -> WeightFamily:
         log_grad_x=RationalFn(BivariatePoly.const(a) * rim - c * x, x * rim),
         log_grad_y=RationalFn(BivariatePoly.const(b) * rim - c * y, y * rim),
         domain=Domain("triangle", (a, b, c)),
-        params=(a, b, c),
         moment_fn=lambda i, j: pa(i) * pb(j) / ps(i + j),
     )
 
@@ -416,19 +410,15 @@ def cleared_divergence(f: WeightFamily, num: PolyMatrix, e: int = 0) -> PolyMatr
     return out
 
 
-def pearson_residual(f: WeightFamily) -> PolyMatrix:
-    """The 1x2 residual of div(rho phi) = rho (psi1, psi2), divided through by rho.
+def check_pearson(f: WeightFamily) -> bool:
+    """Exact test of div(rho phi) = rho (psi1, psi2), divided through by rho.
 
-    Entry j is phi_1j gx + phi_2j gy + dx phi_1j + dy phi_2j - psi_j, with
-    (gx, gy) the logarithmic gradient, cleared by delta (see cleared_divergence).
+    Entry j of the 1x2 residual is phi_1j gx + phi_2j gy + dx phi_1j +
+    dy phi_2j - psi_j, with (gx, gy) the logarithmic gradient, cleared by
+    delta (see cleared_divergence).
     """
     delta = f.log_grad_x.den * f.log_grad_y.den
-    return cleared_divergence(f, f.phi) - PolyMatrix.row([f.psi1, f.psi2]).scale(delta)
-
-
-def check_pearson(f: WeightFamily) -> bool:
-    """Exact test of div(rho phi) = rho (psi1, psi2): pearson_residual vanishes."""
-    return pearson_residual(f).is_zero
+    return (cleared_divergence(f, f.phi) - PolyMatrix.row([f.psi1, f.psi2]).scale(delta)).is_zero
 
 
 def grad_cols(p: BivariatePoly, q: BivariatePoly) -> PolyMatrix:
@@ -436,15 +426,17 @@ def grad_cols(p: BivariatePoly, q: BivariatePoly) -> PolyMatrix:
     return PolyMatrix.from_rows([[p.dx(), q.dx()], [p.dy(), q.dy()]])
 
 
-def phi_residual(f: WeightFamily, j: int) -> PolyMatrix:
-    """phi_1j dx(phi) + phi_2j dy(phi) - phi @ grad_cols(phi_1j, phi_2j), a 2x2 matrix."""
-    p, q = f.phi[0, j], f.phi[1, j]
-    return f.phi.dx().scale(p) + f.phi.dy().scale(q) - f.phi @ grad_cols(p, q)
-
-
 def check_phi_conditions(f: WeightFamily) -> bool:
-    """Differential compatibility of phi with its own columns: each phi_residual vanishes."""
-    return all(phi_residual(f, j).is_zero for j in (0, 1))
+    """Differential compatibility of phi with its own columns, exactly.
+
+    For each column j the 2x2 residual phi_1j dx(phi) + phi_2j dy(phi) -
+    phi @ grad_cols(phi_1j, phi_2j) vanishes.  Its row j is zero for any
+    symmetric phi; its other row is the Lie bracket of phi's two columns
+    read as vector fields, so the condition says the columns commute.
+    """
+    phi = f.phi
+    return all((phi.dx().scale(p) + phi.dy().scale(q) - phi @ grad_cols(p, q)).is_zero
+               for p, q in zip(phi.row_list(0), phi.row_list(1)))
 
 
 def validate_family(f: WeightFamily) -> None:
@@ -628,11 +620,12 @@ def load_family(source) -> WeightFamily:
     missing = required - set(doc)
     if missing:
         raise FamilyLoadError(f"missing fields: {sorted(missing)}")
+    phi_rows = doc["phi"]
+    if not (isinstance(phi_rows, list) and len(phi_rows) == 2
+            and all(isinstance(row, list) and len(row) == 2 for row in phi_rows)):
+        raise FamilyLoadError("phi must be a 2x2 list of polynomial strings")
     try:
-        phi_rows = doc["phi"]
-        phi = PolyMatrix.from_rows(
-            [[parse_poly(phi_rows[i][j]) for j in (0, 1)] for i in (0, 1)]
-        )
+        phi = PolyMatrix.from_rows([[parse_poly(p) for p in row] for row in phi_rows])
         psi1 = parse_poly(doc["psi1"])
         psi2 = parse_poly(doc["psi2"])
     except (ValueError, IndexError, TypeError) as exc:
@@ -679,7 +672,6 @@ def load_family(source) -> WeightFamily:
         log_grad_x=_parse_rf(doc["log_grad_x"], "log_grad_x"),
         log_grad_y=_parse_rf(doc["log_grad_y"], "log_grad_y"),
         domain=domain,
-        params=domain.params,
         moment_fn=moment_fn,
     )
     try:

@@ -321,8 +321,9 @@ def test_criterion_06_interleaved_determinant_identity():
 def test_criterion_07_drift_tower_closed_form():
     bad = []
     for ref in ALL_INSTANCES:
-        tower = psi_tower(builtin(ref), 3)
-        bad.extend((ref, m) for m in (1, 2, 3) if not tower.level(m).closed_form_ok)
+        # one comparison decides lemma2 at every level m >= 1 (psi_tower)
+        if not psi_tower(builtin(ref), 3).closed_form_ok:
+            bad.append(ref)
     verdict(7, "drift tower equals closed form m<=3", not bad)
     assert not bad, bad
 

@@ -129,11 +129,8 @@ def test_psi_tower_level_zero_is_family_drift():
 
 def test_psi_tower_closed_form_all_builtins():
     for ref in ALL_INSTANCES:
-        f = builtin(ref)
-        tw = psi_tower(f, 3)
-        assert tw.depth == 3
-        for m in (1, 2, 3):
-            assert tw.level(m).closed_form_ok, (ref, m)
+        tw = psi_tower(builtin(ref), 3)
+        assert tw.depth == 3 and tw.closed_form_ok, ref
 
 
 def test_psi_tower_hermite_is_scalar_shift():
@@ -225,6 +222,18 @@ def test_psi_tower_failing_deeper_build_keeps_the_shallower_tower():
         with pytest.raises(ValueError, match="degree above one"):
             psi_tower(bad, 1)
     assert psi_tower(bad, 0) is shallow
+
+
+@pytest.mark.parametrize("field, value", [
+    ("phi", PolyMatrix.from_rows([[parse_poly("x^3"), 0], [0, 1]])),
+    ("psi1", parse_poly("x^2"))])
+def test_a_tower_fails_at_level_one_or_not_at_all(field, value):
+    # only level 0 (psi) and level 1 (phi) can raise, so a shallow build
+    # raises exactly what a deep one does
+    bad = dataclasses.replace(builtin("product_hermite"), **{field: value})
+    got = _result(psi_tower, bad, 1)
+    assert got == ("ValueError", "drift entry of degree above one")
+    assert _result(psi_tower, bad, 6) == got
 
 
 # ---------------------------------------------------------------------------
@@ -605,10 +614,10 @@ def oracle_psi_tower(f, depth):
 
     Returns one dict per level: psi1 and psi2, their splits (d1, e1) and
     (d2, e2) by _linear_split, op_rows, and closed_form_ok, whether the
-    splits equal the closed form: the Kronecker-doubled split one level
-    down plus, for psi_i, the blocks N(2, h) a and the linear
-    coefficients b of column i of the weight matrix, all as polynomial
-    Kronecker products.  Reads basisops.n_mat, so a patched
+    level's splits equal lemma2's closed form: the Kronecker-doubled
+    split one level down plus, for psi_i, the blocks N(2, h) a and the
+    linear coefficients b of column i of the weight matrix, all as
+    polynomial Kronecker products.  Reads basisops.n_mat, so a patched
     basisops.n_rows reaches it.
     """
     a_cols, b_cols = phi_coefficient_columns(f)
@@ -653,7 +662,9 @@ def _assert_tower_matches_oracle(f, depth):
                 _fraction_rows(want["d" + i]), (m, i)
             assert got[2::3] == _fraction_rows(want["e" + i]), (m, i)
         assert level.op_rows == want["op_rows"], m
-        assert level.closed_form_ok == want["closed_form_ok"], m
+        # the tower's one lemma2 verdict is the oracle's at every level m >= 1
+        if m:
+            assert tower.closed_form_ok == want["closed_form_ok"], m
 
 
 @pytest.mark.parametrize("ref", ALL_INSTANCES)
@@ -677,11 +688,11 @@ def test_lemma2_fails_under_a_swapped_derivative_matrix(monkeypatch):
         if hasattr(mod, "n_rows"):
             monkeypatch.setattr(mod, "n_rows", _n_swapped_at_2)
     tri = builtin("triangle(1,1,1)")
-    assert [psi_tower(tri, 3).level(m).closed_form_ok for m in range(4)] == \
-        [True, False, False, False]
-    _assert_tower_matches_oracle(tri, 3)
-    hermite = psi_tower(builtin("product_hermite"), 3)
-    assert all(level.closed_form_ok for level in hermite.levels)
+    assert not psi_tower(tri, 1).closed_form_ok
+    assert [level["closed_form_ok"] for level in oracle_psi_tower(tri, 5)] == \
+        [True] + [False] * 5
+    _assert_tower_matches_oracle(tri, 5)
+    assert psi_tower(builtin("product_hermite"), 3).closed_form_ok
     reports = verify_all(builtin("triangle(1,1,1)"), nmax=4, mmax=1, properties=("lemma2",))
     assert [(r.property, r.m, r.status) for r in reports] == \
         [("lemma2", m, "fail") for m in (1, 2, 3)]
@@ -841,6 +852,79 @@ def test_level_pearson_check_on_pearson_solved_examples():
 @given(st.one_of(pearson_data(), pearson_solved_data()))
 def test_level_pearson_check_matches_the_full_tensor_oracle_on_pearson_data(f):
     _assert_pearson_matches_oracle(f)
+
+
+def pearson_residual(f):
+    """check_pearson's 1x2 residual: cleared_divergence(f, phi) - delta (psi1, psi2)."""
+    delta = f.log_grad_x.den * f.log_grad_y.den
+    return cleared_divergence(f, f.phi) - PolyMatrix.row([f.psi1, f.psi2]).scale(delta)
+
+
+def phi_residual(f, i):
+    """check_phi_conditions' 2x2 residual for column i: phi_1i dx phi + phi_2i dy phi - phi G_i."""
+    p, q = f.phi[0, i], f.phi[1, i]
+    return f.phi.dx().scale(p) + f.phi.dy().scale(q) - f.phi @ grad_cols(p, q)
+
+
+def two_by_two_level_pearson_check(f, m):
+    """The lifted equation at level m >= 1 as m delta P_i + E_i phi = 0, i = 1, 2."""
+    e = pearson_residual(f)
+    m_delta = m * f.log_grad_x.den * f.log_grad_y.den
+    return all((phi_residual(f, i).scale(m_delta) + f.phi.scale(e[0, i])).is_zero
+               for i in (0, 1))
+
+
+@st.composite
+def symmetric_phi_data(draw):
+    """A plane family with a random symmetric phi of degree <= 2 and linear psi."""
+    def poly(deg):
+        return BivariatePoly.from_terms({(a, d - a): draw(_SMALL) for d in range(deg + 1)
+                                         for a in range(d + 1)})
+
+    p11, p12, p22 = (poly(draw(st.integers(0, 2))) for _ in range(3))
+    return _pearson_family([[p11, p12], [p12, p22]], poly(1), poly(1))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=80)
+@given(st.one_of(symmetric_phi_data(), pearson_solved_data()))
+def test_row_i_of_the_phi_residual_vanishes_so_the_lifted_check_is_level_free(f):
+    # row i of P_i is zero for every symmetric phi, so the 2x2 form of the
+    # lifted equation is the same boolean at every level m >= 1
+    for i in (0, 1):
+        assert PolyMatrix.row(phi_residual(f, i).row_list(i)).is_zero, i
+    assert check_phi_conditions(f) == all(phi_residual(f, i).is_zero for i in (0, 1))
+    family_verdict = f.phi.is_zero or (pearson_residual(f).is_zero and check_phi_conditions(f))
+    assert [two_by_two_level_pearson_check(f, m) for m in (1, 2, 3)] == [family_verdict] * 3
+
+
+def _plane_family(phi, psi1, psi2, gx="-x", gy="-y"):
+    return WeightFamily("pinned", PolyMatrix.from_rows([[parse_poly(p) for p in row]
+                                                       for row in phi]),
+                        parse_poly(psi1), parse_poly(psi2), RationalFn(parse_poly(gx)),
+                        RationalFn(parse_poly(gy)), Domain("plane", ()))
+
+
+_PINNED_LEVEL_VERDICTS = [
+    # the disk solves Pearson and fails phi_conditions
+    (_plane_family([["1 - x^2", "-x*y"], ["-x*y", "1 - y^2"]], "-3*x", "-3*y", "0", "0"),
+     [True, False, False, False]),
+    # phi = 0 fails Pearson (E = -delta psi) yet solves every lifted level
+    (_plane_family([["0", "0"], ["0", "0"]], "-x", "-y"), [False, True, True, True]),
+    # a zero first column with E_1 != 0 fails everywhere; with E = 0 it passes
+    (_plane_family([["0", "0"], ["0", "1"]], "-x", "-y"), [False] * 4),
+    (_plane_family([["0", "0"], ["0", "1"]], "0", "-y"), [True] * 4),
+]
+
+
+@pytest.mark.parametrize("f, want", _PINNED_LEVEL_VERDICTS)
+def test_level_pearson_check_pins(f, want):
+    assert _assert_pearson_matches_oracle(f) == want
+
+
+def test_level_pearson_check_fails_every_level_under_a_perturbed_drift():
+    tri = builtin("triangle(1,1,1)")
+    pert = dataclasses.replace(tri, psi1=tri.psi1 + parse_poly("1"))
+    assert _assert_pearson_matches_oracle(pert) == [False] * 4
 
 
 def test_quadratic_drift_b_cells_are_unchanged():
@@ -1750,17 +1834,22 @@ def test_verify_all_builds_the_drift_tower_only_as_deep_as_it_is_read(monkeypatc
                         lambda f, mmax: asked.append(mmax) or real(f, mmax))
     b_only = verify_all(builtin("triangle(1,1,1)"), nmax=10, mmax=2, properties=("b",))
     assert [(r.n, r.m) for r in b_only] == [(n, m) for n in range(1, 11) for m in (1, 2)]
-    assert asked and max(asked) == 2
-    # (d) reads levels up to nmax - 1 and lemma2 up to max(1, mmax, nmax - 1);
-    # the depth changes no b cell
-    for props, depth in [(("b",), 2), (("c",), 2), (("d",), 5), (("lemma2",), 5),
-                         (("b", "d"), 5), (None, 5)]:
+    assert asked and max(asked) == 1
+    # (c) reads levels up to mmax and (d) up to nmax - 1; (b) and lemma2
+    # decide their level-free verdicts at level 1, lemma2 keeping its cells
+    # m = 1 .. max(1, mmax, nmax - 1); the depth changes no b cell
+    for props, depth in [(("b",), 1), (("c",), 2), (("d",), 5), (("lemma2",), 1),
+                         (("aux",), 1), (("b", "d"), 5), (None, 5)]:
         asked.clear()
         reports = verify_all(builtin("triangle(1,1,1)"), nmax=6, mmax=2, properties=props)
         assert asked[0] == depth and max(asked) == depth, props
         if props is None:
             assert [r for r in reports if r.property == "b"] == \
                 [r for r in b_only if r.n <= 6]
+    # at mmax = 0 (b) has no cell, so it asks for no level a (c) cell does not
+    asked.clear()
+    verify_all(builtin("triangle(1,1,1)"), nmax=2, mmax=0, properties=("b", "c"))
+    assert asked[0] == 0
 
 
 def test_prop1_checks_the_level_free_identities_once_per_n(monkeypatch):

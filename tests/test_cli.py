@@ -221,6 +221,29 @@ def test_malformed_family_file_is_a_load_error_and_exit_two(tmp_path, capsys, fi
     assert err.startswith(f"copoly2d: {message}: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("phi", [
+    {"0": ["1", "0"], "1": ["0", "1"]},
+    [["1", "0"], ["0", "1"], ["0", "0"]],
+    [["1", "0", "0"], ["0", "1", "0"]],
+    [["1", "0"], "01"],
+    "1",
+], ids=["object", "third row", "third column", "string row", "string"])
+def test_a_phi_that_is_no_2x2_list_is_exit_two_with_no_report(tmp_path, capsys, phi):
+    doc = export_family(builtin("product_hermite"), moment_degree=6)
+    doc["phi"] = phi
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps(doc))
+    message = "phi must be a 2x2 list of polynomial strings"
+    with pytest.raises(FamilyLoadError, match=f"^{message}$"):
+        load_family(str(path))
+    out = tmp_path / "report.json"
+    assert main(["verify", "--family", str(path), "--nmax", "1", "--mmax", "0",
+                 "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"copoly2d: {message}\n"
+    assert not out.exists()
+
+
 def test_unreadable_family_file_is_exit_two(tmp_path, capsys):
     for ref in (str(tmp_path / "missing.json"), str(tmp_path / "no" / "fam"),
                 str(tmp_path)):

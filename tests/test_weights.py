@@ -199,7 +199,7 @@ _PER_CALL = {
     "triangle(0,0,0)", "triangle(1,1,1)", "triangle(-1/2,1/3,2)"])
 def test_tabled_oracles_match_the_per_call_closed_forms(ref):
     f, g = builtin(ref), builtin(ref)
-    want = {(i, d - i): _PER_CALL[f.name](i, d - i, *f.params)
+    want = {(i, d - i): _PER_CALL[f.name](i, d - i, *f.domain.params)
             for d in range(25) for i in range(d + 1)}
     # one family fills its tables from the top degree down, the other
     # from the bottom up; each holds its own tables
