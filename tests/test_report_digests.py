@@ -13,7 +13,11 @@ The default grid stops at level 2, so the exact reports of the five
 seed-0 instances at `--nmax 5 --mmax 3`, and of triangle(1,1,1) at
 `--nmax 5 --mmax 4`, are pinned too: (e) there reads level-4 and
 level-5 stacks.  The five seed-0 reports at `--nmax 8 --mmax 2` pin the
-(d) tower, which there solves (c) at every level up to 7.
+(d) tower, which there solves (c) at every level up to 7.  Four
+single-property reports pin deep drift-tower levels: (d) alone on
+triangle(1,1,1) at `--nmax 12` reads level 11, and (c) alone at
+`--nmax 2 --mmax 9` (triangle(1,1,1)) or `--mmax 8` (two families whose
+(c) fails) reads levels 8 and 9.
 """
 from __future__ import annotations
 
@@ -114,5 +118,24 @@ def test_numeric_report_matches_pinned_digest(name, params):
                          ids=[f"{_key(*c[:2])}-{c[2]},{c[3]}" for c in DEEP])
 def test_deep_exact_report_matches_pinned_digest(name, params, nmax, mmax, status, sha):
     got, text = _verify_json(name, params, "--nmax", str(nmax), "--mmax", str(mmax))
+    assert got == status
+    assert _sha(text) == sha
+
+
+# (name, params, property, nmax, mmax, exit status, sha256 of the exact report)
+ONE_PROPERTY = [
+    (*SEED0[4], "d", 12, 0, 0, "17cc569d1fb4a8d5d4edc17db7a749cc6b1af3205637932e74c013f4fd3fbdcf"),
+    (*SEED0[4], "c", 2, 9, 0, "7a03851c5035e81c7594e899c1ba0b22d0f3d1189565f43913bbbcb514a846aa"),
+    (*SEED0[2], "c", 2, 8, 1, "b9908d32166ead4362262af8f75ce14ce3154122691672530d17153d74b81118"),
+    (*SEED0[3], "c", 2, 8, 1, "42cd174c318aa636048e97e11dc30cc56fcf8f12651b197a8b61eb649fd24170"),
+]
+
+
+@pytest.mark.parametrize("name, params, prop, nmax, mmax, status, sha", ONE_PROPERTY,
+                         ids=[f"{_key(*c[:2])}-{c[2]}-{c[3]},{c[4]}" for c in ONE_PROPERTY])
+def test_one_property_deep_report_matches_pinned_digest(name, params, prop, nmax, mmax,
+                                                         status, sha):
+    got, text = _verify_json(name, params, "--properties", prop,
+                             "--nmax", str(nmax), "--mmax", str(mmax))
     assert got == status
     assert _sha(text) == sha
