@@ -30,14 +30,15 @@ involving it are divided through and cleared to polynomial statements
 using the family's logarithmic gradient.  The drift tower that (c) and
 (d) read depends only on the family, so psi_tower keeps the deepest one
 built per family and the checkers look it up themselves; each level
-holds its two drift matrices once, as int coefficient rows over one
-denominator.  lemma2 and (b)'s lifted Pearson equation are decided once
-per family, by proof (psi_tower, level_pearson_check), so neither reads
-a level above 1 and no exact run forms a Kronecker power.  The
+holds only the popcount class sums of its two drift matrices, ints over
+one denominator, the only form (c) and (d) read.  lemma2 and (b)'s
+lifted Pearson equation are decided once per family, by proof
+(psi_tower, level_pearson_check), so neither reads a level above 1 and
+no exact run forms a Kronecker power.  The
 level-m eigenvalue systems behind (c), (d) and rodrigues_reconstruct
 are solved on the m + 1 distinct rows of each gradient stack (and the
-m + 1 matching row blocks of the leading-coefficient symbol), never on
-all 2^m: every other row repeats one of them.
+m + 1 matching row blocks of the leading-coefficient symbol, on m + 1
+class columns), never on all 2^m: every other row repeats one of them.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ from .matpoly import (
     ShapeError,
     SingularMatrixError,
     _echelon,
-    const_matrix,
     det_exact,
     hstack,
     int_matmul,
@@ -140,30 +140,41 @@ def _report(prop, family, n, m, ok, mode="exact", residual=0.0,
 
 @dataclass(frozen=True)
 class PsiLevel:
-    """Level m of the drift tower: psi_1 and psi_2 as int coefficient rows.
+    """Level m of the drift tower: the popcount class sums of psi_1 and psi_2.
 
-    Both drift matrices are 2^m x 2^m with entries of degree at most
-    one, held once in drift_rows = ((rows of psi1, rows of psi2), d):
-    rows 3r, 3r + 1 and 3r + 2 hold the x, y and constant coefficients
-    of row r, all ints over the tower denominator d (the LCM of the
-    denominators of phi, psi1 and psi2).  op_rows is the level's
+    (c) and (d) read only row 2^s - 1 of each 2^m x 2^m drift matrix,
+    summed over the columns of each popcount t: the (m+1) x (m+1) class
+    sums Psi~_i[s, t], held once in class_sums = ((rows of psi1, rows of
+    psi2), d).  Rows 3s, 3s + 1 and 3s + 2 hold the x, y and constant
+    coefficients of row s, ints over the tower denominator d (the LCM of
+    the denominators of phi, psi1 and psi2).  op_rows is the level's
     second order operator on the m + 1 distinct rows of a stack
     (_level_operator).
+
+    The tower is psi_i^(m) = I_2 (x) psi_i^(m-1) + G (x) I_h, h =
+    2^(m-1), G = grad(column i of phi), so with e_t the t-th unit row
+    (_next_sums): for s < m, row s is row s of level m - 1 plus G[0][0]
+    e_s + G[0][1] e_(s+1); row m is row m - 1 of level m - 1 shifted one
+    column right, plus G[1][0] e_(m-1) + G[1][1] e_m.  This holds as row
+    2^s - 1 of level m is row (a, r) of the doubled matrix, a = [s = m],
+    r = 2^(s-a) - 1.  Block a moves that row's columns by a h, which adds
+    a to their popcount; increment slot (a, b) lands at column b h + r,
+    whose popcount is b + s - a.
     """
 
-    drift_rows: tuple
+    class_sums: tuple
     op_rows: PolyMatrix
 
 
 @dataclass(frozen=True)
 class PsiTower:
-    """The drift tower's levels, lemma2's verdict and the symbol data of t_matrix.
+    """The drift tower's levels, lemma2's verdict and the (c) symbol's T1 rows.
 
     closed_form_ok is lemma2 at every level m >= 1 (psi_tower; True at
-    depth 0).  t1 maps a gradient index n >= 2 to T1 of t_matrix as int
-    rows over the tower denominator, built on first use (_t1_rows); it
-    depends on the family and n alone, so every level and every (n, m)
-    cell shares it.
+    depth 0).  t1 maps a gradient index n >= 2 to T1 of the symbol
+    (_t_rows) as int rows over the tower denominator, built on first use
+    (_t1_rows); it depends on the family and n alone, so every level and
+    every (n, m) cell shares it.
     """
 
     levels: tuple
@@ -185,22 +196,20 @@ def _linear_ints(p, d: int) -> tuple:
     return tuple(p.num.get(e, 0) * (d // p.den) for e in ((1, 0), (0, 1), (0, 0)))
 
 
-def _lift(rows: list, inc) -> list:
-    """I_2 (x) prev + inc (x) I_h on the coefficient rows of a level (PsiLevel).
+def _next_sums(prev: list, inc, m: int) -> list:
+    """Level m's class sum rows of one drift matrix from level m - 1's (PsiLevel).
 
     inc[a][b] holds the x, y and constant ints of block (a, b) of the
     2 x 2 increment.
     """
-    h = len(rows[0])
     out = []
-    for a in (0, 1):
-        for j, row in enumerate(rows):
-            new = [0] * (2 * h)
-            new[a * h:(a + 1) * h] = row
-            r, k = divmod(j, 3)
+    for s in range(m + 1):
+        a = int(s == m)
+        for k in range(3):
+            row = [0] + prev[3 * (s - 1) + k] if a else prev[3 * s + k] + [0]
             for b in (0, 1):
-                new[b * h + r] += inc[a][b][k]
-            out.append(new)
+                row[s - a + b] += inc[a][b][k]
+            out.append(row)
     return out
 
 
@@ -223,7 +232,7 @@ def _increments(f: WeightFamily, d: int):
     return grad, closed
 
 
-def _level_operator(f: WeightFamily, drift_rows, m: int) -> PolyMatrix:
+def _level_operator(f: WeightFamily, class_sums, m: int) -> PolyMatrix:
     """The level-m operator on distinct rows, an (m+1) x (2m+5) polynomial matrix.
 
     op_m = phi11 dxx + 2 phi12 dxy + phi22 dyy + psi1 dx + psi2 dy maps
@@ -232,26 +241,20 @@ def _level_operator(f: WeightFamily, drift_rows, m: int) -> PolyMatrix:
     s + 2 of q_rows(n - 2, m + 2) are row s of S_xx, S_xy and S_yy, and
     rows t and t + 1 of q_rows(n - 1, m + 1) are row t of S_x and S_y.
     Row r of psi_i Q_x is sum_c psi_i[r, c] S_x[popcount c], so with
-    Psi_i[s, t] the sum of psi_i[2^s - 1, c] over the columns c of
-    popcount t, row 2^s - 1 of op_m(Q) is row s of this matrix times
-    [q_rows(n - 2, m + 2); q_rows(n - 1, m + 1)]: phi11, 2 phi12 and
-    phi22 in columns s, s + 1 and s + 2, and Psi_1[s, t] + Psi_2[s, t - 1]
-    in column m + 3 + t.  The class sums are taken on the level's int
-    coefficient rows.
+    Psi_i[s, t] the level's class sums (PsiLevel), row 2^s - 1 of op_m(Q)
+    is row s of this matrix times [q_rows(n - 2, m + 2); q_rows(n - 1,
+    m + 1)]: phi11, 2 phi12 and phi22 in columns s, s + 1 and s + 2, and
+    Psi_1[s, t] + Psi_2[s, t - 1] in column m + 3 + t.
     """
-    ds, d = drift_rows
-    pops = _popcounts(m)
+    ds, d = class_sums
     rows = []
     for s in range(m + 1):
-        r = 3 * (2 ** s - 1)
-        sums = [[0, 0, 0] for _ in range(m + 2)]
-        for shift in (0, 1):
-            for pop, *coeffs in zip(pops, *ds[shift][r:r + 3]):
-                sums[shift + pop] = [u + v for u, v in zip(sums[shift + pop], coeffs)]
         row = [ZERO] * (m + 3)
         row[s:s + 3] = f.phi[0, 0], f.phi[0, 1] * 2, f.phi[1, 1]
+        sums = [[u + v for u, v in zip(r1 + [0], [0] + r2)]
+                for r1, r2 in zip(ds[0][3 * s:3 * s + 3], ds[1][3 * s:3 * s + 3])]
         rows.append(row + [from_numerators({(1, 0): x, (0, 1): y, (0, 0): c}, d)
-                           for x, y, c in sums])
+                           for x, y, c in zip(*sums)])
     return PolyMatrix.from_rows(rows)
 
 
@@ -262,15 +265,14 @@ _TOWERS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 def psi_tower(f: WeightFamily, mmax: int) -> PsiTower:
     """Drift matrices for every stack level 0 .. mmax, or deeper.
 
-    Every level is int coefficient rows over one tower denominator
-    (PsiLevel), built by the doubling recurrence psi_i -> I_2 (x) psi_i +
-    grad(column i of the weight matrix) (x) I on those ints (_lift), and
-    keeps its second order operator on distinct rows (_level_operator),
-    which the (c) operator route reads.  lemma2's closed form lifts the
-    same previous level by N(2, h) times the quadratic coefficient column
-    (read through basisops.n_rows) and the linear coefficients instead.
-    _lift adds every increment slot in some row, so the two lifts agree
-    at every level m >= 1 iff the increments do (_increments): lemma2 is
+    Every level is the class sums of the doubling recurrence psi_i ->
+    I_2 (x) psi_i + grad(column i of the weight matrix) (x) I (PsiLevel)
+    and keeps its second order operator on distinct rows
+    (_level_operator).  lemma2's closed form lifts the same previous
+    level by N(2, h) times the quadratic coefficient column (read through
+    basisops.n_rows) and the linear coefficients instead.  The doubling
+    adds every increment slot in some row, so the two lifts agree at
+    every level m >= 1 iff the increments do (_increments): lemma2 is
     one comparison, closed_form_ok.  Only level 0 (psi) and level 1 (phi)
     can raise, so psi_tower(f, 1) raises exactly when a deeper build does,
     with the same message.  The tower depends only on the family, so the
@@ -284,16 +286,16 @@ def psi_tower(f: WeightFamily, mmax: int) -> PsiTower:
     if known is not None and known.depth >= mmax:
         return known
     d = lcm(*(p.den for p in (f.phi[0, 0], f.phi[0, 1], f.phi[1, 1], f.psi1, f.psi2)))
-    drift = (tuple([[v] for v in _linear_ints(p, d)] for p in (f.psi1, f.psi2)), d)
-    levels = [PsiLevel(drift, _level_operator(f, drift, 0))]
+    sums = (tuple([[v] for v in _linear_ints(p, d)] for p in (f.psi1, f.psi2)), d)
+    levels = [PsiLevel(sums, _level_operator(f, sums, 0))]
     ok = True
     if mmax:  # a weight entry of degree above two raises here, at level 1
         grad, closed = _increments(f, d)
         ok = grad == closed
     for m in range(1, mmax + 1):
-        prev = levels[m - 1].drift_rows[0]
-        drift = (tuple(_lift(prev[i], grad[i]) for i in (0, 1)), d)
-        levels.append(PsiLevel(drift, _level_operator(f, drift, m)))
+        prev = levels[m - 1].class_sums[0]
+        sums = (tuple(_next_sums(prev[i], grad[i], m) for i in (0, 1)), d)
+        levels.append(PsiLevel(sums, _level_operator(f, sums, m)))
     tower = _TOWERS[f] = PsiTower(tuple(levels), ok, {} if known is None else known.t1)
     return tower
 
@@ -390,7 +392,7 @@ def _transpose(a, cols: int):
 
 
 def _t1_rows(f: WeightFamily, n: int, d: int) -> list:
-    """T1 = L*^t (A3 (x) I_{n-1}) N* of t_matrix at level 0, n >= 2, as int rows over d.
+    """T1 = L*^t (A3 (x) I_{n-1}) N* of the symbol at level 0, n >= 2, as int rows over d.
 
     A3 holds the quadratic coefficients of the weight matrix as ints over
     the tower denominator d; L and N are read as int rows (l_rows, n_rows).
@@ -408,64 +410,27 @@ def _t1_rows(f: WeightFamily, n: int, d: int) -> list:
     return int_matmul(_transpose(lstar, b), mixed, b)
 
 
-def _t_rows(f: WeightFamily, n: int, m: int, blocks):
-    """Row blocks `blocks` of t_matrix (n + 1 rows each) as int rows over a denominator.
-
-    Returns (rows, d), d the tower denominator.  T1 and the drift rows
-    come from the drift tower, the shift and derivative matrices from
-    their int rows.
-    """
-    if n < 1 or m < 0:
-        raise ValueError("need gradient index n >= 1 and level m >= 0")
-    tower = psi_tower(f, m)
-    ds, d = tower.level(m).drift_rows
-    b = n + 1
-    if n >= 2:
-        if n not in tower.t1:
-            tower.t1[n] = _t1_rows(f, n, d)
-        t1 = tower.t1[n]
-    else:  # n = 1 has no second order part
-        t1 = [[0] * b for _ in range(b)]
-    # C_{h,h'} (x) M_{h,h'}, M = L(n-1, h)^t N(n, h'), the drift rows over d
-    ms = [(h, dh, int_matmul(_transpose(l_rows(n - 1, h + 1), b), n_rows(n, hp), b))
-          for h in (0, 1) for hp, dh in zip((1, 2), ds)]
-    size = 2 ** m
-    t = []
-    for s in blocks:
-        rows = [[0] * (size * b) for _ in range(b)]
-        for i in range(b):
-            rows[i][s * b:(s + 1) * b] = t1[i]
-        for h, dh, block in ms:
-            for s2, c in enumerate(dh[3 * s + h]):
-                if not c:
-                    continue
-                for trow, brow in zip(rows, block):
-                    for j, v in enumerate(brow):
-                        if v:
-                            trow[s2 * b + j] += c * v
-        t += rows
-    return t, d
-
-
-def t_matrix(f: WeightFamily, n: int, m: int) -> PolyMatrix:
-    """Constant second order symbol acting on leading coefficients.
+def _t_rows(f: WeightFamily, n: int, m: int):
+    """The constant second order symbol T on leading coefficients, on popcount classes.
 
     T = L*^t (A3 (x) I) N* + S (D (x) I_n) N_stk: a second order part
     from the three-block shift/derivative stacks weighted by the
     quadratic coefficients A3 of the weight matrix, plus a first order
     part from the level drift data D = (d1 | d2), row 2s + h of d_i
     holding the x_h coefficients of row s of psi_i.  By the mixed
-    product it is assembled from base-size pieces, on ints:
-
-        T = I_{2^m} (x) T1 + sum_{h,h' in {x,y}} C_{h,h'} (x) M_{h,h'}
-
-    with T1 = sum_{p,q} A3[p, q] L_p^t N_q (L_p, N_q the three blocks of
-    starred at level 0), M_{h,h'} = L(n-1, h)^t N(n, h') and
-    C_{h,h'}[s, s'] = d_{h'}[2s + h, s'], row 3s + h of psi_{h'} in the
-    level's drift_rows.  The weight data and the drift rows are scaled
-    to one LCM, and the shift and derivative matrices are read as int
-    rows (l_rows, n_rows).  T1 depends on the family and n
-    alone, so the drift tower keeps it (PsiTower.t1) for every level.
+    product, T = I_{2^m} (x) T1 + sum_{h,h' in {x,y}} C_{h,h'} (x)
+    M_{h,h'}, with T1 = sum_{p,q} A3[p, q] L_p^t N_q (L_p, N_q the
+    blocks of starred at level 0), M_{h,h'} = L(n-1, h)^t N(n, h') and
+    C_{h,h'}[s, s'] the x_h coefficient of psi_{h'}[s, s'].  Row block
+    s' of the leading block G depends only on popcount(s')
+    (lambda_via_formula), so only row blocks 2^s - 1 of T are built,
+    their column blocks summed by popcount: block (s, t) is [s = t] T1 +
+    sum C~_{h,h'}[s, t] M_{h,h'}, C~ the level's class sums (PsiLevel),
+    and its product with G's blocks 2^t - 1 is row blocks 2^s - 1 of
+    T G.  Returns (rows, d), ints over the tower denominator d; the
+    shift and derivative matrices are read as int rows (l_rows, n_rows).
+    T1 depends on the family and n alone, so the drift tower keeps it
+    (PsiTower.t1) for every level.
 
     The paper's theorem transposes the level-lifted stack in S instead,
     reading drift row h 2^m + s for 2s + h.  That layout T' is not
@@ -484,16 +449,34 @@ def t_matrix(f: WeightFamily, n: int, m: int) -> PolyMatrix:
     d x_h (d_{s_1} d_h - d_h d_{s_1}) = 0.  For m >= 2 one exists iff
     A = c x x^t - (v x^t + x v^t) / (2(m - 1)), v psi's linear part.
     """
-    rows, d = _t_rows(f, n, m, range(2 ** m))
-    return const_matrix([[Fraction(v, d) for v in row] for row in rows])
+    if n < 1 or m < 0:
+        raise ValueError("need gradient index n >= 1 and level m >= 0")
+    tower = psi_tower(f, m)
+    ds, d = tower.level(m).class_sums
+    b = n + 1
+    if n >= 2:
+        if n not in tower.t1:
+            tower.t1[n] = _t1_rows(f, n, d)
+        t1 = tower.t1[n]
+    else:  # n = 1 has no second order part
+        t1 = [[0] * b for _ in range(b)]
+    # M_{h,h'} = L(n-1, h)^t N(n, h'), each with the rows x_h of psi_{h'}'s class sums
+    ms = [(h, dh, int_matmul(_transpose(l_rows(n - 1, h + 1), b), n_rows(n, hp), b))
+          for h in (0, 1) for hp, dh in zip((1, 2), ds)]
+    t = []
+    for s in range(m + 1):
+        for i in range(b):
+            t.append([(u == s) * t1[i][j] + sum(dh[3 * s + h][u] * mat[i][j] for h, dh, mat in ms)
+                      for u in range(m + 1) for j in range(b)])
+    return t, d
 
 
 def lambda_via_formula(f: WeightFamily, n: int, m: int) -> PolyMatrix:
     """Eigenvalue matrix from the leading-coefficient equation.
 
     The leading block G of the level-m stack satisfies G L = -T G with
-    T the constant symbol from t_matrix; the system is overdetermined
-    and solved exactly (G always has full column rank for monic data).
+    T the constant symbol (_t_rows); the system is overdetermined and
+    solved exactly (G always has full column rank for monic data).
     G stays int rows (g_lead_rows) and T int rows over its denominator
     dt, so the system solved is dt G L = -(dt T) G, all in ints.
 
@@ -501,23 +484,23 @@ def lambda_via_formula(f: WeightFamily, n: int, m: int) -> PolyMatrix:
     stack, so it depends only on popcount(r).  Then so does row block r
     of T G: T1 acts blockwise, and the drift coefficients C_{h,h'} come
     from a Kronecker sum over the m slots, so summed over the columns of
-    each popcount they depend only on the row's popcount.  Only the row
-    blocks 2^s - 1 of T are built, and the system is solved on those
-    m + 1 blocks of G and T G; every dropped equation repeats a kept
-    one, so the solution, or the error, is that of the full system.
-    That G is read, not assumed: should its blocks not repeat (a wrong
-    derivative matrix), every block is kept.
+    each popcount they depend only on the row's popcount.  The system
+    is solved on the m + 1 blocks 2^s - 1 of G and T G; every dropped
+    equation repeats a kept one, so the solution, or the error, is that
+    of the full system.  That G is read, not assumed: should its blocks
+    not repeat by popcount (only a wrong derivative matrix does that),
+    ValueError is raised.
     """
     g = g_lead_rows(n, m)
     b = n + 1
     blocks = [g[r * b:(r + 1) * b] for r in range(2 ** m)]
-    reps = [2 ** s - 1 for s in range(m + 1)]
-    if any(blk != blocks[reps[bin(r).count("1")]] for r, blk in enumerate(blocks)):
-        reps = range(2 ** m)
-    t, dt = _t_rows(f, n, m, reps)
+    reps = [blocks[2 ** s - 1] for s in range(m + 1)]
+    if any(blk != reps[pop] for pop, blk in zip(_popcounts(m), blocks)):
+        raise ValueError(f"leading block rows of level {m} do not repeat by popcount")
+    t, dt = _t_rows(f, n, m)
+    g = [row for blk in reps for row in blk]
     tg = int_matmul(t, g, n + m + 1)
-    return solve_columns([[dt * v for v in row] for r in reps for row in blocks[r]],
-                         [[-v for v in row] for row in tg])
+    return solve_columns([[dt * v for v in row] for row in g], [[-v for v in row] for row in tg])
 
 
 def _lambda(sys: OrthoSystem, n: int, m: int) -> PolyMatrix:
@@ -557,8 +540,8 @@ def level_pearson_check(f: WeightFamily, m: int) -> bool:
     1. By Leibniz, column block i of the left side is c_i Phi_m + delta
        D_i Phi_m, c = cleared_divergence(f, phi), Phi_m = phi^(x)m and
        D_i = phi_1i dx + phi_2i dy.
-    2. The tower builds Psi_i^(m) = I_2 (x) Psi_i^(m-1) + G_i (x) I,
-       G_i = grad_cols(phi_1i, phi_2i) (_lift), so the residual of block
+    2. The tower's recurrence is Psi_i^(m) = I_2 (x) Psi_i^(m-1) + G_i (x) I,
+       G_i = grad_cols(phi_1i, phi_2i) (PsiLevel), so the residual of block
        i is R_m = phi (x) R_(m-1) + delta P_i (x) Phi_(m-1), R_0 = E_i,
        that is R_m = E_i Phi_m + delta sum_k Phi_k (x) P_i (x) Phi_(m-1-k).
     3. If phi != 0, apply a linear functional l with l(phi) = 1 to every

@@ -169,7 +169,7 @@ def integrate_rows(mats, w: PolyMatrix, f: WeightFamily) -> list:
     mats = list(mats)
     for a in mats:
         if a.rows != w.rows:
-            raise ShapeError(f"integrate_product shapes {a.shape} vs {w.shape}")
+            raise ShapeError(f"integrate_rows shapes {a.shape} vs {w.shape}")
     das = [lcm(*{p.den for _, _, p in a.nonzeros()}) for a in mats]
     dw = lcm(*{p.den for _, _, p in w.nonzeros()})
     rows = []

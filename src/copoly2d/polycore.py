@@ -119,6 +119,9 @@ class BivariatePoly:
     def is_zero(self) -> bool:
         return not self.num
 
+    def __bool__(self) -> bool:
+        return bool(self.num)
+
     @property
     def total_degree(self):
         """max(i + j) over stored terms; -inf sentinel for the zero polynomial."""

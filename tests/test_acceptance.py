@@ -45,7 +45,7 @@ from pathlib import Path
 
 import pytest
 from test_basisops import random_rational_matrix
-from test_characterize import psi_view
+from test_characterize import oracle_psi_tower
 
 from copoly2d.basisops import identity_suite, x_vec
 from copoly2d.characterize import (
@@ -143,23 +143,25 @@ def _predicted_obstruction(f, prop, n, m):
 
 
 def _zero_order_term(tower, m):
-    """C_m: C_0 = 0, C_m = I_2 (x) C_{m-1} + [d_k Psi_i^(m-1)]_{k,i}."""
+    """C_m: C_0 = 0, C_m = I_2 (x) C_{m-1} + [d_k Psi_i^(m-1)]_{k,i}.
+
+    tower is the dense drift tower of oracle_psi_tower.
+    """
     c = PolyMatrix.zeros(1, 1)
-    for k in range(m):
-        lev = tower.level(k)
+    for lev in tower[:m]:
         c = kron(PolyMatrix.identity(2), c) + vstack(
-            hstack(psi_view(lev, 0).dx(), psi_view(lev, 1).dx()),
-            hstack(psi_view(lev, 0).dy(), psi_view(lev, 1).dy()),
+            hstack(lev["psi1"].dx(), lev["psi2"].dx()),
+            hstack(lev["psi1"].dy(), lev["psi2"].dy()),
         )
     return c
 
 
 def _level_operator(f, level, q):
-    """phi11 q_xx + 2 phi12 q_xy + phi22 q_yy + Psi_1 q_x + Psi_2 q_y."""
+    """phi11 q_xx + 2 phi12 q_xy + phi22 q_yy + Psi_1 q_x + Psi_2 q_y, on a dense level."""
     qx, qy = q.dx(), q.dy()
     out = qx.dx().scale(f.phi[0, 0]) + qx.dy().scale(f.phi[0, 1] * 2)
     out = out + qy.dy().scale(f.phi[1, 1])
-    return out + psi_view(level, 0) @ qx + psi_view(level, 1) @ qy
+    return out + level["psi1"] @ qx + level["psi2"] @ qy
 
 
 def _eigen_certificate(f, sys_, tower, n, m):
@@ -170,7 +172,7 @@ def _eigen_certificate(f, sys_, tower, n, m):
     """
     q = sys_.q(n, m)
     lam = lambda_via_operator(sys_, n + m, 0)
-    image = _level_operator(f, tower.level(m), q) + _zero_order_term(tower, m) @ q
+    image = _level_operator(f, tower[m], q) + _zero_order_term(tower, m) @ q
     return (image + q @ lam).is_zero
 
 
@@ -189,7 +191,7 @@ def test_criterion_02_structural_properties_all_instances():
         # degree n + m + 1 <= 7 reaches the level-zero (e) cells (n+m, 0);
         # depth 3 reaches the top level of (d) at n = 4
         sys_ = build_monic(f, 7)
-        tower = psi_tower(f, 3)
+        tower = oracle_psi_tower(f, 3)
         e_level0 = {k: check_e(sys_, k, 0).status for k in range(2, 7)}
         for r in reports:
             cell = (ref, r.property, r.n, r.m)

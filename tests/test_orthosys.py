@@ -463,7 +463,7 @@ def test_integrate_product_rejects_row_mismatch():
     f = builtin("product_hermite")
     with pytest.raises(ShapeError):
         integrate_product(PolyMatrix.zeros(2, 1), PolyMatrix.zeros(3, 1), f)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match="integrate_rows"):
         integrate_rows([PolyMatrix.zeros(3, 1), PolyMatrix.zeros(2, 1)],
                        PolyMatrix.zeros(3, 1), f)
 

@@ -12,6 +12,7 @@ from copoly2d.polycore import (
     NEG_INF,
     BivariatePoly as P,
     RationalFn,
+    ZERO,
     ZeroDenominatorError,
     parse_poly,
 )
@@ -24,6 +25,12 @@ def _rand_poly(rng, deg=3, nterms=5):
         j = rng.randrange(deg + 1 - i)
         terms[(i, j)] = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
     return P.from_terms(terms)
+
+
+def test_truth_value_is_nonzero():
+    assert not ZERO and not P.zero() and not parse_poly("x - x")
+    assert bool(P.x()) and bool(parse_poly("1/2"))
+    assert not any(PolyMatrix.zeros(1, 2).row_list(0))
 
 
 def test_add_cancellation():
