@@ -5,7 +5,7 @@ lower degrees.  Stacking m-fold gradients of P_{n+m} gives the matrix
 Q_{n,m}, and a classical weight keeps those stacks orthogonal for the
 Kronecker-power weight phi^(x)m.  Everything here is exact.
 """
-from copoly2d.orthosys import build_monic, g_lead, inner
+from copoly2d.orthosys import build_monic, g_lead_rows, inner
 from copoly2d.weights import builtin
 
 
@@ -34,9 +34,9 @@ def main():
     # the exact Gram block's record carries its determinant and inverse
     print("level-1 Gram determinant nonzero:", sys.gram_record(1, 1).det != 0)
 
-    lead = g_lead(1, 1)
-    print("leading block of Q_{1,1} has shape", lead.shape,
-          "and full column rank by construction")
+    # the leading coefficients of dx P_2^t and dy P_2^t, one block per
+    # popcount class of the stack's rows
+    print("leading blocks of Q_{1,1}:", g_lead_rows(1, 1))
 
 
 if __name__ == "__main__":

@@ -39,6 +39,8 @@ level-m eigenvalue systems behind (c), (d) and rodrigues_reconstruct
 are solved on the m + 1 distinct rows of each gradient stack (and the
 m + 1 matching row blocks of the leading-coefficient symbol, on m + 1
 class columns), never on all 2^m: every other row repeats one of them.
+The leading coefficients are built on those m + 1 blocks only
+(g_lead_rows), so no exact run builds a 2^m-block leading coefficient.
 """
 
 from __future__ import annotations
@@ -69,7 +71,6 @@ from .matpoly import (
 )
 from .orthosys import (
     OrthoSystem,
-    _popcounts,
     build_monic,
     eval_product,
     g_lead_rows,
@@ -423,7 +424,7 @@ def _t_rows(f: WeightFamily, n: int, m: int):
     blocks of starred at level 0), M_{h,h'} = L(n-1, h)^t N(n, h') and
     C_{h,h'}[s, s'] the x_h coefficient of psi_{h'}[s, s'].  Row block
     s' of the leading block G depends only on popcount(s')
-    (lambda_via_formula), so only row blocks 2^s - 1 of T are built,
+    (g_lead_rows), so only row blocks 2^s - 1 of T are built,
     their column blocks summed by popcount: block (s, t) is [s = t] T1 +
     sum C~_{h,h'}[s, t] M_{h,h'}, C~ the level's class sums (PsiLevel),
     and its product with G's blocks 2^t - 1 is row blocks 2^s - 1 of
@@ -449,8 +450,6 @@ def _t_rows(f: WeightFamily, n: int, m: int):
     d x_h (d_{s_1} d_h - d_h d_{s_1}) = 0.  For m >= 2 one exists iff
     A = c x x^t - (v x^t + x v^t) / (2(m - 1)), v psi's linear part.
     """
-    if n < 1 or m < 0:
-        raise ValueError("need gradient index n >= 1 and level m >= 0")
     tower = psi_tower(f, m)
     ds, d = tower.level(m).class_sums
     b = n + 1
@@ -481,24 +480,19 @@ def lambda_via_formula(f: WeightFamily, n: int, m: int) -> PolyMatrix:
     dt, so the system solved is dt G L = -(dt T) G, all in ints.
 
     Row block r of G (n + 1 rows) is the leading block of row r of the
-    stack, so it depends only on popcount(r).  Then so does row block r
-    of T G: T1 acts blockwise, and the drift coefficients C_{h,h'} come
-    from a Kronecker sum over the m slots, so summed over the columns of
-    each popcount they depend only on the row's popcount.  The system
-    is solved on the m + 1 blocks 2^s - 1 of G and T G; every dropped
-    equation repeats a kept one, so the solution, or the error, is that
-    of the full system.  That G is read, not assumed: should its blocks
-    not repeat by popcount (only a wrong derivative matrix does that),
-    ValueError is raised.
+    stack, so it depends only on popcount(r) (g_lead_rows: the
+    derivative bands commute).  Then so does row block r of T G: T1
+    acts blockwise, and the drift coefficients C_{h,h'} come from a
+    Kronecker sum over the m slots, so summed over the columns of each
+    popcount they depend only on the row's popcount.  The system is
+    solved on the m + 1 blocks 2^s - 1 of G and T G, the only blocks
+    g_lead_rows and _t_rows build; every dropped equation repeats a
+    kept one, so the solution, or the error, is that of the full system.
     """
+    if n < 1 or m < 0:
+        raise ValueError("need gradient index n >= 1 and level m >= 0")
     g = g_lead_rows(n, m)
-    b = n + 1
-    blocks = [g[r * b:(r + 1) * b] for r in range(2 ** m)]
-    reps = [blocks[2 ** s - 1] for s in range(m + 1)]
-    if any(blk != reps[pop] for pop, blk in zip(_popcounts(m), blocks)):
-        raise ValueError(f"leading block rows of level {m} do not repeat by popcount")
     t, dt = _t_rows(f, n, m)
-    g = [row for blk in reps for row in blk]
     tg = int_matmul(t, g, n + m + 1)
     return solve_columns([[dt * v for v in row] for row in g], [[-v for v in row] for row in tg])
 
@@ -882,6 +876,8 @@ def _expand_properties(props):
         else:
             raise ValueError(f"unknown property token {p!r}; choose from "
                              f"{', '.join(SELECTABLE_PROPERTIES + AUX_PROPERTIES)}")
+    if not chosen:  # an empty selection would pass vacuously
+        raise ValueError("no property selected")
     return chosen
 
 
@@ -935,12 +931,13 @@ def verify_all(f: WeightFamily, nmax: int = 4, mmax: int = 2,
     read, built once after the system.  mode "auto" is exact when the
     family has a moment oracle.  properties is None (every selectable
     token), one token, or a sequence of tokens; "aux" stands for the four
-    structure tokens.  Before any build, a run that reads a rule raises
-    InvalidParameterError on a quad_order below the grid floor nmax +
-    mmax + 2 (only when the family has an oracle), then on a domain
-    without a Gauss rule; a run that reads the system probes every moment
-    it reads (require_moment_depth).  A cell whose prerequisite could not
-    be built (no oracle, no system) skips its checker and fails with the
+    structure tokens; an empty sequence raises ValueError.  Before any
+    build, a run that reads a rule raises InvalidParameterError on a
+    quad_order below the grid floor nmax + mmax + 2 (only when the
+    family has an oracle), then on a domain without a Gauss rule; a run
+    that reads the system probes every moment it reads
+    (require_moment_depth).  A cell whose prerequisite could not be
+    built (no oracle, no system) skips its checker and fails with the
     construction error in its note.  Bad arguments raise ValueError.
     """
     if nmax < 1:

@@ -37,6 +37,8 @@ and give the same rationals.  The (c) and (d) eigenvalue systems are
 solved on S too (characterize.lambda_via_operator), so an exact run
 forms q(n, m) at level 0 only, and no Kronecker power of phi: only
 numeric mode reads phi_power, weighted and q(n, m) gathered from S.
+The leading coefficients that (c)'s symbol route reads are S's too
+(g_lead_rows), so no exact run builds a 2^m-block leading coefficient.
 
 Exact weighted integrals integral(a^t w rho) / mu_00 of two polynomial
 matrices are bilinear forms on the moment numerators: with H[alpha,
@@ -683,34 +685,32 @@ def build_monic(f: WeightFamily, nmax: int) -> OrthoSystem:
 
 
 def g_lead_rows(n: int, m: int) -> list:
-    """g_lead(n, m) as int rows.
+    """The leading blocks of S(n, m) (q_rows), as (m + 1)(n + 1) int rows.
 
-    Runs the recurrence of g_lead on ints: row block s of the x (y)
-    half is N(n+1, 1) (N(n+1, 2)) times row block s of the level m - 1
-    block, the bands read as int rows (n_rows).
+    Block s (rows s(n + 1) .. s(n + 1) + n) is the constant matrix G_s
+    with dx^(m-s) dy^s P_(n+m)^t = X_n^t G_s + lower degree: monicity
+    gives the identity at m = 0, and a derivative band N(k, h) (n_rows)
+    maps X_k's coefficients to X_(k-1)'s, so G_s = N(n+1, 1) G'_s for
+    s < m and G_m = N(n+1, 2) G'_(m-1), G' the blocks at (n + 1, m - 1).
+    These are row blocks 2^s - 1 of the leading block of the 2^m-row
+    stack Q(n, m), whose row r takes dy at the set bits of r.  Its other
+    row blocks repeat them by popcount because the bands commute,
+    N(k, 1) N(k+1, 2) = N(k, 2) N(k+1, 1): dx dy = dy dx on X_(k+1).  A
+    wrong band that broke this would also break prop1's derivative
+    identities (basisops.identity_suite), so the 2^m blocks are never
+    built.
     """
     if n < 0 or m < 0:
         raise ValueError("indices must be nonnegative")
     if m == 0:
         return [[int(i == j) for j in range(n + 1)] for i in range(n + 1)]
     prev = g_lead_rows(n + 1, m - 1)
+    b, cols = n + 2, n + m + 1
+    dx, dy = n_rows(n + 1, 1), n_rows(n + 1, 2)
     out = []
-    for h in (1, 2):
-        band = n_rows(n + 1, h)
-        for s in range(2 ** (m - 1)):
-            out += int_matmul(band, prev[s * (n + 2):(s + 1) * (n + 2)], n + m + 1)
-    return out
-
-
-def g_lead(n: int, m: int) -> PolyMatrix:
-    """Leading coefficient block of Q(n, m), shape (2^m (n+1), n+m+1).
-
-    Defined by the recurrence that mirrors the gradient stacking: the
-    x and y derivative bands of degree n + 1 act on the level m - 1
-    leading block, and level 0 is the identity (monicity).  The
-    recurrence runs on ints in g_lead_rows.
-    """
-    return const_matrix(g_lead_rows(n, m), n + m + 1)
+    for s in range(m):
+        out += int_matmul(dx, prev[s * b:(s + 1) * b], cols)
+    return out + int_matmul(dy, prev[(m - 1) * b:], cols)
 
 
 # ---------------------------------------------------------------------------

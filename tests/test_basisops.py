@@ -12,11 +12,12 @@ from copoly2d.basisops import (
     identity_suite,
     l_mat,
     n_mat,
+    n_rows,
     stacked,
     starred,
     x_vec,
 )
-from copoly2d.matpoly import PolyMatrix, const_matrix, kron
+from copoly2d.matpoly import PolyMatrix, const_matrix, int_matmul, kron
 from copoly2d.polycore import BivariatePoly as P, parse_poly
 
 
@@ -64,6 +65,13 @@ def test_derivative_band_commutation():
     # dropping two degrees in either order lands on the same matrix
     for n in range(2, 7):
         assert n_mat(n - 1, 1) @ n_mat(n, 2) == n_mat(n - 1, 2) @ n_mat(n, 1)
+    # the same on the int rows, dx dy = dy dx on X_(k+1): the reason
+    # orthosys.g_lead_rows keeps one leading block per popcount class
+    # instead of all 2^m row blocks
+    for k in range(21):
+        cols = k + 2
+        assert int_matmul(n_rows(k, 1), n_rows(k + 1, 2), cols) == \
+            int_matmul(n_rows(k, 2), n_rows(k + 1, 1), cols), k
 
 
 def test_stacked_shapes():

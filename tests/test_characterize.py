@@ -50,7 +50,7 @@ from copoly2d.matpoly import (
 from copoly2d.orthosys import (
     OrthoSystem,
     build_monic,
-    g_lead,
+    g_lead_rows,
     inner,
     integrate_matrix,
     integrate_product,
@@ -343,7 +343,7 @@ def test_statement_layout_differs_where_no_eigenvalue_matrix_exists():
         for n, m in cells:
             statement = oracle_t_matrices(f, n, m, tower)["statement"]
             proof = t_matrix(f, n, m, tower)
-            assert not ((statement - proof) @ g_lead(n, m)).is_zero, (ref, n, m)
+            assert not ((statement - proof) @ oracle_g_lead(n, m)).is_zero, (ref, n, m)
             with pytest.raises(NoConstantSolution):
                 lambda_via_operator(sys, n, m)
             rep = check_c(sys, n, m)
@@ -356,12 +356,24 @@ def test_statement_layout_differs_where_no_eigenvalue_matrix_exists():
 
 
 def oracle_g_lead(n, m):
-    """g_lead by its PolyMatrix recurrence, reading basisops.n_mat."""
+    """The leading block of q(n, m), all 2^m row blocks, by its PolyMatrix
+    recurrence, reading basisops.n_mat."""
     if m == 0:
         return PolyMatrix.identity(n + 1)
     prev = oracle_g_lead(n + 1, m - 1)
     eye = PolyMatrix.identity(2 ** (m - 1))
     return vstack(*(kron(eye, basisops.n_mat(n + 1, h)) @ prev for h in (1, 2)))
+
+
+def class_blocks(g, n, m):
+    """Row blocks 2^s - 1, s = 0 .. m, of a full leading block: what g_lead_rows builds."""
+    return PolyMatrix.from_rows([g.row_list((2 ** s - 1) * (n + 1) + i)
+                                 for s in range(m + 1) for i in range(n + 1)], g.cols)
+
+
+def lead_classes(n, m):
+    """g_lead_rows(n, m) as a constant matrix."""
+    return const_matrix(g_lead_rows(n, m), n + m + 1)
 
 
 def t_matrix(f, n, m, tower=None):
@@ -466,7 +478,7 @@ def _n_half_at_3(n, which):
 def test_t_matrix_and_g_lead_match_the_lifted_assembly():
     for n in range(7):
         for m in range(4):
-            assert g_lead(n, m) == oracle_g_lead(n, m), (n, m)
+            assert lead_classes(n, m) == class_blocks(oracle_g_lead(n, m), n, m), (n, m)
     for ref in POOL_INSTANCES:
         f = builtin(ref)
         tower = oracle_psi_tower(f, 3)
@@ -482,9 +494,11 @@ def _blocks_repeat_by_popcount(g, n, m):
     return all(blk == blocks[2 ** bin(r).count("1") - 1] for r, blk in enumerate(blocks))
 
 
-# the cells n <= 5, m <= 3 whose patched leading block does not repeat by popcount
+# the cells n <= 5, m <= 3 whose patched leading block does not repeat by
+# popcount, and the degree each n_mat patch changes
 _UNREPEATED = {"_n_swapped_at_2": [(1, 2), (1, 3)],
                "_n_half_at_3": [(1, 2), (1, 3), (2, 2), (2, 3)]}
+_PATCHED_AT = {"_n_swapped_at_2": 2, "_n_half_at_3": 3}
 
 
 @pytest.mark.parametrize("name, wrong", [
@@ -496,16 +510,18 @@ _UNREPEATED = {"_n_swapped_at_2": [(1, 2), (1, 3)],
 def test_t_matrix_and_g_lead_match_the_lifted_assembly_when_patched(monkeypatch, name,
                                                                     wrong):
     # patched wherever the library or the reference reads them; the
-    # eigenvalue matrices, or the exception that says there is none,
-    # must match too.  Where the patched leading block no longer repeats
-    # by popcount, the library's popcount-row solve refuses the cell.
+    # library's leading rows are the reference's blocks 2^s - 1, and
+    # where the blocks repeat by popcount the eigenvalue matrices, or the
+    # exception that says there is none, must match too.  Where they do
+    # not repeat, the derivative bands no longer commute, and prop1's
+    # identity suite flags the patch.
     # The library symbol comes from this instance of the family only
     # after the patch: its drift tower keeps T1 per n
     f = builtin("triangle(1,1,1)")
     tower = oracle_psi_tower(f, 3)
     cells = [(n, m) for n in range(1, 6) for m in range(4)]
     real = {(n, m): t_matrix(f, n, m, tower) for n, m in cells}
-    real_g = {(n, m): g_lead(n, m) for n, m in cells}
+    real_g = {(n, m): oracle_g_lead(n, m) for n, m in cells}
     for mod in (basisops, characterize, orthosys):
         if hasattr(mod, _ROWS_OF[name]):
             monkeypatch.setattr(mod, _ROWS_OF[name], wrong)
@@ -513,7 +529,7 @@ def test_t_matrix_and_g_lead_match_the_lifted_assembly_when_patched(monkeypatch,
     unrepeated = []
     for n, m in cells:
         g = oracle_g_lead(n, m)
-        assert g_lead(n, m) == g, (n, m)
+        assert lead_classes(n, m) == class_blocks(g, n, m), (n, m)
         changed = changed or g != real_g[n, m]
         t = oracle_t_matrices(f, n, m, tower)["proof"]
         assert t_matrix(f, n, m, tower) == t, (n, m)
@@ -521,8 +537,9 @@ def test_t_matrix_and_g_lead_match_the_lifted_assembly_when_patched(monkeypatch,
         changed = changed or t != real[n, m]
         if not _blocks_repeat_by_popcount(g, n, m):
             unrepeated.append((n, m))
-            with pytest.raises(ValueError, match="do not repeat by popcount"):
-                lambda_via_formula(f, n, m)
+            at = _PATCHED_AT[wrong.__name__]
+            flagged = {k for k, ok in basisops.identity_suite(at, 0).items() if not ok}
+            assert {"deriv1", "deriv_xx"} <= flagged, (n, m, flagged)
             continue
         want = _outcome(lambda: solve_columns(g, -(t @ g)))
         got = _outcome(lambda: lambda_via_formula(f, n, m))
@@ -624,7 +641,7 @@ def test_statement_layout_agrees_on_g_wherever_the_formula_solves(f):
             t = t_matrix(f, n, m, tower)
             assert t == layouts["proof"], (n, m)
             assert_t_rows_are_class_sums(f, n, m, t)
-            g = g_lead(n, m)
+            g = oracle_g_lead(n, m)
             assert layouts["statement"] @ g == t @ g, (n, m)
 
 
@@ -1460,7 +1477,7 @@ def _result(fn, *args):
         return type(exc).__name__, str(exc)
 
 
-# the eigenvalue routes on all 2^m rows of q(n, m), of g_lead and of
+# the eigenvalue routes on all 2^m rows of q(n, m), of oracle_g_lead and of
 # t_matrix: the oracles of the library's popcount-row solves
 
 
@@ -1483,7 +1500,7 @@ def oracle_lambda_via_operator(sys, n, m):
 
 
 def oracle_lambda_via_formula(f, n, m):
-    g = g_lead(n, m)
+    g = oracle_g_lead(n, m)
     return solve_columns(g, -(t_matrix(f, n, m) @ g))
 
 
@@ -1552,7 +1569,7 @@ def test_level_image_and_symbol_rows_depend_only_on_popcount(case):
             rows = psi_tower(f, m).level(m).op_rows @ vstack(second, sys.q_rows(n - 1, m + 1))
             assert rows == PolyMatrix.from_rows([image.row_list(2 ** s - 1)
                                                  for s in range(m + 1)]), (n, m)
-            g = g_lead(n, m)
+            g = oracle_g_lead(n, m)
             tg = t_matrix(f, n, m, tower) @ g
             b = n + 1
             for mat in (g, tg):
@@ -1768,6 +1785,15 @@ def test_verify_all_argument_validation():
         verify_all(f, mode="sideways")
     with pytest.raises(ValueError):
         verify_all(f, properties=("f",))
+
+
+def test_verify_all_rejects_an_empty_property_selection(monkeypatch):
+    # an empty selection would pass vacuously; it is refused before any build
+    monkeypatch.setattr(characterize, "build_monic", None)
+    f = builtin("product_hermite")
+    for props in ((), []):
+        with pytest.raises(ValueError, match="^no property selected$"):
+            verify_all(f, nmax=2, mmax=1, properties=props)
 
 
 def _structural_grid(reports):

@@ -32,7 +32,7 @@ from copoly2d.orthosys import (
     build_monic,
     eval_entries,
     eval_product,
-    g_lead,
+    g_lead_rows,
     inner,
     integrate_matrix,
     integrate_poly,
@@ -117,24 +117,30 @@ def test_gradient_stack_shapes_and_values():
 
 
 def test_g_lead_values():
-    assert g_lead(2, 0) == PolyMatrix.identity(3)
-    got = g_lead(1, 1)
-    assert got == PolyMatrix.from_rows(
-        [[2, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 2]]
-    )
-    assert g_lead(0, 1).shape == (2, 2)
-    assert g_lead(1, 2).shape == (8, 4)
+    assert g_lead_rows(2, 0) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    # dx P_2^t leads with 2x, y and dy P_2^t with x, 2y: at m = 1 the two
+    # popcount classes are the two row blocks
+    assert g_lead_rows(1, 1) == [[2, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 2]]
+    assert g_lead_rows(0, 1) == [[1, 0], [0, 1]]
+    # dx^2, dx dy and dy^2 of P_3^t: three blocks of two rows, not four
+    assert g_lead_rows(1, 2) == [[6, 0, 0, 0], [0, 2, 0, 0],
+                                 [0, 2, 0, 0], [0, 0, 2, 0],
+                                 [0, 0, 2, 0], [0, 0, 0, 6]]
+    # m + 1 blocks of n + 1 rows: a 2^m-block build gives 2^20 blocks here
+    got = g_lead_rows(1, 20)
+    assert len(got) == 21 * 2
+    assert {len(row) for row in got} == {22}
 
 
 def test_leading_block_matches_g_lead():
-    # the extracted top coefficients of any gradient stack follow the
-    # band recurrence, independent of the family
+    # the extracted top coefficients of any gradient stack's distinct rows
+    # follow the band recurrence, independent of the family
     for ref in ("product_hermite", "triangle(0,0,0)", "product_jacobi(0,0,0,0)"):
         sys = build_monic(builtin(ref), 4)
         for m in range(3):
             for n in range(4 - m):
-                q = sys.q(n, m)
-                assert leading_block(q, n) == g_lead(n, m), (ref, n, m)
+                got = leading_block(sys.q_rows(n, m), n)
+                assert got == const_matrix(g_lead_rows(n, m), n + m + 1), (ref, n, m)
 
 
 def test_gradient_orthogonality_exact():
