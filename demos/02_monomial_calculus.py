@@ -5,8 +5,6 @@ multiplication by x or y and partial differentiation into constant
 matrix products.  Stacked variants of those matrices drive every
 eigenvalue formula later on, so this demo shows the raw identities.
 """
-import random
-
 from copoly2d.basisops import (
     IDENTITY_KEYS,
     identity_suite,
@@ -39,12 +37,11 @@ def main():
     star = starred(n, 2)
     print("level-2 starred shapes:", star.L.shape, star.N.shape)
 
-    # the identity suite ties all of these together at a level m: eight
-    # identities are exact polynomial matrix equalities, checked at level
-    # 0 because lifting both sides by I_{2^m} (x) (.) cannot change them;
-    # linear_sandwich compares integer coefficient matrices at level m
-    rng = random.Random(0)
-    results = identity_suite(4, 2, rng, sandwich_draws=3)
+    # the identity suite ties all of these together at every level m: each
+    # identity is an exact polynomial matrix equality checked at level 0,
+    # since lifting both sides by I_{2^m} (x) (.) cannot change it, and
+    # linear_sandwich, linear in its matrix, is checked on the two unit columns
+    results = identity_suite(4)
     width = max(len(k) for k in IDENTITY_KEYS)
     for key in IDENTITY_KEYS:
         if key in results:

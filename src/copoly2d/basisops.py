@@ -11,18 +11,17 @@ derivatives drop X_n onto X_{n-1} through banded matrices N:
 The identity suite at the bottom checks that these relations, lifted by
 Kronecker products with an identity block of width 2^m, stay consistent
 with matrix multiplication from either side.  No lifted matrix is
-formed.  Eight of the nine identities read I_{2^m} (x) A = I_{2^m} (x) B
-once the mixed product (I (x) A)(I (x) B) = I (x) AB is applied, and
-that holds iff A = B, so they are checked at level 0 as exact polynomial
-matrix equations.  The ninth, linear_sandwich, involves a random
-(2^{m+1}) x (2^m) matrix; both of its sides are written on the basis
-I_{2^m} (x) X_{n+1}^t and their integer coefficient matrices compared.
+formed: each identity is decided at level 0, for every m at once.
+Eight of the nine read I_{2^m} (x) A = I_{2^m} (x) B once the mixed
+product (I (x) A)(I (x) B) = I (x) AB is applied, and that holds iff
+A = B.  The ninth, linear_sandwich, holds for every (2^{m+1}) x (2^m)
+matrix A iff it holds for the two 2 x 1 unit columns at level 0:
+block (i, c) of either side is one linear map of the column
+(A[2i, c], A[2i+1, c]), the same at every block and every m.
 """
 
 from __future__ import annotations
 
-import random
-from math import lcm
 from typing import NamedTuple
 
 from .matpoly import PolyMatrix, const_matrix, kron, vstack
@@ -138,54 +137,8 @@ _MIN_N = {
 }
 
 
-def _random_fractions(rows: int, cols: int, rng: random.Random):
-    """A random rows x cols matrix of fractions a / b as (int rows, d).
-
-    Per entry, in row-major order, a = randint(-9, 9) then b =
-    randint(1, 4); d is the LCM of the drawn b and the int rows are the
-    matrix times d.
-    """
-    draws = [[(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(cols)]
-             for _ in range(rows)]
-    d = lcm(*(b for row in draws for _, b in row))
-    return [[a * (d // b) for a, b in row] for row in draws], d
-
-
-def _sandwich_holds(n: int, m: int, a: list) -> bool:
-    """(I (x) X_1^t) A (I (x) X_n^t) == (I (x) X_{n+1}^t)(I (x) L_n^t)(A (x) I_{n+1}).
-
-    A is a (2^{m+1}) x (2^m) matrix given as int rows (a rational draw
-    times its denominator: both sides are linear in A).  Both sides are
-    (I_{2^m} (x) X_{n+1}^t) C for a constant C with rows i(n+2) + k and
-    columns c(n+1) + t, and the monomials are independent, so the sides
-    agree iff their C agree.  Left: entry (i, c(n+1) + t) is
-    A[2i, c] x * x^(n-t) y^t + A[2i+1, c] y * x^(n-t) y^t, which lands on
-    monomials t and t + 1 of X_{n+1}.  Right: (I (x) L_n^t)(A (x) I_{n+1})
-    has entry L(n,1)[t, k] A[2i, c] + L(n,2)[t, k] A[2i+1, c] there, read
-    from the int rows of the shift matrices (l_rows).
-    """
-    size = 2 ** m
-    lhs = [[0] * (size * (n + 1)) for _ in range(size * (n + 2))]
-    rhs = [[0] * (size * (n + 1)) for _ in range(size * (n + 2))]
-    for i in range(size):
-        for c in range(size):
-            ax, ay = a[2 * i][c], a[2 * i + 1][c]
-            for t in range(n + 1):
-                lhs[i * (n + 2) + t][c * (n + 1) + t] += ax
-                lhs[i * (n + 2) + t + 1][c * (n + 1) + t] += ay
-    for half in (0, 1):
-        for t, row in enumerate(l_rows(n, half + 1)):
-            for k, v in enumerate(row):
-                if not v:
-                    continue
-                for i in range(size):
-                    for c in range(size):
-                        rhs[i * (n + 2) + k][c * (n + 1) + t] += v * a[2 * i + half][c]
-    return lhs == rhs
-
-
-def basis_identity_check(n: int, m: int, which: str, rng: random.Random | None = None) -> bool:
-    """Exact check of one lifted monomial-basis identity at (n, m).
+def basis_identity_check(n: int, which: str) -> bool:
+    """Exact check of one lifted monomial-basis identity at degree n, every level m.
 
     The eight identities other than linear_sandwich read
     I_{2^m} (x) A == I_{2^m} (x) B at level m: multiplying by a scalar
@@ -195,22 +148,31 @@ def basis_identity_check(n: int, m: int, which: str, rng: random.Random | None =
     level 0, by building both sides independently (the left by
     multiplication or differentiation of X_n^t, the right by composing
     the selection matrices) and comparing the polynomial matrices.
-    linear_sandwich draws a random (2^{m+1}) x (2^m) rational matrix (pass
-    a seeded rng for reproducibility) and compares the coefficient
-    matrices of its two sides at level m.
+
+    linear_sandwich states (I (x) X_1^t) A (I (x) X_n^t) =
+    (I (x) X_{n+1}^t)(I (x) L_n^t)(A (x) I_{n+1}) for every
+    (2^{m+1}) x (2^m) matrix A.  Block (i, c) of the left side is
+    (x A[2i, c] + y A[2i+1, c]) X_n^t, and the same block of the right
+    side is X_{n+1}^t (L(n,1)^t A[2i, c] + L(n,2)^t A[2i+1, c]).  Both are
+    the level-0 sides X_1^t a X_n^t and X_{n+1}^t L_n^t (a (x) I_{n+1}) at
+    the column a = (A[2i, c], A[2i+1, c])^t, and both are linear in a.  So
+    the identity holds for every A, at every m, iff it holds at level 0
+    for a = e_1 and a = e_2, the two polynomial matrix equations checked
+    here on stacked(n).L.  Unlike a random draw of A, which misses a fault
+    wherever it draws zeros, this decides the identity.
     """
     if which not in _MIN_N:
         raise ValueError(f"unknown identity {which!r}")
     if n < _MIN_N[which]:
         raise ValueError(f"{which} needs n >= {_MIN_N[which]}")
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    if which == "linear_sandwich":
-        if rng is None:
-            rng = random.Random(0)
-        return _sandwich_holds(n, m, _random_fractions(2 ** (m + 1), 2 ** m, rng)[0])
 
     xr = x_vec(n).transpose()
+    if which == "linear_sandwich":
+        up, lt = x_vec(n + 1).transpose(), stacked(n).L.transpose()
+        eye = PolyMatrix.identity(n + 1)
+        return all(x_vec(1).transpose() @ a @ xr == up @ lt @ kron(a, eye)
+                   for a in (const_matrix([[1], [0]]), const_matrix([[0], [1]])))
+
     x = BivariatePoly.x()
     y = BivariatePoly.y()
     if which == "shift1":
@@ -247,24 +209,10 @@ def basis_identity_check(n: int, m: int, which: str, rng: random.Random | None =
     return d == rhs
 
 
-def identity_suite(n: int, m: int, rng: random.Random | None = None,
-                   sandwich_draws: int = 1, keys=IDENTITY_KEYS) -> dict:
-    """Run every identity among keys valid at (n, m); returns {key: bool}.
+def identity_suite(n: int, keys=IDENTITY_KEYS) -> dict:
+    """Run every identity among keys valid at degree n; returns {key: bool}.
 
-    All sandwich draws come from one generator, random.Random(0) when
-    rng is None; no other identity draws from it.
+    Each verdict holds at every level m (basis_identity_check).
     """
-    if rng is None:
-        rng = random.Random(0)
-    out = {}
-    for key in IDENTITY_KEYS:
-        if key not in keys or n < _MIN_N[key]:
-            continue
-        if key == "linear_sandwich":
-            ok = all(
-                basis_identity_check(n, m, key, rng) for _ in range(sandwich_draws)
-            )
-        else:
-            ok = basis_identity_check(n, m, key)
-        out[key] = ok
-    return out
+    return {key: basis_identity_check(n, key)
+            for key in IDENTITY_KEYS if key in keys and n >= _MIN_N[key]}

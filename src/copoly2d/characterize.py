@@ -45,13 +45,12 @@ The leading coefficients are built on those m + 1 blocks only
 
 from __future__ import annotations
 
-import random
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .basisops import IDENTITY_KEYS, identity_suite, l_rows, n_rows
+from .basisops import identity_suite, l_rows, n_rows
 from .matpoly import (
     InconsistentSystemError,
     PolyMatrix,
@@ -910,7 +909,7 @@ def require_moment_depth(f: WeightFamily, nmax: int, mmax: int, depth: int) -> N
 
 
 def verify_all(f: WeightFamily, nmax: int = 4, mmax: int = 2,
-               mode: str = "auto", seed: int = 0, properties=None,
+               mode: str = "auto", properties=None,
                quad_order: int = 20):
     """Run every selected checker over the (n, m) grid, never raising.
 
@@ -931,7 +930,11 @@ def verify_all(f: WeightFamily, nmax: int = 4, mmax: int = 2,
     read, built once after the system.  mode "auto" is exact when the
     family has a moment oracle.  properties is None (every selectable
     token), one token, or a sequence of tokens; "aux" stands for the four
-    structure tokens; an empty sequence raises ValueError.  Before any
+    structure tokens; an empty sequence raises ValueError.  prop1 runs
+    identity_suite once per n, and every cell of that n reads it: each
+    identity is decided at level 0 for every m, so no cell draws a
+    random matrix and every verdict is a function of the family and the
+    cell.  Before any
     build, a run that reads a rule raises InvalidParameterError on a
     quad_order below the grid floor nmax + mmax + 2 (only when the
     family has an oracle), then on a domain without a Gauss rule; a run
@@ -952,7 +955,7 @@ def verify_all(f: WeightFamily, nmax: int = 4, mmax: int = 2,
         raise ValueError(f"unknown mode {mode!r}")
     chosen = _expand_properties(properties)
     system = rule = tower = None
-    level_free = {}  # n -> the verdicts of the identities other than linear_sandwich
+    suites = {}  # n -> identity_suite(n), whose verdicts hold at every level m
 
     def lemma1(n, m):
         d = f.d_matrix()
@@ -960,13 +963,9 @@ def verify_all(f: WeightFamily, nmax: int = 4, mmax: int = 2,
         return _report("lemma1", f.name, 0, m, interleaved_det_check(d1, d2, m))
 
     def prop1(n, m):
-        # only linear_sandwich depends on m, so the others run once per n
-        rng = random.Random(seed * 1_000_003 + n * 97 + m)
-        got = identity_suite(n, m, rng, sandwich_draws=3,
-                             keys=("linear_sandwich",) if n in level_free else IDENTITY_KEYS)
-        if n not in level_free:
-            level_free[n] = {k: v for k, v in got.items() if k != "linear_sandwich"}
-        bad = sorted(k for k, v in {**level_free[n], **got}.items() if not v)
+        if n not in suites:
+            suites[n] = identity_suite(n)
+        bad = sorted(k for k, v in suites[n].items() if not v)
         return _report("prop1", f.name, n, m, not bad,
                        notes="; ".join(f"{k} fails" for k in bad))
 

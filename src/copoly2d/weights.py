@@ -216,6 +216,17 @@ def _jacobi_moments(a: Fraction, b: Fraction):
 
 
 def _as_params(params) -> tuple:
+    """params as Fractions; a bare string or a bool entry raises ValueError.
+
+    A string would otherwise be read one character at a time, and a bool
+    as 0 or 1.
+    """
+    if isinstance(params, str):
+        raise ValueError(f"parameters {params!r} are a string, not a sequence")
+    params = tuple(params)
+    for p in params:
+        if isinstance(p, bool):
+            raise ValueError(f"parameter {p!r} is a bool, not a number")
     return tuple(Fraction(p) for p in params)
 
 
@@ -230,8 +241,6 @@ def _require_gt(params, bound, what):
 
 
 def _build_product_hermite(params) -> WeightFamily:
-    if params:
-        raise InvalidParameterError("product_hermite takes no parameters")
     two_x = parse_poly("-2*x")
     two_y = parse_poly("-2*y")
     hm = _hermite_moments()
@@ -362,7 +371,7 @@ def builtin(name: str, params=()) -> WeightFamily:
     maker, kind = _BUILTINS[base]
     try:
         params = _as_params(params)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise InvalidParameterError(f"unparseable parameters {params!r}") from exc
     if len(params) != DOMAIN_KINDS[kind]:
         raise InvalidParameterError(

@@ -88,16 +88,14 @@ def verdict(num: int, label: str, ok: bool, detail: str = "") -> None:
 
 
 def test_criterion_01_basis_identity_suite():
+    # each verdict of identity_suite(n) holds at every level m
     t0 = time.time()
-    rng = random.Random(20240818)
     bad = []
     for n in range(7):
-        for m in range(4):
-            out = identity_suite(n, m, rng, sandwich_draws=5)
-            bad.extend((n, m, key) for key, ok in out.items() if not ok)
+        bad.extend((n, key) for key, ok in identity_suite(n).items() if not ok)
     elapsed = time.time() - t0
     ok = not bad and elapsed < 10.0
-    verdict(1, "basis identity suite n<=6 m<=3", ok, f"{elapsed:.2f}s")
+    verdict(1, "basis identity suite n<=6, every level m", ok, f"{elapsed:.2f}s")
     assert not bad, bad
     assert elapsed < 10.0
 
@@ -381,7 +379,7 @@ def test_criterion_09_rodrigues_reconstruction():
 def test_criterion_10_cli_byte_determinism():
     argv = [sys.executable, "-m", "copoly2d.cli", "verify",
             "--family", "product_hermite", "--nmax", "4", "--mmax", "2",
-            "--seed", "0", "--format", "json"]
+            "--format", "json"]
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     first = subprocess.run(argv, capture_output=True, env=env)
     second = subprocess.run(argv, capture_output=True, env=env)

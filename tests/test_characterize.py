@@ -538,7 +538,7 @@ def test_t_matrix_and_g_lead_match_the_lifted_assembly_when_patched(monkeypatch,
         if not _blocks_repeat_by_popcount(g, n, m):
             unrepeated.append((n, m))
             at = _PATCHED_AT[wrong.__name__]
-            flagged = {k for k, ok in basisops.identity_suite(at, 0).items() if not ok}
+            flagged = {k for k, ok in basisops.identity_suite(at).items() if not ok}
             assert {"deriv1", "deriv_xx"} <= flagged, (n, m, flagged)
             continue
         want = _outcome(lambda: solve_columns(g, -(t @ g)))
@@ -1963,32 +1963,22 @@ def test_verify_all_builds_the_drift_tower_only_as_deep_as_it_is_read(monkeypatc
     assert asked[0] == 0
 
 
-def test_prop1_checks_the_level_free_identities_once_per_n(monkeypatch):
+def test_prop1_runs_the_identity_suite_once_per_n(monkeypatch):
     f = builtin("product_hermite")
-    real = basisops.basis_identity_check
+    real = basisops.identity_suite
     calls = []
 
-    draws = {}  # (n, m) -> the sandwich generator's state at its first draw
+    def counted(n, *args, **kwargs):
+        calls.append((n, args, kwargs))
+        got = real(n, *args, **kwargs)
+        return {k: ok and not (n == 2 and k == "deriv1") for k, ok in got.items()}
 
-    def counted(n, m, which, rng=None):
-        calls.append((n, m, which))
-        if rng is not None:
-            draws.setdefault((n, m), rng.getstate())
-        return real(n, m, which, rng) and not (n == 2 and which == "deriv1")
-
-    monkeypatch.setattr(basisops, "basis_identity_check", counted)
-    reports = verify_all(f, nmax=3, mmax=2, seed=5, properties=("prop1",))
+    monkeypatch.setattr(characterize, "identity_suite", counted)
+    reports = verify_all(f, nmax=3, mmax=2, properties=("prop1",))
     assert [(r.n, r.m, r.status, r.notes) for r in reports] == [
         (n, m, "fail" if n == 2 else "pass", "deriv1 fails" if n == 2 else "")
         for n in range(4) for m in range(3)]
-    for n in range(4):
-        level_free = [k for k in basisops.IDENTITY_KEYS
-                      if k != "linear_sandwich" and n >= basisops._MIN_N[k]]
-        assert [w for k, _, w in calls if k == n and w != "linear_sandwich"] == level_free
-        assert [m for k, m, w in calls if k == n and w == "linear_sandwich"] == \
-            [0, 0, 0, 1, 1, 1, 2, 2, 2]
-    assert draws == {(n, m): random.Random(5 * 1_000_003 + n * 97 + m).getstate()
-                     for n in range(4) for m in range(3)}
+    assert calls == [(n, (), {}) for n in range(4)]
 
 
 def test_verify_all_builds_one_rule_and_only_when_it_is_read(monkeypatch):
@@ -2049,8 +2039,8 @@ def test_verify_all_quadratic_drift_never_raises():
 
 def test_verify_all_deterministic():
     f = builtin("product_laguerre(1,2)")
-    base = verify_all(f, nmax=3, mmax=1, seed=11)
-    again = verify_all(f, nmax=3, mmax=1, seed=11)
+    base = verify_all(f, nmax=3, mmax=1)
+    again = verify_all(f, nmax=3, mmax=1)
     assert base == again
 
 

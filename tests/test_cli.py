@@ -121,6 +121,8 @@ def test_json_report_shape(capsys):
     assert set(doc) == {"family", "config", "assumed_boundary_condition", "reports"}
     assert doc["family"] == "product_hermite"
     assert doc["config"]["nmax"] == 2
+    # no run draws at random, but the report keeps its seed key
+    assert doc["config"]["seed"] == 0
     assert doc["assumed_boundary_condition"] is True
     assert all(r["status"] == "pass" for r in doc["reports"])
     props = {r["property"] for r in doc["reports"]}
@@ -129,7 +131,7 @@ def test_json_report_shape(capsys):
 
 def test_json_byte_determinism(capsys):
     argv = ["verify", "--family", "product_hermite", "--nmax", "2",
-            "--mmax", "1", "--seed", "0", "--format", "json"]
+            "--mmax", "1", "--format", "json"]
     assert main(argv) == 0
     first = capsys.readouterr().out
     assert main(argv) == 0
@@ -270,6 +272,26 @@ def test_domain_without_a_gauss_rule_is_exit_two(tmp_path, capsys):
     assert err == "copoly2d: quadrant quadrature parameters must exceed -1, got -2\n"
     # exact mode reads no rule
     assert main(argv + ["--mode", "exact"]) in (0, 1)
+
+
+@pytest.mark.parametrize("params, why", [("12", "parameters '12' are a string, not a sequence"),
+                                         ([True, 2], "parameter True is a bool, not a number")])
+def test_domain_params_that_are_no_list_of_numbers_are_exit_two(tmp_path, capsys, params, why):
+    doc = export_family(builtin("product_laguerre(1,2)"), moment_degree=8)
+    doc["domain"]["params"] = params
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--family", str(path), "--nmax", "1", "--mmax", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"copoly2d: bad domain parameters: {why}\n"
+
+
+def test_seed_is_no_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--family", "product_hermite", "--seed", "0"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
 
 
 def test_singular_moment_table_is_a_construction_note(tmp_path, capsys):

@@ -19,6 +19,8 @@ triangle(1,1,1) at `--nmax 12` reads level 11, and (c) alone at
 `--nmax 2 --mmax 9` (triangle(1,1,1)) or `--mmax 8` (two families whose
 (c) fails) reads levels 8 and 9.  A fifth, (c) alone on triangle(1,1,1)
 at `--nmax 1 --mmax 14`, pins the leading-coefficient route at level 14.
+A sixth, prop1 alone on product_hermite at `--nmax 6 --mmax 9`, pins the
+identity suite's verdicts on 70 cells up to level 9.
 """
 from __future__ import annotations
 
@@ -130,6 +132,8 @@ ONE_PROPERTY = [
     (*SEED0[2], "c", 2, 8, 1, "b9908d32166ead4362262af8f75ce14ce3154122691672530d17153d74b81118"),
     (*SEED0[3], "c", 2, 8, 1, "42cd174c318aa636048e97e11dc30cc56fcf8f12651b197a8b61eb649fd24170"),
     (*SEED0[4], "c", 1, 14, 0, "5dba845999e53fc4145ca1ce1ce6329daedaf97bad46a7b471b9c2b17186a12b"),
+    (*SEED0[0], "prop1", 6, 9, 0,
+     "eac3566f52016b8fdc8697a114972a5bdd01ece279fa17a50c0c1339d7b8ba12"),
 ]
 
 

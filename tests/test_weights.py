@@ -77,6 +77,24 @@ def test_parameter_validation():
         builtin("product_laguerre(0,0)", ("0", "0"))
 
 
+@pytest.mark.parametrize("params", ["12", [True, 2], ("1", False)])
+def test_parameters_are_a_sequence_of_numbers(params):
+    # a string is not read one character at a time, nor a bool as 0 or 1
+    with pytest.raises(InvalidParameterError, match="^unparseable parameters "):
+        builtin("product_laguerre", params)
+    doc = export_family(builtin("product_laguerre(1,2)"), moment_degree=4)
+    doc["domain"]["params"] = params
+    with pytest.raises(FamilyLoadError, match="^bad domain parameters: "):
+        load_family(doc)
+
+
+def test_parameters_may_mix_numbers_and_number_strings():
+    want = builtin("product_laguerre(1,2)").domain
+    assert builtin("product_laguerre", ["1", 2]).domain == want
+    assert builtin("product_laguerre", (Fraction(1), "2")).domain == want
+    assert builtin("hermite_laguerre", [Fraction(1, 2)]).domain.params == (Fraction(1, 2),)
+
+
 def test_pearson_all_builtins():
     for ref in ALL_INSTANCES:
         f = builtin(ref)
