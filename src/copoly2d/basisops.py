@@ -209,10 +209,10 @@ def basis_identity_check(n: int, which: str) -> bool:
     return d == rhs
 
 
-def identity_suite(n: int, keys=IDENTITY_KEYS) -> dict:
-    """Run every identity among keys valid at degree n; returns {key: bool}.
+def identity_suite(n: int) -> dict:
+    """Run every identity valid at degree n; returns {key: bool}.
 
     Each verdict holds at every level m (basis_identity_check).
     """
     return {key: basis_identity_check(n, key)
-            for key in IDENTITY_KEYS if key in keys and n >= _MIN_N[key]}
+            for key in IDENTITY_KEYS if n >= _MIN_N[key]}

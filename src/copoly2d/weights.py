@@ -216,14 +216,13 @@ def _jacobi_moments(a: Fraction, b: Fraction):
 
 
 def _as_params(params) -> tuple:
-    """params as Fractions; a bare string or a bool entry raises ValueError.
+    """params as Fractions; anything but a list or tuple, or a bool entry, raises ValueError.
 
-    A string would otherwise be read one character at a time, and a bool
-    as 0 or 1.
+    A string would otherwise be read one character at a time, a dict by
+    its keys, a set in no fixed order, and a bool as 0 or 1.
     """
-    if isinstance(params, str):
-        raise ValueError(f"parameters {params!r} are a string, not a sequence")
-    params = tuple(params)
+    if not isinstance(params, (list, tuple)):
+        raise ValueError(f"parameters {params!r} are no list or tuple")
     for p in params:
         if isinstance(p, bool):
             raise ValueError(f"parameter {p!r} is a bool, not a number")

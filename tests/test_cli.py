@@ -274,7 +274,8 @@ def test_domain_without_a_gauss_rule_is_exit_two(tmp_path, capsys):
     assert main(argv + ["--mode", "exact"]) in (0, 1)
 
 
-@pytest.mark.parametrize("params, why", [("12", "parameters '12' are a string, not a sequence"),
+@pytest.mark.parametrize("params, why", [("12", "parameters '12' are no list or tuple"),
+                                         ({"1": 0, "2": 0}, "parameters {'1': 0, '2': 0} are no list or tuple"),
                                          ([True, 2], "parameter True is a bool, not a number")])
 def test_domain_params_that_are_no_list_of_numbers_are_exit_two(tmp_path, capsys, params, why):
     doc = export_family(builtin("product_laguerre(1,2)"), moment_degree=8)

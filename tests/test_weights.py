@@ -77,9 +77,10 @@ def test_parameter_validation():
         builtin("product_laguerre(0,0)", ("0", "0"))
 
 
-@pytest.mark.parametrize("params", ["12", [True, 2], ("1", False)])
+@pytest.mark.parametrize("params", ["12", [True, 2], ("1", False), {"1": 0, "2": 0}, {"1", "2"}])
 def test_parameters_are_a_sequence_of_numbers(params):
-    # a string is not read one character at a time, nor a bool as 0 or 1
+    # a string is not read one character at a time, a dict by its keys,
+    # a set in no fixed order, nor a bool as 0 or 1
     with pytest.raises(InvalidParameterError, match="^unparseable parameters "):
         builtin("product_laguerre", params)
     doc = export_family(builtin("product_laguerre(1,2)"), moment_degree=4)
