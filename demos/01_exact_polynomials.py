@@ -1,8 +1,9 @@
 """Exact bivariate polynomial arithmetic.
 
-Everything in the library runs on sparse dictionaries of Fraction
-coefficients, so every identity later in the tour is checked with zero
-rounding, not with tolerances.
+A polynomial is a sparse dictionary of int numerators over one
+denominator, read back as Fractions through coeff and terms, so every
+identity later in the tour is checked with zero rounding, not with
+tolerances.
 """
 from fractions import Fraction
 
@@ -18,7 +19,10 @@ def main():
     print("p + q^2     =", (p + q * q).to_text())
     print("dp/dx       =", p.dx().to_text())
     print("dp/dy       =", p.dy().to_text())
-    print("p(1/3, 2)   =", p.eval_exact(Fraction(1, 3), Fraction(2)))
+    print("coeff of x^2 y in p =", p.coeff(2, 1))
+    # the exact Fraction coefficients, summed at an exact point
+    x0, y0 = Fraction(1, 3), Fraction(2)
+    print("p(1/3, 2)   =", sum(c * x0**i * y0**j for (i, j), c in p.terms.items()))
 
     # rational functions keep numerator and denominator as polynomials;
     # equality cross-multiplies, so no factoring is ever needed

@@ -10,10 +10,9 @@ from copoly2d.basisops import (
     identity_suite,
     l_mat,
     n_mat,
-    stacked,
-    starred,
     x_vec,
 )
+from copoly2d.matpoly import vstack
 
 
 def main():
@@ -32,10 +31,9 @@ def main():
     print("N X_3 rows:", [(dx @ xs)[i, 0].to_text() for i in range(n)],
           " (this is d/dx X_3 without its zero entry)")
 
-    pair = stacked(n)
-    print("stacked shift shape:", pair.L.shape, " stacked derivative shape:", pair.N.shape)
-    star = starred(n, 2)
-    print("level-2 starred shapes:", star.L.shape, star.N.shape)
+    stacked_l = vstack(l_mat(n, 1), l_mat(n, 2))
+    stacked_n = vstack(n_mat(n, 1), n_mat(n, 2))
+    print("stacked shift shape:", stacked_l.shape, " stacked derivative shape:", stacked_n.shape)
 
     # the identity suite ties all of these together at every level m: each
     # identity is an exact polynomial matrix equality checked at level 0,

@@ -5,6 +5,8 @@ lower degrees.  Stacking m-fold gradients of P_{n+m} gives the matrix
 Q_{n,m}, and a classical weight keeps those stacks orthogonal for the
 Kronecker-power weight phi^(x)m.  Everything here is exact.
 """
+from fractions import Fraction
+
 from copoly2d.orthosys import build_monic, g_lead_rows, inner
 from copoly2d.weights import builtin
 
@@ -18,9 +20,10 @@ def main():
     for i in range(3):
         print("  ", p2[i, 0].to_text())
 
-    gram = sys.gram(2, 0)
+    # the exact Gram block is kept as int rows over one denominator
+    rec = sys.gram_record(2, 0)
     print("block Gram matrix of P_2 is diagonal with entries:",
-          [str(gram[i, i].constant_value()) for i in range(3)])
+          [str(Fraction(rec.rows[i][i], rec.den)) for i in range(3)])
 
     # cross inner products with every lower degree vanish identically
     away = inner(sys.q(0, 0), sys.q(2, 0), 0, f)
@@ -33,6 +36,9 @@ def main():
     print("level-1 stacks of different degree are orthogonal:", cross.is_zero)
     # the exact Gram block's record carries its determinant and inverse
     print("level-1 Gram determinant nonzero:", sys.gram_record(1, 1).det != 0)
+
+    # mixed partials commute, so a stack's rows repeat by popcount
+    print("Q_{0,2} has", sys.q(0, 2).rows, "rows,", sys.q_rows(0, 2).rows, "of them distinct")
 
     # the leading coefficients of dx P_2^t and dy P_2^t, one block per
     # popcount class of the stack's rows

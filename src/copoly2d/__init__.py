@@ -21,7 +21,7 @@ lemma1 (the determinant identity for interleaved column pairs) and
 lemma2 (the closed form of the lifted drift coefficients).
 """
 
-from .characterize import PropertyReport, psi_tower, verify_all
+from .characterize import PropertyReport, psi_tower, rodrigues_reconstruct, verify_all
 from .orthosys import OrthoSystem, build_monic
 from .polycore import BivariatePoly, RationalFn, parse_poly
 from .weights import (
@@ -45,6 +45,7 @@ __all__ = [
     "load_family",
     "parse_poly",
     "psi_tower",
+    "rodrigues_reconstruct",
     "verify_all",
 ]
 __version__ = "0.1.0"

@@ -22,8 +22,6 @@ block (i, c) of either side is one linear map of the column
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .matpoly import PolyMatrix, const_matrix, kron, vstack
 from .polycore import BivariatePoly
 
@@ -71,49 +69,6 @@ def n_mat(n: int, which: int) -> PolyMatrix:
     return const_matrix(n_rows(n, which), n + 1)
 
 
-class StackedPair(NamedTuple):
-    L: PolyMatrix
-    N: PolyMatrix
-
-
-def stacked(n: int) -> StackedPair:
-    """Vertical stacks L_n = [L(n,1); L(n,2)] and N_n = [N(n,1); N(n,2)]."""
-    return StackedPair(
-        vstack(l_mat(n, 1), l_mat(n, 2)),
-        vstack(n_mat(n, 1), n_mat(n, 2)),
-    )
-
-
-def starred(n: int, m: int) -> StackedPair:
-    """Three-block second order stacks used by the eigenvalue formula.
-
-    The L member stacks I_{2^m} (x) L(n-1,1)L(n,1), I (x) L(n-1,2)L(n,1)
-    and I (x) L(n-1,2)L(n,2); the N member is the same pattern with
-    N(n-1,i)N(n,j).  For n = 0 (L) or n <= 1 (N) the corresponding
-    blocks are empty, which downstream products treat as zero.
-    """
-    if n < 0 or m < 0:
-        raise ValueError("indices must be nonnegative")
-    eye = PolyMatrix.identity(2 ** m)
-    if n == 0:
-        lstar = PolyMatrix.zeros(0, 2 ** m * (n + 2))
-    else:
-        lstar = vstack(
-            kron(eye, l_mat(n - 1, 1) @ l_mat(n, 1)),
-            kron(eye, l_mat(n - 1, 2) @ l_mat(n, 1)),
-            kron(eye, l_mat(n - 1, 2) @ l_mat(n, 2)),
-        )
-    if n <= 1:
-        nstar = PolyMatrix.zeros(0, 2 ** m * (n + 1))
-    else:
-        nstar = vstack(
-            kron(eye, n_mat(n - 1, 1) @ n_mat(n, 1)),
-            kron(eye, n_mat(n - 1, 2) @ n_mat(n, 1)),
-            kron(eye, n_mat(n - 1, 2) @ n_mat(n, 2)),
-        )
-    return StackedPair(lstar, nstar)
-
-
 # ---------------------------------------------------------------------------
 # identity suite
 
@@ -158,8 +113,8 @@ def basis_identity_check(n: int, which: str) -> bool:
     the column a = (A[2i, c], A[2i+1, c])^t, and both are linear in a.  So
     the identity holds for every A, at every m, iff it holds at level 0
     for a = e_1 and a = e_2, the two polynomial matrix equations checked
-    here on stacked(n).L.  Unlike a random draw of A, which misses a fault
-    wherever it draws zeros, this decides the identity.
+    here on L_n = [L(n,1); L(n,2)].  Unlike a random draw of A, which
+    misses a fault wherever it draws zeros, this decides the identity.
     """
     if which not in _MIN_N:
         raise ValueError(f"unknown identity {which!r}")
@@ -168,7 +123,8 @@ def basis_identity_check(n: int, which: str) -> bool:
 
     xr = x_vec(n).transpose()
     if which == "linear_sandwich":
-        up, lt = x_vec(n + 1).transpose(), stacked(n).L.transpose()
+        up = x_vec(n + 1).transpose()
+        lt = vstack(l_mat(n, 1), l_mat(n, 2)).transpose()
         eye = PolyMatrix.identity(n + 1)
         return all(x_vec(1).transpose() @ a @ xr == up @ lt @ kron(a, eye)
                    for a in (const_matrix([[1], [0]]), const_matrix([[0], [1]])))

@@ -419,8 +419,9 @@ def _t_rows(f: WeightFamily, n: int, m: int):
     part from the level drift data D = (d1 | d2), row 2s + h of d_i
     holding the x_h coefficients of row s of psi_i.  By the mixed
     product, T = I_{2^m} (x) T1 + sum_{h,h' in {x,y}} C_{h,h'} (x)
-    M_{h,h'}, with T1 = sum_{p,q} A3[p, q] L_p^t N_q (L_p, N_q the
-    blocks of starred at level 0), M_{h,h'} = L(n-1, h)^t N(n, h') and
+    M_{h,h'}, with T1 = sum_{p,q} A3[p, q] L_p^t N_q (L_p and N_q the
+    products L(n-2, a) L(n-1, b) and N(n-1, a) N(n, b) for (a, b) =
+    (x, x), (y, x), (y, y)), M_{h,h'} = L(n-1, h)^t N(n, h') and
     C_{h,h'}[s, s'] the x_h coefficient of psi_{h'}[s, s'].  Row block
     s' of the leading block G depends only on popcount(s')
     (g_lead_rows), so only row blocks 2^s - 1 of T are built,
@@ -819,12 +820,11 @@ def check_e(sys: OrthoSystem, n: int, m: int, rule=None) -> PropertyReport:
     w = hstack(mid.top_half(), mid.bottom_half())
     import numpy as np
 
-    nodes = (rule.nodes_x, rule.nodes_y, rule.powers)
     tail = 0.0
     coeffs = {}
     for k in range(n + 2):
         # the projections [N_top | N_bot] of w on q_k, side by side
-        nk = np.einsum("rcq,q->rc", eval_product(sys.q(k, m).transpose(), w, *nodes),
+        nk = np.einsum("rcq,q->rc", eval_product(sys.q(k, m).transpose(), w, rule),
                        rule.weights)
         gram = sys.gram(k, m, rule)
         if k == n:
@@ -838,7 +838,7 @@ def check_e(sys: OrthoSystem, n: int, m: int, rule=None) -> PropertyReport:
             coeffs[k] = ak
     if tail > tol:
         notes.append("projection on a low stack survives")
-    lhs_vals = eval_product(left, qprime, *nodes)
+    lhs_vals = eval_product(left, qprime, rule)
     acc = np.zeros_like(lhs_vals)
     half = 2 ** m
     for k, ak in coeffs.items():

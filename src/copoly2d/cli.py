@@ -66,7 +66,7 @@ class RunConfig:
 
 def _looks_like_path(ref: str) -> bool:
     # a built-in name keeps a ref with a separator, as in product_jacobi(1/2,...)
-    if ref.endswith(".json") or os.path.exists(ref):
+    if ref.endswith(".json") or os.path.isfile(ref):
         return True
     return os.sep in ref and ref.split("(")[0].strip() not in {b[0] for b in list_builtins()}
 

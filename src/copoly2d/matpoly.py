@@ -110,10 +110,6 @@ class PolyMatrix:
         entries = [_entry(v) for v in entries]
         return cls(1, len(entries), entries)
 
-    @classmethod
-    def scalar(cls, p) -> "PolyMatrix":
-        return cls(1, 1, [_entry(p)])
-
     # -- access ---------------------------------------------------------
 
     def __getitem__(self, key):

@@ -43,23 +43,24 @@ The leading coefficients that (c)'s symbol route reads are S's too
 Exact weighted integrals integral(a^t w rho) / mu_00 of two polynomial
 matrices are bilinear forms on the moment numerators: with H[alpha,
 beta] = mu_(alpha+beta) the moment (Hankel) matrix of the functional,
-integral(p q rho) = coef(p)^t H coef(q), so integrate_product never
-forms the product a^t w.  inner, the level Gram blocks and the check
-layer's integrals all go through one kernel, integrate_rows: several
-left factors against one w, each distinct entry of w contracted with
-the moments once, each block returned as int rows over one
-denominator.  It reads each polynomial's stored int numerators and
-denominator directly, so no Fraction is built on the way.
-integrate_product wraps one block as a constant matrix;
-integrate_matrix, which integrates a formed matrix entrywise, stays as
-the plain reference.  The construction and the exact (b) and (e)
-checks stay on the int rows: an exact Gram block's one exact form is
-its gram_record (gram(n, m) is a view of it), its int rows with their
-determinant and inverse from one elimination (matpoly._echelon), so a
-block read by build_monic, (b) and three (e) cells is eliminated once.
+integral(p q rho) = coef(p)^t H coef(q), so no exact integral forms
+the product a^t w.  inner, the level Gram blocks and the check layer's
+integrals all go through one kernel, integrate_rows: several left
+factors against one w, each distinct entry of w contracted with the
+moments once, each block returned as int rows over one denominator.
+It reads each polynomial's stored int numerators and denominator
+directly, so no Fraction is built on the way.  inner wraps its one
+block as a constant matrix; integrate_matrix, which integrates a
+formed matrix entrywise, stays as the plain reference.  The
+construction and the exact (b) and (e) checks stay on the int rows: an
+exact Gram block's one exact form is its gram_record (gram(n, m) is a
+view of it), its int rows with their determinant and inverse from one
+elimination (matpoly._echelon), so a block read by build_monic, (b)
+and three (e) cells is eliminated once.
 
 Numeric mode evaluates polynomial matrices on a quadrature rule's nodes
-through one kernel, a whole matrix per call (eval_entries), reading
+through one kernel, a whole matrix per call (eval_entries(m, rule),
+with the rule's node power tables, QuadRule.powers), reading
 each coefficient as the float c / den of its stored numerator and
 denominator; eval_product evaluates a product a @ b from the int sums
 of the product kernel without forming it.  The values are bit-identical
@@ -86,7 +87,6 @@ failing computation is retried and raises again.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 from itertools import chain
 from math import comb, lcm
 from typing import TYPE_CHECKING, NamedTuple
@@ -109,7 +109,7 @@ from .matpoly import (
     vstack,
 )
 from .polycore import X, Y, ZERO, BivariatePoly, from_numerators
-from .weights import QuadRule, WeightFamily, node_powers
+from .weights import QuadRule, WeightFamily
 
 if TYPE_CHECKING:
     import numpy as np
@@ -223,37 +223,13 @@ def _coded(p: BivariatePoly, d: int, s: int) -> list:
     return [(i * s + j, c) for (i, j), c in _rescaled(p, d).items()]
 
 
-def integrate_product(a: PolyMatrix, w: PolyMatrix, f: WeightFamily) -> PolyMatrix:
-    """Exact integral(a^t w rho) / mu_00 without forming a^t w.
-
-    integral(p q rho) = coef(p)^t H coef(q) with H[alpha, beta] the
-    moment mu_(alpha+beta): a bilinear form on the moment (Hankel)
-    matrix.  a, w and the moments run as int numerators over their
-    common denominators, and an exponent (i, j) is coded as i*s + j so
-    that the code of alpha + beta is the sum of the codes.  For each row
-    r and column d, w[r, d] is contracted with the moments once, giving
-    a vector v over the monomials of row r of a; entry (c, d) sums the
-    int dot products of a[r, c] with v over r and is stored from that
-    one int sum, with no Fraction built.
-    Every moment of degree up to the largest deg a[r, :] + deg w[r, :]
-    is read, including those whose terms cancel in a^t w.
-
-    This is the one-factor case of integrate_rows, which takes several
-    left factors a_1 .. a_K against one w: the vectors v are built once
-    over the union of their monomials, so the moment contraction of w
-    is shared and each factor only pays for its own dot products.
-    """
-    [(rows, d)] = integrate_rows([a], w, f)
-    return _block_matrix(rows, d, w.cols)
-
-
 # floats per scratch array of _eval_terms: rows are evaluated in blocks
 # of about this size, so its temporaries stay small on large matrices
 _EVAL_BLOCK = 1 << 14
 
 
-def _eval_terms(terms, xs, ys, powers=None) -> np.ndarray:
-    """Float values of polynomials given as term dicts, shaped (len(terms), nodes).
+def _eval_terms(terms, rule: QuadRule) -> np.ndarray:
+    """Float values of term-dict polynomials on the rule's nodes, shaped (len(terms), nodes).
 
     terms[r] maps (i, j) to a coefficient that float() reads exactly
     as the evaluation should (a Fraction, or a float already rounded).
@@ -267,16 +243,14 @@ def _eval_terms(terms, xs, ys, powers=None) -> np.ndarray:
     the term slot k instead of over terms: step k multiplies every
     row's k-th coefficient by x**i, then by y**j, and adds the result
     only to the rows that have a k-th term (a masked add; padding with
-    zero terms would turn -0.0 into +0.0).  powers(d) gives the node powers as (d + 1, nodes)
-    tables (QuadRule.powers); without it they are computed here.
+    zero terms would turn -0.0 into +0.0).  The node powers are the
+    rule's tables (QuadRule.powers).
     """
     import numpy as np
 
-    q = np.shape(xs)[0]
+    q = len(rule.nodes_x)
     out = np.zeros((len(terms), q))
-    if powers is None:
-        powers = partial(node_powers, xs, ys)
-    start = 0.0 * (xs + ys)
+    start = 0.0 * (rule.nodes_x + rule.nodes_y)
     step = max(1, _EVAL_BLOCK // max(q, 1))
     for r0 in range(0, len(terms), step):
         block = terms[r0:r0 + step]
@@ -296,7 +270,7 @@ def _eval_terms(terms, xs, ys, powers=None) -> np.ndarray:
         ii[slot, owner] = exps[:, 0]
         jj = np.zeros(cs.shape, np.intp)
         jj[slot, owner] = exps[:, 1]
-        xpow, ypow = powers(int(exps.max()))
+        xpow, ypow = rule.powers(int(exps.max()))
         acc = out[r0:r0 + step]
         acc[lens > 0] = start
         t = np.empty_like(acc)
@@ -310,8 +284,8 @@ def _eval_terms(terms, xs, ys, powers=None) -> np.ndarray:
     return out
 
 
-def eval_entries(m: PolyMatrix, xs, ys, powers=None) -> np.ndarray:
-    """Float evaluation on node arrays, shaped (rows, cols, nodes).
+def eval_entries(m: PolyMatrix, rule: QuadRule) -> np.ndarray:
+    """Float evaluation on the rule's nodes, shaped (rows, cols, nodes).
 
     A zero entry is +0.0.  A nonzero one is the sum of its terms
     c * x**i * y**j in the entry's dict order, started from
@@ -319,18 +293,15 @@ def eval_entries(m: PolyMatrix, xs, ys, powers=None) -> np.ndarray:
     the kernel keeps both (see _eval_terms).  Each coefficient is read
     as the float c / den of its stored numerator and denominator: int
     true division is correctly rounded, so that is float(Fraction(c,
-    den)), and no Fraction is built.  powers is the rule's power table,
-    QuadRule.powers, when xs and ys are a rule's nodes.
+    den)), and no Fraction is built.
     """
-    import numpy as np
-
     vals = _eval_terms([_floats(p.num, p.den) for i in range(m.rows)
-                        for p in m.row_list(i)], xs, ys, powers)
-    return vals.reshape(m.rows, m.cols, np.shape(xs)[0])
+                        for p in m.row_list(i)], rule)
+    return vals.reshape(m.rows, m.cols, len(rule.nodes_x))
 
 
-def eval_product(a: PolyMatrix, b: PolyMatrix, xs, ys, powers=None) -> np.ndarray:
-    """eval_entries(a @ b, xs, ys, powers) without forming a @ b.
+def eval_product(a: PolyMatrix, b: PolyMatrix, rule: QuadRule) -> np.ndarray:
+    """eval_entries(a @ b, rule) without forming a @ b.
 
     Runs the product kernel (matmul_numerators) and reads each int sum c
     over the denominator d as the float c / d, dropping the sums that
@@ -339,11 +310,9 @@ def eval_product(a: PolyMatrix, b: PolyMatrix, xs, ys, powers=None) -> np.ndarra
     float(Fraction(c, d)) and the values are bit-identical to
     evaluating a @ b; no Fraction is built.
     """
-    import numpy as np
-
     acc, d = matmul_numerators(a, b)
     terms = [_floats(t, d) if t else {} for t in acc]
-    return _eval_terms(terms, xs, ys, powers).reshape(a.rows, b.cols, np.shape(xs)[0])
+    return _eval_terms(terms, rule).reshape(a.rows, b.cols, len(rule.nodes_x))
 
 
 def _floats(num: dict, d: int) -> dict:
@@ -355,7 +324,7 @@ def integrate_matrix_numeric(m: PolyMatrix, f: WeightFamily, rule: QuadRule) -> 
     """Entrywise quadrature of a formed matrix on the rule; a float array of m's shape."""
     import numpy as np
 
-    me = eval_entries(m, rule.nodes_x, rule.nodes_y, rule.powers)
+    me = eval_entries(m, rule)
     return np.einsum("rcq,q->rc", me, rule.weights)
 
 
@@ -492,7 +461,7 @@ class OrthoSystem:
         """
         def make():
             mat = self.phi_power(m) if n is None else self.q_rows(n, m)
-            got = eval_entries(mat, rule.nodes_x, rule.nodes_y, rule.powers)
+            got = eval_entries(mat, rule)
             got = got if n is None else got[_popcounts(m)]
             got.setflags(write=False)
             return got
@@ -722,8 +691,8 @@ def inner(a: PolyMatrix, b: PolyMatrix, m: int, f: WeightFamily,
     """integral(a^t phi_kron_m b rho) / mu_00.
 
     Exact mode forms w = phi_kron_m @ b once and returns the bilinear
-    form coef(a)^t H coef(w) on the moment numerators
-    (integrate_product), a constant PolyMatrix.  Numeric
+    form coef(a)^t H coef(w) on the moment numerators (one block of
+    integrate_rows), a constant PolyMatrix.  Numeric
     mode evaluates a, phi_kron_m and b on the nodes of the given rule
     and returns a float array.
     """
@@ -731,11 +700,12 @@ def inner(a: PolyMatrix, b: PolyMatrix, m: int, f: WeightFamily,
         raise ValueError(f"inner at level {m} needs 2^{m} rows")
     phim = kron_power(f.phi, m)
     if mode == "exact":
-        return integrate_product(a, phim @ b, f)
+        w = phim @ b
+        [(rows, d)] = integrate_rows([a], w, f)
+        return _block_matrix(rows, d, w.cols)
     if mode != "numeric":
         raise ValueError(f"unknown mode {mode!r}")
     if rule is None:
         raise ValueError("numeric mode needs a quadrature rule")
-    nodes = (rule.nodes_x, rule.nodes_y, rule.powers)
-    return _quad_form(eval_entries(a, *nodes), eval_entries(phim, *nodes),
-                      eval_entries(b, *nodes), rule.weights)
+    return _quad_form(eval_entries(a, rule), eval_entries(phim, rule),
+                      eval_entries(b, rule), rule.weights)

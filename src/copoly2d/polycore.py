@@ -10,7 +10,7 @@ derivatives and scalar multiples stay in ints.  from_numerators is the
 one normalising constructor (drop zeros, divide out the gcd).  A stored
 num dict is never mutated.  Fraction appears only at the edges:
 ``coeff``, ``terms`` (a {(i, j): Fraction} view in stored key order,
-built on each access), exact evaluation and text.  Float evaluation on
+built on each access) and text.  Float evaluation on
 quadrature nodes lives in orthosys.eval_entries, which reads each
 coefficient as c / den and sums the terms in stored order.  A rational
 function is only a value: an unreduced numerator/denominator pair that
@@ -132,12 +132,6 @@ class BivariatePoly:
     def coeff(self, i: int, j: int) -> Fraction:
         return Fraction(self.num.get((i, j), 0), self.den)
 
-    def constant_value(self) -> Fraction:
-        """The value of a degree <= 0 polynomial; rejects anything else."""
-        if self.total_degree > 0:
-            raise ValueError(f"not a constant: {self}")
-        return self.coeff(0, 0)
-
     # -- arithmetic ----------------------------------------------------
 
     def _combine(self, other: "BivariatePoly", sign: int) -> "BivariatePoly":
@@ -226,16 +220,6 @@ class BivariatePoly:
     def dy(self) -> "BivariatePoly":
         return from_numerators({(i, j - 1): c * j for (i, j), c in self.num.items()
                                 if j > 0}, self.den)
-
-    # -- evaluation ----------------------------------------------------
-
-    def eval_exact(self, x0, y0) -> Fraction:
-        x0 = _as_fraction(x0)
-        y0 = _as_fraction(y0)
-        total = Fraction(0)
-        for (i, j), c in self.num.items():
-            total += c * x0**i * y0**j
-        return total / self.den
 
     # -- text ----------------------------------------------------------
 

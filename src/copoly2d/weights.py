@@ -18,9 +18,9 @@ Built-in families:
 
 Moment oracles are exact Fractions whenever the parameters are rational,
 which lets every downstream orthogonality check run in exact arithmetic.
-numpy is imported inside the quadrature code only (QuadRule.integrate,
-node_powers and the Gauss rule builders), so loading or exporting a
-family and every exact run leave it unloaded.
+numpy is imported inside the quadrature code only (QuadRule.powers and
+the Gauss rule builders), so loading or exporting a family and every
+exact run leave it unloaded.
 """
 
 from __future__ import annotations
@@ -96,11 +96,6 @@ class QuadRule:
     order: int
     _pow: Optional[tuple] = field(default=None, repr=False, init=False)
 
-    def integrate(self, fn) -> float:
-        import numpy as np
-
-        return float(np.sum(self.weights * fn(self.nodes_x, self.nodes_y)))
-
     def powers(self, d: int):
         """(nodes_x**i, nodes_y**i for i = 0 .. at least d) as two 2-D arrays.
 
@@ -111,17 +106,13 @@ class QuadRule:
         """
         got = self._pow
         if got is None or len(got[0]) <= d:
-            got = node_powers(self.nodes_x, self.nodes_y, d)
+            import numpy as np
+
+            xs, ys = self.nodes_x, self.nodes_y
+            got = (np.array([xs**i for i in range(d + 1)]),
+                   np.array([ys**i for i in range(d + 1)]))
             object.__setattr__(self, "_pow", got)
         return got
-
-
-def node_powers(xs, ys, d: int):
-    """(xs**i, ys**i for i = 0 .. d) as two (d + 1, nodes) arrays."""
-    import numpy as np
-
-    return (np.array([xs**i for i in range(d + 1)]),
-            np.array([ys**i for i in range(d + 1)]))
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,11 +12,9 @@ from copoly2d.basisops import (
     l_mat,
     n_mat,
     n_rows,
-    stacked,
-    starred,
     x_vec,
 )
-from copoly2d.matpoly import PolyMatrix, const_matrix, int_matmul, kron
+from copoly2d.matpoly import PolyMatrix, const_matrix, int_matmul, kron, vstack
 from copoly2d.polycore import BivariatePoly as P, parse_poly
 
 
@@ -25,11 +23,6 @@ def random_rational_matrix(rows, cols, rng):
     draw = [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(cols)]
             for _ in range(rows)]
     return const_matrix(draw, cols)
-
-
-def _fraction_rows(m):
-    """The entries of a constant matrix as Fraction rows."""
-    return [[p.constant_value() for p in m.row_list(i)] for i in range(m.rows)]
 
 
 def test_x_vec_values():
@@ -73,38 +66,6 @@ def test_derivative_band_commutation():
             int_matmul(n_rows(k, 2), n_rows(k + 1, 1), cols), k
 
 
-def test_stacked_shapes():
-    L, N = stacked(3)
-    assert L.shape == (8, 5)
-    assert N.shape == (6, 4)
-    assert stacked(1).N == PolyMatrix.identity(2)
-    assert stacked(0).N.shape == (0, 1)
-
-
-def test_starred_blocks():
-    for m in (0, 1):
-        st = starred(2, m)
-        eye = PolyMatrix.identity(2 ** m)
-        assert st.L.shape == (3 * 2 ** m * 2, 2 ** m * 4)
-        assert st.N.shape == (3 * 2 ** m * 1, 2 ** m * 3)
-        assert st.L.top_half() is not None  # row count is even
-        # block content matches independent construction
-        top = kron(eye, l_mat(1, 1) @ l_mat(2, 1))
-        assert all(
-            st.L[i, j] == top[i, j] for i in range(top.rows) for j in range(top.cols)
-        )
-
-
-def test_starred_zero_sentinels():
-    st = starred(0, 0)
-    assert st.L.shape == (0, 2)
-    assert st.N.shape == (0, 1)
-    st1 = starred(1, 2)
-    assert st1.N.shape == (0, 8)
-    # empty factors annihilate in products
-    assert (st.L.transpose() @ st.L).is_zero
-
-
 def test_identity_suite_spot_checks():
     for n in range(5):
         res = identity_suite(n)
@@ -141,7 +102,7 @@ def unit_matrices(rows, cols):
 def lifted_identity_check(n, m, which):
     """Both sides of one identity formed as I_{2^m} (x) (...) polynomial matrices.
 
-    Reads l_mat, n_mat and stacked through the module, so a monkeypatched
+    Reads l_mat and n_mat through the module, so a monkeypatched
     basisops.l_mat or n_mat reaches it as it reaches identity_suite.
     linear_sandwich is linear in its (2^{m+1}) x (2^m) matrix A, so it is
     checked on every unit matrix A, which decides it for every A.
@@ -163,7 +124,8 @@ def lifted_identity_check(n, m, which):
         return xr.scale(s) == up2 @ lift((lm(n, second) @ lm(n + 1, first)).transpose())
     if which == "linear_sandwich":
         left = lift(x_vec(1).transpose())
-        right = lift(x_vec(n + 1).transpose()) @ lift(basisops.stacked(n).L.transpose())
+        right = (lift(x_vec(n + 1).transpose())
+                 @ lift(vstack(lm(n, 1), lm(n, 2)).transpose()))
         eye = PolyMatrix.identity(n + 1)
         return all(left @ a @ xr == right @ kron(a, eye)
                    for a in unit_matrices(2 ** (m + 1), 2 ** m))

@@ -8,6 +8,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
+from conftest import _consts
 from hypothesis import assume, example, given, settings, strategies as st
 from test_basisops import random_rational_matrix
 
@@ -53,7 +54,7 @@ from copoly2d.orthosys import (
     g_lead_rows,
     inner,
     integrate_matrix,
-    integrate_product,
+    integrate_rows,
 )
 from copoly2d.polycore import ONE, BivariatePoly, RationalFn, parse_poly
 from copoly2d.weights import (
@@ -98,11 +99,6 @@ POOL_INSTANCES = [
 _SYSTEMS: dict = {}
 
 
-def _fraction_rows(m):
-    """The entries of a constant matrix as Fraction rows."""
-    return [[p.constant_value() for p in m.row_list(i)] for i in range(m.rows)]
-
-
 def get_system(ref, nmax=7):
     """Share one monic system per family across the module; they are pricey."""
     got = _SYSTEMS.get(ref)
@@ -121,8 +117,8 @@ def test_psi_tower_level_zero_is_family_drift():
     for ref in ALL_INSTANCES:
         f = builtin(ref)
         lev = psi_tower(f, 0).level(0)
-        assert class_sum_view(lev, 0) == PolyMatrix.scalar(f.psi1)
-        assert class_sum_view(lev, 1) == PolyMatrix.scalar(f.psi2)
+        assert class_sum_view(lev, 0) == PolyMatrix.from_rows([[f.psi1]])
+        assert class_sum_view(lev, 1) == PolyMatrix.from_rows([[f.psi2]])
 
 
 def test_psi_tower_closed_form_all_builtins():
@@ -166,7 +162,7 @@ def test_psi_tower_is_kept_per_family():
     # a copy is another family, even with the same data
     assert psi_tower(dataclasses.replace(f), 1) is not deep
     other = dataclasses.replace(f, psi1=parse_poly("2*x - 1"))
-    assert class_sum_view(psi_tower(other, 1).level(0), 0) == PolyMatrix.scalar(other.psi1)
+    assert class_sum_view(psi_tower(other, 1).level(0), 0) == PolyMatrix.from_rows([[other.psi1]])
 
 
 def test_a_run_converts_each_levels_drift_data_once(monkeypatch):
@@ -308,7 +304,7 @@ def test_degree_one_anchor_both_routes():
 def test_hermite_degree_two_eigenvalue():
     f, sys = get_system("product_hermite")
     lam = lambda_via_operator(sys, 2, 0)
-    assert _fraction_rows(lam) == _fraction_rows(const_matrix(
+    assert _consts(lam) == _consts(const_matrix(
         [[4, 0, 0], [0, 4, 0], [0, 0, 4]]
     ))
     assert lambda_via_formula(f, 2, 0) == lam
@@ -401,7 +397,7 @@ def t_matrix(f, n, m, tower=None):
 def assert_t_rows_are_class_sums(f, n, m, t):
     """_t_rows is row blocks 2^s - 1 of the full symbol t, column blocks summed by popcount."""
     b = n + 1
-    full = _fraction_rows(t)
+    full = _consts(t)
     want = [[Fraction(0)] * ((m + 1) * b) for _ in range((m + 1) * b)]
     for s in range(m + 1):
         for i in range(b):
@@ -418,18 +414,26 @@ def oracle_t_matrices(f, n, m, tower):
     polynomial matrix, D from the dense tower of oracle_psi_tower;
     returns {layout: T}, "proof" being t_matrix and "statement" the
     layout of the paper's theorem, which the library does not build.
-    Reads l_mat, n_mat, stacked and starred through basisops, so a
-    monkeypatched basisops.l_mat or n_mat reaches it.
+    Reads l_mat and n_mat through basisops, so a monkeypatched
+    basisops.l_mat or n_mat reaches it.
     """
     a_cols, _ = phi_coefficient_columns(f)
     a3 = hstack(a_cols[0], a_cols[1].scale(2), a_cols[2])
     eye = PolyMatrix.identity(2 ** m)
-    lstar = basisops.starred(n - 1, m).L
-    nstar = basisops.starred(n, m).N
-    mid = kron(a3, PolyMatrix.identity(2 ** m * (n - 1)))
-    term1 = lstar.transpose() @ mid @ nstar
+
+    def star(mat, k):
+        """I (x) mat(k - 1, a) mat(k, b), stacked over (a, b) = (x, x), (y, x), (y, y)."""
+        return vstack(*(kron(eye, mat(k - 1, a) @ mat(k, b))
+                        for a, b in ((1, 1), (2, 1), (2, 2))))
+
+    if n >= 2:
+        mid = kron(a3, PolyMatrix.identity(2 ** m * (n - 1)))
+        term1 = star(basisops.l_mat, n - 1).transpose() @ mid @ star(basisops.n_mat, n)
+    else:  # n = 1 has no second order part
+        term1 = PolyMatrix.zeros(2 ** (m + 1), 2 ** (m + 1))
+    lstk = vstack(basisops.l_mat(n - 1, 1), basisops.l_mat(n - 1, 2))
     shift_t = {
-        "proof": kron(eye, basisops.stacked(n - 1).L.transpose()),
+        "proof": kron(eye, lstk.transpose()),
         "statement": vstack(kron(eye, basisops.l_mat(n - 1, 1)),
                             kron(eye, basisops.l_mat(n - 1, 2))).transpose(),
     }
@@ -571,7 +575,7 @@ def _formula_solves_by_rule(f, m):
     m = 1: d_matrix() is d I.  m >= 2: the quadratic part of phi is
     c x x^t - (v x^t + x v^t) / (2(m - 1)), v the linear part of psi.
     """
-    b = _fraction_rows(f.d_matrix())
+    b = _consts(f.d_matrix())
     if m == 1:
         return b[0][1] == b[1][0] == 0 and b[0][0] == b[1][1]
     xs = (_X, _Y)
@@ -727,7 +731,7 @@ def oracle_psi_tower(f, depth):
     a_cols, b_cols = phi_coefficient_columns(f)
     grads = [grad_cols(f.phi[0, i], f.phi[1, i]) for i in (0, 1)]
     eye2 = PolyMatrix.identity(2)
-    psis = [PolyMatrix.scalar(f.psi1), PolyMatrix.scalar(f.psi2)]
+    psis = [PolyMatrix.from_rows([[f.psi1]]), PolyMatrix.from_rows([[f.psi2]])]
     splits = [_linear_split(psi) for psi in psis]
     levels = []
     for m in range(depth + 1):
@@ -1373,15 +1377,21 @@ def test_check_e_numeric_agrees_with_exact():
 # under kron_power(phi, m)
 
 
+def _integral(a, w, f):
+    """integral(a^t w rho) / mu_00 as a constant matrix, through one-factor integrate_rows."""
+    [(rows, d)] = integrate_rows([a], w, f)
+    return const_matrix([[Fraction(v, d) for v in row] for row in rows], w.cols)
+
+
 def _full_gram(sys, n, m):
-    return integrate_product(sys.q(n, m), sys.weighted(n, m), sys.family)
+    return _integral(sys.q(n, m), sys.weighted(n, m), sys.family)
 
 
 def oracle_check_b(sys, n, m):
     f = sys.family
     pearson_ok = oracle_level_pearson_check(f, m, sys.phi_power)
     notes = [] if pearson_ok else ["lifted pearson identity fails"]
-    crosses = [integrate_product(sys.q(k, m), sys.weighted(n, m), f) for k in range(n)]
+    crosses = [_integral(sys.q(k, m), sys.weighted(n, m), f) for k in range(n)]
     ortho_ok = all(c.is_zero for c in crosses)
     if not ortho_ok:
         notes.append("cross terms with a lower stack survive")
@@ -1442,7 +1452,7 @@ def oracle_check_e(sys, n, m):
     qs = [sys.q(k, m) for k in range(n + 2)]
     ok, recon, notes = True, None, []
     for k, qk in enumerate(qs):
-        nk = integrate_product(qk, w, f)
+        nk = _integral(qk, w, f)
         if k < n - 1:
             if not nk.is_zero:
                 ok = False
@@ -1715,7 +1725,7 @@ def test_a_singular_gram_block_is_recorded_and_gives_the_oracle_notes(monkeypatc
     # row 1 repeats row 0; the oracles read the same block
     singular = PolyMatrix.from_rows([real.row_list(0), real.row_list(0),
                                      *(real.row_list(i) for i in range(2, real.rows))])
-    frs = _fraction_rows(singular)
+    frs = _consts(singular)
     d = lcm(*(v.denominator for row in frs for v in row))
     rows = [[int(v * d) for v in row] for row in frs]
     sys._memo[("gram record", 2, 1)] = orthosys._gram_record(rows, d)

@@ -254,6 +254,17 @@ def test_unreadable_family_file_is_exit_two(tmp_path, capsys):
         assert err.startswith("copoly2d: [Errno ") and err.endswith(f"{ref!r}\n"), ref
 
 
+def test_a_directory_named_after_a_builtin_leaves_the_builtin(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "product_hermite").mkdir()
+    assert main(["verify", "--family", "product_hermite", "--nmax", "1", "--mmax", "0"]) == 0
+    capsys.readouterr()
+    # with a separator the ref is a path, and a directory is no family file
+    ref = os.path.join(".", "product_hermite")
+    assert main(["verify", "--family", ref, "--nmax", "1", "--mmax", "0"]) == 2
+    assert capsys.readouterr().err.startswith("copoly2d: [Errno ")
+
+
 def test_unwritable_output_is_exit_two(tmp_path, capsys):
     out = tmp_path / "no" / "report.json"
     assert main(["verify", "--family", "product_hermite", "--nmax", "1", "--mmax", "0",

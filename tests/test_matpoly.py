@@ -99,8 +99,8 @@ def test_kron_hand_value():
 def test_kron_with_identity_and_scalar():
     rng = random.Random(2)
     a = _rand_polymat(rng, 2, 3)
-    assert kron(PolyMatrix.scalar(P.one()), a) == a
-    assert kron(a, PolyMatrix.scalar(P.one())) == a
+    assert kron(PolyMatrix.from_rows([[P.one()]]), a) == a
+    assert kron(a, PolyMatrix.from_rows([[P.one()]])) == a
     left = kron(PolyMatrix.identity(2), a)
     assert left.shape == (4, 6)
     assert left[0, 0] == a[0, 0] and left[2, 3] == a[0, 0]

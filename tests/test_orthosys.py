@@ -9,6 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from conftest import _consts
 from hypothesis import given, settings, strategies as st
 from test_characterize import pearson_data
 
@@ -36,7 +37,6 @@ from copoly2d.orthosys import (
     inner,
     integrate_matrix,
     integrate_poly,
-    integrate_product,
     integrate_rows,
 )
 from copoly2d.polycore import BivariatePoly as P, parse_poly
@@ -62,11 +62,6 @@ def leading_block(q, n):
     """
     return const_matrix([[q[r, c].coeff(n - s, s) for c in range(q.cols)]
                          for r in range(q.rows) for s in range(n + 1)], q.cols)
-
-
-def _fraction_rows(m):
-    """The entries of a constant matrix as Fraction rows."""
-    return [[p.constant_value() for p in m.row_list(i)] for i in range(m.rows)]
 
 
 def test_hermite_low_degrees():
@@ -163,7 +158,7 @@ def test_inner_numeric_matches_exact():
         a = sys.q(n, m)
         exact = inner(a, a, m, f, mode="exact")
         num = inner(a, a, m, f, mode="numeric", rule=rule)
-        ex = np.array([[float(v) for v in row] for row in _fraction_rows(exact)])
+        ex = np.array([[float(v) for v in row] for row in _consts(exact)])
         scale = max(1.0, np.max(np.abs(ex)))
         assert np.max(np.abs(num - ex)) <= 1e-10 * scale, (n, m)
 
@@ -449,7 +444,7 @@ def _recording(f):
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=80)
 @given(_kernel_operands(), st.sampled_from(_KERNEL_FAMILIES))
-def test_integrate_product_matches_formed_product(aw, ref):
+def test_integrate_rows_matches_formed_product(aw, ref):
     mats, w = aw
     f = builtin(ref)
     batch, read_together = _recording(f)
@@ -460,15 +455,15 @@ def test_integrate_product_matches_formed_product(aw, ref):
         want = integrate_matrix(a.transpose() @ w, f)
         assert len(rows) == a.cols and all(len(row) == w.cols for row in rows)
         assert const_matrix([[Fraction(v, d) for v in row] for row in rows], w.cols) == want
-        assert integrate_product(a, w, single) == want
+        assert integrate_rows([a], w, single) == [(rows, d)]
     # one contraction reads the moments the separate calls read
     assert read_together == read_apart
 
 
-def test_integrate_product_rejects_row_mismatch():
+def test_integrate_rows_rejects_row_mismatch():
     f = builtin("product_hermite")
     with pytest.raises(ShapeError):
-        integrate_product(PolyMatrix.zeros(2, 1), PolyMatrix.zeros(3, 1), f)
+        integrate_rows([PolyMatrix.zeros(2, 1)], PolyMatrix.zeros(3, 1), f)
     with pytest.raises(ShapeError, match="integrate_rows"):
         integrate_rows([PolyMatrix.zeros(3, 1), PolyMatrix.zeros(2, 1)],
                        PolyMatrix.zeros(3, 1), f)
@@ -612,12 +607,12 @@ def _per_term(terms, x0, y0):
     return total
 
 
-def _per_term_rows(terms, xs, ys, powers=None):
+def _per_term_rows(terms, rule):
     """orthosys._eval_terms, one polynomial and one term at a time."""
-    out = np.zeros((len(terms), np.shape(xs)[0]))
+    out = np.zeros((len(terms), len(rule.nodes_x)))
     for r, t in enumerate(terms):
         if t:
-            out[r] = _per_term(t, xs, ys)
+            out[r] = _per_term(t, rule.nodes_x, rule.nodes_y)
     return out
 
 
@@ -635,8 +630,10 @@ _EVAL_EXPONENT = st.tuples(st.integers(0, 5), st.integers(0, 5))
 
 @st.composite
 def _eval_nodes(draw):
+    """A rule on the signed nodes and up to six more; evaluation reads no weights."""
     pts = _SIGNED_NODES + draw(st.lists(st.tuples(_NODE, _NODE), max_size=6))
-    return np.array([p[0] for p in pts]), np.array([p[1] for p in pts])
+    return QuadRule(nodes_x=np.array([p[0] for p in pts]), nodes_y=np.array([p[1] for p in pts]),
+                    weights=np.ones(len(pts)), order=1)
 
 
 @st.composite
@@ -663,16 +660,14 @@ _EVAL = settings(derandomize=True, deadline=None, database=None, max_examples=15
 @given(st.integers(0, 3).flatmap(lambda r: st.integers(0, 4).flatmap(
            lambda c: _eval_matrix(r, c))),
        _eval_nodes(), st.sampled_from([1, 2, 5, 1 << 14]))
-def test_eval_entries_is_the_per_term_loop(m, nodes, block):
-    xs, ys = nodes
+def test_eval_entries_is_the_per_term_loop(m, rule, block):
+    xs, ys = rule.nodes_x, rule.nodes_y
     want = np.zeros((m.rows, m.cols, len(xs)))
     for i, j, p in m.nonzeros():
         want[i, j] = _per_term(p.terms, xs, ys)
-    rule = QuadRule(nodes_x=xs, nodes_y=ys, weights=np.ones(len(xs)), order=1)
     # block rows at a time, so the blocking of the kernel is exercised too
     with mock.patch.object(orthosys, "_EVAL_BLOCK", block * len(xs)):
-        for powers in (None, rule.powers):
-            assert _same_bits(eval_entries(m, xs, ys, powers), want)
+        assert _same_bits(eval_entries(m, rule), want)
 
 
 @st.composite
@@ -683,14 +678,13 @@ def _product_operands(draw):
 
 @_EVAL
 @given(_product_operands(), _eval_nodes())
-def test_eval_product_is_eval_entries_of_the_product(operands, nodes):
+def test_eval_product_is_eval_entries_of_the_product(operands, rule):
     a, u, v = operands
-    xs, ys = nodes
     # the cancelling pairs leave sums that are zero term by term
     for left, right in ((a, u), (hstack(a, a), vstack(u + v, u - v)),
                         (hstack(a, a), vstack(u, -u))):
-        assert _same_bits(eval_product(left, right, xs, ys),
-                          eval_entries(left @ right, xs, ys))
+        assert _same_bits(eval_product(left, right, rule),
+                          eval_entries(left @ right, rule))
 
 
 _SEED0_BUILTINS = ("product_hermite", "product_laguerre(1,2)", "hermite_laguerre(1)",
@@ -705,7 +699,7 @@ def test_numeric_reports_match_the_per_term_reference(monkeypatch):
     got = reports()
     monkeypatch.setattr(orthosys, "_eval_terms", _per_term_rows)
     monkeypatch.setattr(characterize, "eval_product",
-                        lambda a, b, xs, ys, powers=None: eval_entries(a @ b, xs, ys))
+                        lambda a, b, rule: eval_entries(a @ b, rule))
     want = reports()
     assert any(r["residual"] for fam in want for r in fam if r["mode"] == "numeric")
     assert got == want

@@ -1,0 +1,71 @@
+"""Every function, class and method in src/copoly2d is reached by the package.
+
+A definition is reached when src/ code outside its own body refers to it
+by name, when copoly2d.__all__ exports it, or when the benchmark's tracer
+wraps it (test_trace_hooks.HOOKS).  Dunder methods are called by the
+language.  A helper that only tests or demos call fails this test: a
+test builds what it needs from the names that stay.
+"""
+from __future__ import annotations
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+from test_trace_hooks import HOOKS
+
+import copoly2d
+
+SRC = Path(copoly2d.__file__).parent
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _definitions(tree):
+    """(qualified name, node) of each top-level function or class and each method."""
+    for node in tree.body:
+        if isinstance(node, _DEFS):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, _DEFS):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _names(node) -> Counter:
+    """How often each identifier is read inside node, as a name or an attribute."""
+    return Counter(sub.id if isinstance(sub, ast.Name) else sub.attr
+                   for sub in ast.walk(node) if isinstance(sub, (ast.Name, ast.Attribute)))
+
+
+def unreached(src: Path = SRC) -> list:
+    """The qualified names (module.name) that nothing in the rule reaches, sorted."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    read = sum((_names(tree) for tree in trees.values()), Counter())
+    hooked = {name if isinstance(owner, type(copoly2d)) else f"{owner.__name__}.{name}"
+              for owner, name, _ in HOOKS}
+    out = []
+    for module, tree in trees.items():
+        for qual, node in _definitions(tree):
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if qual in copoly2d.__all__ or qual in hooked:
+                continue
+            if read[name] > _names(node)[name]:
+                continue
+            out.append(f"{module}.{qual}")
+    return sorted(out)
+
+
+def test_every_definition_is_reached():
+    got = unreached()
+    assert not got, f"nothing in src/, __all__ or the tracer reaches {got}"
+
+
+def test_the_walk_flags_a_name_that_only_its_own_body_reads(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def used():\n    return 1\n\n\n"
+        "def recursive(n):\n    return recursive(n - 1) if n else used()\n\n\n"
+        "class Box:\n    def __init__(self):\n        self.v = used()\n\n"
+        "    def spare(self):\n        return self.spare\n")
+    assert unreached(tmp_path) == ["a.Box", "a.Box.spare", "a.recursive"]
