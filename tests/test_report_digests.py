@@ -13,14 +13,18 @@ The default grid stops at level 2, so the exact reports of the five
 seed-0 instances at `--nmax 5 --mmax 3`, and of triangle(1,1,1) at
 `--nmax 5 --mmax 4`, are pinned too: (e) there reads level-4 and
 level-5 stacks.  The five seed-0 reports at `--nmax 8 --mmax 2` pin the
-(d) tower, which there solves (c) at every level up to 7.  Four
+(d) tower, which there solves (c) at every level up to 7, and the whole
+triangle(1,1,1) report at `--nmax 10 --mmax 2` pins a deeper grid of
+every property.  Four
 single-property reports pin deep drift-tower levels: (d) alone on
 triangle(1,1,1) at `--nmax 12` reads level 11, and (c) alone at
 `--nmax 2 --mmax 9` (triangle(1,1,1)) or `--mmax 8` (two families whose
 (c) fails) reads levels 8 and 9.  A fifth, (c) alone on triangle(1,1,1)
 at `--nmax 1 --mmax 14`, pins the leading-coefficient route at level 14.
 A sixth, prop1 alone on product_hermite at `--nmax 6 --mmax 9`, pins the
-identity suite's verdicts on 70 cells up to level 9.
+identity suite's verdicts on 70 cells up to level 9.  A seventh, (c)
+alone on triangle(1,1,1) at `--nmax 12 --mmax 3`, pins 48 eigenvalue
+matrices up to degree 15.
 """
 from __future__ import annotations
 
@@ -65,6 +69,7 @@ DEEP = [
     (*SEED0[2], 8, 2, 1, "61fe195ee6e1d4a0a27639c00217e46352df625640b2671e33f51438460b1c0a"),
     (*SEED0[3], 8, 2, 1, "d2db2b5a90a35ab6364c57abee9125fdbe2f7a8cee61af61b79bfb914146e3e8"),
     (*SEED0[4], 8, 2, 1, "04c2ea792ee4bbba90a5d680164b79f6540491e06725ff93cb0cedfdffed2039"),
+    (*SEED0[4], 10, 2, 1, "c4fe5dcfa39acca40bb3ca0d0db602eeacff0e395d34bd102f276853abb279a5"),
 ]
 
 
@@ -134,6 +139,7 @@ ONE_PROPERTY = [
     (*SEED0[4], "c", 1, 14, 0, "5dba845999e53fc4145ca1ce1ce6329daedaf97bad46a7b471b9c2b17186a12b"),
     (*SEED0[0], "prop1", 6, 9, 0,
      "eac3566f52016b8fdc8697a114972a5bdd01ece279fa17a50c0c1339d7b8ba12"),
+    (*SEED0[4], "c", 12, 3, 0, "3b61928c2d6f2cd4d9572b99e9772106eb85666eeeaa9adba68c833defa218f9"),
 ]
 
 
