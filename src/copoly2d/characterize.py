@@ -41,6 +41,13 @@ m + 1 matching row blocks of the leading-coefficient symbol, on m + 1
 class columns), never on all 2^m: every other row repeats one of them.
 The leading coefficients are built on those m + 1 blocks only
 (g_lead_rows), so no exact run builds a 2^m-block leading coefficient.
+Two proved reductions spare the level-m work where their hypotheses
+hold: an eigenvalue matrix above level 0 is the level-0 one plus c_m I
+where the level's zero-order term is the scalar c_m (_lambda), and
+each level of (d)'s divergence tower follows from (c) where the lifted
+Pearson equation holds (_cleared_divergence_identity).  Elsewhere the
+level-m system is solved and the identity computed, as before, so
+every verdict and note is the direct route's.
 """
 
 from __future__ import annotations
@@ -149,7 +156,12 @@ class PsiLevel:
     coefficients of row s, ints over the tower denominator d (the LCM of
     the denominators of phi, psi1 and psi2).  op_rows is the level's
     second order operator on the m + 1 distinct rows of a stack
-    (_level_operator).
+    (_level_operator).  zero_order holds the class sums C~_m of the
+    zero-order term that differentiating the level-0 equation m times
+    produces, C_0 = 0 and C_m = I_2 (x) C_(m-1) + [d_k Psi_i^(m-1)]_(k,i)
+    (outer block index k the newest derivative), as (m+1) x (m+1) int
+    rows over the tower denominator (_next_zero_order); zero_order_scalar
+    reads c_m off them where C~_m = c_m I (_lambda).
 
     The tower is psi_i^(m) = I_2 (x) psi_i^(m-1) + G (x) I_h, h =
     2^(m-1), G = grad(column i of phi), so with e_t the t-th unit row
@@ -164,6 +176,15 @@ class PsiLevel:
 
     class_sums: tuple
     op_rows: PolyMatrix
+    zero_order: list
+
+    def zero_order_scalar(self):
+        """c_m as a Fraction where C~_m = c_m I, else None."""
+        rows, d = self.zero_order, self.class_sums[1]
+        c = rows[0][0]
+        if any(v != (s == t) * c for s, row in enumerate(rows) for t, v in enumerate(row)):
+            return None
+        return Fraction(c, d)
 
 
 @dataclass(frozen=True)
@@ -210,6 +231,25 @@ def _next_sums(prev: list, inc, m: int) -> list:
             for b in (0, 1):
                 row[s - a + b] += inc[a][b][k]
             out.append(row)
+    return out
+
+
+def _next_zero_order(prev: list, sums: tuple, m: int) -> list:
+    """Level m's class sums of C_m from level m - 1's C~ and drift class sums (PsiLevel).
+
+    With the row and column bookkeeping of _next_sums, block (a, a) of
+    I_2 (x) C_(m-1) gives row s, a = [s = m], row s - a of C~_(m-1)
+    moved a columns right, and block (a, b) = d_a Psi_b^(m-1) gives the
+    x_a coefficients of row s - a of Psi~_b^(m-1) moved b columns right.
+    """
+    out = []
+    for s in range(m + 1):
+        a = int(s == m)
+        row = [0] + prev[s - 1] if a else prev[s] + [0]
+        for b in (0, 1):
+            for t, v in enumerate(sums[b][3 * (s - a) + a]):
+                row[t + b] += v
+        out.append(row)
     return out
 
 
@@ -268,7 +308,8 @@ def psi_tower(f: WeightFamily, mmax: int) -> PsiTower:
     Every level is the class sums of the doubling recurrence psi_i ->
     I_2 (x) psi_i + grad(column i of the weight matrix) (x) I (PsiLevel)
     and keeps its second order operator on distinct rows
-    (_level_operator).  lemma2's closed form lifts the same previous
+    (_level_operator) and the class sums of its zero-order term
+    (_next_zero_order).  lemma2's closed form lifts the same previous
     level by N(2, h) times the quadratic coefficient column (read through
     basisops.n_rows) and the linear coefficients instead.  The doubling
     adds every increment slot in some row, so the two lifts agree at
@@ -287,15 +328,17 @@ def psi_tower(f: WeightFamily, mmax: int) -> PsiTower:
         return known
     d = lcm(*(p.den for p in (f.phi[0, 0], f.phi[0, 1], f.phi[1, 1], f.psi1, f.psi2)))
     sums = (tuple([[v] for v in _linear_ints(p, d)] for p in (f.psi1, f.psi2)), d)
-    levels = [PsiLevel(sums, _level_operator(f, sums, 0))]
+    levels = [PsiLevel(sums, _level_operator(f, sums, 0), [[0]])]
     ok = True
     if mmax:  # a weight entry of degree above two raises here, at level 1
         grad, closed = _increments(f, d)
         ok = grad == closed
     for m in range(1, mmax + 1):
-        prev = levels[m - 1].class_sums[0]
-        sums = (tuple(_next_sums(prev[i], grad[i], m) for i in (0, 1)), d)
-        levels.append(PsiLevel(sums, _level_operator(f, sums, m)))
+        prev = levels[m - 1]
+        ds = prev.class_sums[0]
+        sums = (tuple(_next_sums(ds[i], grad[i], m) for i in (0, 1)), d)
+        levels.append(PsiLevel(sums, _level_operator(f, sums, m),
+                               _next_zero_order(prev.zero_order, ds, m)))
     tower = _TOWERS[f] = PsiTower(tuple(levels), ok, {} if known is None else known.t1)
     return tower
 
@@ -498,8 +541,42 @@ def lambda_via_formula(f: WeightFamily, n: int, m: int) -> PolyMatrix:
 
 
 def _lambda(sys: OrthoSystem, n: int, m: int) -> PolyMatrix:
-    """lambda_via_operator memoised on the system, keyed by (n, m)."""
-    return sys.cached(("lambda", n, m), lambda: lambda_via_operator(sys, n, m))
+    """lambda_via_operator's eigenvalue matrix, memoised on the system, keyed by (n, m).
+
+    For m >= 1 it is read off level 0 where the level's zero-order term
+    is a scalar: Lambda(n, m) = Lambda(n + m, 0) + c_m I.  Differentiating
+    op_0(P_(n+m)^t) + P_(n+m)^t L = 0 m times gives op_m(Q) + C_m Q + Q L
+    = 0 for Q = q(n, m), C_m the constant zero-order term (PsiLevel): by
+    induction, differentiate op_(m-1)(Q') + C_(m-1) Q' + Q' L = 0, Q' =
+    q(n + 1, m - 1), along the newest slot k.  The derivatives of phi's
+    entries are the tower's new drift increments grad(column i of phi)
+    (x) I, and those of the linear drift Psi_i^(m-1) are the constants
+    [d_k Psi_i^(m-1)] that act on Q = grad Q'; C_(m-1) passes through as
+    I_2 (x) C_(m-1).  Row r of op_m(Q) and of Q L depends only on
+    popcount(r) (lambda_via_operator), so row r of C_m Q does too, and
+    on the rows 2^s - 1 it is C~_m S, S = q_rows(n, m), with C~_m the
+    class sums kept in the tower.  Where C~_m = c_m I, C_m Q = c_m Q and
+    Q (L + c_m I) = -op_m(Q).  That solution is the only one: the
+    columns are monic, so the leading block of Q (g_lead_rows) has full
+    column rank, since a nonzero form of degree n + m > m has a nonzero
+    m-th partial; so it is lambda_via_operator's.  The argument is
+    algebra on P_(n+m) alone and reads no moments.  Where C~_m is not
+    scalar, or level 0 has no constant solution, the level-m system is
+    solved as before, so every failure keeps its exception and message.
+    """
+    def make():
+        if m:
+            c = psi_tower(sys.family, m).level(m).zero_order_scalar()
+            if c is not None:
+                try:
+                    low = _lambda(sys, n + m, 0)
+                except NoConstantSolution:
+                    pass
+                else:
+                    return low + PolyMatrix.identity(low.rows).scale(c)
+        return lambda_via_operator(sys, n, m)
+
+    return sys.cached(("lambda", n, m), make)
 
 
 # ---------------------------------------------------------------------------
@@ -556,6 +633,16 @@ def level_pearson_check(f: WeightFamily, m: int) -> bool:
     return f.phi.is_zero or (check_pearson(f) and check_phi_conditions(f))
 
 
+def _lifted_pearson(sys: OrthoSystem, m: int) -> bool:
+    """level_pearson_check at level m, memoised on the system.
+
+    check_pearson at m = 0; one verdict for every m >= 1, where the
+    lifted equation is level-free.
+    """
+    k = min(m, 1)
+    return sys.cached(("pearson", k), lambda: level_pearson_check(sys.family, k))
+
+
 def check_b(sys: OrthoSystem, n: int, m: int, rule=None) -> PropertyReport:
     """Level-m stack orthogonality plus the lifted Pearson equation.
 
@@ -570,8 +657,7 @@ def check_b(sys: OrthoSystem, n: int, m: int, rule=None) -> PropertyReport:
     if n < 1 or m < 1:
         raise ValueError("property b needs n >= 1 and m >= 1")
     f = sys.family
-    # the lifted equation is level-free at m >= 1 (level_pearson_check)
-    pearson_ok = sys.cached(("pearson",), lambda: level_pearson_check(f, 1))
+    pearson_ok = _lifted_pearson(sys, m)
     notes = [] if pearson_ok else ["lifted pearson identity fails"]
     if rule is None:
         ortho_ok = not any(any(map(any, rows)) for rows, _ in sys.cross_rows(n, m))
@@ -643,7 +729,26 @@ def _cleared_divergence_identity(sys: OrthoSystem, n: int, m: int,
     exact polynomial matrix identity in the weight data.  cleared_divergence
     acts row by row, so it runs on the distinct rows of the weighted
     stacks (orthosys.row_halves), one row per popcount.
+
+    Where the lifted Pearson equation holds at level m (_lifted_pearson),
+    the identity is a theorem for the lam that _lambda returns, and is not
+    recomputed.  Write Q = q(n - m, m) and Phi_k = phi^(x)k.  The newest
+    derivative is the outer block index in both, so Phi_(m+1) = phi (x)
+    Phi_m and grad Q = [dx Q; dy Q], and weighted_rows(n - m - 1, m + 1)
+    holds the rows of W = Phi_(m+1) grad Q, row block j = sum_k phi_jk
+    Phi_m dk Q.  By Leibniz over that newest slot, rho^-1 div(rho W) =
+    sum_k (column block k of rho^-1 div(rho Phi_(m+1))) dk Q + Phi_m
+    sum_(j,k) phi_jk dj dk Q.  The lifted equation says column block k of
+    the first factor is Phi_m Psi_k^(m), up to its residual R_m, so
+    cleared_divergence(f, W) = R_m(grad Q) + delta Phi_m op_m(Q).  R_m = 0
+    under the guard, and op_m(Q) + Q lam = 0 holds exactly for every lam
+    _lambda returns, by either of its routes; so the left side is
+    -delta Phi_m Q lam, the right side.  Elsewhere (a family whose
+    lifted equation fails, such as one whose weight matrix breaks
+    phi_conditions) the identity is computed.
     """
+    if _lifted_pearson(sys, m):
+        return True
     f = sys.family
     delta = f.log_grad_x.den * f.log_grad_y.den
     lhs = cleared_divergence(f, vstack(*row_halves(sys.weighted_rows(n - m - 1, m + 1))))

@@ -1,0 +1,297 @@
+"""The proved reductions of (c) and (d) above level 0, against the routes they replace.
+
+(c): for m >= 1, characterize._lambda reads Lambda(n, m) = Lambda(n + m, 0)
++ c_m I where the class sums of the level's zero-order term C_m are c_m I
+(PsiLevel.zero_order) and level 0 solves; elsewhere it solves the level-m
+system (lambda_via_operator).  (d): _cleared_divergence_identity is a
+theorem where the lifted Pearson equation holds (_lifted_pearson), and is
+computed elsewhere.  Each reduction is checked against the route it
+replaces: criterion 2's dense C_m, the closed form c_m = m d + m(m - 1) a,
+lambda_via_operator on every cell, and whole (c) and (d) reports with
+both reductions switched off.  The disk, whose weight matrix breaks
+phi_conditions, keeps (d)'s polynomial identity above level 0.
+"""
+from __future__ import annotations
+
+import functools
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings
+from test_acceptance import ALL_INSTANCES, _c_obstruction, _zero_order_term
+from test_basisops import random_rational_matrix
+from test_characterize import _pearson_family, _result, oracle_psi_tower, pearson_data
+
+from copoly2d import characterize
+from copoly2d.basisops import x_vec
+from copoly2d.characterize import (
+    NoConstantSolution,
+    lambda_via_operator,
+    level_pearson_check,
+    psi_tower,
+    verify_all,
+)
+from copoly2d.matpoly import PolyMatrix
+from copoly2d.orthosys import OrthoSystem, build_monic
+from copoly2d.polycore import BivariatePoly, parse_poly
+from copoly2d.weights import builtin, check_pearson, check_phi_conditions, load_family
+
+# criterion 2's instances, the three whose (c) fails above level 0 in
+# another way, and a triangle with unequal parameters
+INSTANCES = [*ALL_INSTANCES, "hermite_laguerre(1)", "product_jacobi(1/2,1/2,1/2,1/2)",
+             "product_jacobi(1,2,0,0)", "triangle(-1/2,1/3,2)"]
+
+# (family, first level at which (c) takes the level-m solve)
+SOLVED_FROM = [("hermite_laguerre(1)", 1), ("product_jacobi(1/2,1/2,1/2,1/2)", 2),
+               ("product_jacobi(1,2,0,0)", 1)]
+
+
+def _poch(a: Fraction, k: int) -> Fraction:
+    out = Fraction(1)
+    for i in range(k):
+        out *= a + i
+    return out
+
+
+def _disk_moment(i: int, j: int) -> Fraction:
+    if i % 2 or j % 2:
+        return Fraction(0)
+    half = Fraction(1, 2)
+    return _poch(half, i // 2) * _poch(half, j // 2) / _poch(Fraction(3), (i + j) // 2)
+
+
+# the disk weight 1 - x^2 - y^2 (mu = 1): Pearson holds, phi_conditions fails
+DISK = {
+    "name": "disk",
+    "phi": [["1-x^2", "-x*y"], ["-x*y", "1-y^2"]],
+    "psi1": "-5*x",
+    "psi2": "-5*y",
+    "log_grad_x": {"num": "-2*x", "den": "1-x^2-y^2"},
+    "log_grad_y": {"num": "-2*y", "den": "1-x^2-y^2"},
+    "domain": {"kind": "plane"},
+    "moments": [[i, d - i, str(_disk_moment(i, d - i))] for d in range(25) for i in range(d + 1)],
+}
+
+
+def _direct_lambda(sys, n, m):
+    """The eigenvalue matrix as the level-m solve alone, memoised like _lambda."""
+    return sys.cached(("lambda", n, m), lambda: lambda_via_operator(sys, n, m))
+
+
+def _spy_solves(monkeypatch):
+    """Record the (n, m) of every lambda_via_operator call that _lambda makes."""
+    calls = []
+    real = characterize.lambda_via_operator
+
+    def spy(sys, n, m):
+        calls.append((n, m))
+        return real(sys, n, m)
+
+    monkeypatch.setattr(characterize, "lambda_via_operator", spy)
+    return calls
+
+
+# ---------------------------------------------------------------------------
+# C_m on its popcount classes
+
+
+def _assert_zero_order_matches_the_dense_oracle(f, depth):
+    tower = psi_tower(f, depth)
+    dense = oracle_psi_tower(f, depth)
+    d = tower.level(0).class_sums[1]
+    for m in range(depth + 1):
+        c = _zero_order_term(dense, m)
+        want = [[Fraction(v, d) for v in row] for row in tower.level(m).zero_order]
+        # every row's column sums by popcount are the class row of its popcount
+        for r in range(2 ** m):
+            got = [Fraction(0)] * (m + 1)
+            for col, p in enumerate(c.row_list(r)):
+                got[bin(col).count("1")] += p.coeff(0, 0)
+            assert got == want[bin(r).count("1")], (m, r)
+        scalar = all(want[s][t] == (s == t) * want[0][0]
+                     for s in range(m + 1) for t in range(m + 1))
+        assert tower.level(m).zero_order_scalar() == (want[0][0] if scalar else None), m
+
+
+@pytest.mark.parametrize("ref", INSTANCES)
+def test_zero_order_class_sums_match_criterion_2s_dense_term(ref):
+    _assert_zero_order_matches_the_dense_oracle(builtin(ref), 4)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=20)
+@given(pearson_data())
+def test_zero_order_class_sums_match_the_dense_term_on_pearson_data(f):
+    _assert_zero_order_matches_the_dense_oracle(f, 3)
+
+
+@pytest.mark.parametrize("ref", INSTANCES)
+def test_zero_order_scalar_is_the_closed_form_where_criterion_2_predicts_it(ref):
+    # c_m = m d + m (m - 1) a: d the scalar drift, phi's quadratic part a x x^t
+    f = builtin(ref)
+    tower = psi_tower(f, 6)
+    d = f.d_matrix()[0, 0].coeff(0, 0)
+    a = f.phi[0, 0].coeff(2, 0)
+    for m in range(7):
+        want = None if _c_obstruction(f, m) else m * d + m * (m - 1) * a
+        assert tower.level(m).zero_order_scalar() == want, m
+
+
+# ---------------------------------------------------------------------------
+# the (c) route: _lambda against the level-m solve
+
+
+@pytest.mark.parametrize("ref", INSTANCES)
+def test_lambda_matches_the_level_m_solve_on_every_cell(ref, monkeypatch):
+    f = builtin(ref)
+    sys = build_monic(f, 6)
+    solves = _spy_solves(monkeypatch)
+    cells = [(n, m) for n in range(1, 7) for m in range(4) if n + m <= 6]
+    got = {cell: _result(characterize._lambda, sys, *cell) for cell in cells}
+    solved = {cell for cell in solves if cell[1] >= 1}
+    monkeypatch.undo()
+    for cell in cells:
+        assert got[cell] == _result(lambda_via_operator, sys, *cell), cell
+    # level 0 solves on every built-in, so the level-m solve runs exactly
+    # where C~_m is not scalar
+    tower = psi_tower(f, 3)
+    assert solved == {(n, m) for n, m in cells
+                      if m >= 1 and tower.level(m).zero_order_scalar() is None}
+
+
+@pytest.mark.parametrize("ref, first", SOLVED_FROM)
+def test_families_without_a_scalar_zero_order_term_keep_the_solve(ref, first, monkeypatch):
+    # their failing cells keep lambda_via_operator's exception and message
+    sys = build_monic(builtin(ref), 6)
+    solves = _spy_solves(monkeypatch)
+    for n, m in [(n, m) for n in range(1, 5) for m in range(first, 3)]:
+        del solves[:]
+        got = _result(characterize._lambda, sys, n, m)
+        assert (n, m) in solves
+        assert got[0] == "NoConstantSolution"
+        assert got[1].startswith("inconsistent coefficient system")
+
+
+def _homogeneous_part(p: BivariatePoly, k: int) -> BivariatePoly:
+    return BivariatePoly.from_terms({e: c for e, c in p.terms.items() if sum(e) == k})
+
+
+def _op0(f, p: BivariatePoly) -> BivariatePoly:
+    px, py = p.dx(), p.dy()
+    return (f.phi[0, 0] * px.dx() + f.phi[0, 1] * px.dy() * 2 + f.phi[1, 1] * py.dy()
+            + f.psi1 * px + f.psi2 * py)
+
+
+def _eigen_columns(f, nmax):
+    """Monic P_0 .. P_nmax with op_0(P_n^t) = lam_n P_n^t, or None.
+
+    Built where phi's quadratic part is c x x^t and the drift is d I:
+    op_0 then acts on the forms of degree k as lam_k = c k (k - 1) + d k
+    plus terms of lower degree, so each entry's lower parts follow from
+    its leading monomial while lam_k != lam_n for k < n.
+    """
+    d = f.d_matrix()
+    c = f.phi[0, 0].coeff(2, 0)
+    xs = (BivariatePoly.x(), BivariatePoly.y())
+    quad = all(_homogeneous_part(f.phi[i, j], 2) == xs[i] * xs[j] * c
+               for i in (0, 1) for j in (0, 1))
+    if not (quad and d[0, 1].is_zero and d[1, 0].is_zero and d[0, 0] == d[1, 1]):
+        return None
+    drift = d[0, 0].coeff(0, 0)
+    lam = [c * k * (k - 1) + drift * k for k in range(nmax + 1)]
+    if any(lam[k] == lam[n] for n in range(nmax + 1) for k in range(n)):
+        return None
+    cols = []
+    for n in range(nmax + 1):
+        entries = []
+        for j in range(n + 1):
+            p = BivariatePoly.from_terms({(n - j, j): 1})
+            for k in range(n - 1, -1, -1):
+                r = _homogeneous_part(_op0(f, p) - p * lam[n], k)
+                p = p + r * Fraction(1, lam[n] - lam[k])
+            assert _op0(f, p) == p * lam[n]
+            entries.append(p)
+        cols.append(PolyMatrix.column(entries))
+    return cols
+
+
+@functools.lru_cache(maxsize=None)
+def _triangle_columns():
+    sys = build_monic(builtin("triangle(1,1,1)"), 5)
+    return [sys.p(n) for n in range(6)]
+
+
+_DISK_DATA = _pearson_family(
+    [[parse_poly("1-x^2"), parse_poly("-x*y")], [parse_poly("-x*y"), parse_poly("1-y^2")]],
+    parse_poly("-5*x"), parse_poly("-5*y"))
+
+
+@example(_DISK_DATA)
+@settings(derandomize=True, deadline=None, database=None, max_examples=20)
+@given(pearson_data())
+def test_lambda_matches_the_level_m_solve_on_pearson_data(f):
+    # eigen-columns of f's level-0 operator where they are easy to build
+    # (the reduction then runs at every level), else the triangle's columns
+    # (level 0 has no constant solution, so the level-m solve runs)
+    cols = _eigen_columns(f, 5)
+    sys = OrthoSystem(f, cols or _triangle_columns())
+    for n in range(1, 6):
+        for m in range(6 - n):
+            got = _result(characterize._lambda, sys, n, m)
+            assert got == _result(lambda_via_operator, sys, n, m), (n, m)
+            if cols is not None:
+                assert isinstance(got, PolyMatrix), (n, m)
+
+
+def test_lambda_keeps_criterion_5s_random_stack_without_an_eigenvalue_matrix():
+    f = builtin("product_hermite")
+    top = random_rational_matrix(4, 4, random.Random(7)) @ x_vec(3)
+    fake = OrthoSystem(f, [*(build_monic(f, 2).p(k) for k in range(3)), top])
+    got = _result(characterize._lambda, fake, 2, 1)
+    assert got[0] == NoConstantSolution.__name__
+    assert got == _result(lambda_via_operator, fake, 2, 1)
+
+
+# ---------------------------------------------------------------------------
+# whole (c) and (d) reports, and the disk
+
+
+def _c_d_reports(f):
+    return verify_all(f, nmax=4, mmax=2, properties=("c", "d"))
+
+
+@pytest.mark.parametrize("ref", [*INSTANCES, "disk"])
+def test_c_and_d_reports_match_the_direct_routes(ref, monkeypatch):
+    f = load_family(DISK) if ref == "disk" else builtin(ref)
+    got = _c_d_reports(f)
+    monkeypatch.setattr(characterize, "_lambda", _direct_lambda)
+    monkeypatch.setattr(characterize, "_lifted_pearson", lambda sys, m: False)
+    assert got == _c_d_reports(f)
+
+
+def test_disk_reaches_the_divergence_identity_above_level_0(monkeypatch):
+    f = load_family(DISK)
+    assert check_pearson(f) and not check_phi_conditions(f)
+    calls = []
+    real = characterize.cleared_divergence
+    monkeypatch.setattr(characterize, "cleared_divergence",
+                        lambda *args: calls.append(args) or real(*args))
+    reports = _c_d_reports(f)
+    assert [r.status for r in reports if r.property == "c"] == ["pass"] * 12
+    d = {r.n: r for r in reports if r.property == "d"}
+    assert (d[1].status, d[1].notes) == ("pass", "")
+    for n in (2, 3, 4):
+        assert d[n].status == "fail"
+        assert d[n].notes == "; ".join(f"level {k}: divergence identity fails"
+                                       for k in range(1, n))
+    # one identity per level m >= 1 of n = 2, 3, 4; level 0 is Pearson's corollary
+    assert len(calls) == 1 + 2 + 3
+
+
+def test_b_and_d_read_one_lifted_pearson_verdict_per_level_class(monkeypatch):
+    levels = []
+    monkeypatch.setattr(characterize, "level_pearson_check",
+                        lambda f, m: levels.append(m) or level_pearson_check(f, m))
+    reports = verify_all(builtin("triangle(1,1,1)"), nmax=4, mmax=2, properties=("b", "d"))
+    assert all(r.status == "pass" for r in reports)
+    assert sorted(levels) == [0, 1]
