@@ -5,14 +5,18 @@ multiplication by x or y and partial differentiation into constant
 matrix products.  Stacked variants of those matrices drive every
 eigenvalue formula later on, so this demo shows the raw identities.
 """
-from copoly2d.basisops import (
-    IDENTITY_KEYS,
-    identity_suite,
-    l_mat,
-    n_mat,
-    x_vec,
-)
-from copoly2d.matpoly import vstack
+from copoly2d.basisops import IDENTITY_KEYS, identity_suite, l_rows, n_rows, x_vec
+from copoly2d.matpoly import const_matrix, vstack
+
+
+def l_mat(n, which):
+    """The shift table L(n, which) as a constant (n+1) x (n+2) matrix."""
+    return const_matrix(l_rows(n, which), n + 2)
+
+
+def n_mat(n, which):
+    """The derivative band N(n, which) as a constant n x (n+1) matrix."""
+    return const_matrix(n_rows(n, which), n + 1)
 
 
 def main():
@@ -28,8 +32,9 @@ def main():
 
     dx = n_mat(n, 1)
     print("derivative matrix for x has shape", dx.shape)
-    print("N X_3 rows:", [(dx @ xs)[i, 0].to_text() for i in range(n)],
-          " (this is d/dx X_3 without its zero entry)")
+    derived = dx.transpose() @ x_vec(n - 1)
+    print("N^t X_2 rows:", [derived[i, 0].to_text() for i in range(n + 1)],
+          " (this is d/dx X_3)")
 
     stacked_l = vstack(l_mat(n, 1), l_mat(n, 2))
     stacked_n = vstack(n_mat(n, 1), n_mat(n, 2))

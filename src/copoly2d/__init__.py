@@ -21,7 +21,13 @@ lemma1 (the determinant identity for interleaved column pairs) and
 lemma2 (the closed form of the lifted drift coefficients).
 """
 
-from .characterize import PropertyReport, psi_tower, rodrigues_reconstruct, verify_all
+from .characterize import (
+    PropertyReport,
+    lambda_via_formula,
+    psi_tower,
+    rodrigues_reconstruct,
+    verify_all,
+)
 from .orthosys import OrthoSystem, build_monic
 from .polycore import BivariatePoly, RationalFn, parse_poly
 from .weights import (
@@ -41,6 +47,7 @@ __all__ = [
     "build_monic",
     "builtin",
     "export_family",
+    "lambda_via_formula",
     "list_builtins",
     "load_family",
     "parse_poly",

@@ -36,16 +36,17 @@ lifted Pearson equation are decided once per family, by proof
 (psi_tower, level_pearson_check), so neither reads a level above 1 and
 no exact run forms a Kronecker power.  The
 level-m eigenvalue systems behind (c), (d) and rodrigues_reconstruct
-are solved on the m + 1 distinct rows of each gradient stack (and the
-m + 1 matching row blocks of the leading-coefficient symbol, on m + 1
-class columns), never on all 2^m: every other row repeats one of them.
-The leading coefficients are built on those m + 1 blocks only
-(g_lead_rows), so no exact run builds a 2^m-block leading coefficient.
-Two proved reductions spare the level-m work where their hypotheses
-hold: an eigenvalue matrix above level 0 is the level-0 one plus c_m I
-where the level's zero-order term is the scalar c_m (_lambda), and
-each level of (d)'s divergence tower follows from (c) where the lifted
-Pearson equation holds (_cleared_divergence_identity).  Elsewhere the
+are solved on the m + 1 distinct rows of each gradient stack, never on
+all 2^m: every other row repeats one of them.  (c) reads that one
+route: the paper's leading-coefficient formula (lambda_via_formula, on
+the m + 1 matching row blocks of the symbol and of g_lead_rows) is
+exported, and check_c's docstring proves it returns the same matrix,
+so no run solves it.  Two proved reductions spare the level-m work
+where their hypotheses hold: an eigenvalue matrix above level 0 is the
+level-0 one plus c_m I where the level's zero-order term is the scalar
+c_m (_lambda), and each level of (d)'s divergence tower follows from
+(c) where the lifted Pearson equation holds
+(_cleared_divergence_identity).  Elsewhere the
 level-m system is solved and the identity computed, as before, so
 every verdict and note is the direct route's.
 """
@@ -514,7 +515,11 @@ def _t_rows(f: WeightFamily, n: int, m: int):
 
 
 def lambda_via_formula(f: WeightFamily, n: int, m: int) -> PolyMatrix:
-    """Eigenvalue matrix from the leading-coefficient equation.
+    """Eigenvalue matrix from the leading-coefficient equation, the paper's formula.
+
+    It reads the family's Pearson data alone, no moments and no system.
+    Where a constant eigenvalue matrix exists it is this one (check_c,
+    which therefore does not run it).
 
     The leading block G of the level-m stack satisfies G L = -T G with
     T the constant symbol (_t_rows); the system is overdetermined and
@@ -563,6 +568,8 @@ def _lambda(sys: OrthoSystem, n: int, m: int) -> PolyMatrix:
     algebra on P_(n+m) alone and reads no moments.  Where C~_m is not
     scalar, or level 0 has no constant solution, the level-m system is
     solved as before, so every failure keeps its exception and message.
+    A failure is memoised too, as its message, and every read raises a
+    new NoConstantSolution with it, so each failing system is solved once.
     """
     def make():
         if m:
@@ -574,9 +581,15 @@ def _lambda(sys: OrthoSystem, n: int, m: int) -> PolyMatrix:
                     pass
                 else:
                     return low + PolyMatrix.identity(low.rows).scale(c)
-        return lambda_via_operator(sys, n, m)
+        try:
+            return lambda_via_operator(sys, n, m)
+        except NoConstantSolution as exc:
+            return str(exc)  # the message alone: a kept traceback would pin the solver's frames
 
-    return sys.cached(("lambda", n, m), make)
+    got = sys.cached(("lambda", n, m), make)
+    if isinstance(got, str):
+        raise NoConstantSolution(got)
+    return got
 
 
 # ---------------------------------------------------------------------------
@@ -692,28 +705,38 @@ def check_b(sys: OrthoSystem, n: int, m: int, rule=None) -> PropertyReport:
 
 
 def check_c(sys: OrthoSystem, n: int, m: int) -> PropertyReport:
-    """Operator route must solve exactly and agree with the symbol route."""
+    """The level-m stack solves op_m(Q) + Q Lambda = 0 for a constant Lambda.
+
+    Lambda is _lambda's, by either of its routes, and a cell without one
+    fails with the solver's message.  The paper's leading-coefficient
+    formula (lambda_via_formula) is not run, because it cannot disagree.
+    Write Q = X_n^t G + lower degree, G the leading block.  op_m keeps
+    the degree, and the top-degree part of op_m(Q) + Q Lambda is
+    X_n^t (T G + G Lambda), T the constant symbol (_t_rows).  So
+    op_m(Q) + Q Lambda = 0, which holds exactly for every Lambda that
+    _lambda returns, gives G Lambda = -T G.  The columns a run builds
+    are monic, so G is g_lead_rows(n, m), which depends on n and m
+    alone, not on the family, and has full column rank (a nonzero form
+    of degree n + m has a nonzero m-th partial).  So that system has
+    exactly one solution, and lambda_via_formula returns it: _lambda's
+    Lambda.  A
+    disagreement, or an InconsistentSystemError from the formula route,
+    can come only from a wrong shift or derivative table (l_rows,
+    n_rows), and prop1 reports that fault.
+    """
     f = sys.family
-    notes = []
     try:
         lam = _lambda(sys, n, m)
     except NoConstantSolution as exc:
         return _report("c", f.name, n, m, False,
                        notes=f"no constant eigenvalue matrix: {exc}")
-    try:
-        ok = lambda_via_formula(f, n, m) == lam
-    except InconsistentSystemError:  # a rank-deficient G still raises
-        ok = False
-    if not ok:
-        notes.append("leading-coefficient route disagrees with the operator route")
     if n == 1 and m == 0:
-        anchor_ok = lam == f.d_matrix().scale(-1)
-        if not anchor_ok:
-            ok = False
-            notes.append("degree-one eigenvalue matrix is not minus the drift matrix")
-        else:
-            notes.append("degree-one anchor: eigenvalue matrix equals minus the drift matrix")
-    return _report("c", f.name, n, m, ok, notes="; ".join(notes))
+        if lam == f.d_matrix().scale(-1):
+            return _report("c", f.name, n, m, True, notes="degree-one anchor: eigenvalue "
+                           "matrix equals minus the drift matrix")
+        return _report("c", f.name, n, m, False,
+                       notes="degree-one eigenvalue matrix is not minus the drift matrix")
+    return _report("c", f.name, n, m, True)
 
 
 # ---------------------------------------------------------------------------

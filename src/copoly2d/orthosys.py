@@ -37,8 +37,9 @@ and give the same rationals.  The (c) and (d) eigenvalue systems are
 solved on S too (characterize.lambda_via_operator), so an exact run
 forms q(n, m) at level 0 only, and no Kronecker power of phi: only
 numeric mode reads phi_power, weighted and q(n, m) gathered from S.
-The leading coefficients that (c)'s symbol route reads are S's too
-(g_lead_rows), so no exact run builds a 2^m-block leading coefficient.
+The leading coefficients that the paper's symbol route reads
+(characterize.lambda_via_formula, which no check runs) are S's too
+(g_lead_rows), built on m + 1 blocks, never 2^m.
 
 Exact weighted integrals integral(a^t w rho) / mu_00 of two polynomial
 matrices are bilinear forms on the moment numerators: with H[alpha,

@@ -3,14 +3,21 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from conftest import (
+    _l_half_at_3,
+    _l_swapped_at_1,
+    _l_swapped_at_2,
+    _n_half_at_3,
+    _n_swapped_at_2,
+    l_mat,
+    n_mat,
+)
 
 from copoly2d import basisops
 from copoly2d.basisops import (
     IDENTITY_KEYS,
     basis_identity_check,
     identity_suite,
-    l_mat,
-    n_mat,
     n_rows,
     x_vec,
 )
@@ -102,15 +109,15 @@ def unit_matrices(rows, cols):
 def lifted_identity_check(n, m, which):
     """Both sides of one identity formed as I_{2^m} (x) (...) polynomial matrices.
 
-    Reads l_mat and n_mat through the module, so a monkeypatched
-    basisops.l_mat or n_mat reaches it as it reaches identity_suite.
-    linear_sandwich is linear in its (2^{m+1}) x (2^m) matrix A, so it is
+    Reads l_mat and n_mat (conftest), built from basisops.l_rows and
+    n_rows at call time, so a monkeypatched table reaches it as it
+    reaches identity_suite.  linear_sandwich is linear in its (2^{m+1}) x (2^m) matrix A, so it is
     checked on every unit matrix A, which decides it for every A.
     """
     def lift(a):
         return kron(PolyMatrix.identity(2 ** m), a)
 
-    lm, nm = basisops.l_mat, basisops.n_mat
+    lm, nm = l_mat, n_mat
     xr = lift(x_vec(n).transpose())
     x, y = P.x(), P.y()
     if which == "shift1":
@@ -142,26 +149,8 @@ def lifted_suite(n, m):
             for key in IDENTITY_KEYS if n >= basisops._MIN_N[key]}
 
 
-# wrong shift and derivative matrices, given as the int rows that l_mat
-# and n_mat are built from, so patching basisops.l_rows or n_rows reaches
-# every reader of either form
-_REAL_L, _REAL_N = basisops.l_rows, basisops.n_rows
+# the table each wrong form is patched in for (the wrong tables are in conftest)
 _ROWS_OF = {"l_mat": "l_rows", "n_mat": "n_rows"}
-
-
-def _l_swapped_at_2(n, which):
-    return _REAL_L(n, 3 - which if n == 2 else which)
-
-
-def _l_half_at_3(n, which):
-    rows = _REAL_L(n, which)
-    if n == 3 and which == 2:
-        rows[0][1] = Fraction(1, 2)
-    return rows
-
-
-def _n_swapped_at_2(n, which):
-    return _REAL_N(n, 3 - which if n == 2 else which)
 
 
 # the degrees n at which each wrong matrix breaks linear_sandwich
@@ -189,3 +178,64 @@ def test_identity_suite_matches_lifted_form(monkeypatch, name, wrong):
     # a sandwich check that always held would fail here
     assert {n for key, n in flagged if key == "linear_sandwich"} == \
         _SANDWICH_BREAKS.get(getattr(wrong, "__name__", None), set())
+
+
+# ---------------------------------------------------------------------------
+# reference: each identity at level 0 as polynomial matrices
+
+
+def polymatrix_identity_check(n, which):
+    """basis_identity_check formed as PolyMatrix products of X_n^t and the tables.
+
+    The left side multiplies or differentiates x_vec(n)^t; the right
+    side composes l_mat and n_mat (conftest), so a patched
+    basisops.l_rows or n_rows reaches it.  linear_sandwich is checked on
+    the two unit columns a, through the stacked shift [L(n,1); L(n,2)]
+    and a (x) I_{n+1}.
+    """
+    xr = x_vec(n).transpose()
+    x, y = P.x(), P.y()
+    if which == "linear_sandwich":
+        up = x_vec(n + 1).transpose()
+        lt = vstack(l_mat(n, 1), l_mat(n, 2)).transpose()
+        eye = PolyMatrix.identity(n + 1)
+        return all(x_vec(1).transpose() @ a @ xr == up @ lt @ kron(a, eye)
+                   for a in (const_matrix([[1], [0]]), const_matrix([[0], [1]])))
+    if which == "shift1":
+        up = x_vec(n + 1).transpose()
+        return (xr.scale(x) == up @ l_mat(n, 1).transpose()
+                and xr.scale(y) == up @ l_mat(n, 2).transpose())
+    if which.startswith("shift_"):
+        s, first, second = {"shift_xx": (x * x, 1, 1), "shift_xy": (x * y, 1, 2),
+                            "shift_yy": (y * y, 2, 2)}[which]
+        up2 = x_vec(n + 2).transpose()
+        return xr.scale(s) == up2 @ (l_mat(n, second) @ l_mat(n + 1, first)).transpose()
+    if which == "deriv1":
+        down = x_vec(n - 1).transpose()
+        return xr.dx() == down @ n_mat(n, 1) and xr.dy() == down @ n_mat(n, 2)
+    d, first, second = {"deriv_xx": (xr.dx().dx(), 1, 1), "deriv_xy": (xr.dx().dy(), 1, 2),
+                        "deriv_yy": (xr.dy().dy(), 2, 2)}[which]
+    return d == x_vec(n - 2).transpose() @ (n_mat(n - 1, second) @ n_mat(n, first))
+
+
+@pytest.mark.parametrize("name, wrong", [
+    (None, None),
+    ("l_rows", _l_swapped_at_1),
+    ("l_rows", _l_swapped_at_2),
+    ("l_rows", _l_half_at_3),
+    ("n_rows", _n_swapped_at_2),
+    ("n_rows", _n_half_at_3),
+])
+def test_identity_suite_matches_the_polymatrix_form(monkeypatch, name, wrong):
+    # the int-table suite decides every (n, key) as the polynomial
+    # matrices do, with the real tables and under each wrong one
+    if name is not None:
+        monkeypatch.setattr(basisops, name, wrong)
+    flagged = set()
+    for n in range(13):
+        want = {key: polymatrix_identity_check(n, key)
+                for key in IDENTITY_KEYS if n >= basisops._MIN_N[key]}
+        got = identity_suite(n)
+        assert got == want, n
+        flagged |= {(key, n) for key, ok in got.items() if not ok}
+    assert bool(flagged) == (name is not None), flagged

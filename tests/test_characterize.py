@@ -8,7 +8,16 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from conftest import _consts
+from conftest import (
+    _consts,
+    _l_half_at_3,
+    _l_swapped_at_1,
+    _l_swapped_at_2,
+    _n_half_at_3,
+    _n_swapped_at_2,
+    l_mat,
+    n_mat,
+)
 from hypothesis import assume, example, given, settings, strategies as st
 from test_basisops import random_rational_matrix
 
@@ -166,30 +175,25 @@ def test_psi_tower_is_kept_per_family():
 
 
 def test_a_run_converts_each_levels_drift_data_once(monkeypatch):
-    # the tower builds each level's class sums once, and the (c) symbol
-    # (_t_rows), like every other reader, takes them from the kept level:
-    # no (n, m) cell builds a level or its rows again
+    # the tower builds each level's class sums once, and every reader
+    # takes them from the kept level: no (n, m) cell builds a level or its
+    # rows again.  (c) reads the operator route alone, so a run builds no
+    # symbol (_t_rows) and leaves the tower's T1 memo empty
     made, read, t_reads = [], [], []
-    real_level, real_read, real_t = characterize.PsiLevel, PsiTower.level, characterize._t_rows
+    real_level, real_read = characterize.PsiLevel, PsiTower.level
     monkeypatch.setattr(characterize, "PsiLevel",
                         lambda *args: made.append(real_level(*args)) or made[-1])
     monkeypatch.setattr(PsiTower, "level",
                         lambda self, m: read.append(real_read(self, m)) or read[-1])
-
-    def recorded_t(f, n, m):
-        before = len(read)
-        got = real_t(f, n, m)
-        t_reads.extend(read[before:])
-        return got
-
-    monkeypatch.setattr(characterize, "_t_rows", recorded_t)
+    monkeypatch.setattr(characterize, "_t_rows", lambda *args: t_reads.append(args))
     f = builtin("triangle(1,1,1)")
     reports = verify_all(f, nmax=5, mmax=3)
     assert "error" not in {r.status for r in reports}
     tower = psi_tower(f, 0)
     assert tower.depth >= 3
     assert [id(level) for level in made] == [id(level) for level in tower.levels]
-    assert t_reads and {id(level) for level in t_reads} <= {id(level) for level in made}
+    assert read and {id(level) for level in read} <= {id(level) for level in made}
+    assert t_reads == [] and tower.t1 == {}
     for m, level in enumerate(tower.levels):
         ds, d = level.class_sums
         assert [len(rows) for rows in ds] == [3 * (m + 1)] * 2, m
@@ -353,12 +357,12 @@ def test_statement_layout_differs_where_no_eigenvalue_matrix_exists():
 
 def oracle_g_lead(n, m):
     """The leading block of q(n, m), all 2^m row blocks, by its PolyMatrix
-    recurrence, reading basisops.n_mat."""
+    recurrence, reading n_mat (conftest)."""
     if m == 0:
         return PolyMatrix.identity(n + 1)
     prev = oracle_g_lead(n + 1, m - 1)
     eye = PolyMatrix.identity(2 ** (m - 1))
-    return vstack(*(kron(eye, basisops.n_mat(n + 1, h)) @ prev for h in (1, 2)))
+    return vstack(*(kron(eye, n_mat(n + 1, h)) @ prev for h in (1, 2)))
 
 
 def class_blocks(g, n, m):
@@ -390,7 +394,7 @@ def t_matrix(f, n, m, tower=None):
     for hp, split in enumerate((level["d1"], level["d2"])):
         for h in (0, 1):
             c = PolyMatrix.from_rows([split.row_list(2 * s + h) for s in range(2 ** m)])
-            t = t + kron(c, basisops.l_mat(n - 1, h + 1).transpose() @ basisops.n_mat(n, hp + 1))
+            t = t + kron(c, l_mat(n - 1, h + 1).transpose() @ n_mat(n, hp + 1))
     return t
 
 
@@ -414,8 +418,8 @@ def oracle_t_matrices(f, n, m, tower):
     polynomial matrix, D from the dense tower of oracle_psi_tower;
     returns {layout: T}, "proof" being t_matrix and "statement" the
     layout of the paper's theorem, which the library does not build.
-    Reads l_mat and n_mat through basisops, so a monkeypatched
-    basisops.l_mat or n_mat reaches it.
+    Reads l_mat and n_mat (conftest), built from basisops.l_rows and
+    n_rows at call time, so a monkeypatched table reaches it.
     """
     a_cols, _ = phi_coefficient_columns(f)
     a3 = hstack(a_cols[0], a_cols[1].scale(2), a_cols[2])
@@ -428,17 +432,17 @@ def oracle_t_matrices(f, n, m, tower):
 
     if n >= 2:
         mid = kron(a3, PolyMatrix.identity(2 ** m * (n - 1)))
-        term1 = star(basisops.l_mat, n - 1).transpose() @ mid @ star(basisops.n_mat, n)
+        term1 = star(l_mat, n - 1).transpose() @ mid @ star(n_mat, n)
     else:  # n = 1 has no second order part
         term1 = PolyMatrix.zeros(2 ** (m + 1), 2 ** (m + 1))
-    lstk = vstack(basisops.l_mat(n - 1, 1), basisops.l_mat(n - 1, 2))
+    lstk = vstack(l_mat(n - 1, 1), l_mat(n - 1, 2))
     shift_t = {
         "proof": kron(eye, lstk.transpose()),
-        "statement": vstack(kron(eye, basisops.l_mat(n - 1, 1)),
-                            kron(eye, basisops.l_mat(n - 1, 2))).transpose(),
+        "statement": vstack(kron(eye, l_mat(n - 1, 1)),
+                            kron(eye, l_mat(n - 1, 2))).transpose(),
     }
     dpair = hstack(tower[m]["d1"], tower[m]["d2"])
-    nstk = vstack(kron(eye, basisops.n_mat(n, 1)), kron(eye, basisops.n_mat(n, 2)))
+    nstk = vstack(kron(eye, n_mat(n, 1)), kron(eye, n_mat(n, 2)))
     right = kron(dpair, PolyMatrix.identity(n)) @ nstk
     return {layout: term1 + s @ right for layout, s in shift_t.items()}
 
@@ -450,33 +454,8 @@ def _outcome(fn):
         return type(exc).__name__
 
 
-# wrong shift and derivative matrices, given as the int rows that l_mat
-# and n_mat are built from, so patching l_rows or n_rows reaches every
-# reader of either form
-_REAL_L, _REAL_N = basisops.l_rows, basisops.n_rows
+# the table each wrong form is patched in for
 _ROWS_OF = {"l_mat": "l_rows", "n_mat": "n_rows"}
-
-
-def _l_swapped_at_2(n, which):
-    return _REAL_L(n, 3 - which if n == 2 else which)
-
-
-def _l_half_at_3(n, which):
-    rows = _REAL_L(n, which)
-    if n == 3 and which == 2:
-        rows[0][1] = Fraction(1, 2)
-    return rows
-
-
-def _n_swapped_at_2(n, which):
-    return _REAL_N(n, 3 - which if n == 2 else which)
-
-
-def _n_half_at_3(n, which):
-    rows = _REAL_N(n, which)
-    if n == 3 and which == 1:
-        rows[1][1] = Fraction(1, 2)
-    return rows
 
 
 def test_t_matrix_and_g_lead_match_the_lifted_assembly():
@@ -725,7 +704,7 @@ def oracle_psi_tower(f, depth):
     level's splits equal lemma2's closed form: the Kronecker-doubled
     split one level down plus, for psi_i, the blocks N(2, h) a and the
     linear coefficients b of column i of the weight matrix, all as
-    polynomial Kronecker products.  Reads basisops.n_mat, so a patched
+    polynomial Kronecker products.  Reads n_mat (conftest), so a patched
     basisops.n_rows reaches it.
     """
     a_cols, b_cols = phi_coefficient_columns(f)
@@ -742,8 +721,8 @@ def oracle_psi_tower(f, depth):
             new_splits = [_linear_split(psi) for psi in new]
             for i, ((dd, ee), (dprev, eprev)) in enumerate(zip(new_splits, splits)):
                 a_lo, a_hi, b_lo, b_hi = a_cols[i], a_cols[i + 1], b_cols[i], b_cols[i + 1]
-                h_block = vstack(*(hstack(kron(eyeh, basisops.n_mat(2, h) @ a_lo),
-                                          kron(eyeh, basisops.n_mat(2, h) @ a_hi))
+                h_block = vstack(*(hstack(kron(eyeh, n_mat(2, h) @ a_lo),
+                                          kron(eyeh, n_mat(2, h) @ a_hi))
                                    for h in (1, 2)))
                 k_block = vstack(*(hstack(eyeh.scale(b_lo[k, 0]), eyeh.scale(b_hi[k, 0]))
                                    for k in (0, 1)))
@@ -1121,7 +1100,7 @@ def test_check_c_product_hermite_all_cells(monkeypatch):
     for n, m in cells:
         rep = check_c(sys, n, m)
         assert rep.status == "pass", (n, m)
-    assert calls == cells  # one leading-coefficient solve per cell
+    assert calls == []  # check_c reads the operator route alone
 
 
 def test_check_c_laguerre_and_triangle_fold_at_every_level():
@@ -1169,13 +1148,11 @@ def test_check_c_anchor_note():
     assert "degree-one anchor" in rep.notes
 
 
-def _l_swapped_at_1(n, which):
-    return _REAL_L(n, 3 - which if n == 1 else which)
-
-
 def test_check_c_inconsistent_formula_route_is_a_fail_not_an_error(monkeypatch):
-    # with a wrong l_mat the leading-coefficient systems of these cells
-    # have no solution; that is a disagreement with the operator route.
+    # with a wrong l_rows the leading-coefficient system of (2, 1) has no
+    # solution, and lambda_via_formula says so.  check_c does not run that
+    # route (check_c's docstring proves it cannot disagree), so its cells
+    # keep passing; the wrong table is prop1's fail, not an error.
     # A fresh family: the shared one's drift tower may keep T1 per n
     f = builtin("triangle(1,1,1)")
     sys = build_monic(f, 6)
@@ -1185,18 +1162,24 @@ def test_check_c_inconsistent_formula_route_is_a_fail_not_an_error(monkeypatch):
         lambda_via_formula(f, 2, 1)
     for n, m in [(2, 1), (2, 2), (3, 1), (3, 2)]:
         rep = check_c(sys, n, m)
-        assert rep.status == "fail", (n, m)
-        assert rep.notes == ("leading-coefficient route disagrees with the operator "
-                             "route"), (n, m)
-    reports = verify_all(f, nmax=3, mmax=2, properties=("c",))
-    assert {r.status for r in reports} == {"pass", "fail"}
+        assert (rep.status, rep.notes) == ("pass", ""), (n, m)
+    reports = verify_all(f, nmax=3, mmax=2, properties=("c", "prop1"))
+    assert {r.status for r in reports if r.property == "c"} == {"pass"}
+    shifts = ["shift_xx fails", "shift_xy fails", "shift_yy fails"]
+    flagged = {0: "; ".join(shifts),
+               1: "; ".join(["linear_sandwich fails", "shift1 fails", *shifts])}
+    for r in reports:
+        if r.property == "prop1":
+            want = ("fail", flagged[r.n]) if r.n in flagged else ("pass", "")
+            assert (r.status, r.notes) == want, (r.n, r.m)
 
 
 def test_check_c_singular_leading_block_stays_an_error(monkeypatch):
-    def singular(f, n, m):
+    # a crash in the eigenvalue solve is an error cell, not a fail
+    def singular(sys, n, m):
         raise SingularMatrixError("injected")
 
-    monkeypatch.setattr(characterize, "lambda_via_formula", singular)
+    monkeypatch.setattr(characterize, "lambda_via_operator", singular)
     reports = verify_all(builtin("product_hermite"), nmax=2, mmax=1, properties=("c",))
     assert [(r.status, r.notes) for r in reports] == \
         [("error", "error: SingularMatrixError: injected")] * 4

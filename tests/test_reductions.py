@@ -27,6 +27,7 @@ from copoly2d import characterize
 from copoly2d.basisops import x_vec
 from copoly2d.characterize import (
     NoConstantSolution,
+    lambda_via_formula,
     lambda_via_operator,
     level_pearson_check,
     psi_tower,
@@ -250,6 +251,75 @@ def test_lambda_keeps_criterion_5s_random_stack_without_an_eigenvalue_matrix():
     got = _result(characterize._lambda, fake, 2, 1)
     assert got[0] == NoConstantSolution.__name__
     assert got == _result(lambda_via_operator, fake, 2, 1)
+
+
+def test_each_failing_solve_runs_once(monkeypatch):
+    # _lambda keeps a NoConstantSolution as its message, so (d) at n + m
+    # reads (c)'s failure at (n, m) instead of solving again; 23 raising
+    # solves on these 16 cells when only results were kept
+    f = builtin("hermite_laguerre(1)")
+    raised = []
+    real = characterize.lambda_via_operator
+
+    def spy(sys, n, m):
+        try:
+            return real(sys, n, m)
+        except NoConstantSolution:
+            raised.append((n, m))
+            raise
+
+    monkeypatch.setattr(characterize, "lambda_via_operator", spy)
+    got = verify_all(f, nmax=8, mmax=2, properties=("c", "d"))
+    assert len(raised) == len(set(raised)) == 16
+    monkeypatch.setattr(characterize, "_lambda", _direct_lambda)
+    assert [r.notes for r in got] == [r.notes for r in verify_all(
+        f, nmax=8, mmax=2, properties=("c", "d"))]
+
+
+# ---------------------------------------------------------------------------
+# the paper's leading-coefficient formula is _lambda's matrix (check_c)
+
+
+def _assert_formula_is_lambda(sys, cells) -> list:
+    """lambda_via_formula equals _lambda on every cell where _lambda solves; those cells."""
+    solved = []
+    for n, m in cells:
+        got = _result(characterize._lambda, sys, n, m)
+        if isinstance(got, PolyMatrix):
+            assert lambda_via_formula(sys.family, n, m) == got, (n, m)
+            solved.append((n, m))
+        else:
+            assert got[0] == NoConstantSolution.__name__, (n, m, got)
+    return solved
+
+
+@pytest.mark.parametrize("ref", INSTANCES)
+def test_formula_is_lambda_on_every_cell(ref):
+    cells = [(n, m) for n in range(1, 7) for m in range(6) if n + m <= 6]
+    solved = _assert_formula_is_lambda(build_monic(builtin(ref), 6), cells)
+    # level 0 solves on every built-in
+    assert {(n, 0) for n in range(1, 7)} <= set(solved)
+
+
+@example(_DISK_DATA)
+@settings(derandomize=True, deadline=None, database=None, max_examples=20)
+@given(pearson_data())
+def test_formula_is_lambda_on_pearson_data(f):
+    # on eigen-columns of the level-0 operator, where level 0 solves
+    cols = _eigen_columns(f, 5)
+    if cols is not None:
+        cells = [(n, m) for n in range(1, 6) for m in range(6 - n)]
+        assert len(_assert_formula_is_lambda(OrthoSystem(f, cols), cells)) == len(cells)
+
+
+def test_formula_is_lambda_on_criterion_5s_random_stack():
+    # q(3, 0) and q(2, 1), the random column and its gradient, have no
+    # eigenvalue matrix; every other cell has one, q(1, 2) a scalar
+    f = builtin("product_hermite")
+    top = random_rational_matrix(4, 4, random.Random(7)) @ x_vec(3)
+    fake = OrthoSystem(f, [*(build_monic(f, 2).p(k) for k in range(3)), top])
+    cells = [(n, m) for n in range(1, 4) for m in range(3) if n + m <= 3]
+    assert _assert_formula_is_lambda(fake, cells) == [(1, 0), (1, 1), (1, 2), (2, 0)]
 
 
 # ---------------------------------------------------------------------------
