@@ -24,7 +24,13 @@ at `--nmax 1 --mmax 14`, pins the leading-coefficient route at level 14.
 A sixth, prop1 alone on product_hermite at `--nmax 6 --mmax 9`, pins the
 identity suite's verdicts on 70 cells up to level 9.  A seventh, (c)
 alone on triangle(1,1,1) at `--nmax 12 --mmax 3`, pins 48 eigenvalue
-matrices up to degree 15.
+matrices up to degree 15.  Three more pin (b)'s level Gram blocks and
+cross terms on both routes, read off level 0 by parts and integrated:
+(b) alone on hermite_laguerre(1) at `--nmax 4 --mmax 4` (integrated
+from level 2, where its zero-order term is not scalar) and on
+product_jacobi(1/2,1/2,1/2,1/2) at `--nmax 4 --mmax 5` (from level 3),
+and (b) with (e) on triangle(1,1,1) at `--nmax 8 --mmax 4`, whose next
+Gram block (e) alone reads is integrated.
 """
 from __future__ import annotations
 
@@ -140,6 +146,9 @@ ONE_PROPERTY = [
     (*SEED0[0], "prop1", 6, 9, 0,
      "eac3566f52016b8fdc8697a114972a5bdd01ece279fa17a50c0c1339d7b8ba12"),
     (*SEED0[4], "c", 12, 3, 0, "3b61928c2d6f2cd4d9572b99e9772106eb85666eeeaa9adba68c833defa218f9"),
+    (*SEED0[2], "b", 4, 4, 0, "076d948f5f4cc859a74c0f0e55df3dfd9e9fb2f75ad8e9b6abf6ba40112cf709"),
+    (*SEED0[3], "b", 4, 5, 0, "32d0e988e9203b69b95e5da1eeb61a66fd99f96c3802ac4d338e65c1f062f695"),
+    (*SEED0[4], "b,e", 8, 4, 1, "617758ed07efd3e1619cd5fcb234e539c1b06f503296149c287b4d785d19ee3f"),
 ]
 
 
