@@ -48,7 +48,10 @@ c_m (_lambda), and each level of (d)'s divergence tower follows from
 (c) where the lifted Pearson equation holds
 (_cleared_divergence_identity).  Elsewhere the
 level-m system is solved and the identity computed, as before, so
-every verdict and note is the direct route's.
+every verdict and note is the direct route's.  A third reads (b)'s level
+Gram blocks and cross terms off level 0 by parts where the moments
+solve Pearson's equation as a functional (OrthoSystem._by_parts,
+_functional_pearson); elsewhere they are integrated.
 """
 
 from __future__ import annotations
@@ -65,6 +68,7 @@ from .matpoly import (
     ShapeError,
     SingularMatrixError,
     _echelon,
+    _rescaled,
     det_exact,
     hstack,
     int_matmul,
@@ -656,16 +660,71 @@ def _lifted_pearson(sys: OrthoSystem, m: int) -> bool:
     return sys.cached(("pearson", k), lambda: level_pearson_check(sys.family, k))
 
 
+def _functional_pearson(sys: OrthoSystem) -> bool:
+    """The moments solve Pearson's equation as a functional, memoised on the system.
+
+    mu(d_x g phi_1j + d_y g phi_2j + g psi_j) = 0, j = 1, 2, for every
+    monomial g of degree <= 2N - 2, N = sys.nmax, mu the moment functional:
+    integral(div(g phi_(., j) rho)) = 0 with div(phi rho) = psi rho, that
+    is Pearson's equation with no boundary term, as the moments read it.
+    The terms have degree <= 2N - 1, the moments build_monic(f, N) read;
+    weight data of higher degree (deg phi > 2 or deg psi > 1) would read
+    past them, and fails.  The sums run on ints: the moment numerators
+    over their LCM, phi and psi over theirs.  OrthoSystem._by_parts reads
+    it: integration by parts needs it, and the pointwise Pearson equation
+    alone does not give it (a weight's boundary terms, or a moments table
+    of another weight).
+    """
+    def make():
+        f = sys.family
+        if f.phi.degree > 2 or f.psi1.total_degree > 1 or f.psi2.total_degree > 1:
+            return False
+        top = 2 * sys.nmax - 1
+        mus = {(i, t - i): f.moment(i, t - i) for t in range(top + 1) for i in range(t + 1)}
+        dm = lcm(*(mu.denominator for mu in mus.values()))
+        mu = {e: v.numerator * (dm // v.denominator) for e, v in mus.items()}
+        cols = [(f.phi[0, j], f.phi[1, j], psi) for j, psi in ((0, f.psi1), (1, f.psi2))]
+        d = lcm(*(p.den for col in cols for p in col))
+        cols = [[_rescaled(p, d) for p in col] for col in cols]
+        for t in range(top):
+            for a in range(t + 1):
+                b = t - a
+                for px, py, ps in cols:
+                    total = sum(c * mu[a + i, b + j] for (i, j), c in ps.items())
+                    if a:
+                        total += a * sum(c * mu[a - 1 + i, b + j] for (i, j), c in px.items())
+                    if b:
+                        total += b * sum(c * mu[a + i, b - 1 + j] for (i, j), c in py.items())
+                    if total:
+                        return False
+        return True
+    return sys.cached(("functional pearson",), make)
+
+
 def check_b(sys: OrthoSystem, n: int, m: int, rule=None) -> PropertyReport:
     """Level-m stack orthogonality plus the lifted Pearson equation.
 
     The Pearson half is always exact.  Without a quadrature rule the
-    cross terms and the level Gram block are exact too: the cross terms
-    with every lower stack are int blocks from one moment contraction
-    (OrthoSystem.cross_rows), which also integrates gram(n, m) while
-    the memo has no record of it, and the Gram verdict reads the
-    determinant of the block's gram_record.  With a rule they are
-    integrated on the rule and measured against a tolerance.
+    cross terms and the level Gram block are exact too, and the Gram
+    verdict reads the determinant of the block's gram_record.  Where
+    OrthoSystem._by_parts holds, both are read off level 0 with no moment
+    contraction, by the paper's (c) => (b) argument: integrating by parts
+    once, with the functional Pearson equation of the moments
+    (_functional_pearson) and the lifted one at level m - 1, moves one
+    derivative across, so the level-m block of stacks k and n is the
+    level-(m - 1) block of k + 1 and n + 1 times Lambda(n + 1, m - 1).
+    So gram(n, m) = gram(n + m, 0) prod_(j<m) (L + c_j I), L = Lambda(n +
+    m, 0), and every cross term is a level-0 cross term of P_(k+m) and
+    P_(n+m), which is zero.  The guard: a system build_monic built, n + m
+    <= N - 1 (N its degree), Pearson's equation and for m >= 2 the
+    lifted one, the moments' functional Pearson equations for every
+    monomial of degree <= 2N - 2, which read no moment past 2N - 1, a
+    level-0 Lambda(n + m, 0) and a scalar zero-order term at every level
+    1 .. m - 1.  Elsewhere the cross terms with every lower stack are
+    int blocks from one moment contraction (OrthoSystem.cross_rows),
+    which also integrates gram(n, m) while the memo has no record of
+    it.  With a rule they are integrated on the rule and measured
+    against a tolerance.
     """
     if n < 1 or m < 1:
         raise ValueError("property b needs n >= 1 and m >= 1")

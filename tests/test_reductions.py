@@ -1,4 +1,4 @@
-"""The proved reductions of (c) and (d) above level 0, against the routes they replace.
+"""The proved reductions above level 0, against the routes they replace.
 
 (c): for m >= 1, characterize._lambda reads Lambda(n, m) = Lambda(n + m, 0)
 + c_m I where the class sums of the level's zero-order term C_m are c_m I
@@ -9,11 +9,20 @@ computed elsewhere.  Each reduction is checked against the route it
 replaces: criterion 2's dense C_m, the closed form c_m = m d + m(m - 1) a,
 lambda_via_operator on every cell, and whole (c) and (d) reports with
 both reductions switched off.  The disk, whose weight matrix breaks
-phi_conditions, keeps (d)'s polynomial identity above level 0.
+phi_conditions, keeps (d)'s polynomial identity above level 0.  (b):
+the level Gram blocks and cross terms are read off level 0 by parts where
+OrthoSystem._by_parts holds, and integrated elsewhere; each is checked
+against its own moment contraction, and each fallback is seen in the
+route the memo keeps, not in a verdict.
 """
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import functools
+import hashlib
+import io
+import json
 import random
 from fractions import Fraction
 
@@ -23,7 +32,7 @@ from test_acceptance import ALL_INSTANCES, _c_obstruction, _zero_order_term
 from test_basisops import random_rational_matrix
 from test_characterize import _pearson_family, _result, oracle_psi_tower, pearson_data
 
-from copoly2d import characterize
+from copoly2d import characterize, cli
 from copoly2d.basisops import x_vec
 from copoly2d.characterize import (
     NoConstantSolution,
@@ -34,9 +43,15 @@ from copoly2d.characterize import (
     verify_all,
 )
 from copoly2d.matpoly import PolyMatrix
-from copoly2d.orthosys import OrthoSystem, build_monic
+from copoly2d.orthosys import OrthoSystem, _gram_record, build_monic, integrate_rows
 from copoly2d.polycore import BivariatePoly, parse_poly
-from copoly2d.weights import builtin, check_pearson, check_phi_conditions, load_family
+from copoly2d.weights import (
+    builtin,
+    check_pearson,
+    check_phi_conditions,
+    export_family,
+    load_family,
+)
 
 # criterion 2's instances, the three whose (c) fails above level 0 in
 # another way, and a triangle with unequal parameters
@@ -365,3 +380,144 @@ def test_b_and_d_read_one_lifted_pearson_verdict_per_level_class(monkeypatch):
     reports = verify_all(builtin("triangle(1,1,1)"), nmax=4, mmax=2, properties=("b", "d"))
     assert all(r.status == "pass" for r in reports)
     assert sorted(levels) == [0, 1]
+
+
+# ---------------------------------------------------------------------------
+# (b): level Gram blocks and cross terms by parts
+
+
+def _contracted(sys, n, m):
+    """The gram_record of gram(n, m) and the cross terms below it, each by a moment contraction."""
+    w = sys.weighted_rows(n, m)
+    [gram] = integrate_rows([sys.counted_rows(n, m)], w, sys.family)
+    cross = integrate_rows([sys.counted_rows(k, m) for k in range(n)], w, sys.family)
+    return _gram_record(*gram), cross
+
+
+def _route(sys, n, m):
+    """True where gram(n, m) and its cross terms were read off level 0 by parts."""
+    return bool(sys._memo[("by parts", n, m)])
+
+
+@pytest.mark.parametrize("ref", [*ALL_INSTANCES, "product_jacobi(1,2,0,0)"])
+def test_gram_blocks_and_cross_terms_by_parts_match_the_contraction(ref):
+    f = builtin(ref)
+    sys = build_monic(f, 9)
+    tower = psi_tower(f, 2)
+    for n in range(6):  # (e) reads gram(0, m)
+        for m in range(1, 4):
+            gram, cross = _contracted(sys, n, m)
+            assert sys.gram_record(n, m) == gram, (n, m)
+            assert sys.cross_rows(n, m) == cross, (n, m)
+            # the guard fails only where a zero-order term below level m is not scalar
+            scalar = all(tower.level(j).zero_order_scalar() is not None for j in range(1, m))
+            assert _route(sys, n, m) == scalar, (n, m)
+            if scalar:
+                assert not any(any(map(any, rows)) for rows, _ in cross), (n, m)
+    # degree n + m = N is past the construction's own records: integrated
+    assert sys.gram_record(6, 3) == _contracted(sys, 6, 3)[0]
+    assert not _route(sys, 6, 3)
+
+
+def test_criterion_5s_hand_built_system_takes_the_contraction():
+    f = builtin("product_hermite")
+    built = build_monic(f, 3)
+    top = random_rational_matrix(4, 4, random.Random(7)) @ x_vec(3)
+    fake = OrthoSystem(f, [*(built.p(k) for k in range(3)), top])
+    # level-0 records in the memo, as the construction leaves them, are not enough
+    fake._memo.update((key, rec) for key, rec in built._memo.items() if key[0] == "gram record")
+    gram, cross = _contracted(fake, 1, 1)
+    assert fake.cross_rows(1, 1) == cross
+    assert fake.gram_record(1, 1) == gram
+    assert not fake.constructed and not _route(fake, 1, 1)
+
+
+def test_the_disk_takes_the_contraction_from_level_2():
+    # phi_conditions fails, so the lifted Pearson equation does not hold at level 1
+    f = load_family(DISK)
+    sys = build_monic(f, 6)
+    assert characterize._functional_pearson(sys)
+    for n in range(1, 4):
+        for m in range(1, 3):
+            gram, cross = _contracted(sys, n, m)
+            assert sys.gram_record(n, m) == gram, (n, m)
+            assert sys.cross_rows(n, m) == cross, (n, m)
+            assert _route(sys, n, m) == (m == 1), (n, m)
+    assert psi_tower(f, 1).level(1).zero_order_scalar() is not None
+
+
+def _shifted_hermite(degree):
+    """The Pearson data of exp(-x^2 + x - y^2) with the moments of exp(-x^2 - y^2)."""
+    herm = builtin("product_hermite")
+    return load_family({
+        "name": "shifted_hermite",
+        "phi": [["1", "0"], ["0", "1"]],
+        "psi1": "1-2*x",
+        "psi2": "-2*y",
+        "log_grad_x": {"num": "1-2*x", "den": "1"},
+        "log_grad_y": {"num": "-2*y", "den": "1"},
+        "domain": {"kind": "plane"},
+        "moments": [[i, d - i, str(herm.moment(i, d - i))]
+                    for d in range(degree + 1) for i in range(d + 1)],
+    })
+
+
+def test_moments_of_another_weight_take_the_contraction():
+    # Pearson's equation holds pointwise, but these moments do not solve it
+    f = _shifted_hermite(13)
+    sys = build_monic(f, 6)
+    assert check_pearson(f) and not characterize._functional_pearson(sys)
+    for n in range(1, 4):
+        for m in range(1, 3):
+            gram, cross = _contracted(sys, n, m)
+            assert sys.gram_record(n, m) == gram, (n, m)
+            assert sys.cross_rows(n, m) == cross, (n, m)
+            assert not _route(sys, n, m), (n, m)
+
+
+@pytest.mark.parametrize("ref", INSTANCES)
+def test_builtin_moments_solve_the_functional_pearson_equations(ref):
+    assert characterize._functional_pearson(build_monic(builtin(ref), 6))
+
+
+@pytest.mark.parametrize("degree", [10, 11])
+def test_a_moments_table_changed_at_the_top_takes_the_contraction(degree):
+    # N = 6: the construction reads the moments to degree 2N - 1 = 11, and
+    # so does the functional check.  With a moment of degree 10 doubled,
+    # gram(n, m) at n + m = 5 is not the by-parts product; with one of
+    # degree 11 it still is, but only the check's degree bound knows that
+    doc = export_family(builtin("triangle(1,1,1)"), moment_degree=11)
+    sys = build_monic(load_family(doc), 6)
+    assert characterize._functional_pearson(sys)
+    entry = next(entry for entry in doc["moments"] if entry[:2] == [degree, 0])
+    entry[2] = str(Fraction(entry[2]) * 2)
+    sys = build_monic(load_family(doc), 6)
+    assert not characterize._functional_pearson(sys)
+    for n, m in [(4, 1), (3, 2), (2, 3)]:
+        gram, cross = _contracted(sys, n, m)
+        assert sys.gram_record(n, m) == gram, (n, m)
+        assert sys.cross_rows(n, m) == cross, (n, m)
+        assert not _route(sys, n, m), (n, m)
+
+
+def test_a_b_run_on_a_moments_table_that_stops_at_2n_minus_1(tmp_path):
+    # N = nmax + mmax + 1 = 8: the construction reads moments to degree 15
+    # and the functional check no further, so every cell passes as before
+    path = tmp_path / "triangle.json"
+    path.write_text(json.dumps(export_family(builtin("triangle(1,1,1)"), moment_degree=15)))
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        status = cli.main(["verify", "--family", str(path), "--properties", "b",
+                           "--nmax", "4", "--mmax", "3"])
+    assert status == 0
+    assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == \
+        "5bde2852a57caba444903f717a540c76ce40e33d6d4563ef4a0f3f49c2fe126e"
+
+
+def test_a_drift_tower_that_cannot_be_built_takes_the_contraction():
+    # a quadratic psi: psi_tower raises inside the guard, which gives False
+    f = dataclasses.replace(builtin("product_hermite"), psi1=parse_poly("x^2"))
+    sys = build_monic(f, 5)
+    for n, m in [(1, 1), (2, 2)]:
+        assert sys.gram_record(n, m) == _contracted(sys, n, m)[0]
+        assert not _route(sys, n, m)
