@@ -21,6 +21,7 @@ lemma1 (the determinant identity for interleaved column pairs) and
 lemma2 (the closed form of the lifted drift coefficients).
 """
 
+from .basisops import x_vec
 from .characterize import (
     PropertyReport,
     lambda_via_formula,
@@ -54,5 +55,6 @@ __all__ = [
     "psi_tower",
     "rodrigues_reconstruct",
     "verify_all",
+    "x_vec",
 ]
 __version__ = "0.1.0"

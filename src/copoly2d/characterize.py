@@ -68,7 +68,6 @@ from .matpoly import (
     ShapeError,
     SingularMatrixError,
     _echelon,
-    _rescaled,
     det_exact,
     hstack,
     int_matmul,
@@ -82,9 +81,11 @@ from .matpoly import (
 )
 from .orthosys import (
     OrthoSystem,
+    _coded,
     build_monic,
     eval_product,
     g_lead_rows,
+    hankel_table,
     integrate_rows,
     row_halves,
 )
@@ -670,31 +671,31 @@ def _functional_pearson(sys: OrthoSystem) -> bool:
     The terms have degree <= 2N - 1, the moments build_monic(f, N) read;
     weight data of higher degree (deg phi > 2 or deg psi > 1) would read
     past them, and fails.  The sums run on ints: the moment numerators
-    over their LCM, phi and psi over theirs.  OrthoSystem._by_parts reads
-    it: integration by parts needs it, and the pointwise Pearson equation
-    alone does not give it (a weight's boundary terms, or a moments table
-    of another weight).
+    over their LCM (orthosys.hankel_table), phi and psi over theirs.
+    OrthoSystem._by_parts reads it: integration by parts needs it, and
+    the pointwise Pearson equation alone does not give it (a weight's
+    boundary terms, or a moments table of another weight).
     """
     def make():
         f = sys.family
         if f.phi.degree > 2 or f.psi1.total_degree > 1 or f.psi2.total_degree > 1:
             return False
         top = 2 * sys.nmax - 1
-        mus = {(i, t - i): f.moment(i, t - i) for t in range(top + 1) for i in range(t + 1)}
-        dm = lcm(*(mu.denominator for mu in mus.values()))
-        mu = {e: v.numerator * (dm // v.denominator) for e, v in mus.items()}
+        s = top + 1
+        hank, _ = hankel_table(f, s)
         cols = [(f.phi[0, j], f.phi[1, j], psi) for j, psi in ((0, f.psi1), (1, f.psi2))]
         d = lcm(*(p.den for col in cols for p in col))
-        cols = [[_rescaled(p, d) for p in col] for col in cols]
+        cols = [[_coded(p, d, s) for p in col] for col in cols]
         for t in range(top):
             for a in range(t + 1):
                 b = t - a
+                g = a * s + b  # the code of g = x^a y^b
                 for px, py, ps in cols:
-                    total = sum(c * mu[a + i, b + j] for (i, j), c in ps.items())
+                    total = sum(c * hank[g + e] for e, c in ps)
                     if a:
-                        total += a * sum(c * mu[a - 1 + i, b + j] for (i, j), c in px.items())
+                        total += a * sum(c * hank[g - s + e] for e, c in px)
                     if b:
-                        total += b * sum(c * mu[a + i, b - 1 + j] for (i, j), c in py.items())
+                        total += b * sum(c * hank[g - 1 + e] for e, c in py)
                     if total:
                         return False
         return True

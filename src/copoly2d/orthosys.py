@@ -7,12 +7,15 @@ build_monic grows it by the three-term relation, driven by the family's
 normalized moment oracle.  Z = (x P_n[0], .., x P_n[n], y P_n[n]) is
 monic of degree n + 1, and integral(Z p rho) moves x or y onto p, so Z
 is orthogonal to every p of degree below n - 1: P_(n+1) is Z minus its
-projections on P_n and P_(n-1) only.  One contraction of P_n with
+projections on P_n and P_(n-1) only.  One moment block of P_n against
 [X_n | X_(n+1)] gives both, through the coefficient block M_n of the
 degree-n part of Z and the Gram block gram(n, 0) = integral(P_n X_n^t
 rho), eliminated once into its gram_record; the P_(n-1) projection is
 read off that block, because x P_(n-1) and y P_(n-1) are blocks of X_n
-plus lower degree.
+plus lower degree.  The entries of [X_n | X_(n+1)] are monomials, so
+the block is P_n's numerators times rows of the int moment table
+(hankel_table), and the step runs on int rows: each entry of P_(n+1)
+is one int dict over one denominator, with no polynomial matrix formed.
 
 The level-m gradient stack of the system is
 Q(n, m) = grad Q(n+1, m-1) with Q(n, 0) = P_n^t, a 2^m by (n+m+1)
@@ -46,7 +49,8 @@ matrices are bilinear forms on the moment numerators: with H[alpha,
 beta] = mu_(alpha+beta) the moment (Hankel) matrix of the functional,
 integral(p q rho) = coef(p)^t H coef(q), so no exact integral forms
 the product a^t w.  inner, the level Gram blocks and the check layer's
-integrals all go through one kernel, integrate_rows: several left
+integrals all go through one kernel, integrate_rows (build_monic, whose
+w is the monomial basis, reads the same table directly): several left
 factors against one w, each distinct entry of w contracted with the
 moments once, each block returned as int rows over one denominator.
 It reads each polynomial's stored int numerators and denominator
@@ -95,7 +99,7 @@ from itertools import chain
 from math import comb, lcm
 from typing import TYPE_CHECKING, NamedTuple
 
-from .basisops import n_rows, x_vec
+from .basisops import n_rows
 from .matpoly import (
     PolyMatrix,
     ShapeError,
@@ -105,7 +109,6 @@ from .matpoly import (
     _ratio_rows,
     _rescaled,
     const_matrix,
-    hstack,
     int_matmul,
     kron,
     kron_power,
@@ -113,7 +116,7 @@ from .matpoly import (
     reduce_rows,
     vstack,
 )
-from .polycore import X, Y, ZERO, BivariatePoly, from_numerators
+from .polycore import ZERO, BivariatePoly, from_numerators
 from .weights import QuadRule, WeightFamily
 
 if TYPE_CHECKING:
@@ -189,11 +192,7 @@ def integrate_rows(mats, w: PolyMatrix, f: WeightFamily) -> list:
             deg = max(deg, max(p.total_degree for ar in ars for _, p in ar)
                       + max(p.total_degree for _, p in wr))
     s = deg + 1
-    mus = {i * s + t - i: f.moment(i, t - i) for t in range(s) for i in range(t + 1)}
-    dm = lcm(*(mu.denominator for mu in mus.values()))
-    hank = [0] * (s * s)
-    for code, mu in mus.items():
-        hank[code] = mu.numerator * (dm // mu.denominator)
+    hank, dm = hankel_table(f, s)
     # id(entry of w) -> [entry, the monomials of every left row it meets]
     need = {}
     coded = []
@@ -221,6 +220,24 @@ def integrate_rows(mats, w: PolyMatrix, f: WeightFamily) -> list:
                     out[c * cols + d] += sum(x * v[e] for e, x in t)
     return [reduce_rows([out[c * cols:(c + 1) * cols] for c in range(a.cols)], da * dw * dm)
             for a, da, out in zip(mats, das, outs)]
+
+
+def hankel_table(f: WeightFamily, s: int):
+    """The int moment table of degree < s: (hank, dm).
+
+    hank[i*s + j] / dm is mu_(i,j) / mu_00 for i + j < s and 0
+    elsewhere, dm the LCM of the moment denominators, so with p and q
+    coded over s (_coded) integral(p q rho) / mu_00 reads hank[e + b] /
+    dm for the term codes e of p and b of q, as long as deg p + deg q < s.
+    The moments are read by ascending total degree, then ascending x
+    power; s = 0 reads none.
+    """
+    mus = {i * s + t - i: f.moment(i, t - i) for t in range(s) for i in range(t + 1)}
+    dm = lcm(*(mu.denominator for mu in mus.values()))
+    hank = [0] * (s * s)
+    for code, mu in mus.items():
+        hank[code] = mu.numerator * (dm // mu.denominator)
+    return hank, dm
 
 
 def _coded(p: BivariatePoly, d: int, s: int) -> list:
@@ -695,57 +712,95 @@ def build_monic(f: WeightFamily, nmax: int) -> OrthoSystem:
     for deg p < n - 1, so of the projections of Z on P_0 .. P_n only
     those on P_n and P_(n-1) survive:
 
-        P_(n+1)^t = Z^t - q(n, 0) G_n^-1 integral(P_n Z^t rho)
-                        - q(n-1, 0) G_(n-1)^-1 integral(P_(n-1) Z^t rho).
+        P_(n+1)^t = Z^t - q(n, 0) B_n - q(n-1, 0) B_(n-1),
+        B_n = G_n^-1 integral(P_n Z^t rho),
+        B_(n-1) = G_(n-1)^-1 integral(P_(n-1) Z^t rho).
 
-    One contraction (integrate_rows) gives the int rows of G_n =
-    integral(P_n X_n^t rho) and S_n = integral(P_n X_(n+1)^t rho).  G_n
-    is the level Gram block gram(n, 0) = integral(P_n P_n^t rho), since
-    P_n - X_n has lower degree; its one elimination is the gram_record
-    kept in the memo.  Writing the degree-n part of Z^t as X_n^t M_n,
-    integral(P_n Z^t rho) = S_n + G_n M_n, whose solve is G_n^-1 S_n +
-    M_n.  integral(P_(n-1) Z^t rho) needs no integral: x P_(n-1)[i] and
-    y P_(n-1)[i] are X_n[i] and X_n[i+1] plus lower degree, so its
-    columns j <= n are rows 0 .. n-1 of G_n (symmetric) and its column
-    n + 1 is G_n[1 .. n, n].  Both solves are int products with the
-    inverses in the records of G_n and G_(n-1).  The moments read are
-    those of degree <= 2 nmax - 1.  The moment matrix has det M_(n-1) =
-    prod det G_k, so SingularGramError, naming the first column of M_n
-    without a pivot, is the exact signal that the moment data is not a
+    One moment block per degree gives the int rows of G_n =
+    integral(P_n X_n^t rho) and S_n = integral(P_n X_(n+1)^t rho).  The
+    entries of [X_n | X_(n+1)] are single monomials x^a y^b, and
+    integral(p x^a y^b rho) / mu_00 = sum_e p_e mu_(e + (a, b)): with w the
+    monomial basis the contraction is a row of the moment (Hankel)
+    matrix, so entry (c, beta) of the block is sum_e p_e H[e + beta], p
+    the numerators of P_n[c] over the LCM of P_n's denominators, read
+    off the int table of the moments of degree <= 2n + 1 (hankel_table);
+    no per-entry contraction of w is needed.  G_n is the level Gram
+    block gram(n, 0) = integral(P_n P_n^t rho), since P_n - X_n has
+    lower degree; its one elimination is the gram_record kept in the
+    memo.  Writing the degree-n part of Z^t as X_n^t M_n, M_n read off
+    P_n's degree-(n - 1) numerators, integral(P_n Z^t rho) = S_n + G_n
+    M_n, so B_n = G_n^-1 S_n + M_n.  integral(P_(n-1) Z^t rho) needs no
+    integral: x P_(n-1)[i] and y P_(n-1)[i] are X_n[i] and X_n[i+1] plus
+    lower degree, so its columns j <= n are rows 0 .. n-1 of G_n
+    (symmetric) and its column n + 1 is G_n[1 .. n, n].  Both solves are
+    int products with the inverses in the records of G_n and G_(n-1),
+    and B_n and B_(n-1) stay int rows.  Each entry of P_(n+1) is then
+    one int dict over one denominator, Z's numerators minus those of
+    P_n B_n and P_(n-1) B_(n-1), normalised once (from_numerators); no
+    polynomial matrix is multiplied.  The moments read are those of
+    degree <= 2 nmax - 1.  The moment matrix has det M_(n-1) = prod det
+    G_k, so SingularGramError, naming the first column of M_n without a
+    pivot, is the exact signal that the moment data is not a
     quasi-definite functional.
     """
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
     sys = OrthoSystem(f, [PolyMatrix.column([1])])
+    pn = [sys.p(0)[0, 0]]
     for n in range(nmax):
         k = n + 1
-        qn = sys.q(n, 0)
-        pn = qn.row_list(0)
-        w = hstack(x_vec(n).transpose(), x_vec(n + 1).transpose())
-        [(block, d)] = integrate_rows([qn], w, f)  # [G_n | S_n] over d
+        s = 2 * n + 2
+        hank, dm = hankel_table(f, s)
+        da = lcm(*(p.den for p in pn))
+        nums = [_rescaled(p, da) for p in pn]
+        # the codes of X_n, then of X_(n+1)
+        betas = [(n - c) * s + c for c in range(k)] + [(k - c) * s + c for c in range(k + 1)]
+        block, d = reduce_rows([[sum(x * hank[e + b] for e, x in t) for b in betas]
+                                for t in (_coded(p, da, s) for p in pn)],
+                               da * dm)  # [G_n | S_n] over d
         rec = _gram_record(*reduce_rows([row[:k] for row in block], d))
         if rec.inv is None:
             col = n * k // 2 + rec.free  # the columns of G_0 .. G_(n-1) come first
             raise SingularGramError(f"degree {k}: singular pivot at column {col}")
         sys._memo[("gram record", n, 0)] = rec
         sol = int_matmul(rec.inv, [row[k:] for row in block], k + 1)
-        # M_n[r, j]: the coefficient of X_n[r] in Z[j]
-        mn = const_matrix([[p.coeff(n - r - 1, r) for p in pn] + [pn[n].coeff(n - r, r - 1)]
-                           for r in range(k)])
-        qs, bs = [qn], [_block_matrix(sol, rec.inv_den * d, k + 1) + mn]
+        ds = rec.inv_den * d
+        db = lcm(ds, da)
+        # B_n over db; M_n[r, j] is the coefficient of X_n[r] in Z[j]
+        mn = [[p.get((n - r - 1, r), 0) for p in nums] + [nums[n].get((n - r, r - 1), 0)]
+              for r in range(k)]
+        bn = [[u * (db // ds) + v * (db // da) for u, v in zip(srow, mrow)]
+              for srow, mrow in zip(sol, mn)]
+        # (numerators of P_j over their LCM, int rows of B_j, denominator of their product)
+        parts = [(nums, bn, da * db)]
         if n:
-            g, low = rec.rows, sys.gram_record(n - 1, 0)
-            prev = int_matmul(low.inv, [g[r][:k] + [g[r + 1][n]] for r in range(n)], k + 1)
-            qs.append(sys.q(n - 1, 0))
-            bs.append(_block_matrix(prev, low.inv_den * rec.den, k + 1))
-        zt = PolyMatrix.row([X * p for p in pn] + [Y * pn[n]])
-        pt = zt - hstack(*qs) @ vstack(*bs)
+            lnums, dl, lrec = low
+            g = rec.rows
+            parts.append((lnums, int_matmul(lrec.inv, [g[r][:k] + [g[r + 1][n]] for r in range(n)],
+                                            k + 1), dl * lrec.inv_den * rec.den))
+        den = lcm(*(pd for _, _, pd in parts))
+        # exponent -> the k + 1 numerators over den of P_(n+1)^t at it
+        terms = {}
+        for ps, bs, pd in parts:
+            sc = den // pd
+            for p, brow in zip(ps, bs):
+                brow = [-sc * v for v in brow]
+                for e, x in p.items():
+                    row = terms.get(e)
+                    terms[e] = ([x * v for v in brow] if row is None
+                                else [u + x * v for u, v in zip(row, brow)])
+        sc = den // da
+        for j, p in enumerate(nums + [nums[n]]):  # Z[j] is x P_n[j], and y P_n[n] at j = k
+            dx = int(j < k)
+            for (i, h), x in p.items():
+                terms.setdefault((i + dx, h + 1 - dx), [0] * (k + 1))[j] += x * sc
         # leading monomial first, then the lower terms by ascending degree
         # and falling x power: numeric mode sums terms in this order
-        sys._p.append(PolyMatrix.column(
-            [BivariatePoly({e: p.num[e] for e in
-                            sorted(p.num, key=lambda e: (sum(e) < k, sum(e), e[1]))}, p.den)
-             for p in pt.row_list(0)]))
+        order = sorted(terms, key=lambda e: (sum(e) < k, sum(e), e[1]))
+        low = nums, da, rec  # P_(n-1)'s numerators, their LCM and G_(n-1) at the next degree
+        pn = [from_numerators({e: terms[e][j] for e in order if terms[e][j]}, den)
+              for j in range(k + 1)]
+        sys._p.append(PolyMatrix.column(pn))
     sys.constructed = True
     return sys
 

@@ -4,7 +4,7 @@ Each test prints a single ACCEPTANCE line so the criterion verdicts can
 be read off a captured run.
 
 Criterion 2 runs properties (a)-(e) exactly on the whole n<=4, m<=2 grid
-of seven built-in instances and asserts, cell by cell, the verdict that
+of eight built-in instances and asserts, cell by cell, the verdict that
 the Pearson data predicts.  The checkers state (c), (d) and (e) above
 level zero without two kinds of terms that differentiating the level-zero
 statements produces:
@@ -77,6 +77,7 @@ ALL_INSTANCES = [
     "product_laguerre(1,2)",
     "hermite_laguerre(0)",
     "product_jacobi(0,0,0,0)",
+    "product_jacobi(1,2,0,0)",
     "triangle(0,0,0)",
     "triangle(1,1,1)",
 ]

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from conftest import _consts
 from hypothesis import given, settings, strategies as st
+from test_acceptance import ALL_INSTANCES
 from test_characterize import pearson_data
 
 from copoly2d import characterize, matpoly, orthosys
@@ -41,17 +42,6 @@ from copoly2d.orthosys import (
 )
 from copoly2d.polycore import BivariatePoly as P, parse_poly
 from copoly2d.weights import QuadRule, builtin, load_family, export_family, make_quadrature
-
-# the seven instances of acceptance criterion 2
-ALL_INSTANCES = [
-    "product_hermite",
-    "product_laguerre(0,0)",
-    "product_laguerre(1,2)",
-    "hermite_laguerre(0)",
-    "product_jacobi(0,0,0,0)",
-    "triangle(0,0,0)",
-    "triangle(1,1,1)",
-]
 
 
 def leading_block(q, n):
@@ -345,15 +335,18 @@ def test_three_term_construction_on_random_discrete_tables(seed):
 @pytest.mark.parametrize("ref", ["triangle(1,1,1)", "product_jacobi(1/2,1/2,1/2,1/2)",
                                  "product_laguerre(1,2)"])
 def test_build_monic_cost_shape(monkeypatch, ref):
-    # per degree: one moment contraction and one square elimination, that
-    # of G_n; the moments read reach exactly degree 2 nmax - 1
-    calls = {"integrate_rows": 0, "square _echelon": 0}
+    # per degree: one moment block read off the Hankel table, no general
+    # contraction, no polynomial matrix product and one square
+    # elimination, that of G_n; the moments read reach exactly degree
+    # 2 nmax - 1
+    calls = {"hankel_table": 0, "integrate_rows": 0, "@": 0, "square _echelon": 0}
     degrees = []
-    contract = orthosys.integrate_rows
 
-    def contracting(*args):
-        calls["integrate_rows"] += 1
-        return contract(*args)
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
 
     echelon = matpoly._echelon
 
@@ -368,7 +361,10 @@ def test_build_monic_cost_shape(monkeypatch, ref):
         degrees.append(i + j)
         return moment(family, i, j)
 
-    monkeypatch.setattr(orthosys, "integrate_rows", contracting)
+    for name in ("hankel_table", "integrate_rows"):
+        monkeypatch.setattr(orthosys, name, counting(name, getattr(orthosys, name)))
+    monkeypatch.setattr(matpoly.PolyMatrix, "__matmul__",
+                        counting("@", matpoly.PolyMatrix.__matmul__))
     for mod in (matpoly, orthosys):
         monkeypatch.setattr(mod, "_echelon", eliminating)
     monkeypatch.setattr(orthosys.WeightFamily, "moment", recording)
@@ -378,7 +374,8 @@ def test_build_monic_cost_shape(monkeypatch, ref):
             calls[name] = 0
         degrees.clear()
         sys = build_monic(f, nmax)
-        assert calls == {"integrate_rows": nmax, "square _echelon": nmax}
+        assert calls == {"hankel_table": nmax, "integrate_rows": 0, "@": 0,
+                         "square _echelon": nmax}
         assert max(degrees) == 2 * nmax - 1
         # the construction leaves the gram_record of gram(n, 0), n < nmax,
         # in the memo, and gram reads it
@@ -458,6 +455,14 @@ def test_integrate_rows_matches_formed_product(aw, ref):
         assert integrate_rows([a], w, single) == [(rows, d)]
     # one contraction reads the moments the separate calls read
     assert read_together == read_apart
+
+
+def test_integrate_rows_reads_no_moment_where_no_rows_meet():
+    f, seen = _recording(builtin("triangle(1,1,1)"))
+    a = PolyMatrix.column([parse_poly("x"), 0])
+    w = PolyMatrix.column([0, parse_poly("y")])
+    assert integrate_rows([a], w, f) == [([[0]], 1)]
+    assert not seen
 
 
 def test_integrate_rows_rejects_row_mismatch():

@@ -53,10 +53,11 @@ from copoly2d.weights import (
     load_family,
 )
 
-# criterion 2's instances, the three whose (c) fails above level 0 in
-# another way, and a triangle with unequal parameters
+# criterion 2's instances, product_jacobi(1,2,0,0) among them, the two
+# more whose (c) fails above level 0 in another way, and a triangle with
+# unequal parameters
 INSTANCES = [*ALL_INSTANCES, "hermite_laguerre(1)", "product_jacobi(1/2,1/2,1/2,1/2)",
-             "product_jacobi(1,2,0,0)", "triangle(-1/2,1/3,2)"]
+             "triangle(-1/2,1/3,2)"]
 
 # (family, first level at which (c) takes the level-m solve)
 SOLVED_FROM = [("hermite_laguerre(1)", 1), ("product_jacobi(1/2,1/2,1/2,1/2)", 2),
@@ -399,7 +400,7 @@ def _route(sys, n, m):
     return bool(sys._memo[("by parts", n, m)])
 
 
-@pytest.mark.parametrize("ref", [*ALL_INSTANCES, "product_jacobi(1,2,0,0)"])
+@pytest.mark.parametrize("ref", ALL_INSTANCES)
 def test_gram_blocks_and_cross_terms_by_parts_match_the_contraction(ref):
     f = builtin(ref)
     sys = build_monic(f, 9)
