@@ -30,7 +30,10 @@ cross terms on both routes, read off level 0 by parts and integrated:
 from level 2, where its zero-order term is not scalar) and on
 product_jacobi(1/2,1/2,1/2,1/2) at `--nmax 4 --mmax 5` (from level 3),
 and (b) with (e) on triangle(1,1,1) at `--nmax 8 --mmax 4`, whose next
-Gram block (e) alone reads is integrated.
+Gram block (e) alone reads is integrated.  The default-grid report of
+product_jacobi(1,2,0,0) is pinned as well: it is the one instance of
+criterion 2 with a + b != c + d, and its moments have denominators no
+other pin reads.
 """
 from __future__ import annotations
 
@@ -160,3 +163,13 @@ def test_one_property_deep_report_matches_pinned_digest(name, params, prop, nmax
                              "--nmax", str(nmax), "--mmax", str(mmax))
     assert got == status
     assert _sha(text) == sha
+
+
+def test_default_grid_report_with_a_plus_b_unequal_to_c_plus_d_matches_pinned_digest():
+    # criterion 2's one instance with a + b != c + d, named in the family
+    # string; its moment denominators differ from every other pin's
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        status = cli.main(["verify", "--family", "product_jacobi(1,2,0,0)", "--format", "json"])
+    assert status == 1
+    assert _sha(buf.getvalue()) == "ed2ee6bd5f1aca98f18d258672fcfca5993024ec1886cf8b86ed6cc769896e76"
