@@ -670,8 +670,10 @@ def _functional_pearson(sys: OrthoSystem) -> bool:
     is Pearson's equation with no boundary term, as the moments read it.
     The terms have degree <= 2N - 1, the moments build_monic(f, N) read;
     weight data of higher degree (deg phi > 2 or deg psi > 1) would read
-    past them, and fails.  The sums run on ints: the moment numerators
-    over their LCM (orthosys.hankel_table), phi and psi over theirs.
+    past them, and fails.  The sums run on ints: the numerators of the
+    family's moment table (orthosys.hankel_table), asked for to degree
+    2N and read with the stride it comes with, phi and psi over the LCM
+    of their denominators.
     OrthoSystem._by_parts reads it: integration by parts needs it, and
     the pointwise Pearson equation alone does not give it (a weight's
     boundary terms, or a moments table of another weight).
@@ -681,8 +683,7 @@ def _functional_pearson(sys: OrthoSystem) -> bool:
         if f.phi.degree > 2 or f.psi1.total_degree > 1 or f.psi2.total_degree > 1:
             return False
         top = 2 * sys.nmax - 1
-        s = top + 1
-        hank, _ = hankel_table(f, s)
+        hank, _, s = hankel_table(f, top + 1)
         cols = [(f.phi[0, j], f.phi[1, j], psi) for j, psi in ((0, f.psi1), (1, f.psi2))]
         d = lcm(*(p.den for col in cols for p in col))
         cols = [[_coded(p, d, s) for p in col] for col in cols]
@@ -1127,7 +1128,9 @@ def verify_all(f: WeightFamily, nmax: int = 4, mmax: int = 2,
     quad_order below the grid floor nmax + mmax + 2 (only when the
     family has an oracle), then on a domain without a Gauss rule; a run
     that reads the system probes every moment it reads
-    (require_moment_depth).  A cell whose prerequisite could not be
+    (require_moment_depth) and then builds the family's moment table
+    (orthosys.hankel_table) to that depth, the one table every exact
+    integral of the run reads.  A cell whose prerequisite could not be
     built (no oracle, no system) skips its checker and fails with the
     construction error in its note.  Bad arguments raise ValueError.
     """
@@ -1192,6 +1195,8 @@ def verify_all(f: WeightFamily, nmax: int = 4, mmax: int = 2,
         if "next gram" in needs:
             moment_depth = max(moment_depth, 2 * (nmax + 1) + max(f.phi.degree, 0) * mmax)
         require_moment_depth(f, nmax, mmax, moment_depth)
+        if f.has_oracle():  # the one table every exact integral of the run reads
+            hankel_table(f, moment_depth + 1)
     # prerequisite -> the note of the cells it blocks, for each one that failed
     failed = {}
     if "tower" in needs:

@@ -13,9 +13,10 @@ degree-n part of Z and the Gram block gram(n, 0) = integral(P_n X_n^t
 rho), eliminated once into its gram_record; the P_(n-1) projection is
 read off that block, because x P_(n-1) and y P_(n-1) are blocks of X_n
 plus lower degree.  The entries of [X_n | X_(n+1)] are monomials, so
-the block is P_n's numerators times rows of the int moment table
-(hankel_table), and the step runs on int rows: each entry of P_(n+1)
-is one int dict over one denominator, with no polynomial matrix formed.
+the block is P_n's numerators times rows of the family's int moment
+table (hankel_table), read once per construction, and the step runs on
+int rows: each entry of P_(n+1) is one int dict over one denominator,
+with no polynomial matrix formed.
 
 The level-m gradient stack of the system is
 Q(n, m) = grad Q(n+1, m-1) with Q(n, 0) = P_n^t, a 2^m by (n+m+1)
@@ -54,9 +55,15 @@ w is the monomial basis, reads the same table directly): several left
 factors against one w, each distinct entry of w contracted with the
 moments once, each block returned as int rows over one denominator.
 It reads each polynomial's stored int numerators and denominator
-directly, so no Fraction is built on the way.  inner wraps its one
-block as a constant matrix; integrate_matrix, which integrates a
-formed matrix entrywise, stays as the plain reference.  The
+directly, so no Fraction is built on the way.  The table depends only
+on the family, so hankel_table keeps the deepest one built for it, as
+characterize.psi_tower keeps the drift tower: the construction, every
+contraction and the functional Pearson check
+(characterize._functional_pearson) read that one table, each coding
+its polynomials with the stride the table comes with, and an exact run
+(characterize.verify_all) builds it once, at the depth it probed.
+inner wraps its one block as a constant matrix; integrate_matrix, which
+integrates a formed matrix entrywise, stays as the plain reference.  The
 construction and the exact (b) and (e) checks stay on the int rows: an
 exact Gram block's one exact form is its gram_record (gram(n, m) is a
 view of it), its int rows with their determinant and inverse from one
@@ -94,6 +101,7 @@ failing computation is retried and raises again.
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
 from itertools import chain
 from math import comb, lcm
@@ -171,10 +179,13 @@ def integrate_rows(mats, w: PolyMatrix, f: WeightFamily) -> list:
     identity; hstack and row_halves pass entries through) is contracted
     with the moments once, over the union of the monomials of the rows
     of the left factors that it meets; each factor's integral is then
-    int dot products with those vectors.  The moments read are the
-    union of what the separate calls read.  Each factor and w are read
-    over the LCM of their entries' denominators, straight from the
-    stored numerators.
+    int dot products with those vectors.  The moments come from the
+    family's table (hankel_table), asked for to degree deg + 1, deg the
+    largest total degree of a product the rows meet, and each
+    polynomial is coded with the stride it comes with; a family whose
+    kept table is that deep already has no moment read.  Each factor and
+    w are read over the LCM of their entries' denominators, straight
+    from the stored numerators.
     """
     mats = list(mats)
     for a in mats:
@@ -191,8 +202,7 @@ def integrate_rows(mats, w: PolyMatrix, f: WeightFamily) -> list:
             rows.append((wr, ars))
             deg = max(deg, max(p.total_degree for ar in ars for _, p in ar)
                       + max(p.total_degree for _, p in wr))
-    s = deg + 1
-    hank, dm = hankel_table(f, s)
+    hank, dm, s = hankel_table(f, deg + 1)
     # id(entry of w) -> [entry, the monomials of every left row it meets]
     need = {}
     coded = []
@@ -222,22 +232,35 @@ def integrate_rows(mats, w: PolyMatrix, f: WeightFamily) -> list:
             for a, da, out in zip(mats, das, outs)]
 
 
-def hankel_table(f: WeightFamily, s: int):
-    """The int moment table of degree < s: (hank, dm).
+# family -> the deepest int moment table built for it; a family is compared by identity
+_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
-    hank[i*s + j] / dm is mu_(i,j) / mu_00 for i + j < s and 0
-    elsewhere, dm the LCM of the moment denominators, so with p and q
-    coded over s (_coded) integral(p q rho) / mu_00 reads hank[e + b] /
-    dm for the term codes e of p and b of q, as long as deg p + deg q < s.
-    The moments are read by ascending total degree, then ascending x
-    power; s = 0 reads none.
+
+def hankel_table(f: WeightFamily, s: int):
+    """The family's int moment table, of degree < stride for some stride >= s.
+
+    Returns (hank, dm, stride): hank[i*stride + j] / dm is mu_(i,j) /
+    mu_00 for i + j < stride and 0 elsewhere, dm the LCM of the moment
+    denominators, so with p and q coded over the stride (_coded)
+    integral(p q rho) / mu_00 reads hank[e + b] / dm for the term codes e
+    of p and b of q, as long as deg p + deg q < stride.  The table
+    depends only on the family, so the deepest one built is kept for it
+    and returned to every caller that asks for no deeper one; a caller
+    codes its polynomials with the stride returned in the same call,
+    never with s.  A deeper request builds the table at stride s,
+    reading the moments by ascending total degree, then ascending x
+    power (s = 0 reads none); a build that raises keeps the old table.
     """
+    known = _TABLES.get(f)
+    if known is not None and known[2] >= s:
+        return known
     mus = {i * s + t - i: f.moment(i, t - i) for t in range(s) for i in range(t + 1)}
     dm = lcm(*(mu.denominator for mu in mus.values()))
     hank = [0] * (s * s)
     for code, mu in mus.items():
         hank[code] = mu.numerator * (dm // mu.denominator)
-    return hank, dm
+    table = _TABLES[f] = (tuple(hank), dm, s)
+    return table
 
 
 def _coded(p: BivariatePoly, d: int, s: int) -> list:
@@ -723,11 +746,12 @@ def build_monic(f: WeightFamily, nmax: int) -> OrthoSystem:
     monomial basis the contraction is a row of the moment (Hankel)
     matrix, so entry (c, beta) of the block is sum_e p_e H[e + beta], p
     the numerators of P_n[c] over the LCM of P_n's denominators, read
-    off the int table of the moments of degree <= 2n + 1 (hankel_table);
-    no per-entry contraction of w is needed.  G_n is the level Gram
-    block gram(n, 0) = integral(P_n P_n^t rho), since P_n - X_n has
-    lower degree; its one elimination is the gram_record kept in the
-    memo.  Writing the degree-n part of Z^t as X_n^t M_n, M_n read off
+    off the family's int moment table (hankel_table), fetched once,
+    before the first degree, to degree 2 nmax, with every P_n coded in
+    the stride it comes with; no per-entry contraction of w is needed.
+    G_n is the level Gram block gram(n, 0) = integral(P_n P_n^t rho),
+    since P_n - X_n has lower degree; its one elimination is the
+    gram_record kept in the memo.  Writing the degree-n part of Z^t as X_n^t M_n, M_n read off
     P_n's degree-(n - 1) numerators, integral(P_n Z^t rho) = S_n + G_n
     M_n, so B_n = G_n^-1 S_n + M_n.  integral(P_(n-1) Z^t rho) needs no
     integral: x P_(n-1)[i] and y P_(n-1)[i] are X_n[i] and X_n[i+1] plus
@@ -738,19 +762,19 @@ def build_monic(f: WeightFamily, nmax: int) -> OrthoSystem:
     one int dict over one denominator, Z's numerators minus those of
     P_n B_n and P_(n-1) B_(n-1), normalised once (from_numerators); no
     polynomial matrix is multiplied.  The moments read are those of
-    degree <= 2 nmax - 1.  The moment matrix has det M_(n-1) = prod det
-    G_k, so SingularGramError, naming the first column of M_n without a
-    pivot, is the exact signal that the moment data is not a
+    degree <= 2 nmax - 1, each once, and none where the family already
+    holds a table that deep.  The moment matrix has det M_(n-1) = prod
+    det G_k, so SingularGramError, naming the first column of M_n
+    without a pivot, is the exact signal that the moment data is not a
     quasi-definite functional.
     """
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
     sys = OrthoSystem(f, [PolyMatrix.column([1])])
     pn = [sys.p(0)[0, 0]]
+    hank, dm, s = hankel_table(f, 2 * nmax)
     for n in range(nmax):
         k = n + 1
-        s = 2 * n + 2
-        hank, dm = hankel_table(f, s)
         da = lcm(*(p.den for p in pn))
         nums = [_rescaled(p, da) for p in pn]
         # the codes of X_n, then of X_(n+1)

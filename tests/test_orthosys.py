@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import math
 import random
+import weakref
 from fractions import Fraction
 from unittest import mock
 
@@ -13,6 +14,7 @@ from conftest import _consts
 from hypothesis import given, settings, strategies as st
 from test_acceptance import ALL_INSTANCES
 from test_characterize import pearson_data
+from test_reductions import _shifted_hermite
 
 from copoly2d import characterize, matpoly, orthosys
 from copoly2d.basisops import x_vec
@@ -35,13 +37,22 @@ from copoly2d.orthosys import (
     eval_entries,
     eval_product,
     g_lead_rows,
+    hankel_table,
     inner,
     integrate_matrix,
     integrate_poly,
     integrate_rows,
 )
 from copoly2d.polycore import BivariatePoly as P, parse_poly
-from copoly2d.weights import QuadRule, builtin, load_family, export_family, make_quadrature
+from copoly2d.weights import (
+    OracleUnavailableError,
+    QuadRule,
+    WeightFamily,
+    builtin,
+    export_family,
+    load_family,
+    make_quadrature,
+)
 
 
 def leading_block(q, n):
@@ -335,10 +346,10 @@ def test_three_term_construction_on_random_discrete_tables(seed):
 @pytest.mark.parametrize("ref", ["triangle(1,1,1)", "product_jacobi(1/2,1/2,1/2,1/2)",
                                  "product_laguerre(1,2)"])
 def test_build_monic_cost_shape(monkeypatch, ref):
-    # per degree: one moment block read off the Hankel table, no general
-    # contraction, no polynomial matrix product and one square
-    # elimination, that of G_n; the moments read reach exactly degree
-    # 2 nmax - 1
+    # one table read per construction, and per degree one moment block
+    # read off it, no general contraction, no polynomial matrix product
+    # and one square elimination, that of G_n; the moments read reach
+    # exactly degree 2 nmax - 1
     calls = {"hankel_table": 0, "integrate_rows": 0, "@": 0, "square _echelon": 0}
     degrees = []
 
@@ -374,7 +385,7 @@ def test_build_monic_cost_shape(monkeypatch, ref):
             calls[name] = 0
         degrees.clear()
         sys = build_monic(f, nmax)
-        assert calls == {"hankel_table": nmax, "integrate_rows": 0, "@": 0,
+        assert calls == {"hankel_table": 1, "integrate_rows": 0, "@": 0,
                          "square _echelon": nmax}
         assert max(degrees) == 2 * nmax - 1
         # the construction leaves the gram_record of gram(n, 0), n < nmax,
@@ -472,6 +483,125 @@ def test_integrate_rows_rejects_row_mismatch():
     with pytest.raises(ShapeError, match="integrate_rows"):
         integrate_rows([PolyMatrix.zeros(3, 1), PolyMatrix.zeros(2, 1)],
                        PolyMatrix.zeros(3, 1), f)
+
+
+# ---------------------------------------------------------------------------
+# the family's kept moment table
+
+
+def _same_system(a, b):
+    assert a.nmax == b.nmax
+    for n in range(a.nmax + 1):
+        assert a.p(n) == b.p(n), n
+        for r in range(n + 1):
+            assert list(a.p(n)[r, 0].terms) == list(b.p(n)[r, 0].terms), (n, r)
+        if n < a.nmax:
+            assert a.gram_record(n, 0) == b.gram_record(n, 0), n
+
+
+@pytest.mark.parametrize("make, deep", [
+    (lambda: builtin("triangle(1,1,1)"), 40),
+    (lambda: builtin("product_jacobi(1/2,1/2,1/2,1/2)"), 40),
+    (lambda: builtin("product_laguerre(1,2)"), 40),
+    (lambda: builtin("product_jacobi(1,2,0,0)"), 40),
+    # Pearson data whose moments do not solve the functional equation,
+    # tabulated to degree 13
+    (lambda: _shifted_hermite(13), 14),
+])
+def test_readers_agree_on_a_fresh_table_and_a_deeper_kept_one(make, deep):
+    # each reader codes its polynomials with the stride the table comes
+    # with, so a table kept deeper than the reader asks for changes no
+    # bit of what it returns
+    held = make()
+    hankel_table(held, deep)
+    sys = build_monic(held, 6)
+    assert hankel_table(held, 0)[2] == deep
+    fresh = build_monic(make(), 6)
+    assert hankel_table(fresh.family, 0)[2] == 12
+    _same_system(sys, fresh)
+    assert characterize._functional_pearson(sys) == characterize._functional_pearson(fresh)
+    assert hankel_table(fresh.family, 0)[2] == 12
+    mats = [sys.counted_rows(k, 1) for k in range(4)]
+    w = sys.weighted_rows(3, 1)
+    alone = make()
+    got = integrate_rows(mats, w, alone)
+    assert hankel_table(alone, 0)[2] < deep
+    assert integrate_rows(mats, w, held) == got
+    assert integrate_rows(mats, w, fresh.family) == got
+
+
+def test_a_shallow_table_serves_shallower_reads_after_a_deeper_request_fails(monkeypatch):
+    # a family file tabulated to degree 8: a deeper request raises, keeps
+    # the table built before it, and raises again the next time
+    f = load_family(export_family(builtin("triangle(1,1,1)"), moment_degree=8))
+    want = build_monic(builtin("triangle(1,1,1)"), 4)
+    degrees = []
+    moment = WeightFamily.moment
+
+    def recording(family, i, j):
+        degrees.append(i + j)
+        return moment(family, i, j)
+
+    monkeypatch.setattr(WeightFamily, "moment", recording)
+    table = hankel_table(f, 9)
+    assert table[2] == 9 and sorted(degrees) == [d for d in range(9) for _ in range(d + 1)]
+    degrees.clear()
+    with pytest.raises(OracleUnavailableError, match=r"moment \(0,9\)"):
+        hankel_table(f, 10)
+    degrees.clear()
+    assert hankel_table(f, 5) is table
+    sys = build_monic(f, 4)
+    _same_system(sys, want)
+    assert characterize._functional_pearson(sys)
+    [(rows, d)] = integrate_rows([sys.counted_rows(1, 1)], sys.weighted_rows(1, 1), f)
+    assert sys.gram(1, 1) == const_matrix([[Fraction(v, d) for v in row] for row in rows], 3)
+    assert not degrees
+    with pytest.raises(OracleUnavailableError, match=r"moment \(0,9\)"):
+        build_monic(f, 5)
+    assert hankel_table(f, 0) is table
+
+
+@pytest.mark.parametrize("ref", ["triangle(1,1,1)", "product_jacobi(1/2,1/2,1/2,1/2)"])
+def test_a_degree_12_construction_reads_each_moment_once(monkeypatch, ref):
+    # the two construct-deep families: one table, one WeightFamily.moment
+    # call per moment of degree <= 23 plus validation's (0,0), 301 each
+    calls = []
+    moment = WeightFamily.moment
+
+    def recording(family, i, j):
+        calls.append((i, j))
+        return moment(family, i, j)
+
+    monkeypatch.setattr(WeightFamily, "moment", recording)
+    build_monic(builtin(ref), 12)
+    assert len(calls) == 301
+    assert calls[0] == (0, 0) and sorted(calls[1:]) == sorted(
+        (i, t - i) for t in range(24) for i in range(t + 1))
+
+
+@pytest.mark.parametrize("ref", ["product_hermite", "product_laguerre(1,2)",
+                                 "hermite_laguerre(1)", "product_jacobi(1/2,1/2,1/2,1/2)",
+                                 "triangle(1,1,1)", "product_jacobi(1,2,0,0)"])
+def test_an_exact_run_builds_one_table_per_family(monkeypatch, ref):
+    builds = []
+
+    class Counting(weakref.WeakKeyDictionary):
+        def __setitem__(self, key, value):
+            builds.append(value[2])
+            super().__setitem__(key, value)
+
+    probe = characterize.require_moment_depth
+    probed = []
+
+    def probing(family, n, m, depth):
+        probe(family, n, m, depth)
+        probed.append(depth)
+
+    monkeypatch.setattr(orthosys, "_TABLES", Counting())
+    monkeypatch.setattr(characterize, "require_moment_depth", probing)
+    verify_all(builtin(ref), mode="exact")
+    # on the default grid, at the depth the run probed
+    assert builds == [probed[0] + 1]
 
 
 @pytest.mark.parametrize("ref", _KERNEL_FAMILIES)
