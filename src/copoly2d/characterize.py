@@ -1077,26 +1077,6 @@ def _guarded(prop, family, n, m, mode, fn):
                               f"error: {type(exc).__name__}: {exc}")
 
 
-def require_moment_depth(f: WeightFamily, nmax: int, mmax: int, depth: int) -> None:
-    """Probe every moment of degree <= depth, before any work.
-
-    A shallow moments table raises OracleUnavailableError naming the
-    first missing moment and the depth the grid n <= nmax, m <= mmax
-    needs; a family without an oracle is left alone.
-    """
-    if not f.has_oracle():
-        return
-    for d in range(depth + 1):
-        for i in range(d + 1):
-            try:
-                f.moment(i, d - i)
-            except OracleUnavailableError as exc:
-                raise OracleUnavailableError(
-                    f"moment ({i},{d - i}) unavailable; the grid n<={nmax} "
-                    f"m<={mmax} needs every moment up to degree {depth}"
-                ) from exc
-
-
 def verify_all(f: WeightFamily, nmax: int = 4, mmax: int = 2,
                mode: str = "auto", properties=None,
                quad_order: int = 20):
@@ -1127,10 +1107,11 @@ def verify_all(f: WeightFamily, nmax: int = 4, mmax: int = 2,
     build, a run that reads a rule raises InvalidParameterError on a
     quad_order below the grid floor nmax + mmax + 2 (only when the
     family has an oracle), then on a domain without a Gauss rule; a run
-    that reads the system probes every moment it reads
-    (require_moment_depth) and then builds the family's moment table
-    (orthosys.hankel_table) to that depth, the one table every exact
-    integral of the run reads.  A cell whose prerequisite could not be
+    that reads the system builds the family's moment table
+    (orthosys.hankel_table) to every degree it reads, the one table
+    every exact integral of the run reads; the first moment the build
+    misses raises OracleUnavailableError naming it and the depth the
+    grid needs.  A cell whose prerequisite could not be
     built (no oracle, no system) skips its checker and fails with the
     construction error in its note.  Bad arguments raise ValueError.
     """
@@ -1194,9 +1175,14 @@ def verify_all(f: WeightFamily, nmax: int = 4, mmax: int = 2,
         moment_depth = 2 * (nmax + mmax + 1) - 1
         if "next gram" in needs:
             moment_depth = max(moment_depth, 2 * (nmax + 1) + max(f.phi.degree, 0) * mmax)
-        require_moment_depth(f, nmax, mmax, moment_depth)
         if f.has_oracle():  # the one table every exact integral of the run reads
-            hankel_table(f, moment_depth + 1)
+            try:
+                hankel_table(f, moment_depth + 1)
+            except OracleUnavailableError as exc:  # WeightFamily.moment names (i, j)
+                raise OracleUnavailableError(
+                    f"moment ({exc.moment[0]},{exc.moment[1]}) unavailable; the grid "
+                    f"n<={nmax} m<={mmax} needs every moment up to degree {moment_depth}"
+                ) from exc
     # prerequisite -> the note of the cells it blocks, for each one that failed
     failed = {}
     if "tower" in needs:

@@ -61,7 +61,8 @@ characterize.psi_tower keeps the drift tower: the construction, every
 contraction and the functional Pearson check
 (characterize._functional_pearson) read that one table, each coding
 its polynomials with the stride the table comes with, and an exact run
-(characterize.verify_all) builds it once, at the depth it probed.
+(characterize.verify_all) builds it once, before any work, to every
+degree the run reads: a missing moment stops the run there.
 inner wraps its one block as a constant matrix; integrate_matrix, which
 integrates a formed matrix entrywise, stays as the plain reference.  The
 construction and the exact (b) and (e) checks stay on the int rows: an

@@ -48,7 +48,14 @@ class InvalidParameterError(ValueError):
 
 
 class OracleUnavailableError(RuntimeError):
-    """No exact moment value exists for the request; fall back to quadrature."""
+    """No exact moment value exists for the request.
+
+    moment is the index (i, j) the family's oracle could not give, set
+    by WeightFamily.moment; it stays None for a family without an
+    oracle, which mode "auto" runs numerically instead.
+    """
+
+    moment = None
 
 
 class FamilyLoadError(ValueError):
@@ -151,7 +158,11 @@ class WeightFamily:
         key = (i, j)
         v = self._mcache.get(key)
         if v is None:
-            v = self.moment_fn(i, j)
+            try:
+                v = self.moment_fn(i, j)
+            except OracleUnavailableError as exc:
+                exc.moment = key
+                raise
             self._mcache[key] = v
         return v
 

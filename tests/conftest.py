@@ -1,9 +1,10 @@
 """Helpers shared by the test modules."""
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
 
-from copoly2d import basisops
+from copoly2d import basisops, orthosys
 from copoly2d.matpoly import const_matrix
 
 
@@ -34,6 +35,23 @@ def n_mat(n, which):
     Reads basisops.n_rows at call time, as l_mat reads l_rows.
     """
     return const_matrix(basisops.n_rows(n, which), n + 1)
+
+
+def count_table_builds(monkeypatch):
+    """The stride of every moment table built from now on, in build order.
+
+    Patches orthosys._TABLES with an empty stand-in that records each
+    table stored in it, so the families start with no table kept.
+    """
+    builds = []
+
+    class Counting(weakref.WeakKeyDictionary):
+        def __setitem__(self, key, value):
+            builds.append(value[2])
+            super().__setitem__(key, value)
+
+    monkeypatch.setattr(orthosys, "_TABLES", Counting())
+    return builds
 
 
 # wrong shift and derivative tables, patched in for basisops.l_rows or

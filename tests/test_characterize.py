@@ -1899,6 +1899,39 @@ def test_verify_all_rejects_a_shallow_moments_table_before_any_work(monkeypatch)
     assert builds == []
 
 
+def _triangle_without_3_2():
+    """triangle(1,1,1) tabulated to degree 8 with moment (3,2) left out."""
+    doc = export_family(builtin("triangle(1,1,1)"), moment_degree=8)
+    doc["moments"] = [e for e in doc["moments"] if e[:2] != [3, 2]]
+    return load_family(doc)
+
+
+def test_verify_all_names_the_first_hole_in_a_moments_table(monkeypatch):
+    # the table build reads by ascending total degree, then ascending x
+    # power, so it meets (3,2) first, though degrees 6 to 8 are complete
+    f = _triangle_without_3_2()
+    builds = []
+    monkeypatch.setattr(characterize, "build_monic",
+                        lambda *args: builds.append(args))
+    with pytest.raises(OracleUnavailableError) as info:
+        verify_all(f, nmax=2, mmax=0)
+    assert str(info.value) == ("moment (3,2) unavailable; the grid n<=2 m<=0 "
+                               "needs every moment up to degree 6")
+    assert builds == []
+
+
+def test_moment_names_the_index_its_oracle_could_not_give():
+    f = _triangle_without_3_2()
+    with pytest.raises(OracleUnavailableError) as info:
+        f.moment(3, 2)
+    assert info.value.moment == (3, 2)
+    assert str(info.value) == "moment (3,2) beyond the tabulated degree"
+    blind = dataclasses.replace(builtin("triangle(1,1,1)"), moment_fn=None)
+    with pytest.raises(OracleUnavailableError, match="no exact moment oracle") as info:
+        blind.moment(0, 0)
+    assert info.value.moment is None
+
+
 
 def test_verify_all_builds_and_probes_only_what_the_chosen_rows_read(monkeypatch):
     # a degree-4 table is too shallow for any system on (2, 1), which needs

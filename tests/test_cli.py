@@ -5,6 +5,7 @@ import os
 from fractions import Fraction
 
 import pytest
+from conftest import count_table_builds
 
 from copoly2d.cli import (
     ConfigError,
@@ -468,8 +469,9 @@ def test_moment_table_depth_is_checked_up_front(tmp_path, capsys, ref, mode, dep
                                  "triangle(1,1,1)"])
 def test_exact_run_reads_no_moment_beyond_the_probed_depth(monkeypatch, ref, nmax, mmax):
     # the exact integrals read mu_(alpha+beta) for every monomial pair,
-    # also where the product's terms cancel; the up-front probe must
-    # cover all of them, or a family file that passes it can still fail
+    # also where the product's terms cancel; the one moment table the run
+    # builds up front, its depth check, must cover all of them, or a
+    # family file that passes the check can still fail
     degrees = []
     moment = WeightFamily.moment
 
@@ -478,25 +480,16 @@ def test_exact_run_reads_no_moment_beyond_the_probed_depth(monkeypatch, ref, nma
         return moment(family, i, j)
 
     monkeypatch.setattr(WeightFamily, "moment", recording)
-    probe = characterize.require_moment_depth
-    probed = []
-
-    def probing(family, n, m, depth):
-        probe(family, n, m, depth)
-        probed.append(depth)
-        degrees.clear()  # the probe reads every moment of degree <= depth
-
-    monkeypatch.setattr(characterize, "require_moment_depth", probing)
-    f = builtin(*parse_family_ref(ref))
+    builds = count_table_builds(monkeypatch)
     # the auxiliary properties read no moments; without (e) the run reads
-    # no level Gram block beyond the grid, so building P_0 .. P_N is deepest;
-    # the second run reads the family's table the first one built, and may
-    # read no moment at all
+    # no level Gram block beyond the grid, so building P_0 .. P_N is deepest
     for props in (("a", "b", "c", "d", "e"), ("b", "c", "d")):
-        probed.clear()
+        f = builtin(*parse_family_ref(ref))
+        builds.clear()
+        degrees.clear()
         verify_all(f, nmax=nmax, mmax=mmax, mode="exact", properties=props)
-        assert len(probed) == 1 and max(degrees, default=-1) <= probed[0]
-    assert probed == [2 * (nmax + mmax + 1) - 1]
+        assert len(builds) == 1 and max(degrees) == builds[0] - 1
+    assert builds == [2 * (nmax + mmax + 1)]
 
 
 def test_exact_run_without_e_reads_the_table_only_to_degree_2n_minus_1(tmp_path, capsys):

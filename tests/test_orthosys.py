@@ -4,13 +4,12 @@ import dataclasses
 import functools
 import math
 import random
-import weakref
 from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import _consts
+from conftest import _consts, count_table_builds
 from hypothesis import given, settings, strategies as st
 from test_acceptance import ALL_INSTANCES
 from test_characterize import pearson_data
@@ -583,25 +582,13 @@ def test_a_degree_12_construction_reads_each_moment_once(monkeypatch, ref):
                                  "hermite_laguerre(1)", "product_jacobi(1/2,1/2,1/2,1/2)",
                                  "triangle(1,1,1)", "product_jacobi(1,2,0,0)"])
 def test_an_exact_run_builds_one_table_per_family(monkeypatch, ref):
-    builds = []
-
-    class Counting(weakref.WeakKeyDictionary):
-        def __setitem__(self, key, value):
-            builds.append(value[2])
-            super().__setitem__(key, value)
-
-    probe = characterize.require_moment_depth
-    probed = []
-
-    def probing(family, n, m, depth):
-        probe(family, n, m, depth)
-        probed.append(depth)
-
-    monkeypatch.setattr(orthosys, "_TABLES", Counting())
-    monkeypatch.setattr(characterize, "require_moment_depth", probing)
-    verify_all(builtin(ref), mode="exact")
-    # on the default grid, at the depth the run probed
-    assert builds == [probed[0] + 1]
+    builds = count_table_builds(monkeypatch)
+    f = builtin(ref)
+    verify_all(f, mode="exact")
+    # on the default grid (4, 2), to the degree exact (e)'s gram(5, 2) or
+    # the construction of P_0 .. P_7 reads, whichever is deeper
+    depth = max(2 * 7 - 1, 2 * 5 + 2 * f.phi.degree)
+    assert builds == [depth + 1]
 
 
 @pytest.mark.parametrize("ref", _KERNEL_FAMILIES)
