@@ -30,7 +30,10 @@ cross terms on both routes, read off level 0 by parts and integrated:
 from level 2, where its zero-order term is not scalar) and on
 product_jacobi(1/2,1/2,1/2,1/2) at `--nmax 4 --mmax 5` (from level 3),
 and (b) with (e) on triangle(1,1,1) at `--nmax 8 --mmax 4`, whose next
-Gram block (e) alone reads is integrated.  The default-grid report of
+Gram block (e) alone reads is integrated.  Four more, (b) alone and (e)
+alone at `--nmax 6 --mmax 3` on hermite_laguerre(1) and on
+product_jacobi(1,2,0,0), pin cells where the by-parts route refuses and
+(b)'s and (e)'s Gram blocks are integrated.  The default-grid report of
 product_jacobi(1,2,0,0) is pinned as well: it is the one instance of
 criterion 2 with a + b != c + d, and its moments have denominators no
 other pin reads.
@@ -53,6 +56,8 @@ REFS = json.loads((Path(__file__).resolve().parents[1] / "bench" / "refs.json")
 SEED0 = [("product_hermite", ()), ("product_laguerre", ("1", "2")),
          ("hermite_laguerre", ("1",)), ("product_jacobi", ("1/2", "1/2", "1/2", "1/2")),
          ("triangle", ("1", "1", "1"))]
+# criterion 2's instance with a + b != c + d
+PJ1200 = ("product_jacobi", ("1", "2", "0", "0"))
 
 NUMERIC_SHA256 = {
     "product_hermite": "f1e90f5e4ffc82f17f1bd057b5d8006902a4bf413d5af1778b373436565813c5",
@@ -152,6 +157,10 @@ ONE_PROPERTY = [
     (*SEED0[2], "b", 4, 4, 0, "076d948f5f4cc859a74c0f0e55df3dfd9e9fb2f75ad8e9b6abf6ba40112cf709"),
     (*SEED0[3], "b", 4, 5, 0, "32d0e988e9203b69b95e5da1eeb61a66fd99f96c3802ac4d338e65c1f062f695"),
     (*SEED0[4], "b,e", 8, 4, 1, "617758ed07efd3e1619cd5fcb234e539c1b06f503296149c287b4d785d19ee3f"),
+    (*SEED0[2], "b", 6, 3, 0, "ed5d3b21bfb55b539e5614a50a4fa36737b2800a02d9bab74e71d92cde6413bf"),
+    (*SEED0[2], "e", 6, 3, 1, "c54dab1846fa7db518a577686cc9ab222189c8a196472639d5ce2c6407a26811"),
+    (*PJ1200, "b", 6, 3, 0, "691e021f60d43a60127c04bbb58ceba522c959f8b391dbd600ceb6edfd9321d0"),
+    (*PJ1200, "e", 6, 3, 1, "66485db84f1776bc8178ef6207b9811fee9be50047aba26e25feeea254c6d675"),
 ]
 
 
