@@ -28,16 +28,17 @@ move to it, and only then is numpy imported, so exact cells never load
 it.  The weight density itself is never materialized; identities
 involving it are divided through and cleared to polynomial statements
 using the family's logarithmic gradient.  The drift tower that (c) and
-(d) read depends only on the family, so psi_tower keeps the deepest one
-built per family and the checkers look it up themselves; each level
-holds only the popcount class sums of its two drift matrices, ints over
-one denominator, the only form (c) and (d) read.  lemma2 and (b)'s
-lifted Pearson equation are decided once per family, by proof
-(psi_tower, level_pearson_check), so neither reads a level above 1 and
-no exact run forms a Kronecker power.  The
-level-m eigenvalue systems behind (c), (d) and rodrigues_reconstruct
-are solved on the m + 1 distinct rows of each gradient stack, never on
-all 2^m: every other row repeats one of them.  (c) reads that one
+(d) read depends only on the family, so psi_tower keeps one per family
+and extends it from its last level, building each level once; the
+checkers, and (b)'s and (e)'s by-parts guard, look it up themselves.
+Each level holds only the popcount class sums of its two drift
+matrices, ints over one denominator, the only form (c) and (d) read.
+lemma2 and (b)'s lifted Pearson equation are decided once per family,
+by proof (psi_tower, level_pearson_check), so neither reads a level
+above 1 and no exact run forms a Kronecker power.  The level-m
+eigenvalue systems behind (c), (d) and rodrigues_reconstruct are
+solved on the m + 1 distinct rows of each gradient stack, never on all
+2^m: every other row repeats one of them.  (c) reads that one
 route: the paper's leading-coefficient formula (lambda_via_formula, on
 the m + 1 matching row blocks of the symbol and of g_lead_rows) is
 exported, and check_c's docstring proves it returns the same matrix,
@@ -57,7 +58,7 @@ _functional_pearson); elsewhere they are integrated.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -195,18 +196,15 @@ class PsiLevel:
 
 @dataclass(frozen=True)
 class PsiTower:
-    """The drift tower's levels, lemma2's verdict and the (c) symbol's T1 rows.
+    """The drift tower's levels 0 .. depth and lemma2's verdict.
 
-    closed_form_ok is lemma2 at every level m >= 1 (psi_tower; True at
-    depth 0).  t1 maps a gradient index n >= 2 to T1 of the symbol
-    (_t_rows) as int rows over the tower denominator, built on first use
-    (_t1_rows); it depends on the family and n alone, so every level and
-    every (n, m) cell shares it.
+    levels[m] is level m (PsiLevel), each built once per family
+    (psi_tower); closed_form_ok is lemma2 at every level m >= 1 (True at
+    depth 0).
     """
 
     levels: tuple
     closed_form_ok: bool
-    t1: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def depth(self) -> int:
@@ -322,30 +320,31 @@ def psi_tower(f: WeightFamily, mmax: int) -> PsiTower:
     every level m >= 1 iff the increments do (_increments): lemma2 is
     one comparison, closed_form_ok.  Only level 0 (psi) and level 1 (phi)
     can raise, so psi_tower(f, 1) raises exactly when a deeper build does,
-    with the same message.  The tower depends only on the family, so the
-    deepest one built is kept for it and returned to every caller that
-    asks for no more levels; a deeper build keeps its T1 rows, and a
-    build that raises keeps nothing.
+    with the same message.  The tower depends only on the family, so one
+    is kept for it and returned to every caller that asks for no more
+    levels; a deeper call extends it from its last level, so each level
+    is built once per family.  Level 0 is kept once built, and an
+    extension that raises keeps the levels below it.
     """
     if mmax < 0:
         raise ValueError("mmax must be nonnegative")
     known = _TOWERS.get(f)
-    if known is not None and known.depth >= mmax:
+    if known is None:
+        d = lcm(*(p.den for p in (f.phi[0, 0], f.phi[0, 1], f.phi[1, 1], f.psi1, f.psi2)))
+        sums = (tuple([[v] for v in _linear_ints(p, d)] for p in (f.psi1, f.psi2)), d)
+        known = _TOWERS[f] = PsiTower((PsiLevel(sums, _level_operator(f, sums, 0), [[0]]),), True)
+    if known.depth >= mmax:
         return known
-    d = lcm(*(p.den for p in (f.phi[0, 0], f.phi[0, 1], f.phi[1, 1], f.psi1, f.psi2)))
-    sums = (tuple([[v] for v in _linear_ints(p, d)] for p in (f.psi1, f.psi2)), d)
-    levels = [PsiLevel(sums, _level_operator(f, sums, 0), [[0]])]
-    ok = True
-    if mmax:  # a weight entry of degree above two raises here, at level 1
-        grad, closed = _increments(f, d)
-        ok = grad == closed
-    for m in range(1, mmax + 1):
+    levels = list(known.levels)
+    d = levels[0].class_sums[1]
+    grad, closed = _increments(f, d)  # a weight entry of degree above two raises here
+    for m in range(len(levels), mmax + 1):
         prev = levels[m - 1]
         ds = prev.class_sums[0]
         sums = (tuple(_next_sums(ds[i], grad[i], m) for i in (0, 1)), d)
         levels.append(PsiLevel(sums, _level_operator(f, sums, m),
                                _next_zero_order(prev.zero_order, ds, m)))
-    tower = _TOWERS[f] = PsiTower(tuple(levels), ok, {} if known is None else known.t1)
+    tower = _TOWERS[f] = PsiTower(tuple(levels), grad == closed)
     return tower
 
 
@@ -479,8 +478,6 @@ def _t_rows(f: WeightFamily, n: int, m: int):
     and its product with G's blocks 2^t - 1 is row blocks 2^s - 1 of
     T G.  Returns (rows, d), ints over the tower denominator d; the
     shift and derivative matrices are read as int rows (l_rows, n_rows).
-    T1 depends on the family and n alone, so the drift tower keeps it
-    (PsiTower.t1) for every level.
 
     The paper's theorem transposes the level-lifted stack in S instead,
     reading drift row h 2^m + s for 2s + h.  That layout T' is not
@@ -499,15 +496,10 @@ def _t_rows(f: WeightFamily, n: int, m: int):
     d x_h (d_{s_1} d_h - d_h d_{s_1}) = 0.  For m >= 2 one exists iff
     A = c x x^t - (v x^t + x v^t) / (2(m - 1)), v psi's linear part.
     """
-    tower = psi_tower(f, m)
-    ds, d = tower.level(m).class_sums
+    ds, d = psi_tower(f, m).level(m).class_sums
     b = n + 1
-    if n >= 2:
-        if n not in tower.t1:
-            tower.t1[n] = _t1_rows(f, n, d)
-        t1 = tower.t1[n]
-    else:  # n = 1 has no second order part
-        t1 = [[0] * b for _ in range(b)]
+    # n = 1 has no second order part
+    t1 = _t1_rows(f, n, d) if n >= 2 else [[0] * b for _ in range(b)]
     # M_{h,h'} = L(n-1, h)^t N(n, h'), each with the rows x_h of psi_{h'}'s class sums
     ms = [(h, dh, int_matmul(_transpose(l_rows(n - 1, h + 1), b), n_rows(n, hp), b))
           for h in (0, 1) for hp, dh in zip((1, 2), ds)]
@@ -1087,11 +1079,12 @@ def verify_all(f: WeightFamily, nmax: int = 4, mmax: int = 2,
     guard: a checker that raises gives status "error", never "fail".
     One table names each property's cells, reported mode, prerequisites
     and checker, and the chosen rows' prerequisites are all a run builds
-    and checks up front: the drift "tower", built as deep as the chosen
-    rows read it (mmax for (c), nmax - 1 for (d), and level 1 for (b)
-    and lemma2, whose verdicts are level-free: level_pearson_check,
+    and checks up front: the drift "tower", built as deep as (c) and (d)
+    read it (mmax for (c), nmax - 1 for (d)) and to level 1 for (b) and
+    lemma2, whose verdicts are level-free: level_pearson_check,
     PsiTower.closed_form_ok; lemma2 keeps one cell per level m = 1 ..
-    max(1, mmax, nmax - 1)); the monic
+    max(1, mmax, nmax - 1).  (b)'s and (e)'s by-parts guard reads levels
+    up to mmax - 1 and extends the tower itself (psi_tower); the monic
     "system" P_0 .. P_N, N = nmax + mmax + 1, whose construction reads
     moments up to degree 2N - 1; the "next gram" block gram(nmax + 1,
     mmax), of degree 2 (nmax + 1) + mmax deg(phi), that exact (e) alone

@@ -30,7 +30,9 @@ Each predicted failure is certified: a failing (c) cell, and the first
 failing level of a failing (d) cell, satisfies
 op_m(Q) + C_m Q + Q Lambda_{n+m} = 0 exactly, and a failing (e) cell
 misses only its three-term reconstruction while its level-zero cell
-(n+m, 0) passes.
+(n+m, 0) passes.  A second test holds the same rule on the (3, 2) grid
+of built-in families with drawn admissible parameters, half the
+product_jacobi draws on a + b = c + d.
 """
 from __future__ import annotations
 
@@ -45,6 +47,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from test_basisops import random_rational_matrix
 from test_characterize import oracle_psi_tower
 
@@ -224,6 +227,35 @@ def test_criterion_02_structural_properties_all_instances():
     assert elapsed < 120.0
     assert not mismatched, mismatched
     assert not uncertified, uncertified
+
+
+_PARAM = st.fractions(min_value=-1, max_value=3, max_denominator=7).filter(lambda v: v > -1)
+
+
+@st.composite
+def _admissible_families(draw):
+    """A built-in family with drawn parameters above -1; half the product_jacobi
+    draws put d on a + b = c + d where that keeps d above -1."""
+    name, k = draw(st.sampled_from([("product_laguerre", 2), ("hermite_laguerre", 1),
+                                    ("triangle", 3), ("product_jacobi", 4)]))
+    params = draw(st.lists(_PARAM, min_size=k, max_size=k))
+    if name == "product_jacobi" and draw(st.booleans()):
+        a, b, c, _ = params
+        if a + b - c > -1:
+            params[3] = a + b - c
+    return builtin(name, params)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(_admissible_families())
+def test_criterion_02_rule_holds_on_drawn_parameters(f):
+    # criterion 2's rule reads f.phi and f.d_matrix() alone, so it must
+    # predict every exact verdict of a family with any admissible parameters
+    reports = verify_all(f, nmax=3, mmax=2, mode="exact", properties=("a", "b", "c", "d", "e"))
+    mismatched = [(r.property, r.n, r.m, r.status, r.notes) for r in reports
+                  if (r.status == "pass") != (_predicted_obstruction(f, r.property, r.n, r.m)
+                                              is None)]
+    assert not mismatched, (f.name, mismatched)
 
 
 def test_criterion_03_degree_one_anchor():

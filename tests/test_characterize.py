@@ -178,7 +178,7 @@ def test_a_run_converts_each_levels_drift_data_once(monkeypatch):
     # the tower builds each level's class sums once, and every reader
     # takes them from the kept level: no (n, m) cell builds a level or its
     # rows again.  (c) reads the operator route alone, so a run builds no
-    # symbol (_t_rows) and leaves the tower's T1 memo empty
+    # symbol (_t_rows), and the tower keeps its levels and lemma2 alone
     made, read, t_reads = [], [], []
     real_level, real_read = characterize.PsiLevel, PsiTower.level
     monkeypatch.setattr(characterize, "PsiLevel",
@@ -193,10 +193,32 @@ def test_a_run_converts_each_levels_drift_data_once(monkeypatch):
     assert tower.depth >= 3
     assert [id(level) for level in made] == [id(level) for level in tower.levels]
     assert read and {id(level) for level in read} <= {id(level) for level in made}
-    assert t_reads == [] and tower.t1 == {}
+    assert t_reads == []
+    assert [fld.name for fld in dataclasses.fields(PsiTower)] == ["levels", "closed_form_ok"]
     for m, level in enumerate(tower.levels):
         ds, d = level.class_sums
         assert [len(rows) for rows in ds] == [3 * (m + 1)] * 2, m
+
+
+@pytest.mark.parametrize("nmax, mmax, props, built", [
+    (1, 11, "b", 11), (4, 6, "e", 6), (5, 3, None, 5)])
+def test_each_tower_level_is_built_once_per_family(monkeypatch, nmax, mmax, props, built):
+    # a deeper tower extends the kept one from its last level, so a run
+    # builds each level it reads once: (b)'s and (e)'s by-parts guard
+    # reads levels up to m - 1 one at a time, above the run's up-front build
+    made = []
+    real_level = characterize.PsiLevel
+    monkeypatch.setattr(characterize, "PsiLevel",
+                        lambda *args: made.append(real_level(*args)) or made[-1])
+    f = builtin("triangle(1,1,1)")
+    verify_all(f, nmax=nmax, mmax=mmax, properties=props)
+    assert len(made) == built
+    assert [id(level) for level in made] == [id(level) for level in psi_tower(f, 0).levels]
+    g = builtin("triangle(1,1,1)")
+    shallow = psi_tower(g, 2)
+    deep = psi_tower(g, 5)
+    assert deep.depth == 5 and deep.closed_form_ok == shallow.closed_form_ok
+    assert all(a is b for a, b in zip(shallow.levels, deep.levels[:3]))
 
 
 def class_sum_view(level, i):
