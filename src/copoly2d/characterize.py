@@ -49,10 +49,12 @@ c_m (_lambda), and each level of (d)'s divergence tower follows from
 (c) where the lifted Pearson equation holds
 (_cleared_divergence_identity).  Elsewhere the
 level-m system is solved and the identity computed, as before, so
-every verdict and note is the direct route's.  A third reads (b)'s level
-Gram blocks and cross terms off level 0 by parts where the moments
-solve Pearson's equation as a functional (OrthoSystem._by_parts,
-_functional_pearson); elsewhere they are integrated.
+every verdict and note is the direct route's.  (b) and (e) above
+level 0 run the paper's chain Pearson => (b) => (e) as their decision
+procedure where the moments solve Pearson's equation as a functional:
+the by-parts operator (byparts) reads (b)'s level Gram blocks and cross
+terms, and (e)'s Gram verdicts, reconstruction and rank, off level 0
+with no moment contraction; elsewhere they are integrated.
 """
 
 from __future__ import annotations
@@ -82,7 +84,6 @@ from .matpoly import (
 )
 from .orthosys import (
     OrthoSystem,
-    _coded,
     build_monic,
     eval_product,
     g_lead_rows,
@@ -653,48 +654,6 @@ def _lifted_pearson(sys: OrthoSystem, m: int) -> bool:
     return sys.cached(("pearson", k), lambda: level_pearson_check(sys.family, k))
 
 
-def _functional_pearson(sys: OrthoSystem) -> bool:
-    """The moments solve Pearson's equation as a functional, memoised on the system.
-
-    mu(d_x g phi_1j + d_y g phi_2j + g psi_j) = 0, j = 1, 2, for every
-    monomial g of degree <= 2N - 2, N = sys.nmax, mu the moment functional:
-    integral(div(g phi_(., j) rho)) = 0 with div(phi rho) = psi rho, that
-    is Pearson's equation with no boundary term, as the moments read it.
-    The terms have degree <= 2N - 1, the moments build_monic(f, N) read;
-    weight data of higher degree (deg phi > 2 or deg psi > 1) would read
-    past them, and fails.  The sums run on ints: the numerators of the
-    family's moment table (orthosys.hankel_table), asked for to degree
-    2N and read with the stride it comes with, phi and psi over the LCM
-    of their denominators.
-    OrthoSystem._by_parts reads it: integration by parts needs it, and
-    the pointwise Pearson equation alone does not give it (a weight's
-    boundary terms, or a moments table of another weight).
-    """
-    def make():
-        f = sys.family
-        if f.phi.degree > 2 or f.psi1.total_degree > 1 or f.psi2.total_degree > 1:
-            return False
-        top = 2 * sys.nmax - 1
-        hank, _, s = hankel_table(f, top + 1)
-        cols = [(f.phi[0, j], f.phi[1, j], psi) for j, psi in ((0, f.psi1), (1, f.psi2))]
-        d = lcm(*(p.den for col in cols for p in col))
-        cols = [[_coded(p, d, s) for p in col] for col in cols]
-        for t in range(top):
-            for a in range(t + 1):
-                b = t - a
-                g = a * s + b  # the code of g = x^a y^b
-                for px, py, ps in cols:
-                    total = sum(c * hank[g + e] for e, c in ps)
-                    if a:
-                        total += a * sum(c * hank[g - s + e] for e, c in px)
-                    if b:
-                        total += b * sum(c * hank[g - 1 + e] for e, c in py)
-                    if total:
-                        return False
-        return True
-    return sys.cached(("functional pearson",), make)
-
-
 def check_b(sys: OrthoSystem, n: int, m: int, rule=None) -> PropertyReport:
     """Level-m stack orthogonality plus the lifted Pearson equation.
 
@@ -702,19 +661,14 @@ def check_b(sys: OrthoSystem, n: int, m: int, rule=None) -> PropertyReport:
     cross terms and the level Gram block are exact too, and the Gram
     verdict reads the determinant of the block's gram_record.  Where
     OrthoSystem._by_parts holds, both are read off level 0 with no moment
-    contraction, by the paper's (c) => (b) argument: integrating by parts
-    once, with the functional Pearson equation of the moments
-    (_functional_pearson) and the lifted one at level m - 1, moves one
-    derivative across, so the level-m block of stacks k and n is the
-    level-(m - 1) block of k + 1 and n + 1 times Lambda(n + 1, m - 1).
-    So gram(n, m) = gram(n + m, 0) prod_(j<m) (L + c_j I), L = Lambda(n +
-    m, 0), and every cross term is a level-0 cross term of P_(k+m) and
-    P_(n+m), which is zero.  The guard: a system build_monic built, n + m
-    <= N - 1 (N its degree), Pearson's equation and for m >= 2 the
-    lifted one, the moments' functional Pearson equations for every
-    monomial of degree <= 2N - 2, which read no moment past 2N - 1, a
-    level-0 Lambda(n + m, 0) and a scalar zero-order term at every level
-    1 .. m - 1.  Elsewhere the cross terms with every lower stack are
+    contraction, by the paper's Pearson => (b) argument: integrating by
+    parts m times moves the derivatives of q(n, m) onto the other
+    stack, so gram(n, m) = (-1)^m gram(n + m, 0) T_n and every cross term
+    is zero (byparts._t_block).  The guard (byparts._by_parts): a system
+    build_monic built, n + m <= N - 1 (N its degree), Pearson's equation
+    and for m >= 2 the lifted one, and the moments' functional Pearson
+    equations for every monomial of degree <= 2N - 2, which read no
+    moment past 2N - 1.  Elsewhere the cross terms with every lower stack are
     int blocks from one moment contraction (OrthoSystem.cross_rows),
     which also integrates gram(n, m) while the memo has no record of
     it.  With a rule they are integrated on the rule and measured
@@ -932,7 +886,13 @@ def check_e(sys: OrthoSystem, n: int, m: int, rule=None) -> PropertyReport:
     of degree up to n + 1: the projections below n - 1 must vanish, the
     three surviving ones must reconstruct the left side identically,
     and the lowest one must have full column rank.  Without a quadrature
-    rule the check is exact.  The two halves of the weighted stack sit
+    rule the check is exact, and where the by-parts guard holds it
+    integrates nothing above level 0: byparts._e_by_parts proves the
+    tails zero and reads the Gram verdicts off T_k, the reconstruction
+    off a curl test on the left side and the rank off the operator's top
+    layers, with the same notes in the same order.  Elsewhere (a guard
+    that fails, a singular T_k below the three kept stacks, a hand-built
+    system) the exact check contracts.  The two halves of the weighted stack sit
     side by side, w = [top | bot], so the projections on all n + 2
     stacks come from one moment contraction of w, each coefficient
     A_k = [A_top | A_bot] is G_k^-1 N_k with G_k the level Gram block,
@@ -962,6 +922,10 @@ def check_e(sys: OrthoSystem, n: int, m: int, rule=None) -> PropertyReport:
     f = sys.family
     notes = []
     if rule is None:
+        from .byparts import _e_by_parts  # imported on first use: byparts imports this module
+        parts = _e_by_parts(sys, n, m)
+        if parts is not False:
+            return _report("e", f.name, n, m, not parts, notes="; ".join(parts))
         ok = True
         lo, hi = row_halves(sys.q_rows(n - 1, m + 1))
         c = lo.cols
@@ -1083,12 +1047,14 @@ def verify_all(f: WeightFamily, nmax: int = 4, mmax: int = 2,
     read it (mmax for (c), nmax - 1 for (d)) and to level 1 for (b) and
     lemma2, whose verdicts are level-free: level_pearson_check,
     PsiTower.closed_form_ok; lemma2 keeps one cell per level m = 1 ..
-    max(1, mmax, nmax - 1).  (b)'s and (e)'s by-parts guard reads levels
-    up to mmax - 1 and extends the tower itself (psi_tower); the monic
+    max(1, mmax, nmax - 1).  (b)'s and (e)'s by-parts operator reads
+    levels up to mmax and extends the tower itself (psi_tower); the monic
     "system" P_0 .. P_N, N = nmax + mmax + 1, whose construction reads
     moments up to degree 2N - 1; the "next gram" block gram(nmax + 1,
     mmax), of degree 2 (nmax + 1) + mmax deg(phi), that exact (e) alone
-    integrates; and, in numeric mode, the Gauss "rule" that (b) and (e)
+    integrates where it contracts at the corner (nmax, mmax), a depth
+    that also covers the by-parts check there; and, in numeric mode,
+    the Gauss "rule" that (b) and (e)
     read, built once after the system.  mode "auto" is exact when the
     family has a moment oracle.  properties is None (every selectable
     token), one token, or a sequence of tokens; "aux" stands for the four

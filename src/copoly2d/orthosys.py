@@ -41,9 +41,10 @@ and give the same rationals.  The (c) and (d) eigenvalue systems are
 solved on S too (characterize.lambda_via_operator), so an exact run
 forms q(n, m) at level 0 only, and no Kronecker power of phi: only
 numeric mode reads phi_power, weighted and q(n, m) gathered from S.
-The leading coefficients that the paper's symbol route reads
-(characterize.lambda_via_formula, which no check runs) are S's too
-(g_lead_rows), built on m + 1 blocks, never 2^m.
+The leading coefficients of S (g_lead_rows), built on m + 1 blocks,
+never 2^m, are what the by-parts operator (byparts) reads for (b) and
+(e), and what the paper's symbol route (characterize.lambda_via_formula,
+which no check runs) solves on.
 
 Exact weighted integrals integral(a^t w rho) / mu_00 of two polynomial
 matrices are bilinear forms on the moment numerators: with H[alpha,
@@ -71,8 +72,8 @@ view of it), its int rows with their determinant and inverse from one
 elimination (matpoly._echelon), so a block read by build_monic, (b)
 and three (e) cells is eliminated once.  Above level 0 a block, and (b)'s
 cross terms, need no contraction where integration by parts reads them
-off level 0 (OrthoSystem._by_parts): gram(n, m) is gram(n + m, 0) times
-eigenvalue matrices, and the cross terms are zero.
+off level 0 (byparts): gram(n, m) is gram(n + m, 0) times the top layer
+T_n of an operator applied m times, and the cross terms are zero.
 
 Numeric mode evaluates polynomial matrices on a quadrature rule's nodes
 through one kernel, a whole matrix per call (eval_entries(m, rule),
@@ -115,7 +116,6 @@ from .matpoly import (
     _back_substitute,
     _echelon,
     _free_column,
-    _ratio_rows,
     _rescaled,
     const_matrix,
     int_matmul,
@@ -552,62 +552,27 @@ class OrthoSystem:
 
         The block's one exact form, from one elimination (_gram_record)
         of its int rows: build_monic stores the level-0 blocks below
-        nmax.  Above level 0, where the guard below holds (_by_parts), the
-        block is read off level 0 with no moment contraction:
+        nmax.  Above level 0, where the by-parts guard holds (_by_parts),
+        the block is read off level 0 with no moment contraction:
 
-            gram(n, m) = gram(n + m, 0) prod_(j<m) (L + c_j I),
+            gram(n, m) = (-1)^m gram(n + m, 0) T_n,
 
-        L = Lambda(n + m, 0) and c_j the scalar zero-order term of level j
-        (PsiLevel), c_0 = 0.  Any other block is integrated here, one
-        moment contraction, unless cross_rows already integrated it.
-        Every exact reader, gram included, reads this record, so no block
-        is eliminated twice; a singular block is a record with inv None.
-
-        The argument.  Write Phi_k = phi^(x)k, and U and V for q(k + 1,
-        m - 1) and q(n + 1, m - 1), so that q(k, m) = grad U and q(n, m) =
-        grad V, the newest derivative the outer block index.  Entry (a, b)
-        of integral(grad U^t Phi_m grad V rho) is sum_(i,j)
-        integral(d_i U_a^t phi_ij h_j rho), with U_a column a of U and h_j =
-        Phi_(m-1) d_j V_b.  The moments solve Pearson's equation as a
-        functional (characterize._functional_pearson): mu(d_x g phi_1j +
-        d_y g phi_2j + g psi_j) = 0, mu the moment functional.  Take g =
-        U_a^t h_j: this moves d_i onto h_j, and the entry is
-        -integral(U_a^t sum_j (sum_i phi_ij d_i h_j + psi_j h_j) rho).
-        Pearson's equation and the lifted one at level m - 1
-        (characterize._lifted_pearson) give sum_i phi_ij d_i Phi_(m-1) +
-        psi_j Phi_(m-1) = Phi_(m-1) Psi_j^(m-1), Psi^(m-1) the
-        drift tower's level; at m = 1 this is trivial, Phi_0 = 1 and
-        Psi^(0) = psi.  So the bracket is Phi_(m-1) op_(m-1)(V) = -Phi_(m-1)
-        V Lambda(n + 1, m - 1): the level-m block of stacks k and n is the
-        level-(m - 1) block of stacks k + 1 and n + 1 times Lambda(n + 1,
-        m - 1).  m steps reach integral(P_(k+m) P_(n+m)^t rho), gram(n + m,
-        0) for k = n, times Lambda(n + m, 0) .. Lambda(n + 1, m - 1); and
-        Lambda(n + m - j, j) = L + c_j I where L exists and C_j = c_j I
-        (characterize._lambda).
-
-        The degree bound.  Each g has degree at most deg U + deg Phi_(m-1)
-        + deg V - 1 = k + n + 2m - 1 <= 2(n + m) - 1, and every later step
-        has the same bound, so n + m <= N - 1, N = nmax, keeps every g
-        within degree 2N - 3, inside the functional check's 2N - 2, whose
-        terms read no moment past the 2N - 1 the construction read.
-
-        The guard, cheapest first:
-        - m >= 1, build_monic built the system (constructed), so its
-          columns are orthogonal for the family's moments, and
-          n + m <= N - 1, so gram(n + m, 0) is the construction's record
-        - Pearson's equation holds (the lifted one at level 0), and for
-          m >= 2 the lifted one at level 1, which is level-free
-        - the moments solve the functional Pearson equations
-        - C_j is scalar for 1 <= j < m, and Lambda(n + m, 0) exists.
+        T_n the top layer of the by-parts operator D applied m times to
+        q(n, m) (byparts._t_block, which proves it).  Any other block is
+        integrated here, one moment contraction, unless cross_rows already
+        integrated it.  Every exact reader, gram included, reads this
+        record, so no block is eliminated twice; a singular block is a
+        record with inv None.
         """
         def make():
-            factors = self._by_parts(n, m)
-            if factors:
+            if self._by_parts(n, m):
+                from .byparts import _t_block  # byparts imports this module
+                t, dt, _ = _t_block(self, n, m)
                 low = self.gram_record(n + m, 0)
-                rows, d = low.rows, low.den
-                for frows, fd in factors:
-                    rows, d = reduce_rows(int_matmul(rows, frows, len(frows)), d * fd)
-                return _gram_record(rows, d)
+                sign = (-1) ** m
+                return _gram_record(*reduce_rows(
+                    int_matmul(low.rows, [[sign * v for v in row] for row in t], len(t)),
+                    low.den * dt))
             [(rows, d)] = integrate_rows([self.counted_rows(n, m)],
                                          self.weighted_rows(n, m), self.family)
             return _gram_record(rows, d)
@@ -617,12 +582,9 @@ class OrthoSystem:
         """integrate_rows(counted_rows(k, m), weighted_rows(n, m)) for k < n.
 
         The (b) cross terms of level m.  Where gram_record's guard holds
-        (_by_parts) they are zero blocks, with no contraction: by
-        gram_record's argument, under the same degree bound, the cross
-        term of stacks k and n at level m is that of k + 1 and n + 1 at
-        level m - 1 times Lambda(n + 1, m - 1), down to integral(P_(k+m)
-        P_(n+m)^t rho) times the eigenvalue factors, which is zero because
-        P_(n+m) is orthogonal to every lower degree (build_monic).
+        (_by_parts) they are zero blocks, with no contraction: moving the
+        m derivatives off q(n, m) pairs P_(n+m) with D^m q(k, m), of
+        degree k + m < n + m (byparts._t_block).
         Elsewhere, while the memo has no gram_record of gram(n, m), the
         same call integrates it as the block k = n, one moment contraction
         for both, and keeps its record.
@@ -636,39 +598,16 @@ class OrthoSystem:
             self._memo[("gram record", n, m)] = _gram_record(*blocks.pop())
         return blocks
 
-    def _by_parts(self, n: int, m: int):
-        """gram_record's guard at (n, m), memoised: the factors L + c_j I, j < m, or False.
+    def _by_parts(self, n: int, m: int) -> bool:
+        """Whether gram(n, m) and its cross terms are read off level 0.
 
-        Each factor is (int rows, denominator).  The parts are checked
-        cheapest first, each memoised where it is computed, and no
-        eigenvalue system above level 0 is solved.  It never raises: a
-        drift tower that cannot be built (psi_tower raises ValueError, as
-        for a quadratic psi or a cubic phi) or a level 0 without a
-        constant eigenvalue matrix gives False.
+        m >= 1, n + m <= N - 1 and the by-parts guard (byparts._by_parts)
+        for m steps onto P_(n+m).
         """
-        def make():
-            if not (m and self.constructed and n + m < self.nmax):
-                return False
-            from . import characterize as ch  # characterize imports this module
-            try:
-                if not (ch._lifted_pearson(self, 0) and (m == 1 or ch._lifted_pearson(self, 1))
-                        and ch._functional_pearson(self)):
-                    return False
-                tower = ch.psi_tower(self.family, m - 1)
-                cs = [Fraction(0)] + [tower.level(j).zero_order_scalar() for j in range(1, m)]
-                if None in cs:
-                    return False
-                lam = _ratio_rows(ch._lambda(self, n + m, 0))
-            except ValueError:  # NoConstantSolution is one too
-                return False
-            dl = lcm(*(q for row in lam for _, q in row))
-            factors = []
-            for c in cs:
-                k, q = c.numerator * dl, c.denominator
-                factors.append(([[v * q * (dl // w) + (i == j) * k for j, (v, w) in enumerate(row)]
-                                 for i, row in enumerate(lam)], q * dl))
-            return factors
-        return self.cached(("by parts", n, m), make)
+        if not (m and n + m < self.nmax):
+            return False
+        from .byparts import _by_parts  # byparts imports this module
+        return _by_parts(self, n + m, m)
 
 
 class GramRecord(NamedTuple):
@@ -848,7 +787,8 @@ def g_lead_rows(n: int, m: int) -> list:
     N(k, 1) N(k+1, 2) = N(k, 2) N(k+1, 1): dx dy = dy dx on X_(k+1).  A
     wrong band that broke this would also break prop1's derivative
     identities (basisops.identity_suite), so the 2^m blocks are never
-    built.
+    built.  The by-parts operator reads them (byparts._t_block,
+    byparts._l_block).
     """
     if n < 0 or m < 0:
         raise ValueError("indices must be nonnegative")

@@ -21,7 +21,7 @@ from conftest import (
 from hypothesis import assume, example, given, settings, strategies as st
 from test_basisops import random_rational_matrix
 
-from copoly2d import basisops, characterize, matpoly, orthosys
+from copoly2d import basisops, byparts, characterize, matpoly, orthosys
 from copoly2d.basisops import x_vec
 from copoly2d.characterize import (
     AUX_PROPERTIES,
@@ -201,11 +201,12 @@ def test_a_run_converts_each_levels_drift_data_once(monkeypatch):
 
 
 @pytest.mark.parametrize("nmax, mmax, props, built", [
-    (1, 11, "b", 11), (4, 6, "e", 6), (5, 3, None, 5)])
+    (1, 11, "b", 11), (4, 6, "e", 7), (5, 3, None, 5)])
 def test_each_tower_level_is_built_once_per_family(monkeypatch, nmax, mmax, props, built):
     # a deeper tower extends the kept one from its last level, so a run
-    # builds each level it reads once: (b)'s and (e)'s by-parts guard
-    # reads levels up to m - 1 one at a time, above the run's up-front build
+    # builds each level it reads once: (b)'s by-parts operator reads
+    # levels up to m - 1 and (e)'s up to m, one at a time, above the
+    # run's up-front build
     made = []
     real_level = characterize.PsiLevel
     monkeypatch.setattr(characterize, "PsiLevel",
@@ -1717,7 +1718,10 @@ def test_each_exact_gram_block_is_eliminated_once_per_system(monkeypatch):
     assert "error" not in {r.status for r in reports}
     [sys] = built
     records = {key[1:]: rec for key, rec in sys._memo.items() if key[0] == "gram record"}
-    assert {(k, m) for k in range(7) for m in range(4)} <= set(records)
+    # the construction's level-0 blocks, (b)'s level blocks and, at the
+    # corner of (e), gram(N, 0); (e) reads no level block by parts
+    assert {(k, 0) for k in range(10)} | {(k, m) for k in range(1, 6) for m in range(1, 4)} \
+        <= set(records)
     keys = Counter(map(_gram_key, records.values()))
     assert Counter(inside_calls) == keys
     assert Counter(c for c in calls if c in keys) == keys
@@ -1734,6 +1738,9 @@ def test_a_singular_gram_block_is_recorded_and_gives_the_oracle_notes(monkeypatc
     d = lcm(*(v.denominator for row in frs for v in row))
     rows = [[int(v * d) for v in row] for row in frs]
     sys._memo[("gram record", 2, 1)] = orthosys._gram_record(rows, d)
+    # the contraction reads the injected record; the by-parts route
+    # would read T_2 (test_reductions covers a singular T_k)
+    monkeypatch.setattr(byparts, "_by_parts", lambda *args: False)
     full_gram = _full_gram
     monkeypatch.setitem(globals(), "_full_gram",
                         lambda s, n, m: singular if (n, m) == (2, 1) else full_gram(s, n, m))

@@ -15,7 +15,7 @@ from test_acceptance import ALL_INSTANCES
 from test_characterize import pearson_data
 from test_reductions import _shifted_hermite
 
-from copoly2d import characterize, matpoly, orthosys
+from copoly2d import byparts, characterize, matpoly, orthosys
 from copoly2d.basisops import x_vec
 from copoly2d.characterize import verify_all
 from copoly2d.matpoly import (
@@ -518,7 +518,7 @@ def test_readers_agree_on_a_fresh_table_and_a_deeper_kept_one(make, deep):
     fresh = build_monic(make(), 6)
     assert hankel_table(fresh.family, 0)[2] == 12
     _same_system(sys, fresh)
-    assert characterize._functional_pearson(sys) == characterize._functional_pearson(fresh)
+    assert byparts._functional_pearson(sys) == byparts._functional_pearson(fresh)
     assert hankel_table(fresh.family, 0)[2] == 12
     mats = [sys.counted_rows(k, 1) for k in range(4)]
     w = sys.weighted_rows(3, 1)
@@ -551,7 +551,7 @@ def test_a_shallow_table_serves_shallower_reads_after_a_deeper_request_fails(mon
     assert hankel_table(f, 5) is table
     sys = build_monic(f, 4)
     _same_system(sys, want)
-    assert characterize._functional_pearson(sys)
+    assert byparts._functional_pearson(sys)
     [(rows, d)] = integrate_rows([sys.counted_rows(1, 1)], sys.weighted_rows(1, 1), f)
     assert sys.gram(1, 1) == const_matrix([[Fraction(v, d) for v in row] for row in rows], 3)
     assert not degrees

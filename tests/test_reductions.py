@@ -32,18 +32,26 @@ from test_acceptance import ALL_INSTANCES, _c_obstruction, _zero_order_term
 from test_basisops import random_rational_matrix
 from test_characterize import _pearson_family, _result, oracle_psi_tower, pearson_data
 
-from copoly2d import characterize, cli
+from copoly2d import byparts, characterize, cli
 from copoly2d.basisops import x_vec
 from copoly2d.characterize import (
     NoConstantSolution,
+    check_b,
+    check_e,
     lambda_via_formula,
     lambda_via_operator,
     level_pearson_check,
     psi_tower,
     verify_all,
 )
-from copoly2d.matpoly import PolyMatrix
-from copoly2d.orthosys import OrthoSystem, _gram_record, build_monic, integrate_rows
+from copoly2d.matpoly import PolyMatrix, const_matrix, det_exact, hstack
+from copoly2d.orthosys import (
+    OrthoSystem,
+    _gram_record,
+    build_monic,
+    integrate_rows,
+    row_halves,
+)
 from copoly2d.polycore import BivariatePoly, parse_poly
 from copoly2d.weights import (
     builtin,
@@ -384,7 +392,7 @@ def test_b_and_d_read_one_lifted_pearson_verdict_per_level_class(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# (b): level Gram blocks and cross terms by parts
+# (b) and (e): the by-parts operator against the contraction
 
 
 def _contracted(sys, n, m):
@@ -397,47 +405,165 @@ def _contracted(sys, n, m):
 
 def _route(sys, n, m):
     """True where gram(n, m) and its cross terms were read off level 0 by parts."""
-    return bool(sys._memo[("by parts", n, m)])
+    return sys._memo.get(("by parts", n + m, m), False)
+
+
+def _e_route(sys, n, m):
+    """True where check_e's exact cell (n, m) was decided by parts."""
+    return sys._memo[("e by parts", n, m)] is not False
+
+
+def _b_e_reports(sys, nmax, mmax, props="be"):
+    return ([check_b(sys, n, m) for n in range(1, nmax + 1) for m in range(1, mmax + 1)
+             if "b" in props]
+            + [check_e(sys, n, m) for n in range(1, nmax + 1) for m in range(mmax + 1)])
+
+
+def _contraction_reports(monkeypatch, f, nmax, mmax, props="be"):
+    """_b_e_reports on a fresh system with the by-parts guard forced off: the oracle."""
+    with monkeypatch.context() as mp:
+        mp.setattr(byparts, "_by_parts", lambda *args: False)
+        return _b_e_reports(build_monic(f, nmax + mmax + 1), nmax, mmax, props)
+
+
+def _ratios(rows, d):
+    return const_matrix([[Fraction(v, d) for v in row] for row in rows])
 
 
 @pytest.mark.parametrize("ref", ALL_INSTANCES)
 def test_gram_blocks_and_cross_terms_by_parts_match_the_contraction(ref):
     f = builtin(ref)
     sys = build_monic(f, 9)
-    tower = psi_tower(f, 2)
     for n in range(6):  # (e) reads gram(0, m)
         for m in range(1, 4):
             gram, cross = _contracted(sys, n, m)
             assert sys.gram_record(n, m) == gram, (n, m)
             assert sys.cross_rows(n, m) == cross, (n, m)
-            # the guard fails only where a zero-order term below level m is not scalar
-            scalar = all(tower.level(j).zero_order_scalar() is not None for j in range(1, m))
-            assert _route(sys, n, m) == scalar, (n, m)
-            if scalar:
-                assert not any(any(map(any, rows)) for rows, _ in cross), (n, m)
+            # the guard asks for no scalar zero-order term
+            assert _route(sys, n, m), (n, m)
+            assert not any(any(map(any, rows)) for rows, _ in cross), (n, m)
     # degree n + m = N is past the construction's own records: integrated
     assert sys.gram_record(6, 3) == _contracted(sys, 6, 3)[0]
     assert not _route(sys, 6, 3)
 
 
-def test_criterion_5s_hand_built_system_takes_the_contraction():
+def test_blocks_whose_zero_order_terms_are_not_scalar_are_read_by_parts():
+    # the guard that multiplied eigenvalue factors refused 22 of these 60
+    # blocks, N = 7, m <= 3, because some C_j below level m is not scalar
+    refused = 0
+    for ref in ["hermite_laguerre(1)", "product_jacobi(1/2,1/2,1/2,1/2)",
+                "product_jacobi(1,2,0,0)", "triangle(1,1,1)"]:
+        f = builtin(ref)
+        sys = build_monic(f, 7)
+        tower = psi_tower(f, 2)
+        for m in range(1, 4):
+            for k in range(7 - m):
+                assert sys.gram_record(k, m) == _contracted(sys, k, m)[0], (ref, k, m)
+                assert _route(sys, k, m), (ref, k, m)
+                refused += any(tower.level(j).zero_order_scalar() is None for j in range(1, m))
+    assert refused == 22
+
+
+@pytest.mark.parametrize("ref", INSTANCES)
+def test_t_block_is_the_eigenvalue_product_where_the_zero_order_terms_are_scalar(ref):
+    f = builtin(ref)
+    sys = build_monic(f, 8)
+    tower = psi_tower(f, 3)
+    checked = 0
+    for m in range(1, 4):
+        cs = [0] + [tower.level(j).zero_order_scalar() for j in range(1, m)]
+        if None in cs:
+            continue
+        for k in range(8 - m):
+            rows, d, full = byparts._t_block(sys, k, m)
+            lam = characterize._lambda(sys, k + m, 0)
+            want = PolyMatrix.identity(lam.rows).scale((-1) ** m)
+            for c in cs:
+                want = want @ (lam + PolyMatrix.identity(lam.rows).scale(c))
+            assert _ratios(rows, d) == want, (k, m)
+            assert full == (det_exact(want) != 0), (k, m)
+            checked += 1
+    assert checked >= 7
+
+
+@pytest.mark.parametrize("ref", INSTANCES)
+def test_the_lowest_projection_is_l_transposed_times_the_level_0_gram_block(ref):
+    # N_(n-1) = (-1)^(m+1) L_i^t gram(n + m, 0), half i beside half i of
+    # check_e's contraction, [N_top | N_bot]
+    f = builtin(ref)
+    sys = build_monic(f, 7)
+    d = psi_tower(f, 0).level(0).class_sums[1]
+    for n in range(1, 6):
+        for m in range(6 - n):
+            w = hstack(*row_halves(sys.weighted_rows(n - 1, m + 1)))
+            [(rows, dn)] = integrate_rows([sys.counted_rows(n - 1, m)], w, f)
+            halves = [(_ratios(list(zip(*byparts._l_block(sys, n, m, i))), d ** (m + 1))
+                       @ sys.gram(n + m, 0)).scale((-1) ** (m + 1)) for i in (0, 1)]
+            assert _ratios(rows, dn) == hstack(*halves), (n, m)
+
+
+@pytest.mark.parametrize("ref", INSTANCES)
+@pytest.mark.parametrize("nmax, mmax", [(4, 2), (3, 0)])
+def test_b_and_e_by_parts_match_the_contraction_on_every_cell(ref, nmax, mmax, monkeypatch):
+    f = builtin(ref)
+    sys = build_monic(f, nmax + mmax + 1)
+    assert _b_e_reports(sys, nmax, mmax) == _contraction_reports(monkeypatch, f, nmax, mmax)
+    # every cell below the corner reads the operator; the corner (nmax,
+    # mmax) does where its contraction reads moments to degree 2N
+    corner = f.phi.degree == 2 or mmax == 0
+    for n in range(1, nmax + 1):
+        for m in range(mmax + 1):
+            assert _e_route(sys, n, m) == ((n, m) != (nmax, mmax) or corner), (n, m)
+
+
+def test_criterion_5s_controls_take_the_contraction(monkeypatch):
+    f = builtin("product_hermite")
+    pert = dataclasses.replace(f, psi1=f.psi1 + parse_poly("1"))  # Pearson fails
+    cubic = dataclasses.replace(f, phi=PolyMatrix.from_rows([
+        [parse_poly("1 + x^3"), parse_poly("x*y")],
+        [parse_poly("x*y"), parse_poly("1")],
+    ]))  # the functional check refuses a cubic weight matrix; (b) raises on it
+    for g, props in ((pert, "be"), (cubic, "e")):
+        sys = build_monic(g, 6)
+        assert _b_e_reports(sys, 3, 2, props) == _contraction_reports(monkeypatch, g, 3, 2, props)
+        assert not any(_e_route(sys, n, m) for n in range(1, 4) for m in range(3))
+        assert not any(_route(sys, n, m) for n in range(1, 4) for m in range(1, 3))
+    rep = check_e(build_monic(cubic, 6), 3, 0)
+    assert rep.status == "fail" and "projection on stack" in rep.notes
+
+
+def test_criterion_5s_hand_built_system_takes_the_contraction(monkeypatch):
     f = builtin("product_hermite")
     built = build_monic(f, 3)
     top = random_rational_matrix(4, 4, random.Random(7)) @ x_vec(3)
-    fake = OrthoSystem(f, [*(built.p(k) for k in range(3)), top])
-    # level-0 records in the memo, as the construction leaves them, are not enough
-    fake._memo.update((key, rec) for key, rec in built._memo.items() if key[0] == "gram record")
-    gram, cross = _contracted(fake, 1, 1)
-    assert fake.cross_rows(1, 1) == cross
-    assert fake.gram_record(1, 1) == gram
-    assert not fake.constructed and not _route(fake, 1, 1)
+
+    def fake():
+        got = OrthoSystem(f, [*(built.p(k) for k in range(3)), top])
+        # level-0 records in the memo, as the construction leaves them, are not enough
+        got._memo.update((key, rec) for key, rec in built._memo.items()
+                         if key[0] == "gram record")
+        return got
+
+    sys = fake()
+    gram, cross = _contracted(sys, 1, 1)
+    assert sys.cross_rows(1, 1) == cross
+    assert sys.gram_record(1, 1) == gram
+    assert not sys.constructed and not _route(sys, 1, 1)
+    got = [check_e(sys, n, m) for n, m in [(1, 0), (1, 1), (2, 0)]]
+    assert not any(_e_route(sys, n, m) for n, m in [(1, 0), (1, 1), (2, 0)])
+    with monkeypatch.context() as mp:
+        mp.setattr(byparts, "_by_parts", lambda *args: False)
+        other = fake()
+        assert got == [check_e(other, n, m) for n, m in [(1, 0), (1, 1), (2, 0)]]
 
 
-def test_the_disk_takes_the_contraction_from_level_2():
-    # phi_conditions fails, so the lifted Pearson equation does not hold at level 1
+def test_the_disk_takes_the_contraction_from_level_2(monkeypatch):
+    # phi_conditions fails, so the lifted Pearson equation does not hold at
+    # level 1: (b) reads level 1 by parts, and (e) level 0, whose one step
+    # needs no lifted equation
     f = load_family(DISK)
     sys = build_monic(f, 6)
-    assert characterize._functional_pearson(sys)
+    assert byparts._functional_pearson(sys)
     for n in range(1, 4):
         for m in range(1, 3):
             gram, cross = _contracted(sys, n, m)
@@ -445,6 +571,11 @@ def test_the_disk_takes_the_contraction_from_level_2():
             assert sys.cross_rows(n, m) == cross, (n, m)
             assert _route(sys, n, m) == (m == 1), (n, m)
     assert psi_tower(f, 1).level(1).zero_order_scalar() is not None
+    sys = build_monic(f, 6)
+    assert _b_e_reports(sys, 3, 2) == _contraction_reports(monkeypatch, f, 3, 2)
+    for n in range(1, 4):
+        for m in range(3):
+            assert _e_route(sys, n, m) == (m == 0), (n, m)
 
 
 def _shifted_hermite(degree):
@@ -463,42 +594,79 @@ def _shifted_hermite(degree):
     })
 
 
-def test_moments_of_another_weight_take_the_contraction():
+def test_moments_of_another_weight_take_the_contraction(monkeypatch):
     # Pearson's equation holds pointwise, but these moments do not solve it
     f = _shifted_hermite(13)
     sys = build_monic(f, 6)
-    assert check_pearson(f) and not characterize._functional_pearson(sys)
+    assert check_pearson(f) and not byparts._functional_pearson(sys)
     for n in range(1, 4):
         for m in range(1, 3):
             gram, cross = _contracted(sys, n, m)
             assert sys.gram_record(n, m) == gram, (n, m)
             assert sys.cross_rows(n, m) == cross, (n, m)
             assert not _route(sys, n, m), (n, m)
+    sys = build_monic(f, 6)
+    assert _b_e_reports(sys, 3, 2) == _contraction_reports(monkeypatch, f, 3, 2)
+    assert not any(_e_route(sys, n, m) for n in range(1, 4) for m in range(3))
 
 
 @pytest.mark.parametrize("ref", INSTANCES)
 def test_builtin_moments_solve_the_functional_pearson_equations(ref):
-    assert characterize._functional_pearson(build_monic(builtin(ref), 6))
+    assert byparts._functional_pearson(build_monic(builtin(ref), 6))
 
 
-@pytest.mark.parametrize("degree", [10, 11])
-def test_a_moments_table_changed_at_the_top_takes_the_contraction(degree):
-    # N = 6: the construction reads the moments to degree 2N - 1 = 11, and
-    # so does the functional check.  With a moment of degree 10 doubled,
-    # gram(n, m) at n + m = 5 is not the by-parts product; with one of
-    # degree 11 it still is, but only the check's degree bound knows that
-    doc = export_family(builtin("triangle(1,1,1)"), moment_degree=11)
-    sys = build_monic(load_family(doc), 6)
-    assert characterize._functional_pearson(sys)
-    entry = next(entry for entry in doc["moments"] if entry[:2] == [degree, 0])
+@pytest.mark.parametrize("ref", ["triangle(1,1,1)", "hermite_laguerre(1)"])
+@pytest.mark.parametrize("degree", [10, 11, 12])
+def test_a_moments_table_changed_at_the_top_takes_the_contraction(ref, degree, monkeypatch):
+    # N = nmax + mmax + 1 = 6: the construction reads the moments to
+    # degree 2N - 1 = 11, and so does the functional check.  With a moment
+    # of degree 10 doubled, gram(n, m) at n + m = 5 is not the by-parts
+    # product; with one of degree 11 it still is, but only the check's
+    # degree bound knows that.  One of degree 12 = 2N is read by (e)'s
+    # corner (3, 2) alone: by its contraction, and on the triangle (deg
+    # phi = 2) by the by-parts check there too, which then fails
+    doc = export_family(builtin(ref), moment_degree=12)
+    assert byparts._functional_pearson(build_monic(load_family(doc), 6), 11)
+    entry = next(entry for entry in doc["moments"] if entry[:2] == [0, degree])
     entry[2] = str(Fraction(entry[2]) * 2)
-    sys = build_monic(load_family(doc), 6)
-    assert not characterize._functional_pearson(sys)
+    f = load_family(doc)
+    sys = build_monic(f, 6)
+    assert byparts._functional_pearson(sys) == (degree == 12)
     for n, m in [(4, 1), (3, 2), (2, 3)]:
         gram, cross = _contracted(sys, n, m)
         assert sys.gram_record(n, m) == gram, (n, m)
         assert sys.cross_rows(n, m) == cross, (n, m)
-        assert not _route(sys, n, m), (n, m)
+        assert _route(sys, n, m) == (degree == 12), (n, m)
+    sys = build_monic(f, 6)
+    assert _b_e_reports(sys, 3, 2) == _contraction_reports(monkeypatch, f, 3, 2)
+    for n in range(1, 4):
+        for m in range(3):
+            assert _route(sys, n, m) == (m > 0 and degree == 12), (n, m)
+            assert _e_route(sys, n, m) == (degree == 12 and (n, m) != (3, 2)), (n, m)
+
+
+def test_a_singular_t_block_decides_its_stack_and_sends_higher_cells_to_the_contraction(
+        monkeypatch):
+    # the curl test needs T_k nonsingular for every k <= n - 2; T_0 forced
+    # singular (a repeated row) is "level gram singular at stack 0" at n = 1,
+    # on both routes, and sends n = 2, 3 to the contraction, whose reports
+    # do not read T_0
+    f = builtin("triangle(1,1,1)")
+    want = {n: check_e(build_monic(f, 7), n, 1) for n in (2, 3)}
+    sys = build_monic(f, 7)
+    rows, d, _ = byparts._t_block(sys, 0, 1)
+    sys._memo[("T", 0, 1)] = ([rows[0], rows[0], *rows[2:]], d, False)
+    assert sys.gram_record(0, 1).inv is None
+    for n in (2, 3):
+        assert check_e(sys, n, 1) == want[n]
+        assert not _e_route(sys, n, 1)
+    got = check_e(sys, 1, 1)
+    assert (got.status, got.notes) == ("fail", "level gram singular at stack 0")
+    assert _e_route(sys, 1, 1)
+    with monkeypatch.context() as mp:
+        mp.setattr(byparts, "_by_parts", lambda *args: False)
+        del sys._memo[("e by parts", 1, 1)]
+        assert check_e(sys, 1, 1) == got
 
 
 def test_a_b_run_on_a_moments_table_that_stops_at_2n_minus_1(tmp_path):
@@ -522,3 +690,5 @@ def test_a_drift_tower_that_cannot_be_built_takes_the_contraction():
     for n, m in [(1, 1), (2, 2)]:
         assert sys.gram_record(n, m) == _contracted(sys, n, m)[0]
         assert not _route(sys, n, m)
+    check_e(sys, 1, 1)
+    assert not _e_route(sys, 1, 1)
