@@ -558,9 +558,11 @@ class OrthoSystem:
             gram(n, m) = (-1)^m gram(n + m, 0) T_n,
 
         T_n the top layer of the by-parts operator D applied m times to
-        q(n, m) (byparts._t_block, which proves it).  Any other block is
-        integrated here, one moment contraction, unless cross_rows already
-        integrated it.  Every exact reader, gram included, reads this
+        q(n, m) (byparts._t_block, which proves it).  gram(N, 0), N =
+        nmax, which (e)'s by-parts route reads at its corner, is read off
+        the moment table as build_monic reads its blocks (_moment_rows).
+        Any other block is integrated here, one moment contraction, unless
+        cross_rows already integrated it.  Every exact reader, gram included, reads this
         record, so no block is eliminated twice; a singular block is a
         record with inv None.
         """
@@ -573,6 +575,12 @@ class OrthoSystem:
                 return _gram_record(*reduce_rows(
                     int_matmul(low.rows, [[sign * v for v in row] for row in t], len(t)),
                     low.den * dt))
+            if not m and self.constructed:
+                # P_n is orthogonal to every lower degree, so gram(n, 0) =
+                # integral(P_n X_n^t rho), read off the table as build_monic does
+                col = self._p[n]
+                return _gram_record(*_moment_rows([col[i, 0] for i in range(n + 1)], (n,),
+                                                  hankel_table(self.family, 2 * n + 1)))
             [(rows, d)] = integrate_rows([self.counted_rows(n, m)],
                                          self.weighted_rows(n, m), self.family)
             return _gram_record(rows, d)
@@ -667,6 +675,21 @@ def row_halves(s: PolyMatrix):
     return (PolyMatrix.from_rows(rows[:-1], s.cols), PolyMatrix.from_rows(rows[1:], s.cols))
 
 
+def _moment_rows(polys: list, degrees, table):
+    """integral(p X_k^t rho) / mu_00 for each p in polys, the degrees k side by side.
+
+    Int rows over one denominator (reduce_rows).  The entries of X_k are
+    monomials, so entry (c, beta) is sum_e p_e H[e + beta], p the
+    numerators of polys[c] over their LCM, read off table, a
+    hankel_table result (hank, dm, stride) deep enough for every product.
+    """
+    hank, dm, s = table
+    da = lcm(*(p.den for p in polys))
+    betas = [(k - c) * s + c for k in degrees for c in range(k + 1)]
+    return reduce_rows([[sum(x * hank[e + b] for e, x in t) for b in betas]
+                        for t in (_coded(p, da, s) for p in polys)], da * dm)
+
+
 def build_monic(f: WeightFamily, nmax: int) -> OrthoSystem:
     """Construct P_0 .. P_nmax exactly by the three-term relation.
 
@@ -717,11 +740,7 @@ def build_monic(f: WeightFamily, nmax: int) -> OrthoSystem:
         k = n + 1
         da = lcm(*(p.den for p in pn))
         nums = [_rescaled(p, da) for p in pn]
-        # the codes of X_n, then of X_(n+1)
-        betas = [(n - c) * s + c for c in range(k)] + [(k - c) * s + c for c in range(k + 1)]
-        block, d = reduce_rows([[sum(x * hank[e + b] for e, x in t) for b in betas]
-                                for t in (_coded(p, da, s) for p in pn)],
-                               da * dm)  # [G_n | S_n] over d
+        block, d = _moment_rows(pn, (n, k), (hank, dm, s))  # [G_n | S_n] over d
         rec = _gram_record(*reduce_rows([row[:k] for row in block], d))
         if rec.inv is None:
             col = n * k // 2 + rec.free  # the columns of G_0 .. G_(n-1) come first

@@ -445,6 +445,8 @@ def test_gram_blocks_and_cross_terms_by_parts_match_the_contraction(ref):
     # degree n + m = N is past the construction's own records: integrated
     assert sys.gram_record(6, 3) == _contracted(sys, 6, 3)[0]
     assert not _route(sys, 6, 3)
+    # gram(N, 0), which (e)'s corner reads, off the moment table
+    assert sys.gram_record(9, 0) == _contracted(sys, 9, 0)[0]
 
 
 def test_blocks_whose_zero_order_terms_are_not_scalar_are_read_by_parts():
