@@ -21,7 +21,8 @@ parts of the tower's class sums (PsiLevel), so no polynomial matrix is
 formed but the curl test's.  Hand-built systems, numeric mode and
 every cell the guard refuses keep the contraction
 (orthosys.integrate_rows).  The module is imported on first use, by
-OrthoSystem.gram_record and characterize.check_e.
+OrthoSystem.gram_record and characterize.check_e, so a run that reads
+neither compiles none of it.
 """
 
 from __future__ import annotations
