@@ -36,11 +36,16 @@ product_jacobi(1,2,0,0), pin cells where the by-parts route refuses and
 (b)'s and (e)'s Gram blocks are integrated.  The default-grid report of
 product_jacobi(1,2,0,0) is pinned as well: it is the one instance of
 criterion 2 with a + b != c + d, and its moments have denominators no
-other pin reads.
+other pin reads.  Last, the (c) and (d) reports at `--nmax 4 --mmax 2`
+of product_hermite, triangle(1,1,1) and product_laguerre(1,2) with
+psi_1 + x/3, criterion 5's perturbed drift, are pinned: their level-0
+systems have no constant solution, so these pin the solver's
+"inconsistent coefficient system" notes.
 """
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -49,6 +54,8 @@ from pathlib import Path
 import pytest
 
 from copoly2d import cli, orthosys, weights
+from copoly2d.characterize import verify_all
+from copoly2d.polycore import parse_poly
 
 REFS = json.loads((Path(__file__).resolve().parents[1] / "bench" / "refs.json")
                   .read_text(encoding="utf-8"))
@@ -182,3 +189,21 @@ def test_default_grid_report_with_a_plus_b_unequal_to_c_plus_d_matches_pinned_di
         status = cli.main(["verify", "--family", "product_jacobi(1,2,0,0)", "--format", "json"])
     assert status == 1
     assert _sha(buf.getvalue()) == "ed2ee6bd5f1aca98f18d258672fcfca5993024ec1886cf8b86ed6cc769896e76"
+
+
+# (built-in family, sha256 of the JSON (c),(d) report at (4,2) with psi_1 + x/3)
+PERTURBED = [
+    ("product_hermite", "a77ca7c4a8c0a65ef3931da4fb80e34ed2044d0df9548c573b0abcee3d384b1e"),
+    ("triangle(1,1,1)", "d7c331a8fa1bff4890e03cf548dbddaa308be1338801d80aba4f0706ee5d523e"),
+    ("product_laguerre(1,2)", "1b5d9f89c5fbba58193c77728868d0b5e1264db2e1c90c4aa4fd55178b9794f2"),
+]
+
+
+@pytest.mark.parametrize("ref, sha", PERTURBED, ids=[c[0] for c in PERTURBED])
+def test_perturbed_drift_c_and_d_report_matches_pinned_digest(ref, sha):
+    f = weights.builtin(ref)
+    pert = dataclasses.replace(f, psi1=f.psi1 + parse_poly("1/3*x"))
+    cfg = cli.RunConfig(ref, nmax=4, mmax=2, properties=("c", "d"), format="json")
+    reports = verify_all(pert, nmax=4, mmax=2, properties=("c", "d"))
+    assert any("inconsistent coefficient system" in r.notes for r in reports)
+    assert _sha(cli.render_json(pert, cfg, reports)) == sha
