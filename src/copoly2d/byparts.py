@@ -21,8 +21,8 @@ parts of the tower's class sums (PsiLevel), so no polynomial matrix is
 formed but the curl test's.  Hand-built systems, numeric mode and
 every cell the guard refuses keep the contraction
 (orthosys.integrate_rows).  The module is imported on first use, by
-OrthoSystem.gram_record and characterize.check_e, so a run that reads
-neither compiles none of it.
+OrthoSystem._by_parts and characterize.check_b and check_e, so a run
+that reads none of them compiles none of it.
 """
 
 from __future__ import annotations
@@ -222,7 +222,8 @@ def _t_block(sys: OrthoSystem, k: int, m: int):
     tower's linear parts: no polynomial and no moment.  D grad = op, the
     level's second order operator, so where each zero-order term C_j,
     j < m, is the scalar c_j, T_k = (-1)^m prod_(j<m) (L + c_j I), L =
-    Lambda(k + m, 0) (_lambda); that is a test, not a route.
+    Lambda(k + m, 0) (_lambda); that is a test, not a route.  check_b
+    reads the third field as (b)'s Gram verdict.
     """
     def make():
         cols = k + m + 1

@@ -52,7 +52,7 @@ level-m system is solved and the identity computed, as before, so
 every verdict and note is the direct route's.  (b) and (e) above
 level 0 run the paper's chain Pearson => (b) => (e) as their decision
 procedure where the moments solve Pearson's equation as a functional:
-the by-parts operator (byparts) reads (b)'s level Gram blocks and cross
+the by-parts operator (byparts) reads (b)'s Gram verdicts and cross
 terms, and (e)'s Gram verdicts, reconstruction and rank, off level 0
 with no moment contraction; elsewhere they are integrated.
 """
@@ -426,14 +426,26 @@ def lambda_via_operator(sys: OrthoSystem, n: int, m: int) -> PolyMatrix:
     equation repeats a kept one, row scaling included, so the row
     space, the pivot columns, the consistency verdict and L are those
     of the full 2^m-row system.
+
+    At level 0 on a build_monic system P_n is monic, so the degree-n
+    equations give L[i, j] = -(x^(n-i) y^i coefficient of op(P_n^t)_j),
+    checked by substitution on int rows; where that fails no L exists,
+    and the solve runs for its message.  Hand-built columns, which need
+    not be monic, and levels m >= 1 keep the solve.
     """
     if n < 1 or m < 0:
         raise ValueError("need gradient index n >= 1 and level m >= 0")
     s = sys.q_rows(n, m)
     # a degree-1 stack has no second derivatives
     second = sys.q_rows(n - 2, m + 2) if n >= 2 else PolyMatrix.zeros(m + 3, s.cols)
-    image = psi_tower(sys.family, m).level(m).op_rows @ vstack(second, sys.q_rows(n - 1, m + 1))
-    return _solve_constant_right_factor(s, -image)
+    op, rhs = psi_tower(sys.family, m).level(m).op_rows, vstack(second, sys.q_rows(n - 1, m + 1))
+    if not m and sys.constructed:
+        image, d = matmul_numerators(op, rhs)
+        top = [[(t or {}).get((n - i, i), 0) for t in image] for i in range(n + 1)]
+        if same_numerators(*matmul_const_rows(s, top, d, n + 1), image, d):
+            return PolyMatrix(n + 1, n + 1, [from_numerators({(0, 0): -v}, d) if v else ZERO
+                                             for row in top for v in row])
+    return _solve_constant_right_factor(s, -(op @ rhs))
 
 
 def _transpose(a, cols: int):
@@ -546,6 +558,7 @@ def lambda_via_formula(f: WeightFamily, n: int, m: int) -> PolyMatrix:
 def _lambda(sys: OrthoSystem, n: int, m: int) -> PolyMatrix:
     """lambda_via_operator's eigenvalue matrix, memoised on the system, keyed by (n, m).
 
+    At level 0 it is read off op(P_n^t)'s top layer (lambda_via_operator).
     For m >= 1 it is read off level 0 where the level's zero-order term
     is a scalar: Lambda(n, m) = Lambda(n + m, 0) + c_m I.  Differentiating
     op_0(P_(n+m)^t) + P_(n+m)^t L = 0 m times gives op_m(Q) + C_m Q + Q L
@@ -658,21 +671,21 @@ def check_b(sys: OrthoSystem, n: int, m: int, rule=None) -> PropertyReport:
     """Level-m stack orthogonality plus the lifted Pearson equation.
 
     The Pearson half is always exact.  Without a quadrature rule the
-    cross terms and the level Gram block are exact too, and the Gram
-    verdict reads the determinant of the block's gram_record.  Where
+    cross terms and the Gram verdict are exact too.  Where
     OrthoSystem._by_parts holds, both are read off level 0 with no moment
     contraction, by the paper's Pearson => (b) argument: integrating by
     parts m times moves the derivatives of q(n, m) onto the other
-    stack, so gram(n, m) = (-1)^m gram(n + m, 0) T_n and every cross term
-    is zero (byparts._t_block).  The guard (byparts._by_parts): a system
-    build_monic built, n + m <= N - 1 (N its degree), Pearson's equation
-    and for m >= 2 the lifted one, and the moments' functional Pearson
-    equations for every monomial of degree <= 2N - 2, which read no
-    moment past 2N - 1.  Elsewhere the cross terms with every lower stack are
-    int blocks from one moment contraction (OrthoSystem.cross_rows),
-    which also integrates gram(n, m) while the memo has no record of
-    it.  With a rule they are integrated on the rule and measured
-    against a tolerance.
+    stack, so every cross term is zero and gram(n, m) = (-1)^m gram(n +
+    m, 0) T_n (byparts._t_block).  gram(n + m, 0) is the construction's
+    nonsingular record, so the verdict is T_n's and no level-m record is
+    built.  The guard (byparts._by_parts) needs a build_monic system of
+    degree N > n + m, the lifted Pearson equation and the moments'
+    functional Pearson equations to degree 2N - 2.  Elsewhere the cross
+    terms with every lower stack are int blocks from one moment
+    contraction (OrthoSystem.cross_rows), which also integrates gram(n,
+    m) into its gram_record, whose determinant the verdict reads.  With
+    a rule they are integrated on the rule and measured against a
+    tolerance.
     """
     if n < 1 or m < 1:
         raise ValueError("property b needs n >= 1 and m >= 1")
@@ -683,7 +696,8 @@ def check_b(sys: OrthoSystem, n: int, m: int, rule=None) -> PropertyReport:
         ortho_ok = not any(any(map(any, rows)) for rows, _ in sys.cross_rows(n, m))
         if not ortho_ok:
             notes.append("cross terms with a lower stack survive")
-        gram_ok = sys.gram_record(n, m).det != 0
+        from .byparts import _t_block  # imported on first use: byparts imports this module
+        gram_ok = _t_block(sys, n, m)[2] if sys._by_parts(n, m) else sys.gram_record(n, m).det != 0
         if not gram_ok:
             notes.append("level gram singular")
         ok = pearson_ok and ortho_ok and gram_ok
@@ -714,8 +728,9 @@ def check_b(sys: OrthoSystem, n: int, m: int, rule=None) -> PropertyReport:
 def check_c(sys: OrthoSystem, n: int, m: int) -> PropertyReport:
     """The level-m stack solves op_m(Q) + Q Lambda = 0 for a constant Lambda.
 
-    Lambda is _lambda's, by either of its routes, and a cell without one
-    fails with the solver's message.  The paper's leading-coefficient
+    Lambda is _lambda's, by any of its routes, and a cell without one
+    fails with the solver's message (the level-0 top layer falls back to
+    the solver wherever it does not check).  The paper's leading-coefficient
     formula (lambda_via_formula) is not run, because it cannot disagree.
     Write Q = X_n^t G + lower degree, G the leading block.  op_m keeps
     the degree, and the top-degree part of op_m(Q) + Q Lambda is

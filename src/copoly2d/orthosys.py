@@ -564,7 +564,10 @@ class OrthoSystem:
         Any other block is integrated here, one moment contraction, unless
         cross_rows already integrated it.  Every exact reader, gram included, reads this
         record, so no block is eliminated twice; a singular block is a
-        record with inv None.
+        record with inv None.  A level-m record is built only when read:
+        by exact gram(n, m), check_e's contraction, or check_b where the
+        guard fails; where it holds check_b reads T_n (det gram(n, m) != 0
+        iff T_n is nonsingular) and (e)'s by-parts route reads T_k.
         """
         def make():
             if self._by_parts(n, m):

@@ -1687,18 +1687,20 @@ def _gram_key(rec):
     return _primitive(rec.rows, len(rec.rows))
 
 
-def test_each_exact_gram_block_is_eliminated_once_per_system(monkeypatch):
-    # every square elimination of the run, construction included: build_monic
-    # eliminates the level-0 blocks it builds and keeps their records, and
-    # (b) and the three (e) cells that read a block share one elimination.
-    # Inside the construction and the (b) and (e) cells, the readers of the
-    # blocks, every square solve is one against a block.  The other checks
-    # eliminate matrices that are no Gram block; some blocks are
-    # proportional to others, so the blocks are counted by key
-    calls, inside, built = [], [], []
-    _record_square_eliminations(monkeypatch, calls)
-    inside_calls = []
-    _record_square_eliminations(monkeypatch, inside_calls, inside)
+def _gram_records_eliminated_once(mp, f, nmax, mmax):
+    """The (n, m) of every gram record of verify_all(f, nmax, mmax), each eliminated once.
+
+    Every square elimination of the run is recorded, construction
+    included; build_monic eliminates the level-0 blocks it builds and
+    keeps their records, and every cell that reads a block shares its
+    one elimination.  Inside the construction and the (b) and (e) cells,
+    the readers of the blocks, every square solve is one against a
+    block.  The other checks eliminate matrices that are no Gram block;
+    some blocks are proportional to others, so they are counted by key.
+    """
+    calls, inside, built, inside_calls = [], [], [], []
+    _record_square_eliminations(mp, calls)
+    _record_square_eliminations(mp, inside_calls, inside)
 
     def counted(*args, _real):
         inside.append(1)
@@ -1708,23 +1710,33 @@ def test_each_exact_gram_block_is_eliminated_once_per_system(monkeypatch):
             inside.pop()
 
     for name in ("check_b", "check_e"):
-        monkeypatch.setattr(characterize, name,
-                            functools.partial(counted, _real=getattr(characterize, name)))
+        mp.setattr(characterize, name,
+                   functools.partial(counted, _real=getattr(characterize, name)))
     real_build = characterize.build_monic
-    monkeypatch.setattr(characterize, "build_monic",
-                        lambda f, nmax: built.append(counted(f, nmax, _real=real_build))
-                        or built[-1])
-    reports = verify_all(builtin("triangle(1,1,1)"), nmax=5, mmax=3)
+    mp.setattr(characterize, "build_monic",
+               lambda f, nmax: built.append(counted(f, nmax, _real=real_build)) or built[-1])
+    reports = verify_all(f, nmax=nmax, mmax=mmax)
     assert "error" not in {r.status for r in reports}
     [sys] = built
     records = {key[1:]: rec for key, rec in sys._memo.items() if key[0] == "gram record"}
-    # the construction's level-0 blocks, (b)'s level blocks and, at the
-    # corner of (e), gram(N, 0); (e) reads no level block by parts
-    assert {(k, 0) for k in range(10)} | {(k, m) for k in range(1, 6) for m in range(1, 4)} \
-        <= set(records)
     keys = Counter(map(_gram_key, records.values()))
     assert Counter(inside_calls) == keys
     assert Counter(c for c in calls if c in keys) == keys
+    return set(records)
+
+
+def test_each_exact_gram_block_is_eliminated_once_per_system(monkeypatch):
+    f = builtin("triangle(1,1,1)")
+    # by parts, (b) reads T_n and (e) T_k, so no level-m record is built:
+    # the construction's level-0 blocks and, at the corner of (e), gram(N, 0)
+    with monkeypatch.context() as mp:
+        assert _gram_records_eliminated_once(mp, f, 5, 3) == {(k, 0) for k in range(10)}
+    # with the guard off, (b) and the three (e) cells that read a level
+    # block share one elimination
+    with monkeypatch.context() as mp:
+        mp.setattr(byparts, "_by_parts", lambda *args: False)
+        got = _gram_records_eliminated_once(mp, f, 5, 3)
+    assert got == {(k, 0) for k in range(9)} | {(k, m) for k in range(7) for m in range(1, 4)}
 
 
 def test_a_singular_gram_block_is_recorded_and_gives_the_oracle_notes(monkeypatch):

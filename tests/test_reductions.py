@@ -13,7 +13,11 @@ phi_conditions, keeps (d)'s polynomial identity above level 0.  (b):
 the level Gram blocks and cross terms are read off level 0 by parts where
 OrthoSystem._by_parts holds, and integrated elsewhere; each is checked
 against its own moment contraction, and each fallback is seen in the
-route the memo keeps, not in a verdict.
+route the memo keeps, not in a verdict.  check_b's Gram verdict is T_n's
+nonsingularity there, with no level-m record built.  Level-0 Lambda on a
+build_monic system is read off the top layer of op(P_n^t), checked by
+substitution, and solved only where that check fails; it is checked
+against the coefficient solve that hand-built systems keep.
 """
 from __future__ import annotations
 
@@ -694,3 +698,122 @@ def test_a_drift_tower_that_cannot_be_built_takes_the_contraction():
         assert not _route(sys, n, m)
     check_e(sys, 1, 1)
     assert not _e_route(sys, 1, 1)
+
+
+# ---------------------------------------------------------------------------
+# (b)'s Gram verdict off T_n, and level-0 Lambda off P_n's monic top layer
+
+
+@pytest.mark.parametrize("ref", INSTANCES)
+def test_b_reads_its_gram_verdict_off_t_n_without_a_level_record(ref, monkeypatch):
+    # gram(n, m) = (-1)^m gram(n + m, 0) T_n with gram(n + m, 0) the
+    # construction's nonsingular record: the verdicts agree with the
+    # contracted block's determinant, and the reports with the guard-off run
+    f = builtin(ref)
+    sys = build_monic(f, 7)
+    cells = [(n, m) for n in range(1, 4) for m in range(1, 4)]
+    got = [check_b(sys, n, m) for n, m in cells]
+    assert not [key for key in sys._memo if key[0] == "gram record" and key[2]]
+    for n, m in cells:
+        assert _route(sys, n, m), (n, m)
+        assert byparts._t_block(sys, n, m)[2] == (_contracted(sys, n, m)[0].det != 0), (n, m)
+    with monkeypatch.context() as mp:
+        mp.setattr(byparts, "_by_parts", lambda *args: False)
+        other = build_monic(f, 7)
+        assert got == [check_b(other, n, m) for n, m in cells]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=20)
+@given(pearson_data())
+def test_b_gram_verdict_is_the_blocks_determinant_on_pearson_data(f):
+    # with the triangle's moments the functional check refuses, so check_b
+    # reads the contracted record, singular on some draws; where the draw
+    # has eigen-columns, T_n is nonsingular iff its eigenvalue product is
+    # (test_t_block_is_the_eigenvalue_product_where_the_zero_order_terms_are_scalar)
+    sys = build_monic(dataclasses.replace(f, moment_fn=builtin("triangle(1,1,1)").moment_fn), 6)
+    for n in range(1, 4):
+        for m in range(1, 3):
+            singular = "level gram singular" in check_b(sys, n, m).notes
+            assert singular == (_contracted(sys, n, m)[0].det == 0), (n, m)
+            assert not _route(sys, n, m), (n, m)
+    cols = _eigen_columns(f, 6)
+    if cols is None:
+        return
+    hand = OrthoSystem(f, cols)
+    tower = psi_tower(f, 3)
+    for m in range(1, 4):
+        cs = [0] + [tower.level(j).zero_order_scalar() for j in range(1, m)]
+        assert None not in cs  # phi's quadratic part is c x x^t and the drift d I
+        for k in range(6 - m):
+            lam = characterize._lambda(hand, k + m, 0)
+            want = Fraction(1)
+            for c in cs:
+                want *= det_exact(lam + PolyMatrix.identity(lam.rows).scale(c))
+            assert byparts._t_block(hand, k, m)[2] == (want != 0), (k, m)
+
+
+def test_a_singular_t_n_is_a_singular_level_gram_block_in_b():
+    # T_2 at level 1 forced singular (a repeated row): only check_b(2, 1)
+    # reads it, and it builds no record of gram(2, 1) to decide
+    sys = build_monic(builtin("triangle(1,1,1)"), 7)
+    rows, d, _ = byparts._t_block(sys, 2, 1)
+    sys._memo[("T", 2, 1)] = ([rows[0], rows[0], *rows[2:]], d, False)
+    got = check_b(sys, 2, 1)
+    assert (got.status, got.notes) == ("fail", "level gram singular")
+    assert ("gram record", 2, 1) not in sys._memo
+    assert [check_b(sys, n, m).status for n, m in [(1, 1), (3, 1), (2, 2)]] == ["pass"] * 3
+    # the block read by parts is singular too
+    assert sys.gram_record(2, 1).det == 0
+
+
+def _spy_constant_solves(monkeypatch):
+    """Record the row count of every _solve_constant_right_factor call."""
+    calls = []
+    real = characterize._solve_constant_right_factor
+
+    def spy(q, rhs):
+        calls.append(q.rows)
+        return real(q, rhs)
+
+    monkeypatch.setattr(characterize, "_solve_constant_right_factor", spy)
+    return calls
+
+
+def _drifted(ref):
+    """criterion 5's perturbed drift, psi_1 + x/3: no level-0 cell past n = 1 solves."""
+    f = builtin(ref)
+    return dataclasses.replace(f, psi1=f.psi1 + parse_poly("1/3*x"))
+
+
+@pytest.mark.parametrize("ref, drift", [(ref, False) for ref in ALL_INSTANCES]
+                         + [(ref, True) for ref in ("product_hermite", "triangle(1,1,1)",
+                                                    "product_laguerre(1,2)")])
+def test_level_0_lambda_off_the_top_layer_is_the_solvers(ref, drift, monkeypatch):
+    # a hand-built system with the same columns keeps the solver; the
+    # construction's takes it only where the substitution check fails,
+    # so every failing cell keeps the solver's message
+    f = _drifted(ref) if drift else builtin(ref)
+    sys = build_monic(f, 12)
+    hand = OrthoSystem(f, [sys.p(k) for k in range(13)])
+    solves = _spy_constant_solves(monkeypatch)
+    for n in range(1, 13):
+        del solves[:]
+        got = _result(lambda_via_operator, sys, n, 0)
+        assert bool(solves) == isinstance(got, tuple), n
+        del solves[:]
+        assert got == _result(lambda_via_operator, hand, n, 0), n
+        assert solves == [1], n
+    assert drift == isinstance(got, tuple)
+
+
+def test_a_hand_built_system_takes_the_solver_at_level_0(monkeypatch):
+    # criterion 5's random degree-3 column is not monic: its top layer is
+    # no eigenvalue matrix, and the solver finds none
+    f = builtin("product_hermite")
+    top = random_rational_matrix(4, 4, random.Random(7)) @ x_vec(3)
+    fake = OrthoSystem(f, [*(build_monic(f, 2).p(k) for k in range(3)), top])
+    solves = _spy_constant_solves(monkeypatch)
+    got = _result(lambda_via_operator, fake, 3, 0)
+    assert solves == [1]
+    assert got[0] == NoConstantSolution.__name__
+    assert got[1].startswith("inconsistent coefficient system")
