@@ -1,7 +1,7 @@
-"""The by-parts operator: (b) and (e) above level 0 read off level 0.
+"""The by-parts operator: (b) and (e) above level 0, and level-0 Lambda, read off level 0.
 
-The paper proves Pearson => (b) => (e) by integrating by parts, and
-this module runs that chain as the exact decision procedure.  Write
+The paper proves Pearson => (b) => (c), (e) by integrating by parts,
+and this module runs that chain as the exact decision procedure.  Write
 <a, b>_j = integral(a^t Phi_j b rho) / mu_00 for level-j vectors (2^j
 rows), Phi_j = phi^(x)j with the newest slot the outer block index, so
 b has halves b_1 and b_2.  The operator
@@ -15,14 +15,19 @@ P-expansion of D^m b that orthogonality reads is its top homogeneous
 layer (_d_top): a level-m Gram block is gram(k + m, 0) times T_k
 (_t_block), every cross term is zero, and (e) reads its Gram verdicts,
 its reconstruction and its rank off T_k, a curl test and L_i
-(_e_by_parts), with no moment contraction above level 0.  The layers
-are int rows read off g_lead_rows, phi's quadratic part and the linear
-parts of the tower's class sums (PsiLevel), so no polynomial matrix is
-formed but the curl test's.  Hand-built systems, numeric mode and
-every cell the guard refuses keep the contraction
-(orthosys.integrate_rows).  The module is imported on first use, by
-OrthoSystem._by_parts and characterize.check_b and check_e, so a run
-that reads none of them compiles none of it.
+(_e_by_parts), with no moment contraction above level 0 but one: at
+the corner (nmax, mmax) where deg phi < 2, stack nmax + 1's Gram
+verdict is its direct level-mmax record.  D grad = op, so at m = 1 T_k
+is -Lambda(k + 1, 0), the level-0 eigenvalue matrix that (c) and (d)
+read (characterize.lambda_via_operator).  The layers are int rows read
+off g_lead_rows, phi's quadratic part and the linear parts of the
+tower's class sums (PsiLevel), the first two built once per system
+(_g_lead, _quad_ints), so no polynomial matrix is formed but the curl
+test's.  Hand-built systems, numeric mode and every cell the guard
+refuses keep the contraction (orthosys.integrate_rows) and the
+eigenvalue solve.  The module is imported on first use, by
+OrthoSystem._by_parts and characterize's readers, so a run that reads
+none of them compiles none of it.
 """
 
 from __future__ import annotations
@@ -31,9 +36,8 @@ from math import lcm
 
 from . import characterize as ch
 from .matpoly import PolyMatrix, _echelon, matmul_numerators
-from .orthosys import OrthoSystem, _coded, g_lead_rows, hankel_table
+from .orthosys import OrthoSystem, _coded, _g_lead_step, g_lead_rows, hankel_table
 from .polycore import ZERO
-from .weights import WeightFamily
 
 
 def _functional_pearson(sys: OrthoSystem, top: int | None = None) -> bool:
@@ -112,12 +116,17 @@ def _by_parts(sys: OrthoSystem, top: int, steps: int) -> bool:
     the construction's record for t <= N - 1.  The functional check to
     degree 2N - 2 reads the moments to 2N - 1 that the construction read,
     so top <= N - 1 is covered.  top = N is the corner of check_e, n + m
-    + 1 = N: its g reach 2N - 1, whose check reads moments to degree 2N,
-    and it needs gram(N, 0), of degree 2N too.  The corner's contraction
-    reads moments to degree 2(n + 1) + m deg phi = 2N - (2 - deg phi) m,
-    as does verify_all's table for it, so the corner is taken only where
-    that is 2N, deg phi = 2 or m = 0 (steps = 1): no moment is read that
-    the contraction would not read.
+    + 1 = N, read with gram(n + 1, m) = (-1)^m gram(N, 0) T_(n+1): that g
+    reaches 2N - 1, whose check reads moments to degree 2N, and gram(N,
+    0) has degree 2N too.  The corner's contraction reads moments to
+    degree 2(n + 1) + m deg phi = 2N - (2 - deg phi) m, as does
+    verify_all's table for it, so top = N is taken only where that is
+    2N, deg phi = 2 or m = 0 (steps = 1): no moment is read that the
+    contraction would not read.  Elsewhere the corner asks for top = N -
+    1 (_e_by_parts): of every other pairing it reads, the deepest are
+    the cross terms of Q_(n+1) = q(n + 1, m) with the lower stacks, P_N
+    paired with e <= N - m - 1 = n, so deg g <= 2N - 2, and it reads
+    gram(n + 1, m) off its direct record.
 
     The guard, cheapest first: build_monic built the system
     (constructed), the degree bound, Pearson's equation, the lifted
@@ -139,10 +148,23 @@ def _by_parts(sys: OrthoSystem, top: int, steps: int) -> bool:
     return sys.cached(("by parts", top, steps), make)
 
 
-def _quad_ints(f: WeightFamily, d: int) -> list:
-    """quad[i][t]: the x^2, xy and y^2 coefficients of phi[i, t] as ints over d."""
-    return [[[f.phi[i, t].num.get(e, 0) * (d // f.phi[i, t].den) for e in ((2, 0), (1, 1), (0, 2))]
-             for t in (0, 1)] for i in (0, 1)]
+def _quad_ints(sys: OrthoSystem) -> list:
+    """quad[i][t]: the x^2, xy and y^2 coefficients of phi[i, t], memoised on the system.
+
+    Ints over the tower denominator d (PsiLevel.class_sums).
+    """
+    def make():
+        f = sys.family
+        d = ch.psi_tower(f, 0).level(0).class_sums[1]
+        return [[[f.phi[i, t].num.get(e, 0) * (d // f.phi[i, t].den)
+                  for e in ((2, 0), (1, 1), (0, 2))] for t in (0, 1)] for i in (0, 1)]
+    return sys.cached(("quad",), make)
+
+
+def _g_lead(sys: OrthoSystem, n: int, m: int) -> list:
+    """g_lead_rows(n, m), memoised on the system with every block its recursion reads."""
+    return sys.cached(("G", n, m), lambda: g_lead_rows(n, 0) if not m
+                      else _g_lead_step(_g_lead(sys, n + 1, m - 1), n, m))
 
 
 def _d_top(halves, p: int, sums, quad, cols: int) -> list:
@@ -163,7 +185,8 @@ def _d_top(halves, p: int, sums, quad, cols: int) -> list:
     popcount is every row of popcount s, the level being symmetric under
     slot permutations.  x, y, x^2, xy and y^2 shift a layer's rows by 0,
     1, 0, 1 and 2; d_x and d_y take row a to (p - a) times row a and (a
-    + 1) times row a + 1.
+    + 1) times row a + 1.  Each column is mapped on its own, so vectors
+    side by side in the columns are mapped side by side.
     """
     j = len(halves[0] if halves[0] is not None else halves[1])
     out = [[[0] * cols for _ in range(p + 2)] for _ in range(j)]
@@ -191,10 +214,10 @@ def _d_top(halves, p: int, sums, quad, cols: int) -> list:
     return out
 
 
-def _top_layer(f: WeightFamily, layers: list, p: int, j: int, cols: int) -> list:
+def _top_layer(sys: OrthoSystem, layers: list, p: int, j: int, cols: int) -> list:
     """D^j's top layer applied to the distinct-row layers of a level-j vector of degree p."""
-    tower = ch.psi_tower(f, max(j - 1, 0))
-    quad = _quad_ints(f, tower.level(0).class_sums[1])
+    tower = ch.psi_tower(sys.family, max(j - 1, 0))
+    quad = _quad_ints(sys)
     for level in range(j, 0, -1):
         layers = _d_top((layers[:level], layers[1:]), p, tower.level(level - 1).class_sums[0],
                         quad, cols)
@@ -218,44 +241,51 @@ def _t_block(sys: OrthoSystem, k: int, m: int):
 
     and, for j < k, <Q_j, Q_k>_m is the transpose of (-1)^m
     integral(P_(k+m) D^m Q_j rho), zero because D^m Q_j has degree <= j
-    + m < k + m.  T_k reads g_lead_rows, phi's quadratic part and the
-    tower's linear parts: no polynomial and no moment.  D grad = op, the
-    level's second order operator, so where each zero-order term C_j,
-    j < m, is the scalar c_j, T_k = (-1)^m prod_(j<m) (L + c_j I), L =
-    Lambda(k + m, 0) (_lambda); that is a test, not a route.  check_b
-    reads the third field as (b)'s Gram verdict.
+    + m < k + m.  T_k reads g_lead_rows (_g_lead), phi's quadratic part
+    and the tower's linear parts: no polynomial and no moment.  D grad =
+    op, the level's second order operator, so where each zero-order term
+    C_j, j < m, is the scalar c_j, T_k = (-1)^m prod_(j<m) (L + c_j I), L
+    = Lambda(k + m, 0) (_lambda); that is a test, not a route, above m =
+    1.  At m = 1 it runs the other way: op(P_(k+1)^t) = D Q_k = P_(k+1)^t
+    T_k, so Lambda(k + 1, 0) = -T_k, which lambda_via_operator reads.
+    check_b reads the third field as (b)'s Gram verdict.
     """
     def make():
         cols = k + m + 1
-        g = g_lead_rows(k, m)
-        top = _top_layer(sys.family, [g[s * (k + 1):(s + 1) * (k + 1)] for s in range(m + 1)],
+        g = _g_lead(sys, k, m)
+        top = _top_layer(sys, [g[s * (k + 1):(s + 1) * (k + 1)] for s in range(m + 1)],
                          k, m, cols)
         d = ch.psi_tower(sys.family, 0).level(0).class_sums[1] ** m
         return top, d, len(_echelon([row[:] for row in top], cols)[1]) == cols
     return sys.cached(("T", k, m), make)
 
 
-def _l_block(sys: OrthoSystem, n: int, m: int, i: int) -> list:
-    """L_i, the top layer of D^(m+1)(e_i (x) q(n - 1, m)): (n + m + 1) int rows over d^(m+1).
+def _l_pair(sys: OrthoSystem, n: int, m: int) -> list:
+    """[L_1 | L_2], L_i the top layer of D^(m+1)(e_i (x) q(n - 1, m)), side by side.
 
-    e_i (x) Q is the level-(m + 1) vector with Q in half i and zero in
-    the other, so D's first step reads level m of the tower, and m more
-    steps follow (_top_layer); d is the tower denominator.
+    (n + m + 1) int rows of 2(n + m) entries over d^(m+1), d the tower
+    denominator.  e_i (x) Q is the level-(m + 1) vector with Q in half i
+    and zero in the other, so D's first step reads level m of the tower;
+    the m more steps (_top_layer) run once on both first steps side by
+    side.
     """
-    g = g_lead_rows(n - 1, m)
+    g = _g_lead(sys, n - 1, m)
     low = [g[s * n:(s + 1) * n] for s in range(m + 1)]
-    tower = ch.psi_tower(sys.family, m)
-    first = _d_top((low, None) if i == 0 else (None, low), n - 1, tower.level(m).class_sums[0],
-                   _quad_ints(sys.family, tower.level(0).class_sums[1]), n + m)
-    return _top_layer(sys.family, first, n, m, n + m)
+    sums = ch.psi_tower(sys.family, m).level(m).class_sums[0]
+    one, two = (_d_top(halves, n - 1, sums, _quad_ints(sys), n + m)
+                for halves in ((low, None), (None, low)))
+    first = [[a + b for a, b in zip(u, v)] for u, v in zip(one, two)]
+    return _top_layer(sys, first, n, m, 2 * (n + m))
 
 
 def _e_by_parts(sys: OrthoSystem, n: int, m: int):
     """check_e's exact notes at (n, m) read off the by-parts operator, memoised.
 
     A tuple of notes, in check_e's order and text, or False where the
-    contraction decides: where _by_parts(sys, n + m + 1, m + 1) fails, or
-    where some T_k, k <= n - 2, is singular (_t_block).  check_e
+    contraction decides: where _by_parts(sys, n + m + 1, m + 1) fails
+    (_by_parts(sys, N - 1, m + 1) at the corner n + m + 1 = N = nmax
+    where deg phi < 2 and m >= 1, see below), or where some T_k, k <= n
+    - 2, is singular (_t_block).  check_e
     projects [u_1 | u_2], u_i = sum_j phi_ij d_j Q_n, Q_k = q(k, m), on
     every Q_k, k <= n + 1; N_k = <Q_k, u_i>_m = <e_i (x) Q_k, grad
     Q_n>_(m+1), e_i (x) Q_k the level-(m + 1) vector with Q_k in half i,
@@ -288,14 +318,29 @@ def _e_by_parts(sys: OrthoSystem, n: int, m: int):
     - The rank.  D^(m+1)(e_i (x) Q_(n-1)) has degree <= n + m, so
       N_(n-1) = (-1)^(m+1) L_i^t gram(n + m, 0), L_i its top layer (with
       the columns monic, as for T_k); A_(n-1) = gram(n - 1, m)^-1
-      N_(n-1), so [A_top; A_bot] has the rank of [L_1^t; L_2^t].
+      N_(n-1), so [A_top; A_bot] has the rank of [L_1^t; L_2^t]
+      (_l_pair).
+    - The corner where deg phi < 2 and m >= 1.  Its by-parts pairings
+      but one have g of degree <= 2N - 2 (_by_parts), so the guard is
+      _by_parts(sys, N - 1, m + 1).  The one is gram(n + 1, m) read as
+      gram(N, 0) T_(n+1), of degree 2N - 1; its verdict is read off the
+      direct level-m record (gram_record) instead, whose moments reach
+      degree 2(n + 1) + m deg phi < 2N, as the contraction's do.  Where
+      deg phi = 2 the contraction reads moments to degree 2N itself, and
+      the corner reads gram(N, 0) T_(n+1) under _by_parts(sys, N, m + 1).
     """
     def make():
-        if not _by_parts(sys, n + m + 1, m + 1):
+        # the corner where deg phi < 2 reads gram(n + 1, m) as its direct record
+        direct = bool(m) and n + m + 1 == sys.nmax and sys.family.phi.degree < 2
+        if not _by_parts(sys, n + m + 1 - direct, m + 1):
             return False
         for k in range(n - 1, n + 2):
-            if not _t_block(sys, k, m)[2] or (
-                    k + m == sys.nmax and sys.gram_record(k + m, 0).inv is None):
+            if direct and k == n + 1:
+                singular = sys.gram_record(k, m).inv is None
+            else:
+                singular = not _t_block(sys, k, m)[2] or (
+                    k + m == sys.nmax and sys.gram_record(k + m, 0).inv is None)
+            if singular:
                 return (f"level gram singular at stack {k}",)
         if not all(_t_block(sys, k, m)[2] for k in range(n - 1)):
             return False
@@ -315,8 +360,7 @@ def _e_by_parts(sys: OrthoSystem, n: int, m: int):
             if any(any(t.values()) for t in acc if t):
                 notes.append("three term reconstruction misses the left side")
         c = n + m + 1
-        got = len(_echelon(ch._transpose(_l_block(sys, n, m, 0), c - 1)
-                           + ch._transpose(_l_block(sys, n, m, 1), c - 1), c)[1])
+        got = len(_echelon(ch._transpose(_l_pair(sys, n, m), 2 * (c - 1)), c)[1])
         if got != c:
             notes.append(f"lowest coefficient rank {got}, want {c}")
         return tuple(notes)

@@ -54,7 +54,8 @@ level 0 run the paper's chain Pearson => (b) => (e) as their decision
 procedure where the moments solve Pearson's equation as a functional:
 the by-parts operator (byparts) reads (b)'s Gram verdicts and cross
 terms, and (e)'s Gram verdicts, reconstruction and rank, off level 0
-with no moment contraction; elsewhere they are integrated.
+with no moment contraction; elsewhere they are integrated.  It also
+gives level-0 Lambda, -T(n - 1, 1) (lambda_via_operator).
 """
 
 from __future__ import annotations
@@ -84,6 +85,7 @@ from .matpoly import (
 )
 from .orthosys import (
     OrthoSystem,
+    _block_matrix,
     build_monic,
     eval_product,
     g_lead_rows,
@@ -427,24 +429,21 @@ def lambda_via_operator(sys: OrthoSystem, n: int, m: int) -> PolyMatrix:
     space, the pivot columns, the consistency verdict and L are those
     of the full 2^m-row system.
 
-    At level 0 on a build_monic system P_n is monic, so the degree-n
-    equations give L[i, j] = -(x^(n-i) y^i coefficient of op(P_n^t)_j),
-    checked by substitution on int rows; where that fails no L exists,
-    and the solve runs for its message.  Hand-built columns, which need
-    not be monic, and levels m >= 1 keep the solve.
+    At level 0, where OrthoSystem._by_parts(n - 1, 1) holds, op(P_n^t) =
+    D grad P_n^t = P_n^t T by parts, so L = -T, T = T(n - 1, 1) the block
+    (b) reads (byparts._t_block).  Elsewhere, hand-built systems
+    included, the solve runs.
     """
     if n < 1 or m < 0:
         raise ValueError("need gradient index n >= 1 and level m >= 0")
+    if not m and sys._by_parts(n - 1, 1):
+        from .byparts import _t_block  # imported on first use: byparts imports this module
+        t, d, _ = _t_block(sys, n - 1, 1)
+        return _block_matrix([[-v for v in row] for row in t], d, n + 1)
     s = sys.q_rows(n, m)
     # a degree-1 stack has no second derivatives
     second = sys.q_rows(n - 2, m + 2) if n >= 2 else PolyMatrix.zeros(m + 3, s.cols)
     op, rhs = psi_tower(sys.family, m).level(m).op_rows, vstack(second, sys.q_rows(n - 1, m + 1))
-    if not m and sys.constructed:
-        image, d = matmul_numerators(op, rhs)
-        top = [[(t or {}).get((n - i, i), 0) for t in image] for i in range(n + 1)]
-        if same_numerators(*matmul_const_rows(s, top, d, n + 1), image, d):
-            return PolyMatrix(n + 1, n + 1, [from_numerators({(0, 0): -v}, d) if v else ZERO
-                                             for row in top for v in row])
     return _solve_constant_right_factor(s, -(op @ rhs))
 
 
@@ -558,7 +557,8 @@ def lambda_via_formula(f: WeightFamily, n: int, m: int) -> PolyMatrix:
 def _lambda(sys: OrthoSystem, n: int, m: int) -> PolyMatrix:
     """lambda_via_operator's eigenvalue matrix, memoised on the system, keyed by (n, m).
 
-    At level 0 it is read off op(P_n^t)'s top layer (lambda_via_operator).
+    At level 0 it is -T(n - 1, 1) by parts where the guard holds
+    (lambda_via_operator), and solved elsewhere.
     For m >= 1 it is read off level 0 where the level's zero-order term
     is a scalar: Lambda(n, m) = Lambda(n + m, 0) + c_m I.  Differentiating
     op_0(P_(n+m)^t) + P_(n+m)^t L = 0 m times gives op_m(Q) + C_m Q + Q L
@@ -729,22 +729,21 @@ def check_c(sys: OrthoSystem, n: int, m: int) -> PropertyReport:
     """The level-m stack solves op_m(Q) + Q Lambda = 0 for a constant Lambda.
 
     Lambda is _lambda's, by any of its routes, and a cell without one
-    fails with the solver's message (the level-0 top layer falls back to
-    the solver wherever it does not check).  The paper's leading-coefficient
-    formula (lambda_via_formula) is not run, because it cannot disagree.
-    Write Q = X_n^t G + lower degree, G the leading block.  op_m keeps
-    the degree, and the top-degree part of op_m(Q) + Q Lambda is
-    X_n^t (T G + G Lambda), T the constant symbol (_t_rows).  So
-    op_m(Q) + Q Lambda = 0, which holds exactly for every Lambda that
+    fails with the solver's message (level 0 reads -T(n - 1, 1) by parts,
+    where a Lambda always exists, and solves elsewhere).  The paper's
+    leading-coefficient formula (lambda_via_formula) is not run, because
+    it cannot disagree.  Write Q = X_n^t G + lower degree, G the leading
+    block.  op_m keeps the degree, and the top-degree part of op_m(Q) +
+    Q Lambda is X_n^t (T G + G Lambda), T the constant symbol (_t_rows).
+    So op_m(Q) + Q Lambda = 0, which holds exactly for every Lambda that
     _lambda returns, gives G Lambda = -T G.  The columns a run builds
     are monic, so G is g_lead_rows(n, m), which depends on n and m
     alone, not on the family, and has full column rank (a nonzero form
     of degree n + m has a nonzero m-th partial).  So that system has
     exactly one solution, and lambda_via_formula returns it: _lambda's
-    Lambda.  A
-    disagreement, or an InconsistentSystemError from the formula route,
-    can come only from a wrong shift or derivative table (l_rows,
-    n_rows), and prop1 reports that fault.
+    Lambda.  A disagreement, or an InconsistentSystemError from the
+    formula route, can come only from a wrong shift or derivative table
+    (l_rows, n_rows), and prop1 reports that fault.
     """
     f = sys.family
     try:
@@ -1067,10 +1066,10 @@ def verify_all(f: WeightFamily, nmax: int = 4, mmax: int = 2,
     "system" P_0 .. P_N, N = nmax + mmax + 1, whose construction reads
     moments up to degree 2N - 1; the "next gram" block gram(nmax + 1,
     mmax), of degree 2 (nmax + 1) + mmax deg(phi), that exact (e) alone
-    integrates where it contracts at the corner (nmax, mmax), a depth
-    that also covers the by-parts check there; and, in numeric mode,
-    the Gauss "rule" that (b) and (e)
-    read, built once after the system.  mode "auto" is exact when the
+    integrates, at the corner (nmax, mmax) where it contracts or deg phi
+    < 2, a depth that also covers the by-parts check there; and, in
+    numeric mode, the Gauss "rule" that (b) and (e) read, built once
+    after the system.  mode "auto" is exact when the
     family has a moment oracle.  properties is None (every selectable
     token), one token, or a sequence of tokens; "aux" stands for the four
     structure tokens; an empty sequence raises ValueError.  prop1 runs

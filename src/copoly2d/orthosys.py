@@ -96,7 +96,8 @@ rule in numeric mode), the node values of the stacks and of
 phi_power(m) per quadrature rule (values, read by the numeric Gram
 blocks and cross terms through inner_on), and whatever the checkers
 store through cached(key, make) (eigenvalue matrices, the lifted
-Pearson verdict per level).  Each entry is computed on first use and
+Pearson verdict per level, the by-parts operator's leading blocks and
+top layers).  Each entry is computed on first use and
 shared by every check that reads it; exceptions are not stored, so a
 failing computation is retried and raises again.
 """
@@ -559,15 +560,18 @@ class OrthoSystem:
 
         T_n the top layer of the by-parts operator D applied m times to
         q(n, m) (byparts._t_block, which proves it).  gram(N, 0), N =
-        nmax, which (e)'s by-parts route reads at its corner, is read off
-        the moment table as build_monic reads its blocks (_moment_rows).
+        nmax, which (e)'s by-parts route reads at its corner where deg
+        phi = 2, is read off the moment table as build_monic reads its
+        blocks (_moment_rows).
         Any other block is integrated here, one moment contraction, unless
         cross_rows already integrated it.  Every exact reader, gram included, reads this
         record, so no block is eliminated twice; a singular block is a
         record with inv None.  A level-m record is built only when read:
-        by exact gram(n, m), check_e's contraction, or check_b where the
-        guard fails; where it holds check_b reads T_n (det gram(n, m) != 0
-        iff T_n is nonsingular) and (e)'s by-parts route reads T_k.
+        by exact gram(n, m), check_e's contraction, (e)'s by-parts corner
+        where deg phi < 2 (gram(n + 1, m), n + m + 1 = N, integrated here)
+        or check_b where the guard fails; where it holds check_b reads T_n
+        (det gram(n, m) != 0 iff T_n is nonsingular) and (e)'s by-parts
+        route reads T_k.
         """
         def make():
             if self._by_parts(n, m):
@@ -809,14 +813,19 @@ def g_lead_rows(n: int, m: int) -> list:
     N(k, 1) N(k+1, 2) = N(k, 2) N(k+1, 1): dx dy = dy dx on X_(k+1).  A
     wrong band that broke this would also break prop1's derivative
     identities (basisops.identity_suite), so the 2^m blocks are never
-    built.  The by-parts operator reads them (byparts._t_block,
-    byparts._l_block).
+    built.  The by-parts operator reads them through its own memo on the
+    system (byparts._g_lead), which runs the same recursion one step at
+    a time (_g_lead_step).
     """
     if n < 0 or m < 0:
         raise ValueError("indices must be nonnegative")
     if m == 0:
         return [[int(i == j) for j in range(n + 1)] for i in range(n + 1)]
-    prev = g_lead_rows(n + 1, m - 1)
+    return _g_lead_step(g_lead_rows(n + 1, m - 1), n, m)
+
+
+def _g_lead_step(prev: list, n: int, m: int) -> list:
+    """g_lead_rows(n, m), m >= 1, from prev = g_lead_rows(n + 1, m - 1)."""
     b, cols = n + 2, n + m + 1
     dx, dy = n_rows(n + 1, 1), n_rows(n + 1, 2)
     out = []

@@ -14,13 +14,15 @@ the level Gram blocks and cross terms are read off level 0 by parts where
 OrthoSystem._by_parts holds, and integrated elsewhere; each is checked
 against its own moment contraction, and each fallback is seen in the
 route the memo keeps, not in a verdict.  check_b's Gram verdict is T_n's
-nonsingularity there, with no level-m record built.  Level-0 Lambda on a
-build_monic system is read off the top layer of op(P_n^t), checked by
-substitution, and solved only where that check fails; it is checked
-against the coefficient solve that hand-built systems keep.
+nonsingularity there, with no level-m record built.  (e)'s corner reads
+stack nmax + 1's Gram verdict off its direct record where deg phi < 2.
+Level-0 Lambda(n, 0) is -T(n - 1, 1) where OrthoSystem._by_parts(n - 1,
+1) holds, and solved elsewhere; it is checked against the coefficient
+solve that hand-built systems keep.
 """
 from __future__ import annotations
 
+import collections
 import contextlib
 import dataclasses
 import functools
@@ -58,6 +60,7 @@ from copoly2d.orthosys import (
 )
 from copoly2d.polycore import BivariatePoly, parse_poly
 from copoly2d.weights import (
+    OracleUnavailableError,
     builtin,
     check_pearson,
     check_phi_conditions,
@@ -503,7 +506,9 @@ def test_the_lowest_projection_is_l_transposed_times_the_level_0_gram_block(ref)
         for m in range(6 - n):
             w = hstack(*row_halves(sys.weighted_rows(n - 1, m + 1)))
             [(rows, dn)] = integrate_rows([sys.counted_rows(n - 1, m)], w, f)
-            halves = [(_ratios(list(zip(*byparts._l_block(sys, n, m, i))), d ** (m + 1))
+            cols = list(zip(*byparts._l_pair(sys, n, m)))  # the columns of [L_1 | L_2]
+            c = n + m
+            halves = [(_ratios(cols[i * c:(i + 1) * c], d ** (m + 1))
                        @ sys.gram(n + m, 0)).scale((-1) ** (m + 1)) for i in (0, 1)]
             assert _ratios(rows, dn) == hstack(*halves), (n, m)
 
@@ -514,12 +519,16 @@ def test_b_and_e_by_parts_match_the_contraction_on_every_cell(ref, nmax, mmax, m
     f = builtin(ref)
     sys = build_monic(f, nmax + mmax + 1)
     assert _b_e_reports(sys, nmax, mmax) == _contraction_reports(monkeypatch, f, nmax, mmax)
-    # every cell below the corner reads the operator; the corner (nmax,
-    # mmax) does where its contraction reads moments to degree 2N
-    corner = f.phi.degree == 2 or mmax == 0
+    # every cell reads the operator, the corner (nmax, mmax) too; where
+    # deg phi < 2 and mmax >= 1 the corner reads gram(nmax + 1, mmax) off
+    # its direct record, not off T_(nmax+1)
     for n in range(1, nmax + 1):
         for m in range(mmax + 1):
-            assert _e_route(sys, n, m) == ((n, m) != (nmax, mmax) or corner), (n, m)
+            assert _e_route(sys, n, m), (n, m)
+    if mmax:
+        direct = f.phi.degree < 2
+        assert (("gram record", nmax + 1, mmax) in sys._memo) == direct
+        assert (("T", nmax + 1, mmax) in sys._memo) == (not direct)
 
 
 def test_criterion_5s_controls_take_the_contraction(monkeypatch):
@@ -628,9 +637,11 @@ def test_a_moments_table_changed_at_the_top_takes_the_contraction(ref, degree, m
     # degree 2N - 1 = 11, and so does the functional check.  With a moment
     # of degree 10 doubled, gram(n, m) at n + m = 5 is not the by-parts
     # product; with one of degree 11 it still is, but only the check's
-    # degree bound knows that.  One of degree 12 = 2N is read by (e)'s
-    # corner (3, 2) alone: by its contraction, and on the triangle (deg
-    # phi = 2) by the by-parts check there too, which then fails
+    # degree bound knows that.  One of degree 12 = 2N is read by the
+    # triangle's corner (3, 2) alone (deg phi = 2): by its contraction,
+    # and by the by-parts check there too, which then fails.
+    # hermite_laguerre's corner (deg phi = 1) reads no moment past 11 on
+    # either route, and takes it by parts
     doc = export_family(builtin(ref), moment_degree=12)
     assert byparts._functional_pearson(build_monic(load_family(doc), 6), 11)
     entry = next(entry for entry in doc["moments"] if entry[:2] == [0, degree])
@@ -648,7 +659,8 @@ def test_a_moments_table_changed_at_the_top_takes_the_contraction(ref, degree, m
     for n in range(1, 4):
         for m in range(3):
             assert _route(sys, n, m) == (m > 0 and degree == 12), (n, m)
-            assert _e_route(sys, n, m) == (degree == 12 and (n, m) != (3, 2)), (n, m)
+            assert _e_route(sys, n, m) == (degree == 12 and (
+                (n, m) != (3, 2) or f.phi.degree < 2)), (n, m)
 
 
 def test_a_singular_t_block_decides_its_stack_and_sends_higher_cells_to_the_contraction(
@@ -701,7 +713,68 @@ def test_a_drift_tower_that_cannot_be_built_takes_the_contraction():
 
 
 # ---------------------------------------------------------------------------
-# (b)'s Gram verdict off T_n, and level-0 Lambda off P_n's monic top layer
+# (e)'s corner where deg phi < 2, and the operator's inputs built once
+
+
+@pytest.mark.parametrize("ref, nmax, mmax, depth", [("product_laguerre(1,2)", 4, 2, 13),
+                                                    ("product_hermite", 3, 3, 13),
+                                                    ("hermite_laguerre(1)", 6, 3, 19)])
+def test_a_table_cut_at_the_runs_depth_takes_the_corner_by_parts(ref, nmax, mmax, depth):
+    # deg phi < 2: the run's table stops at 2N - 1 = depth, the corner's
+    # guard reads no moment past it, and the direct record of gram(nmax +
+    # 1, mmax) none past 2(nmax + 1) + mmax deg phi
+    f = builtin(ref)
+    cut = load_family(export_family(f, moment_degree=depth))
+    got = verify_all(cut, nmax, mmax)
+    assert got == verify_all(f, nmax, mmax)
+    assert not [r for r in got if r.notes.startswith("error")]
+    sys = build_monic(cut, nmax + mmax + 1)
+    check_e(sys, nmax, mmax)
+    assert _e_route(sys, nmax, mmax)
+    with pytest.raises(OracleUnavailableError):  # depth is the run's own
+        verify_all(load_family(export_family(f, moment_degree=depth - 1)), nmax, mmax)
+
+
+def test_a_singular_direct_record_at_the_corner_is_a_singular_stack(monkeypatch):
+    # gram(5, 2) at the corner (4, 2), N = 7, forced singular (a repeated
+    # row): the corner reads it, by parts and by the contraction alike
+    sys = build_monic(builtin("product_laguerre(1,2)"), 7)
+    rec = sys.gram_record(5, 2)
+    sys._memo[("gram record", 5, 2)] = _gram_record([rec.rows[0], *rec.rows[1:-1], rec.rows[0]],
+                                                    rec.den)
+    got = check_e(sys, 4, 2)
+    assert (got.status, got.notes) == ("fail", "level gram singular at stack 5")
+    assert _e_route(sys, 4, 2)
+    with monkeypatch.context() as mp:
+        mp.setattr(byparts, "_by_parts", lambda *args: False)
+        del sys._memo[("e by parts", 4, 2)]
+        assert check_e(sys, 4, 2) == got
+
+
+def test_lead_blocks_are_built_once_and_check_e_contracts_nothing(monkeypatch):
+    built = collections.Counter()
+
+    def spy(real):
+        def wrapped(*args):
+            built[args[-2:]] += 1
+            return real(*args)
+        return wrapped
+
+    for name in ("g_lead_rows", "_g_lead_step"):
+        monkeypatch.setattr(byparts, name, spy(getattr(byparts, name)))
+    verify_all(builtin("triangle(1,1,1)"), 5, 3)
+    assert built and set(built.values()) == {1}
+    contractions = []
+    monkeypatch.setattr(characterize, "integrate_rows",
+                        lambda *args: contractions.append(args) or integrate_rows(*args))
+    for ref in ("product_hermite", "product_laguerre(1,2)", "hermite_laguerre(1)",
+                "product_jacobi(1/2,1/2,1/2,1/2)", "triangle(1,1,1)"):
+        verify_all(builtin(ref))
+    assert not contractions
+
+
+# ---------------------------------------------------------------------------
+# (b)'s Gram verdict off T_n, and level-0 Lambda off T(n - 1, 1)
 
 
 @pytest.mark.parametrize("ref", INSTANCES)
@@ -789,9 +862,11 @@ def _drifted(ref):
                          + [(ref, True) for ref in ("product_hermite", "triangle(1,1,1)",
                                                     "product_laguerre(1,2)")])
 def test_level_0_lambda_off_the_top_layer_is_the_solvers(ref, drift, monkeypatch):
-    # a hand-built system with the same columns keeps the solver; the
-    # construction's takes it only where the substitution check fails,
-    # so every failing cell keeps the solver's message
+    # Lambda(n, 0) = -T(n - 1, 1) where OrthoSystem._by_parts(n - 1, 1)
+    # holds; the construction's system takes the solver exactly where it
+    # fails (n = N = 12, and every n on a drifted family, whose failing
+    # cells keep the solver's message), and a hand-built system with the
+    # same columns always takes it
     f = _drifted(ref) if drift else builtin(ref)
     sys = build_monic(f, 12)
     hand = OrthoSystem(f, [sys.p(k) for k in range(13)])
@@ -799,10 +874,11 @@ def test_level_0_lambda_off_the_top_layer_is_the_solvers(ref, drift, monkeypatch
     for n in range(1, 13):
         del solves[:]
         got = _result(lambda_via_operator, sys, n, 0)
-        assert bool(solves) == isinstance(got, tuple), n
+        assert solves == ([] if sys._by_parts(n - 1, 1) else [1]), n
         del solves[:]
         assert got == _result(lambda_via_operator, hand, n, 0), n
         assert solves == [1], n
+    assert [sys._by_parts(n - 1, 1) for n in range(1, 13)] == [not drift] * 11 + [False]
     assert drift == isinstance(got, tuple)
 
 
