@@ -14,7 +14,7 @@ guard (_by_parts) holds.  D raises the degree by at most one, so the
 P-expansion of D^m b that orthogonality reads is its top homogeneous
 layer (_d_top): a level-m Gram block is gram(k + m, 0) times T_k
 (_t_block), every cross term is zero, and (e) reads its Gram verdicts,
-its reconstruction and its rank off T_k, a curl test and L_i
+its reconstruction and its rank off T_k, phi's curl symbol and L_i
 (_e_by_parts), with no moment contraction above level 0 but one: at
 the corner (nmax, mmax) where deg phi < 2, stack nmax + 1's Gram
 verdict is its direct level-mmax record.  D grad = op, so at m = 1 T_k
@@ -22,12 +22,12 @@ is -Lambda(k + 1, 0), the level-0 eigenvalue matrix that (c) and (d)
 read (characterize.lambda_via_operator).  The layers are int rows read
 off g_lead_rows, phi's quadratic part and the linear parts of the
 tower's class sums (PsiLevel), the first two built once per system
-(_g_lead, _quad_ints), so no polynomial matrix is formed but the curl
-test's.  Hand-built systems, numeric mode and every cell the guard
-refuses keep the contraction (orthosys.integrate_rows) and the
-eigenvalue solve.  The module is imported on first use, by
-OrthoSystem._by_parts and characterize's readers, so a run that reads
-none of them compiles none of it.
+(_g_lead, _quad_ints), and the symbol reads phi's first derivatives
+alone, so no polynomial matrix is formed.  Hand-built systems, numeric
+mode and every cell the guard refuses keep the contraction
+(orthosys.integrate_rows) and the eigenvalue solve.  The module is
+imported on first use, by OrthoSystem._by_parts and characterize's
+readers, so a run that reads none of them compiles none of it.
 """
 
 from __future__ import annotations
@@ -35,9 +35,8 @@ from __future__ import annotations
 from math import lcm
 
 from . import characterize as ch
-from .matpoly import PolyMatrix, _echelon, matmul_numerators
+from .matpoly import _echelon
 from .orthosys import OrthoSystem, _coded, _g_lead_step, g_lead_rows, hankel_table
-from .polycore import ZERO
 
 
 def _functional_pearson(sys: OrthoSystem, top: int | None = None) -> bool:
@@ -129,16 +128,22 @@ def _by_parts(sys: OrthoSystem, top: int, steps: int) -> bool:
     gram(n + 1, m) off its direct record.
 
     The guard, cheapest first: build_monic built the system
-    (constructed), the degree bound, Pearson's equation, the lifted
-    equation at level 1 (level-free above it) where steps >= 2, and the
-    functional check to degree 2 top - 1, at least 2N - 2.  It never
-    raises: a drift tower that cannot be built (psi_tower raises
-    ValueError for a quadratic psi or a cubic phi) gives False.
+    (constructed), the degree bound, a symmetric phi, Pearson's
+    equation, the lifted equation at level 1 (level-free above it) where
+    steps >= 2, and the functional check to degree 2 top - 1, at least
+    2N - 2.  The readers take <a, b>_j for <b, a>_j^t, moving a
+    derivative off whichever side carries it, which needs Phi_j
+    symmetric: validate_family requires it of every loaded family, and a
+    non-symmetric phi put in by hand (dataclasses.replace) passes
+    Pearson's equation and the functional check as readily, but its (b)
+    to (e) reports by parts are wrong.  It never raises: a drift tower
+    that cannot be built (psi_tower raises ValueError for a quadratic psi
+    or a cubic phi) gives False.
     """
     def make():
-        big = sys.nmax
+        big, phi = sys.nmax, sys.family.phi
         if not (sys.constructed and (top < big or top == big and (
-                steps == 1 or sys.family.phi.degree == 2))):
+                steps == 1 or phi.degree == 2)) and phi[0, 1] == phi[1, 0]):
             return False
         try:
             return (ch._lifted_pearson(sys, 0) and (steps < 2 or ch._lifted_pearson(sys, 1))
@@ -310,11 +315,30 @@ def _e_by_parts(sys: OrthoSystem, n: int, m: int):
       the cross terms vanish (_t_block), so N_k = gram(k, m) B_k, and
       the zero tails give B_k = 0 where T_k is nonsingular, k <= n - 2,
       and B_k = A_k for the three kept stacks: the reconstruction holds.
-      Conversely a reconstruction is an m-th gradient.  With S =
-      q_rows(n, m) curl-free, the curl of row s of u_i is the residual
-      sum_j (d_y phi_ij d_j S_s - d_x phi_ij d_j S_(s+1)), the exact
-      form of the Leibniz terms the level-m statement drops; d_j S_s is
-      row s + j of q_rows(n - 1, m + 1).
+      Conversely a reconstruction is an m-th gradient.  With S_s =
+      d_x^(m-s) d_y^s P_(n+m)^t curl-free, the curl of row s < m of u_i
+      is the residual r_(i,s) = sum_j (d_y phi_ij d_j S_s - d_x phi_ij d_j
+      S_(s+1)), the exact form of the Leibniz terms the level-m
+      statement drops.  It is L_(i,s) P_(n+m)^t, L_(i,s) of order m + 1
+      with entries of grad phi, linear under the guard, as coefficients,
+      and symbol xi_x^(m-s-1) xi_y^s sigma_i, where (column 1 is x, 2 is y)
+
+          sigma_i = d_y phi_i1 xi_x^2 + (d_y phi_i2 - d_x phi_i1) xi_x xi_y
+                    - d_x phi_i2 xi_y^2.
+
+      Split L = L_1 + L_0 by the linear and the constant parts of its
+      coefficients: L_1 lowers a form's degree by m, L_0 by m + 1.  The
+      monic columns of P_t, t = n + m >= m + 1, have top layers x^(t-k)
+      y^k, which span every form of degree t, so the top nonzero layer of
+      L P_t^t is L_1 on them where L_1 != 0, and L_0 on them otherwise.
+      L_1 (xi . x)^t is t! / (t - m - 1)! (xi . x)^(t-m-1) times L_1's
+      symbol, nonzero for some xi unless L_1 = 0, and so for L_0.  So
+      every residual vanishes iff sigma_1 = sigma_2 = 0: d_y phi_i1 =
+      d_x phi_i2 = 0 and d_x phi_i1 = d_y phi_i2, each row of phi c_i (x,
+      y) plus a constant.  The guard admits only a symmetric phi, and
+      that meets it iff phi is constant.  The note is one verdict per
+      family, the same on every cell with m >= 1, and at m = 0, where
+      Q_k is P_k^t and u_i has no curl, it is never written.
     - The rank.  D^(m+1)(e_i (x) Q_(n-1)) has degree <= n + m, so
       N_(n-1) = (-1)^(m+1) L_i^t gram(n + m, 0), L_i its top layer (with
       the columns monic, as for T_k); A_(n-1) = gram(n - 1, m)^-1
@@ -344,21 +368,11 @@ def _e_by_parts(sys: OrthoSystem, n: int, m: int):
                 return (f"level gram singular at stack {k}",)
         if not all(_t_block(sys, k, m)[2] for k in range(n - 1)):
             return False
-        f = sys.family
+        phi = sys.family.phi
         notes = []
-        if m:
-            grads = [[(f.phi[i, j].dx(), f.phi[i, j].dy()) for j in (0, 1)] for i in (0, 1)]
-            curl = []
-            for i in (0, 1):
-                for s in range(m):
-                    row = [ZERO] * (m + 2)
-                    for j, (px, py) in enumerate(grads[i]):
-                        row[s + j] = row[s + j] + py
-                        row[s + j + 1] = row[s + j + 1] - px
-                    curl.append(row)
-            acc, _ = matmul_numerators(PolyMatrix.from_rows(curl), sys.q_rows(n - 1, m + 1))
-            if any(any(t.values()) for t in acc if t):
-                notes.append("three term reconstruction misses the left side")
+        if m and any(phi[i, 0].dy() or phi[i, 1].dx() or phi[i, 0].dx() != phi[i, 1].dy()
+                     for i in (0, 1)):
+            notes.append("three term reconstruction misses the left side")
         c = n + m + 1
         got = len(_echelon(ch._transpose(_l_pair(sys, n, m), 2 * (c - 1)), c)[1])
         if got != c:

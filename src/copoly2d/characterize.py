@@ -679,8 +679,8 @@ def check_b(sys: OrthoSystem, n: int, m: int, rule=None) -> PropertyReport:
     m, 0) T_n (byparts._t_block).  gram(n + m, 0) is the construction's
     nonsingular record, so the verdict is T_n's and no level-m record is
     built.  The guard (byparts._by_parts) needs a build_monic system of
-    degree N > n + m, the lifted Pearson equation and the moments'
-    functional Pearson equations to degree 2N - 2.  Elsewhere the cross
+    degree N > n + m, a symmetric phi, the lifted Pearson equation and
+    the moments' functional Pearson equations to degree 2N - 2.  Elsewhere the cross
     terms with every lower stack are int blocks from one moment
     contraction (OrthoSystem.cross_rows), which also integrates gram(n,
     m) into its gram_record, whose determinant the verdict reads.  With
@@ -903,12 +903,13 @@ def check_e(sys: OrthoSystem, n: int, m: int, rule=None) -> PropertyReport:
     rule the check is exact, and where the by-parts guard holds it
     integrates nothing above level 0: byparts._e_by_parts proves the
     tails zero and reads the Gram verdicts off T_k, the reconstruction
-    off a curl test on the left side and the rank off the operator's top
-    layers, with the same notes in the same order.  Elsewhere (a guard
-    that fails, a singular T_k below the three kept stacks, a hand-built
-    system) the exact check contracts.  The two halves of the weighted stack sit
-    side by side, w = [top | bot], so the projections on all n + 2
-    stacks come from one moment contraction of w, each coefficient
+    off phi's curl symbol (one verdict per family above level 0) and
+    the rank off the operator's top layers, with the same notes in the
+    same order.  Elsewhere (a guard that fails, a singular T_k below the
+    three kept stacks, a hand-built system) the exact check contracts.
+    The two halves of the weighted stack sit side by side, w = [top |
+    bot], so the projections on all n + 2 stacks come from one moment
+    contraction of w, each coefficient
     A_k = [A_top | A_bot] is G_k^-1 N_k with G_k the level Gram block,
     and (I_2 (x) q_k) [A_top; A_bot] is read side by side as q_k A_k.
 

@@ -15,10 +15,13 @@ OrthoSystem._by_parts holds, and integrated elsewhere; each is checked
 against its own moment contraction, and each fallback is seen in the
 route the memo keeps, not in a verdict.  check_b's Gram verdict is T_n's
 nonsingularity there, with no level-m record built.  (e)'s corner reads
-stack nmax + 1's Gram verdict off its direct record where deg phi < 2.
-Level-0 Lambda(n, 0) is -T(n - 1, 1) where OrthoSystem._by_parts(n - 1,
-1) holds, and solved elsewhere; it is checked against the coefficient
-solve that hand-built systems keep.
+stack nmax + 1's Gram verdict off its direct record where deg phi < 2,
+and its reconstruction off phi's curl symbol, checked against the curl
+product on the polynomial stack that it replaces.  Level-0 Lambda(n, 0)
+is -T(n - 1, 1) where OrthoSystem._by_parts(n - 1, 1) holds, and solved
+elsewhere; it is checked against the coefficient solve that hand-built
+systems keep.  A non-symmetric phi, which validate_family rejects, is
+refused by the guard.
 """
 from __future__ import annotations
 
@@ -34,7 +37,12 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
-from test_acceptance import ALL_INSTANCES, _c_obstruction, _zero_order_term
+from test_acceptance import (
+    ALL_INSTANCES,
+    _admissible_families,
+    _c_obstruction,
+    _zero_order_term,
+)
 from test_basisops import random_rational_matrix
 from test_characterize import _pearson_family, _result, oracle_psi_tower, pearson_data
 
@@ -58,14 +66,16 @@ from copoly2d.orthosys import (
     integrate_rows,
     row_halves,
 )
-from copoly2d.polycore import BivariatePoly, parse_poly
+from copoly2d.polycore import ZERO, BivariatePoly, parse_poly
 from copoly2d.weights import (
+    FamilyLoadError,
     OracleUnavailableError,
     builtin,
     check_pearson,
     check_phi_conditions,
     export_family,
     load_family,
+    validate_family,
 )
 
 # criterion 2's instances, product_jacobi(1,2,0,0) among them, the two
@@ -893,3 +903,122 @@ def test_a_hand_built_system_takes_the_solver_at_level_0(monkeypatch):
     assert solves == [1]
     assert got[0] == NoConstantSolution.__name__
     assert got[1].startswith("inconsistent coefficient system")
+
+
+# ---------------------------------------------------------------------------
+# (e)'s reconstruction off phi's curl symbol, against the curl product
+
+def _curl_residual(sys, n, m):
+    """The curl residuals r_(i,s), s < m, of check_e's left side as one polynomial matrix.
+
+    Row (i, s) is sum_j (d_y phi_ij d_j S_s - d_x phi_ij d_j S_(s+1)), S
+    = q_rows(n, m), read as a product with q_rows(n - 1, m + 1), whose row
+    s + j is d_j S_s: the product the symbol test replaced.
+    """
+    phi = sys.family.phi
+    rows = []
+    for i in (0, 1):
+        for s in range(m):
+            row = [ZERO] * (m + 2)
+            for j in (0, 1):
+                row[s + j] = row[s + j] + phi[i, j].dy()
+                row[s + j + 1] = row[s + j + 1] - phi[i, j].dx()
+            rows.append(row)
+    return PolyMatrix.from_rows(rows) @ sys.q_rows(n - 1, m + 1)
+
+
+def _assert_symbol_is_the_curl_product(f, nmax, mmax) -> set:
+    """Every guarded cell's reconstruction note is the curl product's; the verdicts seen."""
+    sys = build_monic(f, nmax + mmax + 1)
+    seen = set()
+    for n in range(1, nmax + 1):
+        for m in range(mmax + 1):
+            notes = byparts._e_by_parts(sys, n, m)
+            if notes is False or notes and notes[0].startswith("level gram singular"):
+                continue
+            want = bool(m) and not _curl_residual(sys, n, m).is_zero
+            got = "three term reconstruction misses the left side" in notes
+            assert got == want, (f.name, n, m, notes)
+            seen.add((m > 0, want))
+    return seen
+
+
+def test_the_curl_symbol_is_the_curl_product_on_criterion_2s_instances():
+    # constant phi (product_hermite), linear (product_laguerre,
+    # hermite_laguerre) and quadratic (triangle, product_jacobi): the
+    # reconstruction holds on every cell of the first, and fails on every
+    # cell above level 0 of the others
+    degrees = set()
+    for ref in INSTANCES:
+        f = builtin(ref)
+        seen = _assert_symbol_is_the_curl_product(f, 4, 3)
+        assert seen == {(False, False), (True, f.phi.degree > 0)}, ref
+        degrees.add(f.phi.degree)
+    assert degrees == {0, 1, 2}
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(_admissible_families())
+def test_the_curl_symbol_is_the_curl_product_on_drawn_parameters(f):
+    # the families test_criterion_02_rule_holds_on_drawn_parameters draws,
+    # on its grid
+    assert (True, True) in _assert_symbol_is_the_curl_product(f, 3, 2)
+
+
+def test_a_guarded_run_builds_no_polynomial_stack(monkeypatch):
+    # every (e) cell of the triangle is decided by parts, and no other
+    # property reads a stack there: no q_rows entry enters the memo
+    keys = collections.Counter()
+    real = OrthoSystem.cached
+
+    def spy(self, key, make):
+        keys[key[0]] += 1
+        return real(self, key, make)
+
+    monkeypatch.setattr(OrthoSystem, "cached", spy)
+    verify_all(builtin("triangle(1,1,1)"), 6, 3)
+    assert keys["e by parts"] == 6 * 4 and not keys["q_rows"]
+    # (e) alone: where deg phi < 2 the corner's direct record of gram(5,
+    # 2) is contracted, and its stacks are the only ones built
+    for ref in INSTANCES:
+        f = builtin(ref)
+        sys = build_monic(f, 7)
+        for n in range(1, 5):
+            for m in range(3):
+                check_e(sys, n, m)
+                assert _e_route(sys, n, m), (ref, n, m)
+        stacks = {key for key in sys._memo if key[0] == "q_rows"}
+        assert stacks == ({("q_rows", 5, 2), ("q_rows", 6, 1)} if f.phi.degree < 2
+                          else set()), ref
+
+
+# product_hermite's weight with a non-symmetric phi and the psi that
+# Pearson's equation gives it: rows c_i (x, y) plus a constant (c_i = 0,
+# since on the plane a linear part makes psi quadratic), and a linear phi
+# whose quadratic terms in psi cancel
+NON_SYMMETRIC = [((("1", "1"), ("0", "1")), ("-2*x", "-2*x-2*y")),
+                 ((("1+y", "0"), ("-x", "1")), ("-2*x", "-2*y"))]
+
+
+@pytest.mark.parametrize("rows, psi", NON_SYMMETRIC, ids=["constant", "linear"])
+def test_a_non_symmetric_phi_takes_the_contraction(rows, psi, monkeypatch):
+    # validate_family rejects it, but Pearson's equation and the moments'
+    # functional check hold; by parts, level-0 (c) and (e) would pass
+    # where the solve and the contraction fail, so the guard refuses it
+    f = dataclasses.replace(
+        builtin("product_hermite"), name="non_symmetric",
+        phi=PolyMatrix.from_rows([[parse_poly(p) for p in row] for row in rows]),
+        psi1=parse_poly(psi[0]), psi2=parse_poly(psi[1]))
+    with pytest.raises(FamilyLoadError, match="symmetric"):
+        validate_family(f)
+    sys = build_monic(f, 6)
+    assert check_pearson(f) and byparts._functional_pearson(sys)
+    assert not any(byparts._by_parts(sys, top, steps)
+                   for top in range(1, 6) for steps in range(1, 4))
+    got = verify_all(f, 3, 2)
+    with monkeypatch.context() as mp:
+        mp.setattr(byparts, "_by_parts", lambda *args: False)
+        assert got == verify_all(f, 3, 2)
+    cells = {(r.property, r.n, r.m): r for r in got}
+    assert cells["c", 2, 0].status == "fail"
+    assert cells["e", 1, 1].status == ("fail" if f.phi.degree else "pass")

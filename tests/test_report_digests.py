@@ -33,7 +33,13 @@ and (b) with (e) on triangle(1,1,1) at `--nmax 8 --mmax 4`, whose next
 Gram block (e) alone reads is integrated.  Four more, (b) alone and (e)
 alone at `--nmax 6 --mmax 3` on hermite_laguerre(1) and on
 product_jacobi(1,2,0,0), pin cells where the by-parts route refuses and
-(b)'s and (e)'s Gram blocks are integrated.  The default-grid report of
+(b)'s and (e)'s Gram blocks are integrated.  Two more, (e) alone at
+`--nmax 8 --mmax 4` on product_laguerre(1,2) (linear phi, so the
+reconstruction fails on every cell above level 0) and on product_hermite
+(constant phi, so it holds), pin (e)'s reconstruction verdict both ways,
+and (c) with (d) at `--nmax 10 --mmax 4` on hermite_laguerre(1) and on
+product_jacobi(1,2,0,0) pin level-m eigenvalue solves whose zero-order
+term is not scalar.  The default-grid report of
 product_jacobi(1,2,0,0) is pinned as well: it is the one instance of
 criterion 2 with a + b != c + d, and its moments have denominators no
 other pin reads.  Last, the (c) and (d) reports at `--nmax 4 --mmax 2`
@@ -168,6 +174,12 @@ ONE_PROPERTY = [
     (*SEED0[2], "e", 6, 3, 1, "c54dab1846fa7db518a577686cc9ab222189c8a196472639d5ce2c6407a26811"),
     (*PJ1200, "b", 6, 3, 0, "691e021f60d43a60127c04bbb58ceba522c959f8b391dbd600ceb6edfd9321d0"),
     (*PJ1200, "e", 6, 3, 1, "66485db84f1776bc8178ef6207b9811fee9be50047aba26e25feeea254c6d675"),
+    (*SEED0[1], "e", 8, 4, 1, "d6258c29afdedacc55421254e56f0bac38e8173b2375989740c49380fc351e27"),
+    (*SEED0[0], "e", 8, 4, 0, "5cbb7814285e71c780c1bf04c4d66de9df10ca0c17b97b35087f6cf5b2bf87b2"),
+    (*SEED0[2], "c,d", 10, 4, 1,
+     "f9f2060bb93c6b6365eb52afe41b343b1e774a1316813f3baf1ee078055873ec"),
+    (*PJ1200, "c,d", 10, 4, 1,
+     "c0bb85652e697026b06b792101a44e7b7e3214c221bbcb00d885dd62614e809b"),
 ]
 
 
