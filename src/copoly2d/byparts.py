@@ -17,17 +17,18 @@ layer (_d_top): a level-m Gram block is gram(k + m, 0) times T_k
 its reconstruction and its rank off T_k, phi's curl symbol and L_i
 (_e_by_parts), with no moment contraction above level 0 but one: at
 the corner (nmax, mmax) where deg phi < 2, stack nmax + 1's Gram
-verdict is its direct level-mmax record.  D grad = op, so at m = 1 T_k
-is -Lambda(k + 1, 0), the level-0 eigenvalue matrix that (c) and (d)
-read (characterize.lambda_via_operator).  The layers are int rows read
-off g_lead_rows, phi's quadratic part and the linear parts of the
-tower's class sums (PsiLevel), the first two built once per system
-(_g_lead, _quad_ints), and the symbol reads phi's first derivatives
-alone, so no polynomial matrix is formed.  Hand-built systems, numeric
-mode and every cell the guard refuses keep the contraction
-(orthosys.integrate_rows) and the eigenvalue solve.  The module is
-imported on first use, by OrthoSystem._by_parts and characterize's
-readers, so a run that reads none of them compiles none of it.
+verdict is its direct level-mmax record.  D grad = op, so one D step
+on the leading block of q(n - 1, m + 1) is the top layer of op_m(q(n,
+m)) (_op_top), the one symbol (c) solves on
+(characterize.lambda_via_formula); at m = 1 T_k is -Lambda(k + 1, 0).
+The layers are int rows read off g_lead_rows, built once per system
+(_g_lead), phi's quadratic part and the linear parts of the tower's
+class sums (PsiLevel), and the curl symbol reads phi's first
+derivatives alone, so no polynomial matrix is formed.  Hand-built
+systems, numeric mode and every cell the guard refuses keep the
+contraction (orthosys.integrate_rows).  The module is imported on
+first use, by OrthoSystem._by_parts and characterize's readers, so a
+run that reads none of them compiles none of it.
 """
 
 from __future__ import annotations
@@ -153,17 +154,21 @@ def _by_parts(sys: OrthoSystem, top: int, steps: int) -> bool:
     return sys.cached(("by parts", top, steps), make)
 
 
-def _quad_ints(sys: OrthoSystem) -> list:
-    """quad[i][t]: the x^2, xy and y^2 coefficients of phi[i, t], memoised on the system.
+def _quad_ints(f) -> list:
+    """quad[i][t]: the x^2, xy and y^2 coefficients of phi[i, t], ints over the tower denominator.
 
-    Ints over the tower denominator d (PsiLevel.class_sums).
+    Both off-diagonal entries read phi[0, 1], as characterize._level_operator
+    does, so _op_top is op_m's top layer on any phi; the guard admits a
+    symmetric one only.
     """
-    def make():
-        f = sys.family
-        d = ch.psi_tower(f, 0).level(0).class_sums[1]
-        return [[[f.phi[i, t].num.get(e, 0) * (d // f.phi[i, t].den)
-                  for e in ((2, 0), (1, 1), (0, 2))] for t in (0, 1)] for i in (0, 1)]
-    return sys.cached(("quad",), make)
+    d = ch.psi_tower(f, 0).level(0).class_sums[1]
+    return [[[p.num.get(e, 0) * (d // p.den) for e in ((2, 0), (1, 1), (0, 2))]
+             for p in (f.phi[min(i, t), max(i, t)] for t in (0, 1))] for i in (0, 1)]
+
+
+def _sys_quad(sys: OrthoSystem) -> list:
+    """_quad_ints of the system's family, memoised on the system."""
+    return sys.cached(("quad",), lambda: _quad_ints(sys.family))
 
 
 def _g_lead(sys: OrthoSystem, n: int, m: int) -> list:
@@ -219,10 +224,25 @@ def _d_top(halves, p: int, sums, quad, cols: int) -> list:
     return out
 
 
+def _op_top(f, g: list, n: int, m: int):
+    """The top layer of op_m(q(n, m)) from g = g_lead_rows(n, m): (int rows, d).
+
+    op_m = D grad, and grad q(n, m) = q(n - 1, m + 1) has the leading
+    block _g_lead_step(g, n - 1, m + 1), so the degree-n layer of op_m(Q)
+    is one _d_top step over level m's class sums on that block, laid out
+    as g is, over the tower denominator d.  It reads the family alone.
+    """
+    sums, d = ch.psi_tower(f, m).level(m).class_sums
+    low = _g_lead_step(g, n - 1, m + 1)
+    layers = [low[s * n:(s + 1) * n] for s in range(m + 2)]
+    top = _d_top((layers[:m + 1], layers[1:]), n - 1, sums, _quad_ints(f), n + m + 1)
+    return [row for layer in top for row in layer], d
+
+
 def _top_layer(sys: OrthoSystem, layers: list, p: int, j: int, cols: int) -> list:
     """D^j's top layer applied to the distinct-row layers of a level-j vector of degree p."""
     tower = ch.psi_tower(sys.family, max(j - 1, 0))
-    quad = _quad_ints(sys)
+    quad = _sys_quad(sys)
     for level in range(j, 0, -1):
         layers = _d_top((layers[:level], layers[1:]), p, tower.level(level - 1).class_sums[0],
                         quad, cols)
@@ -252,8 +272,9 @@ def _t_block(sys: OrthoSystem, k: int, m: int):
     C_j, j < m, is the scalar c_j, T_k = (-1)^m prod_(j<m) (L + c_j I), L
     = Lambda(k + m, 0) (_lambda); that is a test, not a route, above m =
     1.  At m = 1 it runs the other way: op(P_(k+1)^t) = D Q_k = P_(k+1)^t
-    T_k, so Lambda(k + 1, 0) = -T_k, which lambda_via_operator reads.
-    check_b reads the third field as (b)'s Gram verdict.
+    T_k, so Lambda(k + 1, 0) = -T_k, the layer _op_top gives at level 0,
+    which lambda_via_operator accepts by this theorem.  check_b reads
+    the third field as (b)'s Gram verdict.
     """
     def make():
         cols = k + m + 1
@@ -277,10 +298,14 @@ def _l_pair(sys: OrthoSystem, n: int, m: int) -> list:
     g = _g_lead(sys, n - 1, m)
     low = [g[s * n:(s + 1) * n] for s in range(m + 1)]
     sums = ch.psi_tower(sys.family, m).level(m).class_sums[0]
-    one, two = (_d_top(halves, n - 1, sums, _quad_ints(sys), n + m)
+    one, two = (_d_top(halves, n - 1, sums, _sys_quad(sys), n + m)
                 for halves in ((low, None), (None, low)))
     first = [[a + b for a, b in zip(u, v)] for u, v in zip(one, two)]
     return _top_layer(sys, first, n, m, 2 * (n + m))
+
+
+def _transpose(a, cols: int):
+    return [[row[j] for row in a] for j in range(cols)]
 
 
 def _e_by_parts(sys: OrthoSystem, n: int, m: int):
@@ -374,7 +399,7 @@ def _e_by_parts(sys: OrthoSystem, n: int, m: int):
                      for i in (0, 1)):
             notes.append("three term reconstruction misses the left side")
         c = n + m + 1
-        got = len(_echelon(ch._transpose(_l_pair(sys, n, m), 2 * (c - 1)), c)[1])
+        got = len(_echelon(_transpose(_l_pair(sys, n, m), 2 * (c - 1)), c)[1])
         if got != c:
             notes.append(f"lowest coefficient rank {got}, want {c}")
         return tuple(notes)

@@ -38,24 +38,26 @@ by proof (psi_tower, level_pearson_check), so neither reads a level
 above 1 and no exact run forms a Kronecker power.  The level-m
 eigenvalue systems behind (c), (d) and rodrigues_reconstruct are
 solved on the m + 1 distinct rows of each gradient stack, never on all
-2^m: every other row repeats one of them.  (c) reads that one
-route: the paper's leading-coefficient formula (lambda_via_formula, on
-the m + 1 matching row blocks of the symbol and of g_lead_rows) is
-exported, and check_c's docstring proves it returns the same matrix,
-so no run solves it.  Two proved reductions spare the level-m work
+2^m: every other row repeats one of them.  On a build_monic system
+(c) decides each of them by the paper's leading-coefficient formula
+(lambda_via_formula): one step of the by-parts operator gives the top
+layer of the level's image, solved on the m + 1 row blocks of
+g_lead_rows, and the solution is accepted by theorem at level 0 under
+the by-parts guard, where it is -T(n - 1, 1), and by substitution
+elsewhere (lambda_via_operator); a hand-built system solves the whole
+coefficient system.  Two proved reductions spare the level-m work
 where their hypotheses hold: an eigenvalue matrix above level 0 is the
 level-0 one plus c_m I where the level's zero-order term is the scalar
 c_m (_lambda), and each level of (d)'s divergence tower follows from
 (c) where the lifted Pearson equation holds
-(_cleared_divergence_identity).  Elsewhere the
-level-m system is solved and the identity computed, as before, so
-every verdict and note is the direct route's.  (b) and (e) above
+(_cleared_divergence_identity).  Elsewhere the level-m cell is
+decided by lambda_via_operator and the identity computed, as before,
+so every verdict and note is the direct route's.  (b) and (e) above
 level 0 run the paper's chain Pearson => (b) => (e) as their decision
 procedure where the moments solve Pearson's equation as a functional:
 the by-parts operator (byparts) reads (b)'s Gram verdicts and cross
 terms, and (e)'s Gram verdicts, reconstruction and rank, off level 0
-with no moment contraction; elsewhere they are integrated.  It also
-gives level-0 Lambda, -T(n - 1, 1) (lambda_via_operator).
+with no moment contraction; elsewhere they are integrated.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .basisops import identity_suite, l_rows, n_rows
+from .basisops import identity_suite, n_rows
 from .matpoly import (
     InconsistentSystemError,
     PolyMatrix,
@@ -410,155 +412,126 @@ def _solve_constant_right_factor(q: PolyMatrix, rhs: PolyMatrix) -> PolyMatrix:
 def lambda_via_operator(sys: OrthoSystem, n: int, m: int) -> PolyMatrix:
     """Eigenvalue matrix of the level-m stack of gradient index n.
 
-    Solves op(Q) + Q L = 0 for the constant matrix L, where op is the
-    second order operator of the weight at level m.  The solution is
-    exact; NoConstantSolution signals that no constant matrix works,
-    which is how a non-classical input announces itself.
+    The constant L with op(Q) + Q L = 0, Q = q(n, m), op the weight's
+    second order operator at level m; NoConstantSolution says none
+    exists, which is how a non-classical input announces itself.  On a
+    build_monic system the paper's formula decides: the columns are
+    monic, so the degree-n equations are the formula's G L = -T G, whose
+    one solution L_0 lambda_via_formula gives or whose inconsistency
+    rules L out.  L_0 is accepted by theorem at level 0 where
+    OrthoSystem._by_parts(n - 1, 1) holds (op(P_n^t) = D grad P_n^t =
+    P_n^t T(n - 1, 1) by parts, byparts._t_block), and elsewhere only if
+    op(Q) + Q L_0 = 0 holds by substitution on int numerators
+    (matmul_numerators, same_numerators).  Either failure raises the
+    coefficient solve's own message, the only one it can give with G of
+    full column rank.  Hand-built systems, whose columns need not be
+    monic, solve op(Q) + Q L = 0 by coefficient matching
+    (_solve_constant_right_factor).
 
-    The system is solved on the m + 1 distinct rows S = q_rows(n, m)
-    of Q = q(n, m); its image comes from the memoised distinct rows one
-    and two levels up, through the level's operator matrix
-    (_level_operator).  Row r of op(Q) equals its row
-    2^popcount(r) - 1.  The second order part acts entrywise on row r
-    of Q.  The drift psi_i is psi_i^(0) I plus, for each of the m
-    slots k, the gradient matrix of column i of phi in slot k; slot k
-    gives row r the sum over i, b of d_(r_k) phi_(b i) times d_i d_b
-    of P_(n+m) differentiated along the other slots of r, so the sum
-    over k depends only on how many slots of r are y.  Every dropped
-    equation repeats a kept one, row scaling included, so the row
-    space, the pivot columns, the consistency verdict and L are those
-    of the full 2^m-row system.
-
-    At level 0, where OrthoSystem._by_parts(n - 1, 1) holds, op(P_n^t) =
-    D grad P_n^t = P_n^t T by parts, so L = -T, T = T(n - 1, 1) the block
-    (b) reads (byparts._t_block).  Elsewhere, hand-built systems
-    included, the solve runs.
+    Both run on the m + 1 distinct rows S = q_rows(n, m) of Q, the image
+    from the rows one and two levels up (_level_operator).  Row r of
+    op(Q) is its row 2^popcount(r) - 1: the second order part acts
+    entrywise, and slot k of the drift gives row r the sum over i, b of
+    d_(r_k) phi_(b i) times d_i d_b of P_(n+m) differentiated along the
+    other slots of r, which summed over the slots depends only on how
+    many of r are y.  So the verdict and L are the full system's.
     """
     if n < 1 or m < 0:
         raise ValueError("need gradient index n >= 1 and level m >= 0")
-    if not m and sys._by_parts(n - 1, 1):
-        from .byparts import _t_block  # imported on first use: byparts imports this module
-        t, d, _ = _t_block(sys, n - 1, 1)
-        return _block_matrix([[-v for v in row] for row in t], d, n + 1)
+    if sys.constructed:
+        try:
+            # a module-global call, so bench/tracing.py's wrapper times it
+            lam = lambda_via_formula(sys.family, n, m)
+        except InconsistentSystemError as exc:
+            raise NoConstantSolution(f"inconsistent coefficient system: {exc}") from exc
+        if not m and sys._by_parts(n - 1, 1):
+            return lam
     s = sys.q_rows(n, m)
     # a degree-1 stack has no second derivatives
     second = sys.q_rows(n - 2, m + 2) if n >= 2 else PolyMatrix.zeros(m + 3, s.cols)
     op, rhs = psi_tower(sys.family, m).level(m).op_rows, vstack(second, sys.q_rows(n - 1, m + 1))
-    return _solve_constant_right_factor(s, -(op @ rhs))
-
-
-def _transpose(a, cols: int):
-    return [[row[j] for row in a] for j in range(cols)]
-
-
-def _t1_rows(f: WeightFamily, n: int, d: int) -> list:
-    """T1 = L*^t (A3 (x) I_{n-1}) N* of the symbol at level 0, n >= 2, as int rows over d.
-
-    A3 holds the quadratic coefficients of the weight matrix as ints over
-    the tower denominator d; L and N are read as int rows (l_rows, n_rows).
-    """
-    phi = ((f.phi[0, 0], 1), (f.phi[0, 1], 2), (f.phi[1, 1], 1))
-    a3 = [[w * p.num.get(e, 0) * (d // p.den) for p, w in phi] for e in ((2, 0), (1, 1), (0, 2))]
-    b = n + 1
-    l0x, l0y, l1x, l1y = (l_rows(k, h) for k in (n - 2, n - 1) for h in (1, 2))
-    n1x, n1y, n0x, n0y = (n_rows(k, h) for k in (n, n - 1) for h in (1, 2))
-    lstar = [row for x, y in ((l0x, l1x), (l0y, l1x), (l0y, l1y))
-             for row in int_matmul(x, y, b)]
-    nqs = [int_matmul(n0x, n1x, b), int_matmul(n0y, n1x, b), int_matmul(n0y, n1y, b)]
-    mixed = [[sum(c * nq[k][j] for c, nq in zip(coeffs, nqs)) for j in range(b)]
-             for coeffs in a3 for k in range(n - 1)]
-    return int_matmul(_transpose(lstar, b), mixed, b)
-
-
-def _t_rows(f: WeightFamily, n: int, m: int):
-    """The constant second order symbol T on leading coefficients, on popcount classes.
-
-    T = L*^t (A3 (x) I) N* + S (D (x) I_n) N_stk: a second order part
-    from the three-block shift/derivative stacks weighted by the
-    quadratic coefficients A3 of the weight matrix, plus a first order
-    part from the level drift data D = (d1 | d2), row 2s + h of d_i
-    holding the x_h coefficients of row s of psi_i.  By the mixed
-    product, T = I_{2^m} (x) T1 + sum_{h,h' in {x,y}} C_{h,h'} (x)
-    M_{h,h'}, with T1 = sum_{p,q} A3[p, q] L_p^t N_q (L_p and N_q the
-    products L(n-2, a) L(n-1, b) and N(n-1, a) N(n, b) for (a, b) =
-    (x, x), (y, x), (y, y)), M_{h,h'} = L(n-1, h)^t N(n, h') and
-    C_{h,h'}[s, s'] the x_h coefficient of psi_{h'}[s, s'].  Row block
-    s' of the leading block G depends only on popcount(s')
-    (g_lead_rows), so only row blocks 2^s - 1 of T are built,
-    their column blocks summed by popcount: block (s, t) is [s = t] T1 +
-    sum C~_{h,h'}[s, t] M_{h,h'}, C~ the level's class sums (PsiLevel),
-    and its product with G's blocks 2^t - 1 is row blocks 2^s - 1 of
-    T G.  Returns (rows, d), ints over the tower denominator d; the
-    shift and derivative matrices are read as int rows (l_rows, n_rows).
-
-    The paper's theorem transposes the level-lifted stack in S instead,
-    reading drift row h 2^m + s for 2s + h.  That layout T' is not
-    built: on G it agrees with T wherever G L = -T G solves.  Label row
-    s by its derivative directions (s_m, .., s_1), s_m the newest, test
-    on p = (xi . x)^{n+m}, and put K_rv = xi^t (d_r d_v A) xi (A the
-    quadratic part of phi), B = f.d_matrix(), s' = (s_m, .., s_2) and
-    Y_u = sum_{k >= 2} K_{s_k u} xi^(s' - s_k) + (B xi)_u xi^s'.  As
-    d_x d_y phi_ij = d_y d_x phi_ij, T's d_{s_1} phi term is the one T'
-    reads at the top bit, and (T' - T) G on row s is a multiple of
-    sum_v x_v (Y_{s_1} xi_v - Y_v xi_{s_1}).  By Leibniz,
-    T G = grad^m(op_0 p) - R p with R's symbol r_{(u, s')} = Y_u +
-    xi_u r_{s'}; a solution needs R p to be an m-th gradient, so
-    r_{(., s')}, and with it Y, is parallel to xi: T' G = T G.  At
-    m = 1, Y = B xi: a solution exists iff B = d I, and then T' - T is
-    d x_h (d_{s_1} d_h - d_h d_{s_1}) = 0.  For m >= 2 one exists iff
-    A = c x x^t - (v x^t + x v^t) / (2(m - 1)), v psi's linear part.
-    """
-    ds, d = psi_tower(f, m).level(m).class_sums
-    b = n + 1
-    # n = 1 has no second order part
-    t1 = _t1_rows(f, n, d) if n >= 2 else [[0] * b for _ in range(b)]
-    # M_{h,h'} = L(n-1, h)^t N(n, h'), each with the rows x_h of psi_{h'}'s class sums
-    ms = [(h, dh, int_matmul(_transpose(l_rows(n - 1, h + 1), b), n_rows(n, hp), b))
-          for h in (0, 1) for hp, dh in zip((1, 2), ds)]
-    t = []
-    for s in range(m + 1):
-        for i in range(b):
-            t.append([(u == s) * t1[i][j] + sum(dh[3 * s + h][u] * mat[i][j] for h, dh, mat in ms)
-                      for u in range(m + 1) for j in range(b)])
-    return t, d
+    if not sys.constructed:
+        return _solve_constant_right_factor(s, -(op @ rhs))
+    if same_numerators(*matmul_numerators(s, -lam), *matmul_numerators(op, rhs)):
+        return lam
+    raise NoConstantSolution(
+        "inconsistent coefficient system: no constant solution matches every row")
 
 
 def lambda_via_formula(f: WeightFamily, n: int, m: int) -> PolyMatrix:
     """Eigenvalue matrix from the leading-coefficient equation, the paper's formula.
 
-    It reads the family's Pearson data alone, no moments and no system.
-    Where a constant eigenvalue matrix exists it is this one (check_c,
-    which therefore does not run it).
+    It reads the family's Pearson data alone, and decides (c) on every
+    build_monic system (lambda_via_operator).  Monic columns give q(n, m)
+    = X_n^t G + lower degree, G = g_lead_rows(n, m) on the m + 1 distinct
+    rows, and op_m keeps the degree: the top layer of op_m(Q) is X_n^t T
+    G, T the constant symbol, and T G is one step of the by-parts
+    operator (op_m = D grad) on the leading block of q(n - 1, m + 1)
+    (byparts._op_top), int rows over the tower denominator d.  d G L =
+    -(d T G) is solved exactly in ints; G has full column rank (a
+    nonzero form of degree n + m has a nonzero m-th partial), so
+    InconsistentSystemError is the only failure.  Row block r of G and
+    of T G depends only on popcount(r), so the dropped equations repeat
+    kept ones.
 
-    The leading block G of the level-m stack satisfies G L = -T G with
-    T the constant symbol (_t_rows); the system is overdetermined and
-    solved exactly (G always has full column rank for monic data).
-    G stays int rows (g_lead_rows) and T int rows over its denominator
-    dt, so the system solved is dt G L = -(dt T) G, all in ints.
+    Solvability.  For m >= 1 the system solves iff the level's
+    zero-order class sums C~_m are c I (PsiLevel), and then L = L_0 + c
+    I, L_0 = lambda_via_formula(f, n + m, 0).  The top homogeneous parts
+    of phi and psi give op_0's top layer, X_N^t M on forms of degree N =
+    n + m, and grad^m op_0 = (op_m + C_m) grad^m (_lambda) holds for it
+    with the same constant C_m, so G L = -T G reads G (L + M) = (C~_m (x)
+    I) G, and L_0 = -M.  Conversely, for a solution K = L + M and a form
+    f = (xi . x)^N = X_N^t c, every m-th partial d_x^(m-s) d_y^s of g =
+    X_N^t K c is N!/n! sum_t C~_m[s, t] xi_x^(m-t) xi_y^t (xi . x)^n.  A
+    form of degree N > m whose m-th partials are all multiples of (xi .
+    x)^n is a multiple of (xi . x)^N, so every u(xi) = (xi_x^(m-t)
+    xi_y^t)_t is an eigenvector of C~_m, and any m + 1 of them are
+    independent: C~_m is scalar.  So lambda_via_operator substitutes
+    above level 0 only where C~_m is scalar and level 0 has no
+    eigenvalue matrix (_lambda), never where C~_m is not scalar.
 
-    Row block r of G (n + 1 rows) is the leading block of row r of the
-    stack, so it depends only on popcount(r) (g_lead_rows: the
-    derivative bands commute).  Then so does row block r of T G: T1
-    acts blockwise, and the drift coefficients C_{h,h'} come from a
-    Kronecker sum over the m slots, so summed over the columns of each
-    popcount they depend only on the row's popcount.  The system is
-    solved on the m + 1 blocks 2^s - 1 of G and T G, the only blocks
-    g_lead_rows and _t_rows build; every dropped equation repeats a
-    kept one, so the solution, or the error, is that of the full system.
+    The paper's layout.  On all 2^m row blocks T = L*^t (A3 (x) I) N* + S
+    (D (x) I_n) N_stk, A3 phi's quadratic coefficients and D = (d1 | d2)
+    the level drift data, row 2s + h of d_i the x_h coefficients of row
+    s of psi_i; by the mixed product T = I_{2^m} (x) T1 + sum_{h,h'}
+    C_{h,h'} (x) M_{h,h'}, T1 = sum_{p,q} A3[p, q] L_p^t N_q (L_p, N_q
+    the products L(n-2, a) L(n-1, b) and N(n-1, a) N(n, b), (a, b) =
+    (x, x), (y, x), (y, y)), M_{h,h'} = L(n-1, h)^t N(n, h') and
+    C_{h,h'}[s, s'] the x_h coefficient of psi_{h'}[s, s'].  Its row
+    blocks 2^s - 1, column blocks summed by popcount, times G are
+    _op_top's layer.  The paper's theorem transposes the level-lifted
+    stack in S instead, reading drift row h 2^m + s for 2s + h; that
+    layout T' agrees with T on G wherever G L = -T G solves.  Label row
+    s by its derivative directions (s_m, .., s_1), s_m the newest, test
+    on p = (xi . x)^{n+m}, and put K_rv = xi^t (d_r d_v A) xi (A the
+    quadratic part of phi), B = f.d_matrix(), s' = (s_m, .., s_2) and
+    Y_u = sum_{k >= 2} K_{s_k u} xi^(s' - s_k) + (B xi)_u xi^s'.  As d_x
+    d_y phi_ij = d_y d_x phi_ij, T's d_{s_1} phi term is the one T' reads
+    at the top bit, and (T' - T) G on row s is a multiple of sum_v x_v
+    (Y_{s_1} xi_v - Y_v xi_{s_1}).  By Leibniz, T G = grad^m(op_0 p) - R
+    p with R's symbol r_{(u, s')} = Y_u + xi_u r_{s'}; a solution needs
+    R p to be an m-th gradient, so r_{(., s')}, and with it Y, is
+    parallel to xi: T' G = T G.  At m = 1, Y = B xi: a solution exists
+    iff B = d I, and then T' - T is d x_h (d_{s_1} d_h - d_h d_{s_1}) =
+    0.  For m >= 2 one exists iff A = c x x^t - (v x^t + x v^t) / (2(m -
+    1)), v psi's linear part.
     """
     if n < 1 or m < 0:
         raise ValueError("need gradient index n >= 1 and level m >= 0")
+    from .byparts import _op_top  # imported on first use: byparts imports this module
     g = g_lead_rows(n, m)
-    t, dt = _t_rows(f, n, m)
-    tg = int_matmul(t, g, n + m + 1)
-    return solve_columns([[dt * v for v in row] for row in g], [[-v for v in row] for row in tg])
+    top, d = _op_top(f, g, n, m)
+    neg = [[-v for v in row] for row in top]
+    if not m:  # G = I
+        return _block_matrix(neg, d, n + 1)
+    return solve_columns([[d * v for v in row] for row in g], neg)
 
 
 def _lambda(sys: OrthoSystem, n: int, m: int) -> PolyMatrix:
     """lambda_via_operator's eigenvalue matrix, memoised on the system, keyed by (n, m).
 
-    At level 0 it is -T(n - 1, 1) by parts where the guard holds
-    (lambda_via_operator), and solved elsewhere.
+    At level 0 it is lambda_via_operator's: the formula on a build_monic
+    system, the coefficient solve on a hand-built one.
     For m >= 1 it is read off level 0 where the level's zero-order term
     is a scalar: Lambda(n, m) = Lambda(n + m, 0) + c_m I.  Differentiating
     op_0(P_(n+m)^t) + P_(n+m)^t L = 0 m times gives op_m(Q) + C_m Q + Q L
@@ -574,13 +547,14 @@ def _lambda(sys: OrthoSystem, n: int, m: int) -> PolyMatrix:
     class sums kept in the tower.  Where C~_m = c_m I, C_m Q = c_m Q and
     Q (L + c_m I) = -op_m(Q).  That solution is the only one: the
     columns are monic, so the leading block of Q (g_lead_rows) has full
-    column rank, since a nonzero form of degree n + m > m has a nonzero
+    column rank, since a nonzero form of degree n + m has a nonzero
     m-th partial; so it is lambda_via_operator's.  The argument is
     algebra on P_(n+m) alone and reads no moments.  Where C~_m is not
-    scalar, or level 0 has no constant solution, the level-m system is
-    solved as before, so every failure keeps its exception and message.
+    scalar, or level 0 has no constant solution, lambda_via_operator
+    decides the level-m cell itself (the formula and the substitution,
+    or the solve), so every failure keeps its exception and message.
     A failure is memoised too, as its message, and every read raises a
-    new NoConstantSolution with it, so each failing system is solved once.
+    new NoConstantSolution with it, so each failing cell is decided once.
     """
     def make():
         if m:
@@ -611,6 +585,8 @@ def check_a(f: WeightFamily) -> PropertyReport:
     problems = []
     if f.psi1.total_degree > 1 or f.psi2.total_degree > 1:
         problems.append("psi degree above one")
+    if f.phi[0, 1] != f.phi[1, 0]:
+        problems.append("phi not symmetric")
     if not check_pearson(f):
         problems.append("pearson identity fails")
     if det_exact(f.d_matrix()) == 0:
@@ -728,22 +704,17 @@ def check_b(sys: OrthoSystem, n: int, m: int, rule=None) -> PropertyReport:
 def check_c(sys: OrthoSystem, n: int, m: int) -> PropertyReport:
     """The level-m stack solves op_m(Q) + Q Lambda = 0 for a constant Lambda.
 
-    Lambda is _lambda's, by any of its routes, and a cell without one
-    fails with the solver's message (level 0 reads -T(n - 1, 1) by parts,
-    where a Lambda always exists, and solves elsewhere).  The paper's
-    leading-coefficient formula (lambda_via_formula) is not run, because
-    it cannot disagree.  Write Q = X_n^t G + lower degree, G the leading
-    block.  op_m keeps the degree, and the top-degree part of op_m(Q) +
-    Q Lambda is X_n^t (T G + G Lambda), T the constant symbol (_t_rows).
-    So op_m(Q) + Q Lambda = 0, which holds exactly for every Lambda that
-    _lambda returns, gives G Lambda = -T G.  The columns a run builds
-    are monic, so G is g_lead_rows(n, m), which depends on n and m
-    alone, not on the family, and has full column rank (a nonzero form
-    of degree n + m has a nonzero m-th partial).  So that system has
-    exactly one solution, and lambda_via_formula returns it: _lambda's
-    Lambda.  A disagreement, or an InconsistentSystemError from the
-    formula route, can come only from a wrong shift or derivative table
-    (l_rows, n_rows), and prop1 reports that fault.
+    Lambda is _lambda's, and a cell without one fails with the message
+    of the route that decides it.  On a build_monic system that is the
+    paper's leading-coefficient formula (lambda_via_formula) wherever
+    _lambda does not read Lambda(n + m, 0) + c_m I: Q = X_n^t G + lower
+    degree with G = g_lead_rows(n, m) of full column rank, so the
+    top-degree part of the equation is G Lambda = -T G, and its one
+    solution is Lambda where the lower part holds too, by theorem at
+    level 0 under the by-parts guard and by substitution elsewhere
+    (lambda_via_operator).  A hand-built system solves the whole
+    coefficient system.  The formula reads no shift table (l_rows), so a
+    wrong one is prop1's fault and moves no (c) verdict.
     """
     f = sys.family
     try:

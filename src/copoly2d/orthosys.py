@@ -38,13 +38,13 @@ divergence identities and (e) projections and reconstruction read S,
 B_m S (counted_rows) and R, not phi^(x)m or the 2^m-row stacks.  Their
 rows are the full stacks' rows, so the integrals read the same moments
 and give the same rationals.  The (c) and (d) eigenvalue systems are
-solved on S too (characterize.lambda_via_operator), so an exact run
-forms q(n, m) at level 0 only, and no Kronecker power of phi: only
-numeric mode reads phi_power, weighted and q(n, m) gathered from S.
-The leading coefficients of S (g_lead_rows), built on m + 1 blocks,
-never 2^m, are what the by-parts operator (byparts) reads for (b) and
-(e), and what the paper's symbol route (characterize.lambda_via_formula,
-which no check runs) solves on.
+checked or solved on S too (characterize.lambda_via_operator), so an
+exact run forms q(n, m) at level 0 only, and no Kronecker power of
+phi: only numeric mode reads phi_power, weighted and q(n, m) gathered
+from S.  The leading coefficients of S (g_lead_rows), built on m + 1
+blocks, never 2^m, are what the by-parts operator (byparts) reads for
+(b) and (e), and what the paper's symbol route, which decides (c) on
+every constructed system (characterize.lambda_via_formula), solves on.
 
 Exact weighted integrals integral(a^t w rho) / mu_00 of two polynomial
 matrices are bilinear forms on the moment numerators: with H[alpha,

@@ -177,15 +177,13 @@ def test_psi_tower_is_kept_per_family():
 def test_a_run_converts_each_levels_drift_data_once(monkeypatch):
     # the tower builds each level's class sums once, and every reader
     # takes them from the kept level: no (n, m) cell builds a level or its
-    # rows again.  (c) reads the operator route alone, so a run builds no
-    # symbol (_t_rows), and the tower keeps its levels and lemma2 alone
-    made, read, t_reads = [], [], []
+    # rows again, and the tower keeps its levels and lemma2 alone
+    made, read = [], []
     real_level, real_read = characterize.PsiLevel, PsiTower.level
     monkeypatch.setattr(characterize, "PsiLevel",
                         lambda *args: made.append(real_level(*args)) or made[-1])
     monkeypatch.setattr(PsiTower, "level",
                         lambda self, m: read.append(real_read(self, m)) or read[-1])
-    monkeypatch.setattr(characterize, "_t_rows", lambda *args: t_reads.append(args))
     f = builtin("triangle(1,1,1)")
     reports = verify_all(f, nmax=5, mmax=3)
     assert "error" not in {r.status for r in reports}
@@ -193,7 +191,6 @@ def test_a_run_converts_each_levels_drift_data_once(monkeypatch):
     assert tower.depth >= 3
     assert [id(level) for level in made] == [id(level) for level in tower.levels]
     assert read and {id(level) for level in read} <= {id(level) for level in made}
-    assert t_reads == []
     assert [fld.name for fld in dataclasses.fields(PsiTower)] == ["levels", "closed_form_ok"]
     for m, level in enumerate(tower.levels):
         ds, d = level.class_sums
@@ -403,17 +400,13 @@ def t_matrix(f, n, m, tower=None):
     """The (c) symbol T with all 2^m row and column blocks, assembled on base-size pieces.
 
     T = I_{2^m} (x) T1 + sum_{h,h'} C_{h,h'} (x) M_{h,h'}, as in the
-    docstring of characterize._t_rows, with the library's T1 rows and
-    C_{h,h'}[s, s'] = d_{h'}[2s + h, s'] read from the dense split of
-    tower, oracle_psi_tower(f, m) by default.
+    docstring of characterize.lambda_via_formula, with T1 the level-0
+    second order part of oracle_second_order and C_{h,h'}[s, s'] =
+    d_{h'}[2s + h, s'] read from the dense split of tower,
+    oracle_psi_tower(f, m) by default.
     """
     level = (tower or oracle_psi_tower(f, m))[m]
-    b = n + 1
-    t = PolyMatrix.zeros(b, b)
-    if n >= 2:
-        d = lcm(*(p.den for p in (f.phi[0, 0], f.phi[0, 1], f.phi[1, 1])))
-        t = const_matrix([[Fraction(v, d) for v in row] for row in characterize._t1_rows(f, n, d)])
-    t = kron(PolyMatrix.identity(2 ** m), t)
+    t = kron(PolyMatrix.identity(2 ** m), oracle_second_order(f, n, 0))
     for hp, split in enumerate((level["d1"], level["d2"])):
         for h in (0, 1):
             c = PolyMatrix.from_rows([split.row_list(2 * s + h) for s in range(2 ** m)])
@@ -421,29 +414,25 @@ def t_matrix(f, n, m, tower=None):
     return t
 
 
-def assert_t_rows_are_class_sums(f, n, m, t):
-    """_t_rows is row blocks 2^s - 1 of the full symbol t, column blocks summed by popcount."""
-    b = n + 1
-    full = _consts(t)
-    want = [[Fraction(0)] * ((m + 1) * b) for _ in range((m + 1) * b)]
-    for s in range(m + 1):
-        for i in range(b):
-            for c, v in enumerate(full[(2 ** s - 1) * b + i]):
-                want[s * b + i][bin(c // b).count("1") * b + c % b] += v
-    rows, d = characterize._t_rows(f, n, m)
-    assert [[Fraction(v, d) for v in row] for row in rows] == want, (n, m)
+def assert_top_layer_is_t_on_g(f, n, m, t):
+    """byparts._op_top is row blocks 2^s - 1 of t @ G, G the full leading block of q(n, m)."""
+    rows, d = byparts._op_top(f, g_lead_rows(n, m), n, m)
+    want = class_blocks(t @ oracle_g_lead(n, m), n, m)
+    assert const_matrix([[Fraction(v, d) for v in row] for row in rows], n + m + 1) == want, \
+        (n, m)
 
 
-def oracle_t_matrices(f, n, m, tower):
-    """The (c) symbol in both shift-factor layouts, as lifted products.
+def oracle_second_order(f, n, m):
+    """L*^t (A3 (x) I) N*, the second order part of the (c) symbol on 2^m row blocks.
 
-    L*^t (A3 (x) I) N* + S (D (x) I_n) N_stk, every factor formed as a
-    polynomial matrix, D from the dense tower of oracle_psi_tower;
-    returns {layout: T}, "proof" being t_matrix and "statement" the
-    layout of the paper's theorem, which the library does not build.
-    Reads l_mat and n_mat (conftest), built from basisops.l_rows and
-    n_rows at call time, so a monkeypatched table reaches it.
+    The three-block shift/derivative stacks weighted by A3, phi's
+    quadratic coefficients, every factor formed as a polynomial matrix;
+    at m = 0 it is T1.  Reads l_mat and n_mat (conftest), built from
+    basisops.l_rows and n_rows at call time, so a monkeypatched table
+    reaches it.
     """
+    if n < 2:  # n = 1 has no second order part
+        return PolyMatrix.zeros(2 ** m * (n + 1), 2 ** m * (n + 1))
     a_cols, _ = phi_coefficient_columns(f)
     a3 = hstack(a_cols[0], a_cols[1].scale(2), a_cols[2])
     eye = PolyMatrix.identity(2 ** m)
@@ -453,11 +442,21 @@ def oracle_t_matrices(f, n, m, tower):
         return vstack(*(kron(eye, mat(k - 1, a) @ mat(k, b))
                         for a, b in ((1, 1), (2, 1), (2, 2))))
 
-    if n >= 2:
-        mid = kron(a3, PolyMatrix.identity(2 ** m * (n - 1)))
-        term1 = star(l_mat, n - 1).transpose() @ mid @ star(n_mat, n)
-    else:  # n = 1 has no second order part
-        term1 = PolyMatrix.zeros(2 ** (m + 1), 2 ** (m + 1))
+    mid = kron(a3, PolyMatrix.identity(2 ** m * (n - 1)))
+    return star(l_mat, n - 1).transpose() @ mid @ star(n_mat, n)
+
+
+def oracle_t_matrices(f, n, m, tower):
+    """The (c) symbol in both shift-factor layouts, as lifted products.
+
+    L*^t (A3 (x) I) N* + S (D (x) I_n) N_stk, every factor formed as a
+    polynomial matrix, D from the dense tower of oracle_psi_tower;
+    returns {layout: T}, "proof" being t_matrix and "statement" the
+    layout of the paper's theorem, which the library does not build.
+    Reads l_mat and n_mat (conftest), as oracle_second_order does.
+    """
+    eye = PolyMatrix.identity(2 ** m)
+    term1 = oracle_second_order(f, n, m)
     lstk = vstack(l_mat(n - 1, 1), l_mat(n - 1, 2))
     shift_t = {
         "proof": kron(eye, lstk.transpose()),
@@ -492,7 +491,7 @@ def test_t_matrix_and_g_lead_match_the_lifted_assembly():
             for m in range(4):
                 t = oracle_t_matrices(f, n, m, tower)["proof"]
                 assert t_matrix(f, n, m, tower) == t, (ref, n, m)
-                assert_t_rows_are_class_sums(f, n, m, t)
+                assert_top_layer_is_t_on_g(f, n, m, t)
 
 
 def _blocks_repeat_by_popcount(g, n, m):
@@ -501,10 +500,10 @@ def _blocks_repeat_by_popcount(g, n, m):
 
 
 # the cells n <= 5, m <= 3 whose patched leading block does not repeat by
-# popcount, and the degree each n_mat patch changes
+# popcount, and the degree each patch changes
 _UNREPEATED = {"_n_swapped_at_2": [(1, 2), (1, 3)],
                "_n_half_at_3": [(1, 2), (1, 3), (2, 2), (2, 3)]}
-_PATCHED_AT = {"_n_swapped_at_2": 2, "_n_half_at_3": 3}
+_PATCHED_AT = {"_l_swapped_at_2": 2, "_l_half_at_3": 3, "_n_swapped_at_2": 2, "_n_half_at_3": 3}
 
 
 @pytest.mark.parametrize("name, wrong", [
@@ -516,40 +515,39 @@ _PATCHED_AT = {"_n_swapped_at_2": 2, "_n_half_at_3": 3}
 def test_t_matrix_and_g_lead_match_the_lifted_assembly_when_patched(monkeypatch, name,
                                                                     wrong):
     # patched wherever the library or the reference reads them; the
-    # library's leading rows are the reference's blocks 2^s - 1, and
-    # where the blocks repeat by popcount the eigenvalue matrices, or the
-    # exception that says there is none, must match too.  Where they do
-    # not repeat, the derivative bands no longer commute, and prop1's
-    # identity suite flags the patch.
-    # The library symbol comes from this instance of the family only
-    # after the patch: its drift tower keeps T1 per n
+    # library's leading rows are the reference's blocks 2^s - 1, and the
+    # assembled symbol is the lifted one.  The formula reads its top layer
+    # off the by-parts operator, which reads no shift table, so a wrong
+    # l_rows leaves it as it was; a wrong n_rows reaches it only through
+    # the leading blocks.  prop1's identity suite flags every patch, and
+    # where the blocks do not repeat by popcount the derivative bands no
+    # longer commute, which it flags too
     f = builtin("triangle(1,1,1)")
     tower = oracle_psi_tower(f, 3)
     cells = [(n, m) for n in range(1, 6) for m in range(4)]
     real = {(n, m): t_matrix(f, n, m, tower) for n, m in cells}
     real_g = {(n, m): oracle_g_lead(n, m) for n, m in cells}
-    for mod in (basisops, characterize, orthosys):
+    real_formula = {(n, m): _outcome(lambda: lambda_via_formula(f, n, m)) for n, m in cells}
+    for mod in (basisops, orthosys):
         if hasattr(mod, _ROWS_OF[name]):
             monkeypatch.setattr(mod, _ROWS_OF[name], wrong)
     changed = False
     unrepeated = []
+    at = _PATCHED_AT[wrong.__name__]
+    flagged = {k for k, ok in basisops.identity_suite(at).items() if not ok}
+    assert flagged
     for n, m in cells:
         g = oracle_g_lead(n, m)
         assert lead_classes(n, m) == class_blocks(g, n, m), (n, m)
         changed = changed or g != real_g[n, m]
         t = oracle_t_matrices(f, n, m, tower)["proof"]
         assert t_matrix(f, n, m, tower) == t, (n, m)
-        assert_t_rows_are_class_sums(f, n, m, t)
         changed = changed or t != real[n, m]
+        if name == "l_mat":
+            assert _outcome(lambda: lambda_via_formula(f, n, m)) == real_formula[n, m], (n, m)
         if not _blocks_repeat_by_popcount(g, n, m):
             unrepeated.append((n, m))
-            at = _PATCHED_AT[wrong.__name__]
-            flagged = {k for k, ok in basisops.identity_suite(at).items() if not ok}
             assert {"deriv1", "deriv_xx"} <= flagged, (n, m, flagged)
-            continue
-        want = _outcome(lambda: solve_columns(g, -(t @ g)))
-        got = _outcome(lambda: lambda_via_formula(f, n, m))
-        assert got == want, (n, m)
     assert changed
     assert unrepeated == _UNREPEATED.get(wrong.__name__, [])
 
@@ -572,7 +570,7 @@ def _quadratic_part(p):
 
 
 def _formula_solves_by_rule(f, m):
-    """Whether G L = -T G has a solution, by the rule in _t_rows' docstring.
+    """Whether G L = -T G has a solution, by the rule in lambda_via_formula's docstring.
 
     m = 1: d_matrix() is d I.  m >= 2: the quadratic part of phi is
     c x x^t - (v x^t + x v^t) / (2(m - 1)), v the linear part of psi.
@@ -596,7 +594,7 @@ def pearson_data(draw):
     Most draws are shaped so that the leading-coefficient route solves
     at some level: a scalar drift matrix (level 1), phi's quadratic part
     c x x^t with a scalar drift matrix (every level), or the level-2 and
-    level-3 rule of _t_rows' docstring with any drift matrix.
+    level-3 rule of lambda_via_formula's docstring with any drift matrix.
     """
     shape = draw(st.sampled_from(["free", "scalar", "scalar_xx", "level2", "level3"]))
     if shape.startswith("scalar"):
@@ -646,7 +644,7 @@ def test_statement_layout_agrees_on_g_wherever_the_formula_solves(f):
             layouts = oracle_t_matrices(f, n, m, tower)
             t = t_matrix(f, n, m, tower)
             assert t == layouts["proof"], (n, m)
-            assert_t_rows_are_class_sums(f, n, m, t)
+            assert_top_layer_is_t_on_g(f, n, m, t)
             g = oracle_g_lead(n, m)
             assert layouts["statement"] @ g == t @ g, (n, m)
 
@@ -696,7 +694,7 @@ def _linear_split(mat):
     """Interleaved first order coefficients and constants of a degree-one matrix.
 
     Row 2r of the first holds the x coefficients of row r, row 2r + 1
-    its y coefficients: the layout of d1 and d2 in _t_rows' docstring.
+    its y coefficients: the layout of d1 and d2 in lambda_via_formula's docstring.
     """
     rows, cols = mat.shape
     assert mat.degree <= 1
@@ -1118,12 +1116,14 @@ def test_check_c_product_hermite_all_cells(monkeypatch):
         return real(f, n, m)
 
     monkeypatch.setattr(characterize, "lambda_via_formula", counted)
-    f, sys = get_system("product_hermite")
+    sys = build_monic(builtin("product_hermite"), 7)  # a fresh memo
     cells = [(n, m) for n in range(1, 5) for m in range(3)]
     for n, m in cells:
         rep = check_c(sys, n, m)
         assert rep.status == "pass", (n, m)
-    assert calls == []  # check_c reads the operator route alone
+    # C~_m is scalar at every level, so the formula decides level 0 alone,
+    # once per degree n + m
+    assert sorted(calls) == [(k, 0) for k in range(1, 7)]
 
 
 def test_check_c_laguerre_and_triangle_fold_at_every_level():
@@ -1172,17 +1172,13 @@ def test_check_c_anchor_note():
 
 
 def test_check_c_inconsistent_formula_route_is_a_fail_not_an_error(monkeypatch):
-    # with a wrong l_rows the leading-coefficient system of (2, 1) has no
-    # solution, and lambda_via_formula says so.  check_c does not run that
-    # route (check_c's docstring proves it cannot disagree), so its cells
-    # keep passing; the wrong table is prop1's fail, not an error.
-    # A fresh family: the shared one's drift tower may keep T1 per n
+    # a wrong l_rows does not reach (c): the formula that decides it reads
+    # its top layer off the by-parts operator, not off the shift tables
+    # (check_c's docstring), so its cells keep passing; the wrong table is
+    # prop1's fail, not an error
     f = builtin("triangle(1,1,1)")
     sys = build_monic(f, 6)
-    for mod in (basisops, characterize):
-        monkeypatch.setattr(mod, "l_rows", _l_swapped_at_1)
-    with pytest.raises(InconsistentSystemError):
-        lambda_via_formula(f, 2, 1)
+    monkeypatch.setattr(basisops, "l_rows", _l_swapped_at_1)
     for n, m in [(2, 1), (2, 2), (3, 1), (3, 2)]:
         rep = check_c(sys, n, m)
         assert (rep.status, rep.notes) == ("pass", ""), (n, m)
