@@ -154,21 +154,19 @@ def _by_parts(sys: OrthoSystem, top: int, steps: int) -> bool:
     return sys.cached(("by parts", top, steps), make)
 
 
-def _quad_ints(f) -> list:
+def _quad_ints(sys: OrthoSystem) -> list:
     """quad[i][t]: the x^2, xy and y^2 coefficients of phi[i, t], ints over the tower denominator.
 
-    Both off-diagonal entries read phi[0, 1], as characterize._level_operator
-    does, so _op_top is op_m's top layer on any phi; the guard admits a
-    symmetric one only.
+    Memoised on the system.  Both off-diagonal entries read phi[0, 1], as
+    characterize._level_operator does, so _op_top is op_m's top layer on
+    any phi; the guard admits a symmetric one only.
     """
-    d = ch.psi_tower(f, 0).level(0).class_sums[1]
-    return [[[p.num.get(e, 0) * (d // p.den) for e in ((2, 0), (1, 1), (0, 2))]
-             for p in (f.phi[min(i, t), max(i, t)] for t in (0, 1))] for i in (0, 1)]
-
-
-def _sys_quad(sys: OrthoSystem) -> list:
-    """_quad_ints of the system's family, memoised on the system."""
-    return sys.cached(("quad",), lambda: _quad_ints(sys.family))
+    def make():
+        f = sys.family
+        d = ch.psi_tower(f, 0).level(0).class_sums[1]
+        return [[[p.num.get(e, 0) * (d // p.den) for e in ((2, 0), (1, 1), (0, 2))]
+                 for p in (f.phi[min(i, t), max(i, t)] for t in (0, 1))] for i in (0, 1)]
+    return sys.cached(("quad",), make)
 
 
 def _g_lead(sys: OrthoSystem, n: int, m: int) -> list:
@@ -224,25 +222,30 @@ def _d_top(halves, p: int, sums, quad, cols: int) -> list:
     return out
 
 
-def _op_top(f, g: list, n: int, m: int):
-    """The top layer of op_m(q(n, m)) from g = g_lead_rows(n, m): (int rows, d).
+def _op_top(sys: OrthoSystem, n: int, m: int):
+    """The top layer of op_m(q(n, m)) on g_lead_rows(n, m): (int rows, d).
 
     op_m = D grad, and grad q(n, m) = q(n - 1, m + 1) has the leading
-    block _g_lead_step(g, n - 1, m + 1), so the degree-n layer of op_m(Q)
-    is one _d_top step over level m's class sums on that block, laid out
-    as g is, over the tower denominator d.  It reads the family alone.
+    block _g_lead(sys, n - 1, m + 1), so the degree-n layer of op_m(Q) is
+    one _d_top step over level m's class sums on that block, laid out as
+    g_lead_rows(n, m) is, over the tower denominator d.  At level 0 that
+    step is T(n - 1, 1), so it is _t_block's, which (b) keeps.  It reads
+    the family and the system's memo alone, never the columns.
     """
-    sums, d = ch.psi_tower(f, m).level(m).class_sums
-    low = _g_lead_step(g, n - 1, m + 1)
+    if not m:
+        top, d, _ = _t_block(sys, n - 1, 1)
+        return top, d
+    sums, d = ch.psi_tower(sys.family, m).level(m).class_sums
+    low = _g_lead(sys, n - 1, m + 1)
     layers = [low[s * n:(s + 1) * n] for s in range(m + 2)]
-    top = _d_top((layers[:m + 1], layers[1:]), n - 1, sums, _quad_ints(f), n + m + 1)
+    top = _d_top((layers[:m + 1], layers[1:]), n - 1, sums, _quad_ints(sys), n + m + 1)
     return [row for layer in top for row in layer], d
 
 
 def _top_layer(sys: OrthoSystem, layers: list, p: int, j: int, cols: int) -> list:
     """D^j's top layer applied to the distinct-row layers of a level-j vector of degree p."""
     tower = ch.psi_tower(sys.family, max(j - 1, 0))
-    quad = _sys_quad(sys)
+    quad = _quad_ints(sys)
     for level in range(j, 0, -1):
         layers = _d_top((layers[:level], layers[1:]), p, tower.level(level - 1).class_sums[0],
                         quad, cols)
@@ -298,7 +301,7 @@ def _l_pair(sys: OrthoSystem, n: int, m: int) -> list:
     g = _g_lead(sys, n - 1, m)
     low = [g[s * n:(s + 1) * n] for s in range(m + 1)]
     sums = ch.psi_tower(sys.family, m).level(m).class_sums[0]
-    one, two = (_d_top(halves, n - 1, sums, _sys_quad(sys), n + m)
+    one, two = (_d_top(halves, n - 1, sums, _quad_ints(sys), n + m)
                 for halves in ((low, None), (None, low)))
     first = [[a + b for a, b in zip(u, v)] for u, v in zip(one, two)]
     return _top_layer(sys, first, n, m, 2 * (n + m))

@@ -43,9 +43,10 @@ solved on the m + 1 distinct rows of each gradient stack, never on all
 (lambda_via_formula): one step of the by-parts operator gives the top
 layer of the level's image, solved on the m + 1 row blocks of
 g_lead_rows, and the solution is accepted by theorem at level 0 under
-the by-parts guard, where it is -T(n - 1, 1), and by substitution
-elsewhere (lambda_via_operator); a hand-built system solves the whole
-coefficient system.  Two proved reductions spare the level-m work
+the by-parts guard, where it is -T(n - 1, 1); an inconsistent top
+layer fails the cell with no solve, and every other cell, and every
+cell of a hand-built system, solves the whole coefficient system
+(lambda_via_operator).  Two proved reductions spare the level-m work
 where their hypotheses hold: an eigenvalue matrix above level 0 is the
 level-0 one plus c_m I where the level's zero-order term is the scalar
 c_m (_lambda), and each level of (d)'s divergence tower follows from
@@ -90,7 +91,6 @@ from .orthosys import (
     _block_matrix,
     build_monic,
     eval_product,
-    g_lead_rows,
     hankel_table,
     integrate_rows,
     row_halves,
@@ -414,22 +414,20 @@ def lambda_via_operator(sys: OrthoSystem, n: int, m: int) -> PolyMatrix:
 
     The constant L with op(Q) + Q L = 0, Q = q(n, m), op the weight's
     second order operator at level m; NoConstantSolution says none
-    exists, which is how a non-classical input announces itself.  On a
-    build_monic system the paper's formula decides: the columns are
-    monic, so the degree-n equations are the formula's G L = -T G, whose
-    one solution L_0 lambda_via_formula gives or whose inconsistency
-    rules L out.  L_0 is accepted by theorem at level 0 where
-    OrthoSystem._by_parts(n - 1, 1) holds (op(P_n^t) = D grad P_n^t =
-    P_n^t T(n - 1, 1) by parts, byparts._t_block), and elsewhere only if
-    op(Q) + Q L_0 = 0 holds by substitution on int numerators
-    (matmul_numerators, same_numerators).  Either failure raises the
-    coefficient solve's own message, the only one it can give with G of
-    full column rank.  Hand-built systems, whose columns need not be
-    monic, solve op(Q) + Q L = 0 by coefficient matching
-    (_solve_constant_right_factor).
+    exists, which is how a non-classical input announces itself.  It is
+    solved by coefficient matching (_solve_constant_right_factor), but
+    on a build_monic system the paper's formula decides first: the
+    columns are monic, so the degree-n equations are the formula's G L =
+    -T G (lambda_via_formula).  Where they are inconsistent no L exists,
+    and the solve's own message is raised without running it (G has
+    full column rank, so the solve could give no other).  At level 0,
+    where OrthoSystem._by_parts(n - 1, 1) holds, their one solution is L
+    by theorem (op(P_n^t) = D grad P_n^t = P_n^t T(n - 1, 1) by parts,
+    byparts._t_block).  Every other cell, and every cell of a hand-built
+    system, whose columns need not be monic, runs the solve.
 
-    Both run on the m + 1 distinct rows S = q_rows(n, m) of Q, the image
-    from the rows one and two levels up (_level_operator).  Row r of
+    The solve runs on the m + 1 distinct rows S = q_rows(n, m) of Q, the
+    image from the rows one and two levels up (_level_operator).  Row r of
     op(Q) is its row 2^popcount(r) - 1: the second order part acts
     entrywise, and slot k of the drift gives row r the sum over i, b of
     d_(r_k) phi_(b i) times d_i d_b of P_(n+m) differentiated along the
@@ -441,7 +439,7 @@ def lambda_via_operator(sys: OrthoSystem, n: int, m: int) -> PolyMatrix:
     if sys.constructed:
         try:
             # a module-global call, so bench/tracing.py's wrapper times it
-            lam = lambda_via_formula(sys.family, n, m)
+            lam = lambda_via_formula(sys, n, m)
         except InconsistentSystemError as exc:
             raise NoConstantSolution(f"inconsistent coefficient system: {exc}") from exc
         if not m and sys._by_parts(n - 1, 1):
@@ -450,29 +448,25 @@ def lambda_via_operator(sys: OrthoSystem, n: int, m: int) -> PolyMatrix:
     # a degree-1 stack has no second derivatives
     second = sys.q_rows(n - 2, m + 2) if n >= 2 else PolyMatrix.zeros(m + 3, s.cols)
     op, rhs = psi_tower(sys.family, m).level(m).op_rows, vstack(second, sys.q_rows(n - 1, m + 1))
-    if not sys.constructed:
-        return _solve_constant_right_factor(s, -(op @ rhs))
-    if same_numerators(*matmul_numerators(s, -lam), *matmul_numerators(op, rhs)):
-        return lam
-    raise NoConstantSolution(
-        "inconsistent coefficient system: no constant solution matches every row")
+    return _solve_constant_right_factor(s, -(op @ rhs))
 
 
-def lambda_via_formula(f: WeightFamily, n: int, m: int) -> PolyMatrix:
+def lambda_via_formula(f: WeightFamily | OrthoSystem, n: int, m: int) -> PolyMatrix:
     """Eigenvalue matrix from the leading-coefficient equation, the paper's formula.
 
     It reads the family's Pearson data alone, and decides (c) on every
-    build_monic system (lambda_via_operator).  Monic columns give q(n, m)
-    = X_n^t G + lower degree, G = g_lead_rows(n, m) on the m + 1 distinct
-    rows, and op_m keeps the degree: the top layer of op_m(Q) is X_n^t T
-    G, T the constant symbol, and T G is one step of the by-parts
-    operator (op_m = D grad) on the leading block of q(n - 1, m + 1)
-    (byparts._op_top), int rows over the tower denominator d.  d G L =
-    -(d T G) is solved exactly in ints; G has full column rank (a
-    nonzero form of degree n + m has a nonzero m-th partial), so
-    InconsistentSystemError is the only failure.  Row block r of G and
-    of T G depends only on popcount(r), so the dropped equations repeat
-    kept ones.
+    build_monic system (lambda_via_operator), which passes the system
+    for f: its memo then keeps the leading blocks and the level-0 layer
+    that (b) and (e) read too.  Monic columns give q(n, m) = X_n^t G +
+    lower degree, G = g_lead_rows(n, m) on the m + 1 distinct rows, and
+    op_m keeps the degree: the top layer of op_m(Q) is X_n^t T G, T the
+    constant symbol, and T G is one step of the by-parts operator (op_m
+    = D grad) on the leading block of q(n - 1, m + 1) (byparts._op_top),
+    int rows over the tower denominator d.  d G L = -(d T G) is solved
+    exactly in ints; G has full column rank (a nonzero form of degree n
+    + m has a nonzero m-th partial), so InconsistentSystemError is the
+    only failure.  Row block r of G and of T G depends only on
+    popcount(r), so the dropped equations repeat kept ones.
 
     Solvability.  For m >= 1 the system solves iff the level's
     zero-order class sums C~_m are c I (PsiLevel), and then L = L_0 + c
@@ -486,9 +480,9 @@ def lambda_via_formula(f: WeightFamily, n: int, m: int) -> PolyMatrix:
     form of degree N > m whose m-th partials are all multiples of (xi .
     x)^n is a multiple of (xi . x)^N, so every u(xi) = (xi_x^(m-t)
     xi_y^t)_t is an eigenvector of C~_m, and any m + 1 of them are
-    independent: C~_m is scalar.  So lambda_via_operator substitutes
-    above level 0 only where C~_m is scalar and level 0 has no
-    eigenvalue matrix (_lambda), never where C~_m is not scalar.
+    independent: C~_m is scalar.  So above level 0 lambda_via_operator
+    meets a top layer that solves only where C~_m is scalar and level 0
+    has no eigenvalue matrix (_lambda), and there the solve decides.
 
     The paper's layout.  On all 2^m row blocks T = L*^t (A3 (x) I) N* + S
     (D (x) I_n) N_stk, A3 phi's quadratic coefficients and D = (d1 | d2)
@@ -518,13 +512,13 @@ def lambda_via_formula(f: WeightFamily, n: int, m: int) -> PolyMatrix:
     """
     if n < 1 or m < 0:
         raise ValueError("need gradient index n >= 1 and level m >= 0")
-    from .byparts import _op_top  # imported on first use: byparts imports this module
-    g = g_lead_rows(n, m)
-    top, d = _op_top(f, g, n, m)
+    from .byparts import _g_lead, _op_top  # imported on first use: byparts imports this module
+    sys = f if isinstance(f, OrthoSystem) else OrthoSystem(f, ())
+    top, d = _op_top(sys, n, m)
     neg = [[-v for v in row] for row in top]
     if not m:  # G = I
         return _block_matrix(neg, d, n + 1)
-    return solve_columns([[d * v for v in row] for row in g], neg)
+    return solve_columns([[d * v for v in row] for row in _g_lead(sys, n, m)], neg)
 
 
 def _lambda(sys: OrthoSystem, n: int, m: int) -> PolyMatrix:
@@ -551,8 +545,9 @@ def _lambda(sys: OrthoSystem, n: int, m: int) -> PolyMatrix:
     m-th partial; so it is lambda_via_operator's.  The argument is
     algebra on P_(n+m) alone and reads no moments.  Where C~_m is not
     scalar, or level 0 has no constant solution, lambda_via_operator
-    decides the level-m cell itself (the formula and the substitution,
-    or the solve), so every failure keeps its exception and message.
+    decides the level-m cell itself (the formula, then the solve where
+    the top layer solves), so every failure keeps its exception and
+    message.
     A failure is memoised too, as its message, and every read raises a
     new NoConstantSolution with it, so each failing cell is decided once.
     """
@@ -709,11 +704,11 @@ def check_c(sys: OrthoSystem, n: int, m: int) -> PropertyReport:
     paper's leading-coefficient formula (lambda_via_formula) wherever
     _lambda does not read Lambda(n + m, 0) + c_m I: Q = X_n^t G + lower
     degree with G = g_lead_rows(n, m) of full column rank, so the
-    top-degree part of the equation is G Lambda = -T G, and its one
-    solution is Lambda where the lower part holds too, by theorem at
-    level 0 under the by-parts guard and by substitution elsewhere
-    (lambda_via_operator).  A hand-built system solves the whole
-    coefficient system.  The formula reads no shift table (l_rows), so a
+    top-degree part of the equation is G Lambda = -T G: where it has no
+    solution the cell fails with no further work, and at level 0 under
+    the by-parts guard its one solution is Lambda by theorem.  Every
+    other cell, and every cell of a hand-built system, solves the whole
+    coefficient system (lambda_via_operator).  The formula reads no shift table (l_rows), so a
     wrong one is prop1's fault and moves no (c) verdict.
     """
     f = sys.family

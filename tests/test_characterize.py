@@ -414,12 +414,36 @@ def t_matrix(f, n, m, tower=None):
     return t
 
 
+def top_layer(f, n, m):
+    """byparts._op_top on a system with no columns, as a constant matrix."""
+    rows, d = byparts._op_top(OrthoSystem(f, ()), n, m)
+    return const_matrix([[Fraction(v, d) for v in row] for row in rows], n + m + 1)
+
+
 def assert_top_layer_is_t_on_g(f, n, m, t):
     """byparts._op_top is row blocks 2^s - 1 of t @ G, G the full leading block of q(n, m)."""
-    rows, d = byparts._op_top(f, g_lead_rows(n, m), n, m)
-    want = class_blocks(t @ oracle_g_lead(n, m), n, m)
-    assert const_matrix([[Fraction(v, d) for v in row] for row in rows], n + m + 1) == want, \
-        (n, m)
+    assert top_layer(f, n, m) == class_blocks(t @ oracle_g_lead(n, m), n, m), (n, m)
+
+
+def oracle_d_step(f, n, m, tower):
+    """The degree-n layer of D b on all 2^m row blocks, b of leading block oracle_g_lead(n - 1, m + 1).
+
+    b = (I (x) X_(n-1)^t) G_low is the level-(m + 1) vector with halves
+    b_1, b_2, and D b = sum_t (Psi_t b_t + sum_i phi_it d_i b_t), Psi_t
+    level m of tower: one step of the by-parts operator, taken on the
+    polynomials themselves, so a patched n_rows reaches it only through
+    G_low, as it reaches byparts._op_top.
+    """
+    low = oracle_g_lead(n - 1, m + 1)
+    b = kron(PolyMatrix.identity(2 ** (m + 1)), x_vec(n - 1).transpose()) @ low
+    half = 2 ** m
+    image = PolyMatrix.zeros(half, b.cols)
+    for t in (0, 1):
+        bt = PolyMatrix.from_rows([b.row_list(r) for r in range(t * half, (t + 1) * half)])
+        image = image + tower[m][f"psi{t + 1}"] @ bt + bt.dx().scale(f.phi[0, t]) \
+            + bt.dy().scale(f.phi[1, t])
+    return const_matrix([[image[r, c].coeff(n - a, a) for c in range(b.cols)]
+                         for r in range(half) for a in range(n + 1)], b.cols)
 
 
 def oracle_second_order(f, n, m):
@@ -503,6 +527,11 @@ def _blocks_repeat_by_popcount(g, n, m):
 # popcount, and the degree each patch changes
 _UNREPEATED = {"_n_swapped_at_2": [(1, 2), (1, 3)],
                "_n_half_at_3": [(1, 2), (1, 3), (2, 2), (2, 3)]}
+# the cells whose patched leading block of q(n - 1, m + 1), the block the
+# top layer steps on, does not repeat by popcount
+_LOW_UNREPEATED = {"_n_swapped_at_2": [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)],
+                   "_n_half_at_3": [(1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2),
+                                    (3, 3)]}
 _PATCHED_AT = {"_l_swapped_at_2": 2, "_l_half_at_3": 3, "_n_swapped_at_2": 2, "_n_half_at_3": 3}
 
 
@@ -519,9 +548,12 @@ def test_t_matrix_and_g_lead_match_the_lifted_assembly_when_patched(monkeypatch,
     # assembled symbol is the lifted one.  The formula reads its top layer
     # off the by-parts operator, which reads no shift table, so a wrong
     # l_rows leaves it as it was; a wrong n_rows reaches it only through
-    # the leading blocks.  prop1's identity suite flags every patch, and
-    # where the blocks do not repeat by popcount the derivative bands no
-    # longer commute, which it flags too
+    # the leading blocks.  So under every patch the top layer is the true
+    # D step on the patched leading block of q(n - 1, m + 1), wherever
+    # that block repeats by popcount as the library assumes, and the
+    # formula's outcome is the solve on it.  prop1's identity suite flags
+    # every patch, and where the blocks do not repeat by popcount the
+    # derivative bands no longer commute, which it flags too
     f = builtin("triangle(1,1,1)")
     tower = oracle_psi_tower(f, 3)
     cells = [(n, m) for n in range(1, 6) for m in range(4)]
@@ -532,7 +564,7 @@ def test_t_matrix_and_g_lead_match_the_lifted_assembly_when_patched(monkeypatch,
         if hasattr(mod, _ROWS_OF[name]):
             monkeypatch.setattr(mod, _ROWS_OF[name], wrong)
     changed = False
-    unrepeated = []
+    unrepeated, stepped = [], []
     at = _PATCHED_AT[wrong.__name__]
     flagged = {k for k, ok in basisops.identity_suite(at).items() if not ok}
     assert flagged
@@ -545,11 +577,19 @@ def test_t_matrix_and_g_lead_match_the_lifted_assembly_when_patched(monkeypatch,
         changed = changed or t != real[n, m]
         if name == "l_mat":
             assert _outcome(lambda: lambda_via_formula(f, n, m)) == real_formula[n, m], (n, m)
+        if _blocks_repeat_by_popcount(oracle_g_lead(n - 1, m + 1), n - 1, m + 1):
+            # the true D step on the patched leading block, and its solve
+            top = class_blocks(oracle_d_step(f, n, m, tower), n, m)
+            assert top_layer(f, n, m) == top, (n, m)
+            want = _outcome(lambda: solve_columns(class_blocks(g, n, m), -top))
+            assert _outcome(lambda: lambda_via_formula(f, n, m)) == want, (n, m)
+            stepped.append((n, m))
         if not _blocks_repeat_by_popcount(g, n, m):
             unrepeated.append((n, m))
             assert {"deriv1", "deriv_xx"} <= flagged, (n, m, flagged)
     assert changed
     assert unrepeated == _UNREPEATED.get(wrong.__name__, [])
+    assert [c for c in cells if c not in stepped] == _LOW_UNREPEATED.get(wrong.__name__, [])
 
 
 # ---------------------------------------------------------------------------

@@ -776,11 +776,9 @@ def test_lead_blocks_are_built_once_and_check_e_contracts_nothing(monkeypatch):
             return real(*args)
         return wrapped
 
-    # (b) and (e) read the leading blocks through the system's memo;
-    # (c)'s formula reads the family alone and builds its own per cell
     for name in ("g_lead_rows", "_g_lead_step"):
         monkeypatch.setattr(byparts, name, spy(getattr(byparts, name)))
-    verify_all(builtin("triangle(1,1,1)"), 5, 3, properties=("b", "e"))
+    verify_all(builtin("triangle(1,1,1)"), 5, 3)
     assert built and set(built.values()) == {1}
     contractions = []
     monkeypatch.setattr(characterize, "integrate_rows",
@@ -876,13 +874,11 @@ def _drifted(ref):
     return dataclasses.replace(f, psi1=f.psi1 + parse_poly("1/3*x"))
 
 
-def _c_branch(sys, n, m, got) -> str:
+def _c_branch(sys, n, m) -> str:
     """Which step of lambda_via_operator decided a build_monic system's cell."""
-    if not m and sys._by_parts(n - 1, 1):
-        return "theorem"
     if isinstance(_result(lambda_via_formula, sys.family, n, m), tuple):
         return "top layer inconsistent"
-    return "substitution fails" if isinstance(got, tuple) else "substitution holds"
+    return "theorem" if not m and sys._by_parts(n - 1, 1) else "solve"
 
 
 @pytest.mark.parametrize("ref, drift", [(ref, False) for ref in ALL_INSTANCES]
@@ -890,39 +886,40 @@ def _c_branch(sys, n, m, got) -> str:
                                                     "product_laguerre(1,2)")])
 def test_c_on_a_constructed_system_is_the_coefficient_solve(ref, drift, monkeypatch):
     # lambda_via_operator on the construction's system (the formula, then
-    # the theorem or the substitution) against the coefficient solve that
-    # a hand-built system with the same columns takes, message included,
-    # on every cell n <= 8, m <= 4 and at level 0 to n = N = 12; the
-    # construction's system never runs that solve.  Level 0 is read by
-    # theorem where OrthoSystem._by_parts(n - 1, 1) holds (n < N, and no
-    # n on a drifted family, whose cells past n = 1 have no eigenvalue
-    # matrix); the top layer always solves there (G = I), so the other
-    # level-0 cells are substitutions, and above level 0 the built-ins
-    # that reach lambda_via_operator have an inconsistent top layer
+    # the theorem or the solve) against the coefficient solve that a
+    # hand-built system with the same columns takes, message included, on
+    # every cell n <= 8, m <= 4 and at level 0 to n = N = 12; it runs
+    # that solve exactly where the top layer solves and the theorem does
+    # not apply.  A run, through _lambda, solves at level 0 alone, where
+    # OrthoSystem._by_parts(n - 1, 1) fails (n = N, and every n on a
+    # drifted family, whose cells past n = 1 have no eigenvalue matrix):
+    # above level 0 the top layer solves only where C~_m is scalar, and
+    # there _lambda reads level 0, or fails with it on a drifted family
     f = _drifted(ref) if drift else builtin(ref)
     sys = build_monic(f, 12)
     hand = OrthoSystem(f, [sys.p(k) for k in range(13)])
     cells = [(n, m) for n in range(1, 9) for m in range(5)] + [(n, 0) for n in range(9, 13)]
     solves = _spy_constant_solves(monkeypatch)
-    got = {cell: _result(lambda_via_operator, sys, *cell) for cell in cells}
-    assert solves == []
-    branches = collections.Counter()
+    branches = collections.defaultdict(list)
     for cell in cells:
-        assert got[cell] == _result(lambda_via_operator, hand, *cell), cell
-        branches[cell[1] > 0, _c_branch(sys, *cell, got[cell])] += 1
-    assert len(solves) == len(cells)
+        del solves[:]
+        got = _result(lambda_via_operator, sys, *cell)
+        branch = _c_branch(sys, *cell)
+        branches[branch].append(cell)
+        assert len(solves) == (branch == "solve"), (cell, branch)
+        assert got == _result(lambda_via_operator, hand, *cell), cell
     assert [sys._by_parts(n - 1, 1) for n in range(1, 13)] == [not drift] * 11 + [False]
-    level_0 = {branch for (above, branch) in branches if not above}
-    if drift:
-        assert "substitution fails" in level_0 and "theorem" not in level_0, branches
-        assert all(isinstance(got[n, 0], tuple) for n in range(2, 13))
-    else:
-        assert level_0 == {"theorem", "substitution holds"}, branches
-    # above level 0 the top layer solves exactly where C~_m is scalar
-    # (test_the_top_layer_solves_exactly_where_the_zero_order_term_is_scalar)
-    above = {branch for (up, branch) in branches if up}
-    assert above <= ({"top layer inconsistent"} if drift
-                     else {"top layer inconsistent", "substitution holds"}), branches
+    level_0 = [(n, 0) for n in range(1, 13)]
+    assert sorted(branches["theorem"]) == ([] if drift else level_0[:-1]), branches
+    # level 0 has G = I, and above it the top layer solves iff C~_m is scalar
+    tower = psi_tower(f, 4)
+    assert sorted(branches["top layer inconsistent"]) == [
+        (n, m) for n, m in cells if m and tower.level(m).zero_order_scalar() is None]
+    run = build_monic(f, 12)
+    del solves[:]
+    lams = {cell: _result(characterize._lambda, run, *cell) for cell in cells}
+    assert solves == [1] * (12 if drift else 1)
+    assert drift == all(isinstance(lams[n, 0], tuple) for n in range(2, 13))
 
 
 def _assert_top_layer_solves_where_the_zero_order_term_is_scalar(f, nmax, mmax):
@@ -953,51 +950,24 @@ def test_the_top_layer_solves_exactly_where_the_zero_order_term_is_scalar_on_pea
     _assert_top_layer_solves_where_the_zero_order_term_is_scalar(f, 3, 3)
 
 
-def test_c_by_substitution_above_level_0(monkeypatch):
-    # a build_monic system reaches the substitution above level 0 only
-    # where C~_m is scalar and level 0 has no eigenvalue matrix, which no
-    # built-in does.  The level-2-only Pearson data (C~_2 = 0) over monic
-    # columns: X_k plus constants keep q(n, 2) homogeneous, so the
-    # substitution holds at m = 2 though level 0 fails; terms of degree
-    # k - 1 break it.  The coefficient solve of the same columns,
-    # hand-built, is the oracle, message included
-    f = _LEVEL_TWO_ONLY
-    assert psi_tower(f, 2).level(2).zero_order_scalar() == 0
-    rng = random.Random(3)
-    for low in (0, 1):
-        cols = [x_vec(0)] + [x_vec(k) + random_rational_matrix(k + 1, (k - 1) * low + 1, rng)
-                             @ x_vec((k - 1) * low) for k in range(1, 8)]
-        sys, hand = OrthoSystem(f, cols), OrthoSystem(f, cols)
-        sys.constructed = True  # monic columns are all the formula route reads
-        solves = _spy_constant_solves(monkeypatch)
-        for n in range(1, 5):
-            for m in range(4):
-                got = _result(characterize._lambda, sys, n, m)
-                assert got == _result(lambda_via_operator, hand, n, m), (low, n, m)
-                if m == 2:
-                    want = "substitution fails" if low == 1 else "substitution holds"
-                    assert _c_branch(sys, n, m, got) == want, (low, n, m)
-                    assert isinstance(_result(characterize._lambda, sys, n + m, 0), tuple)
-        assert len(solves) == 16
-        monkeypatch.undo()
-
-
 def test_the_top_layer_reads_a_non_symmetric_phi_as_the_level_operator_does():
     # validate_family rejects such a phi, but a family put in by hand may
     # carry one: op_m's mixed term reads phi[0, 1] alone, and the top layer
-    # must too, else the formula's Lambda misses the coefficient solve's on
-    # monomial columns, whose images are homogeneous
+    # must too, else the formula misses the coefficient solve on monomial
+    # columns, whose images are homogeneous: there the top layer is the
+    # whole equation
     f = _pearson_family(
         [[parse_poly("2*x^2"), parse_poly("3*x*y")], [parse_poly("5*x*y"), parse_poly("4*y^2")]],
         parse_poly("-2*x"), parse_poly("-4*y"))
-    cols = [x_vec(k) for k in range(8)]
-    sys, hand = OrthoSystem(f, cols), OrthoSystem(f, cols)
-    sys.constructed = True
+    hand = OrthoSystem(f, [x_vec(k) for k in range(8)])
     solved = 0
     for n in range(1, 5):
         for m in range(4):
-            got = _result(lambda_via_operator, sys, n, m)
-            assert got == _result(lambda_via_operator, hand, n, m), (n, m)
+            got = _result(lambda_via_formula, f, n, m)
+            want = _result(lambda_via_operator, hand, n, m)
+            if isinstance(got, tuple):
+                got = ("NoConstantSolution", f"inconsistent coefficient system: {got[1]}")
+            assert got == want, (n, m)
             solved += isinstance(got, PolyMatrix)
     assert solved >= 4
 
