@@ -26,9 +26,10 @@ The layers are int rows read off g_lead_rows, built once per system
 class sums (PsiLevel), and the curl symbol reads phi's first
 derivatives alone, so no polynomial matrix is formed.  Hand-built
 systems, numeric mode and every cell the guard refuses keep the
-contraction (orthosys.integrate_rows).  The module is imported on
-first use, by OrthoSystem._by_parts and characterize's readers, so a
-run that reads none of them compiles none of it.
+contraction (orthosys.integrate_rows).  This module alone decides the
+guard; orthosys builds and contracts and never imports it.  It is
+imported on first use by characterize's readers alone, so a run that
+reads none of them compiles none of it.
 """
 
 from __future__ import annotations
@@ -102,10 +103,10 @@ def _by_parts(sys: OrthoSystem, top: int, steps: int) -> bool:
     is the lifted Pearson equation at level j - 1 (trivial at j = 1,
     where Phi_0 = 1 and Psi^(0) = psi).  From level `steps` down, against
     A = grad^(j-1) P_t^t, this gives <grad^steps P_t^t, b>_steps =
-    (-1)^steps integral(P_t D^steps b rho): gram_record, cross_rows and
-    check_e (_e_by_parts) read their level-m integrals off it, with t <=
-    top.  It needs no constant eigenvalue matrix and no scalar zero-order
-    term.
+    (-1)^steps integral(P_t D^steps b rho): check_b (_levels_by_parts)
+    and check_e (_e_by_parts) read their level-m integrals off it, with
+    t <= top.  It needs no constant eigenvalue matrix and no scalar
+    zero-order term.
 
     The degree bound.  D raises the degree by at most one, so with b of
     degree e the chain's g at level j has degree at most (t - j + 1) +
@@ -152,6 +153,15 @@ def _by_parts(sys: OrthoSystem, top: int, steps: int) -> bool:
         except ValueError:
             return False
     return sys.cached(("by parts", top, steps), make)
+
+
+def _levels_by_parts(sys: OrthoSystem, n: int, m: int) -> bool:
+    """Whether gram(n, m) and its cross terms are read off level 0 (_t_block).
+
+    m >= 1, n + m <= N - 1 and the guard for m steps onto P_(n+m).
+    check_b asks it at (n, m), lambda_via_operator at (n - 1, 1).
+    """
+    return bool(m) and n + m < sys.nmax and _by_parts(sys, n + m, m)
 
 
 def _quad_ints(sys: OrthoSystem) -> list:

@@ -420,11 +420,12 @@ def lambda_via_operator(sys: OrthoSystem, n: int, m: int) -> PolyMatrix:
     columns are monic, so the degree-n equations are the formula's G L =
     -T G (lambda_via_formula).  Where they are inconsistent no L exists,
     and the solve's own message is raised without running it (G has
-    full column rank, so the solve could give no other).  At level 0,
-    where OrthoSystem._by_parts(n - 1, 1) holds, their one solution is L
-    by theorem (op(P_n^t) = D grad P_n^t = P_n^t T(n - 1, 1) by parts,
-    byparts._t_block).  Every other cell, and every cell of a hand-built
-    system, whose columns need not be monic, runs the solve.
+    full column rank, so the solve could give no other).  At level 0 G
+    = I, so they always solve, and the formula runs only where
+    byparts._levels_by_parts(n - 1, 1) holds: there their one solution
+    is L by theorem (op(P_n^t) = D grad P_n^t = P_n^t T(n - 1, 1) by
+    parts, byparts._t_block).  Every other cell, and every cell of a
+    hand-built system, whose columns need not be monic, runs the solve.
 
     The solve runs on the m + 1 distinct rows S = q_rows(n, m) of Q, the
     image from the rows one and two levels up (_level_operator).  Row r of
@@ -436,13 +437,14 @@ def lambda_via_operator(sys: OrthoSystem, n: int, m: int) -> PolyMatrix:
     """
     if n < 1 or m < 0:
         raise ValueError("need gradient index n >= 1 and level m >= 0")
-    if sys.constructed:
+    from .byparts import _levels_by_parts  # imported on first use: byparts imports this module
+    if sys.constructed and (m or _levels_by_parts(sys, n - 1, 1)):
         try:
             # a module-global call, so bench/tracing.py's wrapper times it
             lam = lambda_via_formula(sys, n, m)
         except InconsistentSystemError as exc:
             raise NoConstantSolution(f"inconsistent coefficient system: {exc}") from exc
-        if not m and sys._by_parts(n - 1, 1):
+        if not m:
             return lam
     s = sys.q_rows(n, m)
     # a degree-1 stack has no second derivatives
@@ -642,21 +644,21 @@ def check_b(sys: OrthoSystem, n: int, m: int, rule=None) -> PropertyReport:
     """Level-m stack orthogonality plus the lifted Pearson equation.
 
     The Pearson half is always exact.  Without a quadrature rule the
-    cross terms and the Gram verdict are exact too.  Where
-    OrthoSystem._by_parts holds, both are read off level 0 with no moment
-    contraction, by the paper's Pearson => (b) argument: integrating by
-    parts m times moves the derivatives of q(n, m) onto the other
-    stack, so every cross term is zero and gram(n, m) = (-1)^m gram(n +
-    m, 0) T_n (byparts._t_block).  gram(n + m, 0) is the construction's
-    nonsingular record, so the verdict is T_n's and no level-m record is
-    built.  The guard (byparts._by_parts) needs a build_monic system of
-    degree N > n + m, a symmetric phi, the lifted Pearson equation and
-    the moments' functional Pearson equations to degree 2N - 2.  Elsewhere the cross
-    terms with every lower stack are int blocks from one moment
-    contraction (OrthoSystem.cross_rows), which also integrates gram(n,
-    m) into its gram_record, whose determinant the verdict reads.  With
-    a rule they are integrated on the rule and measured against a
-    tolerance.
+    cross terms and the Gram verdict are exact too.  It asks
+    byparts._levels_by_parts once.  Where that holds, both are read off
+    level 0 with no moment contraction, by the paper's Pearson => (b)
+    argument: integrating by parts m times moves the derivatives of q(n,
+    m) onto the other stack, so every cross term is zero and gram(n, m)
+    = (-1)^m gram(n + m, 0) T_n (byparts._t_block).  gram(n + m, 0) is
+    the construction's nonsingular record, so the verdict is T_n's and
+    no level-m record is built.  The guard (byparts._by_parts) needs a
+    build_monic system of degree N > n + m, a symmetric phi, the lifted
+    Pearson equation and the moments' functional Pearson equations to
+    degree 2N - 2.  Elsewhere the cross terms with every lower stack are
+    int blocks from one moment contraction (OrthoSystem.cross_rows),
+    which also integrates gram(n, m) into its gram_record, whose
+    determinant the verdict reads.  With a rule they are integrated on
+    the rule and measured against a tolerance.
     """
     if n < 1 or m < 1:
         raise ValueError("property b needs n >= 1 and m >= 1")
@@ -664,11 +666,14 @@ def check_b(sys: OrthoSystem, n: int, m: int, rule=None) -> PropertyReport:
     pearson_ok = _lifted_pearson(sys, m)
     notes = [] if pearson_ok else ["lifted pearson identity fails"]
     if rule is None:
-        ortho_ok = not any(any(map(any, rows)) for rows, _ in sys.cross_rows(n, m))
+        from .byparts import _levels_by_parts, _t_block  # byparts imports this module
+        if _levels_by_parts(sys, n, m):
+            ortho_ok, gram_ok = True, _t_block(sys, n, m)[2]
+        else:
+            ortho_ok = not any(any(map(any, rows)) for rows, _ in sys.cross_rows(n, m))
+            gram_ok = sys.gram_record(n, m).det != 0
         if not ortho_ok:
             notes.append("cross terms with a lower stack survive")
-        from .byparts import _t_block  # imported on first use: byparts imports this module
-        gram_ok = _t_block(sys, n, m)[2] if sys._by_parts(n, m) else sys.gram_record(n, m).det != 0
         if not gram_ok:
             notes.append("level gram singular")
         ok = pearson_ok and ortho_ok and gram_ok

@@ -60,7 +60,7 @@ directly, so no Fraction is built on the way.  The table depends only
 on the family, so hankel_table keeps the deepest one built for it, as
 characterize.psi_tower keeps the drift tower: the construction, every
 contraction and the functional Pearson check
-(characterize._functional_pearson) read that one table, each coding
+(byparts._functional_pearson) read that one table, each coding
 its polynomials with the stride the table comes with, and an exact run
 (characterize.verify_all) builds it once, before any work, to every
 degree the run reads: a missing moment stops the run there.
@@ -70,10 +70,11 @@ construction and the exact (b) and (e) checks stay on the int rows: an
 exact Gram block's one exact form is its gram_record (gram(n, m) is a
 view of it), its int rows with their determinant and inverse from one
 elimination (matpoly._echelon), so a block read by build_monic, (b)
-and three (e) cells is eliminated once.  Above level 0 a block, and (b)'s
-cross terms, need no contraction where integration by parts reads them
-off level 0 (byparts): gram(n, m) is gram(n + m, 0) times the top layer
-T_n of an operator applied m times, and the cross terms are zero.
+and three (e) cells is eliminated once.  This module builds and
+contracts; it decides nothing by parts.  Where the by-parts guard
+holds, byparts reads (b)'s and (e)'s verdicts off level 0, and the only
+level-m block asked for is the direct record at (e)'s corner where
+deg phi < 2.
 
 Numeric mode evaluates polynomial matrices on a quadrature rule's nodes
 through one kernel, a whole matrix per call (eval_entries(m, rule),
@@ -552,36 +553,14 @@ class OrthoSystem:
         """The exact gram(n, m) as int rows, with its determinant and inverse.
 
         The block's one exact form, from one elimination (_gram_record)
-        of its int rows: build_monic stores the level-0 blocks below
-        nmax.  Above level 0, where the by-parts guard holds (_by_parts),
-        the block is read off level 0 with no moment contraction:
-
-            gram(n, m) = (-1)^m gram(n + m, 0) T_n,
-
-        T_n the top layer of the by-parts operator D applied m times to
-        q(n, m) (byparts._t_block, which proves it).  gram(N, 0), N =
-        nmax, which (e)'s by-parts route reads at its corner where deg
-        phi = 2, is read off the moment table as build_monic reads its
-        blocks (_moment_rows).
-        Any other block is integrated here, one moment contraction, unless
-        cross_rows already integrated it.  Every exact reader, gram included, reads this
-        record, so no block is eliminated twice; a singular block is a
-        record with inv None.  A level-m record is built only when read:
-        by exact gram(n, m), check_e's contraction, (e)'s by-parts corner
-        where deg phi < 2 (gram(n + 1, m), n + m + 1 = N, integrated here)
-        or check_b where the guard fails; where it holds check_b reads T_n
-        (det gram(n, m) != 0 iff T_n is nonsingular) and (e)'s by-parts
-        route reads T_k.
+        of its int rows.  build_monic stores the level-0 blocks below
+        nmax; gram(nmax, 0) is read off the moment table as build_monic
+        reads its blocks (_moment_rows).  Any other block is one moment
+        contraction, unless cross_rows already integrated it.  Every
+        exact reader, gram included, reads this record, so no block is
+        eliminated twice; a singular block is a record with inv None.
         """
         def make():
-            if self._by_parts(n, m):
-                from .byparts import _t_block  # byparts imports this module
-                t, dt, _ = _t_block(self, n, m)
-                low = self.gram_record(n + m, 0)
-                sign = (-1) ** m
-                return _gram_record(*reduce_rows(
-                    int_matmul(low.rows, [[sign * v for v in row] for row in t], len(t)),
-                    low.den * dt))
             if not m and self.constructed:
                 # P_n is orthogonal to every lower degree, so gram(n, 0) =
                 # integral(P_n X_n^t rho), read off the table as build_monic does
@@ -596,33 +575,17 @@ class OrthoSystem:
     def cross_rows(self, n: int, m: int) -> list:
         """integrate_rows(counted_rows(k, m), weighted_rows(n, m)) for k < n.
 
-        The (b) cross terms of level m.  Where gram_record's guard holds
-        (_by_parts) they are zero blocks, with no contraction: moving the
-        m derivatives off q(n, m) pairs P_(n+m) with D^m q(k, m), of
-        degree k + m < n + m (byparts._t_block).
-        Elsewhere, while the memo has no gram_record of gram(n, m), the
-        same call integrates it as the block k = n, one moment contraction
-        for both, and keeps its record.
+        The (b) cross terms of level m.  While the memo has no
+        gram_record of gram(n, m), the same call integrates it as the
+        block k = n, one moment contraction for both, and keeps its
+        record.
         """
-        if self._by_parts(n, m):
-            return [([[0] * (n + m + 1) for _ in range(k + m + 1)], 1) for k in range(n)]
         with_gram = ("gram record", n, m) not in self._memo
         blocks = integrate_rows([self.counted_rows(k, m) for k in range(n + with_gram)],
                                 self.weighted_rows(n, m), self.family)
         if with_gram:
             self._memo[("gram record", n, m)] = _gram_record(*blocks.pop())
         return blocks
-
-    def _by_parts(self, n: int, m: int) -> bool:
-        """Whether gram(n, m) and its cross terms are read off level 0.
-
-        m >= 1, n + m <= N - 1 and the by-parts guard (byparts._by_parts)
-        for m steps onto P_(n+m).
-        """
-        if not (m and n + m < self.nmax):
-            return False
-        from .byparts import _by_parts  # byparts imports this module
-        return _by_parts(self, n + m, m)
 
 
 class GramRecord(NamedTuple):

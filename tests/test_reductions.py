@@ -10,18 +10,21 @@ replaces: criterion 2's dense C_m, the closed form c_m = m d + m(m - 1) a,
 lambda_via_operator on every cell, and whole (c) and (d) reports with
 both reductions switched off.  The disk, whose weight matrix breaks
 phi_conditions, keeps (d)'s polynomial identity above level 0.  (b):
-the level Gram blocks and cross terms are read off level 0 by parts where
-OrthoSystem._by_parts holds, and integrated elsewhere; each is checked
-against its own moment contraction, and each fallback is seen in the
-route the memo keeps, not in a verdict.  check_b's Gram verdict is T_n's
-nonsingularity there, with no level-m record built.  (e)'s corner reads
+where byparts._levels_by_parts holds, check_b reads the level Gram
+verdict off T_n, with no level-m record built, and the cross terms are
+zero by theorem; elsewhere it integrates them.  OrthoSystem.gram_record
+is always the contraction, so the theorem gram(n, m) = (-1)^m gram(n +
+m, 0) T_n is checked here by reading it off byparts._t_block (_t_record)
+against the block's own moment contraction, and each fallback is seen
+in the route the memo keeps, not in a verdict.  (e)'s corner reads
 stack nmax + 1's Gram verdict off its direct record where deg phi < 2,
 and its reconstruction off phi's curl symbol, checked against the curl
-product on the polynomial stack that it replaces.  Level-0 Lambda(n, 0)
-is -T(n - 1, 1) where OrthoSystem._by_parts(n - 1, 1) holds, and solved
-elsewhere; it is checked against the coefficient solve that hand-built
-systems keep.  A non-symmetric phi, which validate_family rejects, is
-refused by the guard.
+product on the polynomial stack that it replaces; a rank-deficient
+lowest coefficient, on neither route on a built-in, is forced on both.
+Level-0 Lambda(n, 0) is -T(n - 1, 1) where byparts._levels_by_parts(n
+- 1, 1) holds, and solved elsewhere; it is checked against the
+coefficient solve that hand-built systems keep.  A non-symmetric phi,
+which validate_family rejects, is refused by the guard.
 """
 from __future__ import annotations
 
@@ -64,7 +67,7 @@ from copoly2d.characterize import (
     psi_tower,
     verify_all,
 )
-from copoly2d.matpoly import PolyMatrix, const_matrix, det_exact, hstack
+from copoly2d.matpoly import PolyMatrix, const_matrix, det_exact, hstack, int_matmul, reduce_rows
 from copoly2d.orthosys import (
     OrthoSystem,
     _gram_record,
@@ -426,8 +429,24 @@ def _contracted(sys, n, m):
     return _gram_record(*gram), cross
 
 
+def _t_record(sys, n, m):
+    """gram(n, m) read off level 0 as a gram_record: (-1)^m gram(n + m, 0) T_n (byparts._t_block)."""
+    t, dt, _ = byparts._t_block(sys, n, m)
+    low = sys.gram_record(n + m, 0)
+    return _gram_record(*reduce_rows(
+        int_matmul(low.rows, [[(-1) ** m * v for v in row] for row in t], len(t)), low.den * dt))
+
+
+def _assert_read_by_parts(sys, n, m):
+    """The guard holds at (n, m), and the theorem's block and zero cross terms are contracted."""
+    gram, cross = _contracted(sys, n, m)
+    assert byparts._levels_by_parts(sys, n, m), (n, m)
+    assert _t_record(sys, n, m) == gram, (n, m)
+    assert not any(any(map(any, rows)) for rows, _ in cross), (n, m)
+
+
 def _route(sys, n, m):
-    """True where gram(n, m) and its cross terms were read off level 0 by parts."""
+    """True where a run asked the guard for gram(n, m) and it held (byparts._levels_by_parts)."""
     return sys._memo.get(("by parts", n + m, m), False)
 
 
@@ -459,15 +478,11 @@ def test_gram_blocks_and_cross_terms_by_parts_match_the_contraction(ref):
     sys = build_monic(f, 9)
     for n in range(6):  # (e) reads gram(0, m)
         for m in range(1, 4):
-            gram, cross = _contracted(sys, n, m)
-            assert sys.gram_record(n, m) == gram, (n, m)
-            assert sys.cross_rows(n, m) == cross, (n, m)
             # the guard asks for no scalar zero-order term
-            assert _route(sys, n, m), (n, m)
-            assert not any(any(map(any, rows)) for rows, _ in cross), (n, m)
+            _assert_read_by_parts(sys, n, m)
     # degree n + m = N is past the construction's own records: integrated
+    assert not byparts._levels_by_parts(sys, 6, 3)
     assert sys.gram_record(6, 3) == _contracted(sys, 6, 3)[0]
-    assert not _route(sys, 6, 3)
     # gram(N, 0), which (e)'s corner reads, off the moment table
     assert sys.gram_record(9, 0) == _contracted(sys, 9, 0)[0]
 
@@ -483,8 +498,7 @@ def test_blocks_whose_zero_order_terms_are_not_scalar_are_read_by_parts():
         tower = psi_tower(f, 2)
         for m in range(1, 4):
             for k in range(7 - m):
-                assert sys.gram_record(k, m) == _contracted(sys, k, m)[0], (ref, k, m)
-                assert _route(sys, k, m), (ref, k, m)
+                _assert_read_by_parts(sys, k, m)
                 refused += any(tower.level(j).zero_order_scalar() is None for j in range(1, m))
     assert refused == 22
 
@@ -579,7 +593,7 @@ def test_criterion_5s_hand_built_system_takes_the_contraction(monkeypatch):
     gram, cross = _contracted(sys, 1, 1)
     assert sys.cross_rows(1, 1) == cross
     assert sys.gram_record(1, 1) == gram
-    assert not sys.constructed and not _route(sys, 1, 1)
+    assert not sys.constructed and not byparts._levels_by_parts(sys, 1, 1)
     got = [check_e(sys, n, m) for n, m in [(1, 0), (1, 1), (2, 0)]]
     assert not any(_e_route(sys, n, m) for n, m in [(1, 0), (1, 1), (2, 0)])
     with monkeypatch.context() as mp:
@@ -596,11 +610,10 @@ def test_the_disk_takes_the_contraction_from_level_2(monkeypatch):
     sys = build_monic(f, 6)
     assert byparts._functional_pearson(sys)
     for n in range(1, 4):
-        for m in range(1, 3):
-            gram, cross = _contracted(sys, n, m)
-            assert sys.gram_record(n, m) == gram, (n, m)
-            assert sys.cross_rows(n, m) == cross, (n, m)
-            assert _route(sys, n, m) == (m == 1), (n, m)
+        _assert_read_by_parts(sys, n, 1)
+        gram, cross = _contracted(sys, n, 2)
+        assert sys.cross_rows(n, 2) == cross and sys.gram_record(n, 2) == gram, n
+        assert not byparts._levels_by_parts(sys, n, 2), n
     assert psi_tower(f, 1).level(1).zero_order_scalar() is not None
     sys = build_monic(f, 6)
     assert _b_e_reports(sys, 3, 2) == _contraction_reports(monkeypatch, f, 3, 2)
@@ -635,7 +648,7 @@ def test_moments_of_another_weight_take_the_contraction(monkeypatch):
             gram, cross = _contracted(sys, n, m)
             assert sys.gram_record(n, m) == gram, (n, m)
             assert sys.cross_rows(n, m) == cross, (n, m)
-            assert not _route(sys, n, m), (n, m)
+            assert not byparts._levels_by_parts(sys, n, m), (n, m)
     sys = build_monic(f, 6)
     assert _b_e_reports(sys, 3, 2) == _contraction_reports(monkeypatch, f, 3, 2)
     assert not any(_e_route(sys, n, m) for n in range(1, 4) for m in range(3))
@@ -666,10 +679,10 @@ def test_a_moments_table_changed_at_the_top_takes_the_contraction(ref, degree, m
     sys = build_monic(f, 6)
     assert byparts._functional_pearson(sys) == (degree == 12)
     for n, m in [(4, 1), (3, 2), (2, 3)]:
-        gram, cross = _contracted(sys, n, m)
-        assert sys.gram_record(n, m) == gram, (n, m)
-        assert sys.cross_rows(n, m) == cross, (n, m)
-        assert _route(sys, n, m) == (degree == 12), (n, m)
+        if degree == 12:
+            _assert_read_by_parts(sys, n, m)
+        else:
+            assert not byparts._levels_by_parts(sys, n, m), (n, m)
     sys = build_monic(f, 6)
     assert _b_e_reports(sys, 3, 2) == _contraction_reports(monkeypatch, f, 3, 2)
     for n in range(1, 4):
@@ -690,6 +703,8 @@ def test_a_singular_t_block_decides_its_stack_and_sends_higher_cells_to_the_cont
     sys = build_monic(f, 7)
     rows, d, _ = byparts._t_block(sys, 0, 1)
     sys._memo[("T", 0, 1)] = ([rows[0], rows[0], *rows[2:]], d, False)
+    # the block read off T_0 is singular; the contraction below reads it as its record
+    sys._memo[("gram record", 0, 1)] = _t_record(sys, 0, 1)
     assert sys.gram_record(0, 1).inv is None
     for n in (2, 3):
         assert check_e(sys, n, 1) == want[n]
@@ -723,7 +738,7 @@ def test_a_drift_tower_that_cannot_be_built_takes_the_contraction():
     sys = build_monic(f, 5)
     for n, m in [(1, 1), (2, 2)]:
         assert sys.gram_record(n, m) == _contracted(sys, n, m)[0]
-        assert not _route(sys, n, m)
+        assert not byparts._levels_by_parts(sys, n, m)
     check_e(sys, 1, 1)
     assert not _e_route(sys, 1, 1)
 
@@ -852,7 +867,7 @@ def test_a_singular_t_n_is_a_singular_level_gram_block_in_b():
     assert ("gram record", 2, 1) not in sys._memo
     assert [check_b(sys, n, m).status for n, m in [(1, 1), (3, 1), (2, 2)]] == ["pass"] * 3
     # the block read by parts is singular too
-    assert sys.gram_record(2, 1).det == 0
+    assert _t_record(sys, 2, 1).det == 0
 
 
 def _spy_constant_solves(monkeypatch):
@@ -878,7 +893,7 @@ def _c_branch(sys, n, m) -> str:
     """Which step of lambda_via_operator decided a build_monic system's cell."""
     if isinstance(_result(lambda_via_formula, sys.family, n, m), tuple):
         return "top layer inconsistent"
-    return "theorem" if not m and sys._by_parts(n - 1, 1) else "solve"
+    return "theorem" if not m and byparts._levels_by_parts(sys, n - 1, 1) else "solve"
 
 
 @pytest.mark.parametrize("ref, drift", [(ref, False) for ref in ALL_INSTANCES]
@@ -891,7 +906,7 @@ def test_c_on_a_constructed_system_is_the_coefficient_solve(ref, drift, monkeypa
     # every cell n <= 8, m <= 4 and at level 0 to n = N = 12; it runs
     # that solve exactly where the top layer solves and the theorem does
     # not apply.  A run, through _lambda, solves at level 0 alone, where
-    # OrthoSystem._by_parts(n - 1, 1) fails (n = N, and every n on a
+    # byparts._levels_by_parts(sys, n - 1, 1) fails (n = N, and every n on a
     # drifted family, whose cells past n = 1 have no eigenvalue matrix):
     # above level 0 the top layer solves only where C~_m is scalar, and
     # there _lambda reads level 0, or fails with it on a drifted family
@@ -908,7 +923,8 @@ def test_c_on_a_constructed_system_is_the_coefficient_solve(ref, drift, monkeypa
         branches[branch].append(cell)
         assert len(solves) == (branch == "solve"), (cell, branch)
         assert got == _result(lambda_via_operator, hand, *cell), cell
-    assert [sys._by_parts(n - 1, 1) for n in range(1, 13)] == [not drift] * 11 + [False]
+    assert [byparts._levels_by_parts(sys, n - 1, 1)
+            for n in range(1, 13)] == [not drift] * 11 + [False]
     level_0 = [(n, 0) for n in range(1, 13)]
     assert sorted(branches["theorem"]) == ([] if drift else level_0[:-1]), branches
     # level 0 has G = I, and above it the top layer solves iff C~_m is scalar
@@ -1070,6 +1086,54 @@ def test_a_guarded_run_builds_no_polynomial_stack(monkeypatch):
         stacks = {key for key in sys._memo if key[0] == "q_rows"}
         assert stacks == ({("q_rows", 5, 2), ("q_rows", 6, 1)} if f.phi.degree < 2
                           else set()), ref
+
+
+def _rank_note(n, m, recon):
+    c = n + m + 1
+    return "; ".join(["three term reconstruction misses the left side"] * recon
+                     + [f"lowest coefficient rank {c - 1}, want {c}"])
+
+
+@pytest.mark.parametrize("ref", ["product_hermite", "triangle(1,1,1)"])
+def test_a_rank_deficient_lowest_coefficient_fails_by_parts(ref, monkeypatch):
+    # no built-in cell is rank deficient.  [L_1 | L_2] with row 1 set to
+    # row 0 repeats a column of [L_1^t; L_2^t], so its rank is c - 1; the
+    # rank note comes last, after the reconstruction note that a
+    # non-constant phi writes above level 0
+    real = byparts._l_pair
+    monkeypatch.setattr(byparts, "_l_pair",
+                        lambda *args: (lambda rows: [rows[0], rows[0], *rows[2:]])(real(*args)))
+    f = builtin(ref)
+    sys = build_monic(f, 6)
+    for n in range(1, 4):
+        for m in range(3):
+            got = check_e(sys, n, m)
+            assert _e_route(sys, n, m), (n, m)
+            assert (got.status, got.notes) == (
+                "fail", _rank_note(n, m, bool(m and f.phi.degree))), (n, m)
+
+
+def test_a_rank_deficient_lowest_coefficient_fails_by_the_contraction(monkeypatch):
+    # the projection on q(n - 1, m) with column 1 set to column 0 in both
+    # halves: A_(n-1) repeats a column, so the rank is c - 1, and its
+    # reconstruction misses the left side
+    real = characterize.integrate_rows
+
+    def repeated(lefts, w, f):
+        out = real(lefts, w, f)
+        rows, d = out[len(lefts) - 3]
+        c = len(rows[0]) // 2
+        out[len(lefts) - 3] = ([[r[0], r[0], *r[2:c], r[c], r[c], *r[c + 2:]] for r in rows], d)
+        return out
+
+    monkeypatch.setattr(characterize, "integrate_rows", repeated)
+    monkeypatch.setattr(byparts, "_by_parts", lambda *args: False)
+    sys = build_monic(builtin("product_hermite"), 6)
+    for n in range(1, 4):
+        for m in range(3):
+            got = check_e(sys, n, m)
+            assert not _e_route(sys, n, m), (n, m)
+            assert (got.status, got.notes) == ("fail", _rank_note(n, m, True)), (n, m)
 
 
 # product_hermite's weight with a non-symmetric phi and the psi that

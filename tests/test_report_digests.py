@@ -46,7 +46,8 @@ other pin reads.  Last, the (c) and (d) reports at `--nmax 4 --mmax 2`
 of product_hermite, triangle(1,1,1) and product_laguerre(1,2) with
 psi_1 + x/3, criterion 5's perturbed drift, are pinned: their level-0
 systems have no constant solution, so these pin the solver's
-"inconsistent coefficient system" notes.
+"inconsistent coefficient system" notes; the by-parts guard refuses
+those cells, so the pass builds no T block.
 """
 from __future__ import annotations
 
@@ -59,7 +60,7 @@ from pathlib import Path
 
 import pytest
 
-from copoly2d import cli, orthosys, weights
+from copoly2d import characterize, cli, orthosys, weights
 from copoly2d.characterize import verify_all
 from copoly2d.polycore import parse_poly
 
@@ -212,10 +213,18 @@ PERTURBED = [
 
 
 @pytest.mark.parametrize("ref, sha", PERTURBED, ids=[c[0] for c in PERTURBED])
-def test_perturbed_drift_c_and_d_report_matches_pinned_digest(ref, sha):
+def test_perturbed_drift_c_and_d_report_matches_pinned_digest(ref, sha, monkeypatch):
     f = weights.builtin(ref)
     pert = dataclasses.replace(f, psi1=f.psi1 + parse_poly("1/3*x"))
     cfg = cli.RunConfig(ref, nmax=4, mmax=2, properties=("c", "d"), format="json")
+    built = []
+    real = characterize.build_monic
+    monkeypatch.setattr(characterize, "build_monic",
+                        lambda f, nmax: built.append(real(f, nmax)) or built[-1])
     reports = verify_all(pert, nmax=4, mmax=2, properties=("c", "d"))
     assert any("inconsistent coefficient system" in r.notes for r in reports)
     assert _sha(cli.render_json(pert, cfg, reports)) == sha
+    # the by-parts guard refuses every level-0 cell (Pearson fails), and
+    # (c) reads it before the formula, so no T(n - 1, 1) is built
+    [sys] = built
+    assert not [key for key in sys._memo if key[0] == "T"]

@@ -5,6 +5,10 @@ by name, when copoly2d.__all__ exports it, or when the benchmark's tracer
 wraps it (test_trace_hooks.HOOKS).  Dunder methods are called by the
 language.  A helper that only tests or demos call fails this test: a
 test builds what it needs from the names that stay.
+
+One boundary is checked too: the by-parts guard has one owner, byparts,
+and only characterize's checkers read it, so no other module imports
+byparts, at module level or inside a function.
 """
 from __future__ import annotations
 
@@ -69,3 +73,41 @@ def test_the_walk_flags_a_name_that_only_its_own_body_reads(tmp_path):
         "class Box:\n    def __init__(self):\n        self.v = used()\n\n"
         "    def spare(self):\n        return self.spare\n")
     assert unreached(tmp_path) == ["a.Box", "a.Box.spare", "a.recursive"]
+
+
+def _imported_modules(tree) -> set:
+    """The package modules that tree imports anywhere, function-level imports included."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[-1] for alias in node.names
+                       if alias.name.startswith("copoly2d."))
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and module.split(".")[0] != "copoly2d":
+                continue
+            if module in ("", "copoly2d"):  # from . import byparts
+                out.update(alias.name for alias in node.names)
+            else:
+                out.add(module.split(".")[-1])
+    return out
+
+
+def importers(module: str, src: Path = SRC) -> list:
+    """The src/ modules that import module, sorted."""
+    return sorted(path.stem for path in src.glob("*.py")
+                  if module in _imported_modules(ast.parse(path.read_text())))
+
+
+def test_only_characterize_imports_byparts():
+    assert importers("byparts") == ["characterize"]
+
+
+def test_the_import_walk_sees_every_form(tmp_path):
+    forms = {"a": "def f():\n    from .byparts import _by_parts\n",
+             "b": "from . import byparts\n", "c": "import copoly2d.byparts\n",
+             "d": "from copoly2d.byparts import _t_block\n", "e": "from copoly2d import byparts\n",
+             "f": "from .orthosys import OrthoSystem\nimport byparts\n"}
+    for stem, text in forms.items():
+        (tmp_path / f"{stem}.py").write_text(text)
+    assert importers("byparts", tmp_path) == ["a", "b", "c", "d", "e"]
