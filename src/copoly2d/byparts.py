@@ -1,4 +1,4 @@
-"""The by-parts operator: (b) and (e) above level 0, and level-0 Lambda, read off level 0.
+"""The by-parts operator and its drift tower: (b), (e) and level-0 Lambda read off level 0.
 
 The paper proves Pearson => (b) => (c), (e) by integrating by parts,
 and this module runs that chain as the exact decision procedure.  Write
@@ -8,9 +8,9 @@ b has halves b_1 and b_2.  The operator
 
     D b = sum_t (Psi_t^(j-1) b_t + sum_i phi_it d_i b_t),
 
-Psi^(j-1) the drift tower's level (characterize.psi_tower), maps level
-j to level j - 1, and <grad A, b>_j = -<A, D b>_(j-1) wherever the
-guard (_by_parts) holds.  D raises the degree by at most one, so the
+Psi^(j-1) the drift tower's level (psi_tower), maps level j to level j
+- 1, and <grad A, b>_j = -<A, D b>_(j-1) wherever the guard
+(_by_parts) holds.  D raises the degree by at most one, so the
 P-expansion of D^m b that orthogonality reads is its top homogeneous
 layer (_d_top): a level-m Gram block is gram(k + m, 0) times T_k
 (_t_block), every cross term is zero, and (e) reads its Gram verdicts,
@@ -22,23 +22,272 @@ on the leading block of q(n - 1, m + 1) is the top layer of op_m(q(n,
 m)) (_op_top), the one symbol (c) solves on
 (characterize.lambda_via_formula); at m = 1 T_k is -Lambda(k + 1, 0).
 The layers are int rows read off g_lead_rows, built once per system
-(_g_lead), phi's quadratic part and the linear parts of the tower's
-class sums (PsiLevel), and the curl symbol reads phi's first
-derivatives alone, so no polynomial matrix is formed.  Hand-built
-systems, numeric mode and every cell the guard refuses keep the
-contraction (orthosys.integrate_rows).  This module alone decides the
-guard; orthosys builds and contracts and never imports it.  It is
-imported on first use by characterize's readers alone, so a run that
-reads none of them compiles none of it.
+(_g_lead), and the tower's linear class sums (PsiLevel) and phi's
+quadratic part (PsiTower.quad), built once per family; the curl symbol
+reads phi's first derivatives alone, so no polynomial matrix is formed.
+Hand-built systems, numeric mode and every cell the guard refuses keep
+the contraction (orthosys.integrate_rows).  This module alone keeps the
+tower and the lifted Pearson verdict (level_pearson_check) and decides
+the guard, and characterize's checkers read them here; it imports
+nothing from characterize, and orthosys never imports it.
 """
 
 from __future__ import annotations
 
+import weakref
+from dataclasses import dataclass
+from fractions import Fraction
 from math import lcm
 
-from . import characterize as ch
-from .matpoly import _echelon
+from .basisops import n_rows
+from .matpoly import PolyMatrix, _echelon
 from .orthosys import OrthoSystem, _coded, _g_lead_step, g_lead_rows, hankel_table
+from .polycore import ZERO, from_numerators
+from .weights import WeightFamily, check_pearson, check_phi_conditions, grad_cols
+
+
+@dataclass(frozen=True)
+class PsiLevel:
+    """Level m of the drift tower: the popcount class sums of psi_1 and psi_2.
+
+    (c) and (d) read only row 2^s - 1 of each 2^m x 2^m drift matrix,
+    summed over the columns of each popcount t: the (m+1) x (m+1) class
+    sums Psi~_i[s, t], held once in class_sums = ((rows of psi1, rows of
+    psi2), d).  Rows 3s, 3s + 1 and 3s + 2 hold the x, y and constant
+    coefficients of row s, ints over the tower denominator d (the LCM of
+    the denominators of phi, psi1 and psi2); D's top layer (_d_top)
+    reads their linear part, and the coefficient solve builds their
+    second order operator (_level_operator).  zero_order holds the class
+    sums C~_m of the zero-order term that differentiating the level-0
+    equation m times produces, C_0 = 0 and C_m = I_2 (x) C_(m-1) + [d_k
+    Psi_i^(m-1)]_(k,i) (outer block index k the newest derivative), as
+    (m+1) x (m+1) int rows over the tower denominator
+    (_next_zero_order); zero_order_scalar reads c_m off them where C~_m
+    = c_m I (characterize._lambda).
+
+    The tower is psi_i^(m) = I_2 (x) psi_i^(m-1) + G (x) I_h, h =
+    2^(m-1), G = grad(column i of phi), so with e_t the t-th unit row
+    (_next_sums): for s < m, row s is row s of level m - 1 plus G[0][0]
+    e_s + G[0][1] e_(s+1); row m is row m - 1 of level m - 1 shifted one
+    column right, plus G[1][0] e_(m-1) + G[1][1] e_m.  This holds as row
+    2^s - 1 of level m is row (a, r) of the doubled matrix, a = [s = m],
+    r = 2^(s-a) - 1.  Block a moves that row's columns by a h, which adds
+    a to their popcount; increment slot (a, b) lands at column b h + r,
+    whose popcount is b + s - a.
+    """
+
+    class_sums: tuple
+    zero_order: list
+
+    def zero_order_scalar(self):
+        """c_m as a Fraction where C~_m = c_m I, else None."""
+        rows, d = self.zero_order, self.class_sums[1]
+        c = rows[0][0]
+        if any(v != (s == t) * c for s, row in enumerate(rows) for t, v in enumerate(row)):
+            return None
+        return Fraction(c, d)
+
+
+@dataclass(frozen=True)
+class PsiTower:
+    """The drift tower's levels 0 .. depth, phi's quadratic part and lemma2's verdict.
+
+    levels[m] is level m (PsiLevel), each built once per family
+    (psi_tower); quad[i][t] holds the x^2, xy and y^2 coefficients of
+    phi[min(i, t), max(i, t)], ints over the tower denominator, which D's
+    top layer (_d_top) and lemma2's closed form (_increments) read: both
+    off-diagonal entries read phi[0, 1], as _level_operator does, so
+    _op_top is op_m's top layer on any phi; closed_form_ok is lemma2 at every level m >= 1 (True at depth 0).
+    """
+
+    levels: tuple
+    quad: list
+    closed_form_ok: bool
+
+    @property
+    def depth(self) -> int:
+        return len(self.levels) - 1
+
+    def level(self, m: int) -> PsiLevel:
+        return self.levels[m]
+
+
+def _linear_ints(p, d: int) -> tuple:
+    """The x, y and constant coefficients of p, of degree at most one, as ints over d."""
+    if p.total_degree > 1:
+        raise ValueError("drift entry of degree above one")
+    return tuple(p.num.get(e, 0) * (d // p.den) for e in ((1, 0), (0, 1), (0, 0)))
+
+
+def _next_sums(prev: list, inc, m: int) -> list:
+    """Level m's class sum rows of one drift matrix from level m - 1's (PsiLevel).
+
+    inc[a][b] holds the x, y and constant ints of block (a, b) of the
+    2 x 2 increment.
+    """
+    out = []
+    for s in range(m + 1):
+        a = int(s == m)
+        for k in range(3):
+            row = [0] + prev[3 * (s - 1) + k] if a else prev[3 * s + k] + [0]
+            for b in (0, 1):
+                row[s - a + b] += inc[a][b][k]
+            out.append(row)
+    return out
+
+
+def _next_zero_order(prev: list, sums: tuple, m: int) -> list:
+    """Level m's class sums of C_m from level m - 1's C~ and drift class sums (PsiLevel).
+
+    With the row and column bookkeeping of _next_sums, block (a, a) of
+    I_2 (x) C_(m-1) gives row s, a = [s = m], row s - a of C~_(m-1)
+    moved a columns right, and block (a, b) = d_a Psi_b^(m-1) gives the
+    x_a coefficients of row s - a of Psi~_b^(m-1) moved b columns right.
+    """
+    out = []
+    for s in range(m + 1):
+        a = int(s == m)
+        row = [0] + prev[s - 1] if a else prev[s] + [0]
+        for b in (0, 1):
+            for t, v in enumerate(sums[b][3 * (s - a) + a]):
+                row[t + b] += v
+        out.append(row)
+    return out
+
+
+def _increments(f: WeightFamily, d: int, quad: list):
+    """The 2 x 2 increments of psi_1 and psi_2 by the recurrence and by the closed form.
+
+    (grad, closed): grad[i][a][b] holds the x, y and constant ints over d
+    of d_a phi[b, i], entry (a, b) of grad(column i of phi); closed[i][a][b]
+    the same ints as N(2, a + 1) times the quadratic coefficient column
+    quad[i][b] (PsiTower) of phi[min(i, b), max(i, b)] and its x_a coefficient.
+    """
+    grads = (grad_cols(f.phi[0, i], f.phi[1, i]) for i in (0, 1))
+    grad = [[[_linear_ints(g[a, b], d) for b in (0, 1)] for a in (0, 1)] for g in grads]
+    band = [n_rows(2, h) for h in (1, 2)]
+    closed = [[[(*(sum(c * q for c, q in zip(row, quad[i][b])) for row in band[a]),
+                 p.num.get(e, 0) * (d // p.den)) for b, p in enumerate((f.phi[0, i], f.phi[i, 1]))]
+               for a, e in enumerate(((1, 0), (0, 1)))] for i in (0, 1)]
+    return grad, closed
+
+
+def _level_operator(f: WeightFamily, class_sums, m: int) -> PolyMatrix:
+    """The level-m operator on distinct rows, an (m+1) x (2m+5) polynomial matrix.
+
+    op_m = phi11 dxx + 2 phi12 dxy + phi22 dyy + psi1 dx + psi2 dy maps
+    Q = q(n, m) to an image whose row r depends only on popcount(r)
+    (characterize.lambda_via_operator, whose solve alone builds it).  For
+    S = q_rows(n, m), rows s, s + 1 and s + 2 of q_rows(n - 2, m + 2) are
+    row s of S_xx, S_xy and S_yy, and rows t and t + 1 of q_rows(n - 1,
+    m + 1) are row t of S_x and S_y.
+    Row r of psi_i Q_x is sum_c psi_i[r, c] S_x[popcount c], so with
+    Psi_i[s, t] the level's class sums (PsiLevel), row 2^s - 1 of op_m(Q)
+    is row s of this matrix times [q_rows(n - 2, m + 2); q_rows(n - 1,
+    m + 1)]: phi11, 2 phi12 and phi22 in columns s, s + 1 and s + 2, and
+    Psi_1[s, t] + Psi_2[s, t - 1] in column m + 3 + t.
+    """
+    ds, d = class_sums
+    rows = []
+    for s in range(m + 1):
+        row = [ZERO] * (m + 3)
+        row[s:s + 3] = f.phi[0, 0], f.phi[0, 1] * 2, f.phi[1, 1]
+        sums = [[u + v for u, v in zip(r1 + [0], [0] + r2)]
+                for r1, r2 in zip(ds[0][3 * s:3 * s + 3], ds[1][3 * s:3 * s + 3])]
+        rows.append(row + [from_numerators({(1, 0): x, (0, 1): y, (0, 0): c}, d)
+                           for x, y, c in zip(*sums)])
+    return PolyMatrix.from_rows(rows)
+
+
+# family -> the deepest drift tower built for it; a family is compared by identity
+_TOWERS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def psi_tower(f: WeightFamily, mmax: int) -> PsiTower:
+    """Drift matrices for every stack level 0 .. mmax, or deeper.
+
+    Every level is the class sums of the doubling recurrence psi_i ->
+    I_2 (x) psi_i + grad(column i of the weight matrix) (x) I (PsiLevel)
+    and keeps the class sums of its zero-order term (_next_zero_order).
+    lemma2's closed form lifts the same previous level by N(2, h) times
+    the quadratic coefficient column (PsiTower.quad, read through
+    basisops.n_rows) and the linear coefficients instead.  The doubling
+    adds every increment slot in some row, so the two lifts agree at
+    every level m >= 1 iff the increments do (_increments): lemma2 is
+    one comparison, closed_form_ok.  Only level 0 (psi) and level 1 (phi)
+    can raise, so psi_tower(f, 1) raises exactly when a deeper build does,
+    with the same message.  The tower depends only on the family, so one
+    is kept for it and returned to every caller that asks for no more
+    levels; a deeper call extends it from its last level, so each level
+    is built once per family.  Level 0 is kept once built, and an
+    extension that raises keeps the levels below it.
+    """
+    if mmax < 0:
+        raise ValueError("mmax must be nonnegative")
+    known = _TOWERS.get(f)
+    if known is None:
+        d = lcm(*(p.den for p in (f.phi[0, 0], f.phi[0, 1], f.phi[1, 1], f.psi1, f.psi2)))
+        sums = (tuple([[v] for v in _linear_ints(p, d)] for p in (f.psi1, f.psi2)), d)
+        quad = [[[p.num.get(e, 0) * (d // p.den) for e in ((2, 0), (1, 1), (0, 2))]
+                 for p in (f.phi[0, i], f.phi[i, 1])] for i in (0, 1)]
+        known = _TOWERS[f] = PsiTower((PsiLevel(sums, [[0]]),), quad, True)
+    if known.depth >= mmax:
+        return known
+    levels, quad = list(known.levels), known.quad
+    d = levels[0].class_sums[1]
+    grad, closed = _increments(f, d, quad)  # a weight entry of degree above two raises here
+    for m in range(len(levels), mmax + 1):
+        prev = levels[m - 1]
+        ds = prev.class_sums[0]
+        levels.append(PsiLevel((tuple(_next_sums(ds[i], grad[i], m) for i in (0, 1)), d),
+                               _next_zero_order(prev.zero_order, ds, m)))
+    tower = _TOWERS[f] = PsiTower(tuple(levels), quad, grad == closed)
+    return tower
+
+
+def level_pearson_check(f: WeightFamily, m: int) -> bool:
+    """The Kronecker power weight solves the level-m Pearson equation.
+
+    The statement, cleared like every density-divided identity
+    (cleared_divergence), is cleared_divergence(f, phi^(x)(m+1)) ==
+    delta phi^(x)m [Psi_1 | Psi_2], Psi_i the drift tower's level m (a
+    tower that cannot be built raises here; psi_tower raises at level 1
+    or not at all).  With E_i and P_i the residuals of check_pearson and
+    check_phi_conditions for column i, it is E_i = 0 at m = 0 and
+    m delta P_i + E_i phi = 0, i = 1, 2, for m >= 1:
+    1. By Leibniz, column block i of the left side is c_i Phi_m + delta
+       D_i Phi_m, c = cleared_divergence(f, phi), Phi_m = phi^(x)m and
+       D_i = phi_1i dx + phi_2i dy.
+    2. The tower's recurrence is Psi_i^(m) = I_2 (x) Psi_i^(m-1) + G_i (x) I,
+       G_i = grad_cols(phi_1i, phi_2i) (PsiLevel), so the residual of block
+       i is R_m = phi (x) R_(m-1) + delta P_i (x) Phi_(m-1), R_0 = E_i,
+       that is R_m = E_i Phi_m + delta sum_k Phi_k (x) P_i (x) Phi_(m-1-k).
+    3. If phi != 0, apply a linear functional l with l(phi) = 1 to every
+       slot but one: R_m = 0 forces P_i = lambda phi, and then R_m =
+       (E_i + m delta lambda) Phi_m, zero iff m delta P_i + E_i phi = 0.
+    4. If phi = 0, both sides vanish.
+    5. Row i of P_i is zero for symmetric phi: its entry (i, c) is
+       sum_k phi_ki dk phi_ic - sum_k phi_ik dk phi_ci.  So row i of the
+       identity reads E_i (row i of phi) = 0.  If E_i = 0, then P_i = 0
+       (m >= 1, delta != 0); else column i of phi, and with it P_i, is
+       zero, and E_i phi = 0 forces phi = 0.
+    So at every m >= 1 the check is phi = 0, or Pearson and
+    phi_conditions (phi's columns commute as vector fields) both hold.
+    """
+    psi_tower(f, min(m, 1))
+    if m == 0:
+        return check_pearson(f)
+    return f.phi.is_zero or (check_pearson(f) and check_phi_conditions(f))
+
+
+def _lifted_pearson(sys: OrthoSystem, m: int) -> bool:
+    """level_pearson_check at level m, memoised on the system.
+
+    check_pearson at m = 0; one verdict for every m >= 1, where the
+    lifted equation is level-free.
+    """
+    k = min(m, 1)
+    return sys.cached(("pearson", k), lambda: level_pearson_check(sys.family, k))
 
 
 def _functional_pearson(sys: OrthoSystem, top: int | None = None) -> bool:
@@ -148,7 +397,7 @@ def _by_parts(sys: OrthoSystem, top: int, steps: int) -> bool:
                 steps == 1 or phi.degree == 2)) and phi[0, 1] == phi[1, 0]):
             return False
         try:
-            return (ch._lifted_pearson(sys, 0) and (steps < 2 or ch._lifted_pearson(sys, 1))
+            return (_lifted_pearson(sys, 0) and (steps < 2 or _lifted_pearson(sys, 1))
                     and _functional_pearson(sys, max(2 * top - 1, 2 * big - 2)))
         except ValueError:
             return False
@@ -162,21 +411,6 @@ def _levels_by_parts(sys: OrthoSystem, n: int, m: int) -> bool:
     check_b asks it at (n, m), lambda_via_operator at (n - 1, 1).
     """
     return bool(m) and n + m < sys.nmax and _by_parts(sys, n + m, m)
-
-
-def _quad_ints(sys: OrthoSystem) -> list:
-    """quad[i][t]: the x^2, xy and y^2 coefficients of phi[i, t], ints over the tower denominator.
-
-    Memoised on the system.  Both off-diagonal entries read phi[0, 1], as
-    characterize._level_operator does, so _op_top is op_m's top layer on
-    any phi; the guard admits a symmetric one only.
-    """
-    def make():
-        f = sys.family
-        d = ch.psi_tower(f, 0).level(0).class_sums[1]
-        return [[[p.num.get(e, 0) * (d // p.den) for e in ((2, 0), (1, 1), (0, 2))]
-                 for p in (f.phi[min(i, t), max(i, t)] for t in (0, 1))] for i in (0, 1)]
-    return sys.cached(("quad",), make)
 
 
 def _g_lead(sys: OrthoSystem, n: int, m: int) -> list:
@@ -198,7 +432,7 @@ def _d_top(halves, p: int, sums, quad, cols: int) -> list:
         (D b)[s] = sum_t (sum_u Psi~_t[s, u] b_t[u] + sum_i phi_it d_i b_t[s]),
 
     Psi~ the level's class sums (sums, PsiLevel.class_sums rows) and
-    quad[i][t] phi_it's quadratic part (_quad_ints), all ints over the
+    quad[i][t] phi_it's quadratic part (PsiTower.quad), all ints over the
     tower denominator: row 2^s - 1 summed over the columns of each
     popcount is every row of popcount s, the level being symmetric under
     slot permutations.  x, y, x^2, xy and y^2 shift a layer's rows by 0,
@@ -245,20 +479,20 @@ def _op_top(sys: OrthoSystem, n: int, m: int):
     if not m:
         top, d, _ = _t_block(sys, n - 1, 1)
         return top, d
-    sums, d = ch.psi_tower(sys.family, m).level(m).class_sums
+    tower = psi_tower(sys.family, m)
+    sums, d = tower.level(m).class_sums
     low = _g_lead(sys, n - 1, m + 1)
     layers = [low[s * n:(s + 1) * n] for s in range(m + 2)]
-    top = _d_top((layers[:m + 1], layers[1:]), n - 1, sums, _quad_ints(sys), n + m + 1)
+    top = _d_top((layers[:m + 1], layers[1:]), n - 1, sums, tower.quad, n + m + 1)
     return [row for layer in top for row in layer], d
 
 
 def _top_layer(sys: OrthoSystem, layers: list, p: int, j: int, cols: int) -> list:
     """D^j's top layer applied to the distinct-row layers of a level-j vector of degree p."""
-    tower = ch.psi_tower(sys.family, max(j - 1, 0))
-    quad = _quad_ints(sys)
+    tower = psi_tower(sys.family, max(j - 1, 0))
     for level in range(j, 0, -1):
         layers = _d_top((layers[:level], layers[1:]), p, tower.level(level - 1).class_sums[0],
-                        quad, cols)
+                        tower.quad, cols)
         p += 1
     [top] = layers
     return top
@@ -294,7 +528,7 @@ def _t_block(sys: OrthoSystem, k: int, m: int):
         g = _g_lead(sys, k, m)
         top = _top_layer(sys, [g[s * (k + 1):(s + 1) * (k + 1)] for s in range(m + 1)],
                          k, m, cols)
-        d = ch.psi_tower(sys.family, 0).level(0).class_sums[1] ** m
+        d = psi_tower(sys.family, 0).level(0).class_sums[1] ** m
         return top, d, len(_echelon([row[:] for row in top], cols)[1]) == cols
     return sys.cached(("T", k, m), make)
 
@@ -310,8 +544,8 @@ def _l_pair(sys: OrthoSystem, n: int, m: int) -> list:
     """
     g = _g_lead(sys, n - 1, m)
     low = [g[s * n:(s + 1) * n] for s in range(m + 1)]
-    sums = ch.psi_tower(sys.family, m).level(m).class_sums[0]
-    one, two = (_d_top(halves, n - 1, sums, _quad_ints(sys), n + m)
+    tower = psi_tower(sys.family, m)
+    one, two = (_d_top(halves, n - 1, tower.level(m).class_sums[0], tower.quad, n + m)
                 for halves in ((low, None), (None, low)))
     first = [[a + b for a, b in zip(u, v)] for u, v in zip(one, two)]
     return _top_layer(sys, first, n, m, 2 * (n + m))

@@ -28,14 +28,14 @@ move to it, and only then is numpy imported, so exact cells never load
 it.  The weight density itself is never materialized; identities
 involving it are divided through and cleared to polynomial statements
 using the family's logarithmic gradient.  The drift tower that (c) and
-(d) read depends only on the family, so psi_tower keeps one per family
-and extends it from its last level, building each level once; the
-checkers, and (b)'s and (e)'s by-parts guard, look it up themselves.
-Each level holds only the popcount class sums of its two drift
-matrices, ints over one denominator, the only form (c) and (d) read.
-lemma2 and (b)'s lifted Pearson equation are decided once per family,
-by proof (psi_tower, level_pearson_check), so neither reads a level
-above 1 and no exact run forms a Kronecker power.  The level-m
+(d) read holds the by-parts operator's coefficients and depends only
+on the family, so byparts keeps one per family (psi_tower) and extends
+it from its last level, building each level once; the checkers look it
+up there.  Each level holds only the popcount class sums of its two
+drift matrices, ints over one denominator, the only form (c) and (d)
+read.  lemma2 and (b)'s lifted Pearson equation are decided once per
+family, by proof (byparts.level_pearson_check), so neither reads a
+level above 1 and no exact run forms a Kronecker power.  The level-m
 eigenvalue systems behind (c), (d) and rodrigues_reconstruct are
 solved on the m + 1 distinct rows of each gradient stack, never on all
 2^m: every other row repeats one of them.  On a build_monic system
@@ -63,12 +63,21 @@ with no moment contraction; elsewhere they are integrated.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .basisops import identity_suite, n_rows
+from .basisops import identity_suite
+from .byparts import (
+    _e_by_parts,
+    _g_lead,
+    _level_operator,
+    _levels_by_parts,
+    _lifted_pearson,
+    _op_top,
+    _t_block,
+    psi_tower,
+)
 from .matpoly import (
     InconsistentSystemError,
     PolyMatrix,
@@ -95,7 +104,7 @@ from .orthosys import (
     integrate_rows,
     row_halves,
 )
-from .polycore import ONE, ZERO, from_numerators
+from .polycore import ONE
 from .weights import (
     InvalidParameterError,
     OracleUnavailableError,
@@ -104,7 +113,6 @@ from .weights import (
     check_phi_conditions,
     check_quadrature_domain,
     cleared_divergence,
-    grad_cols,
     make_quadrature,
 )
 
@@ -151,206 +159,6 @@ def _report(prop, family, n, m, ok, mode="exact", residual=0.0,
             tolerance=0.0, notes=""):
     return PropertyReport(prop, family, n, m, "pass" if ok else "fail",
                           float(residual), float(tolerance), mode, notes)
-
-
-# ---------------------------------------------------------------------------
-# the drift tower: lifted first order coefficients at every stack level
-
-
-@dataclass(frozen=True)
-class PsiLevel:
-    """Level m of the drift tower: the popcount class sums of psi_1 and psi_2.
-
-    (c) and (d) read only row 2^s - 1 of each 2^m x 2^m drift matrix,
-    summed over the columns of each popcount t: the (m+1) x (m+1) class
-    sums Psi~_i[s, t], held once in class_sums = ((rows of psi1, rows of
-    psi2), d).  Rows 3s, 3s + 1 and 3s + 2 hold the x, y and constant
-    coefficients of row s, ints over the tower denominator d (the LCM of
-    the denominators of phi, psi1 and psi2).  op_rows is the level's
-    second order operator on the m + 1 distinct rows of a stack
-    (_level_operator).  zero_order holds the class sums C~_m of the
-    zero-order term that differentiating the level-0 equation m times
-    produces, C_0 = 0 and C_m = I_2 (x) C_(m-1) + [d_k Psi_i^(m-1)]_(k,i)
-    (outer block index k the newest derivative), as (m+1) x (m+1) int
-    rows over the tower denominator (_next_zero_order); zero_order_scalar
-    reads c_m off them where C~_m = c_m I (_lambda).
-
-    The tower is psi_i^(m) = I_2 (x) psi_i^(m-1) + G (x) I_h, h =
-    2^(m-1), G = grad(column i of phi), so with e_t the t-th unit row
-    (_next_sums): for s < m, row s is row s of level m - 1 plus G[0][0]
-    e_s + G[0][1] e_(s+1); row m is row m - 1 of level m - 1 shifted one
-    column right, plus G[1][0] e_(m-1) + G[1][1] e_m.  This holds as row
-    2^s - 1 of level m is row (a, r) of the doubled matrix, a = [s = m],
-    r = 2^(s-a) - 1.  Block a moves that row's columns by a h, which adds
-    a to their popcount; increment slot (a, b) lands at column b h + r,
-    whose popcount is b + s - a.
-    """
-
-    class_sums: tuple
-    op_rows: PolyMatrix
-    zero_order: list
-
-    def zero_order_scalar(self):
-        """c_m as a Fraction where C~_m = c_m I, else None."""
-        rows, d = self.zero_order, self.class_sums[1]
-        c = rows[0][0]
-        if any(v != (s == t) * c for s, row in enumerate(rows) for t, v in enumerate(row)):
-            return None
-        return Fraction(c, d)
-
-
-@dataclass(frozen=True)
-class PsiTower:
-    """The drift tower's levels 0 .. depth and lemma2's verdict.
-
-    levels[m] is level m (PsiLevel), each built once per family
-    (psi_tower); closed_form_ok is lemma2 at every level m >= 1 (True at
-    depth 0).
-    """
-
-    levels: tuple
-    closed_form_ok: bool
-
-    @property
-    def depth(self) -> int:
-        return len(self.levels) - 1
-
-    def level(self, m: int) -> PsiLevel:
-        return self.levels[m]
-
-
-def _linear_ints(p, d: int) -> tuple:
-    """The x, y and constant coefficients of p, of degree at most one, as ints over d."""
-    if p.total_degree > 1:
-        raise ValueError("drift entry of degree above one")
-    return tuple(p.num.get(e, 0) * (d // p.den) for e in ((1, 0), (0, 1), (0, 0)))
-
-
-def _next_sums(prev: list, inc, m: int) -> list:
-    """Level m's class sum rows of one drift matrix from level m - 1's (PsiLevel).
-
-    inc[a][b] holds the x, y and constant ints of block (a, b) of the
-    2 x 2 increment.
-    """
-    out = []
-    for s in range(m + 1):
-        a = int(s == m)
-        for k in range(3):
-            row = [0] + prev[3 * (s - 1) + k] if a else prev[3 * s + k] + [0]
-            for b in (0, 1):
-                row[s - a + b] += inc[a][b][k]
-            out.append(row)
-    return out
-
-
-def _next_zero_order(prev: list, sums: tuple, m: int) -> list:
-    """Level m's class sums of C_m from level m - 1's C~ and drift class sums (PsiLevel).
-
-    With the row and column bookkeeping of _next_sums, block (a, a) of
-    I_2 (x) C_(m-1) gives row s, a = [s = m], row s - a of C~_(m-1)
-    moved a columns right, and block (a, b) = d_a Psi_b^(m-1) gives the
-    x_a coefficients of row s - a of Psi~_b^(m-1) moved b columns right.
-    """
-    out = []
-    for s in range(m + 1):
-        a = int(s == m)
-        row = [0] + prev[s - 1] if a else prev[s] + [0]
-        for b in (0, 1):
-            for t, v in enumerate(sums[b][3 * (s - a) + a]):
-                row[t + b] += v
-        out.append(row)
-    return out
-
-
-def _increments(f: WeightFamily, d: int):
-    """The 2 x 2 increments of psi_1 and psi_2 by the recurrence and by the closed form.
-
-    (grad, closed): grad[i][a][b] holds the x, y and constant ints over d
-    of d_a phi[b, i], entry (a, b) of grad(column i of phi); closed[i][a][b]
-    the same ints as N(2, a + 1) times the entry's quadratic coefficient
-    column (x^2, xy, y^2) and its x_a coefficient.
-    """
-    grads = (grad_cols(f.phi[0, i], f.phi[1, i]) for i in (0, 1))
-    grad = [[[_linear_ints(g[a, b], d) for b in (0, 1)] for a in (0, 1)] for g in grads]
-    # the x^2, xy, y^2, x and y coefficients of the three distinct entries
-    coeffs = [[p.num.get(e, 0) * (d // p.den) for e in ((2, 0), (1, 1), (0, 2), (1, 0), (0, 1))]
-              for p in (f.phi[0, 0], f.phi[0, 1], f.phi[1, 1])]
-    band = [n_rows(2, h) for h in (1, 2)]
-    closed = [[[(*(sum(c * q for c, q in zip(row, cs[:3])) for row in band[a]), cs[3 + a])
-                for cs in coeffs[i:i + 2]] for a in (0, 1)] for i in (0, 1)]
-    return grad, closed
-
-
-def _level_operator(f: WeightFamily, class_sums, m: int) -> PolyMatrix:
-    """The level-m operator on distinct rows, an (m+1) x (2m+5) polynomial matrix.
-
-    op_m = phi11 dxx + 2 phi12 dxy + phi22 dyy + psi1 dx + psi2 dy maps
-    Q = q(n, m) to an image whose row r depends only on popcount(r)
-    (see lambda_via_operator).  For S = q_rows(n, m), rows s, s + 1 and
-    s + 2 of q_rows(n - 2, m + 2) are row s of S_xx, S_xy and S_yy, and
-    rows t and t + 1 of q_rows(n - 1, m + 1) are row t of S_x and S_y.
-    Row r of psi_i Q_x is sum_c psi_i[r, c] S_x[popcount c], so with
-    Psi_i[s, t] the level's class sums (PsiLevel), row 2^s - 1 of op_m(Q)
-    is row s of this matrix times [q_rows(n - 2, m + 2); q_rows(n - 1,
-    m + 1)]: phi11, 2 phi12 and phi22 in columns s, s + 1 and s + 2, and
-    Psi_1[s, t] + Psi_2[s, t - 1] in column m + 3 + t.
-    """
-    ds, d = class_sums
-    rows = []
-    for s in range(m + 1):
-        row = [ZERO] * (m + 3)
-        row[s:s + 3] = f.phi[0, 0], f.phi[0, 1] * 2, f.phi[1, 1]
-        sums = [[u + v for u, v in zip(r1 + [0], [0] + r2)]
-                for r1, r2 in zip(ds[0][3 * s:3 * s + 3], ds[1][3 * s:3 * s + 3])]
-        rows.append(row + [from_numerators({(1, 0): x, (0, 1): y, (0, 0): c}, d)
-                           for x, y, c in zip(*sums)])
-    return PolyMatrix.from_rows(rows)
-
-
-# family -> the deepest drift tower built for it; a family is compared by identity
-_TOWERS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def psi_tower(f: WeightFamily, mmax: int) -> PsiTower:
-    """Drift matrices for every stack level 0 .. mmax, or deeper.
-
-    Every level is the class sums of the doubling recurrence psi_i ->
-    I_2 (x) psi_i + grad(column i of the weight matrix) (x) I (PsiLevel)
-    and keeps its second order operator on distinct rows
-    (_level_operator) and the class sums of its zero-order term
-    (_next_zero_order).  lemma2's closed form lifts the same previous
-    level by N(2, h) times the quadratic coefficient column (read through
-    basisops.n_rows) and the linear coefficients instead.  The doubling
-    adds every increment slot in some row, so the two lifts agree at
-    every level m >= 1 iff the increments do (_increments): lemma2 is
-    one comparison, closed_form_ok.  Only level 0 (psi) and level 1 (phi)
-    can raise, so psi_tower(f, 1) raises exactly when a deeper build does,
-    with the same message.  The tower depends only on the family, so one
-    is kept for it and returned to every caller that asks for no more
-    levels; a deeper call extends it from its last level, so each level
-    is built once per family.  Level 0 is kept once built, and an
-    extension that raises keeps the levels below it.
-    """
-    if mmax < 0:
-        raise ValueError("mmax must be nonnegative")
-    known = _TOWERS.get(f)
-    if known is None:
-        d = lcm(*(p.den for p in (f.phi[0, 0], f.phi[0, 1], f.phi[1, 1], f.psi1, f.psi2)))
-        sums = (tuple([[v] for v in _linear_ints(p, d)] for p in (f.psi1, f.psi2)), d)
-        known = _TOWERS[f] = PsiTower((PsiLevel(sums, _level_operator(f, sums, 0), [[0]]),), True)
-    if known.depth >= mmax:
-        return known
-    levels = list(known.levels)
-    d = levels[0].class_sums[1]
-    grad, closed = _increments(f, d)  # a weight entry of degree above two raises here
-    for m in range(len(levels), mmax + 1):
-        prev = levels[m - 1]
-        ds = prev.class_sums[0]
-        sums = (tuple(_next_sums(ds[i], grad[i], m) for i in (0, 1)), d)
-        levels.append(PsiLevel(sums, _level_operator(f, sums, m),
-                               _next_zero_order(prev.zero_order, ds, m)))
-    tower = _TOWERS[f] = PsiTower(tuple(levels), grad == closed)
-    return tower
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +236,8 @@ def lambda_via_operator(sys: OrthoSystem, n: int, m: int) -> PolyMatrix:
     hand-built system, whose columns need not be monic, runs the solve.
 
     The solve runs on the m + 1 distinct rows S = q_rows(n, m) of Q, the
-    image from the rows one and two levels up (_level_operator).  Row r of
+    image from the rows one and two levels up through the level's
+    operator (byparts._level_operator), built here alone.  Row r of
     op(Q) is its row 2^popcount(r) - 1: the second order part acts
     entrywise, and slot k of the drift gives row r the sum over i, b of
     d_(r_k) phi_(b i) times d_i d_b of P_(n+m) differentiated along the
@@ -437,7 +246,6 @@ def lambda_via_operator(sys: OrthoSystem, n: int, m: int) -> PolyMatrix:
     """
     if n < 1 or m < 0:
         raise ValueError("need gradient index n >= 1 and level m >= 0")
-    from .byparts import _levels_by_parts  # imported on first use: byparts imports this module
     if sys.constructed and (m or _levels_by_parts(sys, n - 1, 1)):
         try:
             # a module-global call, so bench/tracing.py's wrapper times it
@@ -449,8 +257,9 @@ def lambda_via_operator(sys: OrthoSystem, n: int, m: int) -> PolyMatrix:
     s = sys.q_rows(n, m)
     # a degree-1 stack has no second derivatives
     second = sys.q_rows(n - 2, m + 2) if n >= 2 else PolyMatrix.zeros(m + 3, s.cols)
-    op, rhs = psi_tower(sys.family, m).level(m).op_rows, vstack(second, sys.q_rows(n - 1, m + 1))
-    return _solve_constant_right_factor(s, -(op @ rhs))
+    f = sys.family
+    op = _level_operator(f, psi_tower(f, m).level(m).class_sums, m)
+    return _solve_constant_right_factor(s, -(op @ vstack(second, sys.q_rows(n - 1, m + 1))))
 
 
 def lambda_via_formula(f: WeightFamily | OrthoSystem, n: int, m: int) -> PolyMatrix:
@@ -471,8 +280,8 @@ def lambda_via_formula(f: WeightFamily | OrthoSystem, n: int, m: int) -> PolyMat
     popcount(r), so the dropped equations repeat kept ones.
 
     Solvability.  For m >= 1 the system solves iff the level's
-    zero-order class sums C~_m are c I (PsiLevel), and then L = L_0 + c
-    I, L_0 = lambda_via_formula(f, n + m, 0).  The top homogeneous parts
+    zero-order class sums C~_m are c I (byparts.PsiLevel), and then L =
+    L_0 + c I, L_0 = lambda_via_formula(f, n + m, 0).  The top homogeneous parts
     of phi and psi give op_0's top layer, X_N^t M on forms of degree N =
     n + m, and grad^m op_0 = (op_m + C_m) grad^m (_lambda) holds for it
     with the same constant C_m, so G L = -T G reads G (L + M) = (C~_m (x)
@@ -514,7 +323,6 @@ def lambda_via_formula(f: WeightFamily | OrthoSystem, n: int, m: int) -> PolyMat
     """
     if n < 1 or m < 0:
         raise ValueError("need gradient index n >= 1 and level m >= 0")
-    from .byparts import _g_lead, _op_top  # imported on first use: byparts imports this module
     sys = f if isinstance(f, OrthoSystem) else OrthoSystem(f, ())
     top, d = _op_top(sys, n, m)
     neg = [[-v for v in row] for row in top]
@@ -531,7 +339,7 @@ def _lambda(sys: OrthoSystem, n: int, m: int) -> PolyMatrix:
     For m >= 1 it is read off level 0 where the level's zero-order term
     is a scalar: Lambda(n, m) = Lambda(n + m, 0) + c_m I.  Differentiating
     op_0(P_(n+m)^t) + P_(n+m)^t L = 0 m times gives op_m(Q) + C_m Q + Q L
-    = 0 for Q = q(n, m), C_m the constant zero-order term (PsiLevel): by
+    = 0 for Q = q(n, m), C_m the constant zero-order term (byparts.PsiLevel): by
     induction, differentiate op_(m-1)(Q') + C_(m-1) Q' + Q' L = 0, Q' =
     q(n + 1, m - 1), along the newest slot k.  The derivatives of phi's
     entries are the tower's new drift increments grad(column i of phi)
@@ -595,51 +403,6 @@ def check_a(f: WeightFamily) -> PropertyReport:
 # property (b): orthogonal stacks and the lifted Pearson equation
 
 
-def level_pearson_check(f: WeightFamily, m: int) -> bool:
-    """The Kronecker power weight solves the level-m Pearson equation.
-
-    The statement, cleared like every density-divided identity
-    (cleared_divergence), is cleared_divergence(f, phi^(x)(m+1)) ==
-    delta phi^(x)m [Psi_1 | Psi_2], Psi_i the drift tower's level m (a
-    tower that cannot be built raises here; psi_tower raises at level 1
-    or not at all).  With E_i and P_i the residuals of check_pearson and
-    check_phi_conditions for column i, it is E_i = 0 at m = 0 and
-    m delta P_i + E_i phi = 0, i = 1, 2, for m >= 1:
-    1. By Leibniz, column block i of the left side is c_i Phi_m + delta
-       D_i Phi_m, c = cleared_divergence(f, phi), Phi_m = phi^(x)m and
-       D_i = phi_1i dx + phi_2i dy.
-    2. The tower's recurrence is Psi_i^(m) = I_2 (x) Psi_i^(m-1) + G_i (x) I,
-       G_i = grad_cols(phi_1i, phi_2i) (PsiLevel), so the residual of block
-       i is R_m = phi (x) R_(m-1) + delta P_i (x) Phi_(m-1), R_0 = E_i,
-       that is R_m = E_i Phi_m + delta sum_k Phi_k (x) P_i (x) Phi_(m-1-k).
-    3. If phi != 0, apply a linear functional l with l(phi) = 1 to every
-       slot but one: R_m = 0 forces P_i = lambda phi, and then R_m =
-       (E_i + m delta lambda) Phi_m, zero iff m delta P_i + E_i phi = 0.
-    4. If phi = 0, both sides vanish.
-    5. Row i of P_i is zero for symmetric phi: its entry (i, c) is
-       sum_k phi_ki dk phi_ic - sum_k phi_ik dk phi_ci.  So row i of the
-       identity reads E_i (row i of phi) = 0.  If E_i = 0, then P_i = 0
-       (m >= 1, delta != 0); else column i of phi, and with it P_i, is
-       zero, and E_i phi = 0 forces phi = 0.
-    So at every m >= 1 the check is phi = 0, or Pearson and
-    phi_conditions (phi's columns commute as vector fields) both hold.
-    """
-    psi_tower(f, min(m, 1))
-    if m == 0:
-        return check_pearson(f)
-    return f.phi.is_zero or (check_pearson(f) and check_phi_conditions(f))
-
-
-def _lifted_pearson(sys: OrthoSystem, m: int) -> bool:
-    """level_pearson_check at level m, memoised on the system.
-
-    check_pearson at m = 0; one verdict for every m >= 1, where the
-    lifted equation is level-free.
-    """
-    k = min(m, 1)
-    return sys.cached(("pearson", k), lambda: level_pearson_check(sys.family, k))
-
-
 def check_b(sys: OrthoSystem, n: int, m: int, rule=None) -> PropertyReport:
     """Level-m stack orthogonality plus the lifted Pearson equation.
 
@@ -666,7 +429,6 @@ def check_b(sys: OrthoSystem, n: int, m: int, rule=None) -> PropertyReport:
     pearson_ok = _lifted_pearson(sys, m)
     notes = [] if pearson_ok else ["lifted pearson identity fails"]
     if rule is None:
-        from .byparts import _levels_by_parts, _t_block  # byparts imports this module
         if _levels_by_parts(sys, n, m):
             ortho_ok, gram_ok = True, _t_block(sys, n, m)[2]
         else:
@@ -908,7 +670,6 @@ def check_e(sys: OrthoSystem, n: int, m: int, rule=None) -> PropertyReport:
     f = sys.family
     notes = []
     if rule is None:
-        from .byparts import _e_by_parts  # imported on first use: byparts imports this module
         parts = _e_by_parts(sys, n, m)
         if parts is not False:
             return _report("e", f.name, n, m, not parts, notes="; ".join(parts))
@@ -1031,7 +792,7 @@ def verify_all(f: WeightFamily, nmax: int = 4, mmax: int = 2,
     and checker, and the chosen rows' prerequisites are all a run builds
     and checks up front: the drift "tower", built as deep as (c) and (d)
     read it (mmax for (c), nmax - 1 for (d)) and to level 1 for (b) and
-    lemma2, whose verdicts are level-free: level_pearson_check,
+    lemma2, whose verdicts are level-free: byparts.level_pearson_check,
     PsiTower.closed_form_ok; lemma2 keeps one cell per level m = 1 ..
     max(1, mmax, nmax - 1).  (b)'s and (e)'s by-parts operator reads
     levels up to mmax and extends the tower itself (psi_tower); the monic
@@ -1044,7 +805,8 @@ def verify_all(f: WeightFamily, nmax: int = 4, mmax: int = 2,
     after the system.  mode "auto" is exact when the
     family has a moment oracle.  properties is None (every selectable
     token), one token, or a sequence of tokens; "aux" stands for the four
-    structure tokens; an empty sequence raises ValueError.  prop1 runs
+    structure tokens; an empty sequence raises ValueError, and so does a
+    selection with no cell on the grid, (b) alone at mmax = 0.  prop1 runs
     identity_suite once per n, and every cell of that n reads it: each
     identity is decided at level 0 for every m, so no cell draws a
     random matrix and every verdict is a function of the family and the
@@ -1109,6 +871,8 @@ def verify_all(f: WeightFamily, nmax: int = 4, mmax: int = 2,
                    lambda n, m: _report("lemma2", f.name, 0, m, tower.closed_form_ok)),
         "prop1": (grid, "exact", (), prop1),
     }
+    if not any(table[p][0] for p in chosen):  # a run with no cell would pass vacuously
+        raise ValueError(f"no chosen property has a cell on the grid n<={nmax} m<={mmax}")
     needs = {p for prop in chosen for p in table[prop][2]}
     if "rule" in needs:
         floor = nmax + mmax + 2  # without an oracle no system is built to read the rule

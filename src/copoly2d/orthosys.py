@@ -58,7 +58,7 @@ moments once, each block returned as int rows over one denominator.
 It reads each polynomial's stored int numerators and denominator
 directly, so no Fraction is built on the way.  The table depends only
 on the family, so hankel_table keeps the deepest one built for it, as
-characterize.psi_tower keeps the drift tower: the construction, every
+byparts.psi_tower keeps the drift tower: the construction, every
 contraction and the functional Pearson check
 (byparts._functional_pearson) read that one table, each coding
 its polynomials with the stride the table comes with, and an exact run

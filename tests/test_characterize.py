@@ -23,9 +23,9 @@ from test_basisops import random_rational_matrix
 
 from copoly2d import basisops, byparts, characterize, matpoly, orthosys
 from copoly2d.basisops import x_vec
+from copoly2d.byparts import PsiTower, _level_operator, level_pearson_check
 from copoly2d.characterize import (
     AUX_PROPERTIES,
-    PsiTower,
     _solve_constant_right_factor,
     NoConstantSolution,
     PROPERTY_ORDER,
@@ -39,7 +39,6 @@ from copoly2d.characterize import (
     interleaved_det_check,
     lambda_via_formula,
     lambda_via_operator,
-    level_pearson_check,
     psi_tower,
     rodrigues_reconstruct,
     verify_all,
@@ -179,8 +178,8 @@ def test_a_run_converts_each_levels_drift_data_once(monkeypatch):
     # takes them from the kept level: no (n, m) cell builds a level or its
     # rows again, and the tower keeps its levels and lemma2 alone
     made, read = [], []
-    real_level, real_read = characterize.PsiLevel, PsiTower.level
-    monkeypatch.setattr(characterize, "PsiLevel",
+    real_level, real_read = byparts.PsiLevel, PsiTower.level
+    monkeypatch.setattr(byparts, "PsiLevel",
                         lambda *args: made.append(real_level(*args)) or made[-1])
     monkeypatch.setattr(PsiTower, "level",
                         lambda self, m: read.append(real_read(self, m)) or read[-1])
@@ -191,7 +190,8 @@ def test_a_run_converts_each_levels_drift_data_once(monkeypatch):
     assert tower.depth >= 3
     assert [id(level) for level in made] == [id(level) for level in tower.levels]
     assert read and {id(level) for level in read} <= {id(level) for level in made}
-    assert [fld.name for fld in dataclasses.fields(PsiTower)] == ["levels", "closed_form_ok"]
+    assert [fld.name for fld in dataclasses.fields(PsiTower)] == \
+        ["levels", "quad", "closed_form_ok"]
     for m, level in enumerate(tower.levels):
         ds, d = level.class_sums
         assert [len(rows) for rows in ds] == [3 * (m + 1)] * 2, m
@@ -205,8 +205,8 @@ def test_each_tower_level_is_built_once_per_family(monkeypatch, nmax, mmax, prop
     # levels up to m - 1 and (e)'s up to m, one at a time, above the
     # run's up-front build
     made = []
-    real_level = characterize.PsiLevel
-    monkeypatch.setattr(characterize, "PsiLevel",
+    real_level = byparts.PsiLevel
+    monkeypatch.setattr(byparts, "PsiLevel",
                         lambda *args: made.append(real_level(*args)) or made[-1])
     f = builtin("triangle(1,1,1)")
     verify_all(f, nmax=nmax, mmax=mmax, properties=props)
@@ -254,7 +254,7 @@ def test_each_tower_level_holds_its_class_sums_only():
         ds, d = level.class_sums
         assert [len(rows) for rows in ds] == [3 * (m + 1)] * 2, m
         assert {len(row) for rows in ds for row in rows} == {m + 1}, m
-        assert level.op_rows.shape == (m + 1, 2 * m + 5), m
+        assert _level_operator(f, level.class_sums, m).shape == (m + 1, 2 * m + 5), m
         for i, (psi, g) in enumerate(zip((f.psi1, f.psi2), grads)):
             sums = class_sum_view(level, i)
             for s in range(m + 1):
@@ -744,7 +744,7 @@ def _linear_split(mat):
 
 
 def _oracle_level_operator(f, psi1, psi2, m):
-    """PsiLevel.op_rows summed from the polynomial entries of the dense drift matrices."""
+    """byparts._level_operator summed from the polynomial entries of the dense drift matrices."""
     rows = []
     for s in range(m + 1):
         row = [BivariatePoly.zero()] * (2 * m + 5)
@@ -799,12 +799,16 @@ def oracle_psi_tower(f, depth):
 
 def _assert_tower_matches_oracle(f, depth):
     tower = psi_tower(f, depth)
+    # phi's quadratic ints, kept once per family for D's top layer and lemma2
+    d = tower.level(0).class_sums[1]
+    assert tower.quad == [[[f.phi[min(i, t), max(i, t)].coeff(*e) * d
+                            for e in ((2, 0), (1, 1), (0, 2))] for t in (0, 1)] for i in (0, 1)]
     for m, want in enumerate(oracle_psi_tower(f, depth)):
         level = tower.level(m)
         for i in (0, 1):
             got = class_sum_view(level, i)
             assert got == oracle_class_sums(want[f"psi{i + 1}"], m), (m, i)
-        assert level.op_rows == want["op_rows"], m
+        assert _level_operator(f, level.class_sums, m) == want["op_rows"], m
         # the tower's one lemma2 verdict is the oracle's at every level m >= 1
         if m:
             assert tower.closed_form_ok == want["closed_form_ok"], m
@@ -827,7 +831,7 @@ def test_lemma2_fails_under_a_swapped_derivative_matrix(monkeypatch):
     # every level above 0, as in the oracle; product_hermite's weight
     # matrix is constant, so its closed form still holds.  A run reports
     # the lemma2 cells as failed, not as errors.
-    for mod in (basisops, characterize, orthosys):
+    for mod in (basisops, byparts, orthosys):
         if hasattr(mod, "n_rows"):
             monkeypatch.setattr(mod, "n_rows", _n_swapped_at_2)
     tri = builtin("triangle(1,1,1)")
@@ -1618,7 +1622,8 @@ def test_level_image_and_symbol_rows_depend_only_on_popcount(case):
                        for r in range(2 ** m)), (n, m)
             second = sys.q_rows(n - 2, m + 2) if n >= 2 else \
                 PolyMatrix.zeros(m + 3, n + m + 1)
-            rows = psi_tower(f, m).level(m).op_rows @ vstack(second, sys.q_rows(n - 1, m + 1))
+            op = _level_operator(f, psi_tower(f, m).level(m).class_sums, m)
+            rows = op @ vstack(second, sys.q_rows(n - 1, m + 1))
             assert rows == PolyMatrix.from_rows([image.row_list(2 ** s - 1)
                                                  for s in range(m + 1)]), (n, m)
             g = oracle_g_lead(n, m)
@@ -1866,6 +1871,20 @@ def test_verify_all_rejects_an_empty_property_selection(monkeypatch):
             verify_all(f, nmax=2, mmax=1, properties=props)
 
 
+def test_verify_all_rejects_a_selection_with_no_cell_on_the_grid(monkeypatch):
+    # (b) has no cell at m = 0, so b alone at mmax = 0 would check nothing
+    # and pass; it is refused before any build, and a row with cells keeps
+    # the run going
+    f = builtin("product_hermite")
+    reports = verify_all(f, nmax=2, mmax=0, properties=("b", "c"))
+    assert [(r.property, r.n, r.m) for r in reports] == [("c", 1, 0), ("c", 2, 0)]
+    monkeypatch.setattr(characterize, "build_monic", None)
+    for props in ("b", ("b",), ["b", "b"]):
+        with pytest.raises(ValueError, match=r"^no chosen property has a cell on the grid "
+                                             r"n<=2 m<=0$"):
+            verify_all(f, nmax=2, mmax=0, properties=props)
+
+
 def _structural_grid(reports):
     """(property, n, m) -> (status, mode, notes) for the b/c/d/e cells."""
     return {(r.property, r.n, r.m): (r.status, r.mode, r.notes)
@@ -2044,8 +2063,11 @@ def test_verify_all_reads_a_bare_string_as_one_property_token():
 def test_verify_all_builds_the_drift_tower_only_as_deep_as_it_is_read(monkeypatch):
     asked = []
     real = characterize.psi_tower
-    monkeypatch.setattr(characterize, "psi_tower",
-                        lambda f, mmax: asked.append(mmax) or real(f, mmax))
+    # characterize's checkers and byparts' by-parts readers each look the
+    # tower up through their own module global
+    for mod in (characterize, byparts):
+        monkeypatch.setattr(mod, "psi_tower",
+                            lambda f, mmax: asked.append(mmax) or real(f, mmax))
     b_only = verify_all(builtin("triangle(1,1,1)"), nmax=10, mmax=2, properties=("b",))
     assert [(r.n, r.m) for r in b_only] == [(n, m) for n in range(1, 11) for m in (1, 2)]
     assert asked and max(asked) == 1

@@ -388,6 +388,17 @@ def test_an_empty_property_token_exits_2(capsys):
     assert {r["property"] for r in doc["reports"]} == {"a", "lemma1"}
 
 
+def test_a_selection_with_no_cell_on_the_grid_exits_2_with_no_report(tmp_path, capsys):
+    # (b) has no cell at m = 0: an empty report would exit 0 having checked nothing
+    out = tmp_path / "report.json"
+    assert main(["verify", "--family", "product_hermite", "--nmax", "2", "--mmax", "0",
+                 "--properties", "b", "--format", "json", "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == \
+        ("", "copoly2d: no chosen property has a cell on the grid n<=2 m<=0\n")
+    assert not out.exists()
+
+
 def test_decimal_params_are_exact(capsys):
     code = main(["verify", "--family", "product_jacobi",
                  "--params", "0.5,0.5,0.5,0.5", "--nmax", "2", "--mmax", "1",

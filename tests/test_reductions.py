@@ -57,13 +57,13 @@ from test_characterize import (
 
 from copoly2d import byparts, characterize, cli
 from copoly2d.basisops import x_vec
+from copoly2d.byparts import level_pearson_check
 from copoly2d.characterize import (
     NoConstantSolution,
     check_b,
     check_e,
     lambda_via_formula,
     lambda_via_operator,
-    level_pearson_check,
     psi_tower,
     verify_all,
 )
@@ -385,7 +385,10 @@ def test_c_and_d_reports_match_the_direct_routes(ref, monkeypatch):
     f = load_family(DISK) if ref == "disk" else builtin(ref)
     got = _c_d_reports(f)
     monkeypatch.setattr(characterize, "_lambda", _direct_lambda)
-    monkeypatch.setattr(characterize, "_lifted_pearson", lambda sys, m: False)
+    # the guard is read in both modules: characterize's (c)/(d) checkers
+    # and byparts' own _by_parts, so level-0 cells run the coefficient solve
+    for mod in (characterize, byparts):
+        monkeypatch.setattr(mod, "_lifted_pearson", lambda sys, m: False)
     assert got == _c_d_reports(f)
 
 
@@ -410,7 +413,7 @@ def test_disk_reaches_the_divergence_identity_above_level_0(monkeypatch):
 
 def test_b_and_d_read_one_lifted_pearson_verdict_per_level_class(monkeypatch):
     levels = []
-    monkeypatch.setattr(characterize, "level_pearson_check",
+    monkeypatch.setattr(byparts, "level_pearson_check",
                         lambda f, m: levels.append(m) or level_pearson_check(f, m))
     reports = verify_all(builtin("triangle(1,1,1)"), nmax=4, mmax=2, properties=("b", "d"))
     assert all(r.status == "pass" for r in reports)

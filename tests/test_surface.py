@@ -6,13 +6,16 @@ wraps it (test_trace_hooks.HOOKS).  Dunder methods are called by the
 language.  A helper that only tests or demos call fails this test: a
 test builds what it needs from the names that stay.
 
-One boundary is checked too: the by-parts guard has one owner, byparts,
-and only characterize's checkers read it, so no other module imports
-byparts, at module level or inside a function.
+Two boundaries are checked too.  The by-parts guard and the drift tower
+have one owner, byparts, and only characterize's checkers read them, so
+no other module imports byparts, at module level or inside a function.
+And the package's import graph, function-level imports included, has no
+cycle: a format two modules know lives behind one of them.
 """
 from __future__ import annotations
 
 import ast
+import graphlib
 from collections import Counter
 from pathlib import Path
 
@@ -111,3 +114,9 @@ def test_the_import_walk_sees_every_form(tmp_path):
     for stem, text in forms.items():
         (tmp_path / f"{stem}.py").write_text(text)
     assert importers("byparts", tmp_path) == ["a", "b", "c", "d", "e"]
+
+
+def test_the_import_graph_is_acyclic():
+    graph = {path.stem: _imported_modules(ast.parse(path.read_text()))
+             for path in SRC.glob("*.py")}
+    graphlib.TopologicalSorter(graph).prepare()  # CycleError names a cycle
