@@ -9,6 +9,11 @@ the report, or one byte of text fails here and not only in the
 benchmark.  refs.json has no numeric digest, so the sha256 of the five
 seed-0 `--mode numeric` reports is pinned below; numeric mode sums each
 polynomial's terms in stored order, so these also pin the key order.
+Three more numeric reports cover what those five miss: triangle(1,1,1)
+at `--nmax 5 --mmax 3` evaluates level-4 stacks, hermite_laguerre(2) on
+the default grid is an instance the benchmark draws at other seeds, and
+product_jacobi(3/2,3/2,3/2,3/2) at `--quad-order 13` evaluates on 169
+nodes, so the evaluation kernel splits its rows into other blocks.
 The default grid stops at level 2, so the exact reports of the five
 seed-0 instances at `--nmax 5 --mmax 3`, and of triangle(1,1,1) at
 `--nmax 5 --mmax 4`, are pinned too: (e) there reads level-4 and
@@ -84,6 +89,16 @@ NUMERIC_SHA256 = {
     "triangle(1,1,1)": "13288f52485403750cc6a75c3e79a1a6e116e1af98a31594c1126dbe013b7461",
 }
 
+# (name, params, extra CLI arguments, sha256 of the `--mode numeric` report; each exits 1)
+NUMERIC_MORE = [
+    (*SEED0[4], ("--nmax", "5", "--mmax", "3"),
+     "6a9b85ea904852cb35621d295eb6eb4c436dadd1ea188b9f063f7cd8d2864d20"),
+    ("hermite_laguerre", ("2",), (),
+     "431039901d4c1202708a58f40e46f1e95cc23625f247e487682a7aad40294146"),
+    ("product_jacobi", ("3/2",) * 4, ("--quad-order", "13"),
+     "b6ac1d5c77cf0a49ab12d2420019e324e0d61bef5364fe4695826fae01b21098"),
+]
+
 # (name, params, nmax, mmax, exit status, sha256 of the exact `--format json` report)
 DEEP = [
     (*SEED0[0], 5, 3, 0, "8f6edab1b69a9d53349698107137492d7e3179465036dad0529f185729df5897"),
@@ -148,6 +163,14 @@ def test_exact_report_matches_pinned_digest(name, params):
 def test_numeric_report_matches_pinned_digest(name, params):
     _, text = _verify_json(name, params, "--mode", "numeric")
     assert _sha(text) == NUMERIC_SHA256[_key(name, params)]
+
+
+@pytest.mark.parametrize("name, params, extra, sha", NUMERIC_MORE,
+                         ids=[f"{_key(*c[:2])}{''.join(c[2])}" for c in NUMERIC_MORE])
+def test_more_numeric_reports_match_pinned_digests(name, params, extra, sha):
+    status, text = _verify_json(name, params, "--mode", "numeric", *extra)
+    assert status == 1
+    assert _sha(text) == sha
 
 
 @pytest.mark.parametrize("name, params, nmax, mmax, status, sha", DEEP,
