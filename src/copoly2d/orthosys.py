@@ -80,10 +80,14 @@ Numeric mode evaluates polynomial matrices on a quadrature rule's nodes
 through one kernel, a whole matrix per call (eval_entries(m, rule),
 with the rule's node power tables, QuadRule.powers), reading
 each coefficient as the float c / den of its stored numerator and
-denominator; eval_product evaluates a product a @ b from the int sums
-of the product kernel without forming it.  The values are bit-identical
-to summing each entry's terms one at a time in their stored order, so
-numeric reports do not depend on how the evaluation is organised.
+denominator; eval_product hands the kernel the int sums of the product
+kernel and their denominator, so a @ b is evaluated without being
+formed.  The kernel computes each term once: it runs over the term
+slot, on the rows that have a term in that slot, with the rows sorted
+longest first so those rows are a prefix.  The values are
+bit-identical to summing each entry's terms one at a time in their
+stored order, so numeric reports do not depend on how the evaluation
+is organised.
 These numeric functions import numpy where they run; nothing on the
 exact path does, so an exact run never loads it.
 
@@ -276,59 +280,70 @@ def _coded(p: BivariatePoly, d: int, s: int) -> list:
 _EVAL_BLOCK = 1 << 14
 
 
-def _eval_terms(terms, rule: QuadRule) -> np.ndarray:
+def _eval_terms(terms, rule: QuadRule, den: int | None = None) -> np.ndarray:
     """Float values of term-dict polynomials on the rule's nodes, shaped (len(terms), nodes).
 
-    terms[r] maps (i, j) to a coefficient that float() reads exactly
-    as the evaluation should (a Fraction, or a float already rounded).
-    Each nonempty row is bit-identical to the per-term loop
+    terms[r] maps (i, j) to a coefficient: an int numerator read as the
+    float c / den when den is given (int true division, correctly
+    rounded), else a value that float() reads exactly as the evaluation
+    should (a Fraction, or a float already rounded).  Each nonempty row
+    is bit-identical to the per-term loop
     ``total = 0.0 * (x + y); total = total + float(c) * x**i * y**j``
     over its terms in dict order, and an empty row is +0.0.  Both the
     order and the start are part of the output: float addition is not
     associative, so another order moves the last bits of a residual,
     and 0.0 * (x + y) is -0.0 where x + y < 0, so at a node where every
     term is -0.0 the value takes the start's sign.  The loop runs over
-    the term slot k instead of over terms: step k multiplies every
-    row's k-th coefficient by x**i, then by y**j, and adds the result
-    only to the rows that have a k-th term (a masked add; padding with
-    zero terms would turn -0.0 into +0.0).  The node powers are the
-    rule's tables (QuadRule.powers).
+    the term slot k instead of over terms.  The nonempty rows are sorted
+    longest first (a stable sort) and taken in blocks of about
+    _EVAL_BLOCK floats, so the rows of a block that have a k-th term are
+    a prefix of it: step k gathers x**i for that prefix's k-th terms,
+    multiplies by their coefficients, then by y**j, and adds the result
+    to the prefix.  No row computes a term it does not have, and each
+    block's rows are scattered back to their input order.  The node
+    powers are the rule's tables (QuadRule.powers), asked for once, to
+    the call's largest exponent.
     """
     import numpy as np
 
     q = len(rule.nodes_x)
     out = np.zeros((len(terms), q))
+    lens = np.fromiter(map(len, terms), np.intp, len(terms))
+    total = int(lens.sum())
+    if not total:
+        return out
+    order = np.argsort(-lens, kind="stable")[:np.count_nonzero(lens)]
+    lens = lens[order]
+    rows = [terms[r] for r in order.tolist()]
+    exps = np.fromiter(chain.from_iterable(chain.from_iterable(rows)),
+                       np.intp, 2 * total).reshape(total, 2)
+    vals = chain.from_iterable(map(dict.values, rows))
+    cs = np.fromiter(map(float, vals) if den is None else map(den.__rtruediv__, vals),
+                     float, total)
+    xpow, ypow = rule.powers(int(exps.max()))
     start = 0.0 * (rule.nodes_x + rule.nodes_y)
     step = max(1, _EVAL_BLOCK // max(q, 1))
-    for r0 in range(0, len(terms), step):
-        block = terms[r0:r0 + step]
-        lens = np.fromiter(map(len, block), np.intp, len(block))
-        total = int(lens.sum())
-        if not total:
-            continue
-        exps = np.fromiter(chain.from_iterable(chain.from_iterable(block)),
-                           np.intp, 2 * total).reshape(total, 2)
-        # term t of the flat list is slot t - start(row) of its row
-        owner = np.repeat(np.arange(len(block)), lens)
-        slot = np.arange(total) - np.repeat(np.cumsum(lens) - lens, lens)
-        cs = np.zeros((int(lens.max()), len(block)))
-        cs[slot, owner] = np.fromiter(
-            map(float, chain.from_iterable(map(dict.values, block))), float, total)
-        ii = np.zeros(cs.shape, np.intp)
-        ii[slot, owner] = exps[:, 0]
-        jj = np.zeros(cs.shape, np.intp)
-        jj[slot, owner] = exps[:, 1]
-        xpow, ypow = rule.powers(int(exps.max()))
-        acc = out[r0:r0 + step]
-        acc[lens > 0] = start
-        t = np.empty_like(acc)
-        u = np.empty_like(acc)
-        for k in range(len(cs)):
-            np.take(xpow, ii[k], axis=0, out=t)
-            t *= cs[k][:, None]
-            np.take(ypow, jj[k], axis=0, out=u)
-            t *= u
-            np.add(acc, t, out=acc, where=(lens > k)[:, None])
+    # the terms ordered by block, then slot, then row: each step reads one slice
+    owner = np.repeat(np.arange(len(rows)), lens)
+    slot = np.arange(total) - np.repeat(np.cumsum(lens) - lens, lens)
+    at = np.argsort((owner // step * int(lens[0]) + slot) * step + owner % step)
+    ii, jj, cs = exps[at, 0], exps[at, 1], cs[at, None]
+    lo = 0
+    for r0 in range(0, len(rows), step):
+        block = lens[r0:r0 + step]
+        nb = len(block)
+        # live[k] rows of the block have a k-th term
+        live = nb - np.cumsum(np.bincount(block))[:block[0]]
+        acc = np.empty((nb, q))
+        acc[:] = start
+        for n in live.tolist():
+            hi = lo + n
+            t = xpow.take(ii[lo:hi], axis=0)
+            t *= cs[lo:hi]
+            t *= ypow.take(jj[lo:hi], axis=0)
+            acc[:n] += t
+            lo = hi
+        out[order[r0:r0 + nb]] = acc
     return out
 
 
@@ -338,12 +353,12 @@ def eval_entries(m: PolyMatrix, rule: QuadRule) -> np.ndarray:
     A zero entry is +0.0.  A nonzero one is the sum of its terms
     c * x**i * y**j in the entry's dict order, started from
     0.0 * (x + y): the order and the start are part of the output and
-    the kernel keeps both (see _eval_terms).  Each coefficient is read
-    as the float c / den of its stored numerator and denominator: int
-    true division is correctly rounded, so that is float(Fraction(c,
-    den)), and no Fraction is built.
+    the kernel keeps both, computing each term once (see _eval_terms).
+    Each coefficient is read as the float c / den of its stored
+    numerator and denominator: int true division is correctly rounded,
+    so that is float(Fraction(c, den)), and no Fraction is built.
     """
-    vals = _eval_terms([_floats(p.num, p.den) for i in range(m.rows)
+    vals = _eval_terms([{e: c / p.den for e, c in p.num.items()} for i in range(m.rows)
                         for p in m.row_list(i)], rule)
     return vals.reshape(m.rows, m.cols, len(rule.nodes_x))
 
@@ -351,21 +366,19 @@ def eval_entries(m: PolyMatrix, rule: QuadRule) -> np.ndarray:
 def eval_product(a: PolyMatrix, b: PolyMatrix, rule: QuadRule) -> np.ndarray:
     """eval_entries(a @ b, rule) without forming a @ b.
 
-    Runs the product kernel (matmul_numerators) and reads each int sum c
-    over the denominator d as the float c / d, dropping the sums that
-    cancelled and keeping the kernel's term order, which is the order
-    of a @ b.  Int true division is correctly rounded, so c / d is
-    float(Fraction(c, d)) and the values are bit-identical to
-    evaluating a @ b; no Fraction is built.
+    Runs the product kernel (matmul_numerators) and hands its int sums
+    and their one denominator d to the evaluation kernel, which reads
+    each sum c as the float c / d, keeping the product kernel's term
+    order, which is the order of a @ b.  The sums that cancelled are
+    dropped first, as a @ b drops them.  Int true division is correctly
+    rounded, so c / d is float(Fraction(c, d)) and the values are
+    bit-identical to evaluating a @ b; no Fraction is built.
     """
     acc, d = matmul_numerators(a, b)
-    terms = [_floats(t, d) if t else {} for t in acc]
-    return _eval_terms(terms, rule).reshape(a.rows, b.cols, len(rule.nodes_x))
-
-
-def _floats(num: dict, d: int) -> dict:
-    """{e: c / d} over the nonzero int numerators c of num, in num's order."""
-    return {e: c / d for e, c in num.items() if c}
+    # only a sum that cancelled is copied, to drop it
+    terms = [{} if t is None else t if 0 not in t.values() else {e: c for e, c in t.items() if c}
+             for t in acc]
+    return _eval_terms(terms, rule, d).reshape(a.rows, b.cols, len(rule.nodes_x))
 
 
 def integrate_matrix_numeric(m: PolyMatrix, f: WeightFamily, rule: QuadRule) -> np.ndarray:

@@ -108,16 +108,18 @@ class QuadRule:
 
         Row i of each is the i-th power of the nodes, computed as
         ``nodes**i`` like a per-term evaluation would.  The tables are
-        kept on the rule and rebuilt to degree d when a call asks for
-        more than they hold.
+        kept on the rule; a call that asks for more than they hold
+        computes only the missing rows, to exactly d, and returns new
+        tables that start with the old ones.
         """
         got = self._pow
-        if got is None or len(got[0]) <= d:
+        have = 0 if got is None else len(got[0])
+        if have <= d:
             import numpy as np
 
-            xs, ys = self.nodes_x, self.nodes_y
-            got = (np.array([xs**i for i in range(d + 1)]),
-                   np.array([ys**i for i in range(d + 1)]))
+            new = [np.array([v**i for i in range(have, d + 1)])
+                   for v in (self.nodes_x, self.nodes_y)]
+            got = tuple(new) if got is None else tuple(map(np.concatenate, zip(got, new)))
             object.__setattr__(self, "_pow", got)
         return got
 

@@ -809,6 +809,59 @@ def test_eval_product_is_eval_entries_of_the_product(operands, rule):
                           eval_entries(left @ right, rule))
 
 
+def _signed_rule():
+    return QuadRule(nodes_x=np.array([p[0] for p in _SIGNED_NODES]),
+                    nodes_y=np.array([p[1] for p in _SIGNED_NODES]),
+                    weights=np.ones(len(_SIGNED_NODES)), order=1)
+
+
+def test_eval_terms_sorts_rows_and_scatters_them_back():
+    # row lengths 2 0 5 3 0 3 3 1 0 5 3 2 sort to 5 5 | 3 3 3 | 3 2 2 | 1
+    # in blocks of three rows: a block boundary falls inside the run of
+    # threes, and the empty rows sit between nonempty ones
+    rng = random.Random(7)
+    rule = _signed_rule()
+    rows = []
+    for n in (2, 0, 5, 3, 0, 3, 3, 1, 0, 5, 3, 2):
+        exps = rng.sample([(i, j) for i in range(4) for j in range(4)], n)
+        rows.append({e: rng.randint(-9, 9) or 1 for e in exps})
+    den = 7
+    want = _per_term_rows([{e: c / den for e, c in t.items()} for t in rows], rule)
+    with mock.patch.object(orthosys, "_EVAL_BLOCK", 3 * len(rule.nodes_x)):
+        assert _same_bits(orthosys._eval_terms(rows, rule, den), want)
+        fracs = [{e: Fraction(c, den) for e, c in t.items()} for t in rows]
+        assert _same_bits(orthosys._eval_terms(fracs, rule), want)
+    # the case has -0.0 values, and the empty rows are +0.0
+    assert (np.signbit(want) & (want == 0)).any()
+    assert not np.signbit(want[[1, 4, 8]]).any() and not want[[1, 4, 8]].any()
+
+
+class _CountedTable(np.ndarray):
+    """A power table that adds the number of values each take gathers to gathered."""
+
+    gathered = 0
+
+    def take(self, indices, *args, **kwargs):
+        _CountedTable.gathered += np.size(indices) * self.shape[1]
+        return np.asarray(self).take(indices, *args, **kwargs)
+
+
+def test_eval_terms_computes_each_term_once(monkeypatch):
+    # one 30-term row and 50 one-term rows: padding every row to the
+    # longest would compute 30 * 51 term values per node
+    rule = _signed_rule()
+    rows = [{(i, 30 - i): i + 1 for i in range(30)}] + [{(k % 4, k % 3): k + 1}
+                                                         for k in range(50)]
+    real = QuadRule.powers
+    monkeypatch.setattr(QuadRule, "powers", lambda self, d: tuple(
+        t.view(_CountedTable) for t in real(self, d)))
+    monkeypatch.setattr(_CountedTable, "gathered", 0)
+    got = orthosys._eval_terms(rows, rule)
+    # x**i and y**j once for each of the 80 terms on each node
+    assert _CountedTable.gathered == 2 * 80 * len(rule.nodes_x)
+    assert _same_bits(got, _per_term_rows(rows, rule))
+
+
 _SEED0_BUILTINS = ("product_hermite", "product_laguerre(1,2)", "hermite_laguerre(1)",
                    "product_jacobi(1/2,1/2,1/2,1/2)", "triangle(1,1,1)")
 
