@@ -419,9 +419,10 @@ def check_b(sys: OrthoSystem, n: int, m: int, rule=None) -> PropertyReport:
     Pearson equation and the moments' functional Pearson equations to
     degree 2N - 2.  Elsewhere the cross terms with every lower stack are
     int blocks from one moment contraction (OrthoSystem.cross_rows),
-    which also integrates gram(n, m) into its gram_record, whose
-    determinant the verdict reads.  With a rule they are integrated on
-    the rule and measured against a tolerance.
+    which also integrates gram(n, m) into its gram_record, and the
+    block is nonsingular when the record has an inverse.  With a rule
+    the Gram block and cross terms are OrthoSystem.inner_on's blocks
+    on the rule, measured against a tolerance.
     """
     if n < 1 or m < 1:
         raise ValueError("property b needs n >= 1 and m >= 1")
@@ -433,7 +434,7 @@ def check_b(sys: OrthoSystem, n: int, m: int, rule=None) -> PropertyReport:
             ortho_ok, gram_ok = True, _t_block(sys, n, m)[2]
         else:
             ortho_ok = not any(any(map(any, rows)) for rows, _ in sys.cross_rows(n, m))
-            gram_ok = sys.gram_record(n, m).det != 0
+            gram_ok = sys.gram_record(n, m).inv is not None
         if not ortho_ok:
             notes.append("cross terms with a lower stack survive")
         if not gram_ok:
@@ -442,7 +443,7 @@ def check_b(sys: OrthoSystem, n: int, m: int, rule=None) -> PropertyReport:
         return _report("b", f.name, n, m, ok, notes="; ".join(notes))
     import numpy as np
 
-    gram = sys.gram(n, m, rule)
+    gram = sys.inner_on(n, n, m, rule)
     scale = float(np.abs(np.diag(gram)).max())
     tol = RESIDUAL_REL * scale
     worst = 0.0
@@ -718,7 +719,7 @@ def check_e(sys: OrthoSystem, n: int, m: int, rule=None) -> PropertyReport:
         # the projections [N_top | N_bot] of w on q_k, side by side
         nk = np.einsum("rcq,q->rc", eval_product(sys.q(k, m).transpose(), w, rule),
                        rule.weights)
-        gram = sys.gram(k, m, rule)
+        gram = sys.inner_on(k, k, m, rule)
         if k == n:
             tol = RESIDUAL_REL * float(np.abs(np.diag(gram)).max())
         cols = nk.shape[1] // 2

@@ -67,14 +67,13 @@ degree the run reads: a missing moment stops the run there.
 inner wraps its one block as a constant matrix; integrate_matrix, which
 integrates a formed matrix entrywise, stays as the plain reference.  The
 construction and the exact (b) and (e) checks stay on the int rows: an
-exact Gram block's one exact form is its gram_record (gram(n, m) is a
-view of it), its int rows with their determinant and inverse from one
-elimination (matpoly._echelon), so a block read by build_monic, (b)
-and three (e) cells is eliminated once.  This module builds and
-contracts; it decides nothing by parts.  Where the by-parts guard
-holds, byparts reads (b)'s and (e)'s verdicts off level 0, and the only
-level-m block asked for is the direct record at (e)'s corner where
-deg phi < 2.
+exact Gram block's one exact form is its gram_record, its int rows
+with their inverse from one elimination (matpoly._echelon), so a
+block read by build_monic, (b) and three (e) cells is eliminated
+once.  This module builds and contracts; it decides nothing by parts.
+Where the by-parts guard holds, byparts reads (b)'s and (e)'s verdicts
+off level 0, and the only level-m block asked for is the direct record
+at (e)'s corner where deg phi < 2.
 
 Numeric mode evaluates polynomial matrices on a quadrature rule's nodes
 through one kernel, a whole matrix per call (eval_entries(m, rule),
@@ -95,15 +94,13 @@ An OrthoSystem owns one memo for everything derived from it: the
 stacks q(n, m) and their distinct, counted and weighted rows, W_m, the
 Kronecker powers of the weight matrix and the weighted stacks
 phi_power(m) @ q(n, m) (numeric mode only), the exact Gram blocks'
-gram_record (a singular block is a record too) and the level Gram
-blocks gram(n, m) (the exact view of the record, and per quadrature
-rule in numeric mode), the node values of the stacks and of
-phi_power(m) per quadrature rule (values, read by the numeric Gram
-blocks and cross terms through inner_on), and whatever the checkers
-store through cached(key, make) (eigenvalue matrices, the lifted
-Pearson verdict per level, the by-parts operator's leading blocks and
-top layers).  Each entry is computed on first use and
-shared by every check that reads it; exceptions are not stored, so a
+gram_record (a singular block is a record too), the node values of
+the stacks and of phi_power(m) per quadrature rule (values), the
+numeric Gram blocks and cross terms read off them per rule (inner_on),
+and whatever the checkers store through cached(key, make) (eigenvalue
+matrices, the lifted Pearson verdict per level, the by-parts
+operator's leading blocks and top layers).  Each entry is computed on
+first use and shared by every check that reads it; exceptions are not stored, so a
 failing computation is retried and raises again.
 """
 
@@ -535,43 +532,29 @@ class OrthoSystem:
 
         The same einsum over the same node values as inner, so the
         block is bit-identical, but phi_power(m) and each stack are
-        evaluated once per rule.
+        evaluated once per rule.  The read-only block is kept under the
+        rule object itself, so another rule never hits; k = n is the
+        numeric gram(n, m).
         """
-        return _quad_form(self.values(k, m, rule), self.values(None, m, rule),
-                          self.values(n, m, rule), rule.weights)
-
-    def gram(self, n: int, m: int, rule: QuadRule | None = None):
-        """inner(q(n, m), q(n, m)): the level-m Gram block of degree n.
-
-        Exact without a rule: the constant matrix of the block's
-        gram_record, its one exact form.  With a rule, the read-only
-        float block on that rule, kept under the rule object itself, so
-        another rule never hits.
-        At level 0 this is integral(P_n P_n^t rho) / mu_00, which equals
-        integral(X_n P_n^t rho) / mu_00 because P_n - X_n has lower degree.
-        """
-        if rule is None:
-            def make():
-                rec = self.gram_record(n, m)
-                return _block_matrix(rec.rows, rec.den, len(rec.rows))
-            return self.cached(("gram", n, m), make)
-
         def make():
-            got = self.inner_on(n, n, m, rule)
+            got = _quad_form(self.values(k, m, rule), self.values(None, m, rule),
+                             self.values(n, m, rule), rule.weights)
             got.setflags(write=False)
             return got
-        return self.cached(("gram", n, m, rule), make)
+        return self.cached(("inner", k, n, m, rule), make)
 
     def gram_record(self, n: int, m: int) -> GramRecord:
-        """The exact gram(n, m) as int rows, with its determinant and inverse.
+        """The exact gram(n, m) = inner(q(n, m), q(n, m)) as int rows with their inverse.
 
+        At level 0 this is integral(P_n P_n^t rho) / mu_00, which equals
+        integral(X_n P_n^t rho) / mu_00 because P_n - X_n has lower degree.
         The block's one exact form, from one elimination (_gram_record)
         of its int rows.  build_monic stores the level-0 blocks below
         nmax; gram(nmax, 0) is read off the moment table as build_monic
         reads its blocks (_moment_rows).  Any other block is one moment
         contraction, unless cross_rows already integrated it.  Every
-        exact reader, gram included, reads this record, so no block is
-        eliminated twice; a singular block is a record with inv None.
+        exact reader reads this record, so no block is eliminated
+        twice; a singular block is a record with inv None.
         """
         def make():
             if not m and self.constructed:
@@ -602,16 +585,16 @@ class OrthoSystem:
 
 
 class GramRecord(NamedTuple):
-    """An exact Gram block rows / den, det its determinant.
+    """An exact Gram block rows / den.
 
-    inv holds the int rows of its inverse over inv_den > 0.  A singular
-    block has inv None, and free is then its first column without a
-    pivot (matpoly._free_column).
+    inv holds the int rows of its inverse over inv_den > 0, with the
+    gcd of inv_den and every entry 1.  A singular block, and only a
+    singular block, has inv None, and free is then its first column
+    without a pivot (matpoly._free_column).
     """
 
     rows: list
     den: int
-    det: Fraction
     inv: list | None
     inv_den: int
     free: int | None = None
@@ -620,20 +603,19 @@ class GramRecord(NamedTuple):
 def _gram_record(rows: list, d: int) -> GramRecord:
     """The GramRecord of the square block rows / d, from one _echelon of [rows | I].
 
-    With p the last pivot, p times the inverse of rows is integral
-    (_back_substitute) and det(rows) = sign p, so the block rows / d has
-    determinant sign p / d^k and inverse d (p rows^-1) / p, stored with
-    the gcd of its entries and denominator divided out.
+    The block is singular exactly when some column has no pivot.
+    Otherwise, with p the last pivot, p times the inverse of rows is
+    integral (_back_substitute), so rows / d has inverse d (p rows^-1) /
+    p, stored with the gcd of its entries and denominator divided out.
     """
     k = len(rows)
-    w, pivots, sign = _echelon([row + [int(i == j) for j in range(k)]
-                                for i, row in enumerate(rows)], k)
+    w, pivots, _ = _echelon([row + [int(i == j) for j in range(k)]
+                             for i, row in enumerate(rows)], k)
     if len(pivots) < k:
-        return GramRecord(rows, d, Fraction(0), None, 1, _free_column(pivots))
+        return GramRecord(rows, d, None, 1, _free_column(pivots))
     x, p = _back_substitute(w, k, k)
     sp = -1 if p < 0 else 1
-    return GramRecord(rows, d, Fraction(sign * p, d ** k),
-                      *reduce_rows([[sp * d * v for v in row] for row in x], sp * p))
+    return GramRecord(rows, d, *reduce_rows([[sp * d * v for v in row] for row in x], sp * p))
 
 
 def _popcounts(m: int) -> list:

@@ -20,6 +20,13 @@ def _consts(m):
     return rows
 
 
+def gram_matrix(sys, n, m):
+    """The exact gram(n, m) as a constant matrix: its gram_record's rows over den."""
+    rec = sys.gram_record(n, m)
+    return const_matrix([[Fraction(v, rec.den) for v in row] for row in rec.rows],
+                        len(rec.rows))
+
+
 def l_mat(n, which):
     """The shift table L(n, which) as a constant (n+1) x (n+2) matrix.
 

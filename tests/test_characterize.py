@@ -15,6 +15,7 @@ from conftest import (
     _l_swapped_at_2,
     _n_half_at_3,
     _n_swapped_at_2,
+    gram_matrix,
     l_mat,
     n_mat,
 )
@@ -847,12 +848,11 @@ def test_lemma2_fails_under_a_swapped_derivative_matrix(monkeypatch):
 
 def test_system_memo_grams_eigenvalues_and_bounds():
     f, sys = get_system("product_hermite")
-    first = sys.gram(2, 1)
-    assert sys.gram(2, 1) is first
-    assert first == inner(sys.q(2, 1), sys.q(2, 1), 1, f)
+    assert gram_matrix(sys, 2, 1) == inner(sys.q(2, 1), sys.q(2, 1), 1, f)
     for n in range(5):
-        assert sys.gram(n, 0) == integrate_matrix(x_vec(n) @ sys.p(n).transpose(), f), n
-        assert sys.gram(n, 0) == inner(sys.q(n, 0), sys.q(n, 0), 0, f), n
+        assert gram_matrix(sys, n, 0) == integrate_matrix(x_vec(n) @ sys.p(n).transpose(),
+                                                          f), n
+        assert gram_matrix(sys, n, 0) == inner(sys.q(n, 0), sys.q(n, 0), 0, f), n
     # check_c stores the eigenvalue matrix in the system memo; a second
     # lookup must hit it (pytest.fail as the fallback proves no recompute)
     assert check_c(sys, 2, 1).status == "pass"
@@ -1688,7 +1688,7 @@ def test_distinct_row_checkers_match_the_full_tensor_oracle(ref):
             assert [out["final_sign"]] == (finals[:1] or [0]), n
     for n in range(nmax + 1):
         for m in range(mmax + 1):
-            assert sys.gram(n, m) == _full_gram(sys, n, m), (n, m)
+            assert gram_matrix(sys, n, m) == _full_gram(sys, n, m), (n, m)
 
 
 def _primitive(rows, cols):
@@ -1811,10 +1811,9 @@ def test_a_singular_gram_block_is_recorded_and_gives_the_oracle_notes(monkeypatc
         assert got == oracle(sys, n, 1), (check.__name__, n)
         assert got.status == "fail" and note in got.notes.split("; "), (check.__name__, n)
     record = sys.gram_record(2, 1)
-    assert record.det == 0 and record.inv is None
+    assert record.inv is None
     assert calls.count(_gram_key(record)) == 0
-    # the exact gram is a view of the record
-    assert sys.gram(2, 1) == singular
+    assert gram_matrix(sys, 2, 1) == singular
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=20)

@@ -9,8 +9,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import _consts, count_table_builds
-from hypothesis import given, settings, strategies as st
+from conftest import _consts, count_table_builds, gram_matrix
+from hypothesis import example, given, settings, strategies as st
 from test_acceptance import ALL_INSTANCES
 from test_characterize import pearson_data
 from test_reductions import _shifted_hermite
@@ -92,7 +92,7 @@ def test_monicity_and_orthogonality():
             for j in range(n):
                 z = integrate_matrix(x_vec(j) @ sys.p(n).transpose(), f)
                 assert z.is_zero, (ref, n, j)
-            assert det_exact(sys.gram(n, 0)) != 0, (ref, n)
+            assert det_exact(gram_matrix(sys, n, 0)) != 0, (ref, n)
 
 
 def test_gradient_stack_shapes_and_values():
@@ -388,10 +388,10 @@ def test_build_monic_cost_shape(monkeypatch, ref):
                          "square _echelon": nmax}
         assert max(degrees) == 2 * nmax - 1
         # the construction leaves the gram_record of gram(n, 0), n < nmax,
-        # in the memo, and gram reads it
+        # in the memo
         for n in range(nmax):
             assert ("gram record", n, 0) in sys._memo
-            assert sys.gram(n, 0) == integrate_matrix(
+            assert gram_matrix(sys, n, 0) == integrate_matrix(
                 sys.q(n, 0).transpose() @ sys.q(n, 0), f), n
 
 
@@ -553,7 +553,8 @@ def test_a_shallow_table_serves_shallower_reads_after_a_deeper_request_fails(mon
     _same_system(sys, want)
     assert byparts._functional_pearson(sys)
     [(rows, d)] = integrate_rows([sys.counted_rows(1, 1)], sys.weighted_rows(1, 1), f)
-    assert sys.gram(1, 1) == const_matrix([[Fraction(v, d) for v in row] for row in rows], 3)
+    block = const_matrix([[Fraction(v, d) for v in row] for row in rows], 3)
+    assert gram_matrix(sys, 1, 1) == block
     assert not degrees
     with pytest.raises(OracleUnavailableError, match=r"moment \(0,9\)"):
         build_monic(f, 5)
@@ -591,16 +592,81 @@ def test_an_exact_run_builds_one_table_per_family(monkeypatch, ref):
     assert builds == [depth + 1]
 
 
+def _gauss_jordan(block):
+    """Fraction Gauss-Jordan on [block | I]: (block^-1 or None, the first dependent column).
+
+    Column j of block gets a pivot exactly when it is independent of
+    the columns before it.
+    """
+    k = len(block)
+    a = [list(row) + [Fraction(int(i == j)) for j in range(k)] for i, row in enumerate(block)]
+    pivots = []
+    for col in range(k):
+        r = next((r for r in range(len(pivots), k) if a[r][col]), None)
+        if r is None:
+            continue
+        top = len(pivots)
+        a[top], a[r] = a[r], a[top]
+        a[top] = [v / a[top][col] for v in a[top]]
+        for i in range(k):
+            if i != top and a[i][col]:
+                a[i] = [x - a[i][col] * y for x, y in zip(a[i], a[top])]
+        pivots.append(col)
+    if len(pivots) == k:
+        return [row[k:] for row in a], None
+    return None, next(j for j in range(k) if j not in pivots)
+
+
+@st.composite
+def _int_blocks(draw):
+    """A k x k int block, k <= 6, over d >= 1; some with a planted repeated row or zero column."""
+    k = draw(st.integers(1, 6))
+    bound = draw(st.sampled_from([2, 2 ** 40]))
+    entry = st.integers(-bound, bound)
+    rows = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=k, max_size=k))
+    plant = draw(st.sampled_from(["none", "repeated row", "zero column"]))
+    if plant == "repeated row" and k > 1:
+        i, j = draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))
+        rows[j] = list(rows[i])
+    elif plant == "zero column":
+        j = draw(st.integers(0, k - 1))
+        for row in rows:
+            row[j] = 0
+    return rows, draw(st.integers(1, 2 ** 40))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(_int_blocks())
+@example(([[2 ** 61 - 1, 0], [0, 1]], 1))
+@example(([[2 ** 61 - 1, 0], [0, 1]], 3))
+@example(([[1, 2, 3], [1, 2, 3], [0, 0, 1]], 5))
+@example(([[1, 0, 2], [3, 0, 4], [5, 0, 6]], 1))
+def test_gram_record_against_a_fraction_inverse(block):
+    rows, d = block
+    k = len(rows)
+    rec = orthosys._gram_record([list(row) for row in rows], d)
+    assert (rec.rows, rec.den) == (rows, d)
+    frs = [[Fraction(v, d) for v in row] for row in rows]
+    want, free = _gauss_jordan(frs)
+    assert (rec.inv is None) == (det_exact(const_matrix(frs, k)) == 0) == (want is None)
+    if rec.inv is None:
+        assert rec.free == free
+        return
+    assert rec.free is None and rec.inv_den > 0
+    assert math.gcd(rec.inv_den, *(v for row in rec.inv for v in row)) == 1
+    assert [[Fraction(v, rec.inv_den) for v in row] for row in rec.inv] == want
+
+
 @pytest.mark.parametrize("ref", _KERNEL_FAMILIES)
 def test_gram_equals_formed_product_integral(ref):
-    # gram reads the m + 1 distinct rows; the oracle forms every row
+    # gram_record reads the m + 1 distinct rows; the oracle forms every row
     f = builtin(ref)
     sys = build_monic(f, 7)
     for m in range(5):
         phim = kron_power(f.phi, m)
         for n in range(min(5, 8 - m)):
             q = sys.q(n, m)
-            assert sys.gram(n, m) == integrate_matrix(q.transpose() @ phim @ q, f), (n, m)
+            assert gram_matrix(sys, n, m) == integrate_matrix(q.transpose() @ phim @ q, f), (n, m)
 
 
 # ---------------------------------------------------------------------------
@@ -694,21 +760,26 @@ def test_weighted_rows_rejects_a_negative_level():
     with pytest.raises(ValueError):
         sys.weighted_rows(1, -1)
 
-def test_numeric_gram_is_kept_per_rule():
+def test_numeric_blocks_are_kept_per_rule():
     f = builtin("product_jacobi(0,0,0,0)")
     sys = build_monic(f, 4)
     q = sys.q(2, 1)
     rule = make_quadrature(f, 12)
-    g = sys.gram(2, 1, rule)
-    assert sys.gram(2, 1, rule) is g
-    assert np.array_equal(g, inner(q, q, 1, f, mode="numeric", rule=rule))
+    g = sys.inner_on(2, 2, 1, rule)
+    assert sys.inner_on(2, 2, 1, rule) is g
     assert not g.flags.writeable
+    assert _same_bits(g, inner(q, q, 1, f, mode="numeric", rule=rule))
     # another rule, even one with equal nodes, never hits the entry
     for other in (make_quadrature(f, 14), make_quadrature(f, 12)):
-        h = sys.gram(2, 1, other)
+        h = sys.inner_on(2, 2, 1, other)
         assert h is not g
-        assert np.array_equal(h, inner(q, q, 1, f, mode="numeric", rule=other))
-    assert isinstance(sys.gram(2, 1), PolyMatrix)
+        assert _same_bits(h, inner(q, q, 1, f, mode="numeric", rule=other))
+    # a cross block k < n is kept as well, read-only
+    for k in (0, 1):
+        cross = sys.inner_on(k, 2, 1, rule)
+        assert sys.inner_on(k, 2, 1, rule) is cross
+        assert not cross.flags.writeable
+        assert _same_bits(cross, inner(sys.q(k, 1), q, 1, f, mode="numeric", rule=rule)), k
 
 
 # ---------------------------------------------------------------------------

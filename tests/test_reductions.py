@@ -39,6 +39,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import gram_matrix
 from hypothesis import example, given, settings
 from test_acceptance import (
     ALL_INSTANCES,
@@ -542,7 +543,7 @@ def test_the_lowest_projection_is_l_transposed_times_the_level_0_gram_block(ref)
             cols = list(zip(*byparts._l_pair(sys, n, m)))  # the columns of [L_1 | L_2]
             c = n + m
             halves = [(_ratios(cols[i * c:(i + 1) * c], d ** (m + 1))
-                       @ sys.gram(n + m, 0)).scale((-1) ** (m + 1)) for i in (0, 1)]
+                       @ gram_matrix(sys, n + m, 0)).scale((-1) ** (m + 1)) for i in (0, 1)]
             assert _ratios(rows, dn) == hstack(*halves), (n, m)
 
 
@@ -814,8 +815,9 @@ def test_lead_blocks_are_built_once_and_check_e_contracts_nothing(monkeypatch):
 @pytest.mark.parametrize("ref", INSTANCES)
 def test_b_reads_its_gram_verdict_off_t_n_without_a_level_record(ref, monkeypatch):
     # gram(n, m) = (-1)^m gram(n + m, 0) T_n with gram(n + m, 0) the
-    # construction's nonsingular record: the verdicts agree with the
-    # contracted block's determinant, and the reports with the guard-off run
+    # construction's nonsingular record: the verdicts agree with whether
+    # the contracted record has an inverse, and the reports with the
+    # guard-off run
     f = builtin(ref)
     sys = build_monic(f, 7)
     cells = [(n, m) for n in range(1, 4) for m in range(1, 4)]
@@ -823,7 +825,8 @@ def test_b_reads_its_gram_verdict_off_t_n_without_a_level_record(ref, monkeypatc
     assert not [key for key in sys._memo if key[0] == "gram record" and key[2]]
     for n, m in cells:
         assert _route(sys, n, m), (n, m)
-        assert byparts._t_block(sys, n, m)[2] == (_contracted(sys, n, m)[0].det != 0), (n, m)
+        assert byparts._t_block(sys, n, m)[2] == (_contracted(sys, n, m)[0].inv is not None), \
+            (n, m)
     with monkeypatch.context() as mp:
         mp.setattr(byparts, "_by_parts", lambda *args: False)
         other = build_monic(f, 7)
@@ -841,7 +844,7 @@ def test_b_gram_verdict_is_the_blocks_determinant_on_pearson_data(f):
     for n in range(1, 4):
         for m in range(1, 3):
             singular = "level gram singular" in check_b(sys, n, m).notes
-            assert singular == (_contracted(sys, n, m)[0].det == 0), (n, m)
+            assert singular == (_contracted(sys, n, m)[0].inv is None), (n, m)
             assert not _route(sys, n, m), (n, m)
     cols = _eigen_columns(f, 6)
     if cols is None:
@@ -870,7 +873,7 @@ def test_a_singular_t_n_is_a_singular_level_gram_block_in_b():
     assert ("gram record", 2, 1) not in sys._memo
     assert [check_b(sys, n, m).status for n, m in [(1, 1), (3, 1), (2, 2)]] == ["pass"] * 3
     # the block read by parts is singular too
-    assert _t_record(sys, 2, 1).det == 0
+    assert _t_record(sys, 2, 1).inv is None
 
 
 def _spy_constant_solves(monkeypatch):
